@@ -1,10 +1,32 @@
 """Weyl groups as integer matrices on the coroot lattice.
 
-Enumeration is a breadth-first closure over the simple reflections, batched
-through numpy and stored in a canonical sorted order, so runs are
-deterministic.  Molien/Poincare sums, trace statistics and Lefschetz averages
-are evaluated per characteristic-polynomial bucket: both det(1 + t*w) and
-det(1 - t^2*w) depend only on the characteristic polynomial of w.
+Element index.  Each element w is keyed by its image w*v of one regular
+integer vector v, the smallest integral multiple of A^-1 * 1 in coroot
+coordinates (rho-vee or 2*rho-vee), so alpha_i(v) > 0 for every simple root.
+v lies inside the fundamental chamber and W acts simply transitively on the
+chambers, so w -> w*v is injective.  v is dominant and -v is the lowest
+point of its orbit, so coordinate i of w*v lies in [-v_i, v_i] and the image
+packs by mixed radix (2*v_i + 1) into one int64.  The key width,
+sum of log2(2*v_i + 1) bits, peaks at 47.1 bits (E7) over the types below
+HARD_ELEMENT_LIMIT, and never exceeds r*log2(2*max(v) + 1) (53.1 at E7).
+The keys are kept sorted and queried with np.searchsorted; every query checks
+that the element found is the matrix asked for.
+
+Enumeration is a breadth-first search by Coxeter length.  w*s_g is w minus
+the outer product of column g of w with row g of the Cartan matrix, and
+l(w*s_g) = l(w) +- 1, so each level's products are deduplicated by key among
+themselves and against the previous level only.  The elements are then
+stored in canonical lexicographic order, so runs are deterministic.
+
+The product table is built without per-product lookups: left multiplication
+by each simple reflection is an index permutation found with r*|W| index
+queries, and the row of s_g*w is that permutation applied to the row of w.
+The table is quadratic in |W| and limited to TABLE_ELEMENT_LIMIT elements,
+a limit separate from the enumeration's element_cap.
+
+Molien/Poincare sums, trace statistics and Lefschetz averages are evaluated
+per characteristic-polynomial bucket: both det(1 + t*w) and det(1 - t^2*w)
+depend only on the characteristic polynomial of w.
 """
 
 from __future__ import annotations
@@ -23,30 +45,54 @@ from typing import Sequence
 import numpy as np
 
 from .alcove import AlcoveGeometry, barycenter
+from .invariants import InvariantBreachError
 from .rootdata import FaceIndex, RootDatum
 
 WeylMatrix = tuple[tuple[int, ...], ...]
 
 DEFAULT_ELEMENT_CAP = 100_000
 HARD_ELEMENT_LIMIT = 10_000_000
+TABLE_ELEMENT_LIMIT = 20_000  # |W|^2 int32 product table: 1.6 GB at the limit
 CACHE_ENV_VAR = "LIECOMM_CACHE_DIR"
 _CACHE_VERSION = 1
 
 
 class WeylCapError(RuntimeError):
-    """Full enumeration would exceed the element cap."""
+    """Full enumeration, or a table over the group, would exceed its cap."""
 
-    def __init__(self, required: int, cap: int):
+    def __init__(self, required: int, cap: int, message: str | None = None):
         self.required = required
         self.cap = cap
         super().__init__(
-            f"enumeration needs {required} elements, above the cap {cap}; "
+            message
+            or f"enumeration needs {required} elements, above the cap {cap}; "
             "raise element_cap or use the formula-level operations"
         )
 
 
 class ReductionError(RuntimeError):
     """Affine reduction failed to land in the alcove within the iteration cap."""
+
+
+def _regular_vector(datum: RootDatum) -> np.ndarray:
+    """The smallest integral multiple of A^-1 * 1 in coroot coordinates.
+
+    The sum of the positive coroots is 2*rho-vee, which is integral; halve it
+    when that stays integral.
+    """
+    v = np.sum(np.array(datum.positive_coroots, dtype=np.int64), axis=0)
+    if not np.any(v % 2):
+        v //= 2
+    alpha = np.array(datum.cartan, dtype=np.int64) @ v
+    if np.any(alpha != alpha[0]) or alpha[0] <= 0:
+        raise InvariantBreachError(f"{datum.lie_type.name}: v is not a multiple of rho-vee")
+    return v
+
+
+def _pack(images: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Mixed-radix int64 keys of orbit points w*v, one per trailing vector."""
+    weights = np.concatenate(([1], np.cumprod(2 * v[:-1] + 1)))
+    return (images + v) @ weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,35 +121,85 @@ class WeylGroup:
         return self.matrices.astype(np.int64)
 
     @cached_property
-    def _index(self) -> dict[bytes, int]:
-        return {m.tobytes(): i for i, m in enumerate(self._array)}
+    def _v(self) -> np.ndarray:
+        return _regular_vector(self.datum)
+
+    @cached_property
+    def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The element keys in ascending order, and the element index of each."""
+        keys = _pack(self.matrices @ self._v, self._v)
+        perm = np.argsort(keys)
+        keys = keys[perm]
+        if np.any(keys[1:] == keys[:-1]):
+            raise InvariantBreachError(
+                f"{self.datum.lie_type.name}: two elements share an orbit key"
+            )
+        return keys, perm
+
+    def index_of(self, mats) -> np.ndarray:
+        """Element indices of a stack of matrices (shape (..., r, r)).
+
+        Raises InvariantBreachError if any matrix is not a group element.
+        """
+        mats = np.asarray(mats, dtype=np.int64)
+        keys, perm = self._sorted_keys
+        pos = np.searchsorted(keys, _pack(mats @ self._v, self._v))
+        idx = perm[np.minimum(pos, self.order - 1)]
+        if not np.array_equal(self.matrices[idx], mats):
+            raise InvariantBreachError(
+                f"a queried matrix is not an element of the {self.datum.lie_type.name} Weyl group"
+            )
+        return idx
 
     @cached_property
     def identity_index(self) -> int:
-        eye = np.eye(self.datum.rank, dtype=np.int64)
-        return self._index[eye.tobytes()]
+        return int(self.index_of(np.eye(self.datum.rank, dtype=np.int64)))
 
     @cached_property
     def _mult_table(self) -> np.ndarray:
         """table[i, j] = index of elements[i] @ elements[j]; small groups only."""
-        if self.order > 20_000:
-            raise WeylCapError(self.order, 20_000)
+        n, r = self.order, self.datum.rank
+        if n > TABLE_ELEMENT_LIMIT:
+            raise WeylCapError(
+                n,
+                TABLE_ELEMENT_LIMIT,
+                f"the {self.datum.lie_type.name} Weyl group has {n} elements, above the "
+                f"{TABLE_ELEMENT_LIMIT:,}-element limit of its product table (a table at "
+                "that size is 1.6 GB of int32); no option raises this limit",
+            )
+        cartan = np.array(self.datum.cartan, dtype=np.int64)
         arr = self._array
-        idx = self._index
-        table = np.empty((self.order, self.order), dtype=np.int32)
-        for i in range(self.order):
-            prods = arr[i] @ arr
-            table[i] = [idx[p.tobytes()] for p in prods]
+        # left[g, j] = index of s_g * w_j; s_g changes row g only, by cartan[g] @ w
+        left = np.empty((r, n), dtype=np.int32)
+        for g in range(r):
+            prods = arr.copy()
+            prods[:, g, :] -= cartan[g] @ arr
+            left[g] = self.index_of(prods)
+        # rows along a breadth-first tree from the identity: row(s_g w) = left[g][row(w)]
+        table = np.empty((n, n), dtype=np.int32)
+        e = self.identity_index
+        table[e] = np.arange(n, dtype=np.int32)
+        done = np.zeros(n, dtype=bool)
+        done[e] = True
+        frontier = np.array([e])
+        while frontier.size:
+            children, first = np.unique(left[:, frontier], return_index=True)
+            fresh = ~done[children]
+            children = children[fresh]
+            gens, parents = np.divmod(first[fresh], frontier.size)
+            table[children] = left[gens[:, None], table[frontier[parents]]]
+            done[children] = True
+            frontier = children
+        if not done.all():
+            raise InvariantBreachError("simple reflections did not reach every element")
         return table
 
     @cached_property
     def _inverse(self) -> np.ndarray:
-        table = self._mult_table
-        inv = np.empty(self.order, dtype=np.int32)
-        e = self.identity_index
-        for i in range(self.order):
-            inv[i] = int(np.nonzero(table[i] == e)[0][0])
-        return inv
+        rows, cols = np.nonzero(self._mult_table == self.identity_index)
+        if not np.array_equal(rows, np.arange(self.order)):
+            raise InvariantBreachError("product table rows do not each hold the identity once")
+        return cols.astype(np.int32)
 
     @cached_property
     def _conjugation_table(self) -> np.ndarray:
@@ -145,16 +241,6 @@ def _cache_path(datum: RootDatum, cache_dir: Path | None) -> Path:
     return Path(base) / f"weyl_{datum.lie_type.name}_v{_CACHE_VERSION}.npz"
 
 
-def _simple_reflection_matrices(datum: RootDatum) -> np.ndarray:
-    r = datum.rank
-    gens = np.empty((r, r, r), dtype=np.int64)
-    for i in range(r):
-        m = np.eye(r, dtype=np.int64)
-        m[i, :] -= np.array(datum.cartan[i], dtype=np.int64)
-        gens[i] = m
-    return gens
-
-
 def _charpolys_stack(arr: np.ndarray) -> np.ndarray:
     """Characteristic polynomials of a stack of integer matrices, ascending.
 
@@ -170,7 +256,7 @@ def _charpolys_stack(arr: np.ndarray) -> np.ndarray:
     for k in range(1, r + 1):
         tr = np.trace(m, axis1=1, axis2=2)
         if np.any(tr % k):
-            raise ArithmeticError("Faddeev-LeVerrier divisibility failed")
+            raise InvariantBreachError("Faddeev-LeVerrier divisibility failed")
         c = -(tr // k)
         desc[:, k] = c
         if k == r:
@@ -224,34 +310,37 @@ def _enumerate(datum: RootDatum) -> WeylGroup:
             f"({datum.weyl_order} elements)",
             file=sys.stderr,
         )
-    # matrix entries are coroot coordinates of coroots, far inside int16 range
-    dtype = np.int64 if datum.weyl_order <= 200_000 else np.int16
-    gens = _simple_reflection_matrices(datum).astype(dtype)
-    eye = np.eye(r, dtype=dtype)
-    seen = {eye.tobytes()}
-    chunks = [eye[None, :, :]]
-    frontier = eye[None, :, :]
-    while frontier.shape[0]:
-        prods = np.einsum("fij,gjk->fgik", frontier, gens).reshape(-1, r, r)
-        fresh = []
-        for mat in prods:
-            key = mat.tobytes()
-            if key not in seen:
-                seen.add(key)
-                fresh.append(mat)
-        if not fresh:
+    # matrix entries are coroot coordinates of coroots (|entry| <= 6), so the
+    # search runs in int8; w - (w e_g) (row g of A) stays within 6 + 6 * 3
+    cartan = np.array(datum.cartan, dtype=np.int8)
+    v = _regular_vector(datum)
+    alpha_v = int(cartan[0].astype(np.int64) @ v)  # alpha_g(v), the same for every g
+    level = np.eye(r, dtype=np.int8)[None]
+    levels = [level]
+    level_keys = _pack(v, v)[None]
+    prev_keys = level_keys[:0]
+    while True:
+        # w * s_g for every w in the level and every g, as flat index w * r + g
+        cols = level.transpose(0, 2, 1)
+        images = (level @ v)[:, None, :] - alpha_v * cols
+        keys, first = np.unique(_pack(images, v), return_index=True)
+        fresh = ~np.isin(keys, prev_keys, assume_unique=True)
+        if not fresh.any():
             break
-        frontier = np.stack(fresh)
-        chunks.append(frontier)
-    all_mats = np.concatenate(chunks, axis=0)
-    del seen, chunks, frontier
+        parents, gens = np.divmod(first[fresh], r)
+        level = level[parents] - cols[parents, gens][:, :, None] * cartan[gens][:, None, :]
+        levels.append(level)
+        prev_keys, level_keys = level_keys, keys[fresh]
+    all_mats = np.concatenate(levels, axis=0)
+    del levels  # free the search buffers before the sort and the bucketing
     if all_mats.shape[0] != datum.weyl_order:
-        raise ArithmeticError(
+        raise InvariantBreachError(
             f"enumeration found {all_mats.shape[0]} elements, expected {datum.weyl_order}"
         )
     flat = all_mats.reshape(all_mats.shape[0], r * r)
-    order = np.lexsort(flat.T[::-1])
-    arr = np.ascontiguousarray(all_mats[order])
+    arr = all_mats[np.lexsort(flat.T[::-1])]
+    del all_mats, flat  # sort in int8, then widen once
+    arr = arr.astype(np.int64 if datum.weyl_order <= 200_000 else np.int16)
     arr.setflags(write=False)
     return WeylGroup(datum, arr, _bucket_charpolys(arr), arr.shape[0])
 
@@ -379,10 +468,10 @@ def molien_poincare(group: WeylGroup, n: int, max_deg: int) -> list[int]:
     coeffs = []
     for c in acc:
         if c % group.order:
-            raise ArithmeticError("Molien sum is not divisible by the group order")
+            raise InvariantBreachError("Molien sum is not divisible by the group order")
         coeffs.append(c // group.order)
     if coeffs[0] != 1 or (max_deg >= 1 and coeffs[1] != 0) or any(c < 0 for c in coeffs):
-        raise ArithmeticError("Poincare coefficients violate their invariants")
+        raise InvariantBreachError("Poincare coefficients violate their invariants")
     return coeffs
 
 
@@ -409,7 +498,7 @@ def euler_char_rep(group: WeylGroup, k: int) -> int:
         det1 = sum(charpoly)  # charpoly evaluated at 1 = det(1 - w)
         total += mult * det1**k
     if total % group.order:
-        raise ArithmeticError("Lefschetz average is not an integer")
+        raise InvariantBreachError("Lefschetz average is not an integer")
     return total // group.order
 
 
@@ -472,12 +561,18 @@ def _all_faces(datum: RootDatum) -> list[FaceIndex]:
 
 def _fixed_coset_counts(group: WeylGroup, stab: StabilizerSubgroup) -> np.ndarray:
     """For each w: number of cosets g*W_sigma with w*g*W_sigma = g*W_sigma."""
+    # #{g : g^-1 w g in W_sigma} counts the pairs (g, s) with s in W_sigma and
+    # g s g^-1 = w, i.e. how often w appears in the columns conj[:, s]; the
+    # columns go in blocks of about 2^16 entries to bound bincount's intp copy
     conj = group._conjugation_table
-    member = np.zeros(group.order, dtype=bool)
-    member[list(stab.indices)] = True
-    counts = member[conj].sum(axis=0)
+    members = np.array(stab.indices)
+    step = max(1, (1 << 16) // group.order)
+    counts = np.zeros(group.order, dtype=np.int64)
+    for start in range(0, members.size, step):
+        block = conj[:, members[start : start + step]]
+        counts += np.bincount(block.ravel(), minlength=group.order)
     if np.any(counts % stab.order):
-        raise ArithmeticError("coset fixed-point count is not divisible")
+        raise InvariantBreachError("coset fixed-point count is not divisible")
     return counts // stab.order
 
 
@@ -501,11 +596,11 @@ def cell_census(group: WeylGroup, geometry: AlcoveGeometry, k: int) -> list[int]
             acc = acc * fixed[f]
         total = int(acc.sum())
         if total % group.order:
-            raise ArithmeticError("Burnside average is not an integer")
+            raise InvariantBreachError("Burnside average is not an integer")
         counts[dim] += total // group.order
     alternating = sum((-1) ** d * c for d, c in enumerate(counts))
     if alternating != euler_char_rep(group, k):
-        raise ArithmeticError("cell census fails the Euler-characteristic identity")
+        raise InvariantBreachError("cell census fails the Euler-characteristic identity")
     return counts
 
 
@@ -576,7 +671,7 @@ def alcove_reduce(
         if any(c.denominator != 1 for row in w for c in row) or any(
             c.denominator != 1 for c in q
         ):
-            raise ArithmeticError("reduction produced a non-integral transform")
+            raise InvariantBreachError("reduction produced a non-integral transform")
         w_int = tuple(tuple(int(c) for c in row) for row in w)
         q_int = tuple(int(c) for c in q)
         x_frac = _as_fraction_vector(x)
@@ -584,6 +679,6 @@ def alcove_reduce(
             sum(w_int[i][j] * x_frac[j] for j in range(r)) + q_int[i] for i in range(r)
         ]
         if check != y:
-            raise ArithmeticError("reduction bookkeeping failed")
+            raise InvariantBreachError("reduction bookkeeping failed")
         return tuple(y), w_int, q_int
     raise ReductionError("alcove reduction did not terminate; input may be irrational")

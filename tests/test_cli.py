@@ -52,6 +52,22 @@ class TestPoincareCommand:
         assert code == 2
         assert "cap" in err
 
+    def test_weyl_breach_exits_3(self, capsys, monkeypatch):
+        from liecomm import weyl
+
+        def shifted(arr):
+            # move one rotation into the reflection bucket of A2
+            (k0, c0), mid, (k2, c2) = real(arr)
+            return (k0, c0 + 1), mid, (k2, c2 - 1)
+
+        real = weyl._bucket_charpolys
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        monkeypatch.setattr(weyl, "_bucket_charpolys", shifted)
+        code, out, err = run_cli(capsys, "poincare", "A2", "--n", "2", "--deg", "6")
+        assert code == 3
+        assert out == ""
+        assert "invariant breach" in err and "Molien" in err
+
 
 class TestErrors:
     def test_bad_type(self, capsys):
@@ -93,6 +109,26 @@ class TestOtherCommands:
         payload = json.loads(out)
         assert payload["counts_by_dim"] == [4, 4, 2]
         assert payload["euler_characteristic"] == 2
+
+    def test_cells_breach_exits_3(self, capsys, monkeypatch):
+        from liecomm import weyl
+
+        real = weyl.euler_char_rep
+        monkeypatch.setattr(weyl, "euler_char_rep", lambda group, k: real(group, k) + 1)
+        code, out, err = run_cli(capsys, "cells", "A1", "--k", "2")
+        assert code == 3
+        assert out == ""
+        assert "invariant breach" in err and "Euler" in err
+
+    def test_cells_table_cap_names_the_table_limit(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "cells", "E6", "--k", "2", "--rank-cap", "6", "--cache-dir", str(tmp_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert "51840 elements" in err
+        assert "20,000-element limit of its product table" in err
+        assert "element_cap" not in err
 
     def test_spin_stability(self, capsys):
         code, out, _ = run_cli(capsys, "spin-stability", "--m", "7")

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import comb
 
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from liecomm import weyl
 from liecomm.alcove import alcove_geometry, barycenter
+from liecomm.invariants import InvariantBreachError
 from liecomm.rootdata import FaceIndex, build_root_datum
 from liecomm.weyl import (
+    HARD_ELEMENT_LIMIT,
     WeylCapError,
     alcove_reduce,
     cell_census,
@@ -90,6 +93,94 @@ class TestEnumeration:
         assert euler_char_rep(group, 2) == 8
         assert molien_poincare(group, 2, 2) == [1, 0, 1]
 
+
+# sha256 of matrices.tobytes() and of repr(charpoly_buckets), as enumerated
+# before the element index replaced the byte-set search
+ENUMERATION_DIGESTS = {
+    "A1": ("c9cb04ba987a95a535a8ba7d18b3815d0f04b47add63f2b18ed0a66f9a6d617a", "1532e1324f0cfe80df91a43d381c2b80e82419dbaa21f673398e00aefbbe5c7d"),
+    "A2": ("80e3cd5322915ef6990dc3359c067b88cd31bfe5b37cd02bf66b160926781e26", "3d81a6d77c1c8c1ab26bcf2b86da27730f692196e60051d4f6fa853396181596"),
+    "A3": ("58dd24a4acfad8d1e350f5ec9beadfe1ad7d2f828f65eef9de05f524b5b2c03a", "9080a27dd20b6142b8d12c3b1a9bb9341528d5232ddc3c31d47f9b943173eb75"),
+    "A4": ("3004bbed754776a90caab06d72b11d227aa2fd71a0112c16a3b4889154b0a32c", "d95e538cdae2f669eca6bd16de69a7cf3a4a913d7d5522f14a4b22a8cb0f3e4a"),
+    "A5": ("66db65b3523e5d60848708ba3da16aeae62af5e094d0d19f7b58dede9bd886e8", "5e8b41cd92e4f0491e1b43e7f91ee977bea28669a0fd93400ca54f7aebc753a7"),
+    "B3": ("3c98197bae5f1dd6bf6a258e4f7768c5bf033c62bfc8d446054d3c679749e105", "9f78e4606e70e8034d0cae66b9fb68ffc11fb17ce6b6c8ce082bdf01b9a8a5de"),
+    "B4": ("433b43ecede5b934832656fa77c66617fa8e84eb3d8295b45d64135c4e1e311f", "5410003ed743715199b61614ca81cf6a88221ade21b0f10ca41e07e34f6684d2"),
+    "B5": ("1c5f159f99861c9762e40a12dbb3b06d907af8162baacc4c3efe756e6d77efb7", "f483b5716bf97c2bc09220c902efe95f9bf7bc8a5e02838c1e957cd9a79fec24"),
+    "C2": ("8276bcdedbc731c5b1504617204d0948f7a0d2440b93d80c04a1a6a35b7ca0c1", "fd30358248562209b985428a6d48bed90558931c5dced1d2df48abe7235e132d"),
+    "C3": ("1670fee7c2a96965631a5f95d5a56ded3b2c44c73f42156789ac36aee0c723a8", "9f78e4606e70e8034d0cae66b9fb68ffc11fb17ce6b6c8ce082bdf01b9a8a5de"),
+    "C4": ("a97aa21799637dc31e8f77c2f7bdb8ad0214b5883b4e81711ab1fb2c5b039031", "5410003ed743715199b61614ca81cf6a88221ade21b0f10ca41e07e34f6684d2"),
+    "C5": ("afaab1cbb0173ae66f1f8b082d65e46105cf8438a007003328e762c216947801", "f483b5716bf97c2bc09220c902efe95f9bf7bc8a5e02838c1e957cd9a79fec24"),
+    "D4": ("410c4f3011c477351ef1f7e4fc685d2626287bb761aa0ffe88250a891829200b", "01de1b314955ec50abee09b1d9619cf81fb4b90a019a8841f97be33dad088c43"),
+    "D5": ("05aa5140ebd9c7e22c6fa85d73ac10518bd1a06d10cb8e93f0ecaf198405a584", "6c55a33bf3a9ff7da2573d263761431f861a5a2ad2730b17349ff9505a3b3e68"),
+    "F4": ("fc7ea383b7d37a64887d01acd0378ab6d3c0f87b555480e9fa52749950dad62b", "f9977506a36e675a0ff99d58c5cdfa57370935faade097f7b4cfb9f5a28553bb"),
+    "G2": ("cd4eb42d314bfd7ba250982090a4c50b8bf0c36896a5792a0ff6039881db691f", "66ce3ef594314a7f58b5c49e146d5d546f453c194e4b50b1f79d67155a9aa872"),
+    "E6": ("dd6ff52ca9b9adb7da64249fbfe1cc5b42046da2f7e11c9b5677ce0be0126ae8", "3a06d8375d5d573ad87de950f5417807b3d7e9132773069089ea0b3c5d23f3fd"),
+}
+
+TABLE_TYPES = ["A1", "A2", "A3", "A4", "A5", "B3", "B4", "C2", "C3", "C4", "D4", "D5", "F4", "G2"]
+
+
+def _types_below_hard_limit():
+    names = []
+    for family, first in (("A", 1), ("B", 3), ("C", 2), ("D", 4), ("E", 6), ("F", 4), ("G", 2)):
+        for rank in range(first, 10):
+            try:
+                datum = build_root_datum(f"{family}{rank}")
+            except ValueError:
+                break
+            if datum.weyl_order > HARD_ELEMENT_LIMIT:
+                break
+            names.append(datum.lie_type.name)
+    return names
+
+
+class TestElementIndex:
+    @pytest.mark.parametrize("name", ENUMERATION_DIGESTS)
+    def test_enumeration_byte_identical(self, name):
+        matrices_sha, buckets_sha = ENUMERATION_DIGESTS[name]
+        group = weyl._enumerate(build_root_datum(name))
+        assert group.matrices.dtype == np.int64
+        assert hashlib.sha256(group.matrices.tobytes()).hexdigest() == matrices_sha
+        assert hashlib.sha256(repr(group.charpoly_buckets).encode()).hexdigest() == buckets_sha
+
+    @pytest.mark.parametrize("name", TABLE_TYPES)
+    def test_mult_table_brute_force(self, name):
+        # every product arr[i] @ arr[j] is the element the table names; the
+        # elements are distinct, so this is table == index_of(arr[i] @ arr[j]).
+        # int16 keeps the sweep fast: entries and partial sums stay far below 2^15
+        group = _group(name)
+        table, n = group._mult_table, group.order
+        arr = group.matrices.astype(np.int16)
+        for start in range(0, n, 64):
+            rows = table[start : start + 64]
+            assert np.array_equal(arr[rows], arr[start : start + 64, None] @ arr[None])
+        assert np.array_equal(table[:8], group.index_of(group._array[:8, None] @ group._array[None]))
+        e = group.identity_index
+        assert np.array_equal(arr[e], np.eye(group.datum.rank))
+        inv = group._inverse
+        assert np.all(table[np.arange(n), inv] == e)
+        assert np.all(table[inv, np.arange(n)] == e)
+
+    def test_key_width_below_int64(self):
+        widths = {}
+        for name in _types_below_hard_limit():
+            datum = build_root_datum(name)
+            v = weyl._regular_vector(datum)
+            alpha = np.array(datum.cartan) @ v
+            assert np.all(alpha > 0) and len(set(alpha.tolist())) == 1, name
+            widths[name] = float(np.log2(2 * v + 1).sum())
+        assert len(widths) == 29
+        assert max(widths.values()) < 63
+        assert max(widths, key=widths.get) == "E7" and round(widths["E7"], 1) == 47.1
+
+    def test_index_rejects_non_elements(self):
+        group = _group("B3")
+        assert group.index_of(group.matrices[:5]).tolist() == [0, 1, 2, 3, 4]
+        with pytest.raises(InvariantBreachError):
+            group.index_of(2 * np.eye(3, dtype=np.int64))
+        mats = group._array[:4].copy()
+        mats[2, 0, 0] += 1
+        with pytest.raises(InvariantBreachError):
+            group.index_of(mats)
 
 class TestMolien:
     def test_a1_n2_exact(self):
@@ -185,8 +276,7 @@ class TestStabilizersAndCosets:
         reps = double_cosets(group, h, k)
         table = group._mult_table
         covered = set()
-        for rep in reps:
-            ridx = group._index[np.array(rep, dtype=np.int64).tobytes()]
+        for ridx in group.index_of(reps).tolist():
             for hi in h.indices:
                 for ki in k.indices:
                     covered.add(int(table[int(table[hi, ridx]), ki]))

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+from .homology import InvariantBreachError
 from .rootdata import FaceIndex, RootDatum
 
 FractionVector = tuple[Fraction, ...]
@@ -69,7 +70,7 @@ def alcove_geometry(datum: RootDatum) -> AlcoveGeometry:
         vals = datum.wall_values(geom.vertices[j])
         expect = [Fraction(1, datum.root_integers[j - 1]) if i == j - 1 else Fraction(0) for i in range(r)]
         if list(vals[:-1]) != expect or vals[-1] != 1:
-            raise ArithmeticError("alcove vertex fails its wall equations")
+            raise InvariantBreachError("alcove vertex fails its wall equations")
     return geom
 
 

@@ -8,15 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import __version__, alcove, geom, invariants, verify, weyl, wps
 from .alcove import AlcoveMembershipError, EmptyFaceError
 from .geom import MeshError
-from .homology import FinAbGroup
-from .invariants import InvariantBreachError
+from .homology import FinAbGroup, InvariantBreachError
 from .rootdata import LieTypeError, build_root_datum, dynkin_index
 from .weyl import ReductionError, WeylCapError
 
@@ -30,7 +28,6 @@ _PRECONDITION_ERRORS = (
     LieTypeError,
     AlcoveMembershipError,
     EmptyFaceError,
-    WeylCapError,
     ReductionError,
     MeshError,
     ValueError,
@@ -164,33 +161,21 @@ def _cmd_spin_stability(args) -> int:
 
 def _cmd_beta_check(args) -> int:
     report = geom.beta_check(grid=args.grid)
-    ok = (
-        report["seam_residual"] < args.tol
-        and report["max_commutator"] < args.tol
-        and report["degree"] in (1, -1)
-        and report["degree_residue"] < 1e-3
-    )
+    ok = geom.beta_passed(report, args.tol)
     _emit({"command": "beta-check", "passed": ok, **report})
     return EXIT_OK if ok else EXIT_BREACH
 
 
 def _cmd_cocycle_check(args) -> int:
     report = geom.cocycle_check(samples=args.samples)
-    ok = (
-        report["cocycle_residual"] < args.tol
-        and report["pairwise_commutator"] < args.tol
-        and report["clutching_residual"] < args.tol
-        and report["min_extension_denominator"] > 0.1
-    )
+    ok = geom.cocycle_passed(report, args.tol)
     _emit({"command": "cocycle-check", "passed": ok, **report})
     return EXIT_OK if ok else EXIT_BREACH
 
 
 def _cmd_verify(args) -> int:
-    if args.cache_dir:
-        os.environ[weyl.CACHE_ENV_VAR] = args.cache_dir
     results = verify.run_all(
-        rank_cap=args.rank_cap, grid=args.grid, samples=args.samples
+        rank_cap=args.rank_cap, grid=args.grid, samples=args.samples, cache_dir=_cache_dir(args)
     )
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -293,6 +278,12 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantBreachError as exc:
         print(f"liecomm: invariant breach: {exc}", file=sys.stderr)
         return EXIT_BREACH
+    except WeylCapError as exc:
+        # only poincare has a knob, and nothing raises the hard limit
+        knob = hasattr(args, "element_cap") and exc.cap < weyl.HARD_ELEMENT_LIMIT
+        hint = "raise --element-cap" if knob else f"no option of {args.command} raises this cap"
+        print(f"liecomm: {exc}; {hint}", file=sys.stderr)
+        return EXIT_PRECONDITION
     except _PRECONDITION_ERRORS as exc:
         print(f"liecomm: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -19,6 +19,8 @@ from typing import Callable
 
 import numpy as np
 
+from .homology import InvariantBreachError
+
 SEAM_TOL = 1e-12
 DEGREE_RESIDUE_TOL = 1e-3
 CONJUGATION_TOL = 1e-9
@@ -355,7 +357,7 @@ def _disk_extension(xyz: np.ndarray, component: int) -> np.ndarray:
     mix = rho[:, None] * base + (1.0 - rho)[:, None] * target
     norms = np.linalg.norm(mix, axis=1)
     if float(norms.min()) <= 0.1:
-        raise ArithmeticError("disk extension hit the excluded pole")
+        raise InvariantBreachError("disk extension hit the excluded pole")
     return mix / norms[:, None]
 
 
@@ -501,6 +503,16 @@ def beta_check(grid: int = 100) -> dict:
     }
 
 
+def beta_passed(report: dict, tol: float = SEAM_TOL) -> bool:
+    """The one pass/fail gate on a beta_check report (CLI and acceptance suite)."""
+    return (
+        max(report["seam_residual"], report["max_commutator"]) < tol
+        and report["degree"] in (1, -1)
+        and report["degree_refined"] == report["degree"]
+        and max(report["degree_residue"], report["degree_refined_residue"]) < DEGREE_RESIDUE_TOL
+    )
+
+
 def _fibonacci_sphere(n: int) -> np.ndarray:
     """Deterministic well-spread points on the unit 2-sphere."""
     k = np.arange(n, dtype=float) + 0.5
@@ -570,3 +582,13 @@ def cocycle_check(samples: int = 10_000) -> dict:
         "min_extension_denominator": min_denominator,
         "conjugation_residual": conj_residual,
     }
+
+
+def cocycle_passed(report: dict, tol: float = SEAM_TOL) -> bool:
+    """The one pass/fail gate on a cocycle_check report (CLI and acceptance suite)."""
+    keys = ("cocycle_residual", "pairwise_commutator", "overlap_agreement", "clutching_residual")
+    return (
+        max(report[key] for key in keys) < tol
+        and report["min_extension_denominator"] > 0.1
+        and report["conjugation_residual"] < CONJUGATION_TOL
+    )

@@ -19,6 +19,10 @@ IntMatrix = Sequence[Sequence[int]]
 _INT64_GUARD = 2**59
 
 
+class InvariantBreachError(RuntimeError):
+    """A theorem-level cross-check failed; this must never fire."""
+
+
 class ChainComplexError(ValueError):
     """Consecutive boundary maps do not compose to zero."""
 

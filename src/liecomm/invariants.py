@@ -12,13 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, prod
 
-from .homology import FinAbGroup, tensor_finab
+from .homology import FinAbGroup, InvariantBreachError, tensor_finab
 from .rootdata import LieType, RootDatum, build_root_datum, dynkin_index
 from .wps import spin_stability_report
-
-
-class InvariantBreachError(RuntimeError):
-    """A theorem-level cross-check failed; this must never fire."""
 
 
 def _resolve(lie_type: LieType | str) -> RootDatum:

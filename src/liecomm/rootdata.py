@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
-from .homology import FinAbGroup, snf_divisors
+from .homology import FinAbGroup, InvariantBreachError, snf_divisors
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -175,7 +175,7 @@ def _charpoly(mat: Sequence[Sequence[int]]) -> tuple[int, ...]:
     for k in range(1, n + 1):
         tr = sum(M[i][i] for i in range(n))
         if tr % k:
-            raise ArithmeticError("Faddeev-LeVerrier divisibility failed")
+            raise InvariantBreachError("Faddeev-LeVerrier divisibility failed")
         c = -tr // k
         coeffs.append(c)
         if k == n:
@@ -216,7 +216,7 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
         if d % e == 0:
             poly, rem = _poly_divmod(poly, _cyclotomic(e))
             if any(rem):
-                raise ArithmeticError("cyclotomic division left a remainder")
+                raise InvariantBreachError("cyclotomic division left a remainder")
     return tuple(poly)
 
 
@@ -237,7 +237,7 @@ def _coxeter_exponents(cartan: Matrix, n_positive: int) -> tuple[int, ...]:
             for a in range(r)
         ]
     if (2 * n_positive) % r:
-        raise ArithmeticError("root count is not r*h/2")
+        raise InvariantBreachError("root count is not r*h/2")
     h = 2 * n_positive // r
     poly = list(_charpoly(cox))
     exponents: list[int] = []
@@ -252,7 +252,7 @@ def _coxeter_exponents(cartan: Matrix, n_positive: int) -> tuple[int, ...]:
             poly = quot
             exponents.extend(h * k // d for k in range(1, d + 1) if gcd(k, d) == 1)
     if len(exponents) != r or poly != [1]:
-        raise ArithmeticError("Coxeter charpoly did not factor into cyclotomics")
+        raise InvariantBreachError("Coxeter charpoly did not factor into cyclotomics")
     return tuple(sorted(exponents))
 
 
@@ -277,7 +277,7 @@ def _symmetrizer(cartan: Matrix) -> tuple[Fraction, ...]:
     for i in range(r):
         for j in range(r):
             if out[i] * cartan[i][j] != out[j] * cartan[j][i]:
-                raise ArithmeticError("symmetrizer failed")
+                raise InvariantBreachError("symmetrizer failed")
     return out
 
 
@@ -348,24 +348,24 @@ def _build(lt: LieType) -> RootDatum:
     positives = sorted(c for c in closure if all(x >= 0 for x in c))
     for c in closure:
         if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
-            raise ArithmeticError(f"mixed-sign root {c}")
+            raise InvariantBreachError(f"mixed-sign root {c}")
     heights = [sum(c) for c in positives]
     hmax = max(heights)
     thetas = [c for c, h in zip(positives, heights) if h == hmax]
     if len(thetas) != 1:
-        raise ArithmeticError("highest root is not unique")
+        raise InvariantBreachError("highest root is not unique")
     theta = thetas[0]
     theta_vee = closure[theta]
     coroot_integers = (1,) + tuple(theta_vee)
     if any(n < 1 for n in coroot_integers):
-        raise ArithmeticError("coroot integers must be positive")
+        raise InvariantBreachError("coroot integers must be positive")
     exps = _coxeter_exponents(cartan, len(positives))
     degrees = tuple(e + 1 for e in exps)
     if sum(degrees) - r != len(positives):
-        raise ArithmeticError("degrees do not match the positive root count")
+        raise InvariantBreachError("degrees do not match the positive root count")
     h = 2 * len(positives) // r
     if max(degrees) != h:
-        raise ArithmeticError("largest degree disagrees with the Coxeter number")
+        raise InvariantBreachError("largest degree disagrees with the Coxeter number")
     return RootDatum(
         lie_type=lt,
         cartan=cartan,

@@ -18,7 +18,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .homology import FinAbGroup, chain_homology
+from .homology import FinAbGroup, InvariantBreachError, chain_homology
 
 
 class RegularityError(ValueError):
@@ -269,7 +269,7 @@ def torus_triangulation(n: int):
         involution[idx] = cells[negated]
     for idx, jdx in involution.items():
         if involution[jdx] != idx:
-            raise ArithmeticError("inversion transport failed to be an involution")
+            raise InvariantBreachError("inversion transport failed to be an involution")
     return complex_, involution
 
 

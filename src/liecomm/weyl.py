@@ -18,11 +18,13 @@ l(w*s_g) = l(w) +- 1, so each level's products are deduplicated by key among
 themselves and against the previous level only.  The elements are then
 stored in canonical lexicographic order, so runs are deterministic.
 
-The product table is built without per-product lookups: left multiplication
-by each simple reflection is an index permutation found with r*|W| index
-queries, and the row of s_g*w is that permutation applied to the row of w.
-The table is quadratic in |W| and limited to TABLE_ELEMENT_LIMIT elements,
-a limit separate from the enumeration's element_cap.
+No table quadratic in |W| is built.  One routine labels each element with
+the least index reachable from it under a list of index permutations.  Under
+conjugation by the simple reflections that is the least index of its class,
+and the cell census sums its class functions over classes.  Under left and
+right multiplication by the reflections of H and of K it is the least index
+of the double coset HwK, when H and K are generated by their reflections (face
+stabilizers are); a Burnside count of the double cosets cross-checks it.
 
 Molien/Poincare sums, trace statistics and Lefschetz averages are evaluated
 per characteristic-polynomial bucket: both det(1 + t*w) and det(1 - t^2*w)
@@ -45,29 +47,24 @@ from typing import Sequence
 import numpy as np
 
 from .alcove import AlcoveGeometry, barycenter
-from .invariants import InvariantBreachError
+from .homology import InvariantBreachError
 from .rootdata import FaceIndex, RootDatum
 
 WeylMatrix = tuple[tuple[int, ...], ...]
 
 DEFAULT_ELEMENT_CAP = 100_000
 HARD_ELEMENT_LIMIT = 10_000_000
-TABLE_ELEMENT_LIMIT = 20_000  # |W|^2 int32 product table: 1.6 GB at the limit
 CACHE_ENV_VAR = "LIECOMM_CACHE_DIR"
 _CACHE_VERSION = 1
 
 
 class WeylCapError(RuntimeError):
-    """Full enumeration, or a table over the group, would exceed its cap."""
+    """Full enumeration would exceed its cap."""
 
-    def __init__(self, required: int, cap: int, message: str | None = None):
+    def __init__(self, required: int, cap: int):
         self.required = required
         self.cap = cap
-        super().__init__(
-            message
-            or f"enumeration needs {required} elements, above the cap {cap}; "
-            "raise element_cap or use the formula-level operations"
-        )
+        super().__init__(f"enumeration needs {required} elements, above the cap {cap}")
 
 
 class ReductionError(RuntimeError):
@@ -156,57 +153,49 @@ class WeylGroup:
         return int(self.index_of(np.eye(self.datum.rank, dtype=np.int64)))
 
     @cached_property
-    def _mult_table(self) -> np.ndarray:
-        """table[i, j] = index of elements[i] @ elements[j]; small groups only."""
-        n, r = self.order, self.datum.rank
-        if n > TABLE_ELEMENT_LIMIT:
-            raise WeylCapError(
-                n,
-                TABLE_ELEMENT_LIMIT,
-                f"the {self.datum.lie_type.name} Weyl group has {n} elements, above the "
-                f"{TABLE_ELEMENT_LIMIT:,}-element limit of its product table (a table at "
-                "that size is 1.6 GB of int32); no option raises this limit",
-            )
-        cartan = np.array(self.datum.cartan, dtype=np.int64)
+    def _class_labels(self) -> np.ndarray:
+        """The least element index in the conjugacy class of each element."""
+        eye, cartan = np.eye(self.datum.rank, dtype=np.int64), np.array(self.datum.cartan)
+        simple = eye - eye[:, :, None] * cartan[:, None, :]  # s_g = 1 - e_g (x) row g of A
+        return _least_reachable(np.stack([self.index_of(s @ self._array @ s) for s in simple]))
+
+    @cached_property
+    def _classes(self) -> tuple[np.ndarray, list[int]]:
+        """Class representatives (least indices) and class sizes."""
+        reps, sizes = np.unique(self._class_labels, return_counts=True)
+        return reps, sizes.tolist()
+
+    @cached_property
+    def _reflections(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The reflections (det -1, trace r - 2) as element indices, and the
+        index permutations of left and of right multiplication by each."""
         arr = self._array
-        # left[g, j] = index of s_g * w_j; s_g changes row g only, by cartan[g] @ w
-        left = np.empty((r, n), dtype=np.int32)
-        for g in range(r):
-            prods = arr.copy()
-            prods[:, g, :] -= cartan[g] @ arr
-            left[g] = self.index_of(prods)
-        # rows along a breadth-first tree from the identity: row(s_g w) = left[g][row(w)]
-        table = np.empty((n, n), dtype=np.int32)
-        e = self.identity_index
-        table[e] = np.arange(n, dtype=np.int32)
-        done = np.zeros(n, dtype=bool)
-        done[e] = True
-        frontier = np.array([e])
-        while frontier.size:
-            children, first = np.unique(left[:, frontier], return_index=True)
-            fresh = ~done[children]
-            children = children[fresh]
-            gens, parents = np.divmod(first[fresh], frontier.size)
-            table[children] = left[gens[:, None], table[frontier[parents]]]
-            done[children] = True
-            frontier = children
-        if not done.all():
-            raise InvariantBreachError("simple reflections did not reach every element")
-        return table
+        det, trace = np.rint(np.linalg.det(arr)), np.trace(arr, axis1=1, axis2=2)
+        refl = np.nonzero((det == -1) & (trace == self.datum.rank - 2))[0]
+        if refl.size != len(self.datum.positive_coroots):
+            raise InvariantBreachError("reflection count differs from the positive root count")
+        left = np.stack([self.index_of(arr[t] @ arr) for t in refl])
+        right = np.stack([self.index_of(arr @ arr[t]) for t in refl])
+        return refl, left, right
 
-    @cached_property
-    def _inverse(self) -> np.ndarray:
-        rows, cols = np.nonzero(self._mult_table == self.identity_index)
-        if not np.array_equal(rows, np.arange(self.order)):
-            raise InvariantBreachError("product table rows do not each hold the identity once")
-        return cols.astype(np.int32)
 
-    @cached_property
-    def _conjugation_table(self) -> np.ndarray:
-        """conj[g, w] = index of g^-1 * w * g."""
-        table = self._mult_table
-        left = table[self._inverse]  # left[g, w] = g^-1 * w
-        return table[left, np.arange(self.order, dtype=np.int32)[:, None]]
+def _least_reachable(perms: np.ndarray) -> np.ndarray:
+    """For each index, the least index reachable from it under the permutations.
+
+    Min-label propagation with pointer jumping: each round lowers every label
+    to the least label one step away, then to the label of the index it names.
+    A label always names an index in the same orbit, so the fixed point is exact.
+    """
+    label = np.arange(perms.shape[1])
+    while True:
+        new = label.copy()
+        for p in perms:
+            np.minimum(new, label[p], out=new)
+        while not np.array_equal(new[new], new):
+            new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 @dataclass(frozen=True)
@@ -530,22 +519,23 @@ def full_subgroup(group: WeylGroup) -> StabilizerSubgroup:
 def double_cosets(
     group: WeylGroup, h: StabilizerSubgroup, k: StabilizerSubgroup
 ) -> list[WeylMatrix]:
-    """Lexicographically least representatives of the double cosets H\\W/K."""
+    """Lexicographically least representatives of the double cosets H\\W/K.
+
+    H and K must be generated by their reflections, as face stabilizers are.
+    """
     if h.group is not group or k.group is not group:
         raise ValueError("subgroups must belong to the given Weyl group")
-    table = group._mult_table
-    hs = np.array(h.indices, dtype=np.int32)
-    ks = np.array(k.indices, dtype=np.int32)
-    seen = np.zeros(group.order, dtype=bool)
-    reps = []
-    for w in range(group.order):
-        if seen[w]:
-            continue
-        reps.append(group.elements[w])
-        hw = table[hs, w]
-        orbit = table[hw[:, None], ks[None, :]]
-        seen[orbit.reshape(-1)] = True
-    return reps
+    refl, left, right = group._reflections
+    perms = np.concatenate((left[np.isin(refl, h.indices)], right[np.isin(refl, k.indices)]))
+    # the stack is sorted, so the least index of a double coset is its least element
+    reps = np.unique(_least_reachable(perms))
+    fixed = [_fixed_coset_counts(group, s)[group._classes[0]].tolist() for s in (h, k)]
+    burnside = _orbit_count(group, fixed)
+    if reps.size != burnside:
+        raise InvariantBreachError(
+            f"{reps.size} reflection-generated components, but {burnside} double cosets"
+        )
+    return [group.elements[i] for i in reps]
 
 
 def _all_faces(datum: RootDatum) -> list[FaceIndex]:
@@ -560,20 +550,23 @@ def _all_faces(datum: RootDatum) -> list[FaceIndex]:
 
 
 def _fixed_coset_counts(group: WeylGroup, stab: StabilizerSubgroup) -> np.ndarray:
-    """For each w: number of cosets g*W_sigma with w*g*W_sigma = g*W_sigma."""
-    # #{g : g^-1 w g in W_sigma} counts the pairs (g, s) with s in W_sigma and
-    # g s g^-1 = w, i.e. how often w appears in the columns conj[:, s]; the
-    # columns go in blocks of about 2^16 entries to bound bincount's intp copy
-    conj = group._conjugation_table
-    members = np.array(stab.indices)
-    step = max(1, (1 << 16) // group.order)
-    counts = np.zeros(group.order, dtype=np.int64)
-    for start in range(0, members.size, step):
-        block = conj[:, members[start : start + step]]
-        counts += np.bincount(block.ravel(), minlength=group.order)
+    """For each w: number of cosets g*W_sigma with w*g*W_sigma = g*W_sigma,
+    the class function |C_W(w)| * |cl(w) cap W_sigma| / |W_sigma|."""
+    labels = group._class_labels
+    class_size = np.bincount(labels)[labels]
+    in_stab = np.bincount(labels[list(stab.indices)], minlength=group.order)[labels]
+    counts = group.order // class_size * in_stab
     if np.any(counts % stab.order):
         raise InvariantBreachError("coset fixed-point count is not divisible")
     return counts // stab.order
+
+
+def _orbit_count(group: WeylGroup, fixed: list[list[int]]) -> int:
+    """Burnside count of diagonal W-orbits from fixed-point counts per class, in exact ints."""
+    total = sum(map(math.prod, zip(group._classes[1], *fixed)))
+    if total % group.order:
+        raise InvariantBreachError("Burnside average is not an integer")
+    return total // group.order
 
 
 def cell_census(group: WeylGroup, geometry: AlcoveGeometry, k: int) -> list[int]:
@@ -581,23 +574,20 @@ def cell_census(group: WeylGroup, geometry: AlcoveGeometry, k: int) -> list[int]
 
     Cells are indexed by k-tuples of alcove faces together with diagonal
     W-orbits of the product of coset spaces; orbits are counted by Burnside
-    averaging of the fixed-coset counts.
+    averaging of the fixed-coset counts, one term per conjugacy class.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     datum = group.datum
     faces = _all_faces(datum)
-    fixed = {f: _fixed_coset_counts(group, face_stabilizer(group, geometry, f)) for f in faces}
+    classes = group._classes[0]
+    fixed = {
+        f: _fixed_coset_counts(group, face_stabilizer(group, geometry, f))[classes].tolist()
+        for f in faces
+    }
     counts = [0] * (k * datum.rank + 1)
     for combo in product(faces, repeat=k):
-        dim = sum(f.dim for f in combo)
-        acc = np.ones(group.order, dtype=np.int64)
-        for f in combo:
-            acc = acc * fixed[f]
-        total = int(acc.sum())
-        if total % group.order:
-            raise InvariantBreachError("Burnside average is not an integer")
-        counts[dim] += total // group.order
+        counts[sum(f.dim for f in combo)] += _orbit_count(group, [fixed[f] for f in combo])
     alternating = sum((-1) ** d * c for d, c in enumerate(counts))
     if alternating != euler_char_rep(group, k):
         raise InvariantBreachError("cell census fails the Euler-characteristic identity")

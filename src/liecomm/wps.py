@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .alcove import AlcoveGeometry, AlcoveMembershipError
-from .homology import FinAbGroup
+from .homology import FinAbGroup, InvariantBreachError
 
 DEFAULT_ORBIT_TOL = 1e-9
 
@@ -95,7 +95,7 @@ def inclusion_degree(weights: Sequence[int], subset: Sequence[int], k: int) -> i
     full = proj_degree(ws, k)
     part = proj_degree(w_s, k)
     if full % part:
-        raise ArithmeticError("inclusion degree is not an integer (invariant breach)")
+        raise InvariantBreachError("inclusion degree is not an integer")
     return full // part
 
 
@@ -172,7 +172,7 @@ def spin_stability_report(ell: int, parity: str, k: int) -> dict:
     deg_big = inclusion_degree(big, shared, kk)
     deg_small = inclusion_degree(small, shared, kk)
     if deg_big % deg_small:
-        raise ArithmeticError("stability degree is not an integer (invariant breach)")
+        raise InvariantBreachError("stability degree is not an integer")
     return {
         "degree": deg_big // deg_small,
         "zero_groups": False,

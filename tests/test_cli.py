@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -120,15 +121,63 @@ class TestOtherCommands:
         assert out == ""
         assert "invariant breach" in err and "Euler" in err
 
-    def test_cells_table_cap_names_the_table_limit(self, capsys, tmp_path):
-        code, out, err = run_cli(
+    def test_cells_e6_by_classes(self, capsys, tmp_path):
+        code, out, _ = run_cli(
             capsys, "cells", "E6", "--k", "2", "--rank-cap", "6", "--cache-dir", str(tmp_path)
         )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["euler_characteristic"] == 7
+        assert payload["counts_by_dim"][-1] == 51840
+
+    def test_caps_name_only_real_options(self, capsys):
+        code, out, err = run_cli(capsys, "cells", "E7", "--k", "2", "--rank-cap", "7")
         assert code == 2
         assert out == ""
-        assert "51840 elements" in err
-        assert "20,000-element limit of its product table" in err
-        assert "element_cap" not in err
+        assert "above the cap 100000" in err and "no option of cells" in err
+        assert "element_cap" not in err and "--element-cap" not in err
+        code, _, err = run_cli(capsys, "poincare", "E7", "--n", "1")
+        assert code == 2
+        assert "raise --element-cap" in err
+        # above the hard limit no option helps
+        code, _, err = run_cli(capsys, "poincare", "E8", "--n", "1", "--element-cap", "1000000000")
+        assert code == 2
+        assert "no option of poincare" in err
+
+    def test_wps_breach_exits_3(self, capsys, monkeypatch):
+        from liecomm import wps
+
+        real = wps.proj_degree
+        # the degree of CP(1,2) no longer divides that of CP(1,2,3)
+        monkeypatch.setattr(wps, "proj_degree", lambda ws, k: real(ws, k) + 3 * (len(ws) == 2))
+        code, out, err = run_cli(
+            capsys, "wps-degree", "--weights", "1,2,3", "--k", "1", "--subset", "0,1"
+        )
+        assert code == 3
+        assert out == ""
+        assert "invariant breach" in err and "inclusion degree" in err
+
+    def test_cocycle_check_gates_overlap_agreement(self, capsys, monkeypatch):
+        from liecomm import geom
+
+        real = geom.cocycle_check
+        monkeypatch.setattr(
+            geom, "cocycle_check", lambda samples: {**real(samples), "overlap_agreement": 1e-6}
+        )
+        code, out, _ = run_cli(capsys, "cocycle-check", "--samples", "1000")
+        assert code == 3
+        assert json.loads(out)["passed"] is False
+
+    def test_verify_cache_dir_leaves_environment(self, capsys, monkeypatch, tmp_path):
+        from liecomm import verify
+
+        seen = {}
+        monkeypatch.setattr(verify, "run_all", lambda **options: seen.update(options) or [])
+        before = dict(os.environ)
+        code, _, _ = run_cli(capsys, "verify", "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert seen["cache_dir"] == tmp_path
+        assert dict(os.environ) == before
 
     def test_spin_stability(self, capsys):
         code, out, _ = run_cli(capsys, "spin-stability", "--m", "7")

@@ -13,6 +13,7 @@ from liecomm.invariants import InvariantBreachError
 from liecomm.rootdata import FaceIndex, build_root_datum
 from liecomm.weyl import (
     HARD_ELEMENT_LIMIT,
+    StabilizerSubgroup,
     WeylCapError,
     alcove_reduce,
     cell_census,
@@ -118,6 +119,12 @@ ENUMERATION_DIGESTS = {
 
 TABLE_TYPES = ["A1", "A2", "A3", "A4", "A5", "B3", "B4", "C2", "C3", "C4", "D4", "D5", "F4", "G2"]
 
+# A_n: partitions of n + 1; B_n, C_n: bipartitions of n; the rest from the tables
+KNOWN_CLASS_COUNTS = {
+    "A1": 2, "A2": 3, "A3": 5, "A4": 7, "A5": 11, "B3": 10, "B4": 20, "C2": 5, "C3": 10,
+    "C4": 20, "D4": 13, "D5": 18, "F4": 25, "G2": 6, "E6": 25,
+}
+
 
 def _types_below_hard_limit():
     names = []
@@ -143,22 +150,16 @@ class TestElementIndex:
         assert hashlib.sha256(repr(group.charpoly_buckets).encode()).hexdigest() == buckets_sha
 
     @pytest.mark.parametrize("name", TABLE_TYPES)
-    def test_mult_table_brute_force(self, name):
-        # every product arr[i] @ arr[j] is the element the table names; the
-        # elements are distinct, so this is table == index_of(arr[i] @ arr[j]).
-        # int16 keeps the sweep fast: entries and partial sums stay far below 2^15
+    def test_index_products_and_identity(self, name):
         group = _group(name)
-        table, n = group._mult_table, group.order
-        arr = group.matrices.astype(np.int16)
-        for start in range(0, n, 64):
-            rows = table[start : start + 64]
-            assert np.array_equal(arr[rows], arr[start : start + 64, None] @ arr[None])
-        assert np.array_equal(table[:8], group.index_of(group._array[:8, None] @ group._array[None]))
+        arr, n = group._array, group.order
+        assert np.array_equal(group.index_of(arr), np.arange(n))
+        prods = arr[:8, None] @ arr[None]
+        assert np.array_equal(arr[group.index_of(prods)], prods)
         e = group.identity_index
         assert np.array_equal(arr[e], np.eye(group.datum.rank))
-        inv = group._inverse
-        assert np.all(table[np.arange(n), inv] == e)
-        assert np.all(table[inv, np.arange(n)] == e)
+        inverses = np.rint(np.linalg.inv(arr)).astype(np.int64)
+        assert np.all(group.index_of(arr @ inverses) == e)
 
     def test_key_width_below_int64(self):
         widths = {}
@@ -181,6 +182,34 @@ class TestElementIndex:
         mats[2, 0, 0] += 1
         with pytest.raises(InvariantBreachError):
             group.index_of(mats)
+
+
+class TestConjugacyClasses:
+    @pytest.mark.parametrize("name", TABLE_TYPES)
+    def test_class_labels_brute_force(self, name):
+        # the least index among the conjugates g^-1 w g over every g in W
+        group = _group(name)
+        arr = group._array
+        inverses = np.rint(np.linalg.inv(arr)).astype(np.int64)
+        least = np.arange(group.order)
+        for g in range(group.order):
+            least = np.minimum(least, group.index_of(inverses[g] @ arr @ arr[g]))
+        assert np.array_equal(group._class_labels, least)
+
+    @pytest.mark.parametrize("name,count", KNOWN_CLASS_COUNTS.items())
+    def test_class_counts(self, name, count):
+        group = _group(name)
+        reps, sizes = group._classes
+        assert len(reps) == len(sizes) == count
+        assert sum(sizes) == group.order
+
+    def test_least_reachable(self):
+        perms = np.array([[1, 2, 0, 3, 5, 4], [0, 1, 2, 3, 4, 5]])
+        assert weyl._least_reachable(perms).tolist() == [0, 0, 0, 3, 4, 4]
+        assert weyl._least_reachable(np.zeros((0, 3), dtype=np.int64)).tolist() == [0, 1, 2]
+        # one cycle through every index, so every label is 0
+        assert weyl._least_reachable(np.roll(np.arange(1000), -1)[None]).tolist() == [0] * 1000
+
 
 class TestMolien:
     def test_a1_n2_exact(self):
@@ -253,12 +282,10 @@ class TestStabilizersAndCosets:
         geo = alcove_geometry(datum)
         for nodes in ([1], [2], [0], [1, 2], [0, 2]):
             stab = face_stabilizer(group, geo, FaceIndex.of(datum, nodes))
-            table = group._mult_table
-            members = set(stab.indices)
-            assert group.identity_index in members
-            for i in stab.indices:
-                for j in stab.indices:
-                    assert int(table[i, j]) in members
+            members = group._array[list(stab.indices)]
+            assert group.identity_index in stab.indices
+            products = group.index_of(members[:, None] @ members[None])
+            assert np.isin(products, stab.indices).all()
 
     def test_double_coset_extremes(self):
         group = _group("C2")
@@ -274,13 +301,19 @@ class TestStabilizersAndCosets:
         h = face_stabilizer(group, geo, FaceIndex.of(datum, [1, 2]))
         k = face_stabilizer(group, geo, FaceIndex.of(datum, [0, 3]))
         reps = double_cosets(group, h, k)
-        table = group._mult_table
-        covered = set()
-        for ridx in group.index_of(reps).tolist():
-            for hi in h.indices:
-                for ki in k.indices:
-                    covered.add(int(table[int(table[hi, ridx]), ki]))
-        assert covered == set(range(group.order))
+        arr = group._array
+        hs, ks = arr[list(h.indices)], arr[list(k.indices)]
+        covered = group.index_of(hs[:, None, None] @ np.array(reps)[None, :, None] @ ks[None, None])
+        assert set(covered.ravel().tolist()) == set(range(group.order))
+
+    def test_double_cosets_need_reflection_generated_subgroups(self):
+        # the rotations of A2 contain no reflection, so the components under
+        # H-reflections are single elements: 6 of them against 2 cosets H\W
+        group = _group("A2")
+        rotations = np.nonzero(np.rint(np.linalg.det(group._array)) == 1)[0]
+        h = StabilizerSubgroup(group, tuple(rotations.tolist()))
+        with pytest.raises(InvariantBreachError, match="double cosets"):
+            double_cosets(group, h, trivial_subgroup(group))
 
 
 class TestCellCensus:

@@ -15,7 +15,6 @@ from .alcove import (
     EmptyFaceError,
     alcove_geometry,
     barycenter,
-    face_A_of_m,
     face_a_of_m,
     face_of_point,
     spin_vertex_table,

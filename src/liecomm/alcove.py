@@ -108,10 +108,6 @@ def face_a_of_m(geometry: AlcoveGeometry, m: int) -> FaceIndex:
     return FaceIndex.of(datum, nodes)
 
 
-# Backwards-friendly alias matching the written-out name.
-face_A_of_m = face_a_of_m
-
-
 def spin_vertex_table(ell: int) -> dict[str, list[FractionVector]]:
     """Vertices of the nested even-spin alcoves in the standard basis of R^ell.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, prod
 
-from .homology import FinAbGroup, InvariantBreachError, tensor_finab
+from .homology import FinAbGroup, InvariantBreachError, _factorint, tensor_finab
 from .rootdata import LieType, RootDatum, build_root_datum, dynkin_index
 from .wps import spin_stability_report
 
@@ -92,21 +92,6 @@ def bredon_e2_fragment(lie_type: LieType | str, p: int, k: int) -> FinAbGroup:
     return FinAbGroup.cyclic(p) if k <= 2 * (ell - 1) else FinAbGroup.trivial()
 
 
-def _coroot_primes(datum: RootDatum) -> list[int]:
-    primes = set()
-    for n in datum.coroot_integers:
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                primes.add(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            primes.add(n)
-    return sorted(primes)
-
-
 def pi2_hom_pairs(lie_type: LieType | str) -> Pi2Report:
     """pi_2 of the commuting-pair space of a simply connected simple group.
 
@@ -115,7 +100,7 @@ def pi2_hom_pairs(lie_type: LieType | str) -> Pi2Report:
     the lcm of the coroot integers.
     """
     datum = _resolve(lie_type)
-    primes = _coroot_primes(datum)
+    primes = sorted({p for n in datum.coroot_integers for p in _factorint(n)})
     torsion_fragments = [bredon_e2_fragment(datum.lie_type, p, 1) for p in primes]
     group = FinAbGroup.free(1)
     for frag in torsion_fragments:

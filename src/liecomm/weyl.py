@@ -34,6 +34,7 @@ depend only on the characteristic polynomial of w.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -115,7 +116,7 @@ class WeylGroup:
 
     @cached_property
     def _array(self) -> np.ndarray:
-        return self.matrices.astype(np.int64)
+        return np.asarray(self.matrices, dtype=np.int64)
 
     @cached_property
     def _v(self) -> np.ndarray:
@@ -269,13 +270,13 @@ def generate(
     if required > element_cap or required > HARD_ELEMENT_LIMIT:
         raise WeylCapError(required, min(element_cap, HARD_ELEMENT_LIMIT))
     key = (datum.lie_type.family, datum.lie_type.rank)
-    if key in _MEMO:
-        return _MEMO[key]
-    group = _load_cache(datum, cache_dir)
+    group = _MEMO.get(key) or _load_cache(datum, cache_dir)
     if group is None:
         group = _enumerate(datum)
         if datum.rank >= 5:
             _save_cache(group, cache_dir)
+    elif datum.rank >= 5 and not _cache_path(datum, cache_dir).exists():
+        _save_cache(group, cache_dir)  # a memo hit still fills this cache_dir
     _MEMO[key] = group
     return group
 
@@ -503,9 +504,13 @@ def face_stabilizer(group: WeylGroup, geometry: AlcoveGeometry, face: FaceIndex)
     for c in b:
         denom = lcm(denom, c.denominator)
     vec = np.array([int(c * denom) for c in b], dtype=np.int64)
-    moved = group._array @ vec - vec
-    keep = np.nonzero((moved % denom == 0).all(axis=1))[0]
-    return StabilizerSubgroup(group, tuple(int(i) for i in keep), face)
+    # filter one coordinate at a time, (row i of w) . vec == vec_i mod denom,
+    # reading row i of the survivors only
+    mats = group.matrices
+    keep = np.flatnonzero((mats[:, 0] @ vec - vec[0]) % denom == 0)
+    for i in range(1, len(vec)):
+        keep = keep[(mats[keep, i] @ vec - vec[i]) % denom == 0]
+    return StabilizerSubgroup(group, tuple(keep.tolist()), face)
 
 
 def trivial_subgroup(group: WeylGroup) -> StabilizerSubgroup:
@@ -599,8 +604,8 @@ def cell_census(group: WeylGroup, geometry: AlcoveGeometry, k: int) -> list[int]
 # ---------------------------------------------------------------------------
 
 
-def _as_fraction_vector(x: Sequence) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in x)
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(operator.mul, a, b))
 
 
 def alcove_reduce(
@@ -610,65 +615,58 @@ def alcove_reduce(
 
     Returns (point, w, q) with point = w*x + q, all alcove inequalities
     satisfied, w a Weyl matrix and q an integer coroot translation.
+
+    The walk runs in integers: with D the lcm of the denominators of x, it
+    keeps y = D*(w*x + q), an integer vector, and w and q, which stay
+    integral.  A simple reflection s_g = 1 - e_g (x) (row g of A) changes
+    only coordinate g of y and q and row g of w; the affine reflection
+    p -> s_theta(p) + theta-vee is a rank-one update.  Each step reflects in
+    the first simple wall with a negative value, else in the theta wall if
+    theta(p) > 1, that is theta(y) > D.
     """
     r = datum.rank
-    y = list(_as_fraction_vector(x))
-    if len(y) != r:
+    x = tuple(Fraction(c) for c in x)
+    if len(x) != r:
         raise ValueError(f"expected a vector of length {r}")
-    w = [[Fraction(1 if i == j else 0) for j in range(r)] for i in range(r)]
-    if datum.contains_in_alcove(y):
-        identity = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-        return tuple(y), identity, tuple(0 for _ in range(r))
+    if datum.contains_in_alcove(x):
+        identity = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+        return x, identity, (0,) * r
+    scale = lcm(*(c.denominator for c in x))
+    dx = [c.numerator * (scale // c.denominator) for c in x]  # scale*x, integral
     # translate by the coroot lattice (integer vectors in this basis) first,
     # so the reflection walk starts from a bounded point
-    q = [Fraction(-math.floor(c)) for c in y]
-    y = [c + d for c, d in zip(y, q)]
-    theta_vee = [Fraction(c) for c in datum.theta_vee]
+    q = [-math.floor(c) for c in x]
+    y = [a + scale * b for a, b in zip(dx, q)]
+    w = [[int(i == j) for j in range(r)] for i in range(r)]
+    cartan, theta_vee = datum.cartan, datum.theta_vee
     # theta as a functional on coroot coordinates: row vector theta . cartan
-    theta_row = [
-        sum(Fraction(datum.theta[i]) * datum.cartan[i][j] for i in range(r)) for j in range(r)
-    ]
-
-    def apply_linear(mat_rows: list[list[Fraction]]) -> None:
-        nonlocal y, w, q
-        y = [sum(mat_rows[i][j] * y[j] for j in range(r)) for i in range(r)]
-        w = [[sum(mat_rows[i][j] * w[j][jj] for j in range(r)) for jj in range(r)] for i in range(r)]
-        q = [sum(mat_rows[i][j] * q[j] for j in range(r)) for i in range(r)]
-
+    theta_row = [sum(datum.theta[i] * cartan[i][j] for i in range(r)) for j in range(r)]
     for _ in range(max_iter):
-        vals = [
-            sum(Fraction(datum.cartan[j][jj]) * y[jj] for jj in range(r)) for j in range(r)
-        ]
-        theta_val = sum(Fraction(datum.theta[j]) * vals[j] for j in range(r))
-        neg = next((j for j in range(r) if vals[j] < 0), None)
+        neg = next((g for g in range(r) if _dot(cartan[g], y) < 0), None)
         if neg is not None:
-            s = [
-                [Fraction(1 if i == j else 0) - (Fraction(datum.cartan[neg][j]) if i == neg else 0) for j in range(r)]
-                for i in range(r)
-            ]
-            apply_linear(s)
+            row = cartan[neg]
+            y[neg] -= _dot(row, y)
+            q[neg] -= _dot(row, q)
+            w[neg] = [c - _dot(row, col) for c, col in zip(w[neg], zip(*w))]
             continue
-        if theta_val > 1:
-            s_theta = [
-                [Fraction(1 if i == j else 0) - theta_vee[i] * theta_row[j] for j in range(r)]
-                for i in range(r)
-            ]
-            apply_linear(s_theta)
-            for i in range(r):
-                y[i] += theta_vee[i]
-                q[i] += theta_vee[i]
+        ty = _dot(theta_row, y)
+        if ty > scale:
+            tq = _dot(theta_row, q)
+            tw = [_dot(theta_row, col) for col in zip(*w)]
+            for i, t in enumerate(theta_vee):
+                y[i] += t * (scale - ty)
+                q[i] += t * (1 - tq)
+                w[i] = [a - t * b for a, b in zip(w[i], tw)]
             continue
-        if any(c.denominator != 1 for row in w for c in row) or any(
-            c.denominator != 1 for c in q
-        ):
-            raise InvariantBreachError("reduction produced a non-integral transform")
-        w_int = tuple(tuple(int(c) for c in row) for row in w)
-        q_int = tuple(int(c) for c in q)
-        x_frac = _as_fraction_vector(x)
-        check = [
-            sum(w_int[i][j] * x_frac[j] for j in range(r)) + q_int[i] for i in range(r)
-        ]
-        if check != y:
+        # bookkeeping, exact: scale*(w*x + q) == y
+        if any(_dot(wi, dx) + scale * qi != yi for wi, qi, yi in zip(w, q, y)):
             raise InvariantBreachError("reduction bookkeeping failed")
-        return tuple(y), w_int, q_int
-    raise ReductionError("alcove reduction did not terminate; input may be irrational")
+        return (
+            tuple(Fraction(c, scale) for c in y),
+            tuple(tuple(row) for row in w),
+            tuple(q),
+        )
+    raise ReductionError(
+        f"alcove reduction did not reach the alcove within max_iter={max_iter} steps; "
+        "raise max_iter"
+    )

@@ -191,6 +191,34 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["degree"] == 2
 
+    def test_spin_stability_breach_exits_3(self, capsys, monkeypatch):
+        from liecomm import wps
+
+        real = wps.inclusion_degree
+        # the rank-3 degree becomes 3, which no longer divides the rank-4 degree 2
+        monkeypatch.setattr(
+            wps, "inclusion_degree", lambda ws, subset, k: real(ws, subset, k) + 2 * (len(ws) == 4)
+        )
+        code, out, err = run_cli(
+            capsys, "spin-stability", "--ell", "4", "--parity", "even", "--k", "2"
+        )
+        assert code == 3
+        assert out == ""
+        assert "invariant breach" in err and "stability degree" in err
+
+    def test_beta_check_breach_exits_3(self, capsys, monkeypatch):
+        from liecomm import geom
+        from liecomm.homology import InvariantBreachError
+
+        def breach(values, triangles):
+            raise InvariantBreachError("forced for the test")
+
+        monkeypatch.setattr(geom, "degree_to_s2", breach)
+        code, out, err = run_cli(capsys, "beta-check", "--grid", "8")
+        assert code == 3
+        assert out == ""
+        assert "invariant breach" in err and "forced for the test" in err
+
     def test_beta_check_small(self, capsys):
         code, out, _ = run_cli(capsys, "beta-check", "--grid", "16")
         assert code == 0

@@ -1,6 +1,7 @@
 import hashlib
+import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from liecomm.invariants import InvariantBreachError
 from liecomm.rootdata import FaceIndex, build_root_datum
 from liecomm.weyl import (
     HARD_ELEMENT_LIMIT,
+    ReductionError,
     StabilizerSubgroup,
     WeylCapError,
     alcove_reduce,
@@ -84,6 +86,18 @@ class TestEnumeration:
         (tmp_path / "weyl_A5_v1.npz").write_bytes(b"not an archive")
         group = generate(datum, cache_dir=tmp_path)
         assert group.order == datum.weyl_order
+
+    def test_memo_hit_fills_a_second_cache_dir(self, tmp_path):
+        datum = build_root_datum("E6")
+        first = generate(datum, cache_dir=tmp_path / "a")
+        assert generate(datum, cache_dir=tmp_path / "b") is first
+        assert (tmp_path / "a" / "weyl_E6_v1.npz").exists()
+        assert (tmp_path / "b" / "weyl_E6_v1.npz").exists()
+
+    def test_array_shares_the_int64_stack(self):
+        group = _group("E6")
+        assert group.matrices.dtype == np.int64
+        assert np.shares_memory(group._array, group.matrices)
 
     @pytest.mark.slow
     def test_rank_seven_exceptional_behind_flag(self, tmp_path):
@@ -287,6 +301,24 @@ class TestStabilizersAndCosets:
             products = group.index_of(members[:, None] @ members[None])
             assert np.isin(products, stab.indices).all()
 
+    @pytest.mark.parametrize(
+        "name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4", "E6"]
+    )
+    def test_stabilizers_match_full_scan(self, name):
+        # every coordinate of w*b - b checked at once over the whole stack
+        from liecomm.weyl import _all_faces
+
+        datum = build_root_datum(name)
+        group = _group(name)
+        geo = alcove_geometry(datum)
+        arr = group._array
+        for face in _all_faces(datum):
+            b = barycenter(geo, face)
+            denom = lcm(*(c.denominator for c in b))
+            vec = np.array([int(c * denom) for c in b], dtype=np.int64)
+            expected = np.nonzero(((arr @ vec - vec) % denom == 0).all(1))[0]
+            assert face_stabilizer(group, geo, face).indices == tuple(expected.tolist())
+
     def test_double_coset_extremes(self):
         group = _group("C2")
         assert len(double_cosets(group, full_subgroup(group), full_subgroup(group))) == 1
@@ -410,3 +442,23 @@ class TestAlcoveReduce:
             sum(Fraction(w[i][j]) * x[j] for j in range(2)) + q[i] for i in range(2)
         )
         assert alcove_reduce(datum, moved)[0] == alcove_reduce(datum, x)[0]
+
+    def test_pinned_reductions(self):
+        # sha256 of repr of the results, as computed by the Fraction-matrix walk
+        # that the scaled integer walk replaced
+        rng = random.Random(11)
+        results = []
+        for name, count in (("E6", 3), ("E7", 3), ("E8", 3), ("F4", 4), ("G2", 4)):
+            datum = build_root_datum(name)
+            for _ in range(count):
+                x = [Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(datum.rank)]
+                results.append(alcove_reduce(datum, x))
+        digest = hashlib.sha256(repr(results).encode()).hexdigest()
+        assert digest == "3f76fa20612cac29b8f176d02f8326398faf28275ae865bcc83aeae9cfbe07ec"
+
+    def test_cap_names_max_iter(self):
+        datum = build_root_datum("E8")
+        x = [Fraction(-7, 3)] * 8
+        assert datum.contains_in_alcove(alcove_reduce(datum, x)[0])
+        with pytest.raises(ReductionError, match="max_iter=1 "):
+            alcove_reduce(datum, x, max_iter=1)

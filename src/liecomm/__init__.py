@@ -35,7 +35,6 @@ from .homology import (
     chain_homology,
     smith_normal_form,
     snf_divisors,
-    tensor_finab,
 )
 from .invariants import (
     ExtensionReport,

@@ -15,7 +15,6 @@ claims is re-checked numerically by beta_check / cocycle_check.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -226,45 +225,39 @@ def triangulate_prism_boundary(m: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if m < 2:
         raise ValueError("mesh parameter must be at least 2")
-    key_to_index: dict[tuple[int, int, int], int] = {}
-    points: list[tuple[float, float, float]] = []
-    triangles: list[tuple[int, int, int]] = []
+    w = m + 1
 
-    def vertex(si: int, ti: int, ui: int) -> int:
-        key = (si, ti, ui)
-        if key not in key_to_index:
-            key_to_index[key] = len(points)
-            points.append((si / m, ti / m, ui / m))
-        return key_to_index[key]
+    def key(si, ti, ui):
+        return (si * w + ti) * w + ui
 
-    def add(tri) -> None:
-        triangles.append(tri)
-
-    # bottom (u=0) and top (u=m) triangle grids over {s <= t}
-    for ui in (0, m):
-        for j in range(m):
-            for i in range(j + 1):
-                if i < j:
-                    add((vertex(i, j, ui), vertex(i + 1, j, ui), vertex(i + 1, j + 1, ui)))
-                    add((vertex(i, j, ui), vertex(i + 1, j + 1, ui), vertex(i, j + 1, ui)))
-                else:
-                    add((vertex(i, i, ui), vertex(i + 1, i + 1, ui), vertex(i, i + 1, ui)))
-    # side walls: s=0 over t, the diagonal s=t over s, and t=1 over s
-    def wall(corner: Callable[[int], tuple[int, int]]) -> None:
-        for a in range(m):
-            for b in range(m):
-                p00 = vertex(*corner(a), b)
-                p10 = vertex(*corner(a + 1), b)
-                p01 = vertex(*corner(a), b + 1)
-                p11 = vertex(*corner(a + 1), b + 1)
-                add((p00, p10, p11))
-                add((p00, p11, p01))
-
-    wall(lambda a: (0, a))
-    wall(lambda a: (a, a))
-    wall(lambda a: (a, m))
-    pts = np.array(points)
-    tris = np.array(triangles, dtype=np.int64)
+    # bottom (u=0) and top (u=m) triangle grids over {s <= t}, cell (i, j)
+    # j-major: the lower triangle for i < j, then the upper one
+    j = np.repeat(np.arange(m), np.arange(1, m + 1))
+    i = np.arange(j.size) - j * (j + 1) // 2
+    s_idx = np.array([[i, i + 1, i + 1], [i, i + 1, i]]).transpose(2, 0, 1)
+    t_idx = np.array([[j, j, j + 1], [j, j + 1, j + 1]]).transpose(2, 0, 1)
+    keep = np.stack([i < j, np.ones_like(i, dtype=bool)], axis=-1)
+    s_idx, t_idx = s_idx[keep], t_idx[keep]
+    emitted = [key(s_idx, t_idx, ui) for ui in (0, m)]
+    triangles = list(emitted)
+    # side walls: s=0 over t, the diagonal s=t over s, and t=1 over s; per
+    # square the corners are visited p00, p10, p01, p11
+    a = np.repeat(np.arange(m), m)
+    b = np.tile(np.arange(m), m)
+    zero = np.zeros_like(a)
+    for corner in (lambda x: (zero, x), lambda x: (x, x), lambda x: (x, zero + m)):
+        p00, p10 = key(*corner(a), b), key(*corner(a + 1), b)
+        p01, p11 = key(*corner(a), b + 1), key(*corner(a + 1), b + 1)
+        emitted.append(np.stack([p00, p10, p01, p11], axis=1))
+        triangles.append(np.stack([p00, p10, p11, p00, p11, p01], axis=1).reshape(-1, 3))
+    # number vertices in the order they are first visited
+    keys, first = np.unique(np.concatenate([e.ravel() for e in emitted]), return_index=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    tris = number[np.searchsorted(keys, np.concatenate(triangles))]
+    seen = keys[order]
+    pts = np.stack([seen // (w * w), seen // w % w, seen % w], axis=1) / m
     # orient every triangle outward (positive determinant against the centroid)
     p0 = pts[tris[:, 0]] - _PRISM_CENTROID
     e1 = pts[tris[:, 1]] - pts[tris[:, 0]]

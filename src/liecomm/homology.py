@@ -1,14 +1,23 @@
 """Exact integer linear algebra: Smith normal form and chain-complex homology.
 
-Everything here is computed over Z with arbitrary precision.  The fast path
-keeps matrices in int64 numpy arrays with smallest-pivot elimination; it bails
-out to a pure Python big-integer routine whenever entries threaten the int64
-range, so results are always exact.
+Everything here is computed over Z with Python ints, so results are exact at
+any size.  Both Smith routines share one sparse front end: the matrix is held
+as {column: value} rows with column index sets, and +-1 pivots are eliminated
+one at a time, least Markowitz cost (|row| - 1) * (|column| - 1) first.  Each
+such step is unimodular and leaves the exact Schur complement, so the Smith
+form is unchanged; simplicial boundary and coroot-lattice matrices are almost
+all unit pivots.  Only the remainder, which has no unit entry left, goes to a
+dense finisher: for divisors, an int64 numpy elimination that keeps a bound on
+its entries and hands over to the pure Python big-integer reduction before
+int64 could overflow; for transforms, that big-integer reduction itself, with
+U and V composed with the sparse row and column operations.  Composition of
+boundary maps is checked exactly on the same sparse rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd, prod
 from typing import Sequence
 
@@ -141,11 +150,6 @@ class FinAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def tensor_finab(a: FinAbGroup, b: FinAbGroup) -> FinAbGroup:
-    """Structural tensor product of two finitely generated abelian groups."""
-    return a.tensor(b)
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -255,17 +259,174 @@ def _smith_python(mat: Sequence[Sequence[int]], want_transforms: bool):
     return U, A, V
 
 
+class _SparseMatrix:
+    """Exact integer matrix: one {column: value} dict of Python ints per row."""
+
+    __slots__ = ("rows", "shape")
+
+    def __init__(self, rows: list[dict[int, int]], shape: tuple[int, int]):
+        self.rows = rows
+        self.shape = shape
+
+
+def _sparse(mat) -> _SparseMatrix:
+    """Read an integer matrix into sparse rows; exact for entries of any size."""
+    if isinstance(mat, _SparseMatrix):
+        return _SparseMatrix([dict(row) for row in mat.rows], mat.shape)
+    if isinstance(mat, np.ndarray) and mat.dtype != object:
+        if mat.ndim != 2:
+            raise ValueError("expected a 2-d matrix")
+        rows: list[dict[int, int]] = [{} for _ in range(mat.shape[0])]
+        r, c = np.nonzero(mat)
+        for i, j, v in zip(r.tolist(), c.tolist(), mat[r, c].tolist()):
+            rows[i][j] = int(v)
+        return _SparseMatrix(rows, (int(mat.shape[0]), int(mat.shape[1])))
+    rows = []
+    width = None
+    for row in mat:
+        if not hasattr(row, "__len__"):
+            raise ValueError("expected a 2-d matrix")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ValueError("ragged matrix")
+        rows.append({j: int(x) for j, x in enumerate(row) if x})
+    return _SparseMatrix(rows, (len(rows), width or 0))
+
+
+def _axpy(dst: dict[int, int], f: int, src: dict[int, int]) -> None:
+    """dst -= f * src on sparse vectors, dropping entries that cancel."""
+    for c, v in src.items():
+        x = dst.get(c, 0) - f * v
+        if x:
+            dst[c] = x
+        else:
+            del dst[c]
+
+
+def _eliminate_units(
+    a: _SparseMatrix,
+    U: list[dict[int, int]] | None = None,
+    V: list[dict[int, int]] | None = None,
+):
+    """Eliminate +-1 pivots of least Markowitz cost, each by an exact Schur step.
+
+    Pivoting on a unit entry p = a[i][j] clears column j by row operations and
+    row i by column operations; both are unimodular, so the Smith form of a is
+    diag(1, Schur complement).  The cost (|row| - 1) * (|column| - 1) bounds
+    the fill-in; costs in the heap are refreshed when popped.  With U (rows)
+    and V (columns) given as sparse identities, the same operations are
+    applied to them.  a.rows is consumed.
+
+    Returns (pivots, remainder, rest_rows, rest_cols): pivots lists (i, j, p);
+    remainder is the dense matrix on rest_rows x rest_cols, the live rows and
+    columns that still hold an entry, none of which is a unit.
+    """
+    rows: list[dict[int, int] | None] = a.rows  # type: ignore[assignment]
+    cols: list[set[int] | None] = [set() for _ in range(a.shape[1])]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    heap = [
+        ((len(row) - 1) * (len(cols[j]) - 1), i, j)
+        for i, row in enumerate(rows)
+        for j, v in row.items()
+        if v == 1 or v == -1
+    ]
+    heapify(heap)
+    pivots = []
+    while heap:
+        cost, i, j = heappop(heap)
+        row = rows[i]
+        if row is None:
+            continue
+        p = row.get(j)
+        if p != 1 and p != -1:
+            continue
+        col = cols[j]
+        now = (len(row) - 1) * (len(col) - 1)
+        if now > cost:
+            heappush(heap, (now, i, j))
+            continue
+        for c in row:
+            cols[c].discard(i)
+        for k in col:
+            rk = rows[k]
+            f = rk.pop(j) * p
+            units = []
+            for c, v in row.items():
+                if c == j:
+                    continue
+                x = rk.get(c, 0) - f * v
+                if x:
+                    if c not in rk:
+                        cols[c].add(k)
+                    rk[c] = x
+                    if x == 1 or x == -1:
+                        units.append(c)
+                else:
+                    del rk[c]
+                    cols[c].discard(k)
+            for c in units:
+                heappush(heap, ((len(rk) - 1) * (len(cols[c]) - 1), k, c))
+            if U is not None:
+                _axpy(U[k], f, U[i])
+        if V is not None:
+            for c, v in row.items():
+                if c != j:
+                    _axpy(V[c], v * p, V[j])
+        rows[i] = None
+        cols[j] = None
+        pivots.append((i, j, p))
+    rest_rows = [i for i, row in enumerate(rows) if row]
+    rest_cols = [j for j, col in enumerate(cols) if col]
+    remainder = [[rows[i].get(j, 0) for j in rest_cols] for i in rest_rows]
+    return pivots, remainder, rest_rows, rest_cols
+
+
+def _combine(coeffs: Sequence[int], vecs: Sequence[dict[int, int]]) -> dict[int, int]:
+    """The sparse vector sum_k coeffs[k] * vecs[k]."""
+    out: dict[int, int] = {}
+    for q, vec in zip(coeffs, vecs):
+        if q:
+            _axpy(out, -q, vec)
+    return out
+
+
 def smith_normal_form(mat: IntMatrix):
     """Smith normal form with transforms: returns (U, D, V), U @ mat @ V == D.
 
     U and V are unimodular; D is diagonal with a divisibility chain along the
-    diagonal.  Intended for moderate sizes (all entries are Python ints).
+    diagonal.  Unit pivots are eliminated sparsely and only the remainder
+    goes through the dense big-integer reduction; U and V compose both.
     """
-    rows = [list(map(int, row)) for row in mat]
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("ragged matrix")
-    U, D, V = _smith_python(rows, want_transforms=True)
-    return U, D, V
+    a = _sparse(mat)
+    m, n = a.shape
+    U = [{i: 1} for i in range(m)]
+    V = [{j: 1} for j in range(n)]
+    pivots, remainder, rest_rows, rest_cols = _eliminate_units(a, U, V)
+    Ur, Dr, Vr = _smith_python(remainder, want_transforms=True)
+    done_rows = {i for i, _, _ in pivots}.union(rest_rows)
+    done_cols = {j for _, j, _ in pivots}.union(rest_cols)
+    u_rows = [{c: p * v for c, v in U[i].items()} for i, _, p in pivots]
+    u_rows += [_combine(coeffs, [U[i] for i in rest_rows]) for coeffs in Ur]
+    u_rows += [U[i] for i in range(m) if i not in done_rows]
+    v_cols = [V[j] for _, j, _ in pivots]
+    v_cols += [_combine(coeffs, [V[j] for j in rest_cols]) for coeffs in zip(*Vr)]
+    v_cols += [V[j] for j in range(n) if j not in done_cols]
+    U_out = [[0] * m for _ in range(m)]
+    for r, vec in enumerate(u_rows):
+        for c, v in vec.items():
+            U_out[r][c] = v
+    V_out = [[0] * n for _ in range(n)]
+    for c, vec in enumerate(v_cols):
+        for r, v in vec.items():
+            V_out[r][c] = v
+    diagonal = [1] * len(pivots) + [Dr[t][t] for t in range(min(len(Dr), len(rest_cols)))]
+    D = [[0] * n for _ in range(m)]
+    for t, d in enumerate(diagonal):
+        D[t][t] = d
+    return U_out, D, V_out
 
 
 def _find_pivot(A: np.ndarray, t: int) -> tuple[int, int] | None:
@@ -291,22 +452,31 @@ def _find_pivot(A: np.ndarray, t: int) -> tuple[int, int] | None:
 def snf_divisors(mat: IntMatrix) -> list[int]:
     """Nonzero elementary divisors d_1 | d_2 | ... of an integer matrix.
 
-    Fast int64 numpy path with smallest-pivot elimination (preferring +-1
-    pivots) and an exact big-integer fallback when entries grow too large.
+    Unit pivots are eliminated sparsely (each contributes a divisor 1); the
+    remainder goes to the dense finisher.
     """
-    A = np.array(mat, dtype=np.int64)
-    if A.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    m, n = A.shape
-    if m == 0 or n == 0 or not A.any():
+    pivots, remainder, _, _ = _eliminate_units(_sparse(mat))
+    return [1] * len(pivots) + _dense_divisors(remainder)
+
+
+def _dense_divisors(mat: list[list[int]]) -> list[int]:
+    """Divisors of a dense remainder: int64 smallest-pivot elimination.
+
+    `bound` stays an upper bound on the entries of the active block; a row
+    update that could take it past the guard first re-measures the block and
+    otherwise falls back to the exact big-integer routine, so no int64
+    operation can overflow.
+    """
+    if not mat or not mat[0]:
         return []
-    if int(np.abs(A).max()) > _INT64_GUARD:
+    bound = max(abs(x) for row in mat for x in row)
+    if bound > _INT64_GUARD:
         return _divisors_python(mat)
+    A = np.array(mat, dtype=np.int64)
+    m, n = A.shape
     t = 0
     out: list[int] = []
     while t < min(m, n):
-        if t % 32 == 0 and int(np.abs(A[t:, t:]).max(initial=0)) > _INT64_GUARD:
-            return _divisors_python(mat)
         pivot = _find_pivot(A, t)
         if pivot is None:
             break
@@ -325,7 +495,14 @@ def snf_divisors(mat: IntMatrix) -> list[int]:
                 q = col[nz] // p
                 upd = nz[q != 0]
                 if upd.size:
-                    A[t + 1 + upd, t:] -= (col[upd] // p)[:, None] * A[t, t:][None, :]
+                    q = q[q != 0]
+                    step = int(np.abs(q).max()) * int(np.abs(A[t, t:]).max())
+                    if bound + step > _INT64_GUARD:
+                        bound = int(np.abs(A[t:, t:]).max())
+                        if bound + step > _INT64_GUARD:
+                            return _divisors_python(mat)
+                    A[t + 1 + upd, t:] -= q[:, None] * A[t, t:][None, :]
+                    bound += step
                 nz = np.nonzero(A[t + 1 :, t])[0]
                 if nz.size:
                     # remainders lie in (0, p); bring the smallest up as pivot
@@ -346,8 +523,6 @@ def snf_divisors(mat: IntMatrix) -> list[int]:
                     A[:, [t, t + 1 + k2]] = A[:, [t + 1 + k2, t]]
                     continue
             if p != 1:
-                if int(np.abs(A[t:, t:]).max()) > _INT64_GUARD:
-                    return _divisors_python(mat)
                 rem = A[t + 1 :, t + 1 :] % p
                 bad = np.nonzero(rem.any(axis=1))[0]
                 if bad.size:
@@ -359,13 +534,9 @@ def snf_divisors(mat: IntMatrix) -> list[int]:
     return out
 
 
-def _divisors_python(mat: IntMatrix) -> list[int]:
-    _, D, _ = _smith_python([list(map(int, row)) for row in mat], want_transforms=False)
-    out = []
-    for k in range(min(len(D), len(D[0]) if D else 0)):
-        if D[k][k]:
-            out.append(abs(D[k][k]))
-    return out
+def _divisors_python(mat: list[list[int]]) -> list[int]:
+    _, D, _ = _smith_python(mat, want_transforms=False)
+    return [abs(D[k][k]) for k in range(min(len(D), len(D[0]))) if D[k][k]]
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +544,16 @@ def _divisors_python(mat: IntMatrix) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _compose_is_zero(a: np.ndarray, b: np.ndarray) -> bool:
-    if a.size == 0 or b.size == 0:
-        return True
-    bound = float(np.abs(a).max()) * float(np.abs(b).max()) * a.shape[1]
-    if bound < 2**52:
-        prod_ = a.astype(np.float64) @ b.astype(np.float64)
-        return not prod_.any()
-    prod_ = a.astype(object) @ b.astype(object)
-    return not np.asarray(prod_ != 0).any()
+def _compose_is_zero(a: _SparseMatrix, b: _SparseMatrix) -> bool:
+    """Whether a @ b == 0, exactly, from the sparse rows."""
+    for row in a.rows:
+        acc: dict[int, int] = {}
+        for j, x in row.items():
+            for c, y in b.rows[j].items():
+                acc[c] = acc.get(c, 0) + x * y
+        if any(acc.values()):
+            return False
+    return True
 
 
 def chain_homology(boundaries: Sequence[IntMatrix]) -> list[FinAbGroup]:
@@ -390,12 +562,9 @@ def chain_homology(boundaries: Sequence[IntMatrix]) -> list[FinAbGroup]:
     boundaries[k] is the matrix of d_{k+1}: C_{k+1} -> C_k, with shape
     (dim C_k, dim C_{k+1}).  Returns [H_0, ..., H_top].
     """
-    mats = [np.array(b, dtype=np.int64) for b in boundaries]
+    mats = [_sparse(b) for b in boundaries]
     if not mats:
         raise ValueError("need at least one boundary matrix")
-    for b in mats:
-        if b.ndim != 2:
-            raise ValueError("boundary matrices must be 2-d")
     dims = [mats[0].shape[0]] + [b.shape[1] for b in mats]
     for k in range(1, len(mats)):
         if mats[k].shape[0] != dims[k]:
@@ -409,8 +578,6 @@ def chain_homology(boundaries: Sequence[IntMatrix]) -> list[FinAbGroup]:
     for k in range(top + 1):
         rank_in = ranks[k] if k < top else 0
         rank_out = ranks[k - 1] if k > 0 else 0
-        free = dims[k] - rank_out - rank_in
-        tors = [d for d in (divisors[k] if k < top else [])] if k < top else []
-        tors = [d for d in tors if d > 1]
-        groups.append(FinAbGroup.from_divisors(tors, free))
+        tors = [d for d in divisors[k] if d > 1] if k < top else []
+        groups.append(FinAbGroup.from_divisors(tors, dims[k] - rank_out - rank_in))
     return groups

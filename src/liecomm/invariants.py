@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, prod
 
-from .homology import FinAbGroup, InvariantBreachError, _factorint, tensor_finab
+from .homology import FinAbGroup, InvariantBreachError, _factorint
 from .rootdata import LieType, RootDatum, build_root_datum, dynkin_index
 from .wps import spin_stability_report
 
@@ -162,7 +162,7 @@ def h2_extension_semisimple(pi1: FinAbGroup, simple_factors: int) -> ExtensionRe
         raise ValueError("the number of simple factors must be nonnegative")
     if not pi1.is_finite:
         raise ValueError("pi1 must be finite for a semisimple group")
-    quotient = tensor_finab(pi1, pi1)
+    quotient = pi1.tensor(pi1)
     return ExtensionReport(
         kernel=FinAbGroup.free(simple_factors),
         quotient=quotient,

@@ -10,10 +10,8 @@ condition at runtime and refuse to proceed when it fails.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
-from math import floor
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -201,38 +199,34 @@ def quotient_by_involution(
 # Triangulated tori with the inversion involution
 # ---------------------------------------------------------------------------
 
-_HALF = Fraction(1, 2)
 
+def _canonical_cell(points: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """Canonical lift of a geometric cell of the torus, in doubled coordinates.
 
-def _canonical_cell(points: Iterable[tuple[Fraction, ...]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Canonical lift of a geometric cell of the torus.
-
-    Cells have per-axis spread at most 1/2, so translating away the floor of
+    Grid points are stored as 2x, so the half-integer grid is the integer
+    lattice and the torus has period 2.  Cells have per-axis spread at most
+    1 (a half period), so translating away the even floor 2 * (min // 2) of
     the per-axis minimum picks a unique representative.
     """
     pts = [tuple(p) for p in points]
-    n = len(pts[0])
-    shift = []
-    for i in range(n):
-        m = min(p[i] for p in pts)
-        shift.append(Fraction(floor(m)))
-    return tuple(sorted(tuple(p[i] - shift[i] for i in range(n)) for p in pts))
+    shift = [2 * (min(axis) // 2) for axis in zip(*pts)]
+    return tuple(sorted(tuple(x - s for x, s in zip(p, shift)) for p in pts))
 
 
 def _torus_cells(n: int):
     """All cells of the monotone-path triangulation on the half-integer grid.
 
     Returns (cells, top_cells) where cells maps a canonical cell to its id and
-    top_cells lists the top simplices as tuples of unreduced grid points.
+    top_cells lists the top simplices as tuples of unreduced grid points, all
+    in doubled coordinates.
     """
-    corners = product((Fraction(0), _HALF), repeat=n)
     tops = []
-    for corner in corners:
+    for corner in product((0, 1), repeat=n):
         for perm in permutations(range(n)):
             pts = [tuple(corner)]
             cur = list(corner)
             for axis in perm:
-                cur[axis] += _HALF
+                cur[axis] += 1
                 pts.append(tuple(cur))
             tops.append(tuple(pts))
     cell_forms = set()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -119,6 +120,33 @@ class TestProjection:
     def test_noncommuting_rejected(self):
         with pytest.raises(CommutatorError):
             rep_project_su2([[0, 1, 0, 0]], [[0, 0, 1, 0]])
+
+
+class TestPrismMesh:
+    # sha256 of pts.tobytes() + tris.tobytes(), recorded with the per-vertex
+    # dict construction the vectorized one replaced
+    PINS = {
+        2: (18, 32, "1a913607850415fcedb88fadb49a338a2f5b6fe2f31b8b10556e387cb539f877"),
+        3: (38, 72, "d25e15d1bdb2527c3df141b45ce5900823dd2d661107887ab30a18f439f82449"),
+        100: (40002, 80000, "76e445279d5e6585cd5bb8744459b8e93b1486bff9b950e5b3623776da3556ff"),
+        200: (160002, 320000, "aee1cf949633362eb65a11e24082a76f21fc727209e43fbba8bb7b56e4c80c5e"),
+    }
+
+    @pytest.mark.parametrize("m", sorted(PINS))
+    def test_mesh_pinned(self, m):
+        n_pts, n_tris, digest = self.PINS[m]
+        pts, tris = triangulate_prism_boundary(m)
+        assert pts.shape == (n_pts, 3) and pts.dtype == np.float64
+        assert tris.shape == (n_tris, 3) and tris.dtype == np.int64
+        assert hashlib.sha256(pts.tobytes() + tris.tobytes()).hexdigest() == digest
+
+    def test_mesh_is_closed(self):
+        # every edge of a closed oriented surface is used once in each direction
+        _, tris = triangulate_prism_boundary(5)
+        edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+        forward = {tuple(e) for e in edges.tolist()}
+        assert len(forward) == len(edges)
+        assert forward == {(b, a) for a, b in forward}
 
 
 class TestDegree:

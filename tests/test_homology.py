@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,18 @@ from hypothesis import strategies as st
 from liecomm.homology import (
     ChainComplexError,
     FinAbGroup,
+    _eliminate_units,
+    _smith_python,
+    _sparse,
     chain_homology,
     smith_normal_form,
     snf_divisors,
-    tensor_finab,
+)
+from liecomm.simplicial import (
+    barycentric_subdivide,
+    quotient_by_involution,
+    torus_inversion_quotient,
+    torus_triangulation,
 )
 
 
@@ -17,24 +27,52 @@ def _mat_mult(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def _det(mat):
-    # Bareiss, enough for unimodularity checks on small matrices
-    a = [row[:] for row in mat]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
+def _abs_det(mat):
+    """|det| of a square integer matrix, exactly: Gaussian elimination over Q."""
+    rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in mat]
+    live = set(range(len(rows)))
+    out = Fraction(1)
+    for j in range(len(rows)):
+        cands = [i for i in live if j in rows[i]]
+        if not cands:
+            return 0
+        i = min(cands, key=lambda r: len(rows[r]))
+        live.remove(i)
+        pivot_row = rows[i]
+        out *= abs(pivot_row[j])
+        for k in cands:
+            if k != i:
+                f = rows[k][j] / pivot_row[j]
+                for c, v in pivot_row.items():
+                    x = rows[k].get(c, 0) - f * v
+                    if x:
+                        rows[k][c] = x
+                    else:
+                        rows[k].pop(c, None)
+    return out
+
+
+def _python_divisors(mat):
+    """Nonzero diagonal of the dense big-integer reduction: the reference."""
+    _, d, _ = _smith_python(mat, want_transforms=False)
+    return [abs(d[k][k]) for k in range(min(len(d), len(d[0]))) if d[k][k]]
+
+
+@st.composite
+def _int_matrices(draw):
+    """Rectangular matrices with entries in [-20, 20], some zero rows and columns."""
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 7))
+    entry = st.integers(-20, 20)
+    if draw(st.booleans()):
+        entry = entry.filter(lambda x: abs(x) != 1)  # nothing for the unit pivots
+    mat = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    zero_rows = draw(st.sets(st.integers(0, m - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    return [
+        [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(mat)
+    ]
 
 
 class TestSmithNormalForm:
@@ -54,7 +92,7 @@ class TestSmithNormalForm:
         m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
         u, d, v = smith_normal_form(m)
         assert _mat_mult(_mat_mult(u, m), v) == d
-        assert abs(_det(u)) == 1 and abs(_det(v)) == 1
+        assert _abs_det(u) == 1 and _abs_det(v) == 1
         diag = [d[i][i] for i in range(3)]
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0 or b == 0
@@ -89,11 +127,49 @@ class TestSmithNormalForm:
     def test_transform_identity_and_chain(self, mat):
         u, d, v = smith_normal_form(mat)
         assert _mat_mult(_mat_mult(u, mat), v) == d
-        assert abs(_det(u)) == 1 and abs(_det(v)) == 1
+        assert _abs_det(u) == 1 and _abs_det(v) == 1
         diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
         for a, b in zip(diag, diag[1:]):
             assert (b % a == 0) if a else b == 0
         assert snf_divisors(mat) == [x for x in diag if x]
+
+
+    @given(_int_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_divisors_match_dense_reduction(self, mat):
+        assert snf_divisors(mat) == _python_divisors(mat)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_dense_remainder_parity(self, seed):
+        mat = np.random.default_rng(seed).integers(-3, 4, size=(40, 40)).tolist()
+        _, remainder, _, _ = _eliminate_units(_sparse(mat))
+        assert remainder  # the dense finisher has work to do
+        assert snf_divisors(mat) == _python_divisors(mat)
+
+    @pytest.mark.parametrize("seed", [5, 6, 20])
+    def test_dense_finisher_never_wraps(self, seed):
+        # one unit-pivot row update took these past int64 between range checks
+        mat = np.random.default_rng(seed).integers(-50, 51, size=(24, 24)).tolist()
+        assert snf_divisors(mat) == _python_divisors(mat)
+
+    def test_entries_beyond_int64(self):
+        assert snf_divisors([[2**70, 0], [0, 3]]) == [1, 3 * 2**70]
+        u, d, v = smith_normal_form([[2**70, 0], [0, 3]])
+        assert _mat_mult(_mat_mult(u, [[2**70, 0], [0, 3]]), v) == d
+        assert [d[0][0], d[1][1]] == [1, 3 * 2**70]
+
+    def test_transforms_on_quotient_d1(self):
+        quotient, _ = torus_inversion_quotient(3)
+        d1 = quotient.boundary_matrices()[0]
+        u, d, v = smith_normal_form(d1)
+        uu, vv = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+        m, n = d1.shape
+        # the int64 products below are exact under this bound
+        assert m * n * int(np.abs(uu).max()) * int(np.abs(d1).max()) * int(np.abs(vv).max()) < 2**62
+        assert np.array_equal(uu @ d1 @ vv, np.array(d, dtype=np.int64))
+        assert _abs_det(u) == 1 and _abs_det(v) == 1
+        assert [d[k][k] for k in range(m)] == [1] * (m - 1) + [0]
+        assert sum(x != 0 for row in d for x in row) == m - 1
 
 
 class TestChainHomology:
@@ -131,6 +207,39 @@ class TestChainHomology:
         with pytest.raises(ChainComplexError):
             chain_homology([np.array([[1]]), np.array([[1]])])
 
+    def test_compose_check_exact_beyond_float(self):
+        # entries above 2^53, where float64 would round (2^53 + 1) - 2^53 - 1
+        a = [[2**53 + 1, 2**53, 1]]
+        h = chain_homology([a, [[1], [-1], [-1]]])
+        assert h == [FinAbGroup.trivial(), FinAbGroup.free(1), FinAbGroup.trivial()]
+        with pytest.raises(ChainComplexError, match="d_1 o d_2"):
+            chain_homology([a, [[1], [-1], [0]]])
+
+    def test_entry_beyond_int64(self):
+        h = chain_homology([[[2**70]]])
+        assert h == [FinAbGroup(0, (2**70,)), FinAbGroup.trivial()]
+
+    @pytest.mark.parametrize(
+        "n,torus,quotient",
+        [
+            (1, ["Z", "Z"], ["Z", "0"]),
+            (2, ["Z", "Z^2", "Z"], ["Z", "0", "Z"]),
+            (3, ["Z", "Z^3", "Z^3", "Z"], ["Z", "0", "Z^3 + Z/2", "0"]),
+        ],
+    )
+    def test_torus_and_quotient_homology(self, n, torus, quotient):
+        complex_, _ = torus_triangulation(n)
+        assert [str(g) for g in complex_.homology()] == torus
+        q, _ = torus_inversion_quotient(n)
+        assert [str(g) for g in q.homology()] == quotient
+
+    def test_twice_subdivided_torus_homology(self):
+        complex_, involution = torus_triangulation(2)
+        sd, sd_involution = barycentric_subdivide(complex_, involution)
+        assert [str(g) for g in sd.homology()] == ["Z", "Z^2", "Z"]
+        q = quotient_by_involution(sd, sd_involution)
+        assert [str(g) for g in q.homology()] == ["Z", "0", "Z"]
+
 
 class TestFinAbGroup:
     def test_divisor_chain_normalization(self):
@@ -140,16 +249,16 @@ class TestFinAbGroup:
     def test_tensor_examples(self):
         z2 = FinAbGroup.cyclic(2)
         z3 = FinAbGroup.cyclic(3)
-        assert tensor_finab(z2, z2) == z2
-        assert tensor_finab(z2, z3) == FinAbGroup.trivial()
+        assert z2.tensor(z2) == z2
+        assert z2.tensor(z3) == FinAbGroup.trivial()
         klein = FinAbGroup(0, (2, 2))
-        assert tensor_finab(klein, klein) == FinAbGroup(0, (2, 2, 2, 2))
+        assert klein.tensor(klein) == FinAbGroup(0, (2, 2, 2, 2))
 
     def test_tensor_with_free_part(self):
         g = FinAbGroup(2, (3,))
         h = FinAbGroup(1, (6,))
         # (Z^2 + Z/3) (x) (Z + Z/6) = Z^2 + (Z/6)^2 + (Z/3)^1 + Z/3
-        assert tensor_finab(g, h) == FinAbGroup.from_divisors([6, 6, 3, 3], 2)
+        assert g.tensor(h) == FinAbGroup.from_divisors([6, 6, 3, 3], 2)
 
     @given(
         st.lists(st.integers(2, 12), max_size=3),
@@ -159,7 +268,7 @@ class TestFinAbGroup:
     def test_tensor_commutative(self, da, db):
         a = FinAbGroup.from_divisors(da)
         b = FinAbGroup.from_divisors(db)
-        assert tensor_finab(a, b) == tensor_finab(b, a)
+        assert a.tensor(b) == b.tensor(a)
 
     def test_invalid_chain_rejected(self):
         with pytest.raises(ValueError):

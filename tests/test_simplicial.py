@@ -1,3 +1,4 @@
+import hashlib
 from math import comb
 
 import pytest
@@ -66,6 +67,20 @@ class TestTorus:
             assert image in faces
         for v, w in involution.items():
             assert involution[w] == v
+
+    @pytest.mark.parametrize(
+        "n,digest",
+        [
+            (1, "d470a40d3eb5e2f5873d6fcb1a2e25b0d268167870cfc9fed95a65400f8f4373"),
+            (2, "1ef324cc5bc31ec740408a3114fd19a7b5b024a686a3d4d1b31137b86cb8149a"),
+            (3, "eea2249617808bd4e91aa03b78aa63f2e9d65f16189388d3fcc3a6677283c233"),
+        ],
+    )
+    def test_triangulation_pinned(self, n, digest):
+        # recorded with the Fraction grid; the doubled integer grid must match
+        complex_, involution = torus_triangulation(n)
+        text = repr((complex_.facets, sorted(involution.items())))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

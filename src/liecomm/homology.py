@@ -6,12 +6,11 @@ as {column: value} rows with column index sets, and +-1 pivots are eliminated
 one at a time, least Markowitz cost (|row| - 1) * (|column| - 1) first.  Each
 such step is unimodular and leaves the exact Schur complement, so the Smith
 form is unchanged; simplicial boundary and coroot-lattice matrices are almost
-all unit pivots.  Only the remainder, which has no unit entry left, goes to a
-dense finisher: for divisors, an int64 numpy elimination that keeps a bound on
-its entries and hands over to the pure Python big-integer reduction before
-int64 could overflow; for transforms, that big-integer reduction itself, with
-U and V composed with the sparse row and column operations.  Composition of
-boundary maps is checked exactly on the same sparse rows.
+all unit pivots.  Only the remainder, which has no unit entry left, goes to
+the dense big-integer reduction, the one finisher for divisors and for
+transforms; with transforms, U and V compose the sparse row and column
+operations with the finisher's.  Composition of boundary maps is checked
+exactly on the same sparse rows.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from typing import Sequence
 import numpy as np
 
 IntMatrix = Sequence[Sequence[int]]
-
-_INT64_GUARD = 2**59
 
 
 class InvariantBreachError(RuntimeError):
@@ -273,9 +270,9 @@ def _sparse(mat) -> _SparseMatrix:
     """Read an integer matrix into sparse rows; exact for entries of any size."""
     if isinstance(mat, _SparseMatrix):
         return _SparseMatrix([dict(row) for row in mat.rows], mat.shape)
+    if isinstance(mat, np.ndarray) and mat.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
     if isinstance(mat, np.ndarray) and mat.dtype != object:
-        if mat.ndim != 2:
-            raise ValueError("expected a 2-d matrix")
         rows: list[dict[int, int]] = [{} for _ in range(mat.shape[0])]
         r, c = np.nonzero(mat)
         for i, j, v in zip(r.tolist(), c.tolist(), mat[r, c].tolist()):
@@ -290,7 +287,12 @@ def _sparse(mat) -> _SparseMatrix:
             width = len(row)
         elif len(row) != width:
             raise ValueError("ragged matrix")
-        rows.append({j: int(x) for j, x in enumerate(row) if x})
+        try:
+            rows.append({j: int(x) for j, x in enumerate(row) if x})
+        except TypeError:
+            if any(hasattr(x, "__len__") for x in row):
+                raise ValueError("expected a 2-d matrix") from None
+            raise
     return _SparseMatrix(rows, (len(rows), width or 0))
 
 
@@ -429,109 +431,14 @@ def smith_normal_form(mat: IntMatrix):
     return U_out, D, V_out
 
 
-def _find_pivot(A: np.ndarray, t: int) -> tuple[int, int] | None:
-    """Smallest-magnitude pivot in A[t:, t:], returning early on a +-1."""
-    m, n = A.shape
-    best = None
-    best_val = None
-    for j in range(t, n):
-        col = A[t:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        k = int(nz[np.argmin(np.abs(col[nz]))])
-        val = abs(int(col[k]))
-        if best_val is None or val < best_val:
-            best_val = val
-            best = (t + k, j)
-            if val == 1:
-                return best
-    return best
-
-
 def snf_divisors(mat: IntMatrix) -> list[int]:
     """Nonzero elementary divisors d_1 | d_2 | ... of an integer matrix.
 
     Unit pivots are eliminated sparsely (each contributes a divisor 1); the
-    remainder goes to the dense finisher.
+    remainder goes to the big-integer reduction.
     """
     pivots, remainder, _, _ = _eliminate_units(_sparse(mat))
-    return [1] * len(pivots) + _dense_divisors(remainder)
-
-
-def _dense_divisors(mat: list[list[int]]) -> list[int]:
-    """Divisors of a dense remainder: int64 smallest-pivot elimination.
-
-    `bound` stays an upper bound on the entries of the active block; a row
-    update that could take it past the guard first re-measures the block and
-    otherwise falls back to the exact big-integer routine, so no int64
-    operation can overflow.
-    """
-    if not mat or not mat[0]:
-        return []
-    bound = max(abs(x) for row in mat for x in row)
-    if bound > _INT64_GUARD:
-        return _divisors_python(mat)
-    A = np.array(mat, dtype=np.int64)
-    m, n = A.shape
-    t = 0
-    out: list[int] = []
-    while t < min(m, n):
-        pivot = _find_pivot(A, t)
-        if pivot is None:
-            break
-        i, j = pivot
-        if i != t:
-            A[[t, i], :] = A[[i, t], :]
-        if j != t:
-            A[:, [t, j]] = A[:, [j, t]]
-        while True:
-            if A[t, t] < 0:
-                A[t, t:] = -A[t, t:]
-            p = int(A[t, t])
-            col = A[t + 1 :, t]
-            nz = np.nonzero(col)[0]
-            if nz.size:
-                q = col[nz] // p
-                upd = nz[q != 0]
-                if upd.size:
-                    q = q[q != 0]
-                    step = int(np.abs(q).max()) * int(np.abs(A[t, t:]).max())
-                    if bound + step > _INT64_GUARD:
-                        bound = int(np.abs(A[t:, t:]).max())
-                        if bound + step > _INT64_GUARD:
-                            return _divisors_python(mat)
-                    A[t + 1 + upd, t:] -= q[:, None] * A[t, t:][None, :]
-                    bound += step
-                nz = np.nonzero(A[t + 1 :, t])[0]
-                if nz.size:
-                    # remainders lie in (0, p); bring the smallest up as pivot
-                    col = A[t + 1 :, t]
-                    k2 = int(nz[np.argmin(col[nz])])
-                    A[[t, t + 1 + k2], :] = A[[t + 1 + k2, t], :]
-                    continue
-            row = A[t, t + 1 :]
-            nz = np.nonzero(row)[0]
-            if nz.size:
-                q = row // p
-                # column t below row t is already clear, so only row t changes
-                A[t, t + 1 :] -= p * q
-                row = A[t, t + 1 :]
-                nz = np.nonzero(row)[0]
-                if nz.size:
-                    k2 = int(nz[np.argmin(row[nz])])
-                    A[:, [t, t + 1 + k2]] = A[:, [t + 1 + k2, t]]
-                    continue
-            if p != 1:
-                rem = A[t + 1 :, t + 1 :] % p
-                bad = np.nonzero(rem.any(axis=1))[0]
-                if bad.size:
-                    A[t, :] += A[t + 1 + int(bad[0]), :]
-                    continue
-            break
-        out.append(int(A[t, t]))
-        t += 1
-    return out
+    return [1] * len(pivots) + (_divisors_python(remainder) if remainder else [])
 
 
 def _divisors_python(mat: list[list[int]]) -> list[int]:

@@ -143,14 +143,22 @@ class TestSmithNormalForm:
     def test_dense_remainder_parity(self, seed):
         mat = np.random.default_rng(seed).integers(-3, 4, size=(40, 40)).tolist()
         _, remainder, _, _ = _eliminate_units(_sparse(mat))
-        assert remainder  # the dense finisher has work to do
+        assert remainder  # the finisher has work to do
         assert snf_divisors(mat) == _python_divisors(mat)
 
     @pytest.mark.parametrize("seed", [5, 6, 20])
-    def test_dense_finisher_never_wraps(self, seed):
-        # one unit-pivot row update took these past int64 between range checks
+    def test_large_entry_parity(self, seed):
+        # one or two unit pivots, then a dense remainder of 22 x 22 or more
         mat = np.random.default_rng(seed).integers(-50, 51, size=(24, 24)).tolist()
         assert snf_divisors(mat) == _python_divisors(mat)
+
+    def test_non_2d_rejected(self):
+        for bad in ([[[1]]], [[1, [2]]], [1, 2], np.zeros((1, 1, 1), dtype=np.int64),
+                    np.zeros((1, 1, 1), dtype=object)):
+            with pytest.raises(ValueError, match="expected a 2-d matrix"):
+                snf_divisors(bad)
+            with pytest.raises(ValueError, match="expected a 2-d matrix"):
+                smith_normal_form(bad)
 
     def test_entries_beyond_int64(self):
         assert snf_divisors([[2**70, 0], [0, 3]]) == [1, 3 * 2**70]
@@ -218,6 +226,10 @@ class TestChainHomology:
     def test_entry_beyond_int64(self):
         h = chain_homology([[[2**70]]])
         assert h == [FinAbGroup(0, (2**70,)), FinAbGroup.trivial()]
+
+    def test_non_2d_rejected(self):
+        with pytest.raises(ValueError, match="expected a 2-d matrix"):
+            chain_homology([[[[1]]]])
 
     @pytest.mark.parametrize(
         "n,torus,quotient",

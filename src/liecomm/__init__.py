@@ -94,7 +94,6 @@ from .wps import (
     orbit_equal,
     proj_degree,
     rep_to_wps,
-    spin_stability_degree,
     spin_stability_map,
     spin_stability_report,
 )

@@ -212,11 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Invariants of spaces of commuting elements in compact Lie groups",
     )
     parser.add_argument("--version", action="version", version=f"liecomm {__version__}")
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit JSON on stdout (the default; accepted for explicit scripting)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="pi_2 report and quotient degree for a simple type")

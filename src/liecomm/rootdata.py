@@ -8,17 +8,21 @@ Conventions (fixed once, used everywhere):
   simple reflection s_i acts on coroot coordinates by
   ``alpha_j_vee -> alpha_j_vee - a[i][j] * alpha_i_vee``.
 * All vectors live in the simple-coroot basis unless stated otherwise, and all
-  arithmetic in this module is exact (integers and Fractions, no floats).
+  arithmetic in this module is exact: integers and Fractions, and float32
+  matrix products only under a checked bound that keeps them exact.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .homology import FinAbGroup, InvariantBreachError, snf_divisors
 
@@ -166,27 +170,50 @@ def _root_closure(cartan: Matrix) -> dict[Vector, Vector]:
     return roots
 
 
-def _charpoly(mat: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Characteristic polynomial det(xI - M), ascending coefficients, exact."""
-    n = len(mat)
-    A = [[int(x) for x in row] for row in mat]
-    M = [row[:] for row in A]
-    coeffs = [1]  # descending: x^n + c1 x^(n-1) + ...
-    for k in range(1, n + 1):
-        tr = sum(M[i][i] for i in range(n))
-        if tr % k:
-            raise InvariantBreachError("Faddeev-LeVerrier divisibility failed")
-        c = -tr // k
-        coeffs.append(c)
-        if k == n:
-            break
-        for i in range(n):
-            M[i][i] += c
-        M = [
-            [sum(A[i][l] * M[l][j] for l in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-    return tuple(reversed(coeffs))
+_POWER_CHUNK = 1 << 14  # matrices per float32 batch; bounds the temporaries
+_FLOAT32_EXACT = 1 << 24  # float32 holds every integer of smaller magnitude exactly
+
+
+def charpoly_buckets(stack: np.ndarray) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Characteristic polynomials det(xI - w) of a stack of integer matrices, counted.
+
+    Returns sorted (ascending coefficients, count) pairs.  A charpoly is fixed
+    by the power sums p_k = tr(w^k), k = 1..r, through Newton's identities.
+    The powers are batched float32 products, exact because every partial sum
+    stays below 2^24: r * max|w^k| * max|w| < 2^24 is checked before each
+    product and trace.  Rows of power sums are counted chunk by chunk, and only
+    the distinct rows are turned into charpolys, in Python ints.
+    """
+    n, r, _ = stack.shape
+    counts: Counter[tuple[int, ...]] = Counter()
+    for start in range(0, n, _POWER_CHUNK):
+        w = stack[start : start + _POWER_CHUNK].astype(np.float32)
+        w_max = float(np.abs(w).max())
+        sums = np.empty((len(w), r), dtype=np.int64)
+        power = w
+        for k in range(r):
+            if r * float(np.abs(power).max()) * w_max >= _FLOAT32_EXACT:
+                raise InvariantBreachError("matrix powers leave the exact float32 range")
+            sums[:, k] = np.trace(power, axis1=1, axis2=2)
+            if k + 1 < r:
+                power = power @ w
+        sums = sums[np.lexsort(sums.T)]
+        starts = np.flatnonzero(np.concatenate(([True], np.any(sums[1:] != sums[:-1], axis=1))))
+        sizes = np.diff(np.append(starts, len(sums)))
+        for row, size in zip(sums[starts].tolist(), sizes.tolist()):
+            counts[tuple(row)] += size
+    return tuple(sorted((_newton(p), c) for p, c in counts.items()))
+
+
+def _newton(p: Sequence[int]) -> tuple[int, ...]:
+    """Ascending coefficients of det(xI - w) from the power sums p_k = tr(w^k)."""
+    e = [1]  # elementary symmetric functions of the eigenvalues
+    for k in range(1, len(p) + 1):
+        s = sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1))
+        if s % k:
+            raise InvariantBreachError("Newton's identities give a non-integral coefficient")
+        e.append(s // k)
+    return tuple((-1) ** k * e[k] for k in range(len(p), -1, -1))
 
 
 def _poly_divmod(num: Sequence[int], den: Sequence[int]):
@@ -239,7 +266,8 @@ def _coxeter_exponents(cartan: Matrix, n_positive: int) -> tuple[int, ...]:
     if (2 * n_positive) % r:
         raise InvariantBreachError("root count is not r*h/2")
     h = 2 * n_positive // r
-    poly = list(_charpoly(cox))
+    ((poly, _),) = charpoly_buckets(np.array([cox]))
+    poly = list(poly)
     exponents: list[int] = []
     for d in range(1, h + 1):
         if h % d:

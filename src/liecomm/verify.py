@@ -1,8 +1,9 @@
 """The acceptance suite: one callable per criterion, shared by pytest and the CLI.
 
-Each criterion raises AssertionError on failure and returns a short detail
-string on success; run_all collects results with timings.  The stated runtime
-budgets are asserted along with the mathematical content.
+Each criterion raises InvariantBreachError on failure and returns a short
+detail string on success; run_all collects results with timings.  The stated
+runtime budgets are checked along with the mathematical content.  Checks go
+through _require rather than assert, so they also run under python -O.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import alcove, geom, invariants, simplicial, weyl, wps
-from .homology import FinAbGroup
+from .homology import FinAbGroup, InvariantBreachError
 from .rootdata import (
     FaceIndex,
     LieType,
@@ -33,6 +34,12 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float
+
+
+def _require(ok: bool, detail: object = "") -> None:
+    """Fail the running criterion with detail unless ok."""
+    if not ok:
+        raise InvariantBreachError(detail)
 
 
 def _table_types() -> list[LieType]:
@@ -77,11 +84,11 @@ def criterion_coroot_tables(**_) -> str:
     for lt in _table_types():
         datum = build_root_datum(lt)
         expected_set, expected_lcm = _expected_table(lt)
-        assert set(datum.coroot_integers) == expected_set, lt.name
-        assert dynkin_index(datum) == expected_lcm, lt.name
-        assert lcm(*datum.coroot_integers) == expected_lcm, lt.name
+        _require(set(datum.coroot_integers) == expected_set, lt.name)
+        _require(dynkin_index(datum) == expected_lcm, lt.name)
+        _require(lcm(*datum.coroot_integers) == expected_lcm, lt.name)
     elapsed = time.perf_counter() - start
-    assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"
+    _require(elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s")
     return f"{len(_table_types())} types checked in {elapsed:.2f}s"
 
 
@@ -93,14 +100,14 @@ def criterion_molien(cache_dir: Path | None = None, **_) -> str:
         group = weyl.generate(build_root_datum(lt), cache_dir=cache_dir)
         for n in range(1, 5):
             coeffs = weyl.molien_poincare(group, n, 3)
-            assert coeffs[0] == 1 and coeffs[1] == 0, (lt.name, n)
-            assert coeffs[2] == comb(n, 2), (lt.name, n)
-            assert all(c >= 0 for c in coeffs), (lt.name, n)
+            _require(coeffs[0] == 1 and coeffs[1] == 0, (lt.name, n))
+            _require(coeffs[2] == comb(n, 2), (lt.name, n))
+            _require(all(c >= 0 for c in coeffs), (lt.name, n))
             cases += 1
     a1 = weyl.generate(build_root_datum(LieType("A", 1)), cache_dir=cache_dir)
-    assert weyl.molien_poincare(a1, 2, 3) == [1, 0, 1, 2]
+    _require(weyl.molien_poincare(a1, 2, 3) == [1, 0, 1, 2])
     elapsed = time.perf_counter() - start
-    assert elapsed < 10.0, f"took {elapsed:.2f}s, budget 10s"
+    _require(elapsed < 10.0, f"took {elapsed:.2f}s, budget 10s")
     return f"{cases} (type, n) cases in {elapsed:.2f}s"
 
 
@@ -110,9 +117,9 @@ def criterion_irreducibility(rank_cap: int = 6, cache_dir: Path | None = None, *
     types = _canonical_types(min(rank_cap, 6))
     for lt in types:
         group = weyl.generate(build_root_datum(lt), cache_dir=cache_dir)
-        assert weyl.irreducibility_check(group) == Fraction(1), lt.name
+        _require(weyl.irreducibility_check(group) == Fraction(1), lt.name)
     elapsed = time.perf_counter() - start
-    assert elapsed < 30.0, f"took {elapsed:.2f}s, budget 30s"
+    _require(elapsed < 30.0, f"took {elapsed:.2f}s, budget 30s")
     return f"{len(types)} types (max order {max(build_root_datum(t).weyl_order for t in types)}) in {elapsed:.2f}s"
 
 
@@ -129,8 +136,8 @@ def criterion_lattice_quotient(rank_cap: int = 6, **_) -> str:
                 face = FaceIndex.of(datum, subset)
                 free, torsion = lattice_quotient(datum, face)
                 nv = n_vee(datum, face)
-                assert free == datum.rank - len(subset), (lt.name, subset)
-                assert torsion == FinAbGroup.cyclic(nv), (lt.name, subset)
+                _require(free == datum.rank - len(subset), (lt.name, subset))
+                _require(torsion == FinAbGroup.cyclic(nv), (lt.name, subset))
                 checked += 1
     return f"{checked} (type, face) pairs, zero mismatches"
 
@@ -140,17 +147,17 @@ def criterion_prime_assembly(**_) -> str:
     for lt in _table_types():
         report = invariants.pi2_hom_pairs(lt)
         datum = build_root_datum(lt)
-        assert report.quotient_degree == dynkin_index(datum), lt.name
-        assert report.group == FinAbGroup.free(1), lt.name
+        _require(report.quotient_degree == dynkin_index(datum), lt.name)
+        _require(report.group == FinAbGroup.free(1), lt.name)
         is_big_e = datum.lie_type.family == "E" and datum.lie_type.rank >= 7
         frag2 = invariants.bredon_e2_fragment(lt, 2, 0)
         if is_big_e:
-            assert frag2 == FinAbGroup.cyclic(4), lt.name
+            _require(frag2 == FinAbGroup.cyclic(4), lt.name)
         else:
-            assert frag2.order() in (1, 2), lt.name
-    assert invariants.pi2_hom_pairs("E7").quotient_degree == 12
-    assert invariants.pi2_hom_pairs("G2").quotient_degree == 2
-    assert invariants.pi2_hom_pairs("SU(5)").quotient_degree == 1
+            _require(frag2.order() in (1, 2), lt.name)
+    _require(invariants.pi2_hom_pairs("E7").quotient_degree == 12)
+    _require(invariants.pi2_hom_pairs("G2").quotient_degree == 2)
+    _require(invariants.pi2_hom_pairs("SU(5)").quotient_degree == 1)
     return "all families assemble to the Dynkin index; Z/4 override fires only at rank-7/8 E"
 
 
@@ -164,13 +171,13 @@ def criterion_cell_census(cache_dir: Path | None = None, **_) -> str:
         for k in (1, 2, 3):
             counts = weyl.cell_census(group, geometry, k)
             alternating = sum((-1) ** d * c for d, c in enumerate(counts))
-            assert alternating == weyl.euler_char_rep(group, k), (lt.name, k)
+            _require(alternating == weyl.euler_char_rep(group, k), (lt.name, k))
             if k == 2:
-                assert alternating == datum.rank + 1, lt.name
+                _require(alternating == datum.rank + 1, lt.name)
             checked += 1
     a1 = build_root_datum(LieType("A", 1))
     census = weyl.cell_census(weyl.generate(a1, cache_dir=cache_dir), alcove.alcove_geometry(a1), 2)
-    assert census == [4, 4, 2], census
+    _require(census == [4, 4, 2], census)
     return f"{checked} (type, k) censuses; rank-1 k=2 census is (4, 4, 2)"
 
 
@@ -182,21 +189,21 @@ def criterion_torus_quotient(**_) -> str:
         complex_, involution = simplicial.torus_triangulation(n)
         torus_h = complex_.homology()
         for k in range(n + 1):
-            assert torus_h[k] == FinAbGroup.free(comb(n, k)), (n, k, str(torus_h[k]))
+            _require(torus_h[k] == FinAbGroup.free(comb(n, k)), (n, k, str(torus_h[k])))
         quotient, extra = simplicial.torus_inversion_quotient(n)
-        assert quotient.euler_characteristic() == 2 ** (n - 1), n
+        _require(quotient.euler_characteristic() == 2 ** (n - 1), n)
         qh = quotient.homology()
-        assert qh[0] == FinAbGroup.free(1), n
+        _require(qh[0] == FinAbGroup.free(1), n)
         if n >= 1 and len(qh) > 1:
-            assert qh[1] == FinAbGroup.trivial(), (n, str(qh[1]))
+            _require(qh[1] == FinAbGroup.trivial(), (n, str(qh[1])))
         expected_h2 = FinAbGroup.from_divisors(
             [2] * (2**n - 1 - n - comb(n, 2)), comb(n, 2)
         )
         actual_h2 = qh[2] if len(qh) > 2 else FinAbGroup.trivial()
-        assert actual_h2 == expected_h2, (n, str(actual_h2))
+        _require(actual_h2 == expected_h2, (n, str(actual_h2)))
         details.append(f"n={n}: H2={actual_h2} (+{extra} subdivisions)")
     elapsed = time.perf_counter() - start
-    assert elapsed < 120.0, f"took {elapsed:.2f}s, budget 120s"
+    _require(elapsed < 120.0, f"took {elapsed:.2f}s, budget 120s")
     return "; ".join(details) + f"; {elapsed:.1f}s"
 
 
@@ -205,17 +212,19 @@ def criterion_spin_stability(**_) -> str:
     for ell in range(4, 9):
         for k in range(0, 2 * ell - 6 + 1, 2):
             expected = 2 if k == 2 * ell - 6 else 1
-            assert wps.spin_stability_degree(ell, "even", k) == expected, ("even", ell, k)
+            degree = wps.spin_stability_report(ell, "even", k)["degree"]
+            _require(degree == expected, ("even", ell, k))
         for k in range(0, 2 * ell - 4 + 1, 2):
             expected = 2 if k == 2 * ell - 4 else 1
-            assert wps.spin_stability_degree(ell, "odd", k) == expected, ("odd", ell, k)
+            degree = wps.spin_stability_report(ell, "odd", k)["degree"]
+            _require(degree == expected, ("odd", ell, k))
         for k in (1, 3):
             report = wps.spin_stability_report(ell, "even", k)
-            assert report["degree"] == 1 and report["zero_groups"], ("even", ell, k)
-    assert wps.spin_stability_degree(3, "odd", 2) == 2  # the 5 -> 7 composite
+            _require(report["degree"] == 1 and report["zero_groups"], ("even", ell, k))
+    _require(wps.spin_stability_report(3, "odd", 2)["degree"] == 2)  # the 5 -> 7 composite
     for m in range(5, 17):
         report = invariants.spin_pi2_stability(m)
-        assert report.stable, m
+        _require(report.stable, m)
     return "degrees for ell=4..8 both parities, the 5->7 composite, stability m=5..16"
 
 
@@ -227,7 +236,7 @@ def criterion_composite_degree(**_) -> str:
         weights = datum.coroot_integers
         target = lcm(*weights)
         for j in range(1, datum.rank + 1):
-            assert wps.composite_su2_degree(weights, j) == target, (lt.name, j)
+            _require(wps.composite_su2_degree(weights, j) == target, (lt.name, j))
             checked += 1
     return f"{checked} (type, node) composites, all equal to the weight lcm"
 
@@ -236,11 +245,11 @@ def criterion_geometry(grid: int = 50, samples: int = 10_000, **_) -> str:
     """10. Generator and cocycle residuals within tolerance; degree is +-1."""
     start = time.perf_counter()
     beta_report = geom.beta_check(grid=grid)
-    assert geom.beta_passed(beta_report), beta_report
+    _require(geom.beta_passed(beta_report), beta_report)
     cocycle_report = geom.cocycle_check(samples=samples)
-    assert geom.cocycle_passed(cocycle_report), cocycle_report
+    _require(geom.cocycle_passed(cocycle_report), cocycle_report)
     elapsed = time.perf_counter() - start
-    assert elapsed < 60.0, f"took {elapsed:.2f}s, budget 60s"
+    _require(elapsed < 60.0, f"took {elapsed:.2f}s, budget 60s")
     return (
         f"degree {beta_report['degree']} (residue {beta_report['degree_residue']:.1e}), "
         f"max residual {max(beta_report['seam_residual'], cocycle_report['cocycle_residual']):.1e}, "
@@ -254,23 +263,23 @@ def criterion_theorem_tables(**_) -> str:
     for name in ("SU(3)", "SU(5)"):
         for n in range(1, 5):
             expected = FinAbGroup.free(comb(n, 2))
-            assert invariants.pi2_hom_n(name, n) == expected, (name, n)
+            _require(invariants.pi2_hom_n(name, n) == expected, (name, n))
             cases += 1
     for name in ("Sp(1)", "Sp(2)", "Sp(3)"):
         for n in range(1, 5):
             expected = FinAbGroup.from_divisors(
                 [2] * (2**n - 1 - n - comb(n, 2)), comb(n, 2)
             )
-            assert invariants.pi2_hom_n(name, n) == expected, (name, n)
+            _require(invariants.pi2_hom_n(name, n) == expected, (name, n))
             cases += 1
-    assert cases == 20
+    _require(cases == 20)
     so3 = invariants.h2_extension_semisimple(FinAbGroup.cyclic(2), 1)
-    assert so3.quotient == FinAbGroup.cyclic(2) and not so3.has_forced_torsion
+    _require(so3.quotient == FinAbGroup.cyclic(2) and not so3.has_forced_torsion)
     pso = invariants.h2_extension_semisimple(FinAbGroup(0, (2, 2)), 1)
-    assert pso.has_forced_torsion and pso.quotient == FinAbGroup(0, (2, 2, 2, 2))
+    _require(pso.has_forced_torsion and pso.quotient == FinAbGroup(0, (2, 2, 2, 2)))
     for lt in _table_types():
         ecom, bcom = invariants.pi4_commutative_classifying(lt)
-        assert ecom == FinAbGroup.free(1) and bcom == FinAbGroup.free(2), lt.name
+        _require(ecom == FinAbGroup.free(1) and bcom == FinAbGroup.free(2), lt.name)
     return "20 n-tuple cases, both extension examples, pi_4 for all types"
 
 

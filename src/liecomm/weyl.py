@@ -26,9 +26,14 @@ right multiplication by the reflections of H and of K it is the least index
 of the double coset HwK, when H and K are generated by their reflections (face
 stabilizers are); a Burnside count of the double cosets cross-checks it.
 
+The elements are one read-only int8 stack (every entry is a coroot
+coordinate of a coroot, at most 6 in absolute value); each operation widens
+only the slice it multiplies.
+
 Molien/Poincare sums, trace statistics and Lefschetz averages are evaluated
 per characteristic-polynomial bucket: both det(1 + t*w) and det(1 - t^2*w)
-depend only on the characteristic polynomial of w.
+depend only on the characteristic polynomial of w.  The buckets come from
+rootdata.charpoly_buckets, from the power sums tr(w^k).
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import math
 import operator
 import os
 import sys
+import zipfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -49,14 +55,14 @@ import numpy as np
 
 from .alcove import AlcoveGeometry, barycenter
 from .homology import InvariantBreachError
-from .rootdata import FaceIndex, RootDatum
+from .rootdata import FaceIndex, RootDatum, charpoly_buckets
 
 WeylMatrix = tuple[tuple[int, ...], ...]
 
 DEFAULT_ELEMENT_CAP = 100_000
 HARD_ELEMENT_LIMIT = 10_000_000
 CACHE_ENV_VAR = "LIECOMM_CACHE_DIR"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 class WeylCapError(RuntimeError):
@@ -97,26 +103,14 @@ def _pack(images: np.ndarray, v: np.ndarray) -> np.ndarray:
 class WeylGroup:
     """A fully enumerated Weyl group acting on coroot coordinates.
 
-    matrices holds the canonically sorted element stack; it is the primary
-    representation (int16 for the largest enumerations).  elements materializes
-    the same data as nested tuples on demand.
+    matrices is the canonically sorted, read-only int8 element stack, the
+    only representation of the elements; element i is matrices[i].
     """
 
     datum: RootDatum
     matrices: np.ndarray
     charpoly_buckets: tuple[tuple[tuple[int, ...], int], ...]
     order: int
-
-    @cached_property
-    def elements(self) -> tuple[WeylMatrix, ...]:
-        return tuple(
-            tuple(tuple(int(x) for x in row) for row in mat)
-            for mat in self.matrices.tolist()
-        )
-
-    @cached_property
-    def _array(self) -> np.ndarray:
-        return np.asarray(self.matrices, dtype=np.int64)
 
     @cached_property
     def _v(self) -> np.ndarray:
@@ -158,7 +152,7 @@ class WeylGroup:
         """The least element index in the conjugacy class of each element."""
         eye, cartan = np.eye(self.datum.rank, dtype=np.int64), np.array(self.datum.cartan)
         simple = eye - eye[:, :, None] * cartan[:, None, :]  # s_g = 1 - e_g (x) row g of A
-        return _least_reachable(np.stack([self.index_of(s @ self._array @ s) for s in simple]))
+        return _least_reachable(np.stack([self.index_of(s @ self.matrices @ s) for s in simple]))
 
     @cached_property
     def _classes(self) -> tuple[np.ndarray, list[int]]:
@@ -170,13 +164,14 @@ class WeylGroup:
     def _reflections(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The reflections (det -1, trace r - 2) as element indices, and the
         index permutations of left and of right multiplication by each."""
-        arr = self._array
+        arr = self.matrices
         det, trace = np.rint(np.linalg.det(arr)), np.trace(arr, axis1=1, axis2=2)
         refl = np.nonzero((det == -1) & (trace == self.datum.rank - 2))[0]
         if refl.size != len(self.datum.positive_coroots):
             raise InvariantBreachError("reflection count differs from the positive root count")
-        left = np.stack([self.index_of(arr[t] @ arr) for t in refl])
-        right = np.stack([self.index_of(arr @ arr[t]) for t in refl])
+        wide = arr[refl].astype(np.int64)
+        left = np.stack([self.index_of(t @ arr) for t in wide])
+        right = np.stack([self.index_of(arr @ t) for t in wide])
         return refl, left, right
 
 
@@ -201,15 +196,11 @@ def _least_reachable(perms: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StabilizerSubgroup:
-    """A subgroup of a Weyl group given by its member list."""
+    """A subgroup of a Weyl group given by the indices of its members."""
 
     group: WeylGroup
     indices: tuple[int, ...]
     face: FaceIndex | None = None
-
-    @property
-    def members(self) -> tuple[WeylMatrix, ...]:
-        return tuple(self.group.elements[i] for i in self.indices)
 
     @property
     def order(self) -> int:
@@ -229,30 +220,6 @@ def default_cache_dir() -> Path:
 def _cache_path(datum: RootDatum, cache_dir: Path | None) -> Path:
     base = cache_dir if cache_dir is not None else default_cache_dir()
     return Path(base) / f"weyl_{datum.lie_type.name}_v{_CACHE_VERSION}.npz"
-
-
-def _charpolys_stack(arr: np.ndarray) -> np.ndarray:
-    """Characteristic polynomials of a stack of integer matrices, ascending.
-
-    Faddeev-LeVerrier with exact integer divisions; entries stay tiny because
-    Weyl matrices have small coordinates.
-    """
-    n, r, _ = arr.shape
-    a = arr.astype(np.int64)
-    desc = np.zeros((n, r + 1), dtype=np.int64)
-    desc[:, 0] = 1
-    m = a.copy()
-    eye = np.eye(r, dtype=np.int64)
-    for k in range(1, r + 1):
-        tr = np.trace(m, axis1=1, axis2=2)
-        if np.any(tr % k):
-            raise InvariantBreachError("Faddeev-LeVerrier divisibility failed")
-        c = -(tr // k)
-        desc[:, k] = c
-        if k == r:
-            break
-        m = a @ (m + c[:, None, None] * eye)
-    return desc[:, ::-1]  # ascending: coefficient of x^0 first
 
 
 def generate(
@@ -279,17 +246,6 @@ def generate(
         _save_cache(group, cache_dir)  # a memo hit still fills this cache_dir
     _MEMO[key] = group
     return group
-
-
-def _bucket_charpolys(arr: np.ndarray, chunk: int = 200_000):
-    """Characteristic-polynomial histogram, computed in bounded-memory chunks."""
-    buckets: dict[tuple[int, ...], int] = {}
-    for start in range(0, arr.shape[0], chunk):
-        part = _charpolys_stack(arr[start : start + chunk].astype(np.int64))
-        for row in part.tolist():
-            key = tuple(row)
-            buckets[key] = buckets.get(key, 0) + 1
-    return tuple(sorted(buckets.items()))
 
 
 def _enumerate(datum: RootDatum) -> WeylGroup:
@@ -329,28 +285,23 @@ def _enumerate(datum: RootDatum) -> WeylGroup:
         )
     flat = all_mats.reshape(all_mats.shape[0], r * r)
     arr = all_mats[np.lexsort(flat.T[::-1])]
-    del all_mats, flat  # sort in int8, then widen once
-    arr = arr.astype(np.int64 if datum.weyl_order <= 200_000 else np.int16)
+    del all_mats, flat
     arr.setflags(write=False)
-    return WeylGroup(datum, arr, _bucket_charpolys(arr), arr.shape[0])
+    return WeylGroup(datum, arr, charpoly_buckets(arr), arr.shape[0])
 
 
 def _save_cache(group: WeylGroup, cache_dir: Path | None) -> None:
     path = _cache_path(group.datum, cache_dir)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        keys = np.array([k for k, _ in group.charpoly_buckets], dtype=np.int64)
-        counts = np.array([c for _, c in group.charpoly_buckets], dtype=np.int64)
-        np.savez_compressed(
+        np.savez(
             path,
             version=np.int64(_CACHE_VERSION),
             order=np.int64(group.order),
-            matrices=group.matrices.astype(np.int16),
-            bucket_keys=keys,
-            bucket_counts=counts,
+            matrices=group.matrices,
         )
-    except OSError:
-        pass
+    except OSError as exc:
+        print(f"liecomm: could not write the Weyl cache {path}: {exc}", file=sys.stderr)
 
 
 def _load_cache(datum: RootDatum, cache_dir: Path | None) -> WeylGroup | None:
@@ -362,22 +313,14 @@ def _load_cache(datum: RootDatum, cache_dir: Path | None) -> WeylGroup | None:
             if int(data["version"]) != _CACHE_VERSION:
                 return None
             order = int(data["order"])
-            mats = data["matrices"].astype(np.int64)
-            keys = data["bucket_keys"]
-            counts = data["bucket_counts"]
-    except (OSError, KeyError, ValueError):
+            mats = data["matrices"]
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile):
         return None
-    if order != datum.weyl_order or mats.shape != (order, datum.rank, datum.rank):
+    shape = (datum.weyl_order, datum.rank, datum.rank)
+    if order != datum.weyl_order or mats.dtype != np.int8 or mats.shape != shape:
         return None
-    buckets = tuple(
-        sorted((tuple(int(x) for x in k), int(c)) for k, c in zip(keys.tolist(), counts.tolist()))
-    )
-    if sum(c for _, c in buckets) != order:
-        return None
-    arr = mats if order <= 200_000 else mats.astype(np.int16)
-    arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
-    return WeylGroup(datum, arr, buckets, order)
+    mats.setflags(write=False)
+    return WeylGroup(datum, mats, charpoly_buckets(mats), order)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +466,7 @@ def full_subgroup(group: WeylGroup) -> StabilizerSubgroup:
 
 def double_cosets(
     group: WeylGroup, h: StabilizerSubgroup, k: StabilizerSubgroup
-) -> list[WeylMatrix]:
+) -> list[list[list[int]]]:
     """Lexicographically least representatives of the double cosets H\\W/K.
 
     H and K must be generated by their reflections, as face stabilizers are.
@@ -540,7 +483,7 @@ def double_cosets(
         raise InvariantBreachError(
             f"{reps.size} reflection-generated components, but {burnside} double cosets"
         )
-    return [group.elements[i] for i in reps]
+    return group.matrices[reps].tolist()
 
 
 def _all_faces(datum: RootDatum) -> list[FaceIndex]:

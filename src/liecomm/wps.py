@@ -180,11 +180,6 @@ def spin_stability_report(ell: int, parity: str, k: int) -> dict:
     }
 
 
-def spin_stability_degree(ell: int, parity: str, k: int) -> int:
-    """Degree component of spin_stability_report (1 for odd-degree zero groups)."""
-    return spin_stability_report(ell, parity, k)["degree"]
-
-
 # ---------------------------------------------------------------------------
 # The explicit alcove-to-CP(w) coordinate map
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ output) and fails on the first violated assertion inside the criterion.
 Run the same checks from the command line with `liecomm verify`.
 """
 
+import subprocess
+import sys
+
 import pytest
 
 from liecomm import verify
@@ -16,3 +19,18 @@ def test_criterion(index):
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] criterion {result.index:2d} ({result.name}): {result.detail}")
     assert result.passed, f"criterion {result.index} ({result.name}): {result.detail}"
+
+
+def test_gates_survive_optimize():
+    # under python -O every assert is stripped; the criteria must still fail
+    code = (
+        "from liecomm import verify, wps\n"
+        "real = wps.spin_stability_report\n"
+        "wps.spin_stability_report = lambda *a: {**real(*a), 'degree': 99}\n"
+        "result = verify.run_criterion(8)\n"
+        "print('passed:', result.passed, result.detail)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert run.stdout.startswith("passed: False InvariantBreachError: ('even', 4, 0)")

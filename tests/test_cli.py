@@ -61,13 +61,23 @@ class TestPoincareCommand:
             (k0, c0), mid, (k2, c2) = real(arr)
             return (k0, c0 + 1), mid, (k2, c2 - 1)
 
-        real = weyl._bucket_charpolys
+        real = weyl.charpoly_buckets
         monkeypatch.setattr(weyl, "_MEMO", {})
-        monkeypatch.setattr(weyl, "_bucket_charpolys", shifted)
+        monkeypatch.setattr(weyl, "charpoly_buckets", shifted)
         code, out, err = run_cli(capsys, "poincare", "A2", "--n", "2", "--deg", "6")
         assert code == 3
         assert out == ""
         assert "invariant breach" in err and "Molien" in err
+
+    def test_cache_write_failure_is_reported(self, capsys, tmp_path):
+        argv = ["poincare", "B5", "--n", "2", "--deg", "8", "--cache-dir"]
+        _, expected, _ = run_cli(capsys, *argv, str(tmp_path / "cache"))
+        blocker = tmp_path / "file"
+        blocker.write_text("")  # a regular file where the cache directory should be
+        code, out, err = run_cli(capsys, *argv, str(blocker))
+        assert code == 0
+        assert out == expected
+        assert f"could not write the Weyl cache {blocker / 'weyl_B5_v2.npz'}" in err
 
 
 class TestErrors:
@@ -75,6 +85,11 @@ class TestErrors:
         code, _, err = run_cli(capsys, "invariants", "Spin(4)")
         assert code == 2
         assert "simple" in err
+
+    def test_json_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--json", "invariants", "A1"])
+        assert exc.value.code == 2
 
     def test_unknown_verb(self, capsys):
         with pytest.raises(SystemExit) as exc:

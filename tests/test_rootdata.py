@@ -1,15 +1,19 @@
 from fractions import Fraction
 from itertools import combinations
+from collections import Counter
 from math import gcd
 
+import numpy as np
 import pytest
 
-from liecomm.homology import FinAbGroup
+from liecomm import rootdata
+from liecomm.homology import FinAbGroup, InvariantBreachError
 from liecomm.rootdata import (
     FaceIndex,
     LieType,
     LieTypeError,
     build_root_datum,
+    charpoly_buckets,
     dynkin_index,
     lattice_quotient,
     n_vee,
@@ -200,3 +204,39 @@ class TestFaceOperations:
                 free, torsion = lattice_quotient(datum, face)
                 assert free == r - size
                 assert torsion == FinAbGroup.cyclic(n_vee(datum, face))
+
+
+def _faddeev_leverrier(mat):
+    """Reference det(xI - M), ascending coefficients, in Python ints."""
+    n = len(mat)
+    m = [row[:] for row in mat]
+    desc = [1]
+    for k in range(1, n + 1):
+        c = -sum(m[i][i] for i in range(n)) // k
+        desc.append(c)
+        for i in range(n):
+            m[i][i] += c
+        m = [[sum(mat[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+    return tuple(reversed(desc))
+
+
+class TestCharpolyBuckets:
+    def test_matches_faddeev_leverrier(self):
+        # 40 integer matrices, most of infinite order, repeated over two chunks
+        rng = np.random.default_rng(3)
+        base = rng.integers(-2, 3, size=(40, 4, 4))
+        picks = rng.integers(0, 40, size=rootdata._POWER_CHUNK + 100)
+        expected = Counter()
+        for i, count in Counter(picks.tolist()).items():
+            expected[_faddeev_leverrier(base[i].tolist())] += count
+        assert charpoly_buckets(base[picks]) == tuple(sorted(expected.items()))
+
+    def test_scalar_matrix(self):
+        assert charpoly_buckets(2 * np.eye(3, dtype=np.int64)[None]) == (((-8, 12, -6, 1), 1),)
+
+    def test_float32_guard(self):
+        # 3 * 4096 * 4096 >= 2^24: float32 products could round, so the routine refuses
+        stack = np.zeros((3, 3, 3), dtype=np.int64)
+        stack[1] = 4096 * np.eye(3, dtype=np.int64)
+        with pytest.raises(InvariantBreachError, match="float32"):
+            charpoly_buckets(stack)

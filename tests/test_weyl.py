@@ -40,23 +40,23 @@ class TestEnumeration:
     )
     def test_orders(self, name, order):
         group = _group(name)
-        assert group.order == order == len(group.elements)
+        assert group.order == order == len(group.matrices)
         assert sum(m for _, m in group.charpoly_buckets) == order
 
     def test_determinism(self):
         datum = build_root_datum("B3")
         weyl._MEMO.pop(("B", 3), None)
-        first = generate(datum).elements
+        first = generate(datum).matrices
         weyl._MEMO.pop(("B", 3), None)
-        second = generate(datum).elements
-        assert first == second
+        second = generate(datum).matrices
+        assert np.array_equal(first, second)
 
     def test_elements_permute_coroots(self):
         datum = build_root_datum("G2")
         group = _group("G2")
         coroots = {c for c in datum.positive_coroots}
         coroots |= {tuple(-x for x in c) for c in coroots}
-        arr = group._array
+        arr = group.matrices.astype(np.int64)
         for w in arr[:6]:
             for c in datum.positive_coroots:
                 image = tuple(int(x) for x in w @ np.array(c))
@@ -74,30 +74,55 @@ class TestEnumeration:
         datum = build_root_datum("B5")
         weyl._MEMO.pop(("B", 5), None)
         fresh = generate(datum, cache_dir=tmp_path)
-        assert (tmp_path / "weyl_B5_v1.npz").exists()
+        assert (tmp_path / "weyl_B5_v2.npz").exists()
         weyl._MEMO.pop(("B", 5), None)
         cached = generate(datum, cache_dir=tmp_path)
-        assert cached.elements == fresh.elements
+        assert np.array_equal(cached.matrices, fresh.matrices)
         assert cached.charpoly_buckets == fresh.charpoly_buckets
 
     def test_corrupt_cache_ignored(self, tmp_path):
         datum = build_root_datum("A5")
         weyl._MEMO.pop(("A", 5), None)
-        (tmp_path / "weyl_A5_v1.npz").write_bytes(b"not an archive")
+        (tmp_path / "weyl_A5_v2.npz").write_bytes(b"not an archive")
         group = generate(datum, cache_dir=tmp_path)
         assert group.order == datum.weyl_order
+
+    def test_truncated_cache_ignored(self, tmp_path):
+        # what an interrupted write leaves behind
+        datum = build_root_datum("B5")
+        weyl._save_cache(weyl._enumerate(datum), tmp_path)
+        path = tmp_path / "weyl_B5_v2.npz"
+        path.write_bytes(path.read_bytes()[:1000])
+        assert weyl._load_cache(datum, tmp_path) is None
 
     def test_memo_hit_fills_a_second_cache_dir(self, tmp_path):
         datum = build_root_datum("E6")
         first = generate(datum, cache_dir=tmp_path / "a")
         assert generate(datum, cache_dir=tmp_path / "b") is first
-        assert (tmp_path / "a" / "weyl_E6_v1.npz").exists()
-        assert (tmp_path / "b" / "weyl_E6_v1.npz").exists()
+        assert (tmp_path / "a" / "weyl_E6_v2.npz").exists()
+        assert (tmp_path / "b" / "weyl_E6_v2.npz").exists()
 
-    def test_array_shares_the_int64_stack(self):
-        group = _group("E6")
-        assert group.matrices.dtype == np.int64
-        assert np.shares_memory(group._array, group.matrices)
+    def test_one_int8_stack(self, tmp_path):
+        datum = build_root_datum("B5")
+        group = weyl._enumerate(datum)
+        weyl._save_cache(group, tmp_path)
+        loaded = weyl._load_cache(datum, tmp_path)
+        for g in (group, loaded):
+            assert g.matrices.dtype == np.int8 and not g.matrices.flags.writeable
+        assert np.array_equal(loaded.matrices, group.matrices)
+        assert loaded.charpoly_buckets == group.charpoly_buckets
+        with np.load(tmp_path / "weyl_B5_v2.npz") as data:
+            assert sorted(data.files) == ["matrices", "order", "version"]
+            assert data["matrices"].dtype == np.int8
+            assert int(data["version"]) == 2 and int(data["order"]) == group.order
+        # a stack of another dtype is not this cache's format
+        np.savez(
+            tmp_path / "weyl_B5_v2.npz",
+            version=np.int64(2),
+            order=np.int64(group.order),
+            matrices=group.matrices.astype(np.int16),
+        )
+        assert weyl._load_cache(datum, tmp_path) is None
 
     @pytest.mark.slow
     def test_rank_seven_exceptional_behind_flag(self, tmp_path):
@@ -159,14 +184,15 @@ class TestElementIndex:
     def test_enumeration_byte_identical(self, name):
         matrices_sha, buckets_sha = ENUMERATION_DIGESTS[name]
         group = weyl._enumerate(build_root_datum(name))
-        assert group.matrices.dtype == np.int64
-        assert hashlib.sha256(group.matrices.tobytes()).hexdigest() == matrices_sha
+        assert group.matrices.dtype == np.int8
+        wide = group.matrices.astype(np.int64)
+        assert hashlib.sha256(wide.tobytes()).hexdigest() == matrices_sha
         assert hashlib.sha256(repr(group.charpoly_buckets).encode()).hexdigest() == buckets_sha
 
     @pytest.mark.parametrize("name", TABLE_TYPES)
     def test_index_products_and_identity(self, name):
         group = _group(name)
-        arr, n = group._array, group.order
+        arr, n = group.matrices.astype(np.int64), group.order
         assert np.array_equal(group.index_of(arr), np.arange(n))
         prods = arr[:8, None] @ arr[None]
         assert np.array_equal(arr[group.index_of(prods)], prods)
@@ -192,7 +218,7 @@ class TestElementIndex:
         assert group.index_of(group.matrices[:5]).tolist() == [0, 1, 2, 3, 4]
         with pytest.raises(InvariantBreachError):
             group.index_of(2 * np.eye(3, dtype=np.int64))
-        mats = group._array[:4].copy()
+        mats = group.matrices[:4].astype(np.int64)
         mats[2, 0, 0] += 1
         with pytest.raises(InvariantBreachError):
             group.index_of(mats)
@@ -203,7 +229,7 @@ class TestConjugacyClasses:
     def test_class_labels_brute_force(self, name):
         # the least index among the conjugates g^-1 w g over every g in W
         group = _group(name)
-        arr = group._array
+        arr = group.matrices.astype(np.int64)
         inverses = np.rint(np.linalg.inv(arr)).astype(np.int64)
         least = np.arange(group.order)
         for g in range(group.order):
@@ -296,7 +322,7 @@ class TestStabilizersAndCosets:
         geo = alcove_geometry(datum)
         for nodes in ([1], [2], [0], [1, 2], [0, 2]):
             stab = face_stabilizer(group, geo, FaceIndex.of(datum, nodes))
-            members = group._array[list(stab.indices)]
+            members = group.matrices[list(stab.indices)].astype(np.int64)
             assert group.identity_index in stab.indices
             products = group.index_of(members[:, None] @ members[None])
             assert np.isin(products, stab.indices).all()
@@ -311,7 +337,7 @@ class TestStabilizersAndCosets:
         datum = build_root_datum(name)
         group = _group(name)
         geo = alcove_geometry(datum)
-        arr = group._array
+        arr = group.matrices.astype(np.int64)
         for face in _all_faces(datum):
             b = barycenter(geo, face)
             denom = lcm(*(c.denominator for c in b))
@@ -333,7 +359,7 @@ class TestStabilizersAndCosets:
         h = face_stabilizer(group, geo, FaceIndex.of(datum, [1, 2]))
         k = face_stabilizer(group, geo, FaceIndex.of(datum, [0, 3]))
         reps = double_cosets(group, h, k)
-        arr = group._array
+        arr = group.matrices.astype(np.int64)
         hs, ks = arr[list(h.indices)], arr[list(k.indices)]
         covered = group.index_of(hs[:, None, None] @ np.array(reps)[None, :, None] @ ks[None, None])
         assert set(covered.ravel().tolist()) == set(range(group.order))
@@ -342,7 +368,7 @@ class TestStabilizersAndCosets:
         # the rotations of A2 contain no reflection, so the components under
         # H-reflections are single elements: 6 of them against 2 cosets H\W
         group = _group("A2")
-        rotations = np.nonzero(np.rint(np.linalg.det(group._array)) == 1)[0]
+        rotations = np.nonzero(np.rint(np.linalg.det(group.matrices)) == 1)[0]
         h = StabilizerSubgroup(group, tuple(rotations.tolist()))
         with pytest.raises(InvariantBreachError, match="double cosets"):
             double_cosets(group, h, trivial_subgroup(group))
@@ -437,7 +463,7 @@ class TestAlcoveReduce:
     def test_orbit_constancy(self, x, widx, q):
         datum = build_root_datum("G2")
         group = _group("G2")
-        w = group.elements[widx]
+        w = group.matrices[widx].tolist()
         moved = tuple(
             sum(Fraction(w[i][j]) * x[j] for j in range(2)) + q[i] for i in range(2)
         )

@@ -18,7 +18,6 @@ from liecomm.wps import (
     orbit_equal,
     proj_degree,
     rep_to_wps,
-    spin_stability_degree,
     spin_stability_map,
     spin_stability_report,
 )
@@ -79,13 +78,13 @@ class TestInclusionDegree:
 
 class TestSpinStability:
     def test_even_table(self):
-        assert spin_stability_degree(4, "even", 2) == 2
-        assert spin_stability_degree(5, "even", 2) == 1
-        assert spin_stability_degree(5, "even", 4) == 2
+        assert spin_stability_report(4, "even", 2)["degree"] == 2
+        assert spin_stability_report(5, "even", 2)["degree"] == 1
+        assert spin_stability_report(5, "even", 4)["degree"] == 2
 
     def test_odd_table(self):
-        assert spin_stability_degree(4, "odd", 2) == 1
-        assert spin_stability_degree(4, "odd", 4) == 2
+        assert spin_stability_report(4, "odd", 2)["degree"] == 1
+        assert spin_stability_report(4, "odd", 4)["degree"] == 2
 
     def test_spin5_to_spin7(self):
         report = spin_stability_report(3, "odd", 2)
@@ -98,9 +97,9 @@ class TestSpinStability:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            spin_stability_degree(4, "even", 4)
+            spin_stability_report(4, "even", 4)
         with pytest.raises(ValueError):
-            spin_stability_degree(3, "even", 0)
+            spin_stability_report(3, "even", 0)
 
     def test_weight_tuples_match_root_data(self):
         for ell in (4, 5, 6, 7):
@@ -241,7 +240,7 @@ class TestChartInvariance:
         point, w0, _ = alcove_reduce(datum, xi)
         eta0 = [sum(Fraction(w0[i][j]) * eta[j] for j in range(r)) for i in range(r)]
         base = rep_to_wps(geo, point, self._phases(eta0))
-        for w in group.elements[:: max(1, group.order // 6)]:
+        for w in group.matrices[:: max(1, group.order // 6)].tolist():
             xi_w = [sum(Fraction(w[i][j]) * xi[j] for j in range(r)) for i in range(r)]
             eta_w = [sum(Fraction(w[i][j]) * eta[j] for j in range(r)) for i in range(r)]
             point_w, w1, _ = alcove_reduce(datum, xi_w)

@@ -45,7 +45,6 @@ from .invariants import (
     h2_extension_semisimple,
     pi2_hom_n,
     pi2_hom_pairs,
-    pi2_rank,
     pi4_commutative_classifying,
     spin_pi2_stability,
 )

@@ -133,27 +133,3 @@ def spin_vertex_table(ell: int) -> dict[str, list[FractionVector]]:
     v.append(vec({**{k: half for k in range(1, ell)}, ell: -half}))
     v.append(vec({k: half for k in range(1, ell + 1)}))
     return {"u": u, "v": v}
-
-
-def d_coroots_in_standard_basis(ell: int, offset: int = 0, ambient: int | None = None) -> list[FractionVector]:
-    """Simple coroots of the even-spin rank-ell system as vectors in R^ambient.
-
-    offset shifts the construction onto span(e_{1+offset}, ...), which is how
-    the rank ell-1 system sits inside the rank ell one.
-    """
-    if ell < 3:
-        raise ValueError("need ell >= 3")
-    dim = ambient if ambient is not None else ell + offset
-
-    def e(i: int) -> list[Fraction]:
-        out = [Fraction(0)] * dim
-        out[i - 1] = Fraction(1)
-        return out
-
-    coroots = []
-    for i in range(1, ell):
-        vecm = [a - b for a, b in zip(e(i + offset), e(i + 1 + offset))]
-        coroots.append(tuple(vecm))
-    last = [a + b for a, b in zip(e(ell - 1 + offset), e(ell + offset))]
-    coroots.append(tuple(last))
-    return coroots

@@ -265,6 +265,16 @@ class _SparseMatrix:
         self.rows = rows
         self.shape = shape
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """Dense copy for numpy callers; the entries must fit dtype (int64 by default)."""
+        if copy is False:
+            raise ValueError("a sparse matrix has no dense view to share")
+        out = np.zeros(self.shape, dtype=dtype or np.int64)
+        for i, row in enumerate(self.rows):
+            for j, v in row.items():
+                out[i, j] = v
+        return out
+
 
 def _sparse(mat) -> _SparseMatrix:
     """Read an integer matrix into sparse rows; exact for entries of any size."""
@@ -272,14 +282,9 @@ def _sparse(mat) -> _SparseMatrix:
         return _SparseMatrix([dict(row) for row in mat.rows], mat.shape)
     if isinstance(mat, np.ndarray) and mat.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    if isinstance(mat, np.ndarray) and mat.dtype != object:
-        rows: list[dict[int, int]] = [{} for _ in range(mat.shape[0])]
-        r, c = np.nonzero(mat)
-        for i, j, v in zip(r.tolist(), c.tolist(), mat[r, c].tolist()):
-            rows[i][j] = int(v)
-        return _SparseMatrix(rows, (int(mat.shape[0]), int(mat.shape[1])))
     rows = []
-    width = None
+    # an ndarray keeps its column count even when it has no rows
+    width = mat.shape[1] if isinstance(mat, np.ndarray) else None
     for row in mat:
         if not hasattr(row, "__len__"):
             raise ValueError("expected a 2-d matrix")

@@ -13,12 +13,8 @@ from dataclasses import dataclass
 from math import comb, prod
 
 from .homology import FinAbGroup, InvariantBreachError, _factorint
-from .rootdata import LieType, RootDatum, build_root_datum, dynkin_index
+from .rootdata import LieType, build_root_datum, dynkin_index
 from .wps import spin_stability_report
-
-
-def _resolve(lie_type: LieType | str) -> RootDatum:
-    return build_root_datum(lie_type)
 
 
 @dataclass(frozen=True)
@@ -76,7 +72,7 @@ def bredon_e2_fragment(lie_type: LieType | str, p: int, k: int) -> FinAbGroup:
         raise ValueError("p must be at least 2")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    datum = _resolve(lie_type)
+    datum = build_root_datum(lie_type)
     ell = sum(1 for n in datum.coroot_integers if n % p == 0)
     if ell == 0:
         return FinAbGroup.trivial()
@@ -99,7 +95,7 @@ def pi2_hom_pairs(lie_type: LieType | str) -> Pi2Report:
     by the product of the degree-0 prime fragments, which is asserted to equal
     the lcm of the coroot integers.
     """
-    datum = _resolve(lie_type)
+    datum = build_root_datum(lie_type)
     primes = sorted({p for n in datum.coroot_integers for p in _factorint(n)})
     torsion_fragments = [bredon_e2_fragment(datum.lie_type, p, 1) for p in primes]
     group = FinAbGroup.free(1)
@@ -130,7 +126,7 @@ def pi2_hom_n(lie_type: LieType | str, n: int) -> FinAbGroup:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    datum = _resolve(lie_type)
+    datum = build_root_datum(lie_type)
     fam, rank = datum.lie_type.family, datum.lie_type.rank
     free = comb(n, 2)
     if fam == "A" and rank >= 2:
@@ -141,14 +137,6 @@ def pi2_hom_n(lie_type: LieType | str, n: int) -> FinAbGroup:
     raise ValueError(
         "the n-tuple formula covers the special unitary and symplectic families only"
     )
-
-
-def pi2_rank(lie_type: LieType | str, n: int) -> int:
-    """Rank of pi_2 of the commuting-n-tuple space: C(n, 2) for simple types."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _resolve(lie_type)  # validate the type
-    return comb(n, 2)
 
 
 def h2_extension_semisimple(pi1: FinAbGroup, simple_factors: int) -> ExtensionReport:
@@ -174,7 +162,7 @@ def h2_extension_semisimple(pi1: FinAbGroup, simple_factors: int) -> ExtensionRe
 
 def pi4_commutative_classifying(lie_type: LieType | str) -> tuple[FinAbGroup, FinAbGroup]:
     """pi_4 of the commutative total space and classifying space: (Z, Z + Z)."""
-    _resolve(lie_type)
+    build_root_datum(lie_type)
     return FinAbGroup.free(1), FinAbGroup.free(2)
 
 
@@ -193,14 +181,14 @@ def spin_pi2_stability(m: int) -> SpinStabilityReport:
             stable=True,
             route="exceptional isomorphisms (rank-2 symplectic and rank-3 unitary)",
             details=(
-                ("dynkin_index_spin5", dynkin_index(_resolve("Spin(5)"))),
-                ("dynkin_index_spin6", dynkin_index(_resolve("Spin(6)"))),
+                ("dynkin_index_spin5", dynkin_index(build_root_datum("Spin(5)"))),
+                ("dynkin_index_spin6", dynkin_index(build_root_datum("Spin(6)"))),
             ),
         )
     ell = (m + 2) // 2
     rep_degree = spin_stability_report(ell, "even", 2)["degree"]
-    lower = dynkin_index(_resolve(f"Spin({2 * ell - 2})"))
-    upper = dynkin_index(_resolve(f"Spin({2 * ell})"))
+    lower = dynkin_index(build_root_datum(f"Spin({2 * ell - 2})"))
+    upper = dynkin_index(build_root_datum(f"Spin({2 * ell})"))
     if (rep_degree * lower) % upper:
         raise InvariantBreachError("composite degree arithmetic is not integral")
     composite = rep_degree * lower // upper

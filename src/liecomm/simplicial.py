@@ -4,8 +4,11 @@ The n-torus is triangulated by the monotone-path simplices of the half-integer
 grid.  Coordinate inversion fixes every grid vertex but is only simplicial
 after one barycentric subdivision (it is affine on each closed cell), so
 ``torus_triangulation`` returns the subdivided complex together with the
-induced involution on its vertices.  Quotients check the strong regularity
-condition at runtime and refuse to proceed when it fails.
+induced involution on its vertices.  That one subdivision also makes the
+involution regular, so the torus quotient never subdivides again.  Quotients
+check the strong regularity condition at runtime and refuse to proceed when
+it fails.  Boundary matrices are built as sparse rows, the one format the
+homology oracle reads.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ from functools import cached_property
 from itertools import combinations, permutations, product
 from typing import Hashable, Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .homology import FinAbGroup, InvariantBreachError, chain_homology
+from .homology import FinAbGroup, InvariantBreachError, _SparseMatrix, chain_homology
 
 
 class RegularityError(ValueError):
@@ -82,20 +83,22 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * n for d, n in enumerate(self.f_vector()))
 
-    def boundary_matrices(self) -> list[np.ndarray]:
-        """Boundary matrices [d_1, ..., d_top] over the sorted face bases."""
+    def boundary_matrices(self) -> list[_SparseMatrix]:
+        """Boundary matrices [d_1, ..., d_top] over the sorted face bases.
+
+        Each d_k is built as sparse {column: +-1} rows; np.asarray densifies.
+        """
         levels = self.faces_by_dim
-        index = [{face: i for i, face in enumerate(level)} for level in levels]
-        mats = []
         if len(levels) == 1:
-            return [np.zeros((len(levels[0]), 0), dtype=np.int64)]
+            return [_SparseMatrix([{}] * len(levels[0]), (len(levels[0]), 0))]
+        mats = []
         for k in range(1, len(levels)):
-            mat = np.zeros((len(levels[k - 1]), len(levels[k])), dtype=np.int64)
+            index = {face: i for i, face in enumerate(levels[k - 1])}
+            rows: list[dict[int, int]] = [{} for _ in levels[k - 1]]
             for col, face in enumerate(levels[k]):
                 for i in range(k + 1):
-                    sub = face[:i] + face[i + 1 :]
-                    mat[index[k - 1][sub], col] = (-1) ** i
-            mats.append(mat)
+                    rows[index[face[:i] + face[i + 1 :]]][col] = (-1) ** i
+            mats.append(_SparseMatrix(rows, (len(levels[k - 1]), len(levels[k]))))
         return mats
 
     def homology(self) -> list[FinAbGroup]:
@@ -139,8 +142,11 @@ def check_involution_regular(
     """Verify the strong regularity condition for a simplicial involution.
 
     For every simplex {v_i} and every mixed image {g_i v_i} that again spans a
-    simplex there must be a single group element realizing it.  Violations
-    raise RegularityError with the offending simplex.
+    simplex there must be a single group element realizing it.  A fixed
+    vertex is its own image, so a mixed image depends only on the set T of
+    moved vertices it swaps; T empty is the identity and T = every moved
+    vertex is the involution, so only the non-empty proper subsets T are
+    tried.  Violations raise RegularityError with the offending simplex.
     """
     verts = set(complex_.vertices)
     if set(involution) != verts:
@@ -154,21 +160,15 @@ def check_involution_regular(
         if len(set(image)) != len(face) or image not in face_set:
             raise SimplicialError("involution is not simplicial")
     for face in face_set:
-        k = len(face)
-        fixed = [involution[v] == v for v in face]
-        for bits in product((0, 1), repeat=k):
-            if all(bits) or not any(bits):
-                continue
-            mixed = {involution[v] if b else v for v, b in zip(face, bits)}
-            if tuple(sorted(mixed)) not in face_set:
-                continue
-            swapped_fixed = all(f for f, b in zip(fixed, bits) if b)
-            kept_fixed = all(f for f, b in zip(fixed, bits) if not b)
-            if not (swapped_fixed or kept_fixed):
-                raise RegularityError(
-                    f"simplex {face} violates regularity; "
-                    "apply barycentric_subdivide and retry"
-                )
+        moved = [v for v in face if involution[v] != v]
+        for size in range(1, len(moved)):
+            for swapped in combinations(moved, size):
+                mixed = set(face).difference(swapped).union(involution[v] for v in swapped)
+                if tuple(sorted(mixed)) in face_set:
+                    raise RegularityError(
+                        f"simplex {face} violates regularity; "
+                        "apply barycentric_subdivide and retry"
+                    )
 
 
 def quotient_by_involution(
@@ -267,20 +267,14 @@ def torus_triangulation(n: int):
     return complex_, involution
 
 
-def torus_inversion_quotient(n: int, max_extra_subdivisions: int = 2):
+def torus_inversion_quotient(n: int):
     """Quotient of the triangulated n-torus by inversion.
 
-    Subdivides further only if the runtime regularity check demands it (one
-    subdivision is already built into torus_triangulation and suffices: two
-    opposite half-grid cubes of the torus meet only in grid vertices).
-    Returns (quotient complex, number of extra subdivisions used).
+    The one barycentric subdivision built into torus_triangulation makes
+    inversion regular for every supported n: two opposite half-grid cubes of
+    the torus meet only in grid vertices.  There is no retry, so a failed
+    regularity check raises RegularityError.  Returns (quotient complex, 0),
+    the 0 being the number of extra subdivisions, which callers report.
     """
     complex_, involution = torus_triangulation(n)
-    for extra in range(max_extra_subdivisions + 1):
-        try:
-            return quotient_by_involution(complex_, involution), extra
-        except RegularityError:
-            if extra == max_extra_subdivisions:
-                raise
-            complex_, involution = barycentric_subdivide(complex_, involution)
-    raise RegularityError("unreachable")
+    return quotient_by_involution(complex_, involution), 0

@@ -166,7 +166,7 @@ class WeylGroup:
         index permutations of left and of right multiplication by each."""
         arr = self.matrices
         det, trace = np.rint(np.linalg.det(arr)), np.trace(arr, axis1=1, axis2=2)
-        refl = np.nonzero((det == -1) & (trace == self.datum.rank - 2))[0]
+        refl = np.flatnonzero((det == -1) & (trace == self.datum.rank - 2))
         if refl.size != len(self.datum.positive_coroots):
             raise InvariantBreachError("reflection count differs from the positive root count")
         wide = arr[refl].astype(np.int64)

@@ -186,6 +186,10 @@ class TestChainHomology:
         h = chain_homology([np.zeros((1, 1), dtype=int)])
         assert h == [FinAbGroup.free(1), FinAbGroup.free(1)]
 
+    def test_array_without_rows_keeps_its_width(self):
+        h = chain_homology([np.zeros((0, 3), dtype=np.int64)])
+        assert h == [FinAbGroup.trivial(), FinAbGroup.free(3)]
+
     def test_tetrahedron_boundary(self):
         from liecomm.simplicial import SimplicialComplex
 

@@ -1,6 +1,8 @@
 import hashlib
+from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 
 from liecomm.homology import FinAbGroup
@@ -8,6 +10,7 @@ from liecomm.simplicial import (
     RegularityError,
     SimplicialComplex,
     barycentric_subdivide,
+    check_involution_regular,
     quotient_by_involution,
     torus_inversion_quotient,
     torus_triangulation,
@@ -89,6 +92,55 @@ class TestTorus:
             torus_triangulation(4)
 
 
+# (shape, sha256 of the int64 bytes) of d_1, ..., d_top, recorded from the
+# dense int64 boundary arrays the sparse rows replaced
+_BOUNDARY_PINS = {
+    ("torus", 1): [
+        ((4, 4), "b0cc18b6388f8b63b34e2215f39a560407fbd1cbc402ab39336d84c8aedf8507"),
+    ],
+    ("torus", 2): [
+        ((24, 72), "ed583dc20556f19ed37b96f3ee8eb6e21ed0253a64d155b42db0001d616314da"),
+        ((72, 48), "95a87fedb9c7c3fcca1b636861ae65ba520de9ad0a98454a4c80a46bc485a8b8"),
+    ],
+    ("torus", 3): [
+        ((208, 1360), "9aa57686b121908a190ba07ba5335054e11860610cba6a690446bd2dde593bbc"),
+        ((1360, 2304), "efb644dfadc3332be64c257ef5e2217c71c3323bce195b048146ffc709760c5f"),
+        ((2304, 1152), "f43f1c62d7982122c9b08e5d5beb685926c9dd7edbb541cff6baee1d2785c0f4"),
+    ],
+    ("quotient", 1): [
+        ((3, 2), "bc50eed4cbb7a7b6fa634123aa32c30c4395171ccd072efe580acf7534d4cd03"),
+    ],
+    ("quotient", 2): [
+        ((14, 36), "3bb81015457bf28227c5382464102f8cd6d7d563bb3d43aa1903e7b92182e122"),
+        ((36, 24), "38f85adee2a9cb13356fe3ddbea4d77b55c35ea21bfb724ed833e8cbb6036002"),
+    ],
+    ("quotient", 3): [
+        ((108, 680), "c2f141f21491634bf82ac049738d48978480d550aa613ec2de9ae6e82e1394cf"),
+        ((680, 1152), "5ab3dd8a447874e1a7fbe59b41b7736214fadbdc72c3aa23dbac0e06882380ec"),
+        ((1152, 576), "d596397e7e092d71fdcc502b84daba875e2f5340d8f8960bbe20d36227235543"),
+    ],
+}
+
+
+class TestBoundaries:
+    @pytest.mark.parametrize("kind,n", sorted(_BOUNDARY_PINS))
+    def test_boundaries_pinned(self, kind, n):
+        if kind == "torus":
+            complex_, _ = torus_triangulation(n)
+        else:
+            complex_, _ = torus_inversion_quotient(n)
+        got = [
+            (d.shape, hashlib.sha256(np.asarray(d, dtype=np.int64).tobytes()).hexdigest())
+            for d in complex_.boundary_matrices()
+        ]
+        assert got == _BOUNDARY_PINS[kind, n]
+
+    def test_two_points(self):
+        points = SimplicialComplex([(0,), (1,)])
+        assert [d.shape for d in points.boundary_matrices()] == [(2, 0)]
+        assert points.homology() == [FinAbGroup.free(2), FinAbGroup.trivial()]
+
+
 class TestQuotient:
     def test_antipodal_circle_needs_subdivision(self):
         square = SimplicialComplex([(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -135,3 +187,61 @@ class TestQuotient:
             )
             actual = hom[2] if len(hom) > 2 else FinAbGroup.trivial()
             assert actual == expected
+
+
+def _regular_by_all_bit_patterns(complex_, involution) -> bool:
+    """Reference regularity check: every face against every mixed bit pattern."""
+    face_set = complex_.face_set
+    for face in face_set:
+        fixed = [involution[v] == v for v in face]
+        for bits in product((0, 1), repeat=len(face)):
+            if all(bits) or not any(bits):
+                continue
+            mixed = {involution[v] if b else v for v, b in zip(face, bits)}
+            if tuple(sorted(mixed)) not in face_set:
+                continue
+            swapped_fixed = all(f for f, b in zip(fixed, bits) if b)
+            kept_fixed = all(f for f, b in zip(fixed, bits) if not b)
+            if not (swapped_fixed or kept_fixed):
+                return False
+    return True
+
+
+def _antipodal_square():
+    return SimplicialComplex([(0, 1), (1, 2), (2, 3), (0, 3)]), {0: 2, 1: 3, 2: 0, 3: 1}
+
+
+def _twice_subdivided_torus():
+    return barycentric_subdivide(*torus_triangulation(2))
+
+
+_INVOLUTIONS = {
+    "antipodal square": (_antipodal_square, False),
+    "subdivided antipodal square": (lambda: barycentric_subdivide(*_antipodal_square()), True),
+    "1-torus": (lambda: torus_triangulation(1), True),
+    "2-torus": (lambda: torus_triangulation(2), True),
+    "3-torus": (lambda: torus_triangulation(3), True),
+    "twice-subdivided 2-torus": (_twice_subdivided_torus, True),
+    "triangle, one edge swapped": (
+        lambda: (SimplicialComplex([(0, 1, 2)]), {0: 1, 1: 0, 2: 2}), False,
+    ),
+    "two triangles on an edge": (
+        lambda: (SimplicialComplex([(0, 1, 2), (1, 2, 3)]), {0: 3, 1: 1, 2: 2, 3: 0}), True,
+    ),
+    "tetrahedron, two pairs swapped": (
+        lambda: (SimplicialComplex([(0, 1, 2, 3)]), {0: 1, 1: 0, 2: 3, 3: 2}), False,
+    ),
+}
+
+
+class TestRegularity:
+    @pytest.mark.parametrize("name", list(_INVOLUTIONS))
+    def test_matches_all_bit_patterns(self, name):
+        build, regular = _INVOLUTIONS[name]
+        complex_, involution = build()
+        assert _regular_by_all_bit_patterns(complex_, involution) == regular
+        if regular:
+            check_involution_regular(complex_, involution)
+        else:
+            with pytest.raises(RegularityError):
+                check_involution_regular(complex_, involution)

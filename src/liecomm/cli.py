@@ -161,22 +161,20 @@ def _cmd_spin_stability(args) -> int:
 
 def _cmd_beta_check(args) -> int:
     report = geom.beta_check(grid=args.grid)
-    ok = geom.beta_passed(report, args.tol)
+    ok = geom.beta_passed(report)
     _emit({"command": "beta-check", "passed": ok, **report})
     return EXIT_OK if ok else EXIT_BREACH
 
 
 def _cmd_cocycle_check(args) -> int:
     report = geom.cocycle_check(samples=args.samples)
-    ok = geom.cocycle_passed(report, args.tol)
+    ok = geom.cocycle_passed(report)
     _emit({"command": "cocycle-check", "passed": ok, **report})
     return EXIT_OK if ok else EXIT_BREACH
 
 
 def _cmd_verify(args) -> int:
-    results = verify.run_all(
-        rank_cap=args.rank_cap, grid=args.grid, samples=args.samples, cache_dir=_cache_dir(args)
-    )
+    results = verify.run_all(cache_dir=_cache_dir(args))
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(
@@ -248,18 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("beta-check", help="residuals of the prism-boundary generator")
     p.add_argument("--grid", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=_cmd_beta_check)
 
     p = sub.add_parser("cocycle-check", help="residuals of the 4-sphere commutative cocycle")
     p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=_cmd_cocycle_check)
 
     p = sub.add_parser("verify", help="run the full acceptance suite")
-    p.add_argument("--rank-cap", type=int, default=6)
-    p.add_argument("--grid", type=int, default=50)
-    p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=_cmd_verify)
     return parser

@@ -7,9 +7,13 @@ components commute everywhere and project to a degree +-1 map onto the
 2-sphere of conjugacy classes.  The same data feeds a commutative cocycle on
 the 4-sphere relative to the three-set closed cover
 C1 = {x0 <= 0}, C2 = {x0 >= 0, x4 >= 0}, C3 = {x0 >= 0, x4 <= 0}.
+Each transition map is a function of (x1, x2, x3) alone: rho_12 and rho_23
+extend the two beta components over the unit 3-disk, and rho_13 is their
+product, so the cocycle identity and the clutching symmetry hold by
+construction.
 
-This is the only module that works in floating point; every identity it
-claims is re-checked numerically by beta_check / cocycle_check.
+This is the only module that works in floating point; beta_check and
+cocycle_check re-check numerically what does not hold by construction.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from .homology import InvariantBreachError
 SEAM_TOL = 1e-12
 DEGREE_RESIDUE_TOL = 1e-3
 CONJUGATION_TOL = 1e-9
+# how far a point may sit off the prism boundary, the 4-sphere or a cover set
+MEMBERSHIP_TOL = 1e-9
 
 _PRISM_CENTROID = np.array([1.0 / 3.0, 2.0 / 3.0, 0.5])
 # pole avoided by both beta components (their images keep c >= 0, d = 0)
@@ -118,16 +124,32 @@ def null_homotopy_h(s, u) -> np.ndarray:
 
 
 _BOTTOM, _TOP, _WALL_S0, _WALL_DIAG, _WALL_T1 = range(5)
+# the (s, t, u) columns each facet's formula reads, as its (a, b) arguments
+_FACET_COLUMNS = ((0, 1), (0, 1), (1, 2), (0, 2), (0, 2))
 
 
-def classify_prism_facet(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def classify_prism_facet(points: np.ndarray) -> np.ndarray:
     """Facet id for points on the prism boundary (seam points may get either)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     s, t, u = pts[:, 0], pts[:, 1], pts[:, 2]
     dists = np.stack([u, 1.0 - u, s, t - s, 1.0 - t], axis=-1)
-    if np.any(dists.min(axis=1) > tol):
+    if np.any(dists.min(axis=1) > MEMBERSHIP_TOL):
         raise ValueError("point is not on the prism boundary")
     return np.argmin(dists, axis=1)
+
+
+def _facet_formula(facet: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the facet-specific beta formula on parameter arrays."""
+    if facet == _BOTTOM:
+        return gamma(a), gamma(b)
+    if facet == _TOP:
+        return qidentity(a.shape), qidentity(a.shape)
+    if facet == _WALL_S0:
+        return qidentity(a.shape), null_homotopy_h(a, b)
+    if facet == _WALL_DIAG:
+        h = null_homotopy_h(a, b)
+        return h, h
+    return null_homotopy_h(a, b), qidentity(a.shape)
 
 
 def beta(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,26 +163,12 @@ def beta(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     facet = classify_prism_facet(pts)
-    s, t, u = pts[:, 0], pts[:, 1], pts[:, 2]
+    cols = pts.T
     first = np.empty((len(pts), 4))
     second = np.empty((len(pts), 4))
-
-    mask = facet == _BOTTOM
-    first[mask] = gamma(s[mask])
-    second[mask] = gamma(t[mask])
-    mask = facet == _TOP
-    first[mask] = qidentity((int(mask.sum()),))
-    second[mask] = qidentity((int(mask.sum()),))
-    mask = facet == _WALL_S0
-    first[mask] = qidentity((int(mask.sum()),))
-    second[mask] = null_homotopy_h(t[mask], u[mask])
-    mask = facet == _WALL_DIAG
-    hval = null_homotopy_h(s[mask], u[mask])
-    first[mask] = hval
-    second[mask] = hval
-    mask = facet == _WALL_T1
-    first[mask] = null_homotopy_h(s[mask], u[mask])
-    second[mask] = qidentity((int(mask.sum()),))
+    for f, (a, b) in enumerate(_FACET_COLUMNS):
+        mask = facet == f
+        first[mask], second[mask] = _facet_formula(f, cols[a][mask], cols[b][mask])
     return first, second
 
 
@@ -329,69 +337,29 @@ def sphere2_to_prism(omega: np.ndarray) -> np.ndarray:
     return _PRISM_CENTROID + step[:, None] * w
 
 
-def _beta_component_on_sphere(omega: np.ndarray, component: int) -> np.ndarray:
-    first, second = beta(sphere2_to_prism(omega))
-    return first if component == 0 else second
+def _rho(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The transition maps (rho_12, rho_23) at points (x1, x2, x3) of the 3-disk.
 
-
-def _disk_extension(xyz: np.ndarray, component: int) -> np.ndarray:
-    """Null-homotopy extension of a beta component over a 3-disk.
-
-    The component's image avoids the pole (0,0,-1,0), so straight-line
-    contraction toward the antipode followed by normalization is defined; the
-    denominator stays above 1/sqrt(2).
+    Both extend a beta component over the disk.  Its image avoids the pole
+    (0,0,-1,0), so straight-line contraction toward the antipode followed by
+    normalization is defined; the denominator stays above 1/sqrt(2).
     """
     pts = np.atleast_2d(np.asarray(xyz, dtype=float))
     rho = np.linalg.norm(pts, axis=1)
-    safe = np.maximum(rho, 1e-300)
-    omega = pts / safe[:, None]
-    base = _beta_component_on_sphere(omega, component)
-    target = -_EXCLUDED_POLE
-    mix = rho[:, None] * base + (1.0 - rho)[:, None] * target
-    norms = np.linalg.norm(mix, axis=1)
-    if float(norms.min()) <= 0.1:
-        raise InvariantBreachError("disk extension hit the excluded pole")
-    return mix / norms[:, None]
+    omega = pts / np.maximum(rho, 1e-300)[:, None]
+    pair = beta(sphere2_to_prism(omega))
+    for mix in pair:
+        # rho * base + (1 - rho) * (0, 0, 1, 0), in place
+        mix *= rho[:, None]
+        mix[:, 2] += 1.0 - rho
+        norms = np.linalg.norm(mix, axis=1)
+        if float(norms.min()) <= 0.1:
+            raise InvariantBreachError("disk extension hit the excluded pole")
+        mix /= norms[:, None]
+    return pair
 
 
-def _in_c1(x: np.ndarray, tol: float) -> np.ndarray:
-    return x[:, 0] <= tol
-
-
-def _in_c2(x: np.ndarray, tol: float) -> np.ndarray:
-    return (x[:, 0] >= -tol) & (x[:, 4] >= -tol)
-
-
-def _in_c3(x: np.ndarray, tol: float) -> np.ndarray:
-    return (x[:, 0] >= -tol) & (x[:, 4] <= tol)
-
-
-def retract_to_c23(x: np.ndarray) -> np.ndarray:
-    """The retraction (x0, x1..x3, x4) -> (sqrt(1 - |x123|^2), x1..x3, 0)."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    out = pts.copy()
-    r2 = np.sum(pts[:, 1:4] ** 2, axis=1)
-    out[:, 0] = np.sqrt(np.clip(1.0 - r2, 0.0, None))
-    out[:, 4] = 0.0
-    return out
-
-
-def _rho12(x: np.ndarray) -> np.ndarray:
-    return _disk_extension(np.atleast_2d(np.asarray(x, dtype=float))[:, 1:4], 0)
-
-
-def _rho23(x: np.ndarray) -> np.ndarray:
-    return _disk_extension(np.atleast_2d(np.asarray(x, dtype=float))[:, 1:4], 1)
-
-
-def _rho13(x: np.ndarray) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    mirrored = pts.copy()
-    mirrored[:, 4] = -mirrored[:, 4]
-    return qmul(_rho12(mirrored), _rho23(retract_to_c23(mirrored)))
-
-
-def cocycle_s4(x: np.ndarray, i: int, j: int, tol: float = 1e-9) -> np.ndarray:
+def cocycle_s4(x: np.ndarray, i: int, j: int) -> np.ndarray:
     """Transition function rho_{i,j} of the commutative cocycle at x.
 
     x must lie in the overlap C_i and C_j of the three-set closed cover; for
@@ -401,30 +369,29 @@ def cocycle_s4(x: np.ndarray, i: int, j: int, tol: float = 1e-9) -> np.ndarray:
         raise ValueError("need distinct cover indices from {1, 2, 3}")
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     norms = np.linalg.norm(pts, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
+    if np.any(np.abs(norms - 1.0) > MEMBERSHIP_TOL):
         raise ValueError("points must lie on the unit 4-sphere")
-    members = {1: _in_c1, 2: _in_c2, 3: _in_c3}
-    if not (np.all(members[i](pts, tol)) and np.all(members[j](pts, tol))):
+    east = pts[:, 0] >= -MEMBERSHIP_TOL
+    members = {
+        1: pts[:, 0] <= MEMBERSHIP_TOL,
+        2: east & (pts[:, 4] >= -MEMBERSHIP_TOL),
+        3: east & (pts[:, 4] <= MEMBERSHIP_TOL),
+    }
+    if not (np.all(members[i]) and np.all(members[j])):
         raise ValueError(f"point outside the overlap C{i} and C{j}")
-    key = (min(i, j), max(i, j))
-    table = {(1, 2): _rho12, (2, 3): _rho23, (1, 3): _rho13}
-    val = table[key](pts)
-    if i > j:
-        val = qconj(val)
-    return val
+    r12, r23 = _rho(pts[:, 1:4])
+    val = {(1, 2): r12, (2, 3): r23, (1, 3): qmul(r12, r23)}[min(i, j), max(i, j)]
+    return qconj(val) if i > j else val
 
 
 def clutching_function(x: np.ndarray) -> np.ndarray:
-    """The clutching map on the equator {x0 = 0}, symmetric under x4 -> -x4."""
+    """The clutching map rho_12 rho_23 on the equator {x0 = 0}.
+
+    It reads (x1, x2, x3) only, so it is symmetric under x4 -> -x4 by
+    construction.
+    """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    out = np.empty((len(pts), 4))
-    upper = pts[:, 4] >= 0
-    if upper.any():
-        sub = pts[upper]
-        out[upper] = qmul(_rho12(sub), _rho23(retract_to_c23(sub)))
-    if (~upper).any():
-        out[~upper] = _rho13(pts[~upper])
-    return out
+    return qmul(*_rho(pts[:, 1:4]))
 
 
 # ---------------------------------------------------------------------------
@@ -432,18 +399,12 @@ def clutching_function(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _facet_formula(facet: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the facet-specific beta formula on parameter arrays."""
-    if facet == _BOTTOM:
-        return gamma(a), gamma(b)
-    if facet == _TOP:
-        return qidentity(a.shape), qidentity(a.shape)
-    if facet == _WALL_S0:
-        return qidentity(a.shape), null_homotopy_h(a, b)
-    if facet == _WALL_DIAG:
-        h = null_homotopy_h(a, b)
-        return h, h
-    return null_homotopy_h(a, b), qidentity(a.shape)
+def _project_generator(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """rep_project_su2 on pairs of beta, where a failure to commute is a breach."""
+    try:
+        return rep_project_su2(first, second)
+    except CommutatorError as exc:
+        raise InvariantBreachError(f"the generator's {exc}") from exc
 
 
 def beta_check(grid: int = 100) -> dict:
@@ -477,12 +438,11 @@ def beta_check(grid: int = 100) -> dict:
     pts, tris = triangulate_prism_boundary(grid)
     first, second = beta(pts)
     commutator = float(commutator_distance(first, second).max())
-    values = rep_project_su2(first, second)
+    values = _project_generator(first, second)
     norm_residual = float(np.abs(np.linalg.norm(values, axis=1) - 1.0).max())
     degree, residue = degree_to_s2(values, tris)
     pts2, tris2 = triangulate_prism_boundary(2 * grid)
-    first2, second2 = beta(pts2)
-    degree2, residue2 = degree_to_s2(rep_project_su2(first2, second2), tris2)
+    degree2, residue2 = degree_to_s2(_project_generator(*beta(pts2)), tris2)
     return {
         "grid": grid,
         "samples": int(len(pts)),
@@ -496,10 +456,10 @@ def beta_check(grid: int = 100) -> dict:
     }
 
 
-def beta_passed(report: dict, tol: float = SEAM_TOL) -> bool:
+def beta_passed(report: dict) -> bool:
     """The one pass/fail gate on a beta_check report (CLI and acceptance suite)."""
     return (
-        max(report["seam_residual"], report["max_commutator"]) < tol
+        max(report["seam_residual"], report["max_commutator"]) < SEAM_TOL
         and report["degree"] in (1, -1)
         and report["degree_refined"] == report["degree"]
         and max(report["degree_residue"], report["degree_refined_residue"]) < DEGREE_RESIDUE_TOL
@@ -516,12 +476,19 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     )
 
 
+def _spread_sample(omega: np.ndarray) -> np.ndarray:
+    """At most 512 of the Fibonacci points, strided from pole to pole."""
+    return omega[:: max(1, len(omega) // 512)][:512]
+
+
 def cocycle_check(samples: int = 10_000) -> dict:
     """Residuals for the commutative cocycle on the 4-sphere.
 
-    Checks the cocycle identity and pairwise commutativity on the triple
-    overlap, the clutching symmetry on the equator, conjugation invariance of
-    the projection, and the disk-extension denominators.
+    Checks pairwise commutativity on the triple overlap, agreement of rho_12
+    and rho_23 with beta there, conjugation invariance of the projection, and
+    the disk-extension denominators.  The cocycle identity and the clutching
+    symmetry hold by construction (every transition map reads x1, x2, x3
+    only); their residuals are reported as well.
     """
     omega = _fibonacci_sphere(samples)
     triple = np.zeros((samples, 5))
@@ -546,23 +513,21 @@ def cocycle_check(samples: int = 10_000) -> dict:
     mirrored = pts.copy()
     mirrored[:, 4] = -mirrored[:, 4]
     clutch_residual = float(np.abs(clutching_function(pts) - clutching_function(mirrored)).max())
+    pairs_first, pairs_second = beta(sphere2_to_prism(_spread_sample(omega)))
     # denominators of the disk extensions stay away from zero
-    boundary0 = _beta_component_on_sphere(omega[:256], 0)
-    boundary1 = _beta_component_on_sphere(omega[:256], 1)
     min_denominator = math.inf
     for rho in np.linspace(0.0, 1.0, 41):
-        for base in (boundary0, boundary1):
+        for base in (pairs_first[::2], pairs_second[::2]):
             mix = rho * base + (1.0 - rho) * (-_EXCLUDED_POLE)
             min_denominator = min(min_denominator, float(np.linalg.norm(mix, axis=1).min()))
     # conjugation invariance of the projection chart
-    pairs_first, pairs_second = beta(sphere2_to_prism(omega[:512]))
-    conj = rng.standard_normal((512, 4))
+    conj = rng.standard_normal((len(pairs_first), 4))
     conj /= np.linalg.norm(conj, axis=1)[:, None]
     conj_first = qmul(qmul(conj, pairs_first), qconj(conj))
     conj_second = qmul(qmul(conj, pairs_second), qconj(conj))
     conj_residual = float(
         np.abs(
-            rep_project_su2(pairs_first, pairs_second)
+            _project_generator(pairs_first, pairs_second)
             - rep_project_su2(conj_first, conj_second, tol=1e-6)
         ).max()
     )
@@ -577,11 +542,11 @@ def cocycle_check(samples: int = 10_000) -> dict:
     }
 
 
-def cocycle_passed(report: dict, tol: float = SEAM_TOL) -> bool:
+def cocycle_passed(report: dict) -> bool:
     """The one pass/fail gate on a cocycle_check report (CLI and acceptance suite)."""
     keys = ("cocycle_residual", "pairwise_commutator", "overlap_agreement", "clutching_residual")
     return (
-        max(report[key] for key in keys) < tol
+        max(report[key] for key in keys) < SEAM_TOL
         and report["min_extension_denominator"] > 0.1
         and report["conjugation_residual"] < CONJUGATION_TOL
     )

@@ -105,10 +105,6 @@ class FinAbGroup:
         return cls(free_rank, tuple(chain))
 
     @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
-    @property
     def is_finite(self) -> bool:
         return self.free_rank == 0
 

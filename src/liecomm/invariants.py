@@ -27,15 +27,6 @@ class Pi2Report:
     prime_breakdown: tuple[tuple[int, int], ...]
     provenance: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "type": self.lie_type.name,
-            "group": {"free_rank": self.group.free_rank, "torsion": list(self.group.torsion)},
-            "quotient_degree": self.quotient_degree,
-            "prime_breakdown": {str(p): c for p, c in self.prime_breakdown},
-            "provenance": self.provenance,
-        }
-
 
 @dataclass(frozen=True)
 class ExtensionReport:

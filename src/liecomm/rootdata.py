@@ -341,12 +341,6 @@ class RootDatum:
         row = self.cartan[j - 1]
         return sum((Fraction(row[k]) * x[k] for k in range(self.rank)), Fraction(0))
 
-    def theta_value(self, x: Sequence[Fraction]) -> Fraction:
-        return sum(
-            (Fraction(self.theta[j]) * self.alpha_value(j + 1, x) for j in range(self.rank)),
-            Fraction(0),
-        )
-
     def wall_values(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """(alpha_1(x), ..., alpha_r(x), theta(x))."""
         vals = tuple(self.alpha_value(j, x) for j in range(1, self.rank + 1))

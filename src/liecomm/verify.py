@@ -8,6 +8,7 @@ through _require rather than assert, so they also run under python -O.
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,7 +79,7 @@ def _expected_table(lt: LieType) -> tuple[set[int], int]:
     return {1, 2, 3, 4, 5, 6}, 60  # E8
 
 
-def criterion_coroot_tables(**_) -> str:
+def criterion_coroot_tables() -> str:
     """1. Coroot integers and Dynkin indices match the tabulated values."""
     start = time.perf_counter()
     for lt in _table_types():
@@ -92,7 +93,7 @@ def criterion_coroot_tables(**_) -> str:
     return f"{len(_table_types())} types checked in {elapsed:.2f}s"
 
 
-def criterion_molien(cache_dir: Path | None = None, **_) -> str:
+def criterion_molien(cache_dir: Path | None = None) -> str:
     """2. Poincare coefficients: [t^0]=1, [t^1]=0, [t^2]=C(n,2), nonnegative."""
     start = time.perf_counter()
     cases = 0
@@ -111,10 +112,10 @@ def criterion_molien(cache_dir: Path | None = None, **_) -> str:
     return f"{cases} (type, n) cases in {elapsed:.2f}s"
 
 
-def criterion_irreducibility(rank_cap: int = 6, cache_dir: Path | None = None, **_) -> str:
+def criterion_irreducibility(cache_dir: Path | None = None) -> str:
     """3. (1/|W|) sum of squared traces equals 1 for every enumerable type."""
     start = time.perf_counter()
-    types = _canonical_types(min(rank_cap, 6))
+    types = _canonical_types(6)
     for lt in types:
         group = weyl.generate(build_root_datum(lt), cache_dir=cache_dir)
         _require(weyl.irreducibility_check(group) == Fraction(1), lt.name)
@@ -123,12 +124,12 @@ def criterion_irreducibility(rank_cap: int = 6, cache_dir: Path | None = None, *
     return f"{len(types)} types (max order {max(build_root_datum(t).weyl_order for t in types)}) in {elapsed:.2f}s"
 
 
-def criterion_lattice_quotient(rank_cap: int = 6, **_) -> str:
+def criterion_lattice_quotient() -> str:
     """4. Smith-form lattice quotients match the gcd formula on every face."""
     from itertools import combinations
 
     checked = 0
-    for lt in _canonical_types(min(rank_cap, 6)):
+    for lt in _canonical_types(6):
         datum = build_root_datum(lt)
         nodes = list(range(datum.rank + 1))
         for size in range(0, datum.rank + 1):
@@ -142,7 +143,7 @@ def criterion_lattice_quotient(rank_cap: int = 6, **_) -> str:
     return f"{checked} (type, face) pairs, zero mismatches"
 
 
-def criterion_prime_assembly(**_) -> str:
+def criterion_prime_assembly() -> str:
     """5. Product of degree-0 prime fragments equals the coroot-integer lcm."""
     for lt in _table_types():
         report = invariants.pi2_hom_pairs(lt)
@@ -161,7 +162,7 @@ def criterion_prime_assembly(**_) -> str:
     return "all families assemble to the Dynkin index; Z/4 override fires only at rank-7/8 E"
 
 
-def criterion_cell_census(cache_dir: Path | None = None, **_) -> str:
+def criterion_cell_census(cache_dir: Path | None = None) -> str:
     """6. Alternating cell counts match the Lefschetz averages for k = 1, 2, 3."""
     checked = 0
     for lt in _canonical_types(3):
@@ -181,7 +182,7 @@ def criterion_cell_census(cache_dir: Path | None = None, **_) -> str:
     return f"{checked} (type, k) censuses; rank-1 k=2 census is (4, 4, 2)"
 
 
-def criterion_torus_quotient(**_) -> str:
+def criterion_torus_quotient() -> str:
     """7. Quotient torus homology matches the closed formula for n = 1, 2, 3."""
     start = time.perf_counter()
     details = []
@@ -207,7 +208,7 @@ def criterion_torus_quotient(**_) -> str:
     return "; ".join(details) + f"; {elapsed:.1f}s"
 
 
-def criterion_spin_stability(**_) -> str:
+def criterion_spin_stability() -> str:
     """8. Spin stabilization degrees and pi_2 stability across the whole range."""
     for ell in range(4, 9):
         for k in range(0, 2 * ell - 6 + 1, 2):
@@ -228,7 +229,7 @@ def criterion_spin_stability(**_) -> str:
     return "degrees for ell=4..8 both parities, the 5->7 composite, stability m=5..16"
 
 
-def criterion_composite_degree(**_) -> str:
+def criterion_composite_degree() -> str:
     """9. The rank-1 composite degree equals lcm of the weights for every node."""
     checked = 0
     for lt in _table_types():
@@ -241,12 +242,12 @@ def criterion_composite_degree(**_) -> str:
     return f"{checked} (type, node) composites, all equal to the weight lcm"
 
 
-def criterion_geometry(grid: int = 50, samples: int = 10_000, **_) -> str:
+def criterion_geometry() -> str:
     """10. Generator and cocycle residuals within tolerance; degree is +-1."""
     start = time.perf_counter()
-    beta_report = geom.beta_check(grid=grid)
+    beta_report = geom.beta_check(grid=50)
     _require(geom.beta_passed(beta_report), beta_report)
-    cocycle_report = geom.cocycle_check(samples=samples)
+    cocycle_report = geom.cocycle_check(samples=10_000)
     _require(geom.cocycle_passed(cocycle_report), cocycle_report)
     elapsed = time.perf_counter() - start
     _require(elapsed < 60.0, f"took {elapsed:.2f}s, budget 60s")
@@ -257,7 +258,7 @@ def criterion_geometry(grid: int = 50, samples: int = 10_000, **_) -> str:
     )
 
 
-def criterion_theorem_tables(**_) -> str:
+def criterion_theorem_tables() -> str:
     """11. The n-tuple formulas, the extension quotients, and pi_4 values."""
     cases = 0
     for name in ("SU(3)", "SU(5)"):
@@ -298,12 +299,17 @@ CRITERIA: list[tuple[str, Callable[..., str]]] = [
 ]
 
 
-def run_criterion(index: int, **options) -> CriterionResult:
-    """Run a single acceptance criterion (1-based index)."""
+def run_criterion(index: int, cache_dir: Path | None = None) -> CriterionResult:
+    """Run a single acceptance criterion (1-based index).
+
+    cache_dir goes to the criteria that enumerate Weyl groups; nothing else
+    can be set, so every run checks the same cases.
+    """
     name, func = CRITERIA[index - 1]
+    takes_cache = "cache_dir" in inspect.signature(func).parameters
     start = time.perf_counter()
     try:
-        detail = func(**options)
+        detail = func(cache_dir=cache_dir) if takes_cache else func()
         passed = True
     except Exception as exc:  # noqa: BLE001 - verdicts must not crash the table
         detail = f"{type(exc).__name__}: {exc}"
@@ -311,5 +317,5 @@ def run_criterion(index: int, **options) -> CriterionResult:
     return CriterionResult(index, name, passed, detail, time.perf_counter() - start)
 
 
-def run_all(**options) -> list[CriterionResult]:
-    return [run_criterion(i, **options) for i in range(1, len(CRITERIA) + 1)]
+def run_all(cache_dir: Path | None = None) -> list[CriterionResult]:
+    return [run_criterion(i, cache_dir) for i in range(1, len(CRITERIA) + 1)]

@@ -200,7 +200,6 @@ class StabilizerSubgroup:
 
     group: WeylGroup
     indices: tuple[int, ...]
-    face: FaceIndex | None = None
 
     @property
     def order(self) -> int:
@@ -453,7 +452,7 @@ def face_stabilizer(group: WeylGroup, geometry: AlcoveGeometry, face: FaceIndex)
     keep = np.flatnonzero((mats[:, 0] @ vec - vec[0]) % denom == 0)
     for i in range(1, len(vec)):
         keep = keep[(mats[keep, i] @ vec - vec[i]) % denom == 0]
-    return StabilizerSubgroup(group, tuple(keep.tolist()), face)
+    return StabilizerSubgroup(group, tuple(keep.tolist()))
 
 
 def trivial_subgroup(group: WeylGroup) -> StabilizerSubgroup:

@@ -5,6 +5,7 @@ output) and fails on the first violated assertion inside the criterion.
 Run the same checks from the command line with `liecomm verify`.
 """
 
+import inspect
 import subprocess
 import sys
 
@@ -19,6 +20,14 @@ def test_criterion(index):
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] criterion {result.index:2d} ({result.name}): {result.detail}")
     assert result.passed, f"criterion {result.index} ({result.name}): {result.detail}"
+
+
+def test_no_option_shrinks_the_verdict():
+    # only the cache directory can be set; rank, grid and sample counts are fixed
+    for _, func in verify.CRITERIA:
+        assert set(inspect.signature(func).parameters) <= {"cache_dir"}
+    with pytest.raises(TypeError):
+        verify.run_criterion(3, rank_cap=1)
 
 
 def test_gates_survive_optimize():

@@ -234,6 +234,41 @@ class TestOtherCommands:
         assert out == ""
         assert "invariant breach" in err and "forced for the test" in err
 
+    def test_beta_check_noncommuting_generator_exits_3(self, capsys, monkeypatch):
+        import numpy as np
+
+        from liecomm import geom
+
+        real = geom.gamma
+
+        def shifted(s):
+            # push the torus loop off its circle in the c coordinate
+            g = real(s)
+            g[..., 2] += 1e-4 * np.asarray(s) * np.sin(2 * np.pi * np.asarray(s))
+            return g / np.linalg.norm(g, axis=-1, keepdims=True)
+
+        monkeypatch.setattr(geom, "gamma", shifted)
+        code, out, err = run_cli(capsys, "beta-check", "--grid", "8")
+        assert code == 3
+        assert out == ""
+        assert "invariant breach" in err and "fails to commute" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["beta-check", "--tol", "1"],
+            ["cocycle-check", "--tol", "1"],
+            ["verify", "--rank-cap", "1"],
+            ["verify", "--grid", "12"],
+            ["verify", "--samples", "600"],
+        ],
+    )
+    def test_gate_options_removed(self, capsys, argv):
+        # the CLI applies the same gates and cases as the acceptance suite
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_beta_check_small(self, capsys):
         code, out, _ = run_cli(capsys, "beta-check", "--grid", "16")
         assert code == 0

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from liecomm import geom
 from liecomm.geom import (
     CommutatorError,
     MeshError,
     beta,
     beta_check,
+    classify_prism_facet,
     clutching_function,
     cocycle_check,
     cocycle_s4,
@@ -17,12 +19,122 @@ from liecomm.geom import (
     gamma,
     null_homotopy_h,
     qconj,
+    qidentity,
     qmul,
     quaternion_matrix,
     rep_project_su2,
     sphere2_to_prism,
     triangulate_prism_boundary,
 )
+
+
+# References: beta with one inline formula per facet, and the transition maps
+# as one disk extension per component, rho_13 through a mirror and a
+# retraction.  The library evaluates beta through one facet table and both
+# components from one beta evaluation; the two must agree to the bit.
+
+
+def _reference_beta(points):
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    facet = classify_prism_facet(pts)
+    s, t, u = pts[:, 0], pts[:, 1], pts[:, 2]
+    first = np.empty((len(pts), 4))
+    second = np.empty((len(pts), 4))
+    mask = facet == 0  # bottom
+    first[mask] = gamma(s[mask])
+    second[mask] = gamma(t[mask])
+    mask = facet == 1  # top
+    first[mask] = qidentity((int(mask.sum()),))
+    second[mask] = qidentity((int(mask.sum()),))
+    mask = facet == 2  # wall s = 0
+    first[mask] = qidentity((int(mask.sum()),))
+    second[mask] = null_homotopy_h(t[mask], u[mask])
+    mask = facet == 3  # wall s = t
+    hval = null_homotopy_h(s[mask], u[mask])
+    first[mask] = hval
+    second[mask] = hval
+    mask = facet == 4  # wall t = 1
+    first[mask] = null_homotopy_h(s[mask], u[mask])
+    second[mask] = qidentity((int(mask.sum()),))
+    return first, second
+
+
+def _reference_disk_extension(xyz, component):
+    pts = np.atleast_2d(np.asarray(xyz, dtype=float))
+    rho = np.linalg.norm(pts, axis=1)
+    omega = pts / np.maximum(rho, 1e-300)[:, None]
+    base = _reference_beta(sphere2_to_prism(omega))[component]
+    target = -np.array([0.0, 0.0, -1.0, 0.0])
+    mix = rho[:, None] * base + (1.0 - rho)[:, None] * target
+    return mix / np.linalg.norm(mix, axis=1)[:, None]
+
+
+def _reference_retract_to_c23(x):
+    out = x.copy()
+    out[:, 0] = np.sqrt(np.clip(1.0 - np.sum(x[:, 1:4] ** 2, axis=1), 0.0, None))
+    out[:, 4] = 0.0
+    return out
+
+
+def _reference_rho12(x):
+    return _reference_disk_extension(x[:, 1:4], 0)
+
+
+def _reference_rho23(x):
+    return _reference_disk_extension(x[:, 1:4], 1)
+
+
+def _reference_rho13(x):
+    mirrored = x.copy()
+    mirrored[:, 4] = -mirrored[:, 4]
+    return qmul(_reference_rho12(mirrored), _reference_rho23(_reference_retract_to_c23(mirrored)))
+
+
+def _reference_clutching(x):
+    out = np.empty((len(x), 4))
+    upper = x[:, 4] >= 0
+    sub = x[upper]
+    out[upper] = qmul(_reference_rho12(sub), _reference_rho23(_reference_retract_to_c23(sub)))
+    out[~upper] = _reference_rho13(x[~upper])
+    return out
+
+
+def _equator_points(n, seed):
+    """Seeded points of the equator {x0 = 0} of the 4-sphere, x4 of both signs."""
+    equator = np.random.default_rng(seed).standard_normal((n, 4))
+    equator /= np.linalg.norm(equator, axis=1)[:, None]
+    pts = np.zeros((n, 5))
+    pts[:, 1:] = equator
+    return pts
+
+
+class TestAgainstReferences:
+    def test_beta_bitwise(self):
+        pts, _ = triangulate_prism_boundary(24)
+        first, second = beta(pts)
+        ref_first, ref_second = _reference_beta(pts)
+        assert np.array_equal(first, ref_first) and np.array_equal(second, ref_second)
+        # every facet is exercised
+        assert set(classify_prism_facet(pts).tolist()) == set(range(5))
+
+    def test_transition_maps_bitwise(self):
+        x = _equator_points(200, 11)
+        upper, lower = x[x[:, 4] >= 0], x[x[:, 4] <= 0]
+        assert len(upper) > 50 and len(lower) > 50
+        assert np.array_equal(cocycle_s4(upper, 1, 2), _reference_rho12(upper))
+        assert np.array_equal(cocycle_s4(lower, 1, 3), _reference_rho13(lower))
+        assert np.array_equal(clutching_function(x), _reference_clutching(x))
+        # C2 and C3 meet in {x4 = 0, x0 >= 0}
+        rolled = np.abs(np.roll(x, -1, axis=1))
+        assert np.array_equal(cocycle_s4(rolled, 2, 3), _reference_rho23(rolled))
+        assert np.array_equal(cocycle_s4(rolled, 3, 2), qconj(_reference_rho23(rolled)))
+
+    def test_triple_overlap_bitwise(self):
+        omega = geom._fibonacci_sphere(600)
+        x = np.zeros((600, 5))
+        x[:, 1:4] = omega
+        assert np.array_equal(cocycle_s4(x, 1, 3), _reference_rho13(x))
+        assert np.array_equal(clutching_function(x), _reference_clutching(x))
 
 
 class TestQuaternions:
@@ -220,6 +332,15 @@ class TestReports:
         assert report["max_commutator"] < 1e-12
         assert report["degree"] in (1, -1)
         assert report["degree"] == report["degree_refined"]
+
+    @pytest.mark.parametrize("samples", [600, 10_000, 200_000])
+    def test_spot_checks_reach_every_facet(self, samples):
+        # the conjugation check reads these points, the denominator check every other one
+        chosen = geom._spread_sample(geom._fibonacci_sphere(samples))
+        assert len(chosen) == 512
+        for points in (chosen, chosen[::2]):
+            facets = classify_prism_facet(sphere2_to_prism(points))
+            assert set(facets.tolist()) == set(range(5))
 
     def test_cocycle_report_small(self):
         report = cocycle_check(samples=600)

@@ -32,13 +32,13 @@ from .geom import (
 )
 from .homology import (
     FinAbGroup,
+    InvariantBreachError,
     chain_homology,
     smith_normal_form,
     snf_divisors,
 )
 from .invariants import (
     ExtensionReport,
-    InvariantBreachError,
     Pi2Report,
     SpinStabilityReport,
     bredon_e2_fragment,

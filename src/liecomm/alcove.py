@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .homology import InvariantBreachError
+from .homology import require
 from .rootdata import FaceIndex, RootDatum
 
 FractionVector = tuple[Fraction, ...]
@@ -63,14 +63,15 @@ def alcove_geometry(datum: RootDatum) -> AlcoveGeometry:
     coweights = tuple(tuple(col) for col in _solve_columns(datum.cartan))
     vertices = [tuple(Fraction(0) for _ in range(r))]
     for j in range(1, r + 1):
-        n_j = datum.root_integers[j - 1]
+        n_j = datum.theta[j - 1]
         vertices.append(tuple(c / n_j for c in coweights[j - 1]))
     geom = AlcoveGeometry(datum, coweights, tuple(vertices))
     for j in range(1, r + 1):
         vals = datum.wall_values(geom.vertices[j])
-        expect = [Fraction(1, datum.root_integers[j - 1]) if i == j - 1 else Fraction(0) for i in range(r)]
-        if list(vals[:-1]) != expect or vals[-1] != 1:
-            raise InvariantBreachError("alcove vertex fails its wall equations")
+        expect = [Fraction(1, datum.theta[j - 1]) if i == j - 1 else Fraction(0) for i in range(r)]
+        require(
+            list(vals[:-1]) == expect and vals[-1] == 1, "alcove vertex fails its wall equations"
+        )
     return geom
 
 

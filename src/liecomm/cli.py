@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from . import __version__, alcove, geom, invariants, verify, weyl, wps
-from .alcove import AlcoveMembershipError, EmptyFaceError
 from .geom import MeshError
 from .homology import FinAbGroup, InvariantBreachError
 from .rootdata import LieTypeError, build_root_datum, dynkin_index
@@ -24,14 +23,8 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_BREACH = 3
 
-_PRECONDITION_ERRORS = (
-    LieTypeError,
-    AlcoveMembershipError,
-    EmptyFaceError,
-    ReductionError,
-    MeshError,
-    ValueError,
-)
+# LieTypeError, AlcoveMembershipError and EmptyFaceError are ValueErrors
+_PRECONDITION_ERRORS = (ValueError, ReductionError, MeshError)
 
 
 def _jsonable(value):

@@ -29,6 +29,20 @@ class InvariantBreachError(RuntimeError):
     """A theorem-level cross-check failed; this must never fire."""
 
 
+def require(ok: object, detail: object = "") -> None:
+    """Raise InvariantBreachError(detail) unless ok: the one place a failed
+    cross-check becomes an error.  An if/raise, so it survives python -O."""
+    if not ok:
+        raise InvariantBreachError(detail)
+
+
+def exact_quotient(num: int, den: int, detail: object) -> int:
+    """num // den for Python ints, a breach if the division leaves a remainder."""
+    quot, rem = divmod(num, den)
+    require(not rem, detail)
+    return quot
+
+
 class ChainComplexError(ValueError):
     """Consecutive boundary maps do not compose to zero."""
 
@@ -439,12 +453,10 @@ def snf_divisors(mat: IntMatrix) -> list[int]:
     remainder goes to the big-integer reduction.
     """
     pivots, remainder, _, _ = _eliminate_units(_sparse(mat))
-    return [1] * len(pivots) + (_divisors_python(remainder) if remainder else [])
-
-
-def _divisors_python(mat: list[list[int]]) -> list[int]:
-    _, D, _ = _smith_python(mat, want_transforms=False)
-    return [abs(D[k][k]) for k in range(min(len(D), len(D[0]))) if D[k][k]]
+    if not remainder:
+        return [1] * len(pivots)
+    _, D, _ = _smith_python(remainder, want_transforms=False)
+    return [1] * len(pivots) + [abs(D[k][k]) for k in range(min(len(D), len(D[0]))) if D[k][k]]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, prod
 
-from .homology import FinAbGroup, InvariantBreachError, _factorint
+from .homology import FinAbGroup, _factorint, exact_quotient, require
 from .rootdata import LieType, build_root_datum, dynkin_index
 from .wps import spin_stability_report
 
@@ -93,12 +93,12 @@ def pi2_hom_pairs(lie_type: LieType | str) -> Pi2Report:
     for frag in torsion_fragments:
         group = group.direct_sum(frag)
     breakdown = tuple((p, bredon_e2_fragment(datum.lie_type, p, 0).order()) for p in primes)
-    degree = prod(c for _, c in breakdown)
-    if degree != dynkin_index(datum):
-        raise InvariantBreachError(
-            f"prime assembly {degree} disagrees with the coroot-integer lcm "
-            f"{dynkin_index(datum)} for {datum.lie_type.name}"
-        )
+    degree, index = prod(c for _, c in breakdown), dynkin_index(datum)
+    require(
+        degree == index,
+        f"prime assembly {degree} disagrees with the coroot-integer lcm "
+        f"{index} for {datum.lie_type.name}",
+    )
     return Pi2Report(
         lie_type=datum.lie_type,
         group=group,
@@ -180,9 +180,9 @@ def spin_pi2_stability(m: int) -> SpinStabilityReport:
     rep_degree = spin_stability_report(ell, "even", 2)["degree"]
     lower = dynkin_index(build_root_datum(f"Spin({2 * ell - 2})"))
     upper = dynkin_index(build_root_datum(f"Spin({2 * ell})"))
-    if (rep_degree * lower) % upper:
-        raise InvariantBreachError("composite degree arithmetic is not integral")
-    composite = rep_degree * lower // upper
+    composite = exact_quotient(
+        rep_degree * lower, upper, "composite degree arithmetic is not integral"
+    )
     return SpinStabilityReport(
         m=m,
         stable=composite == 1,

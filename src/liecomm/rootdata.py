@@ -19,12 +19,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .homology import FinAbGroup, InvariantBreachError, snf_divisors
+from .homology import FinAbGroup, exact_quotient, require, snf_divisors
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -192,8 +193,10 @@ def charpoly_buckets(stack: np.ndarray) -> tuple[tuple[tuple[int, ...], int], ..
         sums = np.empty((len(w), r), dtype=np.int64)
         power = w
         for k in range(r):
-            if r * float(np.abs(power).max()) * w_max >= _FLOAT32_EXACT:
-                raise InvariantBreachError("matrix powers leave the exact float32 range")
+            require(
+                r * float(np.abs(power).max()) * w_max < _FLOAT32_EXACT,
+                "matrix powers leave the exact float32 range",
+            )
             sums[:, k] = np.trace(power, axis1=1, axis2=2)
             if k + 1 < r:
                 power = power @ w
@@ -210,9 +213,7 @@ def _newton(p: Sequence[int]) -> tuple[int, ...]:
     e = [1]  # elementary symmetric functions of the eigenvalues
     for k in range(1, len(p) + 1):
         s = sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1))
-        if s % k:
-            raise InvariantBreachError("Newton's identities give a non-integral coefficient")
-        e.append(s // k)
+        e.append(exact_quotient(s, k, "Newton's identities give a non-integral coefficient"))
     return tuple((-1) ** k * e[k] for k in range(len(p), -1, -1))
 
 
@@ -242,8 +243,7 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
     for e in range(1, d):
         if d % e == 0:
             poly, rem = _poly_divmod(poly, _cyclotomic(e))
-            if any(rem):
-                raise InvariantBreachError("cyclotomic division left a remainder")
+            require(not any(rem), "cyclotomic division left a remainder")
     return tuple(poly)
 
 
@@ -263,9 +263,7 @@ def _coxeter_exponents(cartan: Matrix, n_positive: int) -> tuple[int, ...]:
             [sum(s[a][b] * cox[b][c] for b in range(r)) for c in range(r)]
             for a in range(r)
         ]
-    if (2 * n_positive) % r:
-        raise InvariantBreachError("root count is not r*h/2")
-    h = 2 * n_positive // r
+    h = exact_quotient(2 * n_positive, r, "root count is not r*h/2")
     ((poly, _),) = charpoly_buckets(np.array([cox]))
     poly = list(poly)
     exponents: list[int] = []
@@ -279,8 +277,8 @@ def _coxeter_exponents(cartan: Matrix, n_positive: int) -> tuple[int, ...]:
                 break
             poly = quot
             exponents.extend(h * k // d for k in range(1, d + 1) if gcd(k, d) == 1)
-    if len(exponents) != r or poly != [1]:
-        raise InvariantBreachError("Coxeter charpoly did not factor into cyclotomics")
+    factored = len(exponents) == r and poly == [1]
+    require(factored, "Coxeter charpoly did not factor into cyclotomics")
     return tuple(sorted(exponents))
 
 
@@ -302,10 +300,8 @@ def _symmetrizer(cartan: Matrix) -> tuple[Fraction, ...]:
     ints = [x * scale for x in d]
     g = gcd(*(int(x) for x in ints))
     out = tuple(Fraction(int(x) // g) for x in ints)
-    for i in range(r):
-        for j in range(r):
-            if out[i] * cartan[i][j] != out[j] * cartan[j][i]:
-                raise InvariantBreachError("symmetrizer failed")
+    ok = all(out[i] * cartan[i][j] == out[j] * cartan[j][i] for i in range(r) for j in range(r))
+    require(ok, "symmetrizer failed")
     return out
 
 
@@ -320,7 +316,6 @@ class RootDatum:
     positive_coroots: tuple[Vector, ...]
     theta: Vector
     theta_vee: Vector
-    root_integers: tuple[int, ...]
     coroot_integers: tuple[int, ...]
     exponents: tuple[int, ...]
     degrees: tuple[int, ...]
@@ -330,11 +325,6 @@ class RootDatum:
     @property
     def rank(self) -> int:
         return self.lie_type.rank
-
-    @property
-    def alpha0(self) -> Vector:
-        """The lowest root, -theta, in simple-root coordinates."""
-        return tuple(-c for c in self.theta)
 
     def alpha_value(self, j: int, x: Sequence[Fraction]) -> Fraction:
         """alpha_j evaluated on coroot-basis coordinates x (node j in 1..r)."""
@@ -356,7 +346,7 @@ class RootDatum:
             "rank": self.rank,
             "cartan": [list(row) for row in self.cartan],
             "coroot_integers": list(self.coroot_integers),
-            "root_integers": list(self.root_integers),
+            "root_integers": list(self.theta),
             "degrees": list(self.degrees),
             "weyl_order": self.weyl_order,
         }
@@ -369,25 +359,20 @@ def _build(lt: LieType) -> RootDatum:
     closure = _root_closure(cartan)
     positives = sorted(c for c in closure if all(x >= 0 for x in c))
     for c in closure:
-        if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
-            raise InvariantBreachError(f"mixed-sign root {c}")
+        require(all(x >= 0 for x in c) or all(x <= 0 for x in c), f"mixed-sign root {c}")
     heights = [sum(c) for c in positives]
     hmax = max(heights)
     thetas = [c for c, h in zip(positives, heights) if h == hmax]
-    if len(thetas) != 1:
-        raise InvariantBreachError("highest root is not unique")
+    require(len(thetas) == 1, "highest root is not unique")
     theta = thetas[0]
     theta_vee = closure[theta]
     coroot_integers = (1,) + tuple(theta_vee)
-    if any(n < 1 for n in coroot_integers):
-        raise InvariantBreachError("coroot integers must be positive")
+    require(all(n >= 1 for n in coroot_integers), "coroot integers must be positive")
     exps = _coxeter_exponents(cartan, len(positives))
     degrees = tuple(e + 1 for e in exps)
-    if sum(degrees) - r != len(positives):
-        raise InvariantBreachError("degrees do not match the positive root count")
+    require(sum(degrees) - r == len(positives), "degrees do not match the positive root count")
     h = 2 * len(positives) // r
-    if max(degrees) != h:
-        raise InvariantBreachError("largest degree disagrees with the Coxeter number")
+    require(max(degrees) == h, "largest degree disagrees with the Coxeter number")
     return RootDatum(
         lie_type=lt,
         cartan=cartan,
@@ -396,7 +381,6 @@ def _build(lt: LieType) -> RootDatum:
         positive_coroots=tuple(closure[c] for c in positives),
         theta=theta,
         theta_vee=theta_vee,
-        root_integers=theta,
         coroot_integers=coroot_integers,
         exponents=exps,
         degrees=degrees,
@@ -453,6 +437,12 @@ class FaceIndex:
 
     def sorted_nodes(self) -> tuple[int, ...]:
         return tuple(sorted(self.nodes))
+
+
+def all_faces(datum: RootDatum) -> list[FaceIndex]:
+    """Every face of the alcove, by number of walls, then lexicographically."""
+    nodes = range(datum.rank + 1)
+    return [FaceIndex.of(datum, c) for k in range(datum.rank + 1) for c in combinations(nodes, k)]
 
 
 def n_vee(datum: RootDatum, face: FaceIndex) -> int:

@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import combinations, permutations, product
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .homology import FinAbGroup, InvariantBreachError, _SparseMatrix, chain_homology
+from .homology import FinAbGroup, _SparseMatrix, chain_homology, require
 
 
 class RegularityError(ValueError):
@@ -261,9 +261,10 @@ def torus_triangulation(n: int):
     for form, idx in cells.items():
         negated = _canonical_cell(tuple(tuple(-x for x in p) for p in form))
         involution[idx] = cells[negated]
-    for idx, jdx in involution.items():
-        if involution[jdx] != idx:
-            raise InvariantBreachError("inversion transport failed to be an involution")
+    require(
+        all(involution[jdx] == idx for idx, jdx in involution.items()),
+        "inversion transport failed to be an involution",
+    )
     return complex_, involution
 
 

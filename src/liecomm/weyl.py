@@ -54,8 +54,8 @@ from typing import Sequence
 import numpy as np
 
 from .alcove import AlcoveGeometry, barycenter
-from .homology import InvariantBreachError
-from .rootdata import FaceIndex, RootDatum, charpoly_buckets
+from .homology import exact_quotient, require
+from .rootdata import FaceIndex, RootDatum, all_faces, charpoly_buckets
 
 WeylMatrix = tuple[tuple[int, ...], ...]
 
@@ -88,8 +88,10 @@ def _regular_vector(datum: RootDatum) -> np.ndarray:
     if not np.any(v % 2):
         v //= 2
     alpha = np.array(datum.cartan, dtype=np.int64) @ v
-    if np.any(alpha != alpha[0]) or alpha[0] <= 0:
-        raise InvariantBreachError(f"{datum.lie_type.name}: v is not a multiple of rho-vee")
+    require(
+        np.all(alpha == alpha[0]) and alpha[0] > 0,
+        f"{datum.lie_type.name}: v is not a multiple of rho-vee",
+    )
     return v
 
 
@@ -122,10 +124,10 @@ class WeylGroup:
         keys = _pack(self.matrices @ self._v, self._v)
         perm = np.argsort(keys)
         keys = keys[perm]
-        if np.any(keys[1:] == keys[:-1]):
-            raise InvariantBreachError(
-                f"{self.datum.lie_type.name}: two elements share an orbit key"
-            )
+        require(
+            not np.any(keys[1:] == keys[:-1]),
+            f"{self.datum.lie_type.name}: two elements share an orbit key",
+        )
         return keys, perm
 
     def index_of(self, mats) -> np.ndarray:
@@ -137,10 +139,10 @@ class WeylGroup:
         keys, perm = self._sorted_keys
         pos = np.searchsorted(keys, _pack(mats @ self._v, self._v))
         idx = perm[np.minimum(pos, self.order - 1)]
-        if not np.array_equal(self.matrices[idx], mats):
-            raise InvariantBreachError(
-                f"a queried matrix is not an element of the {self.datum.lie_type.name} Weyl group"
-            )
+        require(
+            np.array_equal(self.matrices[idx], mats),
+            f"a queried matrix is not an element of the {self.datum.lie_type.name} Weyl group",
+        )
         return idx
 
     @cached_property
@@ -167,8 +169,10 @@ class WeylGroup:
         arr = self.matrices
         det, trace = np.rint(np.linalg.det(arr)), np.trace(arr, axis1=1, axis2=2)
         refl = np.flatnonzero((det == -1) & (trace == self.datum.rank - 2))
-        if refl.size != len(self.datum.positive_coroots):
-            raise InvariantBreachError("reflection count differs from the positive root count")
+        require(
+            refl.size == len(self.datum.positive_coroots),
+            "reflection count differs from the positive root count",
+        )
         wide = arr[refl].astype(np.int64)
         left = np.stack([self.index_of(t @ arr) for t in wide])
         right = np.stack([self.index_of(arr @ t) for t in wide])
@@ -278,10 +282,10 @@ def _enumerate(datum: RootDatum) -> WeylGroup:
         prev_keys, level_keys = level_keys, keys[fresh]
     all_mats = np.concatenate(levels, axis=0)
     del levels  # free the search buffers before the sort and the bucketing
-    if all_mats.shape[0] != datum.weyl_order:
-        raise InvariantBreachError(
-            f"enumeration found {all_mats.shape[0]} elements, expected {datum.weyl_order}"
-        )
+    require(
+        all_mats.shape[0] == datum.weyl_order,
+        f"enumeration found {all_mats.shape[0]} elements, expected {datum.weyl_order}",
+    )
     flat = all_mats.reshape(all_mats.shape[0], r * r)
     arr = all_mats[np.lexsort(flat.T[::-1])]
     del all_mats, flat
@@ -397,13 +401,12 @@ def molien_poincare(group: WeylGroup, n: int, max_deg: int) -> list[int]:
             factor[2 * d] = -1
         prefactor = _pmul(prefactor, factor, max_deg)
     acc = _pmul(acc, prefactor, max_deg)
-    coeffs = []
-    for c in acc:
-        if c % group.order:
-            raise InvariantBreachError("Molien sum is not divisible by the group order")
-        coeffs.append(c // group.order)
-    if coeffs[0] != 1 or (max_deg >= 1 and coeffs[1] != 0) or any(c < 0 for c in coeffs):
-        raise InvariantBreachError("Poincare coefficients violate their invariants")
+    detail = "Molien sum is not divisible by the group order"
+    coeffs = [exact_quotient(c, group.order, detail) for c in acc]
+    require(
+        coeffs[0] == 1 and (max_deg < 1 or coeffs[1] == 0) and all(c >= 0 for c in coeffs),
+        "Poincare coefficients violate their invariants",
+    )
     return coeffs
 
 
@@ -429,9 +432,7 @@ def euler_char_rep(group: WeylGroup, k: int) -> int:
     for charpoly, mult in group.charpoly_buckets:
         det1 = sum(charpoly)  # charpoly evaluated at 1 = det(1 - w)
         total += mult * det1**k
-    if total % group.order:
-        raise InvariantBreachError("Lefschetz average is not an integer")
-    return total // group.order
+    return exact_quotient(total, group.order, "Lefschetz average is not an integer")
 
 
 # ---------------------------------------------------------------------------
@@ -478,22 +479,11 @@ def double_cosets(
     reps = np.unique(_least_reachable(perms))
     fixed = [_fixed_coset_counts(group, s)[group._classes[0]].tolist() for s in (h, k)]
     burnside = _orbit_count(group, fixed)
-    if reps.size != burnside:
-        raise InvariantBreachError(
-            f"{reps.size} reflection-generated components, but {burnside} double cosets"
-        )
+    require(
+        reps.size == burnside,
+        f"{reps.size} reflection-generated components, but {burnside} double cosets",
+    )
     return group.matrices[reps].tolist()
-
-
-def _all_faces(datum: RootDatum) -> list[FaceIndex]:
-    nodes = range(datum.rank + 1)
-    faces = []
-    for bits in product((0, 1), repeat=datum.rank + 1):
-        subset = frozenset(i for i in nodes if bits[i])
-        if len(subset) <= datum.rank:
-            faces.append(FaceIndex(subset, datum.rank))
-    faces.sort(key=lambda f: (len(f.nodes), f.sorted_nodes()))
-    return faces
 
 
 def _fixed_coset_counts(group: WeylGroup, stab: StabilizerSubgroup) -> np.ndarray:
@@ -503,17 +493,14 @@ def _fixed_coset_counts(group: WeylGroup, stab: StabilizerSubgroup) -> np.ndarra
     class_size = np.bincount(labels)[labels]
     in_stab = np.bincount(labels[list(stab.indices)], minlength=group.order)[labels]
     counts = group.order // class_size * in_stab
-    if np.any(counts % stab.order):
-        raise InvariantBreachError("coset fixed-point count is not divisible")
+    require(not np.any(counts % stab.order), "coset fixed-point count is not divisible")
     return counts // stab.order
 
 
 def _orbit_count(group: WeylGroup, fixed: list[list[int]]) -> int:
     """Burnside count of diagonal W-orbits from fixed-point counts per class, in exact ints."""
     total = sum(map(math.prod, zip(group._classes[1], *fixed)))
-    if total % group.order:
-        raise InvariantBreachError("Burnside average is not an integer")
-    return total // group.order
+    return exact_quotient(total, group.order, "Burnside average is not an integer")
 
 
 def cell_census(group: WeylGroup, geometry: AlcoveGeometry, k: int) -> list[int]:
@@ -526,7 +513,7 @@ def cell_census(group: WeylGroup, geometry: AlcoveGeometry, k: int) -> list[int]
     if k < 1:
         raise ValueError("k must be >= 1")
     datum = group.datum
-    faces = _all_faces(datum)
+    faces = all_faces(datum)
     classes = group._classes[0]
     fixed = {
         f: _fixed_coset_counts(group, face_stabilizer(group, geometry, f))[classes].tolist()
@@ -536,8 +523,10 @@ def cell_census(group: WeylGroup, geometry: AlcoveGeometry, k: int) -> list[int]
     for combo in product(faces, repeat=k):
         counts[sum(f.dim for f in combo)] += _orbit_count(group, [fixed[f] for f in combo])
     alternating = sum((-1) ** d * c for d, c in enumerate(counts))
-    if alternating != euler_char_rep(group, k):
-        raise InvariantBreachError("cell census fails the Euler-characteristic identity")
+    require(
+        alternating == euler_char_rep(group, k),
+        "cell census fails the Euler-characteristic identity",
+    )
     return counts
 
 
@@ -601,8 +590,8 @@ def alcove_reduce(
                 w[i] = [a - t * b for a, b in zip(w[i], tw)]
             continue
         # bookkeeping, exact: scale*(w*x + q) == y
-        if any(_dot(wi, dx) + scale * qi != yi for wi, qi, yi in zip(w, q, y)):
-            raise InvariantBreachError("reduction bookkeeping failed")
+        exact = all(_dot(wi, dx) + scale * qi == yi for wi, qi, yi in zip(w, q, y))
+        require(exact, "reduction bookkeeping failed")
         return (
             tuple(Fraction(c, scale) for c in y),
             tuple(tuple(row) for row in w),

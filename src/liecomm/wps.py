@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .alcove import AlcoveGeometry, AlcoveMembershipError
-from .homology import FinAbGroup, InvariantBreachError
+from .homology import FinAbGroup, exact_quotient
 
 DEFAULT_ORBIT_TOL = 1e-9
 
@@ -92,11 +92,9 @@ def inclusion_degree(weights: Sequence[int], subset: Sequence[int], k: int) -> i
     if len(sub) < k + 1:
         raise ValueError("subset too small for homology degree 2k")
     w_s = tuple(ws[i] for i in sub)
-    full = proj_degree(ws, k)
-    part = proj_degree(w_s, k)
-    if full % part:
-        raise InvariantBreachError("inclusion degree is not an integer")
-    return full // part
+    return exact_quotient(
+        proj_degree(ws, k), proj_degree(w_s, k), "inclusion degree is not an integer"
+    )
 
 
 def composite_su2_degree(weights: Sequence[int], j: int) -> int:
@@ -171,10 +169,8 @@ def spin_stability_report(ell: int, parity: str, k: int) -> dict:
         shared = tuple(range(ell - 1))
     deg_big = inclusion_degree(big, shared, kk)
     deg_small = inclusion_degree(small, shared, kk)
-    if deg_big % deg_small:
-        raise InvariantBreachError("stability degree is not an integer")
     return {
-        "degree": deg_big // deg_small,
+        "degree": exact_quotient(deg_big, deg_small, "stability degree is not an integer"),
         "zero_groups": False,
         "route": "factorization through the shared coordinate subspace",
     }
@@ -195,7 +191,7 @@ def barycentric_coordinates(
         raise AlcoveMembershipError(f"point {x} is outside the fundamental alcove")
     coords = [Fraction(1) - vals[-1]]
     for j in range(1, datum.rank + 1):
-        coords.append(datum.root_integers[j - 1] * vals[j - 1])
+        coords.append(datum.theta[j - 1] * vals[j - 1])
     return tuple(coords)
 
 

@@ -6,6 +6,7 @@ Run the same checks from the command line with `liecomm verify`.
 """
 
 import inspect
+import re
 import subprocess
 import sys
 
@@ -43,3 +44,11 @@ def test_gates_survive_optimize():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True
     )
     assert run.stdout.startswith("passed: False InvariantBreachError: ('even', 4, 0)")
+
+
+def test_budget_overrun_fails_the_criterion(monkeypatch):
+    # budgets are checked once, in run_criterion, after the criterion's own checks
+    monkeypatch.setitem(verify.BUDGETS, 9, 0)
+    result = verify.run_criterion(9)
+    assert not result.passed
+    assert re.fullmatch(r"InvariantBreachError: took \d+\.\d\ds, budget 0s", result.detail)

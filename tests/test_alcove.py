@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -12,7 +11,7 @@ from liecomm.alcove import (
     face_of_point,
     spin_vertex_table,
 )
-from liecomm.rootdata import FaceIndex, build_root_datum, n_vee
+from liecomm.rootdata import FaceIndex, all_faces, build_root_datum, n_vee
 
 
 def d_coroots_in_standard_basis(ell: int, offset: int = 0, ambient: int | None = None) -> list[tuple[Fraction, ...]]:
@@ -39,13 +38,6 @@ def d_coroots_in_standard_basis(ell: int, offset: int = 0, ambient: int | None =
     return coroots
 
 
-def _all_faces(datum):
-    r = datum.rank
-    for size in range(r + 1):
-        for subset in combinations(range(r + 1), size):
-            yield FaceIndex.of(datum, subset)
-
-
 class TestBarycenters:
     def test_vertex_faces(self):
         datum = build_root_datum("C3")
@@ -60,7 +52,7 @@ class TestBarycenters:
     def test_roundtrip(self, name):
         datum = build_root_datum(name)
         geo = alcove_geometry(datum)
-        for face in _all_faces(datum):
+        for face in all_faces(datum):
             assert face_of_point(geo, barycenter(geo, face)) == face
 
     def test_outside_alcove_rejected(self):
@@ -79,8 +71,8 @@ class TestBarycenters:
     @pytest.mark.parametrize("name", ["A2", "C3", "G2"])
     def test_face_lattice_anti_isomorphism(self, name):
         datum = build_root_datum(name)
-        for fa in _all_faces(datum):
-            for fb in _all_faces(datum):
+        for fa in all_faces(datum):
+            for fb in all_faces(datum):
                 vertex_containment = set(fb.complement()) <= set(fa.complement())
                 assert (fa.nodes <= fb.nodes) == vertex_containment
 
@@ -115,7 +107,7 @@ class TestDivisibilityFace:
             target = face_a_of_m(geo, m)
         except EmptyFaceError:
             target = None
-        for face in _all_faces(datum):
+        for face in all_faces(datum):
             divisible = n_vee(datum, face) % m == 0
             inside = target is not None and target.nodes <= face.nodes
             assert divisible == inside, face

@@ -98,7 +98,7 @@ class TestErrors:
 
     def test_invariant_breach_exit_code(self, capsys, monkeypatch):
         from liecomm import cli
-        from liecomm.invariants import InvariantBreachError
+        from liecomm.homology import InvariantBreachError
 
         def boom(_):
             raise InvariantBreachError("forced for the test")

@@ -21,7 +21,6 @@ from liecomm.geom import (
     qconj,
     qidentity,
     qmul,
-    quaternion_matrix,
     rep_project_su2,
     sphere2_to_prism,
     triangulate_prism_boundary,
@@ -135,6 +134,12 @@ class TestAgainstReferences:
         x[:, 1:4] = omega
         assert np.array_equal(cocycle_s4(x, 1, 3), _reference_rho13(x))
         assert np.array_equal(clutching_function(x), _reference_clutching(x))
+
+
+def quaternion_matrix(p: np.ndarray) -> np.ndarray:
+    """2x2 complex matrix of a quaternion in the fixed convention."""
+    a, b, c, d = (float(x) for x in np.asarray(p, dtype=float))
+    return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
 
 
 class TestQuaternions:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from collections import Counter
 from math import gcd
 
@@ -12,6 +12,7 @@ from liecomm.rootdata import (
     FaceIndex,
     LieType,
     LieTypeError,
+    all_faces,
     build_root_datum,
     charpoly_buckets,
     dynkin_index,
@@ -101,7 +102,6 @@ class TestRootDatum:
         datum = build_root_datum("F4")
         # -alpha0_vee expands with exactly the stored coroot integers
         assert datum.theta_vee == datum.coroot_integers[1:]
-        assert datum.alpha0 == tuple(-c for c in datum.theta)
 
     def test_coroot_integer_sum_is_height_plus_one(self):
         for name in ("A3", "B4", "F4", "E7"):
@@ -146,6 +146,22 @@ class TestFaceOperations:
             FaceIndex.of(datum, [0, 1, 2])  # not proper
         with pytest.raises(ValueError):
             FaceIndex.of(datum, [5])
+
+    def test_all_faces_match_bit_pattern_order(self):
+        # reference: every proper subset of the extended nodes as a bit
+        # pattern, sorted by number of walls, then by sorted nodes
+        names = [f"A{r}" for r in range(1, 7)] + [f"B{r}" for r in range(2, 7)]
+        names += [f"C{r}" for r in range(2, 7)] + [f"D{r}" for r in range(3, 7)]
+        for name in names + ["E6", "F4", "G2"]:
+            datum = build_root_datum(name)
+            nodes = range(datum.rank + 1)
+            reference = []
+            for bits in product((0, 1), repeat=datum.rank + 1):
+                subset = frozenset(i for i in nodes if bits[i])
+                if len(subset) <= datum.rank:
+                    reference.append(FaceIndex(subset, datum.rank))
+            reference.sort(key=lambda f: (len(f.nodes), f.sorted_nodes()))
+            assert all_faces(datum) == reference, name
 
     def test_n_vee_examples(self):
         datum = build_root_datum("E7")

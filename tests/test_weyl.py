@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from liecomm import weyl
 from liecomm.alcove import alcove_geometry, barycenter
-from liecomm.invariants import InvariantBreachError
-from liecomm.rootdata import FaceIndex, build_root_datum
+from liecomm.homology import InvariantBreachError
+from liecomm.rootdata import FaceIndex, all_faces, build_root_datum
 from liecomm.weyl import (
     HARD_ELEMENT_LIMIT,
     ReductionError,
@@ -332,13 +332,11 @@ class TestStabilizersAndCosets:
     )
     def test_stabilizers_match_full_scan(self, name):
         # every coordinate of w*b - b checked at once over the whole stack
-        from liecomm.weyl import _all_faces
-
         datum = build_root_datum(name)
         group = _group(name)
         geo = alcove_geometry(datum)
         arr = group.matrices.astype(np.int64)
-        for face in _all_faces(datum):
+        for face in all_faces(datum):
             b = barycenter(geo, face)
             denom = lcm(*(c.denominator for c in b))
             vec = np.array([int(c * denom) for c in b], dtype=np.int64)
@@ -388,12 +386,12 @@ class TestCellCensus:
     def test_orbit_counts_match_double_cosets(self, name):
         # the Burnside average counting cells over a face pair equals the
         # number of explicit double-coset representatives
-        from liecomm.weyl import _all_faces, _fixed_coset_counts
+        from liecomm.weyl import _fixed_coset_counts
 
         datum = build_root_datum(name)
         group = _group(name)
         geo = alcove_geometry(datum)
-        faces = _all_faces(datum)[:5]
+        faces = all_faces(datum)[:5]
         for fa in faces:
             for fb in faces:
                 sa = face_stabilizer(group, geo, fa)

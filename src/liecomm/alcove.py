@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .homology import require
-from .rootdata import FaceIndex, RootDatum
+from .rootdata import FaceIndex, RootDatum, _in_alcove
 
 FractionVector = tuple[Fraction, ...]
 
@@ -25,6 +25,14 @@ class AlcoveMembershipError(ValueError):
 
 class EmptyFaceError(ValueError):
     """The requested divisibility face of the alcove is empty."""
+
+
+def _alcove_wall_values(datum: RootDatum, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Exact wall values of x; raises AlcoveMembershipError if x is not in the alcove."""
+    vals = datum.wall_values([Fraction(c) for c in x])
+    if not _in_alcove(vals):
+        raise AlcoveMembershipError(f"point {x} is outside the fundamental alcove")
+    return vals
 
 
 def _solve_columns(a: Sequence[Sequence[int]]) -> list[list[Fraction]]:
@@ -89,9 +97,7 @@ def barycenter(geometry: AlcoveGeometry, face: FaceIndex) -> FractionVector:
 def face_of_point(geometry: AlcoveGeometry, x: Sequence[Fraction]) -> FaceIndex:
     """The set of alcove walls containing x; errors if x is not in the alcove."""
     datum = geometry.datum
-    vals = datum.wall_values(x)
-    if any(v < 0 for v in vals[:-1]) or vals[-1] > 1:
-        raise AlcoveMembershipError(f"point {x} is outside the fundamental alcove")
+    vals = _alcove_wall_values(datum, x)
     nodes = {j for j in range(1, datum.rank + 1) if vals[j - 1] == 0}
     if vals[-1] == 1:
         nodes.add(0)

@@ -247,7 +247,7 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _coxeter_exponents(cartan: Matrix, n_positive: int) -> tuple[int, ...]:
+def _coxeter_exponents(cartan: Matrix, h: int) -> tuple[int, ...]:
     """Exponents of W from the eigenvalue angles of a Coxeter element.
 
     The Coxeter element has order h and eigenvalues exp(2*pi*i*m/h); the
@@ -263,7 +263,6 @@ def _coxeter_exponents(cartan: Matrix, n_positive: int) -> tuple[int, ...]:
             [sum(s[a][b] * cox[b][c] for b in range(r)) for c in range(r)]
             for a in range(r)
         ]
-    h = exact_quotient(2 * n_positive, r, "root count is not r*h/2")
     ((poly, _),) = charpoly_buckets(np.array([cox]))
     poly = list(poly)
     exponents: list[int] = []
@@ -337,8 +336,7 @@ class RootDatum:
         return vals + (sum((Fraction(self.theta[j]) * vals[j] for j in range(self.rank)), Fraction(0)),)
 
     def contains_in_alcove(self, x: Sequence[Fraction]) -> bool:
-        vals = self.wall_values(x)
-        return all(v >= 0 for v in vals[:-1]) and vals[-1] <= 1
+        return _in_alcove(self.wall_values(x))
 
     def to_json_dict(self) -> dict:
         return {
@@ -350,6 +348,11 @@ class RootDatum:
             "degrees": list(self.degrees),
             "weyl_order": self.weyl_order,
         }
+
+
+def _in_alcove(vals: Sequence[Fraction]) -> bool:
+    """The alcove inequalities on wall values (alpha_1, ..., alpha_r, theta)."""
+    return all(v >= 0 for v in vals[:-1]) and vals[-1] <= 1
 
 
 @lru_cache(maxsize=None)
@@ -368,10 +371,10 @@ def _build(lt: LieType) -> RootDatum:
     theta_vee = closure[theta]
     coroot_integers = (1,) + tuple(theta_vee)
     require(all(n >= 1 for n in coroot_integers), "coroot integers must be positive")
-    exps = _coxeter_exponents(cartan, len(positives))
+    h = exact_quotient(2 * len(positives), r, "root count is not r*h/2")
+    exps = _coxeter_exponents(cartan, h)
     degrees = tuple(e + 1 for e in exps)
     require(sum(degrees) - r == len(positives), "degrees do not match the positive root count")
-    h = 2 * len(positives) // r
     require(max(degrees) == h, "largest degree disagrees with the Coxeter number")
     return RootDatum(
         lie_type=lt,

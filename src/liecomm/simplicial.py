@@ -5,17 +5,19 @@ grid.  Coordinate inversion fixes every grid vertex but is only simplicial
 after one barycentric subdivision (it is affine on each closed cell), so
 ``torus_triangulation`` returns the subdivided complex together with the
 induced involution on its vertices.  That one subdivision also makes the
-involution regular, so the torus quotient never subdivides again.  Quotients
-check the strong regularity condition at runtime and refuse to proceed when
-it fails.  Boundary matrices are built as sparse rows, the one format the
-homology oracle reads.
+involution regular, so the torus quotient never subdivides again.  One
+routine, ``_subdivide``, builds every barycentric subdivision: the torus with
+its geometric cells and ``barycentric_subdivide`` with the faces of a
+complex.  Quotients check the strong regularity condition at runtime and
+refuse to proceed when it fails.  Boundary matrices are built as sparse rows,
+the one format the homology oracle reads.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations, permutations, product
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .homology import FinAbGroup, _SparseMatrix, chain_homology, require
 
@@ -38,36 +40,29 @@ class SimplicialComplex:
             face = tuple(sorted(set(listed)))
             if len(face) != len(listed):
                 raise SimplicialError(f"facet {listed!r} repeats a vertex")
-            cleaned.add(face)
-        # drop facets that are faces of larger ones
-        facets_sorted = sorted(cleaned, key=len, reverse=True)
+            if face:
+                cleaned.add(face)
+        if not cleaned:
+            raise SimplicialError("complex must have at least one simplex")
+        # largest first, so a face of a kept facet is already in its level
+        levels: list[set[tuple]] = [set() for _ in range(max(map(len, cleaned)))]
         kept: list[tuple] = []
-        seen_faces: set[tuple] = set()
-        for f in facets_sorted:
-            if f in seen_faces:
+        for f in sorted(cleaned, key=len, reverse=True):
+            if f in levels[len(f) - 1]:
                 continue
             kept.append(f)
             for size in range(1, len(f) + 1):
-                seen_faces.update(combinations(f, size))
+                levels[size - 1].update(combinations(f, size))
         self.facets: tuple[tuple, ...] = tuple(sorted(kept))
-        if not self.facets:
-            raise SimplicialError("complex must have at least one simplex")
+        self._levels = levels
 
     @cached_property
     def faces_by_dim(self) -> list[list[tuple]]:
-        top = max(len(f) for f in self.facets) - 1
-        levels: list[set[tuple]] = [set() for _ in range(top + 1)]
-        for f in self.facets:
-            for size in range(1, len(f) + 1):
-                levels[size - 1].update(combinations(f, size))
-        return [sorted(level) for level in levels]
+        return [sorted(level) for level in self._levels]
 
     @cached_property
     def face_set(self) -> set[tuple]:
-        out: set[tuple] = set()
-        for level in self.faces_by_dim:
-            out.update(level)
-        return out
+        return set().union(*self._levels)
 
     @property
     def vertices(self) -> tuple:
@@ -105,6 +100,36 @@ class SimplicialComplex:
         return chain_homology(self.boundary_matrices())
 
 
+def _subdivide(
+    tops: Sequence[Sequence[Hashable]],
+    cell_of: Callable[[tuple], tuple],
+    image: Callable[[tuple], tuple] | None = None,
+):
+    """Order complex of the cells spanned by tops: the one barycentric subdivision.
+
+    cell_of names the cell of a tuple of top vertices; every face of a top is
+    a cell, labelled by its position in (size, cell) order.  Each ordering of
+    a top's vertices gives one chain of prefixes, a facet of the result.  With
+    image (a map of cells) given, returns (subdivision, transported map on
+    labels); otherwise returns just the subdivision.
+    """
+    cells = {
+        cell_of(sub) for top in tops for size in range(1, len(top) + 1) for sub in combinations(top, size)
+    }
+    label = {cell: i for i, cell in enumerate(sorted(cells, key=lambda c: (len(c), c)))}
+    sd = SimplicialComplex(
+        tuple(label[cell_of(perm[:k])] for k in range(1, len(perm) + 1))
+        for top in tops
+        for perm in permutations(top)
+    )
+    if image is None:
+        return sd
+    transported = {i: label.get(image(cell)) for cell, i in label.items()}
+    if None in transported.values():
+        raise SimplicialError("involution is not simplicial on the input complex")
+    return sd, transported
+
+
 def barycentric_subdivide(
     complex_: SimplicialComplex,
     involution: Mapping[Hashable, Hashable] | None = None,
@@ -115,25 +140,8 @@ def barycentric_subdivide(
     otherwise returns just the subdivision.  Labels are re-encoded as integers
     in a deterministic order.
     """
-    faces = sorted(complex_.face_set, key=lambda f: (len(f), f))
-    label = {f: i for i, f in enumerate(faces)}
-    new_facets = []
-    for facet in complex_.facets:
-        for perm in permutations(facet):
-            chain = []
-            for k in range(1, len(perm) + 1):
-                chain.append(label[tuple(sorted(perm[:k]))])
-            new_facets.append(tuple(chain))
-    sd = SimplicialComplex(new_facets)
-    if involution is None:
-        return sd
-    new_inv = {}
-    for f in faces:
-        image = tuple(sorted(involution[v] for v in f))
-        if image not in label:
-            raise SimplicialError("involution is not simplicial on the input complex")
-        new_inv[label[f]] = label[image]
-    return sd, new_inv
+    image = None if involution is None else (lambda face: tuple(sorted(involution[v] for v in face)))
+    return _subdivide(complex_.facets, lambda face: tuple(sorted(face)), image)
 
 
 def check_involution_regular(
@@ -213,54 +221,27 @@ def _canonical_cell(points: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...],
     return tuple(sorted(tuple(x - s for x, s in zip(p, shift)) for p in pts))
 
 
-def _torus_cells(n: int):
-    """All cells of the monotone-path triangulation on the half-integer grid.
-
-    Returns (cells, top_cells) where cells maps a canonical cell to its id and
-    top_cells lists the top simplices as tuples of unreduced grid points, all
-    in doubled coordinates.
-    """
-    tops = []
-    for corner in product((0, 1), repeat=n):
-        for perm in permutations(range(n)):
-            pts = [tuple(corner)]
-            cur = list(corner)
-            for axis in perm:
-                cur[axis] += 1
-                pts.append(tuple(cur))
-            tops.append(tuple(pts))
-    cell_forms = set()
-    for top in tops:
-        for size in range(1, n + 2):
-            for sub in combinations(top, size):
-                cell_forms.add(_canonical_cell(sub))
-    ordered = sorted(cell_forms, key=lambda c: (len(c), c))
-    cells = {form: i for i, form in enumerate(ordered)}
-    return cells, tops
-
-
 def torus_triangulation(n: int):
     """Triangulated n-torus with the coordinate-inversion vertex involution.
 
     Returns (complex, involution).  The complex is the barycentric subdivision
     of the half-grid monotone-path triangulation: its vertices are the
-    geometric cells, on which inversion acts simplicially.
+    geometric cells, on which inversion acts simplicially.  The top simplices
+    are the monotone paths from each corner of the doubled unit cube, as
+    unreduced grid points.
     """
     if not 1 <= n <= 3:
         raise ValueError("torus triangulation is supported for 1 <= n <= 3")
-    cells, tops = _torus_cells(n)
-    facets = []
-    for top in tops:
-        for perm in permutations(top):
-            chain = []
-            for k in range(1, len(perm) + 1):
-                chain.append(cells[_canonical_cell(perm[:k])])
-            facets.append(tuple(chain))
-    complex_ = SimplicialComplex(facets)
-    involution = {}
-    for form, idx in cells.items():
-        negated = _canonical_cell(tuple(tuple(-x for x in p) for p in form))
-        involution[idx] = cells[negated]
+    tops = []
+    for corner in product((0, 1), repeat=n):
+        for perm in permutations(range(n)):
+            path = [corner]
+            for axis in perm:
+                path.append(tuple(x + (i == axis) for i, x in enumerate(path[-1])))
+            tops.append(path)
+    complex_, involution = _subdivide(
+        tops, _canonical_cell, lambda cell: _canonical_cell(tuple(-x for x in p) for p in cell)
+    )
     require(
         all(involution[jdx] == idx for idx, jdx in involution.items()),
         "inversion transport failed to be an involution",

@@ -112,7 +112,10 @@ class WeylGroup:
     datum: RootDatum
     matrices: np.ndarray
     charpoly_buckets: tuple[tuple[tuple[int, ...], int], ...]
-    order: int
+
+    @property
+    def order(self) -> int:
+        return len(self.matrices)
 
     @cached_property
     def _v(self) -> np.ndarray:
@@ -290,7 +293,7 @@ def _enumerate(datum: RootDatum) -> WeylGroup:
     arr = all_mats[np.lexsort(flat.T[::-1])]
     del all_mats, flat
     arr.setflags(write=False)
-    return WeylGroup(datum, arr, charpoly_buckets(arr), arr.shape[0])
+    return WeylGroup(datum, arr, charpoly_buckets(arr))
 
 
 def _save_cache(group: WeylGroup, cache_dir: Path | None) -> None:
@@ -323,7 +326,7 @@ def _load_cache(datum: RootDatum, cache_dir: Path | None) -> WeylGroup | None:
     if order != datum.weyl_order or mats.dtype != np.int8 or mats.shape != shape:
         return None
     mats.setflags(write=False)
-    return WeylGroup(datum, mats, charpoly_buckets(mats), order)
+    return WeylGroup(datum, mats, charpoly_buckets(mats))
 
 
 # ---------------------------------------------------------------------------

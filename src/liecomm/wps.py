@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .alcove import AlcoveGeometry, AlcoveMembershipError
+from .alcove import AlcoveGeometry, _alcove_wall_values
 from .homology import FinAbGroup, exact_quotient
 
 DEFAULT_ORBIT_TOL = 1e-9
@@ -186,9 +186,7 @@ def barycentric_coordinates(
 ) -> tuple[Fraction, ...]:
     """Barycentric coordinates of an alcove point over (v_0, ..., v_r)."""
     datum = geometry.datum
-    vals = datum.wall_values([Fraction(c) for c in x])
-    if any(v < 0 for v in vals[:-1]) or vals[-1] > 1:
-        raise AlcoveMembershipError(f"point {x} is outside the fundamental alcove")
+    vals = _alcove_wall_values(datum, x)
     coords = [Fraction(1) - vals[-1]]
     for j in range(1, datum.rank + 1):
         coords.append(datum.theta[j - 1] * vals[j - 1])

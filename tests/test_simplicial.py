@@ -1,5 +1,5 @@
 import hashlib
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -9,12 +9,44 @@ from liecomm.homology import FinAbGroup
 from liecomm.simplicial import (
     RegularityError,
     SimplicialComplex,
+    SimplicialError,
     barycentric_subdivide,
     check_involution_regular,
     quotient_by_involution,
     torus_inversion_quotient,
     torus_triangulation,
 )
+
+
+class TestComplex:
+    def test_facets_and_f_vector(self):
+        complex_ = SimplicialComplex([(0, 1, 2), (2, 1), (3,)])
+        assert complex_.facets == ((0, 1, 2), (3,))
+        assert complex_.f_vector() == (4, 3, 1)
+
+    def test_repeated_vertex_rejected(self):
+        with pytest.raises(SimplicialError):
+            SimplicialComplex([(0, 1, 1)])
+
+    def test_no_simplex_rejected(self):
+        with pytest.raises(SimplicialError):
+            SimplicialComplex([])
+        with pytest.raises(SimplicialError):
+            SimplicialComplex([()])
+
+    def test_empty_facet_dropped(self):
+        assert SimplicialComplex([(0, 1), ()]).facets == ((0, 1),)
+
+    def test_faces_by_dim_matches_combinations(self):
+        facets = [(0, 1, 2, 3), (3, 4, 5), (5, 6), (2, 6), (7,), (1, 2, 4)]
+        complex_ = SimplicialComplex(facets)
+        top = max(len(f) for f in facets)
+        expected = [
+            sorted({sub for f in facets for sub in combinations(f, size)})
+            for size in range(1, top + 1)
+        ]
+        assert complex_.faces_by_dim == expected
+        assert complex_.face_set == {face for level in expected for face in level}
 
 
 class TestSubdivision:
@@ -38,6 +70,18 @@ class TestSubdivision:
         complex_, involution = torus_triangulation(2)
         sd, _ = barycentric_subdivide(complex_, involution)
         assert sd.homology() == complex_.homology()
+
+    def test_subdivided_torus_pinned(self):
+        # recorded before torus and complex subdivision shared one routine
+        sd, involution = barycentric_subdivide(*torus_triangulation(2))
+        text = repr((sd.facets, sorted(involution.items())))
+        digest = "63cc771fcf96ba9d7c0217e4665942f99d87ddfe70fd589d645e1ed01149fc37"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_non_simplicial_involution_rejected(self):
+        complex_ = SimplicialComplex([(0, 1), (2,)])
+        with pytest.raises(SimplicialError):
+            barycentric_subdivide(complex_, {0: 2, 1: 1, 2: 0})
 
     def test_subdivided_cell_fixture(self):
         # a circle and the same circle with one edge subdivided agree

@@ -25,10 +25,21 @@ and the cell census sums its class functions over classes.  Under left and
 right multiplication by the reflections of H and of K it is the least index
 of the double coset HwK, when H and K are generated by their reflections (face
 stabilizers are); a Burnside count of the double cosets cross-checks it.
+Those permutations are read off the orbit keys: the key of l*w*r is that of
+the point l*(w*(r*v)), one matrix-vector product per element.  For l and r in
+W these keys are the element keys permuted, so one sort matches every key
+asked for with the key found, and a key that is not an element key is a
+breach.
+
+A face stabilizer is filtered from the stabilizer of its parent face, the
+face on one more wall.  The stabilizer of a point of the closed alcove, mod
+the coroot lattice, is generated by the reflections in the walls through it
+(Bourbaki, Lie Groups V 3.3), so a face on the walls J lies in the stabilizer
+of every face on walls J' containing J.  Only the vertices scan the stack.
 
 The elements are one read-only int8 stack (every entry is a coroot
-coordinate of a coroot, at most 6 in absolute value); each operation widens
-only the slice it multiplies.
+coordinate of a coroot, at most 6 in absolute value).  Orbit images, keys
+and stabilizer scans widen at most _CHUNK elements to int64 at a time.
 
 Molien/Poincare sums, trace statistics and Lefschetz averages are evaluated
 per characteristic-polynomial bucket: both det(1 + t*w) and det(1 - t^2*w)
@@ -63,6 +74,7 @@ DEFAULT_ELEMENT_CAP = 100_000
 HARD_ELEMENT_LIMIT = 10_000_000
 CACHE_ENV_VAR = "LIECOMM_CACHE_DIR"
 _CACHE_VERSION = 2
+_CHUNK = 1 << 16  # elements widened to int64 at a time
 
 
 class WeylCapError(RuntimeError):
@@ -121,10 +133,15 @@ class WeylGroup:
     def _v(self) -> np.ndarray:
         return _regular_vector(self.datum)
 
+    def _orbit_images(self, u: np.ndarray):
+        """The points w*u for every element w, in element order, as int64 blocks."""
+        for start in range(0, self.order, _CHUNK):
+            yield self.matrices[start : start + _CHUNK].astype(np.int64) @ u
+
     @cached_property
     def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
         """The element keys in ascending order, and the element index of each."""
-        keys = _pack(self.matrices @ self._v, self._v)
+        keys = np.concatenate([_pack(img, self._v) for img in self._orbit_images(self._v)])
         perm = np.argsort(keys)
         keys = keys[perm]
         require(
@@ -148,6 +165,26 @@ class WeylGroup:
         )
         return idx
 
+    def _permutation(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """The index of left*w*right for every element w, left and right in W.
+
+        The key of left*w*right is that of the point left*(w*(right*v)).  The
+        products run over W as w does, so their keys, sorted, must be
+        _sorted_keys: the sort matches each key asked for with the key found,
+        and a key that is not an element key raises InvariantBreachError.
+        """
+        keys, perm = self._sorted_keys
+        images = self._orbit_images(right @ self._v)
+        query = np.concatenate([_pack(img @ left.T, self._v) for img in images])
+        order = np.argsort(query)
+        require(
+            np.array_equal(query[order], keys),
+            f"an orbit image is not a {self.datum.lie_type.name} orbit key",
+        )
+        out = np.empty(self.order, dtype=np.int32)
+        out[order] = perm
+        return out
+
     @cached_property
     def identity_index(self) -> int:
         return int(self.index_of(np.eye(self.datum.rank, dtype=np.int64)))
@@ -157,13 +194,18 @@ class WeylGroup:
         """The least element index in the conjugacy class of each element."""
         eye, cartan = np.eye(self.datum.rank, dtype=np.int64), np.array(self.datum.cartan)
         simple = eye - eye[:, :, None] * cartan[:, None, :]  # s_g = 1 - e_g (x) row g of A
-        return _least_reachable(np.stack([self.index_of(s @ self.matrices @ s) for s in simple]))
+        return _least_reachable(np.stack([self._permutation(s, s) for s in simple]))
 
     @cached_property
     def _classes(self) -> tuple[np.ndarray, list[int]]:
         """Class representatives (least indices) and class sizes."""
         reps, sizes = np.unique(self._class_labels, return_counts=True)
         return reps, sizes.tolist()
+
+    @cached_property
+    def _class_ordinals(self) -> np.ndarray:
+        """The position of each element's class in _classes."""
+        return np.searchsorted(self._classes[0], self._class_labels)
 
     @cached_property
     def _reflections(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -176,10 +218,16 @@ class WeylGroup:
             refl.size == len(self.datum.positive_coroots),
             "reflection count differs from the positive root count",
         )
+        eye = np.eye(self.datum.rank, dtype=np.int64)
         wide = arr[refl].astype(np.int64)
-        left = np.stack([self.index_of(t @ arr) for t in wide])
-        right = np.stack([self.index_of(arr @ t) for t in wide])
+        left = np.stack([self._permutation(t, eye) for t in wide])
+        right = np.stack([self._permutation(eye, t) for t in wide])
         return refl, left, right
+
+    @cached_property
+    def _stabilizers(self) -> dict[frozenset[int], np.ndarray]:
+        """Face stabilizers computed so far, by node set; see _stabilizer."""
+        return {}
 
 
 def _least_reachable(perms: np.ndarray) -> np.ndarray:
@@ -444,19 +492,45 @@ def euler_char_rep(group: WeylGroup, k: int) -> int:
 
 
 def face_stabilizer(group: WeylGroup, geometry: AlcoveGeometry, face: FaceIndex) -> StabilizerSubgroup:
-    """Elements fixing the face barycenter modulo the coroot lattice."""
-    b = barycenter(geometry, face)
-    denom = 1
-    for c in b:
-        denom = lcm(denom, c.denominator)
+    """Elements fixing the face barycenter modulo the coroot lattice.
+
+    Raises ValueError when the geometry is not that of the group's datum.
+    """
+    return StabilizerSubgroup(group, tuple(_stabilizer(group, geometry, face.nodes).tolist()))
+
+
+def _stabilizer(group: WeylGroup, geometry: AlcoveGeometry, nodes: frozenset[int]) -> np.ndarray:
+    """Sorted int32 indices of the elements fixing the barycenter b of the face
+    on the walls `nodes`, memoized on the group.
+
+    The candidates are the stabilizer of the parent face, on the walls nodes
+    plus the least node not in it, or the whole stack for a vertex.  Each
+    candidate is tested exactly, (row i of w) . b == b_i mod 1, one coordinate
+    at a time on the survivors of the coordinates before it.
+    """
+    if geometry.datum is not group.datum:
+        raise ValueError("the alcove geometry belongs to another root datum")
+    found = group._stabilizers.get(nodes)
+    if found is not None:
+        return found
+    r = group.datum.rank
+    b = barycenter(geometry, FaceIndex(nodes, r))
+    denom = lcm(*(c.denominator for c in b))
     vec = np.array([int(c * denom) for c in b], dtype=np.int64)
-    # filter one coordinate at a time, (row i of w) . vec == vec_i mod denom,
-    # reading row i of the survivors only
-    mats = group.matrices
-    keep = np.flatnonzero((mats[:, 0] @ vec - vec[0]) % denom == 0)
-    for i in range(1, len(vec)):
-        keep = keep[(mats[keep, i] @ vec - vec[i]) % denom == 0]
-    return StabilizerSubgroup(group, tuple(keep.tolist()))
+    if len(nodes) == r:
+        candidates = np.arange(group.order, dtype=np.int32)
+    else:
+        candidates = _stabilizer(group, geometry, nodes | {min(set(range(r + 1)) - nodes)})
+    kept = []
+    for start in range(0, len(candidates), _CHUNK):
+        keep = candidates[start : start + _CHUNK]
+        for i in range(r):
+            keep = keep[(group.matrices[keep, i] @ vec - vec[i]) % denom == 0]
+        kept.append(keep)
+    found = np.concatenate(kept)
+    found.setflags(write=False)
+    group._stabilizers[nodes] = found
+    return found
 
 
 def trivial_subgroup(group: WeylGroup) -> StabilizerSubgroup:
@@ -480,7 +554,7 @@ def double_cosets(
     perms = np.concatenate((left[np.isin(refl, h.indices)], right[np.isin(refl, k.indices)]))
     # the stack is sorted, so the least index of a double coset is its least element
     reps = np.unique(_least_reachable(perms))
-    fixed = [_fixed_coset_counts(group, s)[group._classes[0]].tolist() for s in (h, k)]
+    fixed = [_fixed_coset_counts(group, list(s.indices)).tolist() for s in (h, k)]
     burnside = _orbit_count(group, fixed)
     require(
         reps.size == burnside,
@@ -489,15 +563,18 @@ def double_cosets(
     return group.matrices[reps].tolist()
 
 
-def _fixed_coset_counts(group: WeylGroup, stab: StabilizerSubgroup) -> np.ndarray:
-    """For each w: number of cosets g*W_sigma with w*g*W_sigma = g*W_sigma,
-    the class function |C_W(w)| * |cl(w) cap W_sigma| / |W_sigma|."""
-    labels = group._class_labels
-    class_size = np.bincount(labels)[labels]
-    in_stab = np.bincount(labels[list(stab.indices)], minlength=group.order)[labels]
-    counts = group.order // class_size * in_stab
-    require(not np.any(counts % stab.order), "coset fixed-point count is not divisible")
-    return counts // stab.order
+def _fixed_coset_counts(group: WeylGroup, members: np.ndarray | list[int]) -> np.ndarray:
+    """For each class of W, in the order of group._classes: the number of
+    cosets g*W_sigma with w*g*W_sigma = g*W_sigma for w in the class, the
+    class function |C_W(w)| * |cl(w) cap W_sigma| / |W_sigma|.
+
+    members are the element indices of W_sigma.
+    """
+    sizes = np.array(group._classes[1])
+    in_stab = np.bincount(group._class_ordinals[members], minlength=sizes.size)
+    counts = group.order // sizes * in_stab
+    require(not np.any(counts % len(members)), "coset fixed-point count is not divisible")
+    return counts // len(members)
 
 
 def _orbit_count(group: WeylGroup, fixed: list[list[int]]) -> int:
@@ -517,9 +594,8 @@ def cell_census(group: WeylGroup, geometry: AlcoveGeometry, k: int) -> list[int]
         raise ValueError("k must be >= 1")
     datum = group.datum
     faces = all_faces(datum)
-    classes = group._classes[0]
     fixed = {
-        f: _fixed_coset_counts(group, face_stabilizer(group, geometry, f))[classes].tolist()
+        f: _fixed_coset_counts(group, _stabilizer(group, geometry, f.nodes)).tolist()
         for f in faces
     }
     counts = [0] * (k * datum.rank + 1)

@@ -236,6 +236,31 @@ class TestConjugacyClasses:
             least = np.minimum(least, group.index_of(inverses[g] @ arr @ arr[g]))
         assert np.array_equal(group._class_labels, least)
 
+    @pytest.mark.parametrize("name", TABLE_TYPES)
+    def test_reflection_permutations_from_keys(self, name):
+        group = _group(name)
+        arr = group.matrices.astype(np.int64)
+        refl, left, right = group._reflections
+        for t, lp, rp in zip(arr[refl], left, right):
+            assert np.array_equal(lp, group.index_of(t @ arr))
+            assert np.array_equal(rp, group.index_of(arr @ t))
+
+    def test_corrupt_orbit_image_breaches(self, monkeypatch):
+        datum = build_root_datum("B3")
+        group = _group("B3")
+        fresh = weyl.WeylGroup(datum, group.matrices, group.charpoly_buckets)
+        fresh._sorted_keys  # keys from the true images
+        real = weyl.WeylGroup._orbit_images
+
+        def corrupted(self, u):
+            images = list(real(self, u))
+            images[0][5] = 0  # not in the orbit of a regular vector
+            return images
+
+        monkeypatch.setattr(weyl.WeylGroup, "_orbit_images", corrupted)
+        with pytest.raises(InvariantBreachError, match="orbit key"):
+            fresh._class_labels
+
     @pytest.mark.parametrize("name,count", KNOWN_CLASS_COUNTS.items())
     def test_class_counts(self, name, count):
         group = _group(name)
@@ -328,7 +353,9 @@ class TestStabilizersAndCosets:
             assert np.isin(products, stab.indices).all()
 
     @pytest.mark.parametrize(
-        "name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4", "E6"]
+        "name",
+        ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "B6", "C3", "C5", "C6",
+         "D4", "D5", "D6", "G2", "F4", "E6"],
     )
     def test_stabilizers_match_full_scan(self, name):
         # every coordinate of w*b - b checked at once over the whole stack
@@ -342,6 +369,24 @@ class TestStabilizersAndCosets:
             vec = np.array([int(c * denom) for c in b], dtype=np.int64)
             expected = np.nonzero(((arr @ vec - vec) % denom == 0).all(1))[0]
             assert face_stabilizer(group, geo, face).indices == tuple(expected.tolist())
+
+    @pytest.mark.parametrize("name", ["B4", "F4", "D5"])
+    def test_stabilizers_independent_of_visit_order(self, name):
+        # parents are computed on demand: vertices first on a fresh group
+        # gives what the interior-first order gives
+        datum = build_root_datum(name)
+        group = _group(name)
+        geo = alcove_geometry(datum)
+        fresh = weyl.WeylGroup(datum, group.matrices, group.charpoly_buckets)
+        faces = all_faces(datum)
+        backwards = {f: face_stabilizer(fresh, geo, f).indices for f in reversed(faces)}
+        assert all(face_stabilizer(group, geo, f).indices == backwards[f] for f in faces)
+
+    def test_stabilizer_rejects_another_geometry(self):
+        group = _group("B3")
+        geo = alcove_geometry(build_root_datum("C3"))
+        with pytest.raises(ValueError, match="another root datum"):
+            face_stabilizer(group, geo, FaceIndex.of(group.datum, [1]))
 
     def test_double_coset_extremes(self):
         group = _group("C2")
@@ -391,14 +436,15 @@ class TestCellCensus:
         datum = build_root_datum(name)
         group = _group(name)
         geo = alcove_geometry(datum)
+        sizes = np.array(group._classes[1])
         faces = all_faces(datum)[:5]
         for fa in faces:
             for fb in faces:
                 sa = face_stabilizer(group, geo, fa)
                 sb = face_stabilizer(group, geo, fb)
-                burnside = int(
-                    (_fixed_coset_counts(group, sa) * _fixed_coset_counts(group, sb)).sum()
-                )
+                fixed_a = _fixed_coset_counts(group, list(sa.indices))
+                fixed_b = _fixed_coset_counts(group, list(sb.indices))
+                burnside = int((sizes * fixed_a * fixed_b).sum())
                 assert burnside % group.order == 0
                 assert burnside // group.order == len(double_cosets(group, sa, sb))
 

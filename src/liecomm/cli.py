@@ -92,8 +92,9 @@ def _cmd_cells(args) -> int:
         raise LieTypeError(
             f"census for rank {datum.rank} exceeds --rank-cap {args.rank_cap}"
         )
+    # --rank-cap is the opt-in to large types, so only the hard limit applies
     group = weyl.generate(
-        datum, element_cap=args.element_cap, cache_dir=_cache_dir(args)
+        datum, element_cap=weyl.HARD_ELEMENT_LIMIT, cache_dir=_cache_dir(args)
     )
     geometry = alcove.alcove_geometry(datum)
     counts = weyl.cell_census(group, geometry, args.k)
@@ -223,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("type")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--rank-cap", type=int, default=4)
-    p.add_argument("--element-cap", type=int, default=weyl.DEFAULT_ELEMENT_CAP)
     p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=_cmd_cells)
 
@@ -263,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"liecomm: invariant breach: {exc}", file=sys.stderr)
         return EXIT_BREACH
     except WeylCapError as exc:
-        # poincare and cells have a knob, and nothing raises the hard limit
+        # only poincare has a knob, and nothing raises the hard limit
         knob = hasattr(args, "element_cap") and exc.cap < weyl.HARD_ELEMENT_LIMIT
         hint = "raise --element-cap" if knob else f"no option of {args.command} raises this cap"
         print(f"liecomm: {exc}; {hint}", file=sys.stderr)

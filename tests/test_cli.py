@@ -146,11 +146,11 @@ class TestOtherCommands:
         assert payload["counts_by_dim"][-1] == 51840
 
     def test_caps_name_only_real_options(self, capsys):
-        code, out, err = run_cli(capsys, "cells", "E7", "--k", "2", "--rank-cap", "7")
+        code, out, err = run_cli(capsys, "cells", "E8", "--k", "2", "--rank-cap", "8")
         assert code == 2
         assert out == ""
-        assert "above the cap 100000" in err and "raise --element-cap" in err
-        assert "element_cap" not in err
+        assert "above the cap 10000000" in err and "no option of cells" in err
+        assert "element_cap" not in err and "--element-cap" not in err
         code, _, err = run_cli(capsys, "poincare", "E7", "--n", "1")
         assert code == 2
         assert "raise --element-cap" in err
@@ -158,17 +158,11 @@ class TestOtherCommands:
         code, _, err = run_cli(capsys, "poincare", "E8", "--n", "1", "--element-cap", "1000000000")
         assert code == 2
         assert "no option of poincare" in err
-        code, _, err = run_cli(
-            capsys, "cells", "E8", "--rank-cap", "8", "--element-cap", "1000000000"
-        )
-        assert code == 2
-        assert "no option of cells" in err and "raise --element-cap" not in err
 
     @pytest.mark.slow
-    def test_cells_e7_behind_element_cap(self, capsys, tmp_path):
+    def test_cells_e7_behind_rank_cap(self, capsys, tmp_path):
         code, out, _ = run_cli(
-            capsys, "cells", "E7", "--k", "2", "--rank-cap", "7",
-            "--element-cap", "3000000", "--cache-dir", str(tmp_path),
+            capsys, "cells", "E7", "--k", "2", "--rank-cap", "7", "--cache-dir", str(tmp_path)
         )
         assert code == 0
         payload = json.loads(out)

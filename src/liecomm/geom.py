@@ -13,7 +13,12 @@ product, so the cocycle identity and the clutching symmetry hold by
 construction.
 
 This is the only module that works in floating point; beta_check and
-cocycle_check re-check numerically what does not hold by construction.
+cocycle_check re-check numerically what does not hold by construction.  Both
+evaluate their meshes and samples in blocks of at most _BLOCK rows, so their
+memory does not grow with the sample size beyond a few floats per point.  A
+row's value never depends on the other rows of its block, residual maxima are
+carried across blocks without dropping a NaN, and the degree is one sum over
+a preallocated array: a report is the same, to the bit, for every _BLOCK.
 """
 
 from __future__ import annotations
@@ -29,6 +34,10 @@ DEGREE_RESIDUE_TOL = 1e-3
 CONJUGATION_TOL = 1e-9
 # how far a point may sit off the prism boundary, the 4-sphere or a cover set
 MEMBERSHIP_TOL = 1e-9
+# how far a pair of beta may be from commuting before its projection is a breach
+_COMMUTE_TOL = 1e-9
+# rows evaluated at once by the checks: bounds their temporaries at a few MB
+_BLOCK = 16_384
 
 _PRISM_CENTROID = np.array([1.0 / 3.0, 2.0 / 3.0, 0.5])
 # pole avoided by both beta components (their images keep c >= 0, d = 0)
@@ -41,6 +50,40 @@ class MeshError(RuntimeError):
 
 class CommutatorError(ValueError):
     """Input pair fails to commute within tolerance."""
+
+
+def _blocks(n: int):
+    """Row slices of at most _BLOCK rows that cover range(n) in order."""
+    return (slice(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
+
+
+def _worst(acc: float, block: np.ndarray) -> float:
+    """The running maximum of a residual over blocks; one NaN makes it NaN."""
+    return float(np.maximum(acc, block.max()))
+
+
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sum of x * y over the short last axis, one column at a time.
+
+    Columns are added left to right, which is how np.sum and np.linalg.norm
+    round on rows of three to five entries, without an (N, k) product.
+    """
+    total = x[..., 0] * y[..., 0]
+    for k in range(1, x.shape[-1]):
+        total += x[..., k] * y[..., k]
+    return total
+
+
+def _row_norm(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1), column by column."""
+    return np.sqrt(_row_dot(x, x))
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of (N, 3) arrays, column by column (the same rounding)."""
+    a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
+    b0, b1, b2 = b[:, 0], b[:, 1], b[:, 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +122,8 @@ def qidentity(shape=()) -> np.ndarray:
 def commutator_distance(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Euclidean distance of the group commutator [p, q] from the identity."""
     comm = qmul(qmul(p, q), qconj(qmul(q, p)))
-    comm = comm - qidentity(comm.shape[:-1])
-    return np.linalg.norm(comm, axis=-1)
+    comm[..., 0] -= 1.0
+    return _row_norm(comm)
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +169,16 @@ def classify_prism_facet(points: np.ndarray) -> np.ndarray:
     """Facet id for points on the prism boundary (seam points may get either)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     s, t, u = pts[:, 0], pts[:, 1], pts[:, 2]
-    dists = np.stack([u, 1.0 - u, s, t - s, 1.0 - t], axis=-1)
-    if np.any(dists.min(axis=1) > MEMBERSHIP_TOL):
+    # distances to the five facet planes, in facet order; the first nearest wins
+    nearest = u
+    facet = np.zeros(len(pts), dtype=np.intp)
+    for f, dist in enumerate((1.0 - u, s, t - s, 1.0 - t), start=1):
+        closer = dist < nearest
+        facet[closer] = f
+        nearest = np.where(closer, dist, nearest)
+    if np.any(nearest > MEMBERSHIP_TOL):
         raise ValueError("point is not on the prism boundary")
-    return np.argmin(dists, axis=1)
+    return facet
 
 
 def _facet_formula(facet: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +221,7 @@ def beta(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rep_project_su2(
-    first: np.ndarray, second: np.ndarray, tol: float = 1e-9
+    first: np.ndarray, second: np.ndarray, tol: float = _COMMUTE_TOL
 ) -> np.ndarray:
     """Simultaneous diagonalization chart onto the unit 2-sphere.
 
@@ -187,9 +236,14 @@ def rep_project_su2(
     bad = commutator_distance(p, q)
     if np.any(bad > tol):
         raise CommutatorError(f"pair fails to commute (max residual {bad.max():.3e})")
+    return _chart(p, q)
+
+
+def _chart(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """rep_project_su2 on (N, 4) arrays of pairs already known to commute."""
     vp, vq = p[:, 1:], q[:, 1:]
-    np_ = np.linalg.norm(vp, axis=1)
-    nq_ = np.linalg.norm(vq, axis=1)
+    np_ = _row_norm(vp)
+    nq_ = _row_norm(vq)
     axis = np.where(
         (np_ > 1e-13)[:, None],
         vp / np.maximum(np_, 1e-300)[:, None],
@@ -199,8 +253,8 @@ def rep_project_su2(
             np.array([1.0, 0.0, 0.0]),
         ),
     )
-    sin_phi = np.sum(vp * axis, axis=1)
-    sin_psi = np.sum(vq * axis, axis=1)
+    sin_phi = _row_dot(vp, axis)
+    sin_psi = _row_dot(vq, axis)
     flip = sin_phi < 0
     sin_phi = np.where(flip, -sin_phi, sin_phi)
     sin_psi = np.where(flip, -sin_psi, sin_psi)
@@ -240,33 +294,42 @@ def triangulate_prism_boundary(m: int) -> tuple[np.ndarray, np.ndarray]:
     t_idx = np.array([[j, j, j + 1], [j, j + 1, j + 1]]).transpose(2, 0, 1)
     keep = np.stack([i < j, np.ones_like(i, dtype=bool)], axis=-1)
     s_idx, t_idx = s_idx[keep], t_idx[keep]
-    emitted = [key(s_idx, t_idx, ui) for ui in (0, m)]
-    triangles = list(emitted)
-    # side walls: s=0 over t, the diagonal s=t over s, and t=1 over s; per
-    # square the corners are visited p00, p10, p01, p11
+    # every facet's keys in the order they are visited: the bottom and top
+    # triangles, then per side-wall square the corners p00, p10, p01, p11
+    faces = [key(s_idx, t_idx, ui) for ui in (0, m)]
+    # side walls: s=0 over t, the diagonal s=t over s, and t=1 over s
     a = np.repeat(np.arange(m), m)
     b = np.tile(np.arange(m), m)
     zero = np.zeros_like(a)
     for corner in (lambda x: (zero, x), lambda x: (x, x), lambda x: (x, zero + m)):
         p00, p10 = key(*corner(a), b), key(*corner(a + 1), b)
         p01, p11 = key(*corner(a), b + 1), key(*corner(a + 1), b + 1)
-        emitted.append(np.stack([p00, p10, p01, p11], axis=1))
-        triangles.append(np.stack([p00, p10, p11, p00, p11, p01], axis=1).reshape(-1, 3))
+        faces.append(np.stack([p00, p10, p01, p11], axis=1))
     # number vertices in the order they are first visited
-    keys, first = np.unique(np.concatenate([e.ravel() for e in emitted]), return_index=True)
+    keys, first = np.unique(np.concatenate([f.ravel() for f in faces]), return_index=True)
     order = np.argsort(first)
     number = np.empty_like(order)
     number[order] = np.arange(order.size)
-    tris = number[np.searchsorted(keys, np.concatenate(triangles))]
     seen = keys[order]
     pts = np.stack([seen // (w * w), seen // w % w, seen % w], axis=1) / m
+    # bottom and top triangles as visited; each wall square splits into
+    # p00, p10, p11 and p00, p11, p01
+    tris = np.empty((8 * m * m, 3), dtype=number.dtype)
+    row = 0
+    for face in faces:
+        local = number[np.searchsorted(keys, face)]
+        if face.shape[1] == 4:
+            local = local[:, [0, 1, 3, 0, 3, 2]].reshape(-1, 3)
+        tris[row : row + len(local)] = local
+        row += len(local)
     # orient every triangle outward (positive determinant against the centroid)
-    p0 = pts[tris[:, 0]] - _PRISM_CENTROID
-    e1 = pts[tris[:, 1]] - pts[tris[:, 0]]
-    e2 = pts[tris[:, 2]] - pts[tris[:, 0]]
-    det = np.einsum("ij,ij->i", p0, np.cross(e1, e2))
-    flip = det < 0
-    tris[flip, 1], tris[flip, 2] = tris[flip, 2].copy(), tris[flip, 1].copy()
+    for rows in _blocks(len(tris)):
+        block = tris[rows]
+        p0 = pts[block[:, 0]]
+        e1 = pts[block[:, 1]] - p0
+        e2 = pts[block[:, 2]] - p0
+        flip = np.einsum("ij,ij->i", p0 - _PRISM_CENTROID, _cross(e1, e2)) < 0
+        block[flip, 1], block[flip, 2] = block[flip, 2], block[flip, 1]
     return pts, tris
 
 
@@ -276,26 +339,25 @@ def degree_to_s2(values: np.ndarray, triangles: np.ndarray) -> tuple[int, float]
     values holds the unit image vectors at the mesh vertices; triangles index
     an oriented closed surface.  Returns (degree, rounding residue) and raises
     MeshError when image triangles are too large or the residue exceeds the
-    tolerance.
+    tolerance.  The solid angles are computed block by block into one array
+    and summed once, so the degree does not depend on the block size.
     """
     v = np.asarray(values, dtype=float)
     tris = np.asarray(triangles, dtype=np.int64)
-    p0, p1, p2 = v[tris[:, 0]], v[tris[:, 1]], v[tris[:, 2]]
-    chords = [
-        np.linalg.norm(p1 - p0, axis=1),
-        np.linalg.norm(p2 - p1, axis=1),
-        np.linalg.norm(p0 - p2, axis=1),
-    ]
-    if max(float(c.max()) for c in chords) > math.sqrt(2.0) * 0.999:
-        raise MeshError("image triangles subtend more than a quarter sphere; refine the mesh")
-    numer = np.einsum("ij,ij->i", p0, np.cross(p1, p2))
-    denom = (
-        1.0
-        + np.einsum("ij,ij->i", p0, p1)
-        + np.einsum("ij,ij->i", p1, p2)
-        + np.einsum("ij,ij->i", p2, p0)
-    )
-    omega = 2.0 * np.arctan2(numer, denom)
+    omega = np.empty(len(tris))
+    for rows in _blocks(len(tris)):
+        p0, p1, p2 = v[tris[rows, 0]], v[tris[rows, 1]], v[tris[rows, 2]]
+        for head, tail in ((p1, p0), (p2, p1), (p0, p2)):
+            if _row_norm(head - tail).max() > math.sqrt(2.0) * 0.999:
+                raise MeshError("image triangles subtend more than a quarter sphere; refine the mesh")
+        numer = np.einsum("ij,ij->i", p0, _cross(p1, p2))
+        denom = (
+            1.0
+            + np.einsum("ij,ij->i", p0, p1)
+            + np.einsum("ij,ij->i", p1, p2)
+            + np.einsum("ij,ij->i", p2, p0)
+        )
+        omega[rows] = 2.0 * np.arctan2(numer, denom)
     total = float(omega.sum()) / (4.0 * np.pi)
     degree = round(total)
     residue = abs(total - degree)
@@ -312,22 +374,16 @@ def degree_to_s2(values: np.ndarray, triangles: np.ndarray) -> tuple[int, float]
 def sphere2_to_prism(omega: np.ndarray) -> np.ndarray:
     """Radial projection of unit vectors onto the prism boundary."""
     w = np.atleast_2d(np.asarray(omega, dtype=float))
-    # constraints g.x <= h for the prism: s >= 0, t <= 1, s <= t, u in [0, 1]
-    gs = np.array(
-        [
-            [-1.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0],
-            [1.0, -1.0, 0.0],
-            [0.0, 0.0, -1.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    hs = np.array([0.0, 1.0, 0.0, 0.0, 1.0])
-    gw = w @ gs.T
-    slack = hs - _PRISM_CENTROID @ gs.T
-    with np.errstate(divide="ignore"):
-        lam = np.where(gw > 1e-15, slack / gw, np.inf)
-    step = lam.min(axis=1)
+    x, y, z = w[:, 0], w[:, 1], w[:, 2]
+    cs, ct, cu = _PRISM_CENTROID
+    # the prism is g.x <= h for s >= 0, t <= 1, s <= t, u >= 0 and u <= 1; the
+    # step from the centroid along w to a face that w points toward (g.w > 0)
+    # is the slack h - g.centroid over g.w
+    faces = ((-x, cs), (y, 1.0 - ct), (x - y, ct - cs), (-z, cu), (z, 1.0 - cu))
+    step = np.full(len(w), np.inf)
+    for gw, slack in faces:
+        lam = np.divide(slack, gw, out=np.full_like(gw, np.inf), where=gw > 1e-15)
+        np.minimum(step, lam, out=step)
     return _PRISM_CENTROID + step[:, None] * w
 
 
@@ -339,14 +395,14 @@ def _rho(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     normalization is defined; the denominator stays above 1/sqrt(2).
     """
     pts = np.atleast_2d(np.asarray(xyz, dtype=float))
-    rho = np.linalg.norm(pts, axis=1)
+    rho = _row_norm(pts)
     omega = pts / np.maximum(rho, 1e-300)[:, None]
     pair = beta(sphere2_to_prism(omega))
     for mix in pair:
         # rho * base + (1 - rho) * (0, 0, 1, 0), in place
         mix *= rho[:, None]
         mix[:, 2] += 1.0 - rho
-        norms = np.linalg.norm(mix, axis=1)
+        norms = _row_norm(mix)
         require(float(norms.min()) > 0.1, "disk extension hit the excluded pole")
         mix /= norms[:, None]
     return pair
@@ -361,7 +417,7 @@ def cocycle_s4(x: np.ndarray, i: int, j: int) -> np.ndarray:
     if i == j or not {i, j} <= {1, 2, 3}:
         raise ValueError("need distinct cover indices from {1, 2, 3}")
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    norms = np.linalg.norm(pts, axis=1)
+    norms = _row_norm(pts)
     if np.any(np.abs(norms - 1.0) > MEMBERSHIP_TOL):
         raise ValueError("points must lie on the unit 4-sphere")
     east = pts[:, 0] >= -MEMBERSHIP_TOL
@@ -392,12 +448,30 @@ def clutching_function(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _project_generator(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """rep_project_su2 on pairs of beta, where a failure to commute is a breach."""
-    try:
-        return rep_project_su2(first, second)
-    except CommutatorError as exc:
-        raise InvariantBreachError(f"the generator's {exc}") from exc
+def _require_commuting(worst: float) -> None:
+    """beta's components commute; a worst distance above tolerance (or NaN) is a breach."""
+    require(worst <= _COMMUTE_TOL, f"the generator's pair fails to commute (max residual {worst:.3e})")
+
+
+def _generator_degree(m: int) -> tuple[int, float, float, int, float]:
+    """beta projected to the 2-sphere on the prism mesh of size m, and its degree.
+
+    Returns (mesh points, max commutator, projection norm residual, degree,
+    residue).  A pair of beta that fails to commute is a breach, reported
+    with the worst distance over the whole mesh.
+    """
+    pts, tris = triangulate_prism_boundary(m)
+    images = np.empty((len(pts), 3))
+    commutator = norm_residual = 0.0
+    for rows in _blocks(len(pts)):
+        first, second = beta(pts[rows])
+        commutator = _worst(commutator, commutator_distance(first, second))
+        if commutator <= _COMMUTE_TOL:
+            images[rows] = _chart(first, second)
+            norm_residual = _worst(norm_residual, np.abs(_row_norm(images[rows]) - 1.0))
+    _require_commuting(commutator)
+    degree, residue = degree_to_s2(images, tris)
+    return len(pts), commutator, norm_residual, degree, residue
 
 
 def beta_check(grid: int = 100) -> dict:
@@ -407,6 +481,8 @@ def beta_check(grid: int = 100) -> dict:
     commutator distance over a boundary mesh of roughly 4*grid^2 points, and
     the projected degree at mesh sizes grid and 2*grid.
     """
+    if grid < 2:
+        raise ValueError("grid must be at least 2")
     line = np.linspace(0.0, 1.0, grid + 1)
     zeros = np.zeros_like(line)
     ones = np.ones_like(line)
@@ -427,18 +503,12 @@ def beta_check(grid: int = 100) -> dict:
         va = _facet_formula(fa, a1, a2)
         vb = _facet_formula(fb, b1, b2)
         for left, right in zip(va, vb):
-            seam_residual = max(seam_residual, float(np.abs(left - right).max()))
-    pts, tris = triangulate_prism_boundary(grid)
-    first, second = beta(pts)
-    commutator = float(commutator_distance(first, second).max())
-    values = _project_generator(first, second)
-    norm_residual = float(np.abs(np.linalg.norm(values, axis=1) - 1.0).max())
-    degree, residue = degree_to_s2(values, tris)
-    pts2, tris2 = triangulate_prism_boundary(2 * grid)
-    degree2, residue2 = degree_to_s2(_project_generator(*beta(pts2)), tris2)
+            seam_residual = _worst(seam_residual, np.abs(left - right))
+    samples, commutator, norm_residual, degree, residue = _generator_degree(grid)
+    *_, degree2, residue2 = _generator_degree(2 * grid)
     return {
         "grid": grid,
-        "samples": int(len(pts)),
+        "samples": samples,
         "seam_residual": seam_residual,
         "max_commutator": commutator,
         "projection_norm_residual": norm_residual,
@@ -449,19 +519,35 @@ def beta_check(grid: int = 100) -> dict:
     }
 
 
+_BETA_RESIDUALS = (
+    "seam_residual",
+    "max_commutator",
+    "projection_norm_residual",
+    "degree_residue",
+    "degree_refined_residue",
+)
+
+
 def beta_passed(report: dict) -> bool:
-    """The one pass/fail gate on a beta_check report (CLI and acceptance suite)."""
+    """The one pass/fail gate on a beta_check report (CLI and acceptance suite).
+
+    A residual that is not finite fails it.
+    """
     return (
-        max(report["seam_residual"], report["max_commutator"]) < SEAM_TOL
+        all(math.isfinite(report[key]) for key in _BETA_RESIDUALS)
+        and max(report["seam_residual"], report["max_commutator"]) < SEAM_TOL
         and report["degree"] in (1, -1)
         and report["degree_refined"] == report["degree"]
         and max(report["degree_residue"], report["degree_refined_residue"]) < DEGREE_RESIDUE_TOL
     )
 
 
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    """Deterministic well-spread points on the unit 2-sphere."""
-    k = np.arange(n, dtype=float) + 0.5
+def _fibonacci_sphere(n: int, index: np.ndarray | None = None) -> np.ndarray:
+    """Deterministic well-spread points on the unit 2-sphere.
+
+    The n-point set, or its points at the given indices (the same values).
+    """
+    k = (np.arange(n) if index is None else index).astype(float) + 0.5
     phi = np.arccos(1.0 - 2.0 * k / n)
     theta = np.pi * (1.0 + math.sqrt(5.0)) * k
     return np.stack(
@@ -469,9 +555,9 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     )
 
 
-def _spread_sample(omega: np.ndarray) -> np.ndarray:
-    """At most 512 of the Fibonacci points, strided from pole to pole."""
-    return omega[:: max(1, len(omega) // 512)][:512]
+def _spread_indices(n: int) -> np.ndarray:
+    """At most 512 indices of the n Fibonacci points, strided from pole to pole."""
+    return np.arange(0, n, max(1, n // 512))[:512]
 
 
 def cocycle_check(samples: int = 10_000) -> dict:
@@ -483,46 +569,51 @@ def cocycle_check(samples: int = 10_000) -> dict:
     symmetry hold by construction (every transition map reads x1, x2, x3
     only); their residuals are reported as well.
     """
-    omega = _fibonacci_sphere(samples)
-    triple = np.zeros((samples, 5))
-    triple[:, 1:4] = omega
-    # one _rho pass for rho_12 and rho_23; rho_13 through the public path,
-    # whose sphere and overlap checks cover the same points (x0 = x4 = 0)
-    r12, r23 = _rho(omega)
-    r13 = cocycle_s4(triple, 1, 3)
-    cocycle_residual = float(np.abs(r13 - qmul(r12, r23)).max())
-    commute = max(
-        float(commutator_distance(r12, r23).max()),
-        float(commutator_distance(r12, r13).max()),
-        float(commutator_distance(r23, r13).max()),
-    )
-    first, second = beta(sphere2_to_prism(omega))
-    agree = max(float(np.abs(r12 - first).max()), float(np.abs(r23 - second).max()))
-    # clutching symmetry on the equator {x0 = 0}
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    cocycle_residual = commute = agree = clutch_residual = 0.0
+    # one stream, drawn block by block: the equator draws, then the conjugators
     rng = np.random.default_rng(0)
-    equator = rng.standard_normal((samples, 4))
-    equator /= np.linalg.norm(equator, axis=1)[:, None]
-    pts = np.zeros((samples, 5))
-    pts[:, 1:] = equator
-    mirrored = pts.copy()
-    mirrored[:, 4] = -mirrored[:, 4]
-    clutch_residual = float(np.abs(clutching_function(pts) - clutching_function(mirrored)).max())
-    pairs_first, pairs_second = beta(sphere2_to_prism(_spread_sample(omega)))
+    for rows in _blocks(samples):
+        omega = _fibonacci_sphere(samples, np.arange(rows.start, rows.stop))
+        triple = np.zeros((len(omega), 5))
+        triple[:, 1:4] = omega
+        # one _rho pass for rho_12 and rho_23; rho_13 through the public path,
+        # whose sphere and overlap checks cover the same points (x0 = x4 = 0)
+        r12, r23 = _rho(omega)
+        r13 = cocycle_s4(triple, 1, 3)
+        cocycle_residual = _worst(cocycle_residual, np.abs(r13 - qmul(r12, r23)))
+        for p, q in ((r12, r23), (r12, r13), (r23, r13)):
+            commute = _worst(commute, commutator_distance(p, q))
+        first, second = beta(sphere2_to_prism(omega))
+        agree = _worst(agree, np.abs(r12 - first))
+        agree = _worst(agree, np.abs(r23 - second))
+        # clutching symmetry on the equator {x0 = 0}
+        equator = rng.standard_normal((len(omega), 4))
+        equator /= _row_norm(equator)[:, None]
+        pts = np.zeros((len(omega), 5))
+        pts[:, 1:] = equator
+        mirrored = pts.copy()
+        mirrored[:, 4] = -mirrored[:, 4]
+        clutch = np.abs(clutching_function(pts) - clutching_function(mirrored))
+        clutch_residual = _worst(clutch_residual, clutch)
+    spread = _fibonacci_sphere(samples, _spread_indices(samples))
+    pairs_first, pairs_second = beta(sphere2_to_prism(spread))
     # denominators of the disk extensions stay away from zero
     min_denominator = math.inf
     for rho in np.linspace(0.0, 1.0, 41):
         for base in (pairs_first[::2], pairs_second[::2]):
             mix = rho * base + (1.0 - rho) * (-_EXCLUDED_POLE)
-            min_denominator = min(min_denominator, float(np.linalg.norm(mix, axis=1).min()))
+            min_denominator = float(np.minimum(min_denominator, _row_norm(mix).min()))
     # conjugation invariance of the projection chart
+    _require_commuting(float(commutator_distance(pairs_first, pairs_second).max()))
     conj = rng.standard_normal((len(pairs_first), 4))
-    conj /= np.linalg.norm(conj, axis=1)[:, None]
+    conj /= _row_norm(conj)[:, None]
     conj_first = qmul(qmul(conj, pairs_first), qconj(conj))
     conj_second = qmul(qmul(conj, pairs_second), qconj(conj))
     conj_residual = float(
         np.abs(
-            _project_generator(pairs_first, pairs_second)
-            - rep_project_su2(conj_first, conj_second, tol=1e-6)
+            _chart(pairs_first, pairs_second) - rep_project_su2(conj_first, conj_second, tol=1e-6)
         ).max()
     )
     return {
@@ -536,11 +627,25 @@ def cocycle_check(samples: int = 10_000) -> dict:
     }
 
 
+_COCYCLE_RESIDUALS = (
+    "cocycle_residual",
+    "pairwise_commutator",
+    "overlap_agreement",
+    "clutching_residual",
+    "min_extension_denominator",
+    "conjugation_residual",
+)
+
+
 def cocycle_passed(report: dict) -> bool:
-    """The one pass/fail gate on a cocycle_check report (CLI and acceptance suite)."""
+    """The one pass/fail gate on a cocycle_check report (CLI and acceptance suite).
+
+    A residual that is not finite fails it.
+    """
     keys = ("cocycle_residual", "pairwise_commutator", "overlap_agreement", "clutching_residual")
     return (
-        max(report[key] for key in keys) < SEAM_TOL
+        all(math.isfinite(report[key]) for key in _COCYCLE_RESIDUALS)
+        and max(report[key] for key in keys) < SEAM_TOL
         and report["min_extension_denominator"] > 0.1
         and report["conjugation_residual"] < CONJUGATION_TOL
     )

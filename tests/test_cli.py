@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -281,6 +282,47 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cocycle-check", "--samples", "0"], "samples must be at least 1"),
+            (["cocycle-check", "--samples", "-3"], "samples must be at least 1"),
+            (["beta-check", "--grid", "1"], "grid must be at least 2"),
+            (["beta-check", "--grid", "-3"], "grid must be at least 2"),
+        ],
+    )
+    def test_size_arguments_validated(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"liecomm: {message}\n"
+
+    def test_cocycle_check_memory_is_bounded(self):
+        # blocked evaluation keeps the peak flat in --samples (about 250 MB
+        # when every array was built at full size).  Linux carries the peak
+        # RSS of a forked process over its exec, so the command is started
+        # and reaped by a small interpreter, not by this large one.
+        reaper = (
+            "import os, subprocess, sys\n"
+            "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+            "_, status, usage = os.wait4(proc.pid, 0)\n"
+            "proc.returncode = os.waitstatus_to_exitcode(status)\n"
+            "print(proc.returncode, usage.ru_maxrss)\n"  # KiB on Linux
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        command = [sys.executable, "-m", "liecomm.cli", "cocycle-check", "--samples", "400000"]
+        run = subprocess.run(
+            [sys.executable, "-c", reaper, *command],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        code, maxrss_kib = map(int, run.stdout.split())
+        assert code == 0
+        assert maxrss_kib / 1024 <= 80
 
     def test_beta_check_small(self, capsys):
         code, out, _ = run_cli(capsys, "beta-check", "--grid", "16")

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -134,6 +135,38 @@ class TestAgainstReferences:
         x[:, 1:4] = omega
         assert np.array_equal(cocycle_s4(x, 1, 3), _reference_rho13(x))
         assert np.array_equal(clutching_function(x), _reference_clutching(x))
+
+
+class TestColumnKernels:
+    # the column-by-column kernels against the numpy reductions they replaced;
+    # the arithmetic is the same, so the results must agree to the bit
+
+    @pytest.mark.parametrize("width", [3, 4, 5])
+    def test_row_norm(self, width):
+        x = np.random.default_rng(width).standard_normal((5000, width))
+        assert np.array_equal(geom._row_norm(x), np.linalg.norm(x, axis=1))
+        assert np.array_equal(geom._row_dot(x, x[::-1]), np.sum(x * x[::-1], axis=1))
+
+    def test_cross(self):
+        a, b = np.random.default_rng(1).standard_normal((2, 5000, 3))
+        assert np.array_equal(geom._cross(a, b), np.cross(a, b))
+
+    def test_facet_ties_go_to_the_first_facet(self):
+        # mesh vertices lie on seams, where two or three facets tie
+        pts, _ = triangulate_prism_boundary(6)
+        s, t, u = pts.T
+        dists = np.stack([u, 1.0 - u, s, t - s, 1.0 - t], axis=-1)
+        assert np.array_equal(classify_prism_facet(pts), np.argmin(dists, axis=1))
+
+    def test_radial_projection(self):
+        omega = geom._fibonacci_sphere(3000)
+        gs = np.array([[-1, 0, 0], [0, 1, 0], [1, -1, 0], [0, 0, -1], [0, 0, 1]], dtype=float)
+        centroid = np.array([1.0 / 3.0, 2.0 / 3.0, 0.5])
+        gw = omega @ gs.T
+        with np.errstate(divide="ignore"):
+            lam = np.where(gw > 1e-15, (np.array([0, 1, 0, 0, 1]) - centroid @ gs.T) / gw, np.inf)
+        expected = centroid + lam.min(axis=1)[:, None] * omega
+        assert np.array_equal(sphere2_to_prism(omega), expected)
 
 
 def quaternion_matrix(p: np.ndarray) -> np.ndarray:
@@ -341,7 +374,7 @@ class TestReports:
     @pytest.mark.parametrize("samples", [600, 10_000, 200_000])
     def test_spot_checks_reach_every_facet(self, samples):
         # the conjugation check reads these points, the denominator check every other one
-        chosen = geom._spread_sample(geom._fibonacci_sphere(samples))
+        chosen = geom._fibonacci_sphere(samples, geom._spread_indices(samples))
         assert len(chosen) == 512
         for points in (chosen, chosen[::2]):
             facets = classify_prism_facet(sphere2_to_prism(points))
@@ -354,3 +387,99 @@ class TestReports:
         assert report["clutching_residual"] < 1e-12
         assert report["min_extension_denominator"] > 0.1
         assert report["conjugation_residual"] < 1e-9
+
+    def test_indexed_fibonacci_points_are_the_same_points(self):
+        # blocks and the spread sample evaluate the points at an index range
+        full = geom._fibonacci_sphere(1000)
+        for index in (np.arange(0, 7), np.arange(513, 1000), geom._spread_indices(1000)):
+            assert np.array_equal(geom._fibonacci_sphere(1000, index), full[index])
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_cocycle_samples_validated(self, samples):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            cocycle_check(samples)
+
+    @pytest.mark.parametrize("grid", [1, 0, -3])
+    def test_beta_grid_validated(self, grid):
+        with pytest.raises(ValueError, match="grid must be at least 2"):
+            beta_check(grid)
+
+
+def _digest(report: dict) -> str:
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def default_reports():
+    return cocycle_check(601), beta_check(24)
+
+
+class TestBlocks:
+    # sha256 of json.dumps(report, sort_keys=True), recorded with the
+    # unblocked evaluation the blocked one replaced
+    COCYCLE_601 = "9cd4f939aaa91c89796df2bb7cd35e13a04b761fb531fc4df3db0606c73dd796"
+    BETA_24 = "6f582e4cfaffcb1b4ae2138759ca730a05abf6998684a4c1dc8e4d43aaca587c"
+
+    def test_reports_pinned(self, default_reports):
+        cocycle, beta_report = default_reports
+        assert _digest(cocycle) == self.COCYCLE_601
+        assert _digest(beta_report) == self.BETA_24
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_reports_do_not_depend_on_block_size(self, default_reports, monkeypatch, block):
+        monkeypatch.setattr(geom, "_BLOCK", block)
+        assert (cocycle_check(601), beta_check(24)) == default_reports
+
+    def test_degree_does_not_depend_on_block_size(self, monkeypatch):
+        pts, tris = triangulate_prism_boundary(16)
+        values = rep_project_su2(*beta(pts))
+        expected = degree_to_s2(values, tris)
+        monkeypatch.setattr(geom, "_BLOCK", 5)
+        assert degree_to_s2(values, tris) == expected
+        assert all(np.array_equal(a, b) for a, b in zip(triangulate_prism_boundary(16), (pts, tris)))
+
+    def test_nan_in_one_block_survives(self, monkeypatch):
+        # 601 samples in blocks of 64: a NaN in the third block's clutching
+        # values must reach the report and fail the gate
+        monkeypatch.setattr(geom, "_BLOCK", 64)
+        real = geom.clutching_function
+        calls = []
+
+        def poisoned(x):
+            out = real(x)
+            calls.append(len(x))
+            if len(calls) == 5:  # two calls per block
+                out[3, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(geom, "clutching_function", poisoned)
+        report = cocycle_check(601)
+        assert len(calls) == 20
+        assert math.isnan(report["clutching_residual"])
+        assert all(
+            math.isfinite(value) for key, value in report.items() if key != "clutching_residual"
+        )
+        assert not geom.cocycle_passed(report)
+
+
+class TestGates:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("key", geom._COCYCLE_RESIDUALS)
+    def test_cocycle_gate_fails_closed(self, default_reports, key, bad):
+        report = default_reports[0]
+        assert geom.cocycle_passed(report)
+        assert not geom.cocycle_passed({**report, key: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("key", geom._BETA_RESIDUALS)
+    def test_beta_gate_fails_closed(self, default_reports, key, bad):
+        report = default_reports[1]
+        assert geom.beta_passed(report)
+        assert not geom.beta_passed({**report, key: bad})
+
+    def test_every_float_is_gated(self, default_reports):
+        cocycle, beta_report = default_reports
+        floats = {key for key, value in cocycle.items() if isinstance(value, float)}
+        assert floats == set(geom._COCYCLE_RESIDUALS)
+        floats = {key for key, value in beta_report.items() if isinstance(value, float)}
+        assert floats == set(geom._BETA_RESIDUALS)

@@ -13,12 +13,14 @@ product, so the cocycle identity and the clutching symmetry hold by
 construction.
 
 This is the only module that works in floating point; beta_check and
-cocycle_check re-check numerically what does not hold by construction.  Both
-evaluate their meshes and samples in blocks of at most _BLOCK rows, so their
-memory does not grow with the sample size beyond a few floats per point.  A
-row's value never depends on the other rows of its block, residual maxima are
-carried across blocks without dropping a NaN, and the degree is one sum over
-a preallocated array: a report is the same, to the bit, for every _BLOCK.
+cocycle_check re-check numerically what does not hold by construction.
+
+Both checks evaluate in blocks of at most _BLOCK rows.  cocycle_check holds
+no array longer than a block; beta_check holds at full length only the mesh,
+one image per vertex and one solid angle per triangle.  A row's value never
+depends on the other rows of its block, residual maxima are carried across
+blocks without dropping a NaN, and the degree is one sum over all the solid
+angles, so a report is the same, to the bit, for every _BLOCK.
 """
 
 from __future__ import annotations
@@ -77,13 +79,6 @@ def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _row_norm(x: np.ndarray) -> np.ndarray:
     """np.linalg.norm(x, axis=-1), column by column."""
     return np.sqrt(_row_dot(x, x))
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross of (N, 3) arrays, column by column (the same rounding)."""
-    a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
-    b0, b1, b2 = b[:, 0], b[:, 1], b[:, 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +323,7 @@ def triangulate_prism_boundary(m: int) -> tuple[np.ndarray, np.ndarray]:
         p0 = pts[block[:, 0]]
         e1 = pts[block[:, 1]] - p0
         e2 = pts[block[:, 2]] - p0
-        flip = np.einsum("ij,ij->i", p0 - _PRISM_CENTROID, _cross(e1, e2)) < 0
+        flip = np.einsum("ij,ij->i", p0 - _PRISM_CENTROID, np.cross(e1, e2)) < 0
         block[flip, 1], block[flip, 2] = block[flip, 2], block[flip, 1]
     return pts, tris
 
@@ -350,7 +345,7 @@ def degree_to_s2(values: np.ndarray, triangles: np.ndarray) -> tuple[int, float]
         for head, tail in ((p1, p0), (p2, p1), (p0, p2)):
             if _row_norm(head - tail).max() > math.sqrt(2.0) * 0.999:
                 raise MeshError("image triangles subtend more than a quarter sphere; refine the mesh")
-        numer = np.einsum("ij,ij->i", p0, _cross(p1, p2))
+        numer = np.einsum("ij,ij->i", p0, np.cross(p1, p2))
         denom = (
             1.0
             + np.einsum("ij,ij->i", p0, p1)

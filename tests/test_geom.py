@@ -147,10 +147,6 @@ class TestColumnKernels:
         assert np.array_equal(geom._row_norm(x), np.linalg.norm(x, axis=1))
         assert np.array_equal(geom._row_dot(x, x[::-1]), np.sum(x * x[::-1], axis=1))
 
-    def test_cross(self):
-        a, b = np.random.default_rng(1).standard_normal((2, 5000, 3))
-        assert np.array_equal(geom._cross(a, b), np.cross(a, b))
-
     def test_facet_ties_go_to_the_first_facet(self):
         # mesh vertices lie on seams, where two or three facets tie
         pts, _ = triangulate_prism_boundary(6)

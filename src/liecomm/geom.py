@@ -344,7 +344,9 @@ def degree_to_s2(values: np.ndarray, triangles: np.ndarray) -> tuple[int, float]
         p0, p1, p2 = v[tris[rows, 0]], v[tris[rows, 1]], v[tris[rows, 2]]
         for head, tail in ((p1, p0), (p2, p1), (p0, p2)):
             if _row_norm(head - tail).max() > math.sqrt(2.0) * 0.999:
-                raise MeshError("image triangles subtend more than a quarter sphere; refine the mesh")
+                raise MeshError(
+                    "image triangles subtend more than a quarter sphere; refine the mesh"
+                )
         numer = np.einsum("ij,ij->i", p0, np.cross(p1, p2))
         denom = (
             1.0
@@ -445,7 +447,8 @@ def clutching_function(x: np.ndarray) -> np.ndarray:
 
 def _require_commuting(worst: float) -> None:
     """beta's components commute; a worst distance above tolerance (or NaN) is a breach."""
-    require(worst <= _COMMUTE_TOL, f"the generator's pair fails to commute (max residual {worst:.3e})")
+    detail = f"the generator's pair fails to commute (max residual {worst:.3e})"
+    require(worst <= _COMMUTE_TOL, detail)
 
 
 def _generator_degree(m: int) -> tuple[int, float, float, int, float]:

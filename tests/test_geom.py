@@ -159,8 +159,9 @@ class TestColumnKernels:
         gs = np.array([[-1, 0, 0], [0, 1, 0], [1, -1, 0], [0, 0, -1], [0, 0, 1]], dtype=float)
         centroid = np.array([1.0 / 3.0, 2.0 / 3.0, 0.5])
         gw = omega @ gs.T
+        slack = np.array([0.0, 1.0, 0.0, 0.0, 1.0]) - centroid @ gs.T
         with np.errstate(divide="ignore"):
-            lam = np.where(gw > 1e-15, (np.array([0, 1, 0, 0, 1]) - centroid @ gs.T) / gw, np.inf)
+            lam = np.where(gw > 1e-15, slack / gw, np.inf)
         expected = centroid + lam.min(axis=1)[:, None] * omega
         assert np.array_equal(sphere2_to_prism(omega), expected)
 
@@ -432,7 +433,8 @@ class TestBlocks:
         expected = degree_to_s2(values, tris)
         monkeypatch.setattr(geom, "_BLOCK", 5)
         assert degree_to_s2(values, tris) == expected
-        assert all(np.array_equal(a, b) for a, b in zip(triangulate_prism_boundary(16), (pts, tris)))
+        again_pts, again_tris = triangulate_prism_boundary(16)
+        assert np.array_equal(again_pts, pts) and np.array_equal(again_tris, tris)
 
     def test_nan_in_one_block_survives(self, monkeypatch):
         # 601 samples in blocks of 64: a NaN in the third block's clutching

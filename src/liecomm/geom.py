@@ -16,11 +16,13 @@ This is the only module that works in floating point; beta_check and
 cocycle_check re-check numerically what does not hold by construction.
 
 Both checks evaluate in blocks of at most _BLOCK rows.  cocycle_check holds
-no array longer than a block; beta_check holds at full length only the mesh,
-one image per vertex and one solid angle per triangle.  A row's value never
-depends on the other rows of its block, residual maxima are carried across
-blocks without dropping a NaN, and the degree is one sum over all the solid
-angles, so a report is the same, to the bit, for every _BLOCK.
+no array longer than a block.  beta_check reads the prism mesh as a stream,
+one facet at a time, with the triangles in blocks of about _BLOCK; it holds
+one facet's grid points and images, and at full length only one solid angle
+per triangle.  A row's value never depends on the other rows of
+its block, residual maxima are carried across blocks without dropping a
+NaN, and the degree is one sum over all the solid angles, so a report is the
+same, to the bit, for every _BLOCK.
 """
 
 from __future__ import annotations
@@ -54,9 +56,15 @@ class CommutatorError(ValueError):
     """Input pair fails to commute within tolerance."""
 
 
-def _blocks(n: int):
-    """Row slices of at most _BLOCK rows that cover range(n) in order."""
-    return (slice(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
+def _blocks(n: int, size: int | None = None):
+    """Row slices of at most size rows (default _BLOCK) that cover range(n) in order."""
+    size = size or _BLOCK
+    return (slice(lo, min(lo + size, n)) for lo in range(0, n, size))
+
+
+def _cell_blocks(n: int):
+    """_blocks over n mesh cells; a cell has up to two triangles, so half as many a block."""
+    return _blocks(n, max(1, _BLOCK // 2))
 
 
 def _worst(acc: float, block: np.ndarray) -> float:
@@ -268,64 +276,147 @@ def _chart(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _square_facet(m: int):
+    """A square facet's (a, b) grid points and its triangles, in closed form.
+
+    The cells (i, j) run i-major; each visits its corners p00, p10, p01, p11
+    and splits into p00, p10, p11 and p00, p11, p01.  Returns the points in
+    the order the cells first visit them, and a generator of triangle blocks,
+    about _BLOCK triangles each, whose rows index the points.
+    """
+    # first visits: rows a = 0 and 1 interleaved along b, then row by row
+    a = np.repeat(np.arange(m + 1), m + 1)
+    b = np.tile(np.arange(m + 1), m + 1)
+    a[: 2 * m + 2] = np.tile([0, 1], m + 1)
+    b[: 2 * m + 2] = np.repeat(np.arange(m + 1), 2)
+
+    def index(a, b):
+        return np.where(a < 2, 2 * b + a, a * (m + 1) + b)
+
+    def triangles():
+        for cells in _cell_blocks(m * m):
+            i, j = np.divmod(np.arange(cells.start, cells.stop), m)
+            p00, p10, p01, p11 = index(i, j), index(i + 1, j), index(i, j + 1), index(i + 1, j + 1)
+            yield np.stack([p00, p10, p11, p00, p11, p01], axis=1).reshape(-1, 3)
+
+    return np.stack([a, b], axis=1), triangles()
+
+
+def _triangle_facet(m: int):
+    """The triangle facet {a <= b}: its grid points and its triangles, in closed form.
+
+    The cells (i, j), i <= j, run j-major; each is the lower triangle
+    (i, j), (i+1, j), (i+1, j+1) when i < j, then the upper one (i, j),
+    (i+1, j+1), (i, j+1).  Returned as _square_facet returns them.
+    """
+
+    def swap01(a, b):
+        # a row b >= 1 is first visited at a = 1, then 0, 2, 3, ..., b
+        return np.where((a < 2) & (b > 0), 1 - a, a)
+
+    b = np.repeat(np.arange(m + 1), np.arange(1, m + 2))
+    a = swap01(np.arange(b.size) - b * (b + 1) // 2, b)
+    row = np.repeat(np.arange(m), np.arange(1, m + 1))
+
+    def index(a, b):
+        return b * (b + 1) // 2 + swap01(a, b)
+
+    def triangles():
+        for cells in _cell_blocks(len(row)):
+            j = row[cells]
+            i = np.arange(cells.start, cells.stop) - j * (j + 1) // 2
+            lower = np.stack([index(i, j), index(i + 1, j), index(i + 1, j + 1)], axis=1)
+            upper = np.stack([index(i, j), index(i + 1, j + 1), index(i, j + 1)], axis=1)
+            keep = np.stack([i < j, np.ones_like(i, dtype=bool)], axis=1)
+            yield np.stack([lower, upper], axis=1)[keep]
+
+    return np.stack([a, b], axis=1), triangles()
+
+
+def _prism_facets(m: int):
+    """The outward-oriented triangulation of the prism boundary on the 1/m grid.
+
+    Yields (points, triangle blocks) for each facet in facet order: the
+    facet's grid points as integer (s, t, u) indices, so that a point's
+    coordinates are points / m on every facet that holds it, and a generator
+    of triangle blocks whose rows index those points.  A seam point is listed
+    on each facet it lies on; nothing is numbered across facets.
+    """
+    for facet, (a, b) in enumerate(_FACET_COLUMNS):
+        grid, blocks = (_triangle_facet if facet <= _TOP else _square_facet)(m)
+        points = np.empty((len(grid), 3), dtype=np.int64)
+        points[:, a], points[:, b] = grid[:, 0], grid[:, 1]
+        # the column the facet fixes: u = 0, u = m, s = 0, t = s or t = m
+        points[:, 3 - a - b] = (0, m, 0, grid[:, 0], m)[facet]
+        yield points, _outward(points, m, blocks)
+
+
+def _outward(points: np.ndarray, m: int, blocks):
+    """The triangle blocks, each triangle turned to face away from the centroid."""
+    for tris in blocks:
+        p0 = points[tris[:, 0]] / m
+        e1 = points[tris[:, 1]] / m - p0
+        e2 = points[tris[:, 2]] / m - p0
+        flip = np.einsum("ij,ij->i", p0 - _PRISM_CENTROID, np.cross(e1, e2)) < 0
+        tris[flip, 1], tris[flip, 2] = tris[flip, 2], tris[flip, 1]
+        yield tris
+
+
 def triangulate_prism_boundary(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Watertight outward-oriented triangulation of the prism boundary.
 
-    All five facets share the 1/m parameter grid, so seam vertices coincide
-    after deduplication and the mesh is closed.
+    The facets of _prism_facets, with the vertices numbered in the order the
+    facets first visit them.  A point on an earlier facet keeps the number it
+    got there, so seam vertices coincide and the mesh is closed.
     """
     if m < 2:
         raise ValueError("mesh parameter must be at least 2")
-    w = m + 1
+    pts, tris, numbers = [], [], []
+    count = 0
+    for facet, (points, blocks) in enumerate(_prism_facets(m)):
+        s, t, u = points.T
+        on_facet = (u == 0, u == m, s == 0, s == t, t == m)
+        number = np.full(len(points), -1)
+        # numbers by facet parameters of the earlier facets, which agree on seams
+        for earlier, table in enumerate(numbers):
+            on = on_facet[earlier]
+            a, b = _FACET_COLUMNS[earlier]
+            number[on] = table[points[on, a], points[on, b]]
+        new = number < 0
+        fresh = np.count_nonzero(new)
+        number[new] = np.arange(count, count + fresh)
+        count += fresh
+        a, b = _FACET_COLUMNS[facet]
+        table = np.empty((m + 1, m + 1), dtype=np.int64)
+        table[points[:, a], points[:, b]] = number
+        numbers.append(table)
+        pts.append(points[new])
+        tris.extend(number[block] for block in blocks)
+    return np.concatenate(pts) / m, np.concatenate(tris)
 
-    def key(si, ti, ui):
-        return (si * w + ti) * w + ui
 
-    # bottom (u=0) and top (u=m) triangle grids over {s <= t}, cell (i, j)
-    # j-major: the lower triangle for i < j, then the upper one
-    j = np.repeat(np.arange(m), np.arange(1, m + 1))
-    i = np.arange(j.size) - j * (j + 1) // 2
-    s_idx = np.array([[i, i + 1, i + 1], [i, i + 1, i]]).transpose(2, 0, 1)
-    t_idx = np.array([[j, j, j + 1], [j, j + 1, j + 1]]).transpose(2, 0, 1)
-    keep = np.stack([i < j, np.ones_like(i, dtype=bool)], axis=-1)
-    s_idx, t_idx = s_idx[keep], t_idx[keep]
-    # every facet's keys in the order they are visited: the bottom and top
-    # triangles, then per side-wall square the corners p00, p10, p01, p11
-    faces = [key(s_idx, t_idx, ui) for ui in (0, m)]
-    # side walls: s=0 over t, the diagonal s=t over s, and t=1 over s
-    a = np.repeat(np.arange(m), m)
-    b = np.tile(np.arange(m), m)
-    zero = np.zeros_like(a)
-    for corner in (lambda x: (zero, x), lambda x: (x, x), lambda x: (x, zero + m)):
-        p00, p10 = key(*corner(a), b), key(*corner(a + 1), b)
-        p01, p11 = key(*corner(a), b + 1), key(*corner(a + 1), b + 1)
-        faces.append(np.stack([p00, p10, p01, p11], axis=1))
-    # number vertices in the order they are first visited
-    keys, first = np.unique(np.concatenate([f.ravel() for f in faces]), return_index=True)
-    order = np.argsort(first)
-    number = np.empty_like(order)
-    number[order] = np.arange(order.size)
-    seen = keys[order]
-    pts = np.stack([seen // (w * w), seen // w % w, seen % w], axis=1) / m
-    # bottom and top triangles as visited; each wall square splits into
-    # p00, p10, p11 and p00, p11, p01
-    tris = np.empty((8 * m * m, 3), dtype=number.dtype)
-    row = 0
-    for face in faces:
-        local = number[np.searchsorted(keys, face)]
-        if face.shape[1] == 4:
-            local = local[:, [0, 1, 3, 0, 3, 2]].reshape(-1, 3)
-        tris[row : row + len(local)] = local
-        row += len(local)
-    # orient every triangle outward (positive determinant against the centroid)
-    for rows in _blocks(len(tris)):
-        block = tris[rows]
-        p0 = pts[block[:, 0]]
-        e1 = pts[block[:, 1]] - p0
-        e2 = pts[block[:, 2]] - p0
-        flip = np.einsum("ij,ij->i", p0 - _PRISM_CENTROID, np.cross(e1, e2)) < 0
-        block[flip, 1], block[flip, 2] = block[flip, 2], block[flip, 1]
-    return pts, tris
+_QUARTER_SPHERE_CHORD = math.sqrt(2.0) * 0.999
+
+
+def _solid_angles(values: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Signed solid angles of the image triangles values[triangles].
+
+    Also returns whether an image triangle has an edge longer than
+    _QUARTER_SPHERE_CHORD, which makes the mesh too coarse for a degree.
+    """
+    p0, p1, p2 = values[triangles[:, 0]], values[triangles[:, 1]], values[triangles[:, 2]]
+    too_large = any(
+        bool(np.any(_row_norm(head - tail) > _QUARTER_SPHERE_CHORD))
+        for head, tail in ((p1, p0), (p2, p1), (p0, p2))
+    )
+    numer = np.einsum("ij,ij->i", p0, np.cross(p1, p2))
+    denom = (
+        1.0
+        + np.einsum("ij,ij->i", p0, p1)
+        + np.einsum("ij,ij->i", p1, p2)
+        + np.einsum("ij,ij->i", p2, p0)
+    )
+    return 2.0 * np.arctan2(numer, denom), too_large
 
 
 def degree_to_s2(values: np.ndarray, triangles: np.ndarray) -> tuple[int, float]:
@@ -340,21 +431,21 @@ def degree_to_s2(values: np.ndarray, triangles: np.ndarray) -> tuple[int, float]
     v = np.asarray(values, dtype=float)
     tris = np.asarray(triangles, dtype=np.int64)
     omega = np.empty(len(tris))
+    too_large = False
     for rows in _blocks(len(tris)):
-        p0, p1, p2 = v[tris[rows, 0]], v[tris[rows, 1]], v[tris[rows, 2]]
-        for head, tail in ((p1, p0), (p2, p1), (p0, p2)):
-            if _row_norm(head - tail).max() > math.sqrt(2.0) * 0.999:
-                raise MeshError(
-                    "image triangles subtend more than a quarter sphere; refine the mesh"
-                )
-        numer = np.einsum("ij,ij->i", p0, np.cross(p1, p2))
-        denom = (
-            1.0
-            + np.einsum("ij,ij->i", p0, p1)
-            + np.einsum("ij,ij->i", p1, p2)
-            + np.einsum("ij,ij->i", p2, p0)
-        )
-        omega[rows] = 2.0 * np.arctan2(numer, denom)
+        omega[rows], coarse = _solid_angles(v, tris[rows])
+        too_large |= coarse
+    return _degree(omega, too_large)
+
+
+def _degree(omega: np.ndarray, too_large: bool) -> tuple[int, float]:
+    """The degree and rounding residue from all of a mesh's solid angles.
+
+    omega is in mesh order, so it is summed as degree_to_s2 sums it;
+    too_large says whether _solid_angles flagged any block.
+    """
+    if too_large:
+        raise MeshError("image triangles subtend more than a quarter sphere; refine the mesh")
     total = float(omega.sum()) / (4.0 * np.pi)
     degree = round(total)
     residue = abs(total - degree)
@@ -456,20 +547,32 @@ def _generator_degree(m: int) -> tuple[int, float, float, int, float]:
 
     Returns (mesh points, max commutator, projection norm residual, degree,
     residue).  A pair of beta that fails to commute is a breach, reported
-    with the worst distance over the whole mesh.
+    with the worst distance over the whole mesh.  The mesh is read one facet
+    at a time; a seam point gets the same bits on every facet, as its
+    coordinates are the same doubles there, so the maxima and the solid
+    angles are those of the numbered mesh of triangulate_prism_boundary.
     """
-    pts, tris = triangulate_prism_boundary(m)
-    images = np.empty((len(pts), 3))
+    omega = np.empty(8 * m * m)
     commutator = norm_residual = 0.0
-    for rows in _blocks(len(pts)):
-        first, second = beta(pts[rows])
-        commutator = _worst(commutator, commutator_distance(first, second))
-        if commutator <= _COMMUTE_TOL:
-            images[rows] = _chart(first, second)
-            norm_residual = _worst(norm_residual, np.abs(_row_norm(images[rows]) - 1.0))
+    too_large = False
+    done = 0
+    for points, blocks in _prism_facets(m):
+        images = np.empty((len(points), 3))
+        for rows in _blocks(len(points)):
+            first, second = beta(points[rows] / m)
+            commutator = _worst(commutator, commutator_distance(first, second))
+            if commutator <= _COMMUTE_TOL:
+                images[rows] = _chart(first, second)
+                norm_residual = _worst(norm_residual, np.abs(_row_norm(images[rows]) - 1.0))
+        if commutator > _COMMUTE_TOL:
+            continue  # raised below, once the worst distance over the mesh is known
+        for tris in blocks:
+            omega[done : done + len(tris)], coarse = _solid_angles(images, tris)
+            too_large |= coarse
+            done += len(tris)
     _require_commuting(commutator)
-    degree, residue = degree_to_s2(images, tris)
-    return len(pts), commutator, norm_residual, degree, residue
+    degree, residue = _degree(omega, too_large)
+    return 4 * m * m + 2, commutator, norm_residual, degree, residue
 
 
 def beta_check(grid: int = 100) -> dict:

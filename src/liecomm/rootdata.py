@@ -171,7 +171,7 @@ def _root_closure(cartan: Matrix) -> dict[Vector, Vector]:
     return roots
 
 
-_POWER_CHUNK = 1 << 14  # matrices per float32 batch; bounds the temporaries
+_POWER_CHUNK = 1 << 12  # matrices per float32 batch; bounds the temporaries
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of smaller magnitude exactly
 
 

@@ -506,7 +506,8 @@ def _stabilizer(group: WeylGroup, geometry: AlcoveGeometry, nodes: frozenset[int
     The candidates are the stabilizer of the parent face, on the walls nodes
     plus the least node not in it, or the whole stack for a vertex.  Each
     candidate is tested exactly, (row i of w) . b == b_i mod 1, one coordinate
-    at a time on the survivors of the coordinates before it.
+    at a time on the survivors of the coordinates before it; an integral b
+    keeps them all without a test.
     """
     if geometry.datum is not group.datum:
         raise ValueError("the alcove geometry belongs to another root datum")
@@ -521,13 +522,17 @@ def _stabilizer(group: WeylGroup, geometry: AlcoveGeometry, nodes: frozenset[int
         candidates = np.arange(group.order, dtype=np.int32)
     else:
         candidates = _stabilizer(group, geometry, nodes | {min(set(range(r + 1)) - nodes)})
-    kept = []
-    for start in range(0, len(candidates), _CHUNK):
-        keep = candidates[start : start + _CHUNK]
-        for i in range(r):
-            keep = keep[(group.matrices[keep, i] @ vec - vec[i]) % denom == 0]
-        kept.append(keep)
-    found = np.concatenate(kept)
+    if denom == 1:
+        # b is integral (the origin), so every candidate fixes it mod 1
+        found = candidates
+    else:
+        kept = []
+        for start in range(0, len(candidates), _CHUNK):
+            keep = candidates[start : start + _CHUNK]
+            for i in range(r):
+                keep = keep[(group.matrices[keep, i] @ vec - vec[i]) % denom == 0]
+            kept.append(keep)
+        found = np.concatenate(kept)
     found.setflags(write=False)
     group._stabilizers[nodes] = found
     return found

@@ -1,6 +1,40 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+# Starts the command and reaps it with os.wait4.  Linux carries the peak RSS
+# of a forked process over its exec, so the command is started by this small
+# interpreter, not by the large test process.
+_REAPER = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"  # KiB on Linux
+)
+
+
+def _reaped(*args: str) -> tuple[int, float]:
+    """Exit code and peak RSS in MB of `python -m liecomm.cli *args`."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _REAPER, sys.executable, "-m", "liecomm.cli", *args],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    code, maxrss_kib = map(int, run.stdout.split())
+    return code, maxrss_kib / 1024
+
+
+@pytest.fixture
+def reaped():
+    """Runs a CLI command in a fresh process; returns its exit code and peak RSS in MB."""
+    return _reaped
 
 
 @pytest.fixture(autouse=True, scope="session")

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -239,10 +238,10 @@ class TestOtherCommands:
         from liecomm import geom
         from liecomm.homology import InvariantBreachError
 
-        def breach(values, triangles):
+        def breach(omega, too_large):
             raise InvariantBreachError("forced for the test")
 
-        monkeypatch.setattr(geom, "degree_to_s2", breach)
+        monkeypatch.setattr(geom, "_degree", breach)
         code, out, err = run_cli(capsys, "beta-check", "--grid", "8")
         assert code == 3
         assert out == ""
@@ -298,31 +297,19 @@ class TestOtherCommands:
         assert out == ""
         assert err == f"liecomm: {message}\n"
 
-    def test_cocycle_check_memory_is_bounded(self):
+    def test_cocycle_check_memory_is_bounded(self, reaped):
         # blocked evaluation keeps the peak flat in --samples (about 250 MB
-        # when every array was built at full size).  Linux carries the peak
-        # RSS of a forked process over its exec, so the command is started
-        # and reaped by a small interpreter, not by this large one.
-        reaper = (
-            "import os, subprocess, sys\n"
-            "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
-            "_, status, usage = os.wait4(proc.pid, 0)\n"
-            "proc.returncode = os.waitstatus_to_exitcode(status)\n"
-            "print(proc.returncode, usage.ru_maxrss)\n"  # KiB on Linux
-        )
-        src = Path(__file__).resolve().parent.parent / "src"
-        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-        command = [sys.executable, "-m", "liecomm.cli", "cocycle-check", "--samples", "400000"]
-        run = subprocess.run(
-            [sys.executable, "-c", reaper, *command],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        code, maxrss_kib = map(int, run.stdout.split())
+        # when every array was built at full size)
+        code, peak_mb = reaped("cocycle-check", "--samples", "400000")
         assert code == 0
-        assert maxrss_kib / 1024 <= 80
+        assert peak_mb <= 80
+
+    def test_beta_check_memory_is_bounded(self, reaped):
+        # the mesh is streamed facet by facet (178 MB at --grid 200 when the
+        # numbered mesh was built whole)
+        code, peak_mb = reaped("beta-check", "--grid", "200")
+        assert code == 0
+        assert peak_mb <= 80
 
     def test_beta_check_small(self, capsys):
         code, out, _ = run_cli(capsys, "beta-check", "--grid", "16")

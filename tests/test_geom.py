@@ -287,6 +287,16 @@ class TestPrismMesh:
         assert tris.shape == (n_tris, 3) and tris.dtype == np.int64
         assert hashlib.sha256(pts.tobytes() + tris.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("m", [2, 3, 17, 100])
+    def test_stream_is_the_numbered_mesh(self, m):
+        # the facet stream's triangle corners, in stream order, are the
+        # numbered mesh's triangles
+        pts, tris = triangulate_prism_boundary(m)
+        corners = [
+            points[block] / m for points, blocks in geom._prism_facets(m) for block in blocks
+        ]
+        assert np.array_equal(np.concatenate(corners), pts[tris])
+
     def test_mesh_is_closed(self):
         # every edge of a closed oriented surface is used once in each direction
         _, tris = triangulate_prism_boundary(5)

@@ -20,6 +20,7 @@ from liecomm.rootdata import (
     n_vee,
     zeta_class,
 )
+from liecomm.weyl import generate
 
 # acceptance data: full coroot-integer tuples in Bourbaki node order
 KNOWN_COROOT_INTEGERS = {
@@ -246,6 +247,15 @@ class TestCharpolyBuckets:
         for i, count in Counter(picks.tolist()).items():
             expected[_faddeev_leverrier(base[i].tolist())] += count
         assert charpoly_buckets(base[picks]) == tuple(sorted(expected.items()))
+
+    @pytest.mark.parametrize("name", ["A7", "E6"])
+    def test_buckets_do_not_depend_on_chunk_size(self, monkeypatch, name):
+        stack = generate(build_root_datum(name)).matrices
+        buckets = []
+        for chunk in (1 << 12, 1 << 14):
+            monkeypatch.setattr(rootdata, "_POWER_CHUNK", chunk)
+            buckets.append(charpoly_buckets(stack))
+        assert buckets[0] == buckets[1]
 
     def test_scalar_matrix(self):
         assert charpoly_buckets(2 * np.eye(3, dtype=np.int64)[None]) == (((-8, 12, -6, 1), 1),)

@@ -327,12 +327,13 @@ class TestStabilizersAndCosets:
             stab = face_stabilizer(group, geo, FaceIndex.of(datum, []))
             assert stab.order == 1
 
-    def test_origin_stabilizer_full(self):
-        datum = build_root_datum("C3")
-        group = _group("C3")
+    @pytest.mark.parametrize("name", TABLE_TYPES)
+    def test_origin_stabilizer_full(self, name):
+        datum = build_root_datum(name)
+        group = _group(name)
         geo = alcove_geometry(datum)
-        stab = face_stabilizer(group, geo, FaceIndex.of(datum, range(1, 4)))
-        assert stab.order == group.order
+        stab = face_stabilizer(group, geo, FaceIndex.of(datum, range(1, datum.rank + 1)))
+        assert stab.indices == tuple(range(group.order))
 
     def test_a1_vertex_stabilizer_full(self):
         datum = build_root_datum("A1")

@@ -352,14 +352,14 @@ def _prism_facets(m: int):
 
 
 def _outward(points: np.ndarray, m: int, blocks):
-    """The triangle blocks, each triangle turned to face away from the centroid."""
+    """The blocks of one facet, turned away from the centroid as its first
+    triangle is: a planar facet's triangles all share one orientation."""
+    flip = None
     for tris in blocks:
-        p0 = points[tris[:, 0]] / m
-        e1 = points[tris[:, 1]] / m - p0
-        e2 = points[tris[:, 2]] / m - p0
-        flip = np.einsum("ij,ij->i", p0 - _PRISM_CENTROID, np.cross(e1, e2)) < 0
-        tris[flip, 1], tris[flip, 2] = tris[flip, 2], tris[flip, 1]
-        yield tris
+        if flip is None:
+            p0, p1, p2 = points[tris[0]] / m
+            flip = np.dot(p0 - _PRISM_CENTROID, np.cross(p1 - p0, p2 - p0)) < 0
+        yield tris[:, [0, 2, 1]] if flip else tris
 
 
 def triangulate_prism_boundary(m: int) -> tuple[np.ndarray, np.ndarray]:

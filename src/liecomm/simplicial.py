@@ -8,9 +8,9 @@ induced involution on its vertices.  That one subdivision also makes the
 involution regular, so the torus quotient never subdivides again.  One
 routine, ``_subdivide``, builds every barycentric subdivision: the torus with
 its geometric cells and ``barycentric_subdivide`` with the faces of a
-complex.  Quotients check the strong regularity condition at runtime and
-refuse to proceed when it fails.  Boundary matrices are built as sparse rows,
-the one format the homology oracle reads.
+complex.  Quotients check regularity in the same orbit pass that builds them
+and refuse to proceed when it fails.  Boundary matrices are built as sparse
+rows, the one format the homology oracle reads.
 """
 
 from __future__ import annotations
@@ -144,17 +144,18 @@ def barycentric_subdivide(
     return _subdivide(complex_.facets, lambda face: tuple(sorted(face)), image)
 
 
-def check_involution_regular(
+def _orbit_facets(
     complex_: SimplicialComplex, involution: Mapping[Hashable, Hashable]
-) -> None:
-    """Verify the strong regularity condition for a simplicial involution.
+) -> list[tuple]:
+    """The orbit complex's facets, from one regularity pass over the faces.
 
-    For every simplex {v_i} and every mixed image {g_i v_i} that again spans a
-    simplex there must be a single group element realizing it.  A fixed
-    vertex is its own image, so a mixed image depends only on the set T of
-    moved vertices it swaps; T empty is the identity and T = every moved
-    vertex is the involution, so only the non-empty proper subsets T are
-    tried.  Violations raise RegularityError with the offending simplex.
+    With rep(v) = min(v, involution[v]), the faces over one set of vertex
+    orbits must form the single orbit {face, image}.  That excludes collapse
+    (a face with two vertices in one orbit has the orbit set of the face
+    minus one of them), and then a face {g_i v_i} over the orbits of {v_i}
+    is g{v_i}, so g v_i = g_i v_i: Bredon's regularity.  A breach raises
+    RegularityError; a map that is not a simplicial involution of the
+    vertices raises SimplicialError.
     """
     verts = set(complex_.vertices)
     if set(involution) != verts:
@@ -162,21 +163,26 @@ def check_involution_regular(
     for v in verts:
         if involution[involution[v]] != v:
             raise SimplicialError("vertex map is not an involution")
+    rep = {v: min(v, w) for v, w in involution.items()}
     face_set = complex_.face_set
+    lifts: dict[tuple, tuple] = {}  # orbit set -> least of {face, image}
     for face in face_set:
         image = tuple(sorted(involution[v] for v in face))
-        if len(set(image)) != len(face) or image not in face_set:
+        if image not in face_set:
             raise SimplicialError("involution is not simplicial")
-    for face in face_set:
-        moved = [v for v in face if involution[v] != v]
-        for size in range(1, len(moved)):
-            for swapped in combinations(moved, size):
-                mixed = set(face).difference(swapped).union(involution[v] for v in swapped)
-                if tuple(sorted(mixed)) in face_set:
-                    raise RegularityError(
-                        f"simplex {face} violates regularity; "
-                        "apply barycentric_subdivide and retry"
-                    )
+        lift = min(face, image)
+        if lifts.setdefault(tuple(sorted({rep[v] for v in face})), lift) != lift:
+            raise RegularityError(
+                f"simplex {face} violates regularity; apply barycentric_subdivide and retry"
+            )
+    return [tuple(sorted(rep[v] for v in facet)) for facet in complex_.facets]
+
+
+def check_involution_regular(
+    complex_: SimplicialComplex, involution: Mapping[Hashable, Hashable]
+) -> None:
+    """Raise RegularityError unless the involution is regular; see _orbit_facets."""
+    _orbit_facets(complex_, involution)
 
 
 def quotient_by_involution(
@@ -184,23 +190,11 @@ def quotient_by_involution(
 ) -> SimplicialComplex:
     """Orbit complex of a regular simplicial involution.
 
-    Checks the regularity condition first and raises RegularityError (asking
-    for further subdivision) when it fails; under regularity the orbit complex
-    triangulates the topological quotient.
+    Raises RegularityError (asking for further subdivision) when the orbit
+    pass finds a breach; under regularity the orbit complex triangulates the
+    topological quotient.
     """
-    check_involution_regular(complex_, involution)
-
-    def rep(v):
-        w = involution[v]
-        return v if v <= w else w
-
-    new_facets = []
-    for facet in complex_.facets:
-        image = tuple(sorted(rep(v) for v in facet))
-        if len(set(image)) != len(facet):
-            raise RegularityError("orbit map collapses a simplex")
-        new_facets.append(image)
-    return SimplicialComplex(new_facets)
+    return SimplicialComplex(_orbit_facets(complex_, involution))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +250,7 @@ def torus_inversion_quotient(n: int):
     inversion regular for every supported n: two opposite half-grid cubes of
     the torus meet only in grid vertices.  There is no retry, so a failed
     regularity check raises RegularityError.  Returns (quotient complex, 0),
-    the 0 being the number of extra subdivisions, which callers report.
+    the 0 extra subdivisions kept for the benchmark job that unpacks it.
     """
     complex_, involution = torus_triangulation(n)
     return quotient_by_involution(complex_, involution), 0

@@ -209,20 +209,16 @@ class WeylGroup:
 
     @cached_property
     def _reflections(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The reflections (det -1, trace r - 2) as element indices, and the
-        index permutations of left and of right multiplication by each."""
-        arr = self.matrices
-        det, trace = np.rint(np.linalg.det(arr)), np.trace(arr, axis1=1, axis2=2)
-        refl = np.flatnonzero((det == -1) & (trace == self.datum.rank - 2))
-        require(
-            refl.size == len(self.datum.positive_coroots),
-            "reflection count differs from the positive root count",
-        )
-        eye = np.eye(self.datum.rank, dtype=np.int64)
-        wide = arr[refl].astype(np.int64)
+        """The reflections s_beta = 1 - beta-vee (x) (beta . A), one per positive
+        root, as element indices, and the index permutations of left and of
+        right multiplication by each."""
+        datum = self.datum
+        eye, cartan = np.eye(datum.rank, dtype=np.int64), np.array(datum.cartan)
+        coroots, roots = np.array(datum.positive_coroots), np.array(datum.positive_roots)
+        wide = eye - coroots[:, :, None] * (roots @ cartan)[:, None, :]
         left = np.stack([self._permutation(t, eye) for t in wide])
         right = np.stack([self._permutation(eye, t) for t in wide])
-        return refl, left, right
+        return self.index_of(wide), left, right
 
     @cached_property
     def _stabilizers(self) -> dict[frozenset[int], np.ndarray]:
@@ -506,8 +502,8 @@ def _stabilizer(group: WeylGroup, geometry: AlcoveGeometry, nodes: frozenset[int
     The candidates are the stabilizer of the parent face, on the walls nodes
     plus the least node not in it, or the whole stack for a vertex.  Each
     candidate is tested exactly, (row i of w) . b == b_i mod 1, one coordinate
-    at a time on the survivors of the coordinates before it; an integral b
-    keeps them all without a test.
+    at a time on the survivors of the coordinates before it.  W fixes every
+    coweight mod Q-vee, so a coweight b keeps them all without a test.
     """
     if geometry.datum is not group.datum:
         raise ValueError("the alcove geometry belongs to another root datum")
@@ -522,8 +518,7 @@ def _stabilizer(group: WeylGroup, geometry: AlcoveGeometry, nodes: frozenset[int
         candidates = np.arange(group.order, dtype=np.int32)
     else:
         candidates = _stabilizer(group, geometry, nodes | {min(set(range(r + 1)) - nodes)})
-    if denom == 1:
-        # b is integral (the origin), so every candidate fixes it mod 1
+    if not np.any(np.array(group.datum.cartan) @ vec % denom):
         found = candidates
     else:
         kept = []

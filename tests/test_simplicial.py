@@ -286,6 +286,9 @@ class TestRegularity:
         assert _regular_by_all_bit_patterns(complex_, involution) == regular
         if regular:
             check_involution_regular(complex_, involution)
+            quotient_by_involution(complex_, involution)
         else:
             with pytest.raises(RegularityError):
                 check_involution_regular(complex_, involution)
+            with pytest.raises(RegularityError):
+                quotient_by_involution(complex_, involution)

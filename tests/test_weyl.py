@@ -241,6 +241,10 @@ class TestConjugacyClasses:
         group = _group(name)
         arr = group.matrices.astype(np.int64)
         refl, left, right = group._reflections
+        # the reflections are the elements of determinant -1 and trace r - 2
+        det, trace = np.rint(np.linalg.det(arr)), np.trace(arr, axis1=1, axis2=2)
+        expected = np.flatnonzero((det == -1) & (trace == group.datum.rank - 2))
+        assert sorted(refl.tolist()) == expected.tolist()
         for t, lp, rp in zip(arr[refl], left, right):
             assert np.array_equal(lp, group.index_of(t @ arr))
             assert np.array_equal(rp, group.index_of(arr @ t))
@@ -334,6 +338,12 @@ class TestStabilizersAndCosets:
         geo = alcove_geometry(datum)
         stab = face_stabilizer(group, geo, FaceIndex.of(datum, range(1, datum.rank + 1)))
         assert stab.indices == tuple(range(group.order))
+        # the vertex omega_j-vee / n_j is a coweight when its root integer n_j
+        # is 1, and W fixes every coweight modulo the coroot lattice
+        for j in range(1, datum.rank + 1):
+            if datum.theta[j - 1] == 1:
+                vertex = FaceIndex.of(datum, set(range(datum.rank + 1)) - {j})
+                assert face_stabilizer(group, geo, vertex).indices == tuple(range(group.order))
 
     def test_a1_vertex_stabilizer_full(self):
         datum = build_root_datum("A1")

@@ -15,7 +15,7 @@ from . import __version__, alcove, geom, invariants, verify, weyl, wps
 from .geom import MeshError
 from .homology import FinAbGroup, InvariantBreachError
 from .rootdata import LieTypeError, build_root_datum, dynkin_index
-from .weyl import ReductionError, WeylCapError
+from .weyl import WeylCapError
 
 SCHEMA_VERSION = 1
 
@@ -24,7 +24,7 @@ EXIT_PRECONDITION = 2
 EXIT_BREACH = 3
 
 # LieTypeError, AlcoveMembershipError and EmptyFaceError are ValueErrors
-_PRECONDITION_ERRORS = (ValueError, ReductionError, MeshError)
+_PRECONDITION_ERRORS = (ValueError, MeshError)
 
 
 def _jsonable(value):

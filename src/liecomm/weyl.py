@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import lcm
+from math import comb, lcm
 from pathlib import Path
 from typing import Sequence
 
@@ -454,24 +454,23 @@ def molien_poincare(group: WeylGroup, n: int, max_deg: int) -> list[int]:
         coeffs[0] == 1 and (max_deg < 1 or coeffs[1] == 0) and all(c >= 0 for c in coeffs),
         "Poincare coefficients violate their invariants",
     )
+    require(max_deg < 2 or coeffs[2] == comb(n, 2), "Poincare [t^2] is not C(n, 2)")
     return coeffs
 
 
 def irreducibility_check(group: WeylGroup) -> Fraction:
-    """(1/|W|) * sum of trace(w)^2; equals 1 exactly for every simple type."""
+    """(1/|W|) * sum of trace(w)^2, required to equal 1 (W is irreducible)."""
     r = group.datum.rank
-    total = 0
-    for charpoly, mult in group.charpoly_buckets:
-        tr = -charpoly[r - 1]
-        total += mult * tr * tr
-    return Fraction(total, group.order)
+    total = sum(mult * charpoly[r - 1] ** 2 for charpoly, mult in group.charpoly_buckets)
+    require(total == group.order, f"sum of squared traces {total} is not |W| = {group.order}")
+    return Fraction(1)
 
 
 def euler_char_rep(group: WeylGroup, k: int) -> int:
     """Lefschetz average (1/|W|) * sum of det(1 - w)^k.
 
     This is the Euler characteristic of the k-fold torus quotient; for k = 2
-    it equals rank + 1.
+    it is required to equal rank + 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -479,7 +478,9 @@ def euler_char_rep(group: WeylGroup, k: int) -> int:
     for charpoly, mult in group.charpoly_buckets:
         det1 = sum(charpoly)  # charpoly evaluated at 1 = det(1 - w)
         total += mult * det1**k
-    return exact_quotient(total, group.order, "Lefschetz average is not an integer")
+    euler = exact_quotient(total, group.order, "Lefschetz average is not an integer")
+    require(k != 2 or euler == group.datum.rank + 1, "Lefschetz average at k = 2 is not rank + 1")
+    return euler
 
 
 # ---------------------------------------------------------------------------

@@ -42,3 +42,12 @@ def _isolated_weyl_cache(tmp_path_factory):
     """Keep enumeration caches inside the test run."""
     os.environ["LIECOMM_CACHE_DIR"] = str(tmp_path_factory.mktemp("weylcache"))
     yield
+
+
+@pytest.fixture
+def a2_rotation_buckets():
+    """A charpoly histogram for the A2 Weyl group with its three reflections
+    swapped for one identity and two rotations (the rotation subgroup counted
+    twice).  Every Molien sum stays divisible by 6, [t^0] = 1 and [t^1] = 0,
+    but [t^2], the squared-trace sum and the k = 2 Lefschetz average move."""
+    return (((1, -2, 1), 2), ((1, 1, 1), 4))

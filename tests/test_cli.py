@@ -69,6 +69,16 @@ class TestPoincareCommand:
         assert out == ""
         assert "invariant breach" in err and "Molien" in err
 
+    def test_t2_breach_exits_3(self, capsys, monkeypatch, a2_rotation_buckets):
+        from liecomm import weyl
+
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        monkeypatch.setattr(weyl, "charpoly_buckets", lambda arr: a2_rotation_buckets)
+        code, out, err = run_cli(capsys, "poincare", "A2", "--n", "2", "--deg", "6")
+        assert code == 3
+        assert out == ""
+        assert err == "liecomm: invariant breach: Poincare [t^2] is not C(n, 2)\n"
+
     def test_cache_write_failure_is_reported(self, capsys, tmp_path):
         argv = ["poincare", "B5", "--n", "2", "--deg", "8", "--cache-dir"]
         _, expected, _ = run_cli(capsys, *argv, str(tmp_path / "cache"))
@@ -135,6 +145,16 @@ class TestOtherCommands:
         assert code == 3
         assert out == ""
         assert "invariant breach" in err and "Euler" in err
+
+    def test_cells_rank_plus_one_breach_exits_3(self, capsys, monkeypatch, a2_rotation_buckets):
+        from liecomm import weyl
+
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        monkeypatch.setattr(weyl, "charpoly_buckets", lambda arr: a2_rotation_buckets)
+        code, out, err = run_cli(capsys, "cells", "A2", "--k", "2")
+        assert code == 3
+        assert out == ""
+        assert err == "liecomm: invariant breach: Lefschetz average at k = 2 is not rank + 1\n"
 
     def test_cells_e6_by_classes(self, capsys, tmp_path):
         code, out, _ = run_cli(

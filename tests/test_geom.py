@@ -261,7 +261,7 @@ class TestProjection:
         g = rng.standard_normal(4)
         g /= np.linalg.norm(g)
         base = rep_project_su2([p], [q])
-        moved = rep_project_su2([qmul(qmul(g, p), qconj(g))], [qmul(qmul(g, q), qconj(g))], tol=1e-6)
+        moved = rep_project_su2([qmul(qmul(g, p), qconj(g))], [qmul(qmul(g, q), qconj(g))])
         assert np.abs(base - moved).max() < 1e-9
 
     def test_noncommuting_rejected(self):
@@ -434,8 +434,14 @@ class TestBlocks:
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_reports_do_not_depend_on_block_size(self, default_reports, monkeypatch, block):
+        cocycle, beta_report = default_reports
+        if block == 1:
+            # one row per block costs seconds per thousand mesh points, so the
+            # block-1 beta report is the grid-8 one, against its default blocks
+            beta_report = beta_check(8)
+            assert beta_report["degree"] == -1
         monkeypatch.setattr(geom, "_BLOCK", block)
-        assert (cocycle_check(601), beta_check(24)) == default_reports
+        assert (cocycle_check(601), beta_check(beta_report["grid"])) == (cocycle, beta_report)
 
     def test_degree_does_not_depend_on_block_size(self, monkeypatch):
         pts, tris = triangulate_prism_boundary(16)

@@ -222,6 +222,13 @@ class TestFaceOperations:
                 assert free == r - size
                 assert torsion == FinAbGroup.cyclic(n_vee(datum, face))
 
+    def test_lattice_quotient_requires_the_gcd(self, monkeypatch):
+        real = rootdata.snf_divisors
+        monkeypatch.setattr(rootdata, "snf_divisors", lambda mat: [*real(mat)[:-1], 2])
+        datum = build_root_datum("G2")
+        with pytest.raises(InvariantBreachError, match=r"G2 face \(1,\): Smith form disagrees"):
+            lattice_quotient(datum, FaceIndex.of(datum, [1]))
+
 
 def _faddeev_leverrier(mat):
     """Reference det(xI - M), ascending coefficients, in Python ints."""

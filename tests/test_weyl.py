@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -320,6 +321,27 @@ class TestClassFunctions:
     def test_euler_k2_is_rank_plus_one(self, name):
         datum = build_root_datum(name)
         assert euler_char_rep(_group(name), 2) == datum.rank + 1
+
+
+class TestClosedFormGates:
+    # each function requires its closed form; a histogram that is not W's breaks it
+    @pytest.fixture
+    def fake(self, a2_rotation_buckets):
+        return dataclasses.replace(_group("A2"), charpoly_buckets=a2_rotation_buckets)
+
+    def test_molien_t2_is_n_choose_2(self, fake):
+        assert molien_poincare(fake, 2, 1) == [1, 0]  # the gate starts at max_deg 2
+        with pytest.raises(InvariantBreachError, match=r"^Poincare \[t\^2\] is not C\(n, 2\)$"):
+            molien_poincare(fake, 2, 6)
+
+    def test_squared_traces_sum_to_the_order(self, fake):
+        with pytest.raises(InvariantBreachError, match="sum of squared traces 12 is not"):
+            irreducibility_check(fake)
+
+    def test_euler_k2_is_rank_plus_one(self, fake):
+        assert euler_char_rep(fake, 3) == 18  # the gate is at k = 2 only
+        with pytest.raises(InvariantBreachError, match=r"at k = 2 is not rank \+ 1"):
+            euler_char_rep(fake, 2)
 
 
 class TestStabilizersAndCosets:

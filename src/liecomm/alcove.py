@@ -1,9 +1,9 @@
 """Geometry of the fundamental alcove: vertices, barycenters, faces.
 
-The alcove is the simplex {alpha_j >= 0 for j = 1..r, theta <= 1} in the
-Cartan subalgebra, with vertices 0 and omega_j_vee / n_j (fundamental coweight
-over root integer).  Coordinates are exact Fractions in the simple-coroot
-basis throughout.
+The alcove is the simplex {a_j >= b_j for j = 0..r} cut out by the root
+datum's wall table, that is {alpha_j >= 0 for j = 1..r, theta <= 1}, with
+vertices 0 and omega_j_vee / n_j (fundamental coweight over root integer).
+Coordinates are exact Fractions in the simple-coroot basis throughout.
 """
 
 from __future__ import annotations
@@ -69,18 +69,15 @@ def alcove_geometry(datum: RootDatum) -> AlcoveGeometry:
     """Build the alcove geometry: v_0 = 0 and v_j = omega_j_vee / n_j."""
     r = datum.rank
     coweights = tuple(tuple(col) for col in _solve_columns(datum.cartan))
-    vertices = [tuple(Fraction(0) for _ in range(r))]
-    for j in range(1, r + 1):
-        n_j = datum.theta[j - 1]
-        vertices.append(tuple(c / n_j for c in coweights[j - 1]))
-    geom = AlcoveGeometry(datum, coweights, tuple(vertices))
-    for j in range(1, r + 1):
-        vals = datum.wall_values(geom.vertices[j])
-        expect = [Fraction(1, datum.theta[j - 1]) if i == j - 1 else Fraction(0) for i in range(r)]
-        require(
-            list(vals[:-1]) == expect and vals[-1] == 1, "alcove vertex fails its wall equations"
-        )
-    return geom
+    vertices = ((Fraction(0),) * r,) + tuple(
+        tuple(c / n for c in w) for n, w in zip(datum.theta, coweights)
+    )
+    marks = (1,) + datum.theta
+    for j, vertex in enumerate(vertices):
+        # vertex j lies on every wall but wall j, at height 1/n_j over it
+        expect = tuple(Fraction(1, marks[j]) if i == j else 0 for i in range(r + 1))
+        require(datum.wall_values(vertex) == expect, "alcove vertex fails its wall equations")
+    return AlcoveGeometry(datum, coweights, vertices)
 
 
 def barycenter(geometry: AlcoveGeometry, face: FaceIndex) -> FractionVector:
@@ -98,10 +95,7 @@ def face_of_point(geometry: AlcoveGeometry, x: Sequence[Fraction]) -> FaceIndex:
     """The set of alcove walls containing x; errors if x is not in the alcove."""
     datum = geometry.datum
     vals = _alcove_wall_values(datum, x)
-    nodes = {j for j in range(1, datum.rank + 1) if vals[j - 1] == 0}
-    if vals[-1] == 1:
-        nodes.add(0)
-    return FaceIndex.of(datum, nodes)
+    return FaceIndex.of(datum, (j for j, v in enumerate(vals) if v == 0))
 
 
 def face_a_of_m(geometry: AlcoveGeometry, m: int) -> FaceIndex:

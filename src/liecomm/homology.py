@@ -134,11 +134,6 @@ class FinAbGroup:
             raise ValueError("group is infinite")
         return prod(self.torsion) if self.torsion else 1
 
-    def direct_sum(self, other: "FinAbGroup") -> "FinAbGroup":
-        return FinAbGroup.from_divisors(
-            self.torsion + other.torsion, self.free_rank + other.free_rank
-        )
-
     def tensor(self, other: "FinAbGroup") -> "FinAbGroup":
         """Tensor product over Z, assembled from Z/m ⊗ Z/n = Z/gcd(m, n)."""
         divs: list[int] = []

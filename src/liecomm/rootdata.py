@@ -7,6 +7,11 @@ Conventions (fixed once, used everywhere):
 * The Cartan matrix is stored as ``a[i][j] = alpha_i(alpha_j_vee)``, so the
   simple reflection s_i acts on coroot coordinates by
   ``alpha_j_vee -> alpha_j_vee - a[i][j] * alpha_i_vee``.
+* The affine walls are tabled once, by node j = 0..r: the functional a_j
+  (a_0 = -theta, a_j = alpha_j, as rows on coroot coordinates), the coroot
+  c_j (c_0 = -theta_vee, c_j = alpha_j_vee) and the bound b_j (-1 at node 0,
+  else 0).  The alcove is {a_j(x) >= b_j for every j}, and the reflection in
+  wall j is s_j(x) = x - (a_j(x) - b_j) * c_j.
 * All vectors live in the simple-coroot basis unless stated otherwise, and all
   arithmetic in this module is exact: integers and Fractions, and float32
   matrix products only under a checked bound that keeps them exact.
@@ -247,23 +252,24 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _coxeter_exponents(cartan: Matrix, h: int) -> tuple[int, ...]:
+def _linear_parts(functionals: Sequence[Vector], coroots: Sequence[Vector]) -> np.ndarray:
+    """The linear parts 1 - c (x) a of the reflections in the walls {a = b}, int64."""
+    a, c = np.array(functionals, dtype=np.int64), np.array(coroots, dtype=np.int64)
+    return np.eye(a.shape[1], dtype=np.int64) - c[:, :, None] * a[:, None, :]
+
+
+def _coxeter_exponents(simple: np.ndarray, h: int) -> tuple[int, ...]:
     """Exponents of W from the eigenvalue angles of a Coxeter element.
 
-    The Coxeter element has order h and eigenvalues exp(2*pi*i*m/h); the
-    multiset of angles is read off exactly by factoring its characteristic
-    polynomial into cyclotomics.
+    The Coxeter element s_r ... s_1, a product of the simple reflections, has
+    order h and eigenvalues exp(2*pi*i*m/h); the multiset of angles is read
+    off exactly by factoring its characteristic polynomial into cyclotomics.
     """
-    r = len(cartan)
-    cox = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    for i in range(r):
-        # left-multiply by the reflection s_i acting on coroot coordinates
-        s = [[(1 if k == j else 0) - (cartan[i][j] if k == i else 0) for j in range(r)] for k in range(r)]
-        cox = [
-            [sum(s[a][b] * cox[b][c] for b in range(r)) for c in range(r)]
-            for a in range(r)
-        ]
-    ((poly, _),) = charpoly_buckets(np.array([cox]))
+    r = len(simple)
+    cox = np.eye(r, dtype=np.int64)
+    for s in simple:
+        cox = s @ cox
+    ((poly, _),) = charpoly_buckets(cox[None])
     poly = list(poly)
     exponents: list[int] = []
     for d in range(1, h + 1):
@@ -320,20 +326,31 @@ class RootDatum:
     degrees: tuple[int, ...]
     coxeter_number: int
     weyl_order: int
+    wall_functionals: Matrix  # a_j by node j = 0..r
+    wall_coroots: Matrix  # c_j by node j = 0..r
+    wall_bounds: Vector  # b_j by node j = 0..r
+
+    def __post_init__(self) -> None:
+        # derived, not a field: the positive roots as functionals beta . A,
+        # which count the affine root hyperplanes beta = k an alcove walk crosses
+        functionals = tuple(_as_functional(b, self.cartan) for b in self.positive_roots)
+        object.__setattr__(self, "root_functionals", functionals)
 
     @property
     def rank(self) -> int:
         return self.lie_type.rank
 
-    def alpha_value(self, j: int, x: Sequence[Fraction]) -> Fraction:
-        """alpha_j evaluated on coroot-basis coordinates x (node j in 1..r)."""
-        row = self.cartan[j - 1]
-        return sum((Fraction(row[k]) * x[k] for k in range(self.rank)), Fraction(0))
+    @property
+    def wall_reflections(self) -> np.ndarray:
+        """The linear parts of s_0, ..., s_r as int64 matrices; that of s_0 is s_theta."""
+        return _linear_parts(self.wall_functionals, self.wall_coroots)
 
     def wall_values(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """(alpha_1(x), ..., alpha_r(x), theta(x))."""
-        vals = tuple(self.alpha_value(j, x) for j in range(1, self.rank + 1))
-        return vals + (sum((Fraction(self.theta[j]) * vals[j] for j in range(self.rank)), Fraction(0)),)
+        """The heights a_j(x) - b_j of coroot coordinates x over the walls, by node."""
+        return tuple(
+            sum((a * c for a, c in zip(row, x)), Fraction(-b))
+            for row, b in zip(self.wall_functionals, self.wall_bounds)
+        )
 
     def contains_in_alcove(self, x: Sequence[Fraction]) -> bool:
         return _in_alcove(self.wall_values(x))
@@ -351,8 +368,13 @@ class RootDatum:
 
 
 def _in_alcove(vals: Sequence[Fraction]) -> bool:
-    """The alcove inequalities on wall values (alpha_1, ..., alpha_r, theta)."""
-    return all(v >= 0 for v in vals[:-1]) and vals[-1] <= 1
+    """The alcove inequalities a_j(x) >= b_j: every wall height of x is nonnegative."""
+    return all(v >= 0 for v in vals)
+
+
+def _as_functional(root: Vector, cartan: Matrix) -> Vector:
+    """A root in the simple-root basis as a row on coroot coordinates, root . A."""
+    return tuple(sum(c * a for c, a in zip(root, col)) for col in zip(*cartan))
 
 
 @lru_cache(maxsize=None)
@@ -371,8 +393,11 @@ def _build(lt: LieType) -> RootDatum:
     theta_vee = closure[theta]
     coroot_integers = (1,) + tuple(theta_vee)
     require(all(n >= 1 for n in coroot_integers), "coroot integers must be positive")
+    unit = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+    wall_functionals = (tuple(-c for c in _as_functional(theta, cartan)),) + cartan
+    wall_coroots = (tuple(-c for c in theta_vee),) + unit
     h = exact_quotient(2 * len(positives), r, "root count is not r*h/2")
-    exps = _coxeter_exponents(cartan, h)
+    exps = _coxeter_exponents(_linear_parts(wall_functionals[1:], wall_coroots[1:]), h)
     degrees = tuple(e + 1 for e in exps)
     require(sum(degrees) - r == len(positives), "degrees do not match the positive root count")
     require(max(degrees) == h, "largest degree disagrees with the Coxeter number")
@@ -389,6 +414,9 @@ def _build(lt: LieType) -> RootDatum:
         degrees=degrees,
         coxeter_number=h,
         weyl_order=prod(degrees),
+        wall_functionals=wall_functionals,
+        wall_coroots=wall_coroots,
+        wall_bounds=(-1,) + (0,) * r,
     )
 
 
@@ -432,12 +460,6 @@ class FaceIndex:
     def complement(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.rank + 1) if i not in self.nodes)
 
-    def __contains__(self, i: int) -> bool:
-        return i in self.nodes
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     def sorted_nodes(self) -> tuple[int, ...]:
         return tuple(sorted(self.nodes))
 
@@ -456,41 +478,27 @@ def n_vee(datum: RootDatum, face: FaceIndex) -> int:
 def zeta_class(datum: RootDatum, face: FaceIndex) -> tuple[Fraction, ...]:
     """Generator of the torsion of the lattice quotient, in the coroot basis.
 
-    (1/n_vee) * sum of n_i_vee * alpha_i_vee over the complement nodes, with
-    the node-0 coroot expanded as minus the sum of the others.
+    (1/n_vee) * sum of n_i_vee * c_i over the complement nodes, c_i the wall
+    coroots (c_0 = -theta_vee).
     """
-    r = datum.rank
     nv = n_vee(datum, face)
-    acc = [Fraction(0)] * r
+    acc = [0] * datum.rank
     for i in face.complement():
         n = datum.coroot_integers[i]
-        if i == 0:
-            for j in range(r):
-                acc[j] -= n * datum.coroot_integers[j + 1]
-        else:
-            acc[i - 1] += n
+        acc = [s + n * c for s, c in zip(acc, datum.wall_coroots[i])]
     return tuple(Fraction(c, nv) for c in acc)
 
 
 def lattice_quotient(datum: RootDatum, face: FaceIndex) -> tuple[int, FinAbGroup]:
     """Quotient of the coroot lattice by the face's sublattice, via Smith form.
 
-    Returns (free_rank, torsion).  The sublattice is spanned by the coroots of
-    the nodes in the face; node 0 contributes minus the weighted sum of the
-    simple coroots.  The result is required to be (face.dim, Z/n_vee).
+    Returns (free_rank, torsion).  The sublattice is spanned by the wall
+    coroots c_i of the nodes in the face (c_0 = -theta_vee).  The result is
+    required to be (face.dim, Z/n_vee).
     """
     r = datum.rank
-    cols = []
-    for i in face.sorted_nodes():
-        if i == 0:
-            cols.append([-datum.coroot_integers[j + 1] for j in range(r)])
-        else:
-            cols.append([1 if j == i - 1 else 0 for j in range(r)])
-    if cols:
-        mat = [[cols[c][row] for c in range(len(cols))] for row in range(r)]
-        divisors = snf_divisors(mat)
-    else:
-        divisors = []
+    cols = [datum.wall_coroots[i] for i in face.sorted_nodes()]
+    divisors = snf_divisors([list(row) for row in zip(*cols)]) if cols else []
     free = r - len(divisors)
     torsion = FinAbGroup.from_divisors([d for d in divisors if d > 1])
     require(

@@ -178,13 +178,6 @@ def _orbit_facets(
     return [tuple(sorted(rep[v] for v in facet)) for facet in complex_.facets]
 
 
-def check_involution_regular(
-    complex_: SimplicialComplex, involution: Mapping[Hashable, Hashable]
-) -> None:
-    """Raise RegularityError unless the involution is regular; see _orbit_facets."""
-    _orbit_facets(complex_, involution)
-
-
 def quotient_by_involution(
     complex_: SimplicialComplex, involution: Mapping[Hashable, Hashable]
 ) -> SimplicialComplex:

@@ -21,21 +21,25 @@ stored in canonical lexicographic order, so runs are deterministic.
 No table quadratic in |W| is built.  One routine labels each element with
 the least index reachable from it under a list of index permutations.  Under
 conjugation by the simple reflections that is the least index of its class,
-and the cell census sums its class functions over classes.  Under left and
-right multiplication by the reflections of H and of K it is the least index
-of the double coset HwK, when H and K are generated by their reflections (face
-stabilizers are); a Burnside count of the double cosets cross-checks it.
-Those permutations are read off the orbit keys: the key of l*w*r is that of
-the point l*(w*(r*v)), one matrix-vector product per element.  For l and r in
-W these keys are the element keys permuted, so one sort matches every key
-asked for with the key found, and a key that is not an element key is a
-breach.
+and the cell census sums its class functions over classes.  The reflections
+come from the root datum's wall table, s_j = 1 - c_j (x) a_j for the nodes
+j = 0..r (node 0 gives s_theta).  The stabilizer of a point of the closed
+alcove, mod the coroot lattice, is generated by the reflections in the walls
+through it (Bourbaki, Lie Groups V 3.3), so the face on the walls J has the
+stabilizer generated by s_j, j in J.  Under left multiplication by the wall
+reflections in H and right multiplication by those in K the label is the
+least index of the double coset HwK, when H and K are generated by the wall
+reflections they contain, as face stabilizers are; a Burnside count of the
+double cosets cross-checks it.  Those permutations are read off the orbit
+keys: the key of l*w*r is that of the point l*(w*(r*v)), one matrix-vector
+product per element.  For l and r in W these keys are the element keys
+permuted, so one sort matches every key asked for with the key found, and a
+key that is not an element key is a breach.
 
 A face stabilizer is filtered from the stabilizer of its parent face, the
-face on one more wall.  The stabilizer of a point of the closed alcove, mod
-the coroot lattice, is generated by the reflections in the walls through it
-(Bourbaki, Lie Groups V 3.3), so a face on the walls J lies in the stabilizer
-of every face on walls J' containing J.  Only the vertices scan the stack.
+face on one more wall: by the same theorem a face on the walls J lies in
+the stabilizer of every face on walls J' containing J.  Only the vertices
+scan the stack.
 
 The elements are one read-only int8 stack (every entry is a coroot
 coordinate of a coroot, at most 6 in absolute value).  Orbit images, keys
@@ -84,10 +88,6 @@ class WeylCapError(RuntimeError):
         self.required = required
         self.cap = cap
         super().__init__(f"enumeration needs {required} elements, above the cap {cap}")
-
-
-class ReductionError(RuntimeError):
-    """Affine reduction failed to land in the alcove within the iteration cap."""
 
 
 def _regular_vector(datum: RootDatum) -> np.ndarray:
@@ -192,8 +192,7 @@ class WeylGroup:
     @cached_property
     def _class_labels(self) -> np.ndarray:
         """The least element index in the conjugacy class of each element."""
-        eye, cartan = np.eye(self.datum.rank, dtype=np.int64), np.array(self.datum.cartan)
-        simple = eye - eye[:, :, None] * cartan[:, None, :]  # s_g = 1 - e_g (x) row g of A
+        simple = self.datum.wall_reflections[1:]
         return _least_reachable(np.stack([self._permutation(s, s) for s in simple]))
 
     @cached_property
@@ -208,17 +207,14 @@ class WeylGroup:
         return np.searchsorted(self._classes[0], self._class_labels)
 
     @cached_property
-    def _reflections(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The reflections s_beta = 1 - beta-vee (x) (beta . A), one per positive
-        root, as element indices, and the index permutations of left and of
-        right multiplication by each."""
-        datum = self.datum
-        eye, cartan = np.eye(datum.rank, dtype=np.int64), np.array(datum.cartan)
-        coroots, roots = np.array(datum.positive_coroots), np.array(datum.positive_roots)
-        wide = eye - coroots[:, :, None] * (roots @ cartan)[:, None, :]
-        left = np.stack([self._permutation(t, eye) for t in wide])
-        right = np.stack([self._permutation(eye, t) for t in wide])
-        return self.index_of(wide), left, right
+    def _walls(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The linear parts of the r + 1 wall reflections s_0, ..., s_r, by node,
+        as element indices, and the index permutations of left and of right
+        multiplication by each."""
+        eye, walls = np.eye(self.datum.rank, dtype=np.int64), self.datum.wall_reflections
+        left = np.stack([self._permutation(t, eye) for t in walls])
+        right = np.stack([self._permutation(eye, t) for t in walls])
+        return self.index_of(walls), left, right
 
     @cached_property
     def _stabilizers(self) -> dict[frozenset[int], np.ndarray]:
@@ -547,19 +543,20 @@ def double_cosets(
 ) -> list[list[list[int]]]:
     """Lexicographically least representatives of the double cosets H\\W/K.
 
-    H and K must be generated by their reflections, as face stabilizers are.
+    H and K must be generated by the wall reflections they contain, as face
+    stabilizers are (by those of their walls).
     """
     if h.group is not group or k.group is not group:
         raise ValueError("subgroups must belong to the given Weyl group")
-    refl, left, right = group._reflections
-    perms = np.concatenate((left[np.isin(refl, h.indices)], right[np.isin(refl, k.indices)]))
+    walls, left, right = group._walls
+    perms = np.concatenate((left[np.isin(walls, h.indices)], right[np.isin(walls, k.indices)]))
     # the stack is sorted, so the least index of a double coset is its least element
     reps = np.unique(_least_reachable(perms))
     fixed = [_fixed_coset_counts(group, list(s.indices)).tolist() for s in (h, k)]
     burnside = _orbit_count(group, fixed)
     require(
         reps.size == burnside,
-        f"{reps.size} reflection-generated components, but {burnside} double cosets",
+        f"{reps.size} wall-reflection components, but {burnside} double cosets",
     )
     return group.matrices[reps].tolist()
 
@@ -619,8 +616,19 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(operator.mul, a, b))
 
 
+def _separating_hyperplanes(datum: RootDatum, y: Sequence[int], scale: int) -> int:
+    """The number of affine root hyperplanes beta = k that strictly separate the
+    point y/scale from the open alcove, where 0 < beta < 1 for every positive
+    root: the k in [1, beta) when beta > 1, and in (beta, 0] when beta < 0."""
+    total = 0
+    for row in datum.root_functionals:
+        t = _dot(row, y)
+        total += (t - 1) // scale if t > 0 else -(t // scale)
+    return total
+
+
 def alcove_reduce(
-    datum: RootDatum, x: Sequence, max_iter: int = 100_000
+    datum: RootDatum, x: Sequence
 ) -> tuple[tuple[Fraction, ...], WeylMatrix, tuple[int, ...]]:
     """Reduce a point into the fundamental alcove by wall reflections.
 
@@ -629,11 +637,12 @@ def alcove_reduce(
 
     The walk runs in integers: with D the lcm of the denominators of x, it
     keeps y = D*(w*x + q), an integer vector, and w and q, which stay
-    integral.  A simple reflection s_g = 1 - e_g (x) (row g of A) changes
-    only coordinate g of y and q and row g of w; the affine reflection
-    p -> s_theta(p) + theta-vee is a rank-one update.  Each step reflects in
-    the first simple wall with a negative value, else in the theta wall if
-    theta(p) > 1, that is theta(y) > D.
+    integral.  Each step reflects in the first wall, in node order 1..r then
+    0, with a_j(y) < D*b_j: s_j(p) = p - (a_j(p) - b_j)*c_j is a rank-one
+    update of y, q and w, which touches only the rows where c_j is nonzero.
+    A step crosses exactly one affine root hyperplane between the point and
+    the alcove (Humphreys, Reflection Groups and Coxeter Groups, ch. 4), so
+    the walk, cut off one step past their count, must take exactly that many.
     """
     r = datum.rank
     x = tuple(Fraction(c) for c in x)
@@ -649,35 +658,27 @@ def alcove_reduce(
     q = [-math.floor(c) for c in x]
     y = [a + scale * b for a, b in zip(dx, q)]
     w = [[int(i == j) for j in range(r)] for i in range(r)]
-    cartan, theta_vee = datum.cartan, datum.theta_vee
-    # theta as a functional on coroot coordinates: row vector theta . cartan
-    theta_row = [sum(datum.theta[i] * cartan[i][j] for i in range(r)) for j in range(r)]
-    for _ in range(max_iter):
-        neg = next((g for g in range(r) if _dot(cartan[g], y) < 0), None)
-        if neg is not None:
-            row = cartan[neg]
-            y[neg] -= _dot(row, y)
-            q[neg] -= _dot(row, q)
-            w[neg] = [c - _dot(row, col) for c, col in zip(w[neg], zip(*w))]
-            continue
-        ty = _dot(theta_row, y)
-        if ty > scale:
-            tq = _dot(theta_row, q)
-            tw = [_dot(theta_row, col) for col in zip(*w)]
-            for i, t in enumerate(theta_vee):
-                y[i] += t * (scale - ty)
-                q[i] += t * (1 - tq)
-                w[i] = [a - t * b for a, b in zip(w[i], tw)]
-            continue
-        # bookkeeping, exact: scale*(w*x + q) == y
-        exact = all(_dot(wi, dx) + scale * qi == yi for wi, qi, yi in zip(w, q, y))
-        require(exact, "reduction bookkeeping failed")
-        return (
-            tuple(Fraction(c, scale) for c in y),
-            tuple(tuple(row) for row in w),
-            tuple(q),
-        )
-    raise ReductionError(
-        f"alcove reduction did not reach the alcove within max_iter={max_iter} steps; "
-        "raise max_iter"
+    hyperplanes = _separating_hyperplanes(datum, y, scale)
+    walls = list(zip(datum.wall_functionals, datum.wall_coroots, datum.wall_bounds))
+    walls = walls[1:] + walls[:1]  # node order 1..r, then 0
+    for steps in range(hyperplanes + 2):
+        wall = next((wall for wall in walls if _dot(wall[0], y) < wall[2] * scale), None)
+        if wall is None:
+            break
+        a, c, b = wall
+        ay, aq = _dot(a, y) - b * scale, _dot(a, q) - b
+        aw = [_dot(a, col) for col in zip(*w)]
+        for i, ci in enumerate(c):
+            if ci:
+                y[i] -= ci * ay
+                q[i] -= ci * aq
+                w[i] = [u - ci * v for u, v in zip(w[i], aw)]
+    require(
+        wall is None and steps == hyperplanes,
+        f"the alcove walk took {'over ' if wall else ''}{steps} steps, but {hyperplanes} "
+        "root hyperplanes separate the point from the alcove",
     )
+    # bookkeeping, exact: scale*(w*x + q) == y
+    exact = all(_dot(wi, dx) + scale * qi == yi for wi, qi, yi in zip(w, q, y))
+    require(exact, "reduction bookkeeping failed")
+    return tuple(Fraction(c, scale) for c in y), tuple(map(tuple, w)), tuple(q)

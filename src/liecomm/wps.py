@@ -184,13 +184,14 @@ def spin_stability_report(ell: int, parity: str, k: int) -> dict:
 def barycentric_coordinates(
     geometry: AlcoveGeometry, x: Sequence[Fraction]
 ) -> tuple[Fraction, ...]:
-    """Barycentric coordinates of an alcove point over (v_0, ..., v_r)."""
+    """Barycentric coordinates of an alcove point over (v_0, ..., v_r).
+
+    The coordinate at node j is n_j * (a_j(x) - b_j), with n_0 = 1 and n_j the
+    root integers: x's height over wall j in units of v_j's.
+    """
     datum = geometry.datum
     vals = _alcove_wall_values(datum, x)
-    coords = [Fraction(1) - vals[-1]]
-    for j in range(1, datum.rank + 1):
-        coords.append(datum.theta[j - 1] * vals[j - 1])
-    return tuple(coords)
+    return tuple(n * v for n, v in zip((1,) + datum.theta, vals))
 
 
 def rep_to_wps(

@@ -34,3 +34,37 @@ def test_subdivided_torus_job(tmp_path):
 def test_snf_transforms_job(tmp_path):
     out = _as_json(jobs.snf_transforms(str(tmp_path)))
     assert checks.check_snf(out, tmp_path) == []
+
+
+def test_double_cosets_job(tmp_path):
+    out = _as_json(jobs.double_cosets("F4", str(tmp_path)))
+    assert checks.check_double_cosets("F4", str(tmp_path))(out, tmp_path) == []
+
+
+def test_lattice_quotients_job(tmp_path):
+    out = _as_json(jobs.lattice_quotients(["A3", "C4", "D5", "G2", "F4"]))
+    assert checks.check_lattice_quotients(out, tmp_path) == []
+
+
+def test_query_job(tmp_path):
+    points = {
+        "D4": [["7/3", "-1/2", "5/4", "-9/5"], ["0", "0", "0", "0"]],
+        "G2": [["-3/2", "11/7"]],
+        "E6": [["-20/3", "1/12", "19/5", "-7/2", "3", "-1/11"]],
+    }
+    out = _as_json(jobs.query("D4", str(tmp_path), points))
+    assert checks.check_query("D4", points)(out, tmp_path) == []
+
+
+def test_span_names_resolve():
+    # the traced benchmark wraps these functions by name; a deleted or renamed
+    # one would otherwise drop out of its spans unnoticed
+    import liecomm
+    import liecomm.cli  # noqa: F401
+    import spans
+
+    for name in spans.FUNCTIONS:
+        owner = liecomm
+        for attr in name.split("."):
+            owner = getattr(owner, attr)
+        assert callable(owner), name

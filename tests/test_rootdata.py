@@ -109,6 +109,24 @@ class TestRootDatum:
             datum = build_root_datum(name)
             assert sum(datum.coroot_integers) == 1 + sum(datum.theta_vee)
 
+    @pytest.mark.parametrize("name", ["A1", "A4", "B3", "C4", "D5", "E8", "F4", "G2"])
+    def test_wall_table(self, name):
+        datum = build_root_datum(name)
+        r = datum.rank
+        a, c = np.array(datum.wall_functionals), np.array(datum.wall_coroots)
+        # a_i(c_j) is the extended Cartan matrix: 2 on the diagonal, and the
+        # marks (1, theta) and coroot integers are its left and right null vectors
+        ext = a @ c.T
+        assert ext.diagonal().tolist() == [2] * (r + 1)
+        assert not np.any(np.array((1,) + datum.theta) @ a)
+        assert not np.any(np.array(datum.coroot_integers) @ c)
+        assert ext[1:, 1:].tolist() == [list(row) for row in datum.cartan]
+        assert datum.wall_bounds == (-1,) + (0,) * r
+        # the linear part of s_j negates c_j and a_j
+        for s, aj, cj in zip(datum.wall_reflections, a, c):
+            assert np.array_equal(s @ cj, -cj)
+            assert np.array_equal(aj @ s, -aj)
+
     def test_symmetrizer_relation(self):
         datum = build_root_datum("F4")
         a, d = datum.cartan, datum.symmetrizer

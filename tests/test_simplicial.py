@@ -11,7 +11,6 @@ from liecomm.simplicial import (
     SimplicialComplex,
     SimplicialError,
     barycentric_subdivide,
-    check_involution_regular,
     quotient_by_involution,
     torus_inversion_quotient,
     torus_triangulation,
@@ -285,10 +284,7 @@ class TestRegularity:
         complex_, involution = build()
         assert _regular_by_all_bit_patterns(complex_, involution) == regular
         if regular:
-            check_involution_regular(complex_, involution)
             quotient_by_involution(complex_, involution)
         else:
-            with pytest.raises(RegularityError):
-                check_involution_regular(complex_, involution)
             with pytest.raises(RegularityError):
                 quotient_by_involution(complex_, involution)

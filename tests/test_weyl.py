@@ -15,7 +15,6 @@ from liecomm.homology import InvariantBreachError
 from liecomm.rootdata import FaceIndex, all_faces, build_root_datum
 from liecomm.weyl import (
     HARD_ELEMENT_LIMIT,
-    ReductionError,
     StabilizerSubgroup,
     WeylCapError,
     alcove_reduce,
@@ -241,12 +240,13 @@ class TestConjugacyClasses:
     def test_reflection_permutations_from_keys(self, name):
         group = _group(name)
         arr = group.matrices.astype(np.int64)
-        refl, left, right = group._reflections
-        # the reflections are the elements of determinant -1 and trace r - 2
-        det, trace = np.rint(np.linalg.det(arr)), np.trace(arr, axis1=1, axis2=2)
-        expected = np.flatnonzero((det == -1) & (trace == group.datum.rank - 2))
-        assert sorted(refl.tolist()) == expected.tolist()
-        for t, lp, rp in zip(arr[refl], left, right):
+        walls, left, right = group._walls
+        r = group.datum.rank
+        # one wall reflection per node: determinant -1 and trace r - 2
+        assert walls.shape == (r + 1,)
+        assert np.all(np.rint(np.linalg.det(arr[walls])) == -1)
+        assert np.all(np.trace(arr[walls], axis1=1, axis2=2) == r - 2)
+        for t, lp, rp in zip(arr[walls], left, right):
             assert np.array_equal(lp, group.index_of(t @ arr))
             assert np.array_equal(rp, group.index_of(arr @ t))
 
@@ -415,6 +415,24 @@ class TestStabilizersAndCosets:
         backwards = {f: face_stabilizer(fresh, geo, f).indices for f in reversed(faces)}
         assert all(face_stabilizer(group, geo, f).indices == backwards[f] for f in faces)
 
+    @pytest.mark.parametrize("name", TABLE_TYPES)
+    def test_stabilizers_generated_by_wall_reflections(self, name):
+        # a face's stabilizer is generated by the reflections s_j in its walls
+        # (Bourbaki, Lie Groups V 3.3), j among the face's nodes
+        datum = build_root_datum(name)
+        group = _group(name)
+        geo = alcove_geometry(datum)
+        for face in all_faces(datum):
+            stab = face_stabilizer(group, geo, face).indices
+            gens = datum.wall_reflections[list(face.sorted_nodes())]
+            assert np.isin(group.index_of(gens), stab).all()
+            reached, frontier = {group.identity_index}, [group.identity_index]
+            while frontier:
+                products = gens[:, None] @ group.matrices[frontier].astype(np.int64)[None]
+                frontier = sorted(set(group.index_of(products).ravel().tolist()) - reached)
+                reached.update(frontier)
+            assert sorted(reached) == list(stab)
+
     def test_stabilizer_rejects_another_geometry(self):
         group = _group("B3")
         geo = alcove_geometry(build_root_datum("C3"))
@@ -442,7 +460,7 @@ class TestStabilizersAndCosets:
 
     def test_double_cosets_need_reflection_generated_subgroups(self):
         # the rotations of A2 contain no reflection, so the components under
-        # H-reflections are single elements: 6 of them against 2 cosets H\W
+        # H's wall reflections are single elements: 6 of them against 2 cosets H\W
         group = _group("A2")
         rotations = np.nonzero(np.rint(np.linalg.det(group.matrices)) == 1)[0]
         h = StabilizerSubgroup(group, tuple(rotations.tolist()))
@@ -559,9 +577,11 @@ class TestAlcoveReduce:
         digest = hashlib.sha256(repr(results).encode()).hexdigest()
         assert digest == "3f76fa20612cac29b8f176d02f8326398faf28275ae865bcc83aeae9cfbe07ec"
 
-    def test_cap_names_max_iter(self):
+    def test_walk_length_gate(self):
+        # the walk is checked against the root hyperplanes it must cross; a
+        # datum that lost its positive roots counts none and breaches
         datum = build_root_datum("E8")
         x = [Fraction(-7, 3)] * 8
         assert datum.contains_in_alcove(alcove_reduce(datum, x)[0])
-        with pytest.raises(ReductionError, match="max_iter=1 "):
-            alcove_reduce(datum, x, max_iter=1)
+        with pytest.raises(InvariantBreachError, match="0 root hyperplanes"):
+            alcove_reduce(dataclasses.replace(datum, positive_roots=()), x)

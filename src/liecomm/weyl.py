@@ -36,14 +36,24 @@ product per element.  For l and r in W these keys are the element keys
 permuted, so one sort matches every key asked for with the key found, and a
 key that is not an element key is a breach.
 
-A face stabilizer is filtered from the stabilizer of its parent face, the
-face on one more wall: by the same theorem a face on the walls J lies in
-the stabilizer of every face on walls J' containing J.  Only the vertices
-scan the stack.
+Face stabilizers come from one table of vertex translations.  For each
+alcove vertex v_k (k = 0..r) and each element w, the table labels
+q_k(w) = v_k - w*v_k with an id shared by all vertices when q_k(w) lies in
+the coroot lattice, and with -1 otherwise.  An element of the affine Weyl
+group that fixes a point of the closed alcove fixes that point's face
+pointwise (Bourbaki, Lie Groups V 3.3; Humphreys, Reflection Groups and
+Coxeter Groups 4.8).  So w fixes the face on the walls J mod Q-vee if and
+only if q_k(w) is one lattice vector q for every vertex k not in J: then
+t_q*w fixes every vertex of the face, hence its barycenter b, and
+conversely t_q*w with q = b - w*b fixes b, hence the face.  A vertex's
+stabilizer is where its label is an id; any other face keeps the members of
+its parent, the face on the walls J and k0 with v_k0 its vertex of least
+index, whose labels at k0 and at one more vertex of the face agree.
 
 The elements are one read-only int8 stack (every entry is a coroot
-coordinate of a coroot, at most 6 in absolute value).  Orbit images, keys
-and stabilizer scans widen at most _CHUNK elements to int64 at a time.
+coordinate of a coroot, at most 6 in absolute value).  Orbit images and
+keys widen at most _CHUNK elements to int64 at a time, the translation
+table _LABEL_BLOCK elements to float64.
 
 Molien/Poincare sums, trace statistics and Lefschetz averages are evaluated
 per characteristic-polynomial bucket: both det(1 + t*w) and det(1 - t^2*w)
@@ -68,7 +78,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .alcove import AlcoveGeometry, barycenter
+from .alcove import AlcoveGeometry, alcove_geometry
 from .homology import exact_quotient, require
 from .rootdata import FaceIndex, RootDatum, all_faces, charpoly_buckets
 
@@ -79,6 +89,8 @@ HARD_ELEMENT_LIMIT = 10_000_000
 CACHE_ENV_VAR = "LIECOMM_CACHE_DIR"
 _CACHE_VERSION = 2
 _CHUNK = 1 << 16  # elements widened to int64 at a time
+_LABEL_BLOCK = 1 << 10  # elements per block of the vertex-translation table
+_LABEL_DTYPES = (np.int8, np.int16)  # translation label dtypes, narrowest first
 
 
 class WeylCapError(RuntimeError):
@@ -193,7 +205,7 @@ class WeylGroup:
     def _class_labels(self) -> np.ndarray:
         """The least element index in the conjugacy class of each element."""
         simple = self.datum.wall_reflections[1:]
-        return _least_reachable(np.stack([self._permutation(s, s) for s in simple]))
+        return _least_reachable([self._permutation(s, s) for s in simple])
 
     @cached_property
     def _classes(self) -> tuple[np.ndarray, list[int]]:
@@ -217,19 +229,89 @@ class WeylGroup:
         return self.index_of(walls), left, right
 
     @cached_property
+    def _translation_labels(self) -> np.ndarray:
+        """Row k, column w: an id of the translation v_k - w*v_k when it lies in
+        the coroot lattice, else -1, the ids shared by all rows; see _stabilizer.
+
+        Built _LABEL_BLOCK elements at a time; the ids are numbered as their
+        keys first appear, and the table takes the narrowest of _LABEL_DTYPES
+        that holds them.
+        """
+        r = self.datum.rank
+        vertices = alcove_geometry(self.datum).vertices
+        denom = lcm(*(c.denominator for v in vertices for c in v))
+        cols = np.array(
+            [[int(v[i] * denom) for v in vertices] for i in range(r)], dtype=np.float64
+        )  # denom*v_k as column k
+        # v_k is dominant, so q = v_k - w*v_k is a sum of simple coroots with
+        # coefficients q_i <= v_k,i + v_k,sigma(i) (sigma = -w_0 on the nodes)
+        radix = 2 * int(cols.max()) // denom + 1
+        require(
+            r * 129 * cols.max() < 2**53 and radix**r < 2**53,
+            f"{self.datum.lie_type.name}: vertex translations exceed float64's exact integers",
+        )
+        labels = np.empty((r + 1, self.order), dtype=_LABEL_DTYPES[0])
+        # key -> label, ids numbered as the keys first appear; the key -1 of a
+        # translation off the lattice keeps the label -1, and 0 (no translation) is id 0
+        ids = {-1.0: -1, 0.0: 0}
+        known, known_ids = np.array([-1.0, 0.0]), np.array([-1, 0])  # the same, by key
+        for start in range(0, self.order, _LABEL_BLOCK):
+            block = self.matrices[start : start + _LABEL_BLOCK]
+            keys = _translation_keys(block, cols, denom, radix)
+            pos = np.searchsorted(known, keys).clip(max=len(known) - 1)
+            fresh = known[pos] != keys
+            if fresh.any():
+                for key in keys[fresh].tolist():
+                    ids.setdefault(key, len(ids) - 1)
+                n = len(ids) - 1
+                dtype = next((t for t in _LABEL_DTYPES if n <= np.iinfo(t).max + 1), None)
+                require(dtype is not None, f"{n} translation ids overflow the label dtypes")
+                labels = labels.astype(dtype, copy=False)
+                known = np.array(sorted(ids))
+                known_ids = np.array([ids[key] for key in known.tolist()])
+                pos = np.searchsorted(known, keys).clip(max=len(known) - 1)
+            labels[:, start : start + _LABEL_BLOCK] = known_ids[pos].T
+        labels.setflags(write=False)
+        return labels
+
+    @cached_property
     def _stabilizers(self) -> dict[frozenset[int], np.ndarray]:
         """Face stabilizers computed so far, by node set; see _stabilizer."""
         return {}
 
 
-def _least_reachable(perms: np.ndarray) -> np.ndarray:
+def _translation_keys(block: np.ndarray, cols: np.ndarray, denom: int, radix: int) -> np.ndarray:
+    """Packed keys, shape (len(block), r + 1), of the translations
+    q_k(w) = v_k - w*v_k = (1 - w)*v_k for the elements w of the block, and -1
+    where q_k(w) is not in the coroot lattice.
+
+    cols holds denom*v_k as column k.  Every coordinate of q_k(w) must lie in
+    [0, radix), else the packing by mixed radix `radix` is a breach.
+    """
+    r = cols.shape[0]
+    # coordinate i outermost, so the checks and the packing over i run on whole
+    # (w, k) slabs; int16 holds 1 - w for any int8 w
+    eye = np.eye(r, dtype=np.int16)[:, None, :]
+    one_minus_w = np.subtract(eye, block.transpose(1, 0, 2), dtype=np.int16)
+    q = one_minus_w.astype(np.float64) @ cols  # q[i, w, k] = denom * q_k(w)_i
+    q /= denom
+    require(
+        q.min() >= 0 and q.max() < radix, f"a vertex translation leaves the packing radix {radix}"
+    )
+    keys = radix ** np.arange(r, dtype=np.float64) @ q.reshape(r, -1)
+    lattice = (q == np.rint(q)).all(axis=0).ravel()
+    return np.where(lattice, keys, -1).reshape(len(block), r + 1)
+
+
+def _least_reachable(perms: Sequence[np.ndarray]) -> np.ndarray:
     """For each index, the least index reachable from it under the permutations.
 
+    perms is any sequence of equal-length index rows; a 2-d array is one.
     Min-label propagation with pointer jumping: each round lowers every label
     to the least label one step away, then to the label of the index it names.
     A label always names an index in the same orbit, so the fixed point is exact.
     """
-    label = np.arange(perms.shape[1])
+    label = np.arange(len(perms[0]) if len(perms) else perms.shape[1])
     while True:
         new = label.copy()
         for p in perms:
@@ -493,38 +575,27 @@ def face_stabilizer(group: WeylGroup, geometry: AlcoveGeometry, face: FaceIndex)
 
 
 def _stabilizer(group: WeylGroup, geometry: AlcoveGeometry, nodes: frozenset[int]) -> np.ndarray:
-    """Sorted int32 indices of the elements fixing the barycenter b of the face
-    on the walls `nodes`, memoized on the group.
+    """Sorted int32 indices of the elements fixing the face on the walls
+    `nodes` modulo the coroot lattice, memoized on the group.
 
-    The candidates are the stabilizer of the parent face, on the walls nodes
-    plus the least node not in it, or the whole stack for a vertex.  Each
-    candidate is tested exactly, (row i of w) . b == b_i mod 1, one coordinate
-    at a time on the survivors of the coordinates before it.  W fixes every
-    coweight mod Q-vee, so a coweight b keeps them all without a test.
+    w is a member when the translation v_k - w*v_k is one lattice vector for
+    every vertex k off the walls (see the module docstring).  A vertex keeps
+    the elements whose label is an id.  Any other face, with least vertex k0
+    and next vertex k1, keeps the members of its parent face, on the walls
+    nodes plus k0, whose labels at k0 and k1 are equal.
     """
     if geometry.datum is not group.datum:
         raise ValueError("the alcove geometry belongs to another root datum")
     found = group._stabilizers.get(nodes)
     if found is not None:
         return found
-    r = group.datum.rank
-    b = barycenter(geometry, FaceIndex(nodes, r))
-    denom = lcm(*(c.denominator for c in b))
-    vec = np.array([int(c * denom) for c in b], dtype=np.int64)
-    if len(nodes) == r:
-        candidates = np.arange(group.order, dtype=np.int32)
+    labels = group._translation_labels
+    k0, *rest = sorted(set(range(group.datum.rank + 1)) - nodes)
+    if rest:
+        parent = _stabilizer(group, geometry, nodes | {k0})
+        found = parent[labels[k0, parent] == labels[rest[0], parent]]
     else:
-        candidates = _stabilizer(group, geometry, nodes | {min(set(range(r + 1)) - nodes)})
-    if not np.any(np.array(group.datum.cartan) @ vec % denom):
-        found = candidates
-    else:
-        kept = []
-        for start in range(0, len(candidates), _CHUNK):
-            keep = candidates[start : start + _CHUNK]
-            for i in range(r):
-                keep = keep[(group.matrices[keep, i] @ vec - vec[i]) % denom == 0]
-            kept.append(keep)
-        found = np.concatenate(kept)
+        found = np.flatnonzero(labels[k0] >= 0).astype(np.int32)
     found.setflags(write=False)
     group._stabilizers[nodes] = found
     return found
@@ -549,9 +620,11 @@ def double_cosets(
     if h.group is not group or k.group is not group:
         raise ValueError("subgroups must belong to the given Weyl group")
     walls, left, right = group._walls
-    perms = np.concatenate((left[np.isin(walls, h.indices)], right[np.isin(walls, k.indices)]))
-    # the stack is sorted, so the least index of a double coset is its least element
-    reps = np.unique(_least_reachable(perms))
+    rows = [left[j] for j in np.flatnonzero(np.isin(walls, h.indices))]
+    rows += [right[j] for j in np.flatnonzero(np.isin(walls, k.indices))]
+    # the stack is sorted, so the least index of a double coset is its least
+    # element; with no wall reflections each element is its own double coset
+    reps = np.unique(_least_reachable(rows)) if rows else np.arange(group.order)
     fixed = [_fixed_coset_counts(group, list(s.indices)).tolist() for s in (h, k)]
     burnside = _orbit_count(group, fixed)
     require(

@@ -56,6 +56,18 @@ def test_query_job(tmp_path):
     assert checks.check_query("D4", points)(out, tmp_path) == []
 
 
+def test_query_job_e6(tmp_path):
+    # the warm path the query workload times, on the largest group it loads
+    points = {
+        "E6": [["1/2", "-7/3", "5/6", "0", "13/4", "-1"], ["0", "0", "0", "0", "0", "0"]],
+        "E7": [["3/2", "-1/5", "2", "-11/6", "1/7", "4", "-5/2"]],
+        "E8": [["-2", "1/3", "0", "9/4", "-1/2", "5/3", "-7", "1/8"]],
+    }
+    jobs.prepare(str(tmp_path), ["E6"])
+    out = _as_json(jobs.query("E6", str(tmp_path), points))
+    assert checks.check_query("E6", points)(out, tmp_path) == []
+
+
 def test_span_names_resolve():
     # the traced benchmark wraps these functions by name; a deleted or renamed
     # one would otherwise drop out of its spans unnoticed

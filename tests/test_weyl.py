@@ -433,6 +433,63 @@ class TestStabilizersAndCosets:
                 reached.update(frontier)
             assert sorted(reached) == list(stab)
 
+    @pytest.mark.parametrize("name", TABLE_TYPES + ["E6"])
+    def test_coweight_vertices_labelled_everywhere(self, name):
+        # W fixes the origin and every minuscule coweight omega_j-vee (root
+        # integer n_j = 1) modulo the coroot lattice, so v_k - w*v_k is a
+        # lattice vector for every w
+        datum = build_root_datum(name)
+        labels = _group(name)._translation_labels
+        assert labels.shape == (datum.rank + 1, datum.weyl_order)
+        coweights = [0] + [j for j in range(1, datum.rank + 1) if datum.theta[j - 1] == 1]
+        assert (labels[coweights] >= 0).all()
+        assert (labels[0] == 0).all()  # the origin's translation is 0, id 0
+        others = [k for k in range(datum.rank + 1) if k not in coweights]
+        assert all((labels[k] < 0).any() for k in others)
+
+    def test_too_small_radix_is_a_breach(self, monkeypatch):
+        datum = build_root_datum("F4")
+        group = _group("F4")
+        fresh = weyl.WeylGroup(datum, group.matrices, group.charpoly_buckets)
+        keys = weyl._translation_keys
+        monkeypatch.setattr(
+            weyl, "_translation_keys", lambda block, cols, denom, radix: keys(block, cols, denom, 1)
+        )
+        with pytest.raises(InvariantBreachError, match="packing radix 1"):
+            face_stabilizer(fresh, alcove_geometry(datum), FaceIndex.of(datum, [0, 1, 2, 3]))
+
+    def test_too_narrow_label_dtype_is_a_breach(self, monkeypatch):
+        # a distinct nonzero key per element gives |W| + 1 ids with the zero
+        # translation's, 193 for D4: int8 holds at most 128, so the table
+        # widens to int16, or breaks without it
+        datum = build_root_datum("D4")
+        group = _group("D4")
+        monkeypatch.setattr(
+            weyl,
+            "_translation_keys",
+            lambda block, cols, *_: np.repeat(
+                weyl._pack(block @ group._v, group._v)[:, None] + 1, cols.shape[1], axis=1
+            ),
+        )
+        wide = weyl.WeylGroup(datum, group.matrices, group.charpoly_buckets)._translation_labels
+        assert wide.dtype == np.int16 and wide.max() == group.order
+        monkeypatch.setattr(weyl, "_LABEL_DTYPES", (np.int8,))
+        fresh = weyl.WeylGroup(datum, group.matrices, group.charpoly_buckets)
+        with pytest.raises(InvariantBreachError, match="193 translation ids overflow"):
+            fresh._translation_labels
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    @pytest.mark.parametrize("name", ["B4", "F4", "D5"])
+    def test_stabilizers_independent_of_label_block(self, name, block, monkeypatch):
+        datum = build_root_datum(name)
+        group = _group(name)
+        geo = alcove_geometry(datum)
+        faces = all_faces(datum)
+        expected = [face_stabilizer(group, geo, f).indices for f in faces]
+        monkeypatch.setattr(weyl, "_LABEL_BLOCK", block)
+        fresh = weyl.WeylGroup(datum, group.matrices, group.charpoly_buckets)
+        assert [face_stabilizer(fresh, geo, f).indices for f in faces] == expected
+
     def test_stabilizer_rejects_another_geometry(self):
         group = _group("B3")
         geo = alcove_geometry(build_root_datum("C3"))

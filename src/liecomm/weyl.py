@@ -15,8 +15,11 @@ that the element found is the matrix asked for.
 Enumeration is a breadth-first search by Coxeter length.  w*s_g is w minus
 the outer product of column g of w with row g of the Cartan matrix, and
 l(w*s_g) = l(w) +- 1, so each level's products are deduplicated by key among
-themselves and against the previous level only.  The elements are then
-stored in canonical lexicographic order, so runs are deterministic.
+themselves and against the previous level only.  The key of w*s_g is that
+of w less alpha_g(v) times the packed column g of w, since a key is affine
+in its point, so only the new elements' matrices are formed, straight into
+the one preallocated stack.  The elements are then stored in canonical
+lexicographic order, so runs are deterministic.
 
 No table quadratic in |W| is built.  One routine labels each element with
 the least index reachable from it under a list of index permutations.  Under
@@ -52,13 +55,23 @@ index, whose labels at k0 and at one more vertex of the face agree.
 
 The elements are one read-only int8 stack (every entry is a coroot
 coordinate of a coroot, at most 6 in absolute value).  Orbit images and
-keys widen at most _CHUNK elements to int64 at a time, the translation
-table _LABEL_BLOCK elements to float64.
+keys widen at most _CHUNK elements to int64 at a time; the translation
+table widens _LABEL_BLOCK elements to float64 at a time, in work arrays
+allocated once per table.
 
 Molien/Poincare sums, trace statistics and Lefschetz averages are evaluated
 per characteristic-polynomial bucket: both det(1 + t*w) and det(1 - t^2*w)
-depend only on the characteristic polynomial of w.  The buckets come from
-rootdata.charpoly_buckets, from the power sums tr(w^k).
+depend only on the characteristic polynomial of w.  Enumeration takes the
+buckets from rootdata.charpoly_buckets, from the power sums tr(w^k).
+
+The cache (format 3) stores the stack, its zlib CRC-32 and the buckets.  A
+load checks the CRC against the stack, and the buckets by their counts
+summing to |W| and by Solomon's identity (Nagoya Math. J. 22, 1963),
+(1/|W|) sum_w det(1 + y*w)/det(1 - x*w) = prod_i (1 + y*x^m_i)/(1 - x^d_i),
+in exact integers; the same identity is required before the buckets are
+written.  So a warm load never derives the buckets again.  At x = t^2 and
+y = t the identity is the n = 1 Poincare series prod_i (1 + t^(2d_i - 1)),
+which molien_poincare requires.
 """
 
 from __future__ import annotations
@@ -67,10 +80,12 @@ import math
 import operator
 import os
 import sys
+import threading
 import zipfile
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from math import comb, lcm
 from pathlib import Path
@@ -80,14 +95,14 @@ import numpy as np
 
 from .alcove import AlcoveGeometry, alcove_geometry
 from .homology import exact_quotient, require
-from .rootdata import FaceIndex, RootDatum, all_faces, charpoly_buckets
+from .rootdata import FaceIndex, RootDatum, _poly_divmod, all_faces, charpoly_buckets
 
 WeylMatrix = tuple[tuple[int, ...], ...]
 
 DEFAULT_ELEMENT_CAP = 100_000
 HARD_ELEMENT_LIMIT = 10_000_000
 CACHE_ENV_VAR = "LIECOMM_CACHE_DIR"
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 _CHUNK = 1 << 16  # elements widened to int64 at a time
 _LABEL_BLOCK = 1 << 10  # elements per block of the vertex-translation table
 _LABEL_DTYPES = (np.int8, np.int16)  # translation label dtypes, narrowest first
@@ -119,10 +134,14 @@ def _regular_vector(datum: RootDatum) -> np.ndarray:
     return v
 
 
+def _pack_weights(v: np.ndarray) -> np.ndarray:
+    """The mixed-radix place values of _pack."""
+    return np.concatenate(([1], np.cumprod(2 * v[:-1] + 1)))
+
+
 def _pack(images: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Mixed-radix int64 keys of orbit points w*v, one per trailing vector."""
-    weights = np.concatenate(([1], np.cumprod(2 * v[:-1] + 1)))
-    return (images + v) @ weights
+    return (images + v) @ _pack_weights(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,6 +290,7 @@ class WeylGroup:
                 known_ids = np.array([ids[key] for key in known.tolist()])
                 pos = np.searchsorted(known, keys).clip(max=len(known) - 1)
             labels[:, start : start + _LABEL_BLOCK] = known_ids[pos].T
+        _key_work.cache_clear()
         labels.setflags(write=False)
         return labels
 
@@ -286,21 +306,48 @@ def _translation_keys(block: np.ndarray, cols: np.ndarray, denom: int, radix: in
     where q_k(w) is not in the coroot lattice.
 
     cols holds denom*v_k as column k.  Every coordinate of q_k(w) must lie in
-    [0, radix), else the packing by mixed radix `radix` is a breach.
+    [0, radix), else the packing by mixed radix `radix` is a breach.  The
+    result is a view of _key_work's arrays, valid until the next call.
     """
-    r = cols.shape[0]
-    # coordinate i outermost, so the checks and the packing over i run on whole
-    # (w, k) slabs; int16 holds 1 - w for any int8 w
-    eye = np.eye(r, dtype=np.int16)[:, None, :]
-    one_minus_w = np.subtract(eye, block.transpose(1, 0, 2), dtype=np.int16)
-    q = one_minus_w.astype(np.float64) @ cols  # q[i, w, k] = denom * q_k(w)_i
+    r, n = cols.shape[0], len(block)
+    work = _key_work(max(n, _LABEL_BLOCK), r, threading.get_ident())
+    one_minus_w, lattice, keys = work[0][:n], work[4][:n], work[5][:n]
+    # coordinate i outermost, so the checks and the packing over i run on
+    # whole (w, k) slabs
+    q, rounded, same = (a[:n].reshape(r, n, r + 1) for a in work[1:4])
+    np.negative(block, out=one_minus_w)
+    one_minus_w.reshape(n, r * r)[:, :: r + 1] += 1
+    np.matmul(one_minus_w.transpose(1, 0, 2), cols, out=q)  # denom * q_k(w)_i
     q /= denom
     require(
         q.min() >= 0 and q.max() < radix, f"a vertex translation leaves the packing radix {radix}"
     )
-    keys = radix ** np.arange(r, dtype=np.float64) @ q.reshape(r, -1)
-    lattice = (q == np.rint(q)).all(axis=0).ravel()
-    return np.where(lattice, keys, -1).reshape(len(block), r + 1)
+    np.matmul(radix ** np.arange(r, dtype=np.float64), q.reshape(r, -1), out=keys.reshape(-1))
+    np.equal(np.rint(q, out=rounded), q, out=same)
+    np.logical_and.reduce(same, axis=0, out=lattice)
+    np.copyto(keys, -1, where=~lattice)
+    return keys
+
+
+@lru_cache(maxsize=1)
+def _key_work(rows: int, r: int, thread: int) -> tuple[np.ndarray, ...]:
+    """Work arrays for _translation_keys on up to `rows` elements of rank r,
+    leading axis the element: 1 - w, the translations, their rounding, its
+    equality, the lattice mask and the keys.
+
+    Allocated once per table and reused block after block, so no block
+    page-faults fresh memory; _translation_labels releases them.  Keyed by
+    the calling thread, so two tables built at once never share them.
+    """
+    slab = (rows, r * (r + 1))
+    return (
+        np.empty((rows, r, r)),
+        np.empty(slab),
+        np.empty(slab),
+        np.empty(slab, dtype=bool),
+        np.empty((rows, r + 1), dtype=bool),
+        np.empty((rows, r + 1)),
+    )
 
 
 def _least_reachable(perms: Sequence[np.ndarray]) -> np.ndarray:
@@ -323,16 +370,24 @@ def _least_reachable(perms: Sequence[np.ndarray]) -> np.ndarray:
         label = new
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilizerSubgroup:
-    """A subgroup of a Weyl group given by the indices of its members."""
+    """A subgroup of a Weyl group given by the element indices of its members,
+    an int32 array (face_stabilizer's is read-only)."""
 
     group: WeylGroup
-    indices: tuple[int, ...]
+    members: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "members", np.asarray(self.members, dtype=np.int32))
 
     @property
     def order(self) -> int:
-        return len(self.indices)
+        return len(self.members)
+
+    @cached_property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(self.members.tolist())
 
 
 _MEMO: dict[tuple[str, int], WeylGroup] = {}
@@ -377,11 +432,11 @@ def generate(
 
 
 def _enumerate(datum: RootDatum) -> WeylGroup:
-    r = datum.rank
-    if datum.rank >= 5:
+    r, order = datum.rank, datum.weyl_order
+    if r >= 5:
         print(
             f"liecomm: enumerating the {datum.lie_type.name} Weyl group "
-            f"({datum.weyl_order} elements)",
+            f"({order} elements)",
             file=sys.stderr,
         )
     # matrix entries are coroot coordinates of coroots (|entry| <= 6), so the
@@ -389,37 +444,47 @@ def _enumerate(datum: RootDatum) -> WeylGroup:
     cartan = np.array(datum.cartan, dtype=np.int8)
     v = _regular_vector(datum)
     alpha_v = int(cartan[0].astype(np.int64) @ v)  # alpha_g(v), the same for every g
-    level = np.eye(r, dtype=np.int8)[None]
-    levels = [level]
-    level_keys = _pack(v, v)[None]
+    # each level is written straight into the one stack
+    stack = np.empty((order, r, r), dtype=np.int8)
+    level = stack[:1]
+    level[0] = np.eye(r, dtype=np.int8)
+    filled = 1
+    level_keys = _pack(v, v)[None]  # aligned with the level's rows
     prev_keys = level_keys[:0]
+    weights = _pack_weights(v)
     while True:
-        # w * s_g for every w in the level and every g, as flat index w * r + g
+        # w * s_g for every w in the level and every g, as flat index w * r + g.
+        # Its point is w*v - alpha_v * (column g of w), and a key is affine in
+        # the point, so the keys come without the points
         cols = level.transpose(0, 2, 1)
-        images = (level @ v)[:, None, :] - alpha_v * cols
-        keys, first = np.unique(_pack(images, v), return_index=True)
+        steps = level_keys[:, None] - alpha_v * np.einsum("wgi,i->wg", cols, weights)
+        keys, first = np.unique(steps, return_index=True)
         fresh = ~np.isin(keys, prev_keys, assume_unique=True)
         if not fresh.any():
             break
         parents, gens = np.divmod(first[fresh], r)
-        level = level[parents] - cols[parents, gens][:, :, None] * cartan[gens][:, None, :]
-        levels.append(level)
+        size = len(parents)
+        require(filled + size <= order, f"enumeration overruns the {order} elements of W")
+        step = cols[parents, gens][:, :, None] * cartan[gens][:, None, :]
+        level = np.subtract(level[parents], step, out=stack[filled : filled + size])
+        filled += size
         prev_keys, level_keys = level_keys, keys[fresh]
-    all_mats = np.concatenate(levels, axis=0)
-    del levels  # free the search buffers before the sort and the bucketing
-    require(
-        all_mats.shape[0] == datum.weyl_order,
-        f"enumeration found {all_mats.shape[0]} elements, expected {datum.weyl_order}",
-    )
-    flat = all_mats.reshape(all_mats.shape[0], r * r)
-    arr = all_mats[np.lexsort(flat.T[::-1])]
-    del all_mats, flat
+    require(filled == order, f"enumeration found {filled} elements, expected {order}")
+    arr = stack[np.lexsort(stack.reshape(order, r * r).T[::-1])]
+    del stack, level, cols  # the views too, so the stack is freed before the bucketing
     arr.setflags(write=False)
     return WeylGroup(datum, arr, charpoly_buckets(arr))
 
 
 def _save_cache(group: WeylGroup, cache_dir: Path | None) -> None:
-    path = _cache_path(group.datum, cache_dir)
+    """Write the stack, its CRC-32 and the charpoly buckets, which must first
+    pass Solomon's identity."""
+    datum, path = group.datum, _cache_path(group.datum, cache_dir)
+    require(
+        _solomon_holds(datum, group.charpoly_buckets),
+        f"the {datum.lie_type.name} charpoly buckets fail Solomon's identity",
+    )
+    charpolys, counts = zip(*group.charpoly_buckets)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         np.savez(
@@ -427,28 +492,88 @@ def _save_cache(group: WeylGroup, cache_dir: Path | None) -> None:
             version=np.int64(_CACHE_VERSION),
             order=np.int64(group.order),
             matrices=group.matrices,
+            crc=np.int64(zlib.crc32(group.matrices)),
+            charpolys=np.array(charpolys, dtype=np.int64),
+            counts=np.array(counts, dtype=np.int64),
         )
     except OSError as exc:
         print(f"liecomm: could not write the Weyl cache {path}: {exc}", file=sys.stderr)
 
 
 def _load_cache(datum: RootDatum, cache_dir: Path | None) -> WeylGroup | None:
+    """The cached group, or None when the file is missing or rejected.
+
+    A rejected file is named on stderr with its reason: unreadable or
+    truncated, another version, another order, shape or dtype, a stack whose
+    CRC-32 is not the stored one, or buckets that fail Solomon's identity.
+    """
     path = _cache_path(datum, cache_dir)
     if not path.exists():
         return None
     try:
         with np.load(path) as data:
-            if int(data["version"]) != _CACHE_VERSION:
-                return None
-            order = int(data["order"])
-            mats = data["matrices"]
-    except (OSError, KeyError, ValueError, zipfile.BadZipFile):
-        return None
-    shape = (datum.weyl_order, datum.rank, datum.rank)
-    if order != datum.weyl_order or mats.dtype != np.int8 or mats.shape != shape:
-        return None
+            version = int(data["version"])
+            if version != _CACHE_VERSION:
+                return _reject(path, f"format version {version}, not {_CACHE_VERSION}")
+            order, mats, crc = int(data["order"]), data["matrices"], int(data["crc"])
+            charpolys, counts = data["charpolys"], data["counts"]
+    except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        return _reject(path, f"unreadable or truncated ({exc})")
+    r = datum.rank
+    shapes = (mats.shape, charpolys.shape, counts.shape)
+    dtypes = (mats.dtype, charpolys.dtype, counts.dtype)
+    if (
+        order != datum.weyl_order
+        or shapes != ((order, r, r), (len(counts), r + 1), (len(counts),))
+        or dtypes != (np.int8, np.int64, np.int64)
+    ):
+        return _reject(path, f"order, shape or dtype is not the {datum.lie_type.name} stack's")
+    if zlib.crc32(mats) != crc:
+        return _reject(path, "the stack does not match its CRC-32")
+    buckets = tuple(zip(map(tuple, charpolys.tolist()), counts.tolist()))
+    if sum(counts.tolist()) != order or not _solomon_holds(datum, buckets):
+        return _reject(path, "the charpoly buckets fail Solomon's identity")
     mats.setflags(write=False)
-    return WeylGroup(datum, mats, charpoly_buckets(mats))
+    return WeylGroup(datum, mats, buckets)
+
+
+def _reject(path: Path, reason: str) -> None:
+    print(f"liecomm: ignoring the Weyl cache {path}: {reason}", file=sys.stderr)
+
+
+def _solomon_holds(datum: RootDatum, buckets: Sequence[tuple[Sequence[int], int]]) -> bool:
+    """Solomon's identity (Nagoya Math. J. 22, 1963) for a charpoly histogram,
+    exactly, as polynomials in x and y:
+
+        sum_b c_b det(1 + y w_b) [prod(1 - x^d_i) / det(1 - x w_b)]
+            = |W| prod(1 + y x^m_i),
+
+    where each bracket must be an exact division, a polynomial of degree N,
+    the number of positive roots.  det(1 - x w) is the charpoly reversed; its
+    leading coefficient det(-w) = +-1 is divided out first.
+    """
+    r, top = datum.rank, sum(datum.exponents)
+    num = [1]
+    for d in datum.degrees:
+        num = _pmul(num, [1] + [0] * (d - 1) + [-1], top + r)
+    lhs = [[0] * (top + 1) for _ in range(r + 1)]  # by power of y, then of x
+    for charpoly, count in buckets:
+        sign = charpoly[0]
+        if sign not in (1, -1):
+            return False
+        quot, rem = _poly_divmod(num, [sign * c for c in reversed(charpoly)])
+        if any(rem):
+            return False
+        for row, e in zip(lhs, _det_one_plus_tw(charpoly)):
+            if e:
+                for k, q in enumerate(quot):
+                    row[k] += count * e * sign * q
+    rhs = [[datum.weyl_order] + [0] * top] + [[0] * (top + 1) for _ in range(r)]
+    for m in datum.exponents:  # multiply by 1 + y x^m
+        for j in range(r, 0, -1):
+            for k in range(m, top + 1):
+                rhs[j][k] += rhs[j - 1][k - m]
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +658,12 @@ def molien_poincare(group: WeylGroup, n: int, max_deg: int) -> list[int]:
         "Poincare coefficients violate their invariants",
     )
     require(max_deg < 2 or coeffs[2] == comb(n, 2), "Poincare [t^2] is not C(n, 2)")
+    if n == 1:
+        # Solomon's identity at x = t^2, y = t: the Poincare series of G
+        series = [1] + [0] * max_deg
+        for d in group.datum.degrees:
+            series = _pmul(series, [1] + [0] * (2 * d - 2) + [1], max_deg)
+        require(coeffs == series, "Poincare series at n = 1 is not prod(1 + t^(2d - 1))")
     return coeffs
 
 
@@ -571,7 +702,7 @@ def face_stabilizer(group: WeylGroup, geometry: AlcoveGeometry, face: FaceIndex)
 
     Raises ValueError when the geometry is not that of the group's datum.
     """
-    return StabilizerSubgroup(group, tuple(_stabilizer(group, geometry, face.nodes).tolist()))
+    return StabilizerSubgroup(group, _stabilizer(group, geometry, face.nodes))
 
 
 def _stabilizer(group: WeylGroup, geometry: AlcoveGeometry, nodes: frozenset[int]) -> np.ndarray:
@@ -602,11 +733,11 @@ def _stabilizer(group: WeylGroup, geometry: AlcoveGeometry, nodes: frozenset[int
 
 
 def trivial_subgroup(group: WeylGroup) -> StabilizerSubgroup:
-    return StabilizerSubgroup(group, (group.identity_index,))
+    return StabilizerSubgroup(group, [group.identity_index])
 
 
 def full_subgroup(group: WeylGroup) -> StabilizerSubgroup:
-    return StabilizerSubgroup(group, tuple(range(group.order)))
+    return StabilizerSubgroup(group, np.arange(group.order, dtype=np.int32))
 
 
 def double_cosets(
@@ -620,12 +751,17 @@ def double_cosets(
     if h.group is not group or k.group is not group:
         raise ValueError("subgroups must belong to the given Weyl group")
     walls, left, right = group._walls
-    rows = [left[j] for j in np.flatnonzero(np.isin(walls, h.indices))]
-    rows += [right[j] for j in np.flatnonzero(np.isin(walls, k.indices))]
+    rows = []
+    for perms, s in ((left, h), (right, k)):
+        member = np.zeros(group.order, dtype=bool)
+        member[s.members] = True
+        rows += [perms[j] for j in np.flatnonzero(member[walls])]
     # the stack is sorted, so the least index of a double coset is its least
-    # element; with no wall reflections each element is its own double coset
-    reps = np.unique(_least_reachable(rows)) if rows else np.arange(group.order)
-    fixed = [_fixed_coset_counts(group, list(s.indices)).tolist() for s in (h, k)]
+    # element, the index its label names; with no wall reflections each
+    # element is its own double coset
+    everything = np.arange(group.order)
+    reps = np.flatnonzero(_least_reachable(rows) == everything) if rows else everything
+    fixed = [_fixed_coset_counts(group, s.members).tolist() for s in (h, k)]
     burnside = _orbit_count(group, fixed)
     require(
         reps.size == burnside,
@@ -634,7 +770,7 @@ def double_cosets(
     return group.matrices[reps].tolist()
 
 
-def _fixed_coset_counts(group: WeylGroup, members: np.ndarray | list[int]) -> np.ndarray:
+def _fixed_coset_counts(group: WeylGroup, members: np.ndarray) -> np.ndarray:
     """For each class of W, in the order of group._classes: the number of
     cosets g*W_sigma with w*g*W_sigma = g*W_sigma for w in the class, the
     class function |C_W(w)| * |cl(w) cap W_sigma| / |W_sigma|.

@@ -79,6 +79,20 @@ class TestPoincareCommand:
         assert out == ""
         assert err == "liecomm: invariant breach: Poincare [t^2] is not C(n, 2)\n"
 
+    def test_n1_breach_exits_3(self, capsys, monkeypatch):
+        from liecomm import weyl
+
+        # C2 with its two quarter turns swapped for one identity and one -1
+        fake = (((-1, 0, 1), 4), ((1, -2, 1), 2), ((1, 2, 1), 2))
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        monkeypatch.setattr(weyl, "charpoly_buckets", lambda arr: fake)
+        code, out, err = run_cli(capsys, "poincare", "C2", "--n", "1", "--deg", "8")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "liecomm: invariant breach: Poincare series at n = 1 is not prod(1 + t^(2d - 1))\n"
+        )
+
     def test_cache_write_failure_is_reported(self, capsys, tmp_path):
         argv = ["poincare", "B5", "--n", "2", "--deg", "8", "--cache-dir"]
         _, expected, _ = run_cli(capsys, *argv, str(tmp_path / "cache"))
@@ -87,7 +101,21 @@ class TestPoincareCommand:
         code, out, err = run_cli(capsys, *argv, str(blocker))
         assert code == 0
         assert out == expected
-        assert f"could not write the Weyl cache {blocker / 'weyl_B5_v2.npz'}" in err
+        assert f"could not write the Weyl cache {blocker / 'weyl_B5_v3.npz'}" in err
+
+
+def test_cli_import_leaves_out_hashlib():
+    # the cache's content check is zlib.crc32; hashlib would add to every job's peak RSS
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, liecomm.cli; print('hashlib' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert run.stdout == "False\n"
 
 
 class TestErrors:

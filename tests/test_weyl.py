@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import random
+import re
+import zlib
 from fractions import Fraction
 from math import comb, lcm
 
@@ -74,7 +76,7 @@ class TestEnumeration:
         datum = build_root_datum("B5")
         weyl._MEMO.pop(("B", 5), None)
         fresh = generate(datum, cache_dir=tmp_path)
-        assert (tmp_path / "weyl_B5_v2.npz").exists()
+        assert (tmp_path / "weyl_B5_v3.npz").exists()
         weyl._MEMO.pop(("B", 5), None)
         cached = generate(datum, cache_dir=tmp_path)
         assert np.array_equal(cached.matrices, fresh.matrices)
@@ -83,7 +85,7 @@ class TestEnumeration:
     def test_corrupt_cache_ignored(self, tmp_path):
         datum = build_root_datum("A5")
         weyl._MEMO.pop(("A", 5), None)
-        (tmp_path / "weyl_A5_v2.npz").write_bytes(b"not an archive")
+        (tmp_path / "weyl_A5_v3.npz").write_bytes(b"not an archive")
         group = generate(datum, cache_dir=tmp_path)
         assert group.order == datum.weyl_order
 
@@ -91,16 +93,75 @@ class TestEnumeration:
         # what an interrupted write leaves behind
         datum = build_root_datum("B5")
         weyl._save_cache(weyl._enumerate(datum), tmp_path)
-        path = tmp_path / "weyl_B5_v2.npz"
+        path = tmp_path / "weyl_B5_v3.npz"
         path.write_bytes(path.read_bytes()[:1000])
         assert weyl._load_cache(datum, tmp_path) is None
+
+    def test_warm_load_reads_the_stored_buckets(self, tmp_path, monkeypatch):
+        datum = build_root_datum("B5")
+        weyl._MEMO.pop(("B", 5), None)
+        fresh = generate(datum, cache_dir=tmp_path)
+
+        def refuse(stack):
+            raise AssertionError("a warm load derived the buckets again")
+
+        monkeypatch.setattr(weyl, "charpoly_buckets", refuse)
+        weyl._MEMO.pop(("B", 5), None)
+        cached = generate(datum, cache_dir=tmp_path)
+        assert cached is not fresh and cached.charpoly_buckets == fresh.charpoly_buckets
+
+    @pytest.mark.parametrize(
+        "damage,reason",
+        [
+            ("truncate", "unreadable or truncated"),
+            ("flip_stack_byte", "the stack does not match its CRC-32"),
+            ("move_count", "the charpoly buckets fail Solomon's identity"),
+        ],
+    )
+    def test_damaged_cache_is_rejected_with_its_reason(self, tmp_path, capsys, damage, reason):
+        datum = build_root_datum("B5")
+        weyl._MEMO.pop(("B", 5), None)
+        generate(datum, cache_dir=tmp_path)
+        path = tmp_path / "weyl_B5_v3.npz"
+        if damage == "truncate":
+            path.write_bytes(path.read_bytes()[:1000])
+        else:
+            with np.load(path) as data:
+                stored = {name: data[name].copy() for name in data.files}
+            if damage == "flip_stack_byte":
+                stored["matrices"].reshape(-1)[1234] ^= 1  # the stored CRC stays
+            else:
+                stored["counts"][:2] += (-1, 1)  # still summing to |W|
+            np.savez(path, **stored)
+        capsys.readouterr()
+        weyl._MEMO.pop(("B", 5), None)
+        group = generate(datum, cache_dir=tmp_path)
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"liecomm: ignoring the Weyl cache {path}: {reason}")
+        assert err[1:] == ["liecomm: enumerating the B5 Weyl group (3840 elements)"]
+        digest = hashlib.sha256(group.matrices.astype(np.int64).tobytes()).hexdigest()
+        assert digest == ENUMERATION_DIGESTS["B5"][0]
+        # the enumeration wrote the file again, and it loads silently
+        assert weyl._load_cache(datum, tmp_path).charpoly_buckets == group.charpoly_buckets
+        assert capsys.readouterr().err == ""
+
+    def test_missing_cache_is_silent(self, tmp_path, capsys):
+        assert weyl._load_cache(build_root_datum("B5"), tmp_path) is None
+        assert capsys.readouterr().err == ""
+
+    def test_buckets_are_written_only_past_solomon(self, tmp_path):
+        group = _group("C2")
+        fake = dataclasses.replace(group, charpoly_buckets=C2_QUARTER_TURNS_SWAPPED)
+        with pytest.raises(InvariantBreachError, match="C2 charpoly buckets fail Solomon"):
+            weyl._save_cache(fake, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_memo_hit_fills_a_second_cache_dir(self, tmp_path):
         datum = build_root_datum("E6")
         first = generate(datum, cache_dir=tmp_path / "a")
         assert generate(datum, cache_dir=tmp_path / "b") is first
-        assert (tmp_path / "a" / "weyl_E6_v2.npz").exists()
-        assert (tmp_path / "b" / "weyl_E6_v2.npz").exists()
+        assert (tmp_path / "a" / "weyl_E6_v3.npz").exists()
+        assert (tmp_path / "b" / "weyl_E6_v3.npz").exists()
 
     def test_one_int8_stack(self, tmp_path):
         datum = build_root_datum("B5")
@@ -111,17 +172,17 @@ class TestEnumeration:
             assert g.matrices.dtype == np.int8 and not g.matrices.flags.writeable
         assert np.array_equal(loaded.matrices, group.matrices)
         assert loaded.charpoly_buckets == group.charpoly_buckets
-        with np.load(tmp_path / "weyl_B5_v2.npz") as data:
-            assert sorted(data.files) == ["matrices", "order", "version"]
-            assert data["matrices"].dtype == np.int8
-            assert int(data["version"]) == 2 and int(data["order"]) == group.order
+        with np.load(tmp_path / "weyl_B5_v3.npz") as data:
+            stored = {name: data[name] for name in data.files}
+        assert sorted(stored) == ["charpolys", "counts", "crc", "matrices", "order", "version"]
+        assert stored["matrices"].dtype == np.int8
+        assert int(stored["version"]) == 3 and int(stored["order"]) == group.order
+        assert int(stored["crc"]) == zlib.crc32(group.matrices.tobytes())
+        buckets = zip(map(tuple, stored["charpolys"].tolist()), stored["counts"].tolist())
+        assert tuple(buckets) == group.charpoly_buckets
         # a stack of another dtype is not this cache's format
-        np.savez(
-            tmp_path / "weyl_B5_v2.npz",
-            version=np.int64(2),
-            order=np.int64(group.order),
-            matrices=group.matrices.astype(np.int16),
-        )
+        stored["matrices"] = group.matrices.astype(np.int16)
+        np.savez(tmp_path / "weyl_B5_v3.npz", **stored)
         assert weyl._load_cache(datum, tmp_path) is None
 
     @pytest.mark.slow
@@ -155,6 +216,10 @@ ENUMERATION_DIGESTS = {
     "G2": ("cd4eb42d314bfd7ba250982090a4c50b8bf0c36896a5792a0ff6039881db691f", "66ce3ef594314a7f58b5c49e146d5d546f453c194e4b50b1f79d67155a9aa872"),
     "E6": ("dd6ff52ca9b9adb7da64249fbfe1cc5b42046da2f7e11c9b5677ce0be0126ae8", "3a06d8375d5d573ad87de950f5417807b3d7e9132773069089ea0b3c5d23f3fd"),
 }
+
+# the C2 histogram with its two quarter turns (x^2 + 1) swapped for one more
+# identity and one more -1
+C2_QUARTER_TURNS_SWAPPED = (((-1, 0, 1), 4), ((1, -2, 1), 2), ((1, 2, 1), 2))
 
 TABLE_TYPES = ["A1", "A2", "A3", "A4", "A5", "B3", "B4", "C2", "C3", "C4", "D4", "D5", "F4", "G2"]
 
@@ -323,6 +388,22 @@ class TestClassFunctions:
         assert euler_char_rep(_group(name), 2) == datum.rank + 1
 
 
+class TestSolomonIdentity:
+    @pytest.mark.parametrize("name", TABLE_TYPES + ["E6"])
+    def test_holds_for_the_enumerated_buckets(self, name):
+        group = _group(name)
+        assert weyl._solomon_holds(group.datum, group.charpoly_buckets)
+
+    def test_fails_for_other_histograms(self, a2_rotation_buckets):
+        datum = build_root_datum("A2")
+        assert not weyl._solomon_holds(datum, a2_rotation_buckets)
+        # x^2 - 3x + 1 has no root of unity as a root: no exact division
+        assert not weyl._solomon_holds(datum, (((1, -3, 1), 6),))
+        # det(w) = 2 is no Weyl element's
+        assert not weyl._solomon_holds(datum, (((2, 0, 1), 6),))
+        assert not weyl._solomon_holds(build_root_datum("C2"), C2_QUARTER_TURNS_SWAPPED)
+
+
 class TestClosedFormGates:
     # each function requires its closed form; a histogram that is not W's breaks it
     @pytest.fixture
@@ -333,6 +414,15 @@ class TestClosedFormGates:
         assert molien_poincare(fake, 2, 1) == [1, 0]  # the gate starts at max_deg 2
         with pytest.raises(InvariantBreachError, match=r"^Poincare \[t\^2\] is not C\(n, 2\)$"):
             molien_poincare(fake, 2, 6)
+
+    def test_n1_series_is_the_poincare_series_of_g(self):
+        # only the n = 1 gate fires: the sum is divisible, [t^0] = 1 and
+        # [t^1] = [t^2] = 0, but [t^3] is not 1 (the degree 2 of C2)
+        fake = dataclasses.replace(_group("C2"), charpoly_buckets=C2_QUARTER_TURNS_SWAPPED)
+        assert molien_poincare(fake, 1, 2) == [1, 0, 0]
+        message = "Poincare series at n = 1 is not prod(1 + t^(2d - 1))"
+        with pytest.raises(InvariantBreachError, match=f"^{re.escape(message)}$"):
+            molien_poincare(fake, 1, 3)
 
     def test_squared_traces_sum_to_the_order(self, fake):
         with pytest.raises(InvariantBreachError, match="sum of squared traces 12 is not"):

@@ -176,7 +176,7 @@ def _root_closure(cartan: Matrix) -> dict[Vector, Vector]:
     return roots
 
 
-_POWER_CHUNK = 1 << 12  # matrices per float32 batch; bounds the temporaries
+_POWER_CHUNK = 1 << 10  # matrices per float32 batch; bounds the temporaries
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of smaller magnitude exactly
 
 
@@ -202,7 +202,7 @@ def charpoly_buckets(stack: np.ndarray) -> tuple[tuple[tuple[int, ...], int], ..
                 r * float(np.abs(power).max()) * w_max < _FLOAT32_EXACT,
                 "matrix powers leave the exact float32 range",
             )
-            sums[:, k] = np.trace(power, axis1=1, axis2=2)
+            sums[:, k] = np.einsum("nii->n", power)
             if k + 1 < r:
                 power = power @ w
         sums = sums[np.lexsort(sums.T)]

@@ -12,14 +12,22 @@ HARD_ELEMENT_LIMIT, and never exceeds r*log2(2*max(v) + 1) (53.1 at E7).
 The keys are kept sorted and queried with np.searchsorted; every query checks
 that the element found is the matrix asked for.
 
-Enumeration is a breadth-first search by Coxeter length.  w*s_g is w minus
-the outer product of column g of w with row g of the Cartan matrix, and
-l(w*s_g) = l(w) +- 1, so each level's products are deduplicated by key among
-themselves and against the previous level only.  The key of w*s_g is that
-of w less alpha_g(v) times the packed column g of w, since a key is affine
-in its point, so only the new elements' matrices are formed, straight into
-the one preallocated stack.  The elements are then stored in canonical
-lexicographic order, so runs are deterministic.
+Enumeration multiplies parabolic cosets.  Let W_k be generated by
+s_1, ..., s_k.  The fundamental coweight omega_k-vee is dominant, so its
+stabilizer in W_k is generated by the simple reflections of W_k that fix it
+(Humphreys, Reflection Groups and Coxeter Groups 1.10-1.12; Geck-Pfeiffer,
+Characters of Finite Coxeter Groups and Iwahori-Hecke Algebras, ch. 2), and
+those are s_1, ..., s_(k-1).  So W_k is the disjoint union of the cosets
+u*W_(k-1), u running over one element per point of the W_k-orbit of
+omega_k-vee, and W = W_r is built stage by stage: float32 products u*w,
+_LABEL_BLOCK rows at a time, written into the one int8 stack.  Three checks
+are required: the stages give |W| = prod d_i products, every product fits
+int8, and no two rows of the sorted stack are equal.  The elements are stored
+in canonical lexicographic order, so runs are deterministic.  The sort keeps
+only np.lexsort's permutation: row q*n + j of the stack is u_q*W_(r-1)[j],
+so once the unsorted stack is freed the sorted one is rebuilt block by block
+from the last stage's u_q and a copy of W_(r-1), and one stack and the
+permutation are the most ever held.
 
 No table quadratic in |W| is built.  One routine labels each element with
 the least index reachable from it under a list of index permutations.  Under
@@ -34,10 +42,11 @@ reflections in H and right multiplication by those in K the label is the
 least index of the double coset HwK, when H and K are generated by the wall
 reflections they contain, as face stabilizers are; a Burnside count of the
 double cosets cross-checks it.  Those permutations are read off the orbit
-keys: the key of l*w*r is that of the point l*(w*(r*v)), one matrix-vector
-product per element.  For l and r in W these keys are the element keys
-permuted, so one sort matches every key asked for with the key found, and a
-key that is not an element key is a breach.
+keys: the key of s_i*w*s_j is that of the point s_i*x, x = w*(s_j*v), one
+matrix-vector product per element, and s_i*x = x - a_i(x)*c_i is a rank-one
+update of the key of x, since a key is affine in its point.  These keys are
+the element keys permuted, so one sort matches every key asked for with the
+key found, and a key that is not an element key is a breach.
 
 Face stabilizers come from one table of vertex translations.  For each
 alcove vertex v_k (k = 0..r) and each element w, the table labels
@@ -55,9 +64,9 @@ index, whose labels at k0 and at one more vertex of the face agree.
 
 The elements are one read-only int8 stack (every entry is a coroot
 coordinate of a coroot, at most 6 in absolute value).  Orbit images and
-keys widen at most _CHUNK elements to int64 at a time; the translation
-table widens _LABEL_BLOCK elements to float64 at a time, in work arrays
-allocated once per table.
+keys widen at most _CHUNK elements to int64 at a time; the coset products
+widen _LABEL_BLOCK elements to float32 at a time, and the translation table
+_LABEL_BLOCK elements to float64, in work arrays allocated once per table.
 
 Molien/Poincare sums, trace statistics and Lefschetz averages are evaluated
 per characteristic-polynomial bucket: both det(1 + t*w) and det(1 - t^2*w)
@@ -104,7 +113,7 @@ HARD_ELEMENT_LIMIT = 10_000_000
 CACHE_ENV_VAR = "LIECOMM_CACHE_DIR"
 _CACHE_VERSION = 3
 _CHUNK = 1 << 16  # elements widened to int64 at a time
-_LABEL_BLOCK = 1 << 10  # elements per block of the vertex-translation table
+_LABEL_BLOCK = 1 << 10  # elements per block of coset products and translation labels
 _LABEL_DTYPES = (np.int8, np.int16)  # translation label dtypes, narrowest first
 
 
@@ -165,9 +174,14 @@ class WeylGroup:
         return _regular_vector(self.datum)
 
     def _orbit_images(self, u: np.ndarray):
-        """The points w*u for every element w, in element order, as int64 blocks."""
+        """The points w*u for every element w, in element order, as int64 blocks.
+
+        Each block's rows are stacked into one 2-d matrix, so the product is
+        one matrix-vector product, not one per element."""
+        r = self.datum.rank
         for start in range(0, self.order, _CHUNK):
-            yield self.matrices[start : start + _CHUNK].astype(np.int64) @ u
+            rows = self.matrices[start : start + _CHUNK].reshape(-1, r)
+            yield (rows.astype(np.int64) @ u).reshape(-1, r)
 
     @cached_property
     def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
@@ -196,17 +210,29 @@ class WeylGroup:
         )
         return idx
 
-    def _permutation(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """The index of left*w*right for every element w, left and right in W.
+    def _permutation(self, left: int | None, right: int | None) -> np.ndarray:
+        """The index of s_left*w*s_right for every element w, where s_j is the
+        linear part 1 - c_j (x) a_j of the wall reflection of node j, and
+        s_None = 1.
 
-        The key of left*w*right is that of the point left*(w*(right*v)).  The
-        products run over W as w does, so their keys, sorted, must be
-        _sorted_keys: the sort matches each key asked for with the key found,
-        and a key that is not an element key raises InvariantBreachError.
+        The key of s_left*w*s_right is that of the point s_left*x with
+        x = w*(s_right*v), and s_j*x = x - a_j(x)*c_j; a key is affine in its
+        point, so that key is the key of x less a_j(x) * (c_j . _pack_weights),
+        one rank-one update per element.  The products run over W as w does,
+        so their keys, sorted, must be _sorted_keys: the sort matches each key
+        asked for with the key found, and a key that is not an element key
+        raises InvariantBreachError.
         """
         keys, perm = self._sorted_keys
-        images = self._orbit_images(right @ self._v)
-        query = np.concatenate([_pack(img @ left.T, self._v) for img in images])
+        v, datum = self._v, self.datum
+        u = v if right is None else datum.wall_reflections[right] @ v
+        images = self._orbit_images(u)
+        if left is None:
+            query = np.concatenate([_pack(img, v) for img in images])
+        else:
+            a = np.array(datum.wall_functionals[left], dtype=np.int64)
+            step = int(np.array(datum.wall_coroots[left]) @ _pack_weights(v))
+            query = np.concatenate([_pack(img, v) - (img @ a) * step for img in images])
         order = np.argsort(query)
         require(
             np.array_equal(query[order], keys),
@@ -223,8 +249,8 @@ class WeylGroup:
     @cached_property
     def _class_labels(self) -> np.ndarray:
         """The least element index in the conjugacy class of each element."""
-        simple = self.datum.wall_reflections[1:]
-        return _least_reachable([self._permutation(s, s) for s in simple])
+        nodes = range(1, self.datum.rank + 1)
+        return _least_reachable([self._permutation(j, j) for j in nodes])
 
     @cached_property
     def _classes(self) -> tuple[np.ndarray, list[int]]:
@@ -242,10 +268,10 @@ class WeylGroup:
         """The linear parts of the r + 1 wall reflections s_0, ..., s_r, by node,
         as element indices, and the index permutations of left and of right
         multiplication by each."""
-        eye, walls = np.eye(self.datum.rank, dtype=np.int64), self.datum.wall_reflections
-        left = np.stack([self._permutation(t, eye) for t in walls])
-        right = np.stack([self._permutation(eye, t) for t in walls])
-        return self.index_of(walls), left, right
+        nodes = range(self.datum.rank + 1)
+        left = np.stack([self._permutation(j, None) for j in nodes])
+        right = np.stack([self._permutation(None, j) for j in nodes])
+        return self.index_of(self.datum.wall_reflections), left, right
 
     @cached_property
     def _translation_labels(self) -> np.ndarray:
@@ -431,6 +457,42 @@ def generate(
     return group
 
 
+def _coset_representatives(datum: RootDatum, k: int) -> np.ndarray:
+    """One element of W_k = <s_1, ..., s_k> per point of the W_k-orbit of the
+    fundamental coweight omega_k-vee, int64, shape (|W_k| / |W_(k-1)|, r, r),
+    the identity first; see the module docstring.
+
+    The orbit is walked breadth first from the smallest integral multiple of
+    omega_k-vee, s_i x = x - alpha_i(x) alpha_i-vee, and the element that
+    reaches a new point is s_i times the element of the point it came from.
+    """
+    r, cartan = datum.rank, datum.cartan
+    rows = np.array(cartan, dtype=np.int64)
+    coweight = alcove_geometry(datum).coweights[k - 1]
+    denom = lcm(*(c.denominator for c in coweight))
+    start = tuple(int(c * denom) for c in coweight)
+    seen, points, reps = {start}, [start], [np.eye(r, dtype=np.int64)]
+    for x, u in zip(points, reps):  # both grow as the walk goes
+        for i in range(k):
+            a = _dot(cartan[i], x)
+            y = x[:i] + (x[i] - a,) + x[i + 1 :]
+            if a and y not in seen:
+                su = u.copy()
+                su[i] -= rows[i] @ u  # s_i u = u - e_i (x) (row i of A) u
+                seen.add(y)
+                points.append(y)
+                reps.append(su)
+    return np.stack(reps)
+
+
+def _store_int8(out: np.ndarray, products: np.ndarray) -> None:
+    """Write float32 products of elements into int8 rows, which they must fit."""
+    require(
+        products.min() >= -128 and products.max() <= 127, "a coset product leaves int8"
+    )
+    np.copyto(out, products, casting="unsafe")
+
+
 def _enumerate(datum: RootDatum) -> WeylGroup:
     r, order = datum.rank, datum.weyl_order
     if r >= 5:
@@ -439,39 +501,37 @@ def _enumerate(datum: RootDatum) -> WeylGroup:
             f"({order} elements)",
             file=sys.stderr,
         )
-    # matrix entries are coroot coordinates of coroots (|entry| <= 6), so the
-    # search runs in int8; w - (w e_g) (row g of A) stays within 6 + 6 * 3
-    cartan = np.array(datum.cartan, dtype=np.int8)
-    v = _regular_vector(datum)
-    alpha_v = int(cartan[0].astype(np.int64) @ v)  # alpha_g(v), the same for every g
-    # each level is written straight into the one stack
+    stages = [_coset_representatives(datum, k).astype(np.float32) for k in range(1, r + 1)]
+    found = math.prod(map(len, stages))
+    require(found == order, f"the coset products give {found} elements, not |W| = {order}")
+    # W_k = union of u*W_(k-1) over the stage's representatives u: the
+    # products by u = reps[q] go to rows q*n.. of the one stack, and reps[0]
+    # is the identity, so W_(k-1) stays where it is
     stack = np.empty((order, r, r), dtype=np.int8)
-    level = stack[:1]
-    level[0] = np.eye(r, dtype=np.int8)
-    filled = 1
-    level_keys = _pack(v, v)[None]  # aligned with the level's rows
-    prev_keys = level_keys[:0]
-    weights = _pack_weights(v)
-    while True:
-        # w * s_g for every w in the level and every g, as flat index w * r + g.
-        # Its point is w*v - alpha_v * (column g of w), and a key is affine in
-        # the point, so the keys come without the points
-        cols = level.transpose(0, 2, 1)
-        steps = level_keys[:, None] - alpha_v * np.einsum("wgi,i->wg", cols, weights)
-        keys, first = np.unique(steps, return_index=True)
-        fresh = ~np.isin(keys, prev_keys, assume_unique=True)
-        if not fresh.any():
-            break
-        parents, gens = np.divmod(first[fresh], r)
-        size = len(parents)
-        require(filled + size <= order, f"enumeration overruns the {order} elements of W")
-        step = cols[parents, gens][:, :, None] * cartan[gens][:, None, :]
-        level = np.subtract(level[parents], step, out=stack[filled : filled + size])
-        filled += size
-        prev_keys, level_keys = level_keys, keys[fresh]
-    require(filled == order, f"enumeration found {filled} elements, expected {order}")
-    arr = stack[np.lexsort(stack.reshape(order, r * r).T[::-1])]
-    del stack, level, cols  # the views too, so the stack is freed before the bucketing
+    stack[0] = np.eye(r, dtype=np.int8)
+    n = 1
+    for reps in stages:
+        for start in range(0, n, _LABEL_BLOCK):
+            block = stack[start : min(start + _LABEL_BLOCK, n)].astype(np.float32)
+            for q, u in enumerate(reps[1:], 1):
+                _store_int8(stack[q * n + start : q * n + start + len(block)], u @ block)
+        n *= len(reps)
+    del block  # the last float32 block, before the sort's peak
+    # sorted without a second stack: row q*n + j of the stack is
+    # reps[q]*W_(r-1)[j], so the sorted stack is rebuilt block by block
+    # from the sort's permutation, the last representatives and W_(r-1)
+    perm = np.lexsort(stack.reshape(order, r * r).T[::-1])
+    reps = stages[-1]
+    n = order // len(reps)
+    prev = stack[:n].copy()
+    del stack
+    arr = np.empty((order, r, r), dtype=np.int8)
+    for start in range(0, order, _LABEL_BLOCK):
+        q, j = np.divmod(perm[start : start + _LABEL_BLOCK], n)
+        _store_int8(arr[start : start + len(q)], reps[q] @ prev[j].astype(np.float32))
+    del perm, prev
+    rows = arr.reshape(order, r * r).view(np.dtype((np.void, r * r))).ravel()
+    require(bool(np.all(rows[1:] != rows[:-1])), "two coset products are the same element")
     arr.setflags(write=False)
     return WeylGroup(datum, arr, charpoly_buckets(arr))
 

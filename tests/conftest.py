@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,32 @@ def a2_rotation_buckets():
     twice).  Every Molien sum stays divisible by 6, [t^0] = 1 and [t^1] = 0,
     but [t^2], the squared-trace sum and the k = 2 Lefschetz average move."""
     return (((1, -2, 1), 2), ((1, 1, 1), 4))
+
+
+def _traced_enumeration(name: str):
+    """weyl._enumerate of the named type, and the tracemalloc peak in bytes of
+    the allocations made during the call."""
+    from liecomm import weyl
+    from liecomm.rootdata import build_root_datum
+
+    datum = build_root_datum(name)
+    tracemalloc.start()
+    try:
+        group = weyl._enumerate(datum)
+        return group, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_enumeration():
+    """Enumerates a type under tracemalloc; returns the group and the peak in bytes."""
+    return _traced_enumeration
+
+
+@pytest.fixture(scope="session")
+def e7_enumeration():
+    """W(E7), enumerated once for the slow suite under tracemalloc, and the
+    peak of that enumeration.  Slow tests that generate E7 put the group in
+    the Weyl memo, so they read it from there."""
+    return _traced_enumeration("E7")

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from liecomm.cli import main
@@ -91,6 +92,26 @@ class TestPoincareCommand:
         assert out == ""
         assert err == (
             "liecomm: invariant breach: Poincare series at n = 1 is not prod(1 + t^(2d - 1))\n"
+        )
+
+    def test_repeated_coset_representative_exits_3(self, capsys, monkeypatch, tmp_path):
+        from liecomm import weyl
+
+        real = weyl._coset_representatives
+
+        def repeated(datum, k):
+            reps = real(datum, k)
+            return np.concatenate((reps[:-1], reps[-2:-1])) if k == datum.rank else reps
+
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        monkeypatch.setattr(weyl, "_coset_representatives", repeated)
+        code, out, err = run_cli(
+            capsys, "poincare", "A5", "--n", "1", "--cache-dir", str(tmp_path)
+        )
+        assert code == 3
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "liecomm: invariant breach: two coset products are the same element"
         )
 
     def test_cache_write_failure_is_reported(self, capsys, tmp_path):
@@ -208,7 +229,10 @@ class TestOtherCommands:
         assert "no option of poincare" in err
 
     @pytest.mark.slow
-    def test_cells_e7_behind_rank_cap(self, capsys, tmp_path):
+    def test_cells_e7_behind_rank_cap(self, capsys, tmp_path, monkeypatch, e7_enumeration):
+        from liecomm import weyl
+
+        monkeypatch.setitem(weyl._MEMO, ("E", 7), e7_enumeration[0])  # enumerated once
         code, out, _ = run_cli(
             capsys, "cells", "E7", "--k", "2", "--rank-cap", "7", "--cache-dir", str(tmp_path)
         )

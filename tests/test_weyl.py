@@ -186,17 +186,21 @@ class TestEnumeration:
         assert weyl._load_cache(datum, tmp_path) is None
 
     @pytest.mark.slow
-    def test_rank_seven_exceptional_behind_flag(self, tmp_path):
+    def test_rank_seven_exceptional_behind_flag(self, tmp_path, monkeypatch, e7_enumeration):
         datum = build_root_datum("E7")
+        monkeypatch.setitem(weyl._MEMO, ("E", 7), e7_enumeration[0])
         group = generate(datum, element_cap=3_000_000, cache_dir=tmp_path)
+        assert group is e7_enumeration[0] and (tmp_path / "weyl_E7_v3.npz").exists()
         assert group.order == 2_903_040
         assert irreducibility_check(group) == Fraction(1)
         assert euler_char_rep(group, 2) == 8
         assert molien_poincare(group, 2, 2) == [1, 0, 1]
 
 
-# sha256 of matrices.tobytes() and of repr(charpoly_buckets), as enumerated
-# before the element index replaced the byte-set search
+# sha256 of the stack widened to int64 and of repr(charpoly_buckets): A1-E6
+# as enumerated before the element index replaced the byte-set search, A6-D6
+# (the types of perfbench's enumerate workload) and E7 as the breadth-first
+# level search enumerated them, before the coset products replaced it
 ENUMERATION_DIGESTS = {
     "A1": ("c9cb04ba987a95a535a8ba7d18b3815d0f04b47add63f2b18ed0a66f9a6d617a", "1532e1324f0cfe80df91a43d381c2b80e82419dbaa21f673398e00aefbbe5c7d"),
     "A2": ("80e3cd5322915ef6990dc3359c067b88cd31bfe5b37cd02bf66b160926781e26", "3d81a6d77c1c8c1ab26bcf2b86da27730f692196e60051d4f6fa853396181596"),
@@ -215,7 +219,13 @@ ENUMERATION_DIGESTS = {
     "F4": ("fc7ea383b7d37a64887d01acd0378ab6d3c0f87b555480e9fa52749950dad62b", "f9977506a36e675a0ff99d58c5cdfa57370935faade097f7b4cfb9f5a28553bb"),
     "G2": ("cd4eb42d314bfd7ba250982090a4c50b8bf0c36896a5792a0ff6039881db691f", "66ce3ef594314a7f58b5c49e146d5d546f453c194e4b50b1f79d67155a9aa872"),
     "E6": ("dd6ff52ca9b9adb7da64249fbfe1cc5b42046da2f7e11c9b5677ce0be0126ae8", "3a06d8375d5d573ad87de950f5417807b3d7e9132773069089ea0b3c5d23f3fd"),
+    "A6": ("78491dbca04e130fd602d6751caf3af28019ece084541b6f58008c591a99d413", "280351a8c9fee0c3698b48449ab1e1267028f6617dae4f9c99f4a8d848a06a94"),
+    "A7": ("7ec8c89034585488a8642a38073af9eb518b5c177f5473eb14be93d7fbe49ab0", "ff753a6b931d4b60556b7410ea45d52d8fc86f63448ed7af1151fa2b5d7353a4"),
+    "B6": ("b5fbb9111f6aaf4d3da7172848951a54483ba20041d591446c8c76ca4f5e9957", "91629c8acc6b41eb973ca73c6f17482cd3548d5c39876be9c83a3fa9a3807161"),
+    "C6": ("1dbba468a9907b3edaf25d72946f55ef4aa869746d00ec5dd9b3eb349e99d548", "91629c8acc6b41eb973ca73c6f17482cd3548d5c39876be9c83a3fa9a3807161"),
+    "D6": ("f8e8b81227293edeeabd9aa10c7f5c4e93d4629e42b70249875016764ae9ccd7", "e4cfc97f547c496e0e6b51cd6b28c65afe6c504403426dfe7d567516d97987e0"),
 }
+E7_DIGESTS = ("5d2ba2273141b0e9161ef9a48bc816506a782729197e0f6b58c45a9329997118", "d46388ea4de4ae1c0ad7816e75d50d2576d71a90608b2647a377e2854aaa9a30")
 
 # the C2 histogram with its two quarter turns (x^2 + 1) swapped for one more
 # identity and one more -1
@@ -244,15 +254,36 @@ def _types_below_hard_limit():
     return names
 
 
+def _stack_digest(matrices):
+    """sha256 of the stack widened to int64, widened a block at a time."""
+    digest = hashlib.sha256()
+    for start in range(0, len(matrices), 1 << 16):
+        digest.update(matrices[start : start + (1 << 16)].astype(np.int64).tobytes())
+    return digest.hexdigest()
+
+
 class TestElementIndex:
     @pytest.mark.parametrize("name", ENUMERATION_DIGESTS)
     def test_enumeration_byte_identical(self, name):
         matrices_sha, buckets_sha = ENUMERATION_DIGESTS[name]
         group = weyl._enumerate(build_root_datum(name))
         assert group.matrices.dtype == np.int8
-        wide = group.matrices.astype(np.int64)
-        assert hashlib.sha256(wide.tobytes()).hexdigest() == matrices_sha
+        assert _stack_digest(group.matrices) == matrices_sha
         assert hashlib.sha256(repr(group.charpoly_buckets).encode()).hexdigest() == buckets_sha
+
+    @pytest.mark.slow
+    def test_e7_enumeration_byte_identical_within_memory(self, e7_enumeration):
+        group, peak = e7_enumeration
+        assert _stack_digest(group.matrices) == E7_DIGESTS[0]
+        assert hashlib.sha256(repr(group.charpoly_buckets).encode()).hexdigest() == E7_DIGESTS[1]
+        assert peak <= 1.5 * group.matrices.nbytes
+
+    @pytest.mark.parametrize("name", ["E6", "A7", "B6"])
+    def test_enumeration_holds_one_stack(self, name, traced_enumeration):
+        # the stack, the sort's permutation and block-sized work arrays, not
+        # a second stack
+        group, peak = traced_enumeration(name)
+        assert peak <= 1.75 * group.matrices.nbytes
 
     @pytest.mark.parametrize("name", TABLE_TYPES)
     def test_index_products_and_identity(self, name):
@@ -287,6 +318,49 @@ class TestElementIndex:
         mats[2, 0, 0] += 1
         with pytest.raises(InvariantBreachError):
             group.index_of(mats)
+
+
+class TestCosetProducts:
+    @pytest.mark.parametrize("name,parabolic", [("E6", "D5"), ("E7", "E6"), ("E8", "E7")])
+    def test_last_stage_counts_the_cosets(self, name, parabolic):
+        # W(E_r) over the parabolic on nodes 1..r-1: 27, 56 and 240 cosets,
+        # E8's without enumerating W(E8)
+        datum = build_root_datum(name)
+        reps = weyl._coset_representatives(datum, datum.rank)
+        assert len(reps) == datum.weyl_order // build_root_datum(parabolic).weyl_order
+        assert len(reps) == {"E6": 27, "E7": 56, "E8": 240}[name]
+        assert np.array_equal(reps[0], np.eye(datum.rank))
+        # one representative per orbit point of the fundamental coweight
+        coweight = alcove_geometry(datum).coweights[-1]
+        scale = lcm(*(c.denominator for c in coweight))
+        point = np.array([int(c * scale) for c in coweight])
+        assert len({tuple(p) for p in (reps @ point).tolist()}) == len(reps)
+
+    @staticmethod
+    def _patched_last_stage(monkeypatch, change):
+        real = weyl._coset_representatives
+
+        def patched(datum, k):
+            reps = real(datum, k)
+            return change(reps) if k == datum.rank else reps
+
+        monkeypatch.setattr(weyl, "_coset_representatives", patched)
+
+    def test_repeated_representative_is_a_breach(self, monkeypatch):
+        # the count stays |W|, but two cosets coincide
+        self._patched_last_stage(monkeypatch, lambda reps: np.concatenate((reps[:-1], reps[-2:-1])))
+        with pytest.raises(InvariantBreachError, match="two coset products are the same element"):
+            weyl._enumerate(build_root_datum("A5"))
+
+    def test_dropped_representative_is_a_breach(self, monkeypatch):
+        self._patched_last_stage(monkeypatch, lambda reps: reps[:-1])
+        with pytest.raises(InvariantBreachError, match="give 600 elements, not [|]W[|] = 720"):
+            weyl._enumerate(build_root_datum("A5"))
+
+    def test_product_outside_int8_is_a_breach(self, monkeypatch):
+        self._patched_last_stage(monkeypatch, lambda reps: reps * 128)
+        with pytest.raises(InvariantBreachError, match="a coset product leaves int8"):
+            weyl._enumerate(build_root_datum("A5"))
 
 
 class TestConjugacyClasses:

@@ -8,9 +8,9 @@ such step is unimodular and leaves the exact Schur complement, so the Smith
 form is unchanged; simplicial boundary and coroot-lattice matrices are almost
 all unit pivots.  Only the remainder, which has no unit entry left, goes to
 the dense big-integer reduction, the one finisher for divisors and for
-transforms; with transforms, U and V compose the sparse row and column
-operations with the finisher's.  Composition of boundary maps is checked
-exactly on the same sparse rows.
+transforms; with transforms it reduces [[A, 1], [1, 0]], whose identity
+blocks become U and V, composed with the sparse row and column operations.
+Composition of boundary maps is checked exactly on the same sparse rows.
 """
 
 from __future__ import annotations
@@ -157,52 +157,36 @@ class FinAbGroup:
 # ---------------------------------------------------------------------------
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def _smith_python(mat: Sequence[Sequence[int]], want_transforms: bool):
-    """Big-integer Smith reduction; returns (U, D, V) or (None, D, None)."""
+    """Big-integer Smith reduction; returns (U, D, V) or (None, D, None).
+
+    With transforms it reduces [[A, 1_m], [1_n, 0]]: row operations touch only
+    the first m rows and column operations only the first n columns, so U and
+    V are the top-right and bottom-left blocks."""
     A = [[int(x) for x in row] for row in mat]
     m = len(A)
     n = len(A[0]) if m else 0
-    U = _identity(m) if want_transforms else None
-    V = _identity(n) if want_transforms else None
+    if want_transforms:
+        A = [row + [int(i == k) for k in range(m)] for i, row in enumerate(A)]
+        A += [[int(j == k) for k in range(n + m)] for j in range(n)]
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for row in A:
             row[i], row[j] = row[j], row[i]
-        if V is not None:
-            for row in V:
-                row[i], row[j] = row[j], row[i]
 
     def add_row(i, j, q):
         # row_i += q * row_j
         Ai, Aj = A[i], A[j]
-        for k in range(n):
+        for k in range(len(Ai)):
             Ai[k] += q * Aj[k]
-        if U is not None:
-            Ui, Uj = U[i], U[j]
-            for k in range(m):
-                Ui[k] += q * Uj[k]
 
     def add_col(i, j, q):
         # col_i += q * col_j
         for row in A:
             row[i] += q * row[j]
-        if V is not None:
-            for row in V:
-                row[i] += q * row[j]
-
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        if U is not None:
-            U[i] = [-x for x in U[i]]
 
     t = 0
     while t < min(m, n):
@@ -222,7 +206,7 @@ def _smith_python(mat: Sequence[Sequence[int]], want_transforms: bool):
             swap_cols(t, pj)
         while True:
             if A[t][t] < 0:
-                negate_row(t)
+                A[t] = [-x for x in A[t]]
             p = A[t][t]
             dirty = False
             for i in range(t + 1, m):
@@ -258,7 +242,9 @@ def _smith_python(mat: Sequence[Sequence[int]], want_transforms: bool):
                 continue
             break
         t += 1
-    return U, A, V
+    if not want_transforms:
+        return None, A, None
+    return [row[n:] for row in A[:m]], [row[:n] for row in A[:m]], [row[:n] for row in A[m:]]
 
 
 class _SparseMatrix:

@@ -69,9 +69,12 @@ widen _LABEL_BLOCK elements to float32 at a time, and the translation table
 _LABEL_BLOCK elements to float64, in work arrays allocated once per table.
 
 Molien/Poincare sums, trace statistics and Lefschetz averages are evaluated
-per characteristic-polynomial bucket: both det(1 + t*w) and det(1 - t^2*w)
-depend only on the characteristic polynomial of w.  Enumeration takes the
-buckets from rootdata.charpoly_buckets, from the power sums tr(w^k).
+per characteristic-polynomial bucket, from the power sums tr(w^k) in
+rootdata.charpoly_buckets.  The Molien sum (at x = t^2) and Solomon's
+identity below both sum the exact quotients prod_i (1 - x^d_i) / det(1 - x*w)
+of _coinvariant_quotients.  Each division is exact: for a primitive d-th root
+of unity z, the z-eigenspace of w has dimension at most #{i : d | d_i}
+(Springer, Invent. Math. 25, 1974), the multiplicity of Phi_d in the product.
 
 The cache (format 3) stores the stack, its zlib CRC-32 and the buckets.  A
 load checks the CRC against the stack, and the buckets by their counts
@@ -439,12 +442,13 @@ def generate(
     """Fully enumerate the Weyl group, deterministically sorted.
 
     Raises WeylCapError when the order (product of the degrees) exceeds
-    element_cap, and unconditionally beyond HARD_ELEMENT_LIMIT; those types
+    element_cap or, naming it as the cap, HARD_ELEMENT_LIMIT; those types
     are served by the formula-level operations instead.
     """
     required = datum.weyl_order
-    if required > element_cap or required > HARD_ELEMENT_LIMIT:
-        raise WeylCapError(required, min(element_cap, HARD_ELEMENT_LIMIT))
+    cap = HARD_ELEMENT_LIMIT if required > HARD_ELEMENT_LIMIT else element_cap
+    if required > cap:
+        raise WeylCapError(required, cap)
     key = (datum.lie_type.family, datum.lie_type.rank)
     group = _MEMO.get(key) or _load_cache(datum, cache_dir)
     if group is None:
@@ -601,33 +605,44 @@ def _reject(path: Path, reason: str) -> None:
     print(f"liecomm: ignoring the Weyl cache {path}: {reason}", file=sys.stderr)
 
 
-def _solomon_holds(datum: RootDatum, buckets: Sequence[tuple[Sequence[int], int]]) -> bool:
-    """Solomon's identity (Nagoya Math. J. 22, 1963) for a charpoly histogram,
-    exactly, as polynomials in x and y:
-
-        sum_b c_b det(1 + y w_b) [prod(1 - x^d_i) / det(1 - x w_b)]
-            = |W| prod(1 + y x^m_i),
-
-    where each bracket must be an exact division, a polynomial of degree N,
-    the number of positive roots.  det(1 - x w) is the charpoly reversed; its
-    leading coefficient det(-w) = +-1 is divided out first.
-    """
-    r, top = datum.rank, sum(datum.exponents)
+def _coinvariant_quotients(
+    datum: RootDatum, buckets: Sequence[tuple[Sequence[int], int]]
+) -> list[list[int]] | None:
+    """prod(1 - x^d_i) / det(1 - x w_b) for each bucket b, exactly; None when
+    det(-w_b) is not +-1 or a division leaves a remainder, which no element of
+    W gives (Springer).  det(1 - x w) is the charpoly reversed, made monic by
+    dividing out det(-w)."""
     num = [1]
     for d in datum.degrees:
-        num = _pmul(num, [1] + [0] * (d - 1) + [-1], top + r)
-    lhs = [[0] * (top + 1) for _ in range(r + 1)]  # by power of y, then of x
-    for charpoly, count in buckets:
+        num = _pmul(num, [1] + [0] * (d - 1) + [-1], sum(datum.degrees))
+    quotients = []
+    for charpoly, _ in buckets:
         sign = charpoly[0]
         if sign not in (1, -1):
-            return False
+            return None
         quot, rem = _poly_divmod(num, [sign * c for c in reversed(charpoly)])
         if any(rem):
-            return False
+            return None
+        quotients.append([sign * q for q in quot])
+    return quotients
+
+
+def _solomon_holds(datum: RootDatum, buckets: Sequence[tuple[Sequence[int], int]]) -> bool:
+    """Solomon's identity (Nagoya Math. J. 22, 1963) for a charpoly histogram,
+    exactly, as polynomials in x and y, with Q_b from _coinvariant_quotients:
+
+        sum_b c_b det(1 + y w_b) Q_b(x) = |W| prod(1 + y x^m_i)
+    """
+    quotients = _coinvariant_quotients(datum, buckets)
+    if quotients is None:
+        return False
+    r, top = datum.rank, sum(datum.exponents)
+    lhs = [[0] * (top + 1) for _ in range(r + 1)]  # by power of y, then of x
+    for (charpoly, count), quot in zip(buckets, quotients):
         for row, e in zip(lhs, _det_one_plus_tw(charpoly)):
             if e:
                 for k, q in enumerate(quot):
-                    row[k] += count * e * sign * q
+                    row[k] += count * e * q
     rhs = [[datum.weyl_order] + [0] * top] + [[0] * (top + 1) for _ in range(r)]
     for m in datum.exponents:  # multiply by 1 + y x^m
         for j in range(r, 0, -1):
@@ -659,58 +674,34 @@ def _ppow(p: Sequence[int], n: int, trunc: int) -> list[int]:
     return out
 
 
-def _pinv(p: Sequence[int], trunc: int) -> list[int]:
-    if p[0] != 1:
-        raise ValueError("series inversion needs constant term 1")
-    out = [1] + [0] * trunc
-    for k in range(1, trunc + 1):
-        acc = 0
-        for i in range(1, min(k, len(p) - 1) + 1):
-            acc += p[i] * out[k - i]
-        out[k] = -acc
-    return out
-
-
 def _det_one_plus_tw(charpoly: Sequence[int]) -> list[int]:
     """Coefficients of det(1 + t*w) from the ascending charpoly of w."""
     r = len(charpoly) - 1
     return [(-1) ** j * charpoly[r - j] for j in range(r + 1)]
 
 
-def _det_one_minus_t2w(charpoly: Sequence[int]) -> list[int]:
-    """Coefficients of det(1 - t^2*w) from the ascending charpoly of w."""
-    r = len(charpoly) - 1
-    out = [0] * (2 * r + 1)
-    for j in range(r + 1):
-        out[2 * j] = charpoly[r - j]
-    return out
-
-
 def molien_poincare(group: WeylGroup, n: int, max_deg: int) -> list[int]:
     """Coefficients of the Poincare series of the commuting-n-tuple space.
 
-    prod(1 - t^(2 d_i)) / |W| * sum over W of det(1 + t*w)^n / det(1 - t^2*w),
-    truncated at max_deg.  All coefficients are nonnegative integers.
+    1/|W| * sum over W of det(1 + t*w)^n * Q_w(t^2), truncated at max_deg,
+    where Q_w(x) = prod(1 - x^d_i) / det(1 - x*w) is an exact polynomial
+    quotient.  All coefficients are nonnegative integers.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if max_deg < 0:
         raise ValueError("max_deg must be >= 0")
+    quotients = _coinvariant_quotients(group.datum, group.charpoly_buckets)
+    require(
+        quotients is not None, "a charpoly bucket's det(1 - x*w) does not divide prod(1 - x^d_i)"
+    )
     acc = [0] * (max_deg + 1)
-    for charpoly, mult in group.charpoly_buckets:
-        num = _ppow(_det_one_plus_tw(charpoly), n, max_deg)
-        den_inv = _pinv(_det_one_minus_t2w(charpoly), max_deg)
-        term = _pmul(num, den_inv, max_deg)
+    for (charpoly, mult), quot in zip(group.charpoly_buckets, quotients):
+        at_t2 = [0] * (2 * len(quot) - 1)
+        at_t2[::2] = quot
+        term = _pmul(_ppow(_det_one_plus_tw(charpoly), n, max_deg), at_t2, max_deg)
         for j in range(max_deg + 1):
             acc[j] += mult * term[j]
-    prefactor = [1] + [0] * max_deg
-    for d in group.datum.degrees:
-        factor = [0] * (max_deg + 1)
-        factor[0] = 1
-        if 2 * d <= max_deg:
-            factor[2 * d] = -1
-        prefactor = _pmul(prefactor, factor, max_deg)
-    acc = _pmul(acc, prefactor, max_deg)
     detail = "Molien sum is not divisible by the group order"
     coeffs = [exact_quotient(c, group.order, detail) for c in acc]
     require(

@@ -54,6 +54,14 @@ def a2_rotation_buckets():
     return (((1, -2, 1), 2), ((1, 1, 1), 4))
 
 
+@pytest.fixture
+def a2_non_cyclotomic_buckets():
+    """The A2 histogram with one rotation (x^2 + x + 1) swapped for
+    x^2 - 3x + 1, which has no root of unity as a root: its det(1 - x*w) does
+    not divide prod(1 - x^d_i)."""
+    return (((1, -2, 1), 1), ((-1, 0, 1), 3), ((1, 1, 1), 1), ((1, -3, 1), 1))
+
+
 def _traced_enumeration(name: str):
     """weyl._enumerate of the named type, and the tracemalloc peak in bytes of
     the allocations made during the call."""

@@ -94,6 +94,19 @@ class TestPoincareCommand:
             "liecomm: invariant breach: Poincare series at n = 1 is not prod(1 + t^(2d - 1))\n"
         )
 
+    def test_quotient_breach_exits_3(self, capsys, monkeypatch, a2_non_cyclotomic_buckets):
+        from liecomm import weyl
+
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        monkeypatch.setattr(weyl, "charpoly_buckets", lambda arr: a2_non_cyclotomic_buckets)
+        code, out, err = run_cli(capsys, "poincare", "A2", "--n", "2")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "liecomm: invariant breach: "
+            "a charpoly bucket's det(1 - x*w) does not divide prod(1 - x^d_i)\n"
+        )
+
     def test_repeated_coset_representative_exits_3(self, capsys, monkeypatch, tmp_path):
         from liecomm import weyl
 
@@ -223,10 +236,17 @@ class TestOtherCommands:
         code, _, err = run_cli(capsys, "poincare", "E7", "--n", "1")
         assert code == 2
         assert "raise --element-cap" in err
-        # above the hard limit no option helps
+        # above the hard limit no option helps, whatever --element-cap says
         code, _, err = run_cli(capsys, "poincare", "E8", "--n", "1", "--element-cap", "1000000000")
         assert code == 2
         assert "no option of poincare" in err
+        code, out, err = run_cli(capsys, "poincare", "E8", "--n", "1")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "liecomm: enumeration needs 696729600 elements, above the cap 10000000; "
+            "no option of poincare raises this cap\n"
+        )
 
     @pytest.mark.slow
     def test_cells_e7_behind_rank_cap(self, capsys, tmp_path, monkeypatch, e7_enumeration):

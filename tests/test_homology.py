@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +75,30 @@ def _int_matrices(draw):
         [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
         for i, row in enumerate(mat)
     ]
+
+
+# sha256 of every Smith output on _seeded_matrices() and on the 3-torus
+# quotient's d1, as computed before the finisher carried U and V as blocks of
+# one matrix; a change that moves one entry of U, D or V fails it
+SMITH_DIGEST = "7eb7a0dc24b14ab1a6d62ea8e68875e34dc73d30872a3e464285d52eb4fa1e38"
+
+
+def _seeded_matrices():
+    """400 integer matrices, every shape 0-7 x 0-7 six or seven times: signed
+    entries of mixed density, and an entry of +-2**70 in every seventh."""
+    rng = random.Random(2022)
+    mats = []
+    for k in range(400):
+        m, n = k % 8, (k // 8) % 8
+        density = rng.choice((0.3, 0.7, 1.0))
+        mat = [
+            [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(m)
+        ]
+        if m and n and k % 7 == 0:
+            mat[rng.randrange(m)][rng.randrange(n)] = rng.choice((2**70, -(2**70)))
+        mats.append(mat)
+    return mats
 
 
 class TestSmithNormalForm:
@@ -178,6 +204,22 @@ class TestSmithNormalForm:
         assert _abs_det(u) == 1 and _abs_det(v) == 1
         assert [d[k][k] for k in range(m)] == [1] * (m - 1) + [0]
         assert sum(x != 0 for row in d for x in row) == m - 1
+
+    def test_outputs_byte_identical(self):
+        digest = hashlib.sha256()
+        # a list without rows has no width; arrays keep theirs
+        mats = _seeded_matrices() + [np.zeros((0, n), dtype=np.int64) for n in range(8)]
+        for mat in mats:
+            outputs = (
+                smith_normal_form(mat),
+                _smith_python(mat, want_transforms=True),
+                _smith_python(mat, want_transforms=False),
+                snf_divisors(mat),
+            )
+            digest.update(repr(outputs).encode())
+        d1 = torus_inversion_quotient(3)[0].boundary_matrices()[0]
+        digest.update(repr((smith_normal_form(d1), snf_divisors(d1))).encode())
+        assert digest.hexdigest() == SMITH_DIGEST
 
 
 class TestChainHomology:

@@ -231,6 +231,11 @@ E7_DIGESTS = ("5d2ba2273141b0e9161ef9a48bc816506a782729197e0f6b58c45a9329997118"
 # identity and one more -1
 C2_QUARTER_TURNS_SWAPPED = (((-1, 0, 1), 4), ((1, -2, 1), 2), ((1, 2, 1), 2))
 
+# sha256 of molien_poincare over TABLE_TYPES, E6 and D6 at n = 1..4 and
+# max_deg 0, 1, 2, 12 and 24, as computed before the sum read Solomon's exact
+# quotients in place of an inverted power series
+MOLIEN_DIGEST = "9c77b5c82759034625eb7b67b3d476795e7c8af15e4707f11bd671d86b33cd67"
+
 TABLE_TYPES = ["A1", "A2", "A3", "A4", "A5", "B3", "B4", "C2", "C3", "C4", "D4", "D5", "F4", "G2"]
 
 # A_n: partitions of n + 1; B_n, C_n: bipartitions of n; the rest from the tables
@@ -442,6 +447,15 @@ class TestMolien:
         assert coeffs[13:] == [0] * 4
         assert any(c for c in coeffs[10:13])  # but it really has degree 12
 
+    def test_series_byte_identical(self):
+        series = [
+            (name, n, max_deg, molien_poincare(_group(name), n, max_deg))
+            for name in TABLE_TYPES + ["E6", "D6"]
+            for n in range(1, 5)
+            for max_deg in (0, 1, 2, 12, 24)
+        ]
+        assert hashlib.sha256(repr(series).encode()).hexdigest() == MOLIEN_DIGEST
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             molien_poincare(_group("A1"), 0, 3)
@@ -497,6 +511,14 @@ class TestClosedFormGates:
         message = "Poincare series at n = 1 is not prod(1 + t^(2d - 1))"
         with pytest.raises(InvariantBreachError, match=f"^{re.escape(message)}$"):
             molien_poincare(fake, 1, 3)
+
+    def test_molien_quotients_are_exact(self, a2_non_cyclotomic_buckets):
+        # the gate fires before any coefficient, so at every max_deg
+        fake = dataclasses.replace(_group("A2"), charpoly_buckets=a2_non_cyclotomic_buckets)
+        message = "a charpoly bucket's det(1 - x*w) does not divide prod(1 - x^d_i)"
+        for max_deg in (0, 6):
+            with pytest.raises(InvariantBreachError, match=f"^{re.escape(message)}$"):
+                molien_poincare(fake, 2, max_deg)
 
     def test_squared_traces_sum_to_the_order(self, fake):
         with pytest.raises(InvariantBreachError, match="sum of squared traces 12 is not"):

@@ -8,15 +8,17 @@ induced involution on its vertices.  That one subdivision also makes the
 involution regular, so the torus quotient never subdivides again.  One
 routine, ``_subdivide``, builds every barycentric subdivision: the torus with
 its geometric cells and ``barycentric_subdivide`` with the faces of a
-complex.  Quotients check regularity in the same orbit pass that builds them
-and refuse to proceed when it fails.  Boundary matrices are built as sparse
-rows, the one format the homology oracle reads.
+complex; it canonicalizes each cell of each top once.  Quotients check
+regularity in the same orbit pass that builds them and refuse to proceed
+when it fails.  Boundary matrices are built as sparse rows, the one format
+the homology oracle reads.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
+from operator import or_
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .homology import FinAbGroup, _SparseMatrix, chain_homology, require
@@ -108,20 +110,32 @@ def _subdivide(
     """Order complex of the cells spanned by tops: the one barycentric subdivision.
 
     cell_of names the cell of a tuple of top vertices; every face of a top is
-    a cell, labelled by its position in (size, cell) order.  Each ordering of
-    a top's vertices gives one chain of prefixes, a facet of the result.  With
-    image (a map of cells) given, returns (subdivision, transported map on
-    labels); otherwise returns just the subdivision.
+    a cell, labelled by its position in (size, cell) order.  cell_of runs once
+    per nonempty vertex subset of each top, which is indexed by its bitmask.
+    Each ordering of a top's vertices gives one chain of prefixes, a facet of
+    the result, whose labels are those of the prefixes' masks.  With image (a
+    map of cells) given, returns (subdivision, transported map on labels);
+    otherwise returns just the subdivision.
     """
-    cells = {
-        cell_of(sub) for top in tops for size in range(1, len(top) + 1) for sub in combinations(top, size)
-    }
-    label = {cell: i for i, cell in enumerate(sorted(cells, key=lambda c: (len(c), c)))}
-    sd = SimplicialComplex(
-        tuple(label[cell_of(perm[:k])] for k in range(1, len(perm) + 1))
+    subsets = [
+        [
+            cell_of(tuple(v for i, v in enumerate(top) if mask >> i & 1))
+            for mask in range(1, 1 << len(top))
+        ]
         for top in tops
-        for perm in permutations(top)
-    )
+    ]
+    cells = set().union(*subsets)
+    label = {cell: i for i, cell in enumerate(sorted(cells, key=lambda c: (len(c), c)))}
+    # the prefix bitmasks of each ordering, shared by every top of a size
+    chains = {
+        size: [tuple(accumulate((1 << i for i in perm), or_)) for perm in permutations(range(size))]
+        for size in {len(top) for top in tops}
+    }
+    facets = []
+    for top, by_mask in zip(tops, subsets):
+        labels = [None] + [label[cell] for cell in by_mask]
+        facets.extend(tuple(labels[mask] for mask in chain) for chain in chains[len(top)])
+    sd = SimplicialComplex(facets)
     if image is None:
         return sd
     transported = {i: label.get(image(cell)) for cell, i in label.items()}

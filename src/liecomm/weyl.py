@@ -72,9 +72,10 @@ Molien/Poincare sums, trace statistics and Lefschetz averages are evaluated
 per characteristic-polynomial bucket, from the power sums tr(w^k) in
 rootdata.charpoly_buckets.  The Molien sum (at x = t^2) and Solomon's
 identity below both sum the exact quotients prod_i (1 - x^d_i) / det(1 - x*w)
-of _coinvariant_quotients.  Each division is exact: for a primitive d-th root
-of unity z, the z-eigenspace of w has dimension at most #{i : d | d_i}
-(Springer, Invent. Math. 25, 1974), the multiplicity of Phi_d in the product.
+of WeylGroup._coinvariant_quotients, computed once per group.  Each division
+is exact: for a primitive d-th root of unity z, the z-eigenspace of w has
+dimension at most #{i : d | d_i} (Springer, Invent. Math. 25, 1974), the
+multiplicity of Phi_d in the product.
 
 The cache (format 3) stores the stack, its zlib CRC-32 and the buckets.  A
 load checks the CRC against the stack, and the buckets by their counts
@@ -244,6 +245,28 @@ class WeylGroup:
         out = np.empty(self.order, dtype=np.int32)
         out[order] = perm
         return out
+
+    @cached_property
+    def _coinvariant_quotients(self) -> list[list[int]] | None:
+        """prod(1 - x^d_i) / det(1 - x w_b) for each bucket b, exactly; None
+        when det(-w_b) is not +-1 or a division leaves a remainder, which no
+        element of W gives (Springer).  det(1 - x w) is the charpoly reversed,
+        made monic by dividing out det(-w).  Computed once per group, for
+        Solomon's identity on load or save and for every molien_poincare."""
+        degrees = self.datum.degrees
+        num = [1]
+        for d in degrees:
+            num = _pmul(num, [1] + [0] * (d - 1) + [-1], sum(degrees))
+        quotients = []
+        for charpoly, _ in self.charpoly_buckets:
+            sign = charpoly[0]
+            if sign not in (1, -1):
+                return None
+            quot, rem = _poly_divmod(num, [sign * c for c in reversed(charpoly)])
+            if any(rem):
+                return None
+            quotients.append([sign * q for q in quot])
+        return quotients
 
     @cached_property
     def identity_index(self) -> int:
@@ -545,7 +568,7 @@ def _save_cache(group: WeylGroup, cache_dir: Path | None) -> None:
     pass Solomon's identity."""
     datum, path = group.datum, _cache_path(group.datum, cache_dir)
     require(
-        _solomon_holds(datum, group.charpoly_buckets),
+        _solomon_holds(group),
         f"the {datum.lie_type.name} charpoly buckets fail Solomon's identity",
     )
     charpolys, counts = zip(*group.charpoly_buckets)
@@ -595,50 +618,30 @@ def _load_cache(datum: RootDatum, cache_dir: Path | None) -> WeylGroup | None:
     if zlib.crc32(mats) != crc:
         return _reject(path, "the stack does not match its CRC-32")
     buckets = tuple(zip(map(tuple, charpolys.tolist()), counts.tolist()))
-    if sum(counts.tolist()) != order or not _solomon_holds(datum, buckets):
-        return _reject(path, "the charpoly buckets fail Solomon's identity")
     mats.setflags(write=False)
-    return WeylGroup(datum, mats, buckets)
+    group = WeylGroup(datum, mats, buckets)
+    if sum(counts.tolist()) != order or not _solomon_holds(group):
+        return _reject(path, "the charpoly buckets fail Solomon's identity")
+    return group
 
 
 def _reject(path: Path, reason: str) -> None:
     print(f"liecomm: ignoring the Weyl cache {path}: {reason}", file=sys.stderr)
 
 
-def _coinvariant_quotients(
-    datum: RootDatum, buckets: Sequence[tuple[Sequence[int], int]]
-) -> list[list[int]] | None:
-    """prod(1 - x^d_i) / det(1 - x w_b) for each bucket b, exactly; None when
-    det(-w_b) is not +-1 or a division leaves a remainder, which no element of
-    W gives (Springer).  det(1 - x w) is the charpoly reversed, made monic by
-    dividing out det(-w)."""
-    num = [1]
-    for d in datum.degrees:
-        num = _pmul(num, [1] + [0] * (d - 1) + [-1], sum(datum.degrees))
-    quotients = []
-    for charpoly, _ in buckets:
-        sign = charpoly[0]
-        if sign not in (1, -1):
-            return None
-        quot, rem = _poly_divmod(num, [sign * c for c in reversed(charpoly)])
-        if any(rem):
-            return None
-        quotients.append([sign * q for q in quot])
-    return quotients
-
-
-def _solomon_holds(datum: RootDatum, buckets: Sequence[tuple[Sequence[int], int]]) -> bool:
-    """Solomon's identity (Nagoya Math. J. 22, 1963) for a charpoly histogram,
-    exactly, as polynomials in x and y, with Q_b from _coinvariant_quotients:
+def _solomon_holds(group: WeylGroup) -> bool:
+    """Solomon's identity (Nagoya Math. J. 22, 1963) for the group's charpoly
+    histogram, exactly, as polynomials in x and y, with Q_b the group's
+    _coinvariant_quotients:
 
         sum_b c_b det(1 + y w_b) Q_b(x) = |W| prod(1 + y x^m_i)
     """
-    quotients = _coinvariant_quotients(datum, buckets)
+    datum, quotients = group.datum, group._coinvariant_quotients
     if quotients is None:
         return False
     r, top = datum.rank, sum(datum.exponents)
     lhs = [[0] * (top + 1) for _ in range(r + 1)]  # by power of y, then of x
-    for (charpoly, count), quot in zip(buckets, quotients):
+    for (charpoly, count), quot in zip(group.charpoly_buckets, quotients):
         for row, e in zip(lhs, _det_one_plus_tw(charpoly)):
             if e:
                 for k, q in enumerate(quot):
@@ -691,7 +694,7 @@ def molien_poincare(group: WeylGroup, n: int, max_deg: int) -> list[int]:
         raise ValueError("n must be >= 1")
     if max_deg < 0:
         raise ValueError("max_deg must be >= 0")
-    quotients = _coinvariant_quotients(group.datum, group.charpoly_buckets)
+    quotients = group._coinvariant_quotients
     require(
         quotients is not None, "a charpoly bucket's det(1 - x*w) does not divide prod(1 - x^d_i)"
     )

@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from liecomm import simplicial
 from liecomm.homology import FinAbGroup
 from liecomm.simplicial import (
     RegularityError,
@@ -127,6 +128,23 @@ class TestTorus:
         complex_, involution = torus_triangulation(n)
         text = repr((complex_.facets, sorted(involution.items())))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_each_cell_canonicalized_once(self, monkeypatch):
+        # T^3 has 8 corners x 3! monotone paths, each a top with 4 vertices:
+        # one cell_of call per nonempty vertex subset, none per ordering
+        real = simplicial._subdivide
+        calls = []
+
+        def counting(tops, cell_of, image=None):
+            def counted(sub):
+                calls.append(sub)
+                return cell_of(sub)
+
+            return real(tops, counted, image)
+
+        monkeypatch.setattr(simplicial, "_subdivide", counting)
+        torus_triangulation(3)
+        assert len(calls) == 48 * 15
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

@@ -476,20 +476,43 @@ class TestClassFunctions:
         assert euler_char_rep(_group(name), 2) == datum.rank + 1
 
 
+def _with_buckets(name, buckets):
+    """The enumerated group of type name, with another charpoly histogram."""
+    return dataclasses.replace(_group(name), charpoly_buckets=buckets)
+
+
 class TestSolomonIdentity:
     @pytest.mark.parametrize("name", TABLE_TYPES + ["E6"])
     def test_holds_for_the_enumerated_buckets(self, name):
-        group = _group(name)
-        assert weyl._solomon_holds(group.datum, group.charpoly_buckets)
+        assert weyl._solomon_holds(_group(name))
 
     def test_fails_for_other_histograms(self, a2_rotation_buckets):
-        datum = build_root_datum("A2")
-        assert not weyl._solomon_holds(datum, a2_rotation_buckets)
+        assert not weyl._solomon_holds(_with_buckets("A2", a2_rotation_buckets))
         # x^2 - 3x + 1 has no root of unity as a root: no exact division
-        assert not weyl._solomon_holds(datum, (((1, -3, 1), 6),))
+        assert not weyl._solomon_holds(_with_buckets("A2", (((1, -3, 1), 6),)))
         # det(w) = 2 is no Weyl element's
-        assert not weyl._solomon_holds(datum, (((2, 0, 1), 6),))
-        assert not weyl._solomon_holds(build_root_datum("C2"), C2_QUARTER_TURNS_SWAPPED)
+        assert not weyl._solomon_holds(_with_buckets("A2", (((2, 0, 1), 6),)))
+        assert not weyl._solomon_holds(_with_buckets("C2", C2_QUARTER_TURNS_SWAPPED))
+
+    def test_quotients_computed_once_per_group(self, monkeypatch, tmp_path):
+        # a cold save, a warm load and four Molien sums on each group divide
+        # prod(1 - x^d_i) by each bucket's det(1 - x*w) once per group
+        divisions = []
+        real = weyl._poly_divmod
+
+        def counted(num, den):
+            divisions.append(len(den))
+            return real(num, den)
+
+        monkeypatch.setattr(weyl, "_poly_divmod", counted)
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        datum = build_root_datum("A5")
+        cold = weyl.generate(datum, cache_dir=tmp_path)
+        warm = weyl._load_cache(datum, tmp_path)
+        for group in (cold, warm):
+            for n in range(1, 5):
+                molien_poincare(group, n, 12)
+        assert len(divisions) == 2 * len(cold.charpoly_buckets)
 
 
 class TestClosedFormGates:

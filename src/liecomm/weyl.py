@@ -9,8 +9,9 @@ point of its orbit, so coordinate i of w*v lies in [-v_i, v_i] and the image
 packs by mixed radix (2*v_i + 1) into one int64.  The key width,
 sum of log2(2*v_i + 1) bits, peaks at 47.1 bits (E7) over the types below
 HARD_ELEMENT_LIMIT, and never exceeds r*log2(2*max(v) + 1) (53.1 at E7).
-The keys are kept sorted and queried with np.searchsorted; every query checks
-that the element found is the matrix asked for.
+The stack is stored in ascending key order, so an element's index is the
+rank of its key, found by np.searchsorted and checked against the matrix
+asked for: w_0 (w_0*v = -v) is element 0 and the identity the last.
 
 Enumeration multiplies parabolic cosets.  Let W_k be generated by
 s_1, ..., s_k.  The fundamental coweight omega_k-vee is dominant, so its
@@ -22,11 +23,11 @@ u*W_(k-1), u running over one element per point of the W_k-orbit of
 omega_k-vee, and W = W_r is built stage by stage: float32 products u*w,
 _LABEL_BLOCK rows at a time, written into the one int8 stack.  Three checks
 are required: the stages give |W| = prod d_i products, every product fits
-int8, and no two rows of the sorted stack are equal.  The elements are stored
-in canonical lexicographic order, so runs are deterministic.  The sort keeps
-only np.lexsort's permutation: row q*n + j of the stack is u_q*W_(r-1)[j],
-so once the unsorted stack is freed the sorted one is rebuilt block by block
-from the last stage's u_q and a copy of W_(r-1), and one stack and the
+int8, and no two rows of the sorted stack are equal.  The sort is np.lexsort
+over the r int8 rows of the images w*v, so runs are deterministic, and keeps
+only its permutation: row q*n + j of the stack is u_q*W_(r-1)[j], so once the
+unsorted stack is freed the sorted one is rebuilt block by block from the
+last stage's u_q and a copy of W_(r-1), and one stack, the images and the
 permutation are the most ever held.
 
 No table quadratic in |W| is built.  One routine labels each element with
@@ -63,10 +64,10 @@ its parent, the face on the walls J and k0 with v_k0 its vertex of least
 index, whose labels at k0 and at one more vertex of the face agree.
 
 The elements are one read-only int8 stack (every entry is a coroot
-coordinate of a coroot, at most 6 in absolute value).  Orbit images and
-keys widen at most _CHUNK elements to int64 at a time; the coset products
-widen _LABEL_BLOCK elements to float32 at a time, and the translation table
-_LABEL_BLOCK elements to float64, in work arrays allocated once per table.
+coordinate of a coroot, at most 6 in absolute value).  Products of the stack
+with a vector (_images) and coset products widen _LABEL_BLOCK elements to
+float32 at a time, and the translation table _LABEL_BLOCK elements to
+float64, in work arrays allocated once per table.
 
 Molien/Poincare sums, trace statistics and Lefschetz averages are evaluated
 per characteristic-polynomial bucket, from the power sums tr(w^k) in
@@ -77,7 +78,7 @@ is exact: for a primitive d-th root of unity z, the z-eigenspace of w has
 dimension at most #{i : d | d_i} (Springer, Invent. Math. 25, 1974), the
 multiplicity of Phi_d in the product.
 
-The cache (format 3) stores the stack, its zlib CRC-32 and the buckets.  A
+The cache (format 4) stores the stack, its zlib CRC-32 and the buckets.  A
 load checks the CRC against the stack, and the buckets by their counts
 summing to |W| and by Solomon's identity (Nagoya Math. J. 22, 1963),
 (1/|W|) sum_w det(1 + y*w)/det(1 - x*w) = prod_i (1 + y*x^m_i)/(1 - x^d_i),
@@ -115,9 +116,8 @@ WeylMatrix = tuple[tuple[int, ...], ...]
 DEFAULT_ELEMENT_CAP = 100_000
 HARD_ELEMENT_LIMIT = 10_000_000
 CACHE_ENV_VAR = "LIECOMM_CACHE_DIR"
-_CACHE_VERSION = 3
-_CHUNK = 1 << 16  # elements widened to int64 at a time
-_LABEL_BLOCK = 1 << 10  # elements per block of coset products and translation labels
+_CACHE_VERSION = 4
+_LABEL_BLOCK = 1 << 10  # elements per block of stack products and translation labels
 _LABEL_DTYPES = (np.int8, np.int16)  # translation label dtypes, narrowest first
 
 
@@ -157,12 +157,22 @@ def _pack(images: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (images + v) @ _pack_weights(v)
 
 
+def _images(stack: np.ndarray, u: np.ndarray):
+    """The points w*u, w running over the stack, as int64 blocks of
+    _LABEL_BLOCK rows, each one float32 matrix-vector product; exact, since u
+    (v or s_j*v) lies in the orbit of v and r*128*max(v) < 2^24."""
+    r, u = stack.shape[-1], np.asarray(u, dtype=np.float32)
+    for start in range(0, len(stack), _LABEL_BLOCK):
+        rows = stack[start : start + _LABEL_BLOCK].reshape(-1, r).astype(np.float32)
+        yield (rows @ u).astype(np.int64).reshape(-1, r)
+
+
 @dataclass(frozen=True, eq=False)
 class WeylGroup:
     """A fully enumerated Weyl group acting on coroot coordinates.
 
-    matrices is the canonically sorted, read-only int8 element stack, the
-    only representation of the elements; element i is matrices[i].
+    matrices is the read-only int8 element stack, the only representation of
+    the elements, in ascending orbit-key order; element i is matrices[i].
     """
 
     datum: RootDatum
@@ -177,27 +187,16 @@ class WeylGroup:
     def _v(self) -> np.ndarray:
         return _regular_vector(self.datum)
 
-    def _orbit_images(self, u: np.ndarray):
-        """The points w*u for every element w, in element order, as int64 blocks.
-
-        Each block's rows are stacked into one 2-d matrix, so the product is
-        one matrix-vector product, not one per element."""
-        r = self.datum.rank
-        for start in range(0, self.order, _CHUNK):
-            rows = self.matrices[start : start + _CHUNK].reshape(-1, r)
-            yield (rows.astype(np.int64) @ u).reshape(-1, r)
-
     @cached_property
-    def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """The element keys in ascending order, and the element index of each."""
-        keys = np.concatenate([_pack(img, self._v) for img in self._orbit_images(self._v)])
-        perm = np.argsort(keys)
-        keys = keys[perm]
+    def _keys(self) -> np.ndarray:
+        """The element keys in element order, which must strictly ascend: that
+        checks both that they are distinct and the order of a loaded stack."""
+        keys = np.concatenate([_pack(img, self._v) for img in _images(self.matrices, self._v)])
         require(
-            not np.any(keys[1:] == keys[:-1]),
-            f"{self.datum.lie_type.name}: two elements share an orbit key",
+            bool(np.all(keys[1:] > keys[:-1])),
+            f"{self.datum.lie_type.name}: the orbit keys of the stack do not strictly ascend",
         )
-        return keys, perm
+        return keys
 
     def index_of(self, mats) -> np.ndarray:
         """Element indices of a stack of matrices (shape (..., r, r)).
@@ -205,9 +204,7 @@ class WeylGroup:
         Raises InvariantBreachError if any matrix is not a group element.
         """
         mats = np.asarray(mats, dtype=np.int64)
-        keys, perm = self._sorted_keys
-        pos = np.searchsorted(keys, _pack(mats @ self._v, self._v))
-        idx = perm[np.minimum(pos, self.order - 1)]
+        idx = np.searchsorted(self._keys, _pack(mats @ self._v, self._v)).clip(max=self.order - 1)
         require(
             np.array_equal(self.matrices[idx], mats),
             f"a queried matrix is not an element of the {self.datum.lie_type.name} Weyl group",
@@ -223,14 +220,13 @@ class WeylGroup:
         x = w*(s_right*v), and s_j*x = x - a_j(x)*c_j; a key is affine in its
         point, so that key is the key of x less a_j(x) * (c_j . _pack_weights),
         one rank-one update per element.  The products run over W as w does,
-        so their keys, sorted, must be _sorted_keys: the sort matches each key
-        asked for with the key found, and a key that is not an element key
-        raises InvariantBreachError.
+        so their keys, sorted, must be _keys: the sort matches each key asked
+        for with the key found, and a key that is not an element key raises
+        InvariantBreachError.
         """
-        keys, perm = self._sorted_keys
         v, datum = self._v, self.datum
         u = v if right is None else datum.wall_reflections[right] @ v
-        images = self._orbit_images(u)
+        images = _images(self.matrices, u)
         if left is None:
             query = np.concatenate([_pack(img, v) for img in images])
         else:
@@ -239,11 +235,11 @@ class WeylGroup:
             query = np.concatenate([_pack(img, v) - (img @ a) * step for img in images])
         order = np.argsort(query)
         require(
-            np.array_equal(query[order], keys),
+            np.array_equal(query[order], self._keys),
             f"an orbit image is not a {self.datum.lie_type.name} orbit key",
         )
         out = np.empty(self.order, dtype=np.int32)
-        out[order] = perm
+        out[order] = np.arange(self.order, dtype=np.int32)
         return out
 
     @cached_property
@@ -279,15 +275,12 @@ class WeylGroup:
         return _least_reachable([self._permutation(j, j) for j in nodes])
 
     @cached_property
-    def _classes(self) -> tuple[np.ndarray, list[int]]:
-        """Class representatives (least indices) and class sizes."""
-        reps, sizes = np.unique(self._class_labels, return_counts=True)
-        return reps, sizes.tolist()
-
-    @cached_property
-    def _class_ordinals(self) -> np.ndarray:
-        """The position of each element's class in _classes."""
-        return np.searchsorted(self._classes[0], self._class_labels)
+    def _classes(self) -> tuple[np.ndarray, list[int], np.ndarray]:
+        """Class representatives (least indices), class sizes, and the
+        position of each element's class among the representatives."""
+        labels = self._class_labels
+        reps, ordinals, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+        return reps, sizes.tolist(), ordinals
 
     @cached_property
     def _walls(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -462,7 +455,7 @@ def generate(
     element_cap: int = DEFAULT_ELEMENT_CAP,
     cache_dir: Path | None = None,
 ) -> WeylGroup:
-    """Fully enumerate the Weyl group, deterministically sorted.
+    """Fully enumerate the Weyl group, sorted by orbit key.
 
     Raises WeylCapError when the order (product of the degrees) exceeds
     element_cap or, naming it as the cap, HARD_ELEMENT_LIMIT; those types
@@ -513,7 +506,7 @@ def _coset_representatives(datum: RootDatum, k: int) -> np.ndarray:
 
 
 def _store_int8(out: np.ndarray, products: np.ndarray) -> None:
-    """Write float32 products of elements into int8 rows, which they must fit."""
+    """Write integral products of elements, or orbit images, into int8 rows, which they must fit."""
     require(
         products.min() >= -128 and products.max() <= 127, "a coset product leaves int8"
     )
@@ -543,11 +536,16 @@ def _enumerate(datum: RootDatum) -> WeylGroup:
             for q, u in enumerate(reps[1:], 1):
                 _store_int8(stack[q * n + start : q * n + start + len(block)], u @ block)
         n *= len(reps)
-    del block  # the last float32 block, before the sort's peak
+    # sorted by orbit key: np.lexsort over the images w*v, whose coordinate i
+    # lies in [-v_i, v_i], so they are int8 rows, coordinate r - 1 the last key
+    images = np.empty((r, order), dtype=np.int8)
+    for start, block in zip(range(0, order, _LABEL_BLOCK), _images(stack, _regular_vector(datum))):
+        _store_int8(images[:, start : start + len(block)], block.T)
+    perm = np.lexsort(images)
+    del images, block  # before the rebuild's peak
     # sorted without a second stack: row q*n + j of the stack is
     # reps[q]*W_(r-1)[j], so the sorted stack is rebuilt block by block
     # from the sort's permutation, the last representatives and W_(r-1)
-    perm = np.lexsort(stack.reshape(order, r * r).T[::-1])
     reps = stages[-1]
     n = order // len(reps)
     prev = stack[:n].copy()
@@ -797,7 +795,7 @@ def full_subgroup(group: WeylGroup) -> StabilizerSubgroup:
 def double_cosets(
     group: WeylGroup, h: StabilizerSubgroup, k: StabilizerSubgroup
 ) -> list[list[list[int]]]:
-    """Lexicographically least representatives of the double cosets H\\W/K.
+    """The representatives of least orbit key of the double cosets H\\W/K.
 
     H and K must be generated by the wall reflections they contain, as face
     stabilizers are (by those of their walls).
@@ -810,9 +808,9 @@ def double_cosets(
         member = np.zeros(group.order, dtype=bool)
         member[s.members] = True
         rows += [perms[j] for j in np.flatnonzero(member[walls])]
-    # the stack is sorted, so the least index of a double coset is its least
-    # element, the index its label names; with no wall reflections each
-    # element is its own double coset
+    # the stack is sorted by orbit key, so the least index of a double coset,
+    # the index its label names, is its element of least key; with no wall
+    # reflections each element is its own double coset
     everything = np.arange(group.order)
     reps = np.flatnonzero(_least_reachable(rows) == everything) if rows else everything
     fixed = [_fixed_coset_counts(group, s.members).tolist() for s in (h, k)]
@@ -832,7 +830,7 @@ def _fixed_coset_counts(group: WeylGroup, members: np.ndarray) -> np.ndarray:
     members are the element indices of W_sigma.
     """
     sizes = np.array(group._classes[1])
-    in_stab = np.bincount(group._class_ordinals[members], minlength=sizes.size)
+    in_stab = np.bincount(group._classes[2][members], minlength=sizes.size)
     counts = group.order // sizes * in_stab
     require(not np.any(counts % len(members)), "coset fixed-point count is not divisible")
     return counts // len(members)

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
 
 from liecomm.cli import main
+from liecomm.rootdata import build_root_datum
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +130,9 @@ class TestPoincareCommand:
         )
 
     def test_cache_write_failure_is_reported(self, capsys, tmp_path):
+        from liecomm import weyl
+
+        datum = build_root_datum("B5")
         argv = ["poincare", "B5", "--n", "2", "--deg", "8", "--cache-dir"]
         _, expected, _ = run_cli(capsys, *argv, str(tmp_path / "cache"))
         blocker = tmp_path / "file"
@@ -135,7 +140,29 @@ class TestPoincareCommand:
         code, out, err = run_cli(capsys, *argv, str(blocker))
         assert code == 0
         assert out == expected
-        assert f"could not write the Weyl cache {blocker / 'weyl_B5_v3.npz'}" in err
+        assert f"could not write the Weyl cache {weyl._cache_path(datum, blocker)}" in err
+
+    def test_cache_out_of_key_order_exits_3(self, capsys, monkeypatch, tmp_path):
+        # a stack permuted after the fact, with its CRC recomputed, passes the
+        # load's checks but not the orbit-key order that every lookup relies on
+        from liecomm import weyl
+
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        argv = ["cells", "B5", "--k", "1", "--rank-cap", "5", "--cache-dir", str(tmp_path)]
+        assert run_cli(capsys, *argv)[0] == 0
+        path = weyl._cache_path(build_root_datum("B5"), tmp_path)
+        with np.load(path) as data:
+            stored = {name: data[name] for name in data.files}
+        stored["matrices"] = stored["matrices"][::-1].copy()
+        stored["crc"] = np.int64(zlib.crc32(stored["matrices"]))
+        np.savez(path, **stored)
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "liecomm: invariant breach: B5: the orbit keys of the stack do not strictly ascend\n"
+        )
 
 
 def test_cli_import_leaves_out_hashlib():

@@ -76,7 +76,7 @@ class TestEnumeration:
         datum = build_root_datum("B5")
         weyl._MEMO.pop(("B", 5), None)
         fresh = generate(datum, cache_dir=tmp_path)
-        assert (tmp_path / "weyl_B5_v3.npz").exists()
+        assert weyl._cache_path(datum, tmp_path).exists()
         weyl._MEMO.pop(("B", 5), None)
         cached = generate(datum, cache_dir=tmp_path)
         assert np.array_equal(cached.matrices, fresh.matrices)
@@ -85,7 +85,7 @@ class TestEnumeration:
     def test_corrupt_cache_ignored(self, tmp_path):
         datum = build_root_datum("A5")
         weyl._MEMO.pop(("A", 5), None)
-        (tmp_path / "weyl_A5_v3.npz").write_bytes(b"not an archive")
+        weyl._cache_path(datum, tmp_path).write_bytes(b"not an archive")
         group = generate(datum, cache_dir=tmp_path)
         assert group.order == datum.weyl_order
 
@@ -93,7 +93,7 @@ class TestEnumeration:
         # what an interrupted write leaves behind
         datum = build_root_datum("B5")
         weyl._save_cache(weyl._enumerate(datum), tmp_path)
-        path = tmp_path / "weyl_B5_v3.npz"
+        path = weyl._cache_path(datum, tmp_path)
         path.write_bytes(path.read_bytes()[:1000])
         assert weyl._load_cache(datum, tmp_path) is None
 
@@ -122,7 +122,7 @@ class TestEnumeration:
         datum = build_root_datum("B5")
         weyl._MEMO.pop(("B", 5), None)
         generate(datum, cache_dir=tmp_path)
-        path = tmp_path / "weyl_B5_v3.npz"
+        path = weyl._cache_path(datum, tmp_path)
         if damage == "truncate":
             path.write_bytes(path.read_bytes()[:1000])
         else:
@@ -139,8 +139,7 @@ class TestEnumeration:
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith(f"liecomm: ignoring the Weyl cache {path}: {reason}")
         assert err[1:] == ["liecomm: enumerating the B5 Weyl group (3840 elements)"]
-        digest = hashlib.sha256(group.matrices.astype(np.int64).tobytes()).hexdigest()
-        assert digest == ENUMERATION_DIGESTS["B5"][0]
+        assert _stack_digest(group.matrices) == ENUMERATION_DIGESTS["B5"][0]
         # the enumeration wrote the file again, and it loads silently
         assert weyl._load_cache(datum, tmp_path).charpoly_buckets == group.charpoly_buckets
         assert capsys.readouterr().err == ""
@@ -160,8 +159,8 @@ class TestEnumeration:
         datum = build_root_datum("E6")
         first = generate(datum, cache_dir=tmp_path / "a")
         assert generate(datum, cache_dir=tmp_path / "b") is first
-        assert (tmp_path / "a" / "weyl_E6_v3.npz").exists()
-        assert (tmp_path / "b" / "weyl_E6_v3.npz").exists()
+        assert weyl._cache_path(datum, tmp_path / "a").exists()
+        assert weyl._cache_path(datum, tmp_path / "b").exists()
 
     def test_one_int8_stack(self, tmp_path):
         datum = build_root_datum("B5")
@@ -172,17 +171,17 @@ class TestEnumeration:
             assert g.matrices.dtype == np.int8 and not g.matrices.flags.writeable
         assert np.array_equal(loaded.matrices, group.matrices)
         assert loaded.charpoly_buckets == group.charpoly_buckets
-        with np.load(tmp_path / "weyl_B5_v3.npz") as data:
+        with np.load(weyl._cache_path(datum, tmp_path)) as data:
             stored = {name: data[name] for name in data.files}
         assert sorted(stored) == ["charpolys", "counts", "crc", "matrices", "order", "version"]
         assert stored["matrices"].dtype == np.int8
-        assert int(stored["version"]) == 3 and int(stored["order"]) == group.order
+        assert int(stored["version"]) == weyl._CACHE_VERSION and int(stored["order"]) == group.order
         assert int(stored["crc"]) == zlib.crc32(group.matrices.tobytes())
         buckets = zip(map(tuple, stored["charpolys"].tolist()), stored["counts"].tolist())
         assert tuple(buckets) == group.charpoly_buckets
         # a stack of another dtype is not this cache's format
         stored["matrices"] = group.matrices.astype(np.int16)
-        np.savez(tmp_path / "weyl_B5_v3.npz", **stored)
+        np.savez(weyl._cache_path(datum, tmp_path), **stored)
         assert weyl._load_cache(datum, tmp_path) is None
 
     @pytest.mark.slow
@@ -190,7 +189,7 @@ class TestEnumeration:
         datum = build_root_datum("E7")
         monkeypatch.setitem(weyl._MEMO, ("E", 7), e7_enumeration[0])
         group = generate(datum, element_cap=3_000_000, cache_dir=tmp_path)
-        assert group is e7_enumeration[0] and (tmp_path / "weyl_E7_v3.npz").exists()
+        assert group is e7_enumeration[0] and weyl._cache_path(datum, tmp_path).exists()
         assert group.order == 2_903_040
         assert irreducibility_check(group) == Fraction(1)
         assert euler_char_rep(group, 2) == 8
@@ -260,10 +259,13 @@ def _types_below_hard_limit():
 
 
 def _stack_digest(matrices):
-    """sha256 of the stack widened to int64, widened a block at a time."""
+    """sha256 of the stack in lexicographic order of its entries, the order
+    it was stored in before the orbit-key order, widened to int64 a block at
+    a time."""
+    order = np.lexsort(matrices.reshape(len(matrices), -1).T[::-1])
     digest = hashlib.sha256()
     for start in range(0, len(matrices), 1 << 16):
-        digest.update(matrices[start : start + (1 << 16)].astype(np.int64).tobytes())
+        digest.update(matrices[order[start : start + (1 << 16)]].astype(np.int64).tobytes())
     return digest.hexdigest()
 
 
@@ -301,6 +303,18 @@ class TestElementIndex:
         assert np.array_equal(arr[e], np.eye(group.datum.rank))
         inverses = np.rint(np.linalg.inv(arr)).astype(np.int64)
         assert np.all(group.index_of(arr @ inverses) == e)
+
+    @pytest.mark.parametrize("name", TABLE_TYPES + ["E6", "D6"])
+    def test_stored_in_orbit_key_order(self, name):
+        # an element's index is the rank of its key: w_0 (w_0*v = -v) first,
+        # the identity (the highest orbit point v) last
+        group = _group(name)
+        v = group._v
+        keys = weyl._pack(group.matrices.astype(np.int64) @ v, v)
+        assert np.all(keys[1:] > keys[:-1])
+        assert np.array_equal(group._keys, keys)
+        assert group.identity_index == group.order - 1
+        assert np.array_equal(group.matrices[0] @ v, -v)
 
     def test_key_width_below_int64(self):
         widths = {}
@@ -398,24 +412,25 @@ class TestConjugacyClasses:
         datum = build_root_datum("B3")
         group = _group("B3")
         fresh = weyl.WeylGroup(datum, group.matrices, group.charpoly_buckets)
-        fresh._sorted_keys  # keys from the true images
-        real = weyl.WeylGroup._orbit_images
+        fresh._keys  # keys from the true images
+        real = weyl._images
 
-        def corrupted(self, u):
-            images = list(real(self, u))
+        def corrupted(stack, u):
+            images = list(real(stack, u))
             images[0][5] = 0  # not in the orbit of a regular vector
             return images
 
-        monkeypatch.setattr(weyl.WeylGroup, "_orbit_images", corrupted)
+        monkeypatch.setattr(weyl, "_images", corrupted)
         with pytest.raises(InvariantBreachError, match="orbit key"):
             fresh._class_labels
 
     @pytest.mark.parametrize("name,count", KNOWN_CLASS_COUNTS.items())
     def test_class_counts(self, name, count):
         group = _group(name)
-        reps, sizes = group._classes
+        reps, sizes, ordinals = group._classes
         assert len(reps) == len(sizes) == count
         assert sum(sizes) == group.order
+        assert np.array_equal(reps[ordinals], group._class_labels)
 
     def test_least_reachable(self):
         perms = np.array([[1, 2, 0, 3, 5, 4], [0, 1, 2, 3, 4, 5]])
@@ -710,7 +725,8 @@ class TestStabilizersAndCosets:
         assert len(double_cosets(group, full_subgroup(group), full_subgroup(group))) == 1
         reps = double_cosets(group, trivial_subgroup(group), trivial_subgroup(group))
         assert len(reps) == group.order
-        assert reps == sorted(reps)  # lexicographically least representatives
+        # each element is its own double coset, listed in index order
+        assert reps == group.matrices.tolist()
 
     def test_double_cosets_partition(self):
         datum = build_root_datum("B3")

@@ -11,6 +11,13 @@ the dense big-integer reduction, the one finisher for divisors and for
 transforms; with transforms it reduces [[A, 1], [1, 0]], whose identity
 blocks become U and V, composed with the sparse row and column operations.
 Composition of boundary maps is checked exactly on the same sparse rows.
+
+Homology eliminates d_1, d_2, ... in order, and d_{k+1} skips the rows J
+that the unit pivots (I, J) of d_k paired (clearing: Chen-Kerber 2011,
+Bauer-Kerber-Reininghaus 2014).  Over Z this keeps its elementary divisors:
+d_k[I, J] has determinant +-1, the product of the pivots, so rows I of
+d_k d_{k+1} = 0 give rows J of d_{k+1} as -d_k[I, J]^-1 d_k[I, J^c] times
+the other rows, an integral combination that unimodular row operations clear.
 """
 
 from __future__ import annotations
@@ -325,8 +332,10 @@ def _eliminate_units(
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
+    # (cost, i, j) packed into the int (cost * m + i) * n + j: same order
+    m, n = len(rows) or 1, a.shape[1] or 1
     heap = [
-        ((len(row) - 1) * (len(cols[j]) - 1), i, j)
+        ((len(row) - 1) * (len(cols[j]) - 1) * m + i) * n + j
         for i, row in enumerate(rows)
         for j, v in row.items()
         if v == 1 or v == -1
@@ -334,7 +343,8 @@ def _eliminate_units(
     heapify(heap)
     pivots = []
     while heap:
-        cost, i, j = heappop(heap)
+        key, j = divmod(heappop(heap), n)
+        cost, i = divmod(key, m)
         row = rows[i]
         if row is None:
             continue
@@ -344,7 +354,7 @@ def _eliminate_units(
         col = cols[j]
         now = (len(row) - 1) * (len(col) - 1)
         if now > cost:
-            heappush(heap, (now, i, j))
+            heappush(heap, (now * m + i) * n + j)
             continue
         for c in row:
             cols[c].discard(i)
@@ -366,7 +376,7 @@ def _eliminate_units(
                     del rk[c]
                     cols[c].discard(k)
             for c in units:
-                heappush(heap, ((len(rk) - 1) * (len(cols[c]) - 1), k, c))
+                heappush(heap, ((len(rk) - 1) * (len(cols[c]) - 1) * m + k) * n + c)
             if U is not None:
                 _axpy(U[k], f, U[i])
         if V is not None:
@@ -462,6 +472,9 @@ def chain_homology(boundaries: Sequence[IntMatrix]) -> list[FinAbGroup]:
 
     boundaries[k] is the matrix of d_{k+1}: C_{k+1} -> C_k, with shape
     (dim C_k, dim C_{k+1}).  Returns [H_0, ..., H_top].
+    Each d_{k+1} skips the rows that the unit pivots of d_k paired, which is
+    exact by the module docstring; composition is checked on the full
+    matrices before any row is skipped.
     """
     mats = [_sparse(b) for b in boundaries]
     if not mats:
@@ -472,7 +485,13 @@ def chain_homology(boundaries: Sequence[IntMatrix]) -> list[FinAbGroup]:
             raise ValueError("inconsistent boundary matrix shapes")
         if not _compose_is_zero(mats[k - 1], mats[k]):
             raise ChainComplexError(f"d_{k} o d_{k + 1} != 0")
-    divisors = [snf_divisors(b) for b in mats]
+    divisors = []
+    paired: set[int] = set()
+    for b in mats:
+        rows = [row for i, row in enumerate(b.rows) if i not in paired]
+        pivots, remainder, _, _ = _eliminate_units(_SparseMatrix(rows, (len(rows), b.shape[1])))
+        divisors.append([1] * len(pivots) + (snf_divisors(remainder) if remainder else []))
+        paired = {j for _, j, _ in pivots}
     ranks = [len(d) for d in divisors]
     top = len(mats)
     groups = []

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .homology import FinAbGroup, exact_quotient, require, snf_divisors
+from .homology import FinAbGroup, _SparseMatrix, exact_quotient, require, snf_divisors
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -493,16 +493,22 @@ def lattice_quotient(datum: RootDatum, face: FaceIndex) -> tuple[int, FinAbGroup
     """Quotient of the coroot lattice by the face's sublattice, via Smith form.
 
     Returns (free_rank, torsion).  The sublattice is spanned by the wall
-    coroots c_i of the nodes in the face (c_0 = -theta_vee).  The result is
+    coroots c_i of the nodes in the face (c_0 = -theta_vee), the columns of
+    an r x |face| matrix built directly as sparse rows.  The result is
     required to be (face.dim, Z/n_vee).
     """
     r = datum.rank
-    cols = [datum.wall_coroots[i] for i in face.sorted_nodes()]
-    divisors = snf_divisors([list(row) for row in zip(*cols)]) if cols else []
+    nodes = face.sorted_nodes()
+    rows: list[dict[int, int]] = [{} for _ in range(r)]
+    for j, node in enumerate(nodes):
+        for i, c in enumerate(datum.wall_coroots[node]):
+            if c:
+                rows[i][j] = c
+    divisors = snf_divisors(_SparseMatrix(rows, (r, len(nodes)))) if nodes else []
     free = r - len(divisors)
-    torsion = FinAbGroup.from_divisors([d for d in divisors if d > 1])
+    torsion = FinAbGroup.cyclic(n_vee(datum, face))
     require(
-        free == face.dim and torsion == FinAbGroup.cyclic(n_vee(datum, face)),
-        f"{datum.lie_type.name} face {face.sorted_nodes()}: Smith form disagrees with n_vee",
+        free == face.dim and tuple(d for d in divisors if d > 1) == torsion.torsion,
+        f"{datum.lie_type.name} face {nodes}: Smith form disagrees with n_vee",
     )
     return free, torsion

@@ -231,8 +231,8 @@ def torus_triangulation(n: int):
     are the monotone paths from each corner of the doubled unit cube, as
     unreduced grid points.
     """
-    if not 1 <= n <= 3:
-        raise ValueError("torus triangulation is supported for 1 <= n <= 3")
+    if not 1 <= n <= 4:
+        raise ValueError("torus triangulation is supported for 1 <= n <= 4")
     tops = []
     for corner in product((0, 1), repeat=n):
         for perm in permutations(range(n)):

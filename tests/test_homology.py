@@ -1,12 +1,14 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from liecomm import homology
 from liecomm.homology import (
     ChainComplexError,
     FinAbGroup,
@@ -220,6 +222,135 @@ class TestSmithNormalForm:
         d1 = torus_inversion_quotient(3)[0].boundary_matrices()[0]
         digest.update(repr((smith_normal_form(d1), snf_divisors(d1))).encode())
         assert digest.hexdigest() == SMITH_DIGEST
+
+
+def _unimodular_pair(rng, n):
+    """A random unimodular n x n matrix P and its inverse: n elementary
+    operations row_a += q * row_b with q = +-1, then a permutation."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    p_inv = [row[:] for row in p]
+    for _ in range(n if n > 1 else 0):
+        a, b = rng.sample(range(n), 2)
+        q = rng.choice((-1, 1))
+        # P <- (1 + q e_ab) P and P^-1 <- P^-1 (1 - q e_ab)
+        p[a] = [x + q * y for x, y in zip(p[a], p[b])]
+        for row in p_inv:
+            row[b] -= q * row[a]
+    perm = rng.sample(range(n), n)
+    return [p[i] for i in perm], [[row[i] for i in perm] for row in p_inv]
+
+
+def _conjugated_complex(rng, blocks):
+    """Boundary matrices [d_1, ..., d_top] of known homology, and that homology.
+
+    blocks[k] = (divisors of d_{k+1}, free rank of H_k) for k = 0, ..., top;
+    the last has no divisors.  In the standard basis C_k = B_k + H_k + S_k,
+    d_{k+1} sends S_{k+1} onto B_k by diag(divisors) and is 0 elsewhere; each
+    C_k then changes basis by a random unimodular P_k, so d_{k+1} becomes
+    P_k d_{k+1} P_{k+1}^-1 as an int64 array.
+    """
+    top = len(blocks) - 1
+    ranks = [len(divs) for divs, _ in blocks]
+    dims = [ranks[k] + blocks[k][1] + (ranks[k - 1] if k else 0) for k in range(top + 1)]
+    pairs = [_unimodular_pair(rng, n) for n in dims]
+    mats = []
+    for k in range(top):
+        d = [[0] * dims[k + 1] for _ in range(dims[k])]
+        first = ranks[k + 1] + blocks[k + 1][1]  # where S_{k+1} starts
+        for t, e in enumerate(blocks[k][0]):
+            d[t][first + t] = e
+        product = _mat_mult(_mat_mult(pairs[k][0], d), pairs[k + 1][1])
+        mats.append(np.array(product, dtype=np.int64).reshape(dims[k], dims[k + 1]))
+    return mats, [FinAbGroup.from_divisors(divs, free) for divs, free in blocks]
+
+
+def _homology_from_full_matrices(mats):
+    """The homology read off snf_divisors of every full boundary matrix."""
+    divisors = [snf_divisors(b) for b in mats] + [[]]
+    dims = [mats[0].shape[0]] + [b.shape[1] for b in mats]
+    return [
+        FinAbGroup.from_divisors(
+            [d for d in divisors[k] if d > 1],
+            dims[k] - len(divisors[k]) - (len(divisors[k - 1]) if k else 0),
+        )
+        for k in range(len(dims))
+    ]
+
+
+_divisor_chains = st.lists(st.sampled_from((1, 1, 1, 2, 3)), max_size=3).map(
+    lambda steps: [prod(steps[: i + 1]) for i in range(len(steps))]
+)
+
+
+@st.composite
+def _complexes(draw, paired=False):
+    """_conjugated_complex with 2 to 4 boundary maps and torsion of orders 2, 3, 4, 6 ...
+
+    With paired, d_1 and d_2 each have an elementary divisor 1."""
+    top = draw(st.integers(2, 4))
+    blocks = [(draw(_divisor_chains), draw(st.integers(0, 2))) for _ in range(top)]
+    if paired:
+        blocks[:2] = [([1] + divs, free) for divs, free in blocks[:2]]
+    blocks.append(([], draw(st.integers(0, 2))))
+    return _conjugated_complex(draw(st.randoms(use_true_random=False)), blocks)
+
+
+def _paired_rows(mats):
+    """For each d_{k+1} with k >= 1, the rows the unit pivots of the full d_k
+    pair; for d_2 these are the rows chain_homology skips."""
+    return [{j for _, j, _ in _eliminate_units(_sparse(d))[0]} for d in mats[:-1]]
+
+
+class TestClearing:
+    @given(_complexes())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_matrices(self, complex_):
+        mats, expected = complex_
+        assert chain_homology(mats) == _homology_from_full_matrices(mats) == expected
+
+    @given(_complexes(paired=True), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_perturbed_paired_row_raises(self, complex_, data):
+        # an entry added in a row that clearing skips still breaks d_k o d_{k+1}
+        mats, _ = complex_
+        cells = [
+            (k + 1, i, j)
+            for k, rows in enumerate(_paired_rows(mats))
+            for i in sorted(rows)
+            for j in range(mats[k + 1].shape[1])
+        ]
+        assume(cells)
+        k, i, j = data.draw(st.sampled_from(cells))
+        mats[k] = mats[k].copy()
+        mats[k][i, j] += 1
+        with pytest.raises(ChainComplexError, match=f"d_{k} o d_{k + 1}"):
+            chain_homology(mats)
+
+    def test_skipped_rows_are_nonzero(self):
+        # clearing is no shortcut over zero rows: in most of these complexes
+        # d_2 has entries in a row it skips, and every answer is still exact
+        rng = random.Random(26)
+        blocks = [([1, 1, 2], 1), ([1, 1, 3], 0), ([1, 2], 2), ([], 1)]
+        nonzero = 0
+        for _ in range(20):
+            mats, expected = _conjugated_complex(rng, blocks)
+            nonzero += bool(mats[1][sorted(_paired_rows(mats)[0])].any())
+            assert chain_homology(mats) == expected
+        assert nonzero >= 10  # 13 of 20
+
+    def test_simplicial_rows_are_skipped(self, monkeypatch):
+        # d_2 and d_3 of T^3 start without the 207 and 1150 rows paired below them
+        seen = []
+        real = homology._eliminate_units
+
+        def recording(a, *args):
+            seen.append(a.shape)
+            return real(a, *args)
+
+        monkeypatch.setattr(homology, "_eliminate_units", recording)
+        complex_, _ = torus_triangulation(3)
+        assert complex_.homology() == [FinAbGroup.free(c) for c in (1, 3, 3, 1)]
+        assert seen == [(208, 1360), (1360 - 207, 2304), (2304 - 1150, 1152)]
 
 
 class TestChainHomology:

@@ -98,6 +98,12 @@ class TestSubdivision:
         )
 
 
+@pytest.fixture(scope="module")
+def four_torus():
+    """T^4 with inversion, built once for both slow tests (0.8 s, about 200 MB)."""
+    return torus_triangulation(4)
+
+
 class TestTorus:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_homology(self, n):
@@ -150,7 +156,30 @@ class TestTorus:
         with pytest.raises(ValueError):
             torus_triangulation(0)
         with pytest.raises(ValueError):
-            torus_triangulation(4)
+            torus_triangulation(5)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "kind,f_vector,homology",
+        [
+            (
+                "torus",
+                (2400, 30240, 96960, 115200, 46080),
+                [FinAbGroup.free(comb(4, k)) for k in range(5)],
+            ),
+            (
+                "quotient",
+                (1208, 15120, 48480, 57600, 23040),
+                # (Z/2)^5: the 16 fixed points less 1 + 4 + 6
+                [FinAbGroup.free(1), FinAbGroup.trivial(), FinAbGroup.from_divisors([2] * 5, 6),
+                 FinAbGroup.trivial(), FinAbGroup.free(1)],
+            ),
+        ],
+    )
+    def test_four_torus(self, four_torus, kind, f_vector, homology):
+        complex_ = four_torus[0] if kind == "torus" else quotient_by_involution(*four_torus)
+        assert complex_.f_vector() == f_vector
+        assert complex_.homology() == homology
 
 
 # (shape, sha256 of the int64 bytes) of d_1, ..., d_top, recorded from the

@@ -12,12 +12,9 @@ __version__ = "0.1.0"
 from .alcove import (
     AlcoveGeometry,
     AlcoveMembershipError,
-    EmptyFaceError,
     alcove_geometry,
     barycenter,
-    face_a_of_m,
     face_of_point,
-    spin_vertex_table,
 )
 from .geom import (
     beta,
@@ -84,15 +81,11 @@ from .weyl import (
 )
 from .wps import (
     WeightedProjectiveSpace,
-    WpsPoint,
     composite_su2_degree,
     even_spin_weights,
     inclusion_degree,
     kawasaki_homology,
     odd_spin_weights,
-    orbit_equal,
     proj_degree,
-    rep_to_wps,
-    spin_stability_map,
     spin_stability_report,
 )

@@ -23,18 +23,6 @@ class AlcoveMembershipError(ValueError):
     """A point violates the alcove wall inequalities."""
 
 
-class EmptyFaceError(ValueError):
-    """The requested divisibility face of the alcove is empty."""
-
-
-def _alcove_wall_values(datum: RootDatum, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Exact wall values of x; raises AlcoveMembershipError if x is not in the alcove."""
-    vals = datum.wall_values([Fraction(c) for c in x])
-    if not _in_alcove(vals):
-        raise AlcoveMembershipError(f"point {x} is outside the fundamental alcove")
-    return vals
-
-
 def _solve_columns(a: Sequence[Sequence[int]]) -> list[list[Fraction]]:
     """Columns of the inverse of an integer matrix, by exact Gauss-Jordan."""
     n = len(a)
@@ -94,43 +82,7 @@ def barycenter(geometry: AlcoveGeometry, face: FaceIndex) -> FractionVector:
 def face_of_point(geometry: AlcoveGeometry, x: Sequence[Fraction]) -> FaceIndex:
     """The set of alcove walls containing x; errors if x is not in the alcove."""
     datum = geometry.datum
-    vals = _alcove_wall_values(datum, x)
+    vals = datum.wall_values([Fraction(c) for c in x])
+    if not _in_alcove(vals):
+        raise AlcoveMembershipError(f"point {x} is outside the fundamental alcove")
     return FaceIndex.of(datum, (j for j, v in enumerate(vals) if v == 0))
-
-
-def face_a_of_m(geometry: AlcoveGeometry, m: int) -> FaceIndex:
-    """The face where every coroot integer off the wall set is divisible by m."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    datum = geometry.datum
-    nodes = {i for i in range(datum.rank + 1) if datum.coroot_integers[i] % m}
-    if len(nodes) == datum.rank + 1:
-        raise EmptyFaceError(f"no coroot integer is divisible by {m}")
-    return FaceIndex.of(datum, nodes)
-
-
-def spin_vertex_table(ell: int) -> dict[str, list[FractionVector]]:
-    """Vertices of the nested even-spin alcoves in the standard basis of R^ell.
-
-    Returns the two columns {u_i} (rank ell-1 alcove, inside span(e_2..e_ell))
-    and {v_i} (rank ell alcove); the origin vertex is implicit in both.
-    """
-    if ell < 4:
-        raise ValueError("need ell >= 4")
-    half = Fraction(1, 2)
-
-    def vec(entries: dict[int, Fraction]) -> FractionVector:
-        return tuple(entries.get(i, Fraction(0)) for i in range(1, ell + 1))
-
-    u: list[FractionVector] = [vec({2: Fraction(1)})]
-    for i in range(2, ell - 2):
-        u.append(vec({k: half for k in range(2, i + 2)}))
-    u.append(vec({**{k: half for k in range(2, ell)}, ell: -half}))
-    u.append(vec({k: half for k in range(2, ell + 1)}))
-
-    v: list[FractionVector] = [vec({1: Fraction(1)})]
-    for i in range(2, ell - 1):
-        v.append(vec({k: half for k in range(1, i + 1)}))
-    v.append(vec({**{k: half for k in range(1, ell)}, ell: -half}))
-    v.append(vec({k: half for k in range(1, ell + 1)}))
-    return {"u": u, "v": v}

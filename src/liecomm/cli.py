@@ -23,7 +23,7 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_BREACH = 3
 
-# LieTypeError, AlcoveMembershipError and EmptyFaceError are ValueErrors
+# LieTypeError and AlcoveMembershipError are ValueErrors
 _PRECONDITION_ERRORS = (ValueError, MeshError)
 
 

@@ -9,20 +9,12 @@ multiplies the degree-2k generator by an lcm of weight products over
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
 from typing import Sequence
 
-import numpy as np
-
-from .alcove import AlcoveGeometry, _alcove_wall_values
 from .homology import FinAbGroup, exact_quotient
-
-DEFAULT_ORBIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,21 +32,6 @@ class WeightedProjectiveSpace:
     @property
     def complex_dim(self) -> int:
         return len(self.weights) - 1
-
-
-@dataclass(frozen=True)
-class WpsPoint:
-    """Unit-norm homogeneous coordinates of a point of CP(w)."""
-
-    weights: tuple[int, ...]
-    coords: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.weights) != len(self.coords):
-            raise ValueError("weights and coordinates must have equal length")
-        norm = math.sqrt(sum(abs(z) ** 2 for z in self.coords))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"coordinates are not unit norm (norm={norm!r})")
 
 
 def kawasaki_homology(weights: Sequence[int], k: int) -> FinAbGroup:
@@ -175,129 +152,3 @@ def spin_stability_report(ell: int, parity: str, k: int) -> dict:
         "route": "factorization through the shared coordinate subspace",
     }
 
-
-# ---------------------------------------------------------------------------
-# The explicit alcove-to-CP(w) coordinate map
-# ---------------------------------------------------------------------------
-
-
-def barycentric_coordinates(
-    geometry: AlcoveGeometry, x: Sequence[Fraction]
-) -> tuple[Fraction, ...]:
-    """Barycentric coordinates of an alcove point over (v_0, ..., v_r).
-
-    The coordinate at node j is n_j * (a_j(x) - b_j), with n_0 = 1 and n_j the
-    root integers: x's height over wall j in units of v_j's.
-    """
-    datum = geometry.datum
-    vals = _alcove_wall_values(datum, x)
-    return tuple(n * v for n, v in zip((1,) + datum.theta, vals))
-
-
-def rep_to_wps(
-    geometry: AlcoveGeometry, x: Sequence[Fraction], t: Sequence[complex]
-) -> WpsPoint:
-    """The coordinate chart (a_0, a_1 t_1, ..., a_r t_r)/norm into CP(n_vee).
-
-    x is an alcove point in coroot coordinates, t the phases of the second
-    torus coordinate along the simple-coroot circles.
-    """
-    datum = geometry.datum
-    if len(t) != datum.rank:
-        raise ValueError(f"expected {datum.rank} torus phases")
-    phases = [complex(z) for z in t]
-    for z in phases:
-        if abs(abs(z) - 1.0) > 1e-9:
-            raise ValueError("torus phases must have unit modulus")
-    bary = barycentric_coordinates(geometry, x)
-    coords = [complex(bary[0])] + [float(bary[j]) * phases[j - 1] for j in range(1, datum.rank + 1)]
-    norm = math.sqrt(sum(abs(z) ** 2 for z in coords))
-    return WpsPoint(datum.coroot_integers, tuple(z / norm for z in coords))
-
-
-def orbit_equal(
-    weights: Sequence[int],
-    p: WpsPoint | Sequence[complex],
-    q: WpsPoint | Sequence[complex],
-    tol: float = DEFAULT_ORBIT_TOL,
-) -> bool:
-    """Whether two unit coordinate vectors lie on one weighted-circle orbit.
-
-    Solves lambda^w_i = q_i / p_i on a largest-modulus coordinate and tests
-    all w_i-th roots; the candidate count is bounded by max(w).
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    ws = WeightedProjectiveSpace(tuple(weights)).weights
-    pc = np.asarray(p.coords if isinstance(p, WpsPoint) else p, dtype=complex)
-    qc = np.asarray(q.coords if isinstance(q, WpsPoint) else q, dtype=complex)
-    if pc.shape != (len(ws),) or qc.shape != (len(ws),):
-        raise ValueError("points must match the weight tuple length")
-    i = int(np.argmax(np.abs(pc)))
-    if abs(pc[i]) < 1e-12:
-        raise ValueError("all coordinates vanish; not a point of the sphere")
-    if abs(abs(qc[i]) - abs(pc[i])) > tol:
-        return False
-    ratio = qc[i] / pc[i]
-    ratio /= abs(ratio)
-    w_i = ws[i]
-    base = cmath.exp(1j * cmath.phase(ratio) / w_i)
-    for k in range(w_i):
-        lam = base * cmath.exp(2j * cmath.pi * k / w_i)
-        acted = pc * np.array([lam**w for w in ws])
-        if float(np.max(np.abs(acted - qc))) < tol:
-            return True
-    return False
-
-
-def spin_stability_map(
-    ell: int,
-    a: Sequence[float],
-    t: Sequence[complex],
-    parity: str = "even",
-) -> WpsPoint:
-    """The explicit stabilization map on (alcove barycentrics, torus phases).
-
-    Even case (rank ell-1 into rank ell of the even spin series): barycentric
-    image (a_0, ..., a_{l-3}, 2*min(a_{l-2}, a_{l-1}), |diff|/2, |diff|/2) with
-    the torus phases rotated by the branch matching min/max; odd case appends
-    a zero coordinate and squares the last phase.
-    """
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
-    if ell < 4:
-        raise ValueError("need ell >= 4")
-    avals = [float(v) for v in a]
-    if len(avals) != ell:
-        raise ValueError(f"expected {ell} barycentric coordinates")
-    if any(v < -1e-12 for v in avals) or abs(sum(avals) - 1.0) > 1e-9:
-        raise ValueError("barycentric coordinates must be a probability vector")
-    phases = [complex(z) for z in t]
-    if len(phases) != ell - 1:
-        raise ValueError(f"expected {ell - 1} torus phases")
-    for z in phases:
-        if abs(abs(z) - 1.0) > 1e-9:
-            raise ValueError("torus phases must have unit modulus")
-    if parity == "odd":
-        bary = avals + [0.0]
-        out_phases = phases[: ell - 2] + [phases[ell - 2] ** 2, phases[ell - 2]]
-        weights = odd_spin_weights(ell)
-    else:
-        d, e = avals[ell - 2], avals[ell - 1]
-        bary = avals[: ell - 2] + [2 * min(d, e), abs(e - d) / 2, abs(e - d) / 2]
-        if d <= e:
-            out_phases = phases[: ell - 3] + [
-                phases[ell - 2] * phases[ell - 3],
-                phases[ell - 2],
-                phases[ell - 2],
-            ]
-        else:
-            out_phases = phases[: ell - 3] + [
-                phases[ell - 2] * phases[ell - 3],
-                phases[ell - 3],
-                phases[ell - 3],
-            ]
-        weights = even_spin_weights(ell)
-    coords = [complex(bary[0])] + [bary[j] * out_phases[j - 1] for j in range(1, len(bary))]
-    norm = math.sqrt(sum(abs(z) ** 2 for z in coords))
-    return WpsPoint(weights, tuple(z / norm for z in coords))

@@ -436,3 +436,67 @@ class TestOtherCommands:
         payload = json.loads(out)
         assert payload["passed"] is True
         assert payload["degree"] in (1, -1)
+
+
+# The whole stdout line of the weighted-projective, spin-stability and
+# invariants commands; the field-level asserts above say which values matter.
+_GOLDEN_STDOUT = [
+    (
+        ["wps-degree", "--weights", "1,2,3", "--k", "1", "--subset", "0,1"],
+        '{"command":"wps-degree","inclusion_degree":3,"k":1,"projection_degree":6,'
+        '"schema_version":1,"subset":[0,1],"weights":[1,2,3]}\n'
+    ),
+    (
+        ["spin-stability", "--m", "6"],
+        '{"command":"spin-stability","details":{"composite_hom_degree":1,'
+        '"dynkin_index_lower":1,"dynkin_index_upper":2,"ell":4,"rep_degree":2},"m":6,'
+        '"route":"even-series composite degree","schema_version":1,"stable":true}\n'
+    ),
+    (
+        ["spin-stability", "--m", "16"],
+        '{"command":"spin-stability","details":{"composite_hom_degree":1,'
+        '"dynkin_index_lower":2,"dynkin_index_upper":2,"ell":9,"rep_degree":1},'
+        '"m":16,"route":"even-series composite degree","schema_version":1,'
+        '"stable":true}\n'
+    ),
+    (
+        ["spin-stability", "--ell", "4", "--parity", "odd", "--k", "4"],
+        '{"command":"spin-stability","degree":2,"ell":4,"k":4,"parity":"odd",'
+        '"route":"factorization through the shared coordinate subspace",'
+        '"schema_version":1,"zero_groups":false}\n'
+    ),
+    (
+        ["invariants", "E8"],
+        '{"command":"invariants","coroot_integers":[1,2,3,4,6,5,4,3,2],'
+        '"dynkin_index":60,"pi2_hom":"Z","pi2_rep":"Z","pi4_bcom":"Z^2",'
+        '"pi4_ecom":"Z","prime_breakdown":{"2":4,"3":3,"5":5},'
+        '"provenance":"prime-fragment assembly,'
+        ' cross-checked against the coroot-integer lcm","quotient_degree":60,'
+        '"root_datum":{"cartan":[[2,0,-1,0,0,0,0,0],[0,2,0,-1,0,0,0,0],[-1,0,2,-1,0,'
+        '0,0,0],[0,-1,-1,2,-1,0,0,0],[0,0,0,-1,2,-1,0,0],[0,0,0,0,-1,2,-1,0],[0,0,0,'
+        '0,0,-1,2,-1],[0,0,0,0,0,0,-1,2]],"coroot_integers":[1,2,3,4,6,5,4,3,2],'
+        '"degrees":[2,8,12,14,18,20,24,30],"family":"E","rank":8,"root_integers":[2,'
+        '3,4,6,5,4,3,2],"weyl_order":696729600},"schema_version":1,"type":"E8"}\n'
+    ),
+    (
+        ["invariants", "Spin(12)"],
+        '{"command":"invariants","coroot_integers":[1,1,2,2,2,1,1],"dynkin_index":2,'
+        '"pi2_hom":"Z","pi2_rep":"Z","pi4_bcom":"Z^2","pi4_ecom":"Z",'
+        '"prime_breakdown":{"2":2},"provenance":"prime-fragment assembly,'
+        ' cross-checked against the coroot-integer lcm","quotient_degree":2,'
+        '"root_datum":{"cartan":[[2,-1,0,0,0,0],[-1,2,-1,0,0,0],[0,-1,2,-1,0,0],[0,0,'
+        '-1,2,-1,-1],[0,0,0,-1,2,0],[0,0,0,-1,0,2]],"coroot_integers":[1,1,2,2,2,1,'
+        '1],"degrees":[2,4,6,6,8,10],"family":"D","rank":6,"root_integers":[1,2,2,2,'
+        '1,1],"weyl_order":23040},"schema_version":1,"type":"D6"}\n'
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("argv", "stdout"), _GOLDEN_STDOUT, ids=[" ".join(argv) for argv, _ in _GOLDEN_STDOUT]
+)
+def test_golden_stdout(capsys, argv, stdout):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert out == stdout

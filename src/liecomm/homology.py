@@ -444,10 +444,14 @@ def snf_divisors(mat: IntMatrix) -> list[int]:
     remainder goes to the big-integer reduction.
     """
     pivots, remainder, _, _ = _eliminate_units(_sparse(mat))
-    if not remainder:
-        return [1] * len(pivots)
+    return [1] * len(pivots) + _remainder_divisors(remainder)
+
+
+def _remainder_divisors(remainder: list[list[int]]) -> list[int]:
+    """Nonzero elementary divisors of a dense remainder of _eliminate_units,
+    by the big-integer reduction alone: it holds no unit entry to eliminate."""
     _, D, _ = _smith_python(remainder, want_transforms=False)
-    return [1] * len(pivots) + [abs(D[k][k]) for k in range(min(len(D), len(D[0]))) if D[k][k]]
+    return [abs(d) for k, row in enumerate(D) for d in row[k : k + 1] if d]  # the diagonal
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +494,7 @@ def chain_homology(boundaries: Sequence[IntMatrix]) -> list[FinAbGroup]:
     for b in mats:
         rows = [row for i, row in enumerate(b.rows) if i not in paired]
         pivots, remainder, _, _ = _eliminate_units(_SparseMatrix(rows, (len(rows), b.shape[1])))
-        divisors.append([1] * len(pivots) + (snf_divisors(remainder) if remainder else []))
+        divisors.append([1] * len(pivots) + _remainder_divisors(remainder))
         paired = {j for _, j, _ in pivots}
     ranks = [len(d) for d in divisors]
     top = len(mats)

@@ -463,6 +463,10 @@ class FaceIndex:
     def sorted_nodes(self) -> tuple[int, ...]:
         return tuple(sorted(self.nodes))
 
+    def check_rank(self, datum: RootDatum) -> None:
+        if self.rank != datum.rank:
+            raise ValueError(f"a face of rank {self.rank} is not a face of {datum.lie_type.name}")
+
 
 def all_faces(datum: RootDatum) -> list[FaceIndex]:
     """Every face of the alcove, by number of walls, then lexicographically."""
@@ -472,6 +476,7 @@ def all_faces(datum: RootDatum) -> list[FaceIndex]:
 
 def n_vee(datum: RootDatum, face: FaceIndex) -> int:
     """gcd of the coroot integers over the complement of the face's node set."""
+    face.check_rank(datum)
     return gcd(*(datum.coroot_integers[i] for i in face.complement()))
 
 
@@ -495,8 +500,10 @@ def lattice_quotient(datum: RootDatum, face: FaceIndex) -> tuple[int, FinAbGroup
     Returns (free_rank, torsion).  The sublattice is spanned by the wall
     coroots c_i of the nodes in the face (c_0 = -theta_vee), the columns of
     an r x |face| matrix built directly as sparse rows.  The result is
-    required to be (face.dim, Z/n_vee).
+    required to be (face.dim, Z/n_vee).  Raises ValueError when the face is
+    of another rank.
     """
+    torsion = FinAbGroup.cyclic(n_vee(datum, face))  # first, as n_vee checks the rank
     r = datum.rank
     nodes = face.sorted_nodes()
     rows: list[dict[int, int]] = [{} for _ in range(r)]
@@ -506,7 +513,6 @@ def lattice_quotient(datum: RootDatum, face: FaceIndex) -> tuple[int, FinAbGroup
                 rows[i][j] = c
     divisors = snf_divisors(_SparseMatrix(rows, (r, len(nodes)))) if nodes else []
     free = r - len(divisors)
-    torsion = FinAbGroup.cyclic(n_vee(datum, face))
     if free != face.dim or tuple(d for d in divisors if d > 1) != torsion.torsion:
         # formatted only on failure: this runs once per face in every oracle sweep
         require(False, f"{datum.lie_type.name} face {nodes}: Smith form disagrees with n_vee")

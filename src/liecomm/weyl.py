@@ -49,19 +49,19 @@ update of the key of x, since a key is affine in its point.  These keys are
 the element keys permuted, so one sort matches every key asked for with the
 key found, and a key that is not an element key is a breach.
 
-Face stabilizers come from one table of vertex translations.  For each
+Face stabilizers come from one int8 table of vertex translations.  For each
 alcove vertex v_k (k = 0..r) and each element w, the table labels
-q_k(w) = v_k - w*v_k with an id shared by all vertices when q_k(w) lies in
-the coroot lattice, and with -1 otherwise.  An element of the affine Weyl
-group that fixes a point of the closed alcove fixes that point's face
-pointwise (Bourbaki, Lie Groups V 3.3; Humphreys, Reflection Groups and
-Coxeter Groups 4.8).  So w fixes the face on the walls J mod Q-vee if and
-only if q_k(w) is one lattice vector q for every vertex k not in J: then
-t_q*w fixes every vertex of the face, hence its barycenter b, and
-conversely t_q*w with q = b - w*b fixes b, hence the face.  A vertex's
-stabilizer is where its label is an id; any other face keeps the members of
-its parent, the face on the walls J and k0 with v_k0 its vertex of least
-index, whose labels at k0 and at one more vertex of the face agree.
+q_k(w) = v_k - w*v_k with the least vertex index j <= k for which
+q_j(w) = q_k(w) when q_k(w) lies in the coroot lattice, and with -1
+otherwise.  An element of the affine Weyl group that fixes a point of the
+closed alcove fixes that point's face pointwise (Bourbaki, Lie Groups V 3.3;
+Humphreys, Reflection Groups and Coxeter Groups 4.8).  So w fixes the face
+on the walls J mod Q-vee if and only if q_k(w) is one lattice vector q for
+every vertex k not in J: then t_q*w fixes every vertex of the face, hence
+its barycenter b, and conversely t_q*w with q = b - w*b fixes b, hence the
+face.  A vertex's stabilizer is where its label is not -1; any other face
+keeps the members of its parent, the face on the walls J and k0 with v_k0
+its vertex of least index, whose labels at k0 and at one more vertex agree.
 
 The elements are one read-only int8 stack (every entry is a coroot
 coordinate of a coroot, at most 6 in absolute value).  Products of the stack
@@ -94,12 +94,11 @@ import math
 import operator
 import os
 import sys
-import threading
 import zipfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from math import comb, lcm
 from pathlib import Path
@@ -118,7 +117,6 @@ HARD_ELEMENT_LIMIT = 10_000_000
 CACHE_ENV_VAR = "LIECOMM_CACHE_DIR"
 _CACHE_VERSION = 4
 _LABEL_BLOCK = 1 << 10  # elements per block of stack products and translation labels
-_LABEL_DTYPES = (np.int8, np.int16)  # translation label dtypes, narrowest first
 
 
 class WeylCapError(RuntimeError):
@@ -178,6 +176,8 @@ class WeylGroup:
     datum: RootDatum
     matrices: np.ndarray
     charpoly_buckets: tuple[tuple[tuple[int, ...], int], ...]
+    # face stabilizers computed so far, by node set; see _stabilizer
+    _stabilizers: dict[frozenset[int], np.ndarray] = field(default_factory=dict, init=False)
 
     @property
     def order(self) -> int:
@@ -294,75 +294,64 @@ class WeylGroup:
 
     @cached_property
     def _translation_labels(self) -> np.ndarray:
-        """Row k, column w: an id of the translation v_k - w*v_k when it lies in
-        the coroot lattice, else -1, the ids shared by all rows; see _stabilizer.
+        """Row k, column w: the least vertex index j <= k with q_j(w) = q_k(w)
+        when q_k(w) = v_k - w*v_k lies in the coroot lattice, else -1: int8.
 
-        Built _LABEL_BLOCK elements at a time; the ids are numbered as their
-        keys first appear, and the table takes the narrowest of _LABEL_DTYPES
-        that holds them.
+        Built _LABEL_BLOCK elements at a time, each block labelled on its own
+        from the keys of its translations, in work arrays allocated once per
+        table, so no block page-faults fresh memory; see _stabilizer.
         """
         r = self.datum.rank
         vertices = alcove_geometry(self.datum).vertices
         denom = lcm(*(c.denominator for v in vertices for c in v))
-        cols = np.array(
-            [[int(v[i] * denom) for v in vertices] for i in range(r)], dtype=np.float64
-        )  # denom*v_k as column k
+        scaled = np.array([[int(c * denom) for c in v] for v in vertices], dtype=np.float64)
         # v_k is dominant, so q = v_k - w*v_k is a sum of simple coroots with
         # coefficients q_i <= v_k,i + v_k,sigma(i) (sigma = -w_0 on the nodes)
-        radix = 2 * int(cols.max()) // denom + 1
+        radix = 2 * int(scaled.max()) // denom + 1
         require(
-            r * 129 * cols.max() < 2**53 and radix**r < 2**53,
+            r * 129 * scaled.max() < 2**53 and radix**r < 2**53,
             f"{self.datum.lie_type.name}: vertex translations exceed float64's exact integers",
         )
-        labels = np.empty((r + 1, self.order), dtype=_LABEL_DTYPES[0])
-        # key -> label, ids numbered as the keys first appear; the key -1 of a
-        # translation off the lattice keeps the label -1, and 0 (no translation) is id 0
-        ids = {-1.0: -1, 0.0: 0}
-        known, known_ids = np.array([-1.0, 0.0]), np.array([-1, 0])  # the same, by key
+        # room for a block of `rows` elements: 1 - w, the translations, their
+        # rounding, its equality, the lattice mask and the keys
+        rows, slab = min(self.order, _LABEL_BLOCK), r * (r + 1)
+        widths = (r * r, slab, slab, slab, r + 1, r + 1)
+        dtypes = (float, float, float, bool, bool, float)
+        work = tuple(np.empty((rows, n), t) for n, t in zip(widths, dtypes))
+        # the greatest weight r + 1 - j over the vertices j with q_j = q_k names the least j
+        weight = (r + 1 - np.arange(r + 1, dtype=np.int8))[:, None, None]
+        labels = np.empty((r + 1, self.order), dtype=np.int8)
         for start in range(0, self.order, _LABEL_BLOCK):
             block = self.matrices[start : start + _LABEL_BLOCK]
-            keys = _translation_keys(block, cols, denom, radix)
-            pos = np.searchsorted(known, keys).clip(max=len(known) - 1)
-            fresh = known[pos] != keys
-            if fresh.any():
-                for key in keys[fresh].tolist():
-                    ids.setdefault(key, len(ids) - 1)
-                n = len(ids) - 1
-                dtype = next((t for t in _LABEL_DTYPES if n <= np.iinfo(t).max + 1), None)
-                require(dtype is not None, f"{n} translation ids overflow the label dtypes")
-                labels = labels.astype(dtype, copy=False)
-                known = np.array(sorted(ids))
-                known_ids = np.array([ids[key] for key in known.tolist()])
-                pos = np.searchsorted(known, keys).clip(max=len(known) - 1)
-            labels[:, start : start + _LABEL_BLOCK] = known_ids[pos].T
-        _key_work.cache_clear()
+            keys = _translation_keys(block, scaled, denom, radix, work)
+            out = labels[:, start : start + len(block)]
+            np.subtract(r + 1, ((keys[:, None] == keys) * weight).max(axis=0), out=out)
+            np.copyto(out, -1, where=keys < 0)
         labels.setflags(write=False)
         return labels
 
-    @cached_property
-    def _stabilizers(self) -> dict[frozenset[int], np.ndarray]:
-        """Face stabilizers computed so far, by node set; see _stabilizer."""
-        return {}
 
-
-def _translation_keys(block: np.ndarray, cols: np.ndarray, denom: int, radix: int) -> np.ndarray:
-    """Packed keys, shape (len(block), r + 1), of the translations
+def _translation_keys(
+    block: np.ndarray, scaled: np.ndarray, denom: int, radix: int, work: tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """Packed keys, shape (r + 1, len(block)), of the translations
     q_k(w) = v_k - w*v_k = (1 - w)*v_k for the elements w of the block, and -1
     where q_k(w) is not in the coroot lattice.
 
-    cols holds denom*v_k as column k.  Every coordinate of q_k(w) must lie in
-    [0, radix), else the packing by mixed radix `radix` is a breach.  The
-    result is a view of _key_work's arrays, valid until the next call.
+    scaled holds denom*v_k as row k.  Every coordinate of q_k(w) must lie in
+    [0, radix), else the packing by mixed radix `radix` is a breach.  work
+    holds _translation_labels' six work arrays, of at least len(block) rows;
+    the result is a view of the last, valid until the next call.
     """
-    r, n = cols.shape[0], len(block)
-    work = _key_work(max(n, _LABEL_BLOCK), r, threading.get_ident())
-    one_minus_w, lattice, keys = work[0][:n], work[4][:n], work[5][:n]
-    # coordinate i outermost, so the checks and the packing over i run on
-    # whole (w, k) slabs
-    q, rounded, same = (a[:n].reshape(r, n, r + 1) for a in work[1:4])
-    np.negative(block, out=one_minus_w)
-    one_minus_w.reshape(n, r * r)[:, :: r + 1] += 1
-    np.matmul(one_minus_w.transpose(1, 0, 2), cols, out=q)  # denom * q_k(w)_i
+    n, r = len(block), scaled.shape[1]
+    # coordinate i outermost and the element innermost, so the checks and
+    # the packing over i run on whole (k, w) slabs
+    one_minus_w = work[0][:n].reshape(r, r, n)
+    q, rounded, same = (a[:n].reshape(r, r + 1, n) for a in work[1:4])
+    lattice, keys = (a[:n].reshape(r + 1, n) for a in work[4:])
+    np.negative(block.transpose(1, 2, 0), out=one_minus_w)
+    one_minus_w.reshape(r * r, n)[:: r + 1] += 1
+    np.matmul(scaled, one_minus_w, out=q)  # denom * q_k(w)_i
     q /= denom
     require(
         q.min() >= 0 and q.max() < radix, f"a vertex translation leaves the packing radix {radix}"
@@ -372,27 +361,6 @@ def _translation_keys(block: np.ndarray, cols: np.ndarray, denom: int, radix: in
     np.logical_and.reduce(same, axis=0, out=lattice)
     np.copyto(keys, -1, where=~lattice)
     return keys
-
-
-@lru_cache(maxsize=1)
-def _key_work(rows: int, r: int, thread: int) -> tuple[np.ndarray, ...]:
-    """Work arrays for _translation_keys on up to `rows` elements of rank r,
-    leading axis the element: 1 - w, the translations, their rounding, its
-    equality, the lattice mask and the keys.
-
-    Allocated once per table and reused block after block, so no block
-    page-faults fresh memory; _translation_labels releases them.  Keyed by
-    the calling thread, so two tables built at once never share them.
-    """
-    slab = (rows, r * (r + 1))
-    return (
-        np.empty((rows, r, r)),
-        np.empty(slab),
-        np.empty(slab),
-        np.empty(slab, dtype=bool),
-        np.empty((rows, r + 1), dtype=bool),
-        np.empty((rows, r + 1)),
-    )
 
 
 def _least_reachable(perms: Sequence[np.ndarray]) -> np.ndarray:
@@ -752,8 +720,10 @@ def euler_char_rep(group: WeylGroup, k: int) -> int:
 def face_stabilizer(group: WeylGroup, geometry: AlcoveGeometry, face: FaceIndex) -> StabilizerSubgroup:
     """Elements fixing the face barycenter modulo the coroot lattice.
 
-    Raises ValueError when the geometry is not that of the group's datum.
+    Raises ValueError when the face is of another rank or the geometry is not
+    that of the group's datum.
     """
+    face.check_rank(group.datum)
     return StabilizerSubgroup(group, _stabilizer(group, geometry, face.nodes))
 
 
@@ -763,7 +733,7 @@ def _stabilizer(group: WeylGroup, geometry: AlcoveGeometry, nodes: frozenset[int
 
     w is a member when the translation v_k - w*v_k is one lattice vector for
     every vertex k off the walls (see the module docstring).  A vertex keeps
-    the elements whose label is an id.  Any other face, with least vertex k0
+    the elements whose label is not -1.  Any other face, with least vertex k0
     and next vertex k1, keeps the members of its parent face, on the walls
     nodes plus k0, whose labels at k0 and k1 are equal.
     """

@@ -489,6 +489,28 @@ _GOLDEN_STDOUT = [
         '1],"degrees":[2,4,6,6,8,10],"family":"D","rank":6,"root_integers":[1,2,2,2,'
         '1,1],"weyl_order":23040},"schema_version":1,"type":"D6"}\n'
     ),
+    # cell census counts below rank 5, which write no cache
+    (
+        ["cells", "F4", "--k", "2"],
+        '{"command":"cells","counts_by_dim":[46,348,1727,5502,11354,15072,12408,5760,1152],'
+        '"euler_characteristic":5,"k":2,"schema_version":1,"type":"F4"}\n'
+    ),
+    (
+        ["cells", "A4", "--k", "3"],
+        '{"command":"cells","counts_by_dim":[125,750,4125,19750,76575,226875,498000,793875,'
+        '900300,704250,360000,108000,14400],"euler_characteristic":25,"k":3,'
+        '"schema_version":1,"type":"A4"}\n'
+    ),
+    (
+        ["cells", "B4", "--k", "2"],
+        '{"command":"cells","counts_by_dim":[33,184,756,2144,4112,5216,4184,1920,384],'
+        '"euler_characteristic":5,"k":2,"schema_version":1,"type":"B4"}\n'
+    ),
+    (
+        ["cells", "D4", "--k", "2"],
+        '{"command":"cells","counts_by_dim":[29,144,524,1328,2328,2768,2132,960,192],'
+        '"euler_characteristic":5,"k":2,"schema_version":1,"type":"D4"}\n'
+    ),
 ]
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from liecomm import weyl
 from liecomm.alcove import alcove_geometry, barycenter
 from liecomm.homology import InvariantBreachError
-from liecomm.rootdata import FaceIndex, all_faces, build_root_datum
+from liecomm.rootdata import FaceIndex, all_faces, build_root_datum, lattice_quotient, n_vee
 from liecomm.weyl import (
     HARD_ELEMENT_LIMIT,
     StabilizerSubgroup,
@@ -677,30 +677,32 @@ class TestStabilizersAndCosets:
         fresh = weyl.WeylGroup(datum, group.matrices, group.charpoly_buckets)
         keys = weyl._translation_keys
         monkeypatch.setattr(
-            weyl, "_translation_keys", lambda block, cols, denom, radix: keys(block, cols, denom, 1)
+            weyl,
+            "_translation_keys",
+            lambda block, scaled, denom, radix, work: keys(block, scaled, denom, 1, work),
         )
         with pytest.raises(InvariantBreachError, match="packing radix 1"):
             face_stabilizer(fresh, alcove_geometry(datum), FaceIndex.of(datum, [0, 1, 2, 3]))
 
-    def test_too_narrow_label_dtype_is_a_breach(self, monkeypatch):
-        # a distinct nonzero key per element gives |W| + 1 ids with the zero
-        # translation's, 193 for D4: int8 holds at most 128, so the table
-        # widens to int16, or breaks without it
+    @pytest.mark.parametrize("per_vertex", [False, True])
+    def test_labels_are_vertex_indices_under_distinct_keys(self, monkeypatch, per_vertex):
+        # a distinct nonzero key per element, the same at every vertex or
+        # distinct at each: every label is then the least vertex index 0, or
+        # the row's own index k, so the 192 keys of D4 never reach the table,
+        # which stays int8 within -1..r
         datum = build_root_datum("D4")
         group = _group("D4")
         monkeypatch.setattr(
             weyl,
             "_translation_keys",
-            lambda block, cols, *_: np.repeat(
-                weyl._pack(block @ group._v, group._v)[:, None] + 1, cols.shape[1], axis=1
-            ),
+            lambda block, scaled, *_: (weyl._pack(block @ group._v, group._v)[None] + 1)
+            * (np.arange(len(scaled))[:, None] + 1 if per_vertex else np.ones((len(scaled), 1))),
         )
-        wide = weyl.WeylGroup(datum, group.matrices, group.charpoly_buckets)._translation_labels
-        assert wide.dtype == np.int16 and wide.max() == group.order
-        monkeypatch.setattr(weyl, "_LABEL_DTYPES", (np.int8,))
-        fresh = weyl.WeylGroup(datum, group.matrices, group.charpoly_buckets)
-        with pytest.raises(InvariantBreachError, match="193 translation ids overflow"):
-            fresh._translation_labels
+        labels = weyl.WeylGroup(datum, group.matrices, group.charpoly_buckets)._translation_labels
+        assert labels.dtype == np.int8 and labels.shape == (datum.rank + 1, group.order)
+        assert labels.min() >= -1 and labels.max() <= datum.rank
+        rows = np.arange(datum.rank + 1)[:, None] if per_vertex else 0
+        assert (labels == rows).all()
 
     @pytest.mark.parametrize("block", [1, 7, 4096])
     @pytest.mark.parametrize("name", ["B4", "F4", "D5"])
@@ -719,6 +721,24 @@ class TestStabilizersAndCosets:
         geo = alcove_geometry(build_root_datum("C3"))
         with pytest.raises(ValueError, match="another root datum"):
             face_stabilizer(group, geo, FaceIndex.of(group.datum, [1]))
+
+    @pytest.mark.parametrize("other,nodes", [("A5", [5]), ("A5", [0, 1]), ("A1", [1])])
+    @pytest.mark.parametrize("call", ["face_stabilizer", "lattice_quotient", "n_vee"])
+    def test_face_of_another_rank_is_rejected(self, call, other, nodes):
+        # a face of A5 or A1 is no face of A2's alcove; the stabilizer memo
+        # stays untouched
+        datum = build_root_datum("A2")
+        group = _group("A2")
+        fresh = weyl.WeylGroup(datum, group.matrices, group.charpoly_buckets)
+        face = FaceIndex.of(build_root_datum(other), nodes)
+        calls = {
+            "face_stabilizer": lambda: face_stabilizer(fresh, alcove_geometry(datum), face),
+            "lattice_quotient": lambda: lattice_quotient(datum, face),
+            "n_vee": lambda: n_vee(datum, face),
+        }
+        with pytest.raises(ValueError, match=f"face of rank {face.rank} is not a face of A2"):
+            calls[call]()
+        assert fresh._stabilizers == {}
 
     def test_double_coset_extremes(self):
         group = _group("C2")

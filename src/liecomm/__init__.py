@@ -82,10 +82,8 @@ from .weyl import (
 from .wps import (
     WeightedProjectiveSpace,
     composite_su2_degree,
-    even_spin_weights,
     inclusion_degree,
     kawasaki_homology,
-    odd_spin_weights,
     proj_degree,
     spin_stability_report,
 )

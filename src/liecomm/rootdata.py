@@ -13,8 +13,13 @@ Conventions (fixed once, used everywhere):
   else 0).  The alcove is {a_j(x) >= b_j for every j}, and the reflection in
   wall j is s_j(x) = x - (a_j(x) - b_j) * c_j.
 * All vectors live in the simple-coroot basis unless stated otherwise, and all
-  arithmetic in this module is exact: integers and Fractions, and float32
-  matrix products only under a checked bound that keeps them exact.
+  arithmetic in this module is exact: integers and Fractions only.
+* The exponents and the symmetrizer are read off the root closure.  The
+  numbers of positive roots of each height form the partition dual to the
+  exponents (Kostant, Amer. J. Math. 81, 1959; Humphreys, Reflection Groups
+  and Coxeter Groups 3.20), and theta_k / theta_vee_k = |theta|^2 / |alpha_k|^2,
+  so the symmetrizer d_k, with d_i * a[i][j] == d_j * a[j][i], is that ratio
+  scaled to coprime integers.
 """
 
 from __future__ import annotations
@@ -27,8 +32,6 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .homology import FinAbGroup, _SparseMatrix, exact_quotient, require, snf_divisors
 
@@ -176,140 +179,6 @@ def _root_closure(cartan: Matrix) -> dict[Vector, Vector]:
     return roots
 
 
-_POWER_CHUNK = 1 << 10  # matrices per float32 batch; bounds the temporaries
-_FLOAT32_EXACT = 1 << 24  # float32 holds every integer of smaller magnitude exactly
-
-
-def charpoly_buckets(stack: np.ndarray) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Characteristic polynomials det(xI - w) of a stack of integer matrices, counted.
-
-    Returns sorted (ascending coefficients, count) pairs.  A charpoly is fixed
-    by the power sums p_k = tr(w^k), k = 1..r, through Newton's identities.
-    The powers are batched float32 products, exact because every partial sum
-    stays below 2^24: r * max|w^k| * max|w| < 2^24 is checked before each
-    product and trace.  Rows of power sums are counted chunk by chunk, and only
-    the distinct rows are turned into charpolys, in Python ints.
-    """
-    n, r, _ = stack.shape
-    counts: Counter[tuple[int, ...]] = Counter()
-    for start in range(0, n, _POWER_CHUNK):
-        w = stack[start : start + _POWER_CHUNK].astype(np.float32)
-        w_max = float(np.abs(w).max())
-        sums = np.empty((len(w), r), dtype=np.int64)
-        power = w
-        for k in range(r):
-            require(
-                r * float(np.abs(power).max()) * w_max < _FLOAT32_EXACT,
-                "matrix powers leave the exact float32 range",
-            )
-            sums[:, k] = np.einsum("nii->n", power)
-            if k + 1 < r:
-                power = power @ w
-        sums = sums[np.lexsort(sums.T)]
-        starts = np.flatnonzero(np.concatenate(([True], np.any(sums[1:] != sums[:-1], axis=1))))
-        sizes = np.diff(np.append(starts, len(sums)))
-        for row, size in zip(sums[starts].tolist(), sizes.tolist()):
-            counts[tuple(row)] += size
-    return tuple(sorted((_newton(p), c) for p, c in counts.items()))
-
-
-def _newton(p: Sequence[int]) -> tuple[int, ...]:
-    """Ascending coefficients of det(xI - w) from the power sums p_k = tr(w^k)."""
-    e = [1]  # elementary symmetric functions of the eigenvalues
-    for k in range(1, len(p) + 1):
-        s = sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1))
-        e.append(exact_quotient(s, k, "Newton's identities give a non-integral coefficient"))
-    return tuple((-1) ** k * e[k] for k in range(len(p), -1, -1))
-
-
-def _poly_divmod(num: Sequence[int], den: Sequence[int]):
-    """Division of integer polynomials (ascending coeffs, monic divisor)."""
-    num = list(num)
-    den = list(den)
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    dn, dd = len(num) - 1, len(den) - 1
-    quot = [0] * max(dn - dd + 1, 1)
-    for k in range(dn - dd, -1, -1):
-        q = num[k + dd]
-        quot[k] = q
-        if q:
-            for i, c in enumerate(den):
-                num[k + i] -= q * c
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic(d: int) -> tuple[int, ...]:
-    """Cyclotomic polynomial Phi_d, ascending integer coefficients."""
-    poly = [-1] + [0] * (d - 1) + [1]  # x^d - 1
-    for e in range(1, d):
-        if d % e == 0:
-            poly, rem = _poly_divmod(poly, _cyclotomic(e))
-            require(not any(rem), "cyclotomic division left a remainder")
-    return tuple(poly)
-
-
-def _linear_parts(functionals: Sequence[Vector], coroots: Sequence[Vector]) -> np.ndarray:
-    """The linear parts 1 - c (x) a of the reflections in the walls {a = b}, int64."""
-    a, c = np.array(functionals, dtype=np.int64), np.array(coroots, dtype=np.int64)
-    return np.eye(a.shape[1], dtype=np.int64) - c[:, :, None] * a[:, None, :]
-
-
-def _coxeter_exponents(simple: np.ndarray, h: int) -> tuple[int, ...]:
-    """Exponents of W from the eigenvalue angles of a Coxeter element.
-
-    The Coxeter element s_r ... s_1, a product of the simple reflections, has
-    order h and eigenvalues exp(2*pi*i*m/h); the multiset of angles is read
-    off exactly by factoring its characteristic polynomial into cyclotomics.
-    """
-    r = len(simple)
-    cox = np.eye(r, dtype=np.int64)
-    for s in simple:
-        cox = s @ cox
-    ((poly, _),) = charpoly_buckets(cox[None])
-    poly = list(poly)
-    exponents: list[int] = []
-    for d in range(1, h + 1):
-        if h % d:
-            continue
-        phi = _cyclotomic(d)
-        while len(poly) > len(phi) or (len(poly) == len(phi) and len(poly) > 1):
-            quot, rem = _poly_divmod(poly, phi)
-            if any(rem):
-                break
-            poly = quot
-            exponents.extend(h * k // d for k in range(1, d + 1) if gcd(k, d) == 1)
-    factored = len(exponents) == r and poly == [1]
-    require(factored, "Coxeter charpoly did not factor into cyclotomics")
-    return tuple(sorted(exponents))
-
-
-def _symmetrizer(cartan: Matrix) -> tuple[Fraction, ...]:
-    """Positive rationals d_i with d_i * a[i][j] == d_j * a[j][i], minimal integers."""
-    r = len(cartan)
-    d: list[Fraction | None] = [None] * r
-    d[0] = Fraction(1)
-    todo = [0]
-    while todo:
-        i = todo.pop()
-        for j in range(r):
-            if i != j and cartan[i][j] and d[j] is None:
-                d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
-                todo.append(j)
-    if any(x is None for x in d):
-        raise LieTypeError("Cartan matrix is not connected")
-    scale = lcm(*(x.denominator for x in d))
-    ints = [x * scale for x in d]
-    g = gcd(*(int(x) for x in ints))
-    out = tuple(Fraction(int(x) // g) for x in ints)
-    ok = all(out[i] * cartan[i][j] == out[j] * cartan[j][i] for i in range(r) for j in range(r))
-    require(ok, "symmetrizer failed")
-    return out
-
-
 @dataclass(frozen=True)
 class RootDatum:
     """All root-system data of a simple type, derived from its Cartan matrix."""
@@ -339,11 +208,6 @@ class RootDatum:
     @property
     def rank(self) -> int:
         return self.lie_type.rank
-
-    @property
-    def wall_reflections(self) -> np.ndarray:
-        """The linear parts of s_0, ..., s_r as int64 matrices; that of s_0 is s_theta."""
-        return _linear_parts(self.wall_functionals, self.wall_coroots)
 
     def wall_values(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """The heights a_j(x) - b_j of coroot coordinates x over the walls, by node."""
@@ -397,14 +261,22 @@ def _build(lt: LieType) -> RootDatum:
     wall_functionals = (tuple(-c for c in _as_functional(theta, cartan)),) + cartan
     wall_coroots = (tuple(-c for c in theta_vee),) + unit
     h = exact_quotient(2 * len(positives), r, "root count is not r*h/2")
-    exps = _coxeter_exponents(_linear_parts(wall_functionals[1:], wall_coroots[1:]), h)
+    require(hmax + 1 == h, "the highest root's height is not h - 1")
+    # the exponents are the partition dual to the root counts by height
+    by_height = Counter(heights).values()
+    exps = tuple(sum(n >= j for n in by_height) for j in range(r, 0, -1))
     degrees = tuple(e + 1 for e in exps)
-    require(sum(degrees) - r == len(positives), "degrees do not match the positive root count")
-    require(max(degrees) == h, "largest degree disagrees with the Coxeter number")
+    # the symmetrizer d_k: theta_k / theta_vee_k = |theta|^2 / |alpha_k|^2, as coprime integers
+    ratios = [Fraction(t, tv) for t, tv in zip(theta, theta_vee)]
+    denom = lcm(*(x.denominator for x in ratios))
+    scaled = [int(x * denom) for x in ratios]
+    d = tuple(Fraction(n, gcd(*scaled)) for n in scaled)
+    ok = all(d[i] * cartan[i][j] == d[j] * cartan[j][i] for i, j in combinations(range(r), 2))
+    require(ok, "theta / theta_vee does not symmetrize the Cartan matrix")
     return RootDatum(
         lie_type=lt,
         cartan=cartan,
-        symmetrizer=_symmetrizer(cartan),
+        symmetrizer=d,
         positive_roots=tuple(positives),
         positive_coroots=tuple(closure[c] for c in positives),
         theta=theta,

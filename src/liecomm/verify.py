@@ -220,7 +220,7 @@ def criterion_geometry() -> str:
 
 
 def criterion_theorem_tables() -> str:
-    """11. The n-tuple formulas, the extension quotients, and pi_4 values."""
+    """11. The n-tuple formulas and the extension quotients."""
     cases = 0
     for name in ("SU(3)", "SU(5)"):
         for n in range(1, 5):
@@ -239,10 +239,7 @@ def criterion_theorem_tables() -> str:
     require(so3.quotient == FinAbGroup.cyclic(2) and not so3.has_forced_torsion)
     pso = invariants.h2_extension_semisimple(FinAbGroup(0, (2, 2)), 1)
     require(pso.has_forced_torsion and pso.quotient == FinAbGroup(0, (2, 2, 2, 2)))
-    for lt in _table_types():
-        ecom, bcom = invariants.pi4_commutative_classifying(lt)
-        require(ecom == FinAbGroup.free(1) and bcom == FinAbGroup.free(2), lt.name)
-    return "20 n-tuple cases, both extension examples, pi_4 for all types"
+    return "20 n-tuple cases, both extension examples"
 
 
 CRITERIA: list[tuple[str, Callable[..., str]]] = [

@@ -70,8 +70,11 @@ float32 at a time, and the translation table _LABEL_BLOCK elements to
 float64, in work arrays allocated once per table.
 
 Molien/Poincare sums, trace statistics and Lefschetz averages are evaluated
-per characteristic-polynomial bucket, from the power sums tr(w^k) in
-rootdata.charpoly_buckets.  The Molien sum (at x = t^2) and Solomon's
+per characteristic-polynomial bucket.  charpoly_buckets, the one charpoly
+routine, takes the power sums tr(w^k) by float32 products of _LABEL_BLOCK
+matrices at a time, under a checked bound that keeps them exact, counts the
+distinct rows of power sums and turns only those into charpolys by Newton's
+identities, in Python ints.  The Molien sum (at x = t^2) and Solomon's
 identity below both sum the exact quotients prod_i (1 - x^d_i) / det(1 - x*w)
 of WeylGroup._coinvariant_quotients, computed once per group.  Each division
 is exact: for a primitive d-th root of unity z, the z-eigenspace of w has
@@ -96,6 +99,7 @@ import os
 import sys
 import zipfile
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -108,7 +112,7 @@ import numpy as np
 
 from .alcove import AlcoveGeometry, alcove_geometry
 from .homology import exact_quotient, require
-from .rootdata import FaceIndex, RootDatum, _poly_divmod, all_faces, charpoly_buckets
+from .rootdata import FaceIndex, RootDatum, all_faces
 
 WeylMatrix = tuple[tuple[int, ...], ...]
 
@@ -116,7 +120,8 @@ DEFAULT_ELEMENT_CAP = 100_000
 HARD_ELEMENT_LIMIT = 10_000_000
 CACHE_ENV_VAR = "LIECOMM_CACHE_DIR"
 _CACHE_VERSION = 4
-_LABEL_BLOCK = 1 << 10  # elements per block of stack products and translation labels
+_LABEL_BLOCK = 1 << 10  # elements per block of stack products, charpolys and translation labels
+_FLOAT32_EXACT = 1 << 24  # float32 holds every integer of smaller magnitude exactly
 
 
 class WeylCapError(RuntimeError):
@@ -145,6 +150,14 @@ def _regular_vector(datum: RootDatum) -> np.ndarray:
     return v
 
 
+def _wall_reflections(datum: RootDatum) -> np.ndarray:
+    """The linear parts 1 - c_j (x) a_j of the wall reflections s_0, ..., s_r,
+    by node, as int64 matrices; that of s_0 is s_theta."""
+    a = np.array(datum.wall_functionals, dtype=np.int64)
+    c = np.array(datum.wall_coroots, dtype=np.int64)
+    return np.eye(datum.rank, dtype=np.int64) - c[:, :, None] * a[:, None, :]
+
+
 def _pack_weights(v: np.ndarray) -> np.ndarray:
     """The mixed-radix place values of _pack."""
     return np.concatenate(([1], np.cumprod(2 * v[:-1] + 1)))
@@ -163,6 +176,67 @@ def _images(stack: np.ndarray, u: np.ndarray):
     for start in range(0, len(stack), _LABEL_BLOCK):
         rows = stack[start : start + _LABEL_BLOCK].reshape(-1, r).astype(np.float32)
         yield (rows @ u).astype(np.int64).reshape(-1, r)
+
+
+def charpoly_buckets(stack: np.ndarray) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Characteristic polynomials det(xI - w) of a stack of integer matrices, counted.
+
+    Returns sorted (ascending coefficients, count) pairs.  A charpoly is fixed
+    by the power sums p_k = tr(w^k), k = 1..r, through Newton's identities.
+    The powers are batched float32 products, exact because every partial sum
+    stays below 2^24: r * max|w^k| * max|w| < 2^24 is checked before each
+    product and trace.  Rows of power sums are counted _LABEL_BLOCK matrices at
+    a time, and only the distinct rows are turned into charpolys, in Python ints.
+    """
+    n, r, _ = stack.shape
+    counts: Counter[tuple[int, ...]] = Counter()
+    for start in range(0, n, _LABEL_BLOCK):
+        w = stack[start : start + _LABEL_BLOCK].astype(np.float32)
+        w_max = float(np.abs(w).max())
+        sums = np.empty((len(w), r), dtype=np.int64)
+        power = w
+        for k in range(r):
+            require(
+                r * float(np.abs(power).max()) * w_max < _FLOAT32_EXACT,
+                "matrix powers leave the exact float32 range",
+            )
+            sums[:, k] = np.einsum("nii->n", power)
+            if k + 1 < r:
+                power = power @ w
+        sums = sums[np.lexsort(sums.T)]
+        starts = np.flatnonzero(np.concatenate(([True], np.any(sums[1:] != sums[:-1], axis=1))))
+        sizes = np.diff(np.append(starts, len(sums)))
+        for row, size in zip(sums[starts].tolist(), sizes.tolist()):
+            counts[tuple(row)] += size
+    return tuple(sorted((_newton(p), c) for p, c in counts.items()))
+
+
+def _newton(p: Sequence[int]) -> tuple[int, ...]:
+    """Ascending coefficients of det(xI - w) from the power sums p_k = tr(w^k)."""
+    e = [1]  # elementary symmetric functions of the eigenvalues
+    for k in range(1, len(p) + 1):
+        s = sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1))
+        e.append(exact_quotient(s, k, "Newton's identities give a non-integral coefficient"))
+    return tuple((-1) ** k * e[k] for k in range(len(p), -1, -1))
+
+
+def _poly_divmod(num: Sequence[int], den: Sequence[int]):
+    """Division of integer polynomials (ascending coeffs, monic divisor)."""
+    num = list(num)
+    den = list(den)
+    if den[-1] != 1:
+        raise ValueError("divisor must be monic")
+    dn, dd = len(num) - 1, len(den) - 1
+    quot = [0] * max(dn - dd + 1, 1)
+    for k in range(dn - dd, -1, -1):
+        q = num[k + dd]
+        quot[k] = q
+        if q:
+            for i, c in enumerate(den):
+                num[k + i] -= q * c
+    while len(num) > 1 and num[-1] == 0:
+        num.pop()
+    return quot, num
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,7 +299,7 @@ class WeylGroup:
         InvariantBreachError.
         """
         v, datum = self._v, self.datum
-        u = v if right is None else datum.wall_reflections[right] @ v
+        u = v if right is None else _wall_reflections(datum)[right] @ v
         images = _images(self.matrices, u)
         if left is None:
             query = np.concatenate([_pack(img, v) for img in images])
@@ -290,7 +364,7 @@ class WeylGroup:
         nodes = range(self.datum.rank + 1)
         left = np.stack([self._permutation(j, None) for j in nodes])
         right = np.stack([self._permutation(None, j) for j in nodes])
-        return self.index_of(self.datum.wall_reflections), left, right
+        return self.index_of(_wall_reflections(self.datum)), left, right
 
     @cached_property
     def _translation_labels(self) -> np.ndarray:

@@ -15,6 +15,7 @@ from math import gcd, lcm, prod
 from typing import Sequence
 
 from .homology import FinAbGroup, exact_quotient
+from .rootdata import build_root_datum
 
 
 @dataclass(frozen=True)
@@ -92,20 +93,6 @@ def composite_su2_degree(weights: Sequence[int], j: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def even_spin_weights(ell: int) -> tuple[int, ...]:
-    """Coroot-integer tuple of the even spin group of rank ell (ell >= 3)."""
-    if ell < 3:
-        raise ValueError("need ell >= 3")
-    return (1, 1) + (2,) * (ell - 3) + (1, 1)
-
-
-def odd_spin_weights(ell: int) -> tuple[int, ...]:
-    """Coroot-integer tuple of the odd spin group of rank ell (ell >= 2)."""
-    if ell < 2:
-        raise ValueError("need ell >= 2")
-    return (1, 1) + (2,) * (ell - 2) + (1,)
-
-
 def spin_stability_report(ell: int, parity: str, k: int) -> dict:
     """Degree of the two-step spin stabilization on H_k of the quotient space.
 
@@ -138,12 +125,10 @@ def spin_stability_report(ell: int, parity: str, k: int) -> dict:
             "route": "composition through the even series",
         }
     kk = k // 2
-    if parity == "even":
-        big, small = even_spin_weights(ell), even_spin_weights(ell - 1)
-        shared = tuple(range(ell - 2))
-    else:
-        big, small = odd_spin_weights(ell), odd_spin_weights(ell - 1)
-        shared = tuple(range(ell - 1))
+    # the weights are the coroot integers of Spin(2*ell) (D) or Spin(2*ell + 1) (B)
+    family = "D" if parity == "even" else "B"
+    big, small = (build_root_datum(f"{family}{n}").coroot_integers for n in (ell, ell - 1))
+    shared = tuple(range(ell - 2 if parity == "even" else ell - 1))
     deg_big = inclusion_degree(big, shared, kk)
     deg_small = inclusion_degree(small, shared, kk)
     return {

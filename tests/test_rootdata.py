@@ -6,7 +6,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from liecomm import rootdata
+from liecomm import rootdata, weyl
 from liecomm.homology import FinAbGroup, InvariantBreachError
 from liecomm.rootdata import (
     FaceIndex,
@@ -14,13 +14,13 @@ from liecomm.rootdata import (
     LieTypeError,
     all_faces,
     build_root_datum,
-    charpoly_buckets,
     dynkin_index,
     lattice_quotient,
     n_vee,
     zeta_class,
 )
-from liecomm.weyl import generate
+from liecomm.verify import _table_types
+from liecomm.weyl import charpoly_buckets, generate
 
 # acceptance data: full coroot-integer tuples in Bourbaki node order
 KNOWN_COROOT_INTEGERS = {
@@ -47,6 +47,24 @@ KNOWN_DEGREES = {
     "F4": (2, 6, 8, 12),
     "G2": (2, 6),
 }
+
+
+def _classical_degrees(family, r):
+    """The degrees of the classical types: A_r 2..r+1, B_r and C_r 2, 4, ..., 2r,
+    and D_r 2, 4, ..., 2r - 2 with r."""
+    if family == "A":
+        return tuple(range(2, r + 2))
+    if family in "BC":
+        return tuple(range(2, 2 * r + 1, 2))
+    return tuple(sorted([*range(2, 2 * r - 1, 2), r]))
+
+
+# the acceptance data first, then every other table type by the classical formulas
+DEGREE_CASES = sorted(KNOWN_DEGREES.items()) + [
+    (lt.name, _classical_degrees(lt.family, lt.rank))
+    for lt in _table_types()
+    if lt.name not in KNOWN_DEGREES
+]
 
 
 class TestLieType:
@@ -76,7 +94,7 @@ class TestRootDatum:
     def test_coroot_integers(self, name, expected):
         assert build_root_datum(name).coroot_integers == expected
 
-    @pytest.mark.parametrize("name,expected", sorted(KNOWN_DEGREES.items()))
+    @pytest.mark.parametrize("name,expected", DEGREE_CASES)
     def test_degrees(self, name, expected):
         assert build_root_datum(name).degrees == expected
 
@@ -86,18 +104,6 @@ class TestRootDatum:
         r, h = datum.rank, datum.coxeter_number
         assert len(datum.positive_roots) == r * h // 2
         assert sum(d - 1 for d in datum.degrees) == len(datum.positive_roots)
-
-    @pytest.mark.parametrize("name", ["A2", "C3", "F4", "G2", "E6"])
-    def test_exponent_height_duality(self, name):
-        # independent oracle: the root-height distribution is dual to the
-        # exponent partition, so it re-derives the Coxeter eigenvalue angles
-        datum = build_root_datum(name)
-        heights = [sum(c) for c in datum.positive_roots]
-        counts = {k: heights.count(k) for k in set(heights)}
-        derived = tuple(
-            sorted(max(k for k in counts if counts[k] >= j) for j in range(1, datum.rank + 1))
-        )
-        assert derived == tuple(sorted(datum.exponents))
 
     def test_theta_expansion_is_stored(self):
         datum = build_root_datum("F4")
@@ -123,7 +129,7 @@ class TestRootDatum:
         assert ext[1:, 1:].tolist() == [list(row) for row in datum.cartan]
         assert datum.wall_bounds == (-1,) + (0,) * r
         # the linear part of s_j negates c_j and a_j
-        for s, aj, cj in zip(datum.wall_reflections, a, c):
+        for s, aj, cj in zip(weyl._wall_reflections(datum), a, c):
             assert np.array_equal(s @ cj, -cj)
             assert np.array_equal(aj @ s, -aj)
 
@@ -267,7 +273,7 @@ class TestCharpolyBuckets:
         # 40 integer matrices, most of infinite order, repeated over two chunks
         rng = np.random.default_rng(3)
         base = rng.integers(-2, 3, size=(40, 4, 4))
-        picks = rng.integers(0, 40, size=rootdata._POWER_CHUNK + 100)
+        picks = rng.integers(0, 40, size=weyl._LABEL_BLOCK + 100)
         expected = Counter()
         for i, count in Counter(picks.tolist()).items():
             expected[_faddeev_leverrier(base[i].tolist())] += count
@@ -278,7 +284,7 @@ class TestCharpolyBuckets:
         stack = generate(build_root_datum(name)).matrices
         buckets = []
         for chunk in (1 << 12, 1 << 14):
-            monkeypatch.setattr(rootdata, "_POWER_CHUNK", chunk)
+            monkeypatch.setattr(weyl, "_LABEL_BLOCK", chunk)
             buckets.append(charpoly_buckets(stack))
         assert buckets[0] == buckets[1]
 

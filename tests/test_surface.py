@@ -1,9 +1,12 @@
-"""Every name the package exports has a consumer in the library or the benchmark.
+"""The package's surface: what it exports, and which modules stay exact.
 
 An export passes if the code of `src/liecomm/*.py` (apart from `__init__`) or
 `perfbench/*.py` uses it, or names it in a dotted string such as the
 `"weyl.generate"` entries of `spans.FUNCTIONS`.  Tests do not count: a name
 only a test reaches is kept by listing it in `_NO_CONSUMER` with its reason.
+
+The modules in `_EXACT_MODULES` compute in integers and Fractions only, so
+none of them may import numpy.
 """
 
 import ast
@@ -25,6 +28,8 @@ _NO_CONSUMER = (
     ("kawasaki_homology", "formula side of the Kawasaki homology oracle (ROADMAP item 2)"),
     ("zeta_class", "kept until the ledger of ROADMAP item 5 decides it"),
 )
+
+_EXACT_MODULES = ("rootdata.py", "alcove.py", "wps.py", "invariants.py")
 
 
 def _exports() -> set[str]:
@@ -61,3 +66,16 @@ def test_every_export_has_a_consumer():
 def test_allowed_names_are_still_exported():
     assert sorted({name for name, _ in _NO_CONSUMER} - _exports()) == []
 
+
+def _top_level_imports(path: Path) -> set[str]:
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_exact_modules_import_no_numpy():
+    assert [name for name in _EXACT_MODULES if "numpy" in _top_level_imports(PACKAGE / name)] == []

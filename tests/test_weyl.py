@@ -648,7 +648,7 @@ class TestStabilizersAndCosets:
         geo = alcove_geometry(datum)
         for face in all_faces(datum):
             stab = face_stabilizer(group, geo, face).indices
-            gens = datum.wall_reflections[list(face.sorted_nodes())]
+            gens = weyl._wall_reflections(datum)[list(face.sorted_nodes())]
             assert np.isin(group.index_of(gens), stab).all()
             reached, frontier = {group.identity_index}, [group.identity_index]
             while frontier:

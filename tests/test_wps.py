@@ -6,10 +6,8 @@ from liecomm.homology import FinAbGroup
 from liecomm.rootdata import build_root_datum
 from liecomm.wps import (
     composite_su2_degree,
-    even_spin_weights,
     inclusion_degree,
     kawasaki_homology,
-    odd_spin_weights,
     proj_degree,
     spin_stability_report,
 )
@@ -55,13 +53,13 @@ class TestInclusionDegree:
     def test_spin_iso_range(self):
         # into the rank l-1 tuple: isomorphisms through homology degree 2l-6
         for ell in (5, 6, 7):
-            small = even_spin_weights(ell - 1)
+            small = build_root_datum(f"D{ell - 1}").coroot_integers
             shared = tuple(range(ell - 2))
             for kk in range(0, ell - 2):
                 assert inclusion_degree(small, shared, kk) == 1
         # into the rank l tuple: multiplication by 2 exactly at degree 2l-6
         for ell in (5, 6, 7):
-            big = even_spin_weights(ell)
+            big = build_root_datum(f"D{ell}").coroot_integers
             shared = tuple(range(ell - 2))
             for kk in range(0, ell - 3):
                 assert inclusion_degree(big, shared, kk) == 1
@@ -92,12 +90,6 @@ class TestSpinStability:
             spin_stability_report(4, "even", 4)
         with pytest.raises(ValueError):
             spin_stability_report(3, "even", 0)
-
-    def test_weight_tuples_match_root_data(self):
-        for ell in (4, 5, 6, 7):
-            assert even_spin_weights(ell) == build_root_datum(f"D{ell}").coroot_integers
-        for ell in (3, 4, 5, 6):
-            assert odd_spin_weights(ell) == build_root_datum(f"B{ell}").coroot_integers
 
 
 class TestCompositeDegree:

@@ -11,10 +11,8 @@ __version__ = "0.1.0"
 
 from .alcove import (
     AlcoveGeometry,
-    AlcoveMembershipError,
     alcove_geometry,
     barycenter,
-    face_of_point,
 )
 from .geom import (
     beta,
@@ -73,14 +71,11 @@ from .weyl import (
     double_cosets,
     euler_char_rep,
     face_stabilizer,
-    full_subgroup,
     generate,
     irreducibility_check,
     molien_poincare,
-    trivial_subgroup,
 )
 from .wps import (
-    WeightedProjectiveSpace,
     composite_su2_degree,
     inclusion_degree,
     kawasaki_homology,

@@ -14,13 +14,9 @@ from functools import lru_cache
 from typing import Sequence
 
 from .homology import require
-from .rootdata import FaceIndex, RootDatum, _in_alcove
+from .rootdata import FaceIndex, RootDatum
 
 FractionVector = tuple[Fraction, ...]
-
-
-class AlcoveMembershipError(ValueError):
-    """A point violates the alcove wall inequalities."""
 
 
 def _solve_columns(a: Sequence[Sequence[int]]) -> list[list[Fraction]]:
@@ -78,11 +74,3 @@ def barycenter(geometry: AlcoveGeometry, face: FaceIndex) -> FractionVector:
             acc[k] += geometry.vertices[i][k]
     return tuple(c / len(nodes) for c in acc)
 
-
-def face_of_point(geometry: AlcoveGeometry, x: Sequence[Fraction]) -> FaceIndex:
-    """The set of alcove walls containing x; errors if x is not in the alcove."""
-    datum = geometry.datum
-    vals = datum.wall_values([Fraction(c) for c in x])
-    if not _in_alcove(vals):
-        raise AlcoveMembershipError(f"point {x} is outside the fundamental alcove")
-    return FaceIndex.of(datum, (j for j, v in enumerate(vals) if v == 0))

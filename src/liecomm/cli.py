@@ -23,7 +23,7 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_BREACH = 3
 
-# LieTypeError and AlcoveMembershipError are ValueErrors
+# LieTypeError is a ValueError
 _PRECONDITION_ERRORS = (ValueError, MeshError)
 
 

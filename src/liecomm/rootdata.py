@@ -217,7 +217,8 @@ class RootDatum:
         )
 
     def contains_in_alcove(self, x: Sequence[Fraction]) -> bool:
-        return _in_alcove(self.wall_values(x))
+        """The alcove inequalities a_j(x) >= b_j: every wall height of x is nonnegative."""
+        return all(v >= 0 for v in self.wall_values(x))
 
     def to_json_dict(self) -> dict:
         return {
@@ -229,11 +230,6 @@ class RootDatum:
             "degrees": list(self.degrees),
             "weyl_order": self.weyl_order,
         }
-
-
-def _in_alcove(vals: Sequence[Fraction]) -> bool:
-    """The alcove inequalities a_j(x) >= b_j: every wall height of x is nonnegative."""
-    return all(v >= 0 for v in vals)
 
 
 def _as_functional(root: Vector, cartan: Matrix) -> Vector:

@@ -158,18 +158,20 @@ def barycentric_subdivide(
     return _subdivide(complex_.facets, lambda face: tuple(sorted(face)), image)
 
 
-def _orbit_facets(
+def quotient_by_involution(
     complex_: SimplicialComplex, involution: Mapping[Hashable, Hashable]
-) -> list[tuple]:
-    """The orbit complex's facets, from one regularity pass over the faces.
+) -> SimplicialComplex:
+    """Orbit complex of a regular simplicial involution, from one regularity
+    pass over the faces; under regularity it triangulates the topological
+    quotient.
 
     With rep(v) = min(v, involution[v]), the faces over one set of vertex
     orbits must form the single orbit {face, image}.  That excludes collapse
     (a face with two vertices in one orbit has the orbit set of the face
     minus one of them), and then a face {g_i v_i} over the orbits of {v_i}
     is g{v_i}, so g v_i = g_i v_i: Bredon's regularity.  A breach raises
-    RegularityError; a map that is not a simplicial involution of the
-    vertices raises SimplicialError.
+    RegularityError, asking for further subdivision; a map that is not a
+    simplicial involution of the vertices raises SimplicialError.
     """
     verts = set(complex_.vertices)
     if set(involution) != verts:
@@ -189,19 +191,7 @@ def _orbit_facets(
             raise RegularityError(
                 f"simplex {face} violates regularity; apply barycentric_subdivide and retry"
             )
-    return [tuple(sorted(rep[v] for v in facet)) for facet in complex_.facets]
-
-
-def quotient_by_involution(
-    complex_: SimplicialComplex, involution: Mapping[Hashable, Hashable]
-) -> SimplicialComplex:
-    """Orbit complex of a regular simplicial involution.
-
-    Raises RegularityError (asking for further subdivision) when the orbit
-    pass finds a breach; under regularity the orbit complex triangulates the
-    topological quotient.
-    """
-    return SimplicialComplex(_orbit_facets(complex_, involution))
+    return SimplicialComplex(tuple(sorted(rep[v] for v in facet)) for facet in complex_.facets)
 
 
 # ---------------------------------------------------------------------------

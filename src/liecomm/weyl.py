@@ -1,8 +1,9 @@
 """Weyl groups as integer matrices on the coroot lattice.
 
 Element index.  Each element w is keyed by its image w*v of one regular
-integer vector v, the smallest integral multiple of A^-1 * 1 in coroot
-coordinates (rho-vee or 2*rho-vee), so alpha_i(v) > 0 for every simple root.
+integer vector v, the smallest integral multiple of rho-vee, the sum of the
+fundamental coweights (rho-vee or 2*rho-vee in coroot coordinates), so
+alpha_i(v) > 0 for every simple root.
 v lies inside the fundamental chamber and W acts simply transitively on the
 chambers, so w -> w*v is injective.  v is dominant and -v is the lowest
 point of its orbit, so coordinate i of w*v lies in [-v_i, v_i] and the image
@@ -133,21 +134,19 @@ class WeylCapError(RuntimeError):
         super().__init__(f"enumeration needs {required} elements, above the cap {cap}")
 
 
-def _regular_vector(datum: RootDatum) -> np.ndarray:
-    """The smallest integral multiple of A^-1 * 1 in coroot coordinates.
+def _integral(vectors: Sequence[Sequence[Fraction]]) -> tuple[int, np.ndarray]:
+    """(D, D*vectors) for exact vectors, D the lcm of their denominators, the
+    scaled vectors as int64 rows."""
+    denom = lcm(*(c.denominator for v in vectors for c in v))
+    return denom, np.array([[int(c * denom) for c in v] for v in vectors], dtype=np.int64)
 
-    The sum of the positive coroots is 2*rho-vee, which is integral; halve it
-    when that stays integral.
-    """
-    v = np.sum(np.array(datum.positive_coroots, dtype=np.int64), axis=0)
-    if not np.any(v % 2):
-        v //= 2
-    alpha = np.array(datum.cartan, dtype=np.int64) @ v
-    require(
-        np.all(alpha == alpha[0]) and alpha[0] > 0,
-        f"{datum.lie_type.name}: v is not a multiple of rho-vee",
-    )
-    return v
+
+def _regular_vector(datum: RootDatum) -> np.ndarray:
+    """The smallest integral multiple of rho-vee, the sum of the fundamental
+    coweights, in coroot coordinates; A*rho-vee = 1, so every simple root is
+    positive on it."""
+    rho = [sum(col) for col in zip(*alcove_geometry(datum).coweights)]
+    return _integral([rho])[1][0]
 
 
 def _wall_reflections(datum: RootDatum) -> np.ndarray:
@@ -339,10 +338,6 @@ class WeylGroup:
         return quotients
 
     @cached_property
-    def identity_index(self) -> int:
-        return int(self.index_of(np.eye(self.datum.rank, dtype=np.int64)))
-
-    @cached_property
     def _class_labels(self) -> np.ndarray:
         """The least element index in the conjugacy class of each element."""
         nodes = range(1, self.datum.rank + 1)
@@ -376,9 +371,8 @@ class WeylGroup:
         table, so no block page-faults fresh memory; see _stabilizer.
         """
         r = self.datum.rank
-        vertices = alcove_geometry(self.datum).vertices
-        denom = lcm(*(c.denominator for v in vertices for c in v))
-        scaled = np.array([[int(c * denom) for c in v] for v in vertices], dtype=np.float64)
+        denom, scaled = _integral(alcove_geometry(self.datum).vertices)
+        scaled = scaled.astype(np.float64)
         # v_k is dominant, so q = v_k - w*v_k is a sum of simple coroots with
         # coefficients q_i <= v_k,i + v_k,sigma(i) (sigma = -w_0 on the nodes)
         radix = 2 * int(scaled.max()) // denom + 1
@@ -530,9 +524,7 @@ def _coset_representatives(datum: RootDatum, k: int) -> np.ndarray:
     """
     r, cartan = datum.rank, datum.cartan
     rows = np.array(cartan, dtype=np.int64)
-    coweight = alcove_geometry(datum).coweights[k - 1]
-    denom = lcm(*(c.denominator for c in coweight))
-    start = tuple(int(c * denom) for c in coweight)
+    start = tuple(_integral([alcove_geometry(datum).coweights[k - 1]])[1][0].tolist())
     seen, points, reps = {start}, [start], [np.eye(r, dtype=np.int64)]
     for x, u in zip(points, reps):  # both grow as the walk goes
         for i in range(k):
@@ -826,14 +818,6 @@ def _stabilizer(group: WeylGroup, geometry: AlcoveGeometry, nodes: frozenset[int
     found.setflags(write=False)
     group._stabilizers[nodes] = found
     return found
-
-
-def trivial_subgroup(group: WeylGroup) -> StabilizerSubgroup:
-    return StabilizerSubgroup(group, [group.identity_index])
-
-
-def full_subgroup(group: WeylGroup) -> StabilizerSubgroup:
-    return StabilizerSubgroup(group, np.arange(group.order, dtype=np.int32))
 
 
 def double_cosets(

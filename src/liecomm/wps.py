@@ -9,7 +9,6 @@ multiplies the degree-2k generator by an lcm of weight products over
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm, prod
 from typing import Sequence
@@ -18,29 +17,19 @@ from .homology import FinAbGroup, exact_quotient
 from .rootdata import build_root_datum
 
 
-@dataclass(frozen=True)
-class WeightedProjectiveSpace:
-    """Positive integer weight tuple defining CP(w)."""
-
-    weights: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        ws = tuple(int(w) for w in self.weights)
-        object.__setattr__(self, "weights", ws)
-        if not ws or any(w < 1 for w in ws):
-            raise ValueError("weights must be a nonempty tuple of positive integers")
-
-    @property
-    def complex_dim(self) -> int:
-        return len(self.weights) - 1
+def _weights(weights: Sequence[int]) -> tuple[int, ...]:
+    """The weight tuple w of CP(w) as ints, which must be positive."""
+    ws = tuple(int(w) for w in weights)
+    if not ws or any(w < 1 for w in ws):
+        raise ValueError("weights must be a nonempty tuple of positive integers")
+    return ws
 
 
 def kawasaki_homology(weights: Sequence[int], k: int) -> FinAbGroup:
     """Integral homology of CP(w) in degree k: Z for even k <= 2*dim, else 0."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    wps = WeightedProjectiveSpace(tuple(weights))
-    if k % 2 == 0 and k <= 2 * wps.complex_dim:
+    if k % 2 == 0 and k <= 2 * (len(_weights(weights)) - 1):
         return FinAbGroup.free(1)
     return FinAbGroup.trivial()
 
@@ -50,7 +39,7 @@ def proj_degree(weights: Sequence[int], k: int) -> int:
 
     lcm over (k+1)-subsets of (product of the subset / gcd of the subset).
     """
-    ws = WeightedProjectiveSpace(tuple(weights)).weights
+    ws = _weights(weights)
     if not 0 <= k <= len(ws) - 1:
         raise ValueError("k must lie between 0 and the complex dimension")
     vals = [prod(sub) // gcd(*sub) for sub in combinations(ws, k + 1)]
@@ -63,7 +52,7 @@ def inclusion_degree(weights: Sequence[int], subset: Sequence[int], k: int) -> i
     The weight-power projections factor through the inclusion, so the degree
     is the quotient of the two projection degrees; the division is exact.
     """
-    ws = WeightedProjectiveSpace(tuple(weights)).weights
+    ws = _weights(weights)
     sub = tuple(sorted(set(int(i) for i in subset)))
     if not sub or not all(0 <= i < len(ws) for i in sub):
         raise ValueError("subset must name valid coordinate indices")
@@ -81,7 +70,7 @@ def composite_su2_degree(weights: Sequence[int], j: int) -> int:
     The first map includes coordinates {0, j}; the second is the weight-power
     projection.  The result equals lcm(w) for every j >= 1.
     """
-    ws = WeightedProjectiveSpace(tuple(weights)).weights
+    ws = _weights(weights)
     if not 1 <= j < len(ws):
         raise ValueError("j must name a non-affine coordinate")
     power_part = proj_degree((ws[0], ws[j]), 1)

@@ -19,17 +19,14 @@ PACKAGE = ROOT / "src" / "liecomm"
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
 _NO_CONSUMER = (
-    ("barycenter", "test reference for faces"),
-    ("face_of_point", "test reference for faces"),
+    ("barycenter", "test reference for face stabilizers (test_stabilizers_match_full_scan)"),
     ("cocycle_s4", "test reference for _rho"),
     ("rep_project_su2", "test reference for _chart"),
-    ("full_subgroup", "double_cosets edge cases"),
-    ("trivial_subgroup", "double_cosets edge cases"),
     ("kawasaki_homology", "formula side of the Kawasaki homology oracle (ROADMAP item 2)"),
     ("zeta_class", "kept until the ledger of ROADMAP item 5 decides it"),
 )
 
-_EXACT_MODULES = ("rootdata.py", "alcove.py", "wps.py", "invariants.py")
+_EXACT_MODULES = ("rootdata.py", "alcove.py", "wps.py", "invariants.py", "simplicial.py")
 
 
 def _exports() -> set[str]:

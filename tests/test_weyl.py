@@ -24,11 +24,9 @@ from liecomm.weyl import (
     double_cosets,
     euler_char_rep,
     face_stabilizer,
-    full_subgroup,
     generate,
     irreducibility_check,
     molien_poincare,
-    trivial_subgroup,
 )
 
 
@@ -299,7 +297,7 @@ class TestElementIndex:
         assert np.array_equal(group.index_of(arr), np.arange(n))
         prods = arr[:8, None] @ arr[None]
         assert np.array_equal(arr[group.index_of(prods)], prods)
-        e = group.identity_index
+        e = group.order - 1  # the identity is stored last
         assert np.array_equal(arr[e], np.eye(group.datum.rank))
         inverses = np.rint(np.linalg.inv(arr)).astype(np.int64)
         assert np.all(group.index_of(arr @ inverses) == e)
@@ -313,7 +311,7 @@ class TestElementIndex:
         keys = weyl._pack(group.matrices.astype(np.int64) @ v, v)
         assert np.all(keys[1:] > keys[:-1])
         assert np.array_equal(group._keys, keys)
-        assert group.identity_index == group.order - 1
+        assert np.array_equal(group.matrices[-1], np.eye(group.datum.rank))
         assert np.array_equal(group.matrices[0] @ v, -v)
 
     def test_key_width_below_int64(self):
@@ -327,6 +325,17 @@ class TestElementIndex:
         assert len(widths) == 29
         assert max(widths.values()) < 63
         assert max(widths, key=widths.get) == "E7" and round(widths["E7"], 1) == 47.1
+
+    def test_regular_vector_from_positive_coroots(self):
+        # the positive coroots sum to 2*rho-vee, so v is that sum, halved
+        # when the half is integral
+        for name in _types_below_hard_limit():
+            datum = build_root_datum(name)
+            two_rho = np.sum(np.array(datum.positive_coroots, dtype=np.int64), axis=0)
+            rho = [sum(col) for col in zip(*alcove_geometry(datum).coweights)]
+            assert two_rho.tolist() == [2 * c for c in rho], name
+            expected = two_rho if np.any(two_rho % 2) else two_rho // 2
+            assert np.array_equal(weyl._regular_vector(datum), expected), name
 
     def test_index_rejects_non_elements(self):
         group = _group("B3")
@@ -605,7 +614,7 @@ class TestStabilizersAndCosets:
         for nodes in ([1], [2], [0], [1, 2], [0, 2]):
             stab = face_stabilizer(group, geo, FaceIndex.of(datum, nodes))
             members = group.matrices[list(stab.indices)].astype(np.int64)
-            assert group.identity_index in stab.indices
+            assert group.order - 1 in stab.indices  # the identity
             products = group.index_of(members[:, None] @ members[None])
             assert np.isin(products, stab.indices).all()
 
@@ -650,7 +659,7 @@ class TestStabilizersAndCosets:
             stab = face_stabilizer(group, geo, face).indices
             gens = weyl._wall_reflections(datum)[list(face.sorted_nodes())]
             assert np.isin(group.index_of(gens), stab).all()
-            reached, frontier = {group.identity_index}, [group.identity_index]
+            reached, frontier = {group.order - 1}, [group.order - 1]  # from the identity
             while frontier:
                 products = gens[:, None] @ group.matrices[frontier].astype(np.int64)[None]
                 frontier = sorted(set(group.index_of(products).ravel().tolist()) - reached)
@@ -742,8 +751,10 @@ class TestStabilizersAndCosets:
 
     def test_double_coset_extremes(self):
         group = _group("C2")
-        assert len(double_cosets(group, full_subgroup(group), full_subgroup(group))) == 1
-        reps = double_cosets(group, trivial_subgroup(group), trivial_subgroup(group))
+        full = StabilizerSubgroup(group, np.arange(group.order))
+        trivial = StabilizerSubgroup(group, [group.order - 1])  # the identity
+        assert len(double_cosets(group, full, full)) == 1
+        reps = double_cosets(group, trivial, trivial)
         assert len(reps) == group.order
         # each element is its own double coset, listed in index order
         assert reps == group.matrices.tolist()
@@ -767,7 +778,7 @@ class TestStabilizersAndCosets:
         rotations = np.nonzero(np.rint(np.linalg.det(group.matrices)) == 1)[0]
         h = StabilizerSubgroup(group, tuple(rotations.tolist()))
         with pytest.raises(InvariantBreachError, match="double cosets"):
-            double_cosets(group, h, trivial_subgroup(group))
+            double_cosets(group, h, StabilizerSubgroup(group, [group.order - 1]))
 
 
 class TestCellCensus:

@@ -41,7 +41,7 @@ MEMBERSHIP_TOL = 1e-9
 # how far a pair of beta may be from commuting before its projection is a breach
 _COMMUTE_TOL = 1e-9
 # rows evaluated at once by the checks: bounds their temporaries at a few MB
-_BLOCK = 16_384
+_BLOCK = 4_096
 
 _PRISM_CENTROID = np.array([1.0 / 3.0, 2.0 / 3.0, 0.5])
 # pole avoided by both beta components (their images keep c >= 0, d = 0)

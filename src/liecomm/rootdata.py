@@ -150,31 +150,32 @@ def _cartan_matrix(lt: LieType) -> Matrix:
     return tuple(tuple(row) for row in a)
 
 
-def _root_closure(cartan: Matrix) -> dict[Vector, Vector]:
-    """All roots with their coroots, closed under the simple reflections.
+def _root_closure(cartan: Matrix) -> dict[Vector, tuple[Vector, Vector]]:
+    """All roots, closed under the simple reflections, each with (coroot, functional).
 
-    Keys are root coordinates (simple-root basis), values are the matching
-    coroot coordinates (simple-coroot basis).
+    A root c (simple-root basis) maps to its coroot g (simple-coroot basis)
+    and its functional p = c . A, so p_i = beta(alpha_i_vee); the frontier
+    also carries q = A . g, so q_i = alpha_i(beta_vee).  s_i fixes beta when
+    p_i = 0 and else subtracts p_i e_i, q_i e_i, p_i * (row i of A) and
+    q_i * (column i of A) from c, g, p and q, so each step is O(r).
     """
     r = len(cartan)
-    unit = lambda i: tuple(1 if k == i else 0 for k in range(r))
-    roots: dict[Vector, Vector] = {unit(i): unit(i) for i in range(r)}
-    frontier = list(roots.items())
+    cols = tuple(zip(*cartan))
+    unit = [tuple(int(k == i) for k in range(r)) for i in range(r)]
+    frontier = list(zip(unit, unit, cartan, cols))
+    roots = {c: (g, p) for c, g, p, _ in frontier}
     while frontier:
         fresh = []
-        for c, g in frontier:
-            for i in range(r):
-                pr = sum(c[j] * cartan[j][i] for j in range(r))  # beta(alpha_i_vee)
-                c2 = list(c)
-                c2[i] -= pr
-                c2t = tuple(c2)
-                if c2t in roots:
+        for c, g, p, q in frontier:
+            for i, pi in enumerate(p):
+                if not pi or (c2 := c[:i] + (c[i] - pi,) + c[i + 1 :]) in roots:
                     continue
-                pc = sum(cartan[i][j] * g[j] for j in range(r))  # alpha_i(beta_vee)
-                g2 = list(g)
-                g2[i] -= pc
-                roots[c2t] = tuple(g2)
-                fresh.append((c2t, tuple(g2)))
+                qi = q[i]
+                g2 = g[:i] + (g[i] - qi,) + g[i + 1 :]
+                p2 = tuple(x - pi * y for x, y in zip(p, cartan[i]))
+                q2 = tuple(x - qi * y for x, y in zip(q, cols[i]))
+                roots[c2] = (g2, p2)
+                fresh.append((c2, g2, p2, q2))
         frontier = fresh
     return roots
 
@@ -188,6 +189,9 @@ class RootDatum:
     symmetrizer: tuple[Fraction, ...]
     positive_roots: tuple[Vector, ...]
     positive_coroots: tuple[Vector, ...]
+    # the positive roots as functionals beta . A, which count the affine root
+    # hyperplanes beta = k an alcove walk crosses
+    root_functionals: tuple[Vector, ...]
     theta: Vector
     theta_vee: Vector
     coroot_integers: tuple[int, ...]
@@ -198,12 +202,6 @@ class RootDatum:
     wall_functionals: Matrix  # a_j by node j = 0..r
     wall_coroots: Matrix  # c_j by node j = 0..r
     wall_bounds: Vector  # b_j by node j = 0..r
-
-    def __post_init__(self) -> None:
-        # derived, not a field: the positive roots as functionals beta . A,
-        # which count the affine root hyperplanes beta = k an alcove walk crosses
-        functionals = tuple(_as_functional(b, self.cartan) for b in self.positive_roots)
-        object.__setattr__(self, "root_functionals", functionals)
 
     @property
     def rank(self) -> int:
@@ -232,29 +230,24 @@ class RootDatum:
         }
 
 
-def _as_functional(root: Vector, cartan: Matrix) -> Vector:
-    """A root in the simple-root basis as a row on coroot coordinates, root . A."""
-    return tuple(sum(c * a for c, a in zip(root, col)) for col in zip(*cartan))
-
-
 @lru_cache(maxsize=None)
 def _build(lt: LieType) -> RootDatum:
     cartan = _cartan_matrix(lt)
     r = lt.rank
     closure = _root_closure(cartan)
-    positives = sorted(c for c in closure if all(x >= 0 for x in c))
-    for c in closure:
-        require(all(x >= 0 for x in c) or all(x <= 0 for x in c), f"mixed-sign root {c}")
+    positives = sorted(c for c in closure if min(c) >= 0)
+    mixed = next((c for c in closure if min(c) < 0 < max(c)), None)
+    require(mixed is None, f"mixed-sign root {mixed}")
     heights = [sum(c) for c in positives]
     hmax = max(heights)
     thetas = [c for c, h in zip(positives, heights) if h == hmax]
     require(len(thetas) == 1, "highest root is not unique")
     theta = thetas[0]
-    theta_vee = closure[theta]
+    theta_vee, theta_functional = closure[theta]
     coroot_integers = (1,) + tuple(theta_vee)
     require(all(n >= 1 for n in coroot_integers), "coroot integers must be positive")
     unit = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
-    wall_functionals = (tuple(-c for c in _as_functional(theta, cartan)),) + cartan
+    wall_functionals = (tuple(-c for c in theta_functional),) + cartan
     wall_coroots = (tuple(-c for c in theta_vee),) + unit
     h = exact_quotient(2 * len(positives), r, "root count is not r*h/2")
     require(hmax + 1 == h, "the highest root's height is not h - 1")
@@ -274,7 +267,8 @@ def _build(lt: LieType) -> RootDatum:
         cartan=cartan,
         symmetrizer=d,
         positive_roots=tuple(positives),
-        positive_coroots=tuple(closure[c] for c in positives),
+        positive_coroots=tuple(closure[c][0] for c in positives),
+        root_functionals=tuple(closure[c][1] for c in positives),
         theta=theta,
         theta_vee=theta_vee,
         coroot_integers=coroot_integers,

@@ -465,6 +465,13 @@ _GOLDEN_STDOUT = [
         '"route":"factorization through the shared coordinate subspace",'
         '"schema_version":1,"zero_groups":false}\n'
     ),
+    # D50's root data, far above the ranks the other tests build
+    (
+        ["spin-stability", "--ell", "50", "--k", "4"],
+        '{"command":"spin-stability","degree":1,"ell":50,"k":4,"parity":"even",'
+        '"route":"factorization through the shared coordinate subspace",'
+        '"schema_version":1,"zero_groups":false}\n'
+    ),
     (
         ["invariants", "E8"],
         '{"command":"invariants","coroot_integers":[1,2,3,4,6,5,4,3,2],'

@@ -59,10 +59,14 @@ def _classical_degrees(family, r):
     return tuple(sorted([*range(2, 2 * r - 1, 2), r]))
 
 
-# the acceptance data first, then every other table type by the classical formulas
+# ranks far above any enumerable group, where only the root closure reaches
+HIGH_RANK = ["A40", "B30", "C30", "D50"]
+
+# the acceptance data first, then every other table type and the high ranks
+# by the classical formulas
 DEGREE_CASES = sorted(KNOWN_DEGREES.items()) + [
     (lt.name, _classical_degrees(lt.family, lt.rank))
-    for lt in _table_types()
+    for lt in _table_types() + [LieType.parse(name) for name in HIGH_RANK]
     if lt.name not in KNOWN_DEGREES
 ]
 
@@ -98,7 +102,7 @@ class TestRootDatum:
     def test_degrees(self, name, expected):
         assert build_root_datum(name).degrees == expected
 
-    @pytest.mark.parametrize("name", ["A5", "B3", "C4", "D6", "E7", "F4", "G2"])
+    @pytest.mark.parametrize("name", ["A5", "B3", "C4", "D6", "E7", "F4", "G2", *HIGH_RANK])
     def test_positive_root_count(self, name):
         datum = build_root_datum(name)
         r, h = datum.rank, datum.coxeter_number
@@ -127,6 +131,8 @@ class TestRootDatum:
         assert not np.any(np.array((1,) + datum.theta) @ a)
         assert not np.any(np.array(datum.coroot_integers) @ c)
         assert ext[1:, 1:].tolist() == [list(row) for row in datum.cartan]
+        roots = np.array(datum.positive_roots)
+        assert datum.root_functionals == tuple(map(tuple, (roots @ datum.cartan).tolist()))
         assert datum.wall_bounds == (-1,) + (0,) * r
         # the linear part of s_j negates c_j and a_j
         for s, aj, cj in zip(weyl._wall_reflections(datum), a, c):

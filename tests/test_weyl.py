@@ -3,18 +3,20 @@ import hashlib
 import random
 import re
 import zlib
+from collections import Counter
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecomm import weyl
+from liecomm import rootdata, weyl
 from liecomm.alcove import alcove_geometry, barycenter
 from liecomm.homology import InvariantBreachError
 from liecomm.rootdata import FaceIndex, all_faces, build_root_datum, lattice_quotient, n_vee
+from liecomm.verify import _canonical_types
 from liecomm.weyl import (
     HARD_ELEMENT_LIMIT,
     StabilizerSubgroup,
@@ -666,6 +668,22 @@ class TestStabilizersAndCosets:
                 reached.update(frontier)
             assert sorted(reached) == list(stab)
 
+    @pytest.mark.parametrize("name", [lt.name for lt in _canonical_types(6)])
+    def test_stabilizer_orders_from_the_diagram(self, name):
+        # |stabilizer| = |W_J|, J the face's walls: the sub-Cartan matrix
+        # (a_i(c_j)) for i, j in J, its exponents the partition dual to its
+        # root counts by height, additive over the components; |W_J| = prod(e + 1)
+        datum = build_root_datum(name)
+        group = _group(name)
+        geo = alcove_geometry(datum)
+        a, c = np.array(datum.wall_functionals), np.array(datum.wall_coroots)
+        for face in all_faces(datum):
+            nodes = list(face.sorted_nodes())
+            sub = tuple(map(tuple, (a[nodes] @ c[nodes].T).tolist()))
+            heights = Counter(sum(r) for r in rootdata._root_closure(sub) if min(r) >= 0)
+            exps = [sum(n >= j for n in heights.values()) for j in range(1, len(nodes) + 1)]
+            assert face_stabilizer(group, geo, face).order == prod(e + 1 for e in exps), face
+
     @pytest.mark.parametrize("name", TABLE_TYPES + ["E6"])
     def test_coweight_vertices_labelled_everywhere(self, name):
         # W fixes the origin and every minuscule coweight omega_j-vee (root
@@ -892,9 +910,9 @@ class TestAlcoveReduce:
 
     def test_walk_length_gate(self):
         # the walk is checked against the root hyperplanes it must cross; a
-        # datum that lost its positive roots counts none and breaches
+        # datum that lost its root functionals counts none and breaches
         datum = build_root_datum("E8")
         x = [Fraction(-7, 3)] * 8
         assert datum.contains_in_alcove(alcove_reduce(datum, x)[0])
         with pytest.raises(InvariantBreachError, match="0 root hyperplanes"):
-            alcove_reduce(dataclasses.replace(datum, positive_roots=()), x)
+            alcove_reduce(dataclasses.replace(datum, root_functionals=()), x)

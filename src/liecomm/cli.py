@@ -128,6 +128,9 @@ def _cmd_wps_degree(args) -> int:
 
 
 def _cmd_spin_stability(args) -> int:
+    given = (args.m is not None, args.ell is not None, args.k is not None)
+    if given not in ((True, False, False), (False, True, True)):
+        raise ValueError("provide either --m, or --ell with --k (and --parity)")
     if args.m is not None:
         report = invariants.spin_pi2_stability(args.m)
         _emit(
@@ -140,8 +143,6 @@ def _cmd_spin_stability(args) -> int:
             }
         )
         return EXIT_OK
-    if args.ell is None or args.k is None:
-        raise ValueError("provide either --m, or --ell with --k (and --parity)")
     report = wps.spin_stability_report(args.ell, args.parity, args.k)
     _emit(
         {
@@ -170,7 +171,7 @@ def _cmd_cocycle_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify.run_all(cache_dir=_cache_dir(args))
+    results = verify.run_all()
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(
@@ -249,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cocycle_check)
 
     p = sub.add_parser("verify", help="run the full acceptance suite")
-    p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=_cmd_verify)
     return parser
 

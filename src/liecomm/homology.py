@@ -291,11 +291,14 @@ def _sparse(mat) -> _SparseMatrix:
         elif len(row) != width:
             raise ValueError("ragged matrix")
         try:
-            rows.append({j: int(x) for j, x in enumerate(row) if x})
+            ints = [int(x) for x in row]
         except TypeError:
             if any(hasattr(x, "__len__") for x in row):
                 raise ValueError("expected a 2-d matrix") from None
             raise
+        if any(v != x for v, x in zip(ints, row)):
+            raise ValueError("matrix entries must be integers")
+        rows.append({j: v for j, v in enumerate(ints) if v})
     return _SparseMatrix(rows, (len(rows), width or 0))
 
 

@@ -12,11 +12,9 @@ the hand-typed values the library cannot know.
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import dataclass
 from math import comb, lcm
-from pathlib import Path
 from typing import Callable
 
 from . import alcove, geom, invariants, simplicial, weyl, wps
@@ -79,24 +77,24 @@ def criterion_coroot_tables() -> str:
     return f"{len(_table_types())} types checked"
 
 
-def criterion_molien(cache_dir: Path | None = None) -> str:
+def criterion_molien() -> str:
     """2. Poincare coefficients: [t^0]=1, [t^1]=0, [t^2]=C(n,2), nonnegative."""
     cases = 0
     for lt in _canonical_types(4):
-        group = weyl.generate(build_root_datum(lt), cache_dir=cache_dir)
+        group = weyl.generate(build_root_datum(lt))
         for n in range(1, 5):
             weyl.molien_poincare(group, n, 3)
             cases += 1
-    a1 = weyl.generate(build_root_datum(LieType("A", 1)), cache_dir=cache_dir)
+    a1 = weyl.generate(build_root_datum(LieType("A", 1)))
     require(weyl.molien_poincare(a1, 2, 3) == [1, 0, 1, 2])
     return f"{cases} (type, n) cases"
 
 
-def criterion_irreducibility(cache_dir: Path | None = None) -> str:
+def criterion_irreducibility() -> str:
     """3. (1/|W|) sum of squared traces equals 1 for every enumerable type."""
     types = _canonical_types(6)
     for lt in types:
-        weyl.irreducibility_check(weyl.generate(build_root_datum(lt), cache_dir=cache_dir))
+        weyl.irreducibility_check(weyl.generate(build_root_datum(lt)))
     return f"{len(types)} types (max order {max(build_root_datum(t).weyl_order for t in types)})"
 
 
@@ -127,18 +125,18 @@ def criterion_prime_assembly() -> str:
     return "all families assemble to the Dynkin index; Z/4 override fires only at rank-7/8 E"
 
 
-def criterion_cell_census(cache_dir: Path | None = None) -> str:
+def criterion_cell_census() -> str:
     """6. Alternating cell counts match the Lefschetz averages for k = 1, 2, 3."""
     checked = 0
     for lt in _canonical_types(3):
         datum = build_root_datum(lt)
-        group = weyl.generate(datum, cache_dir=cache_dir)
+        group = weyl.generate(datum)
         geometry = alcove.alcove_geometry(datum)
         for k in (1, 2, 3):
             weyl.cell_census(group, geometry, k)
             checked += 1
     a1 = build_root_datum(LieType("A", 1))
-    census = weyl.cell_census(weyl.generate(a1, cache_dir=cache_dir), alcove.alcove_geometry(a1), 2)
+    census = weyl.cell_census(weyl.generate(a1), alcove.alcove_geometry(a1), 2)
     require(census == [4, 4, 2], census)
     return f"{checked} (type, k) censuses; rank-1 k=2 census is (4, 4, 2)"
 
@@ -242,7 +240,7 @@ def criterion_theorem_tables() -> str:
     return "20 n-tuple cases, both extension examples"
 
 
-CRITERIA: list[tuple[str, Callable[..., str]]] = [
+CRITERIA: list[tuple[str, Callable[[], str]]] = [
     ("coroot-integer tables", criterion_coroot_tables),
     ("Poincare series low degrees", criterion_molien),
     ("irreducibility sum", criterion_irreducibility),
@@ -260,17 +258,15 @@ CRITERIA: list[tuple[str, Callable[..., str]]] = [
 BUDGETS = {1: 1, 2: 10, 3: 30, 7: 120, 10: 60}
 
 
-def run_criterion(index: int, cache_dir: Path | None = None) -> CriterionResult:
+def run_criterion(index: int) -> CriterionResult:
     """Run a single acceptance criterion (1-based index).
 
-    cache_dir goes to the criteria that enumerate Weyl groups; nothing else
-    can be set, so every run checks the same cases.
+    Nothing can be set, so every run checks the same cases.
     """
     name, func = CRITERIA[index - 1]
-    takes_cache = "cache_dir" in inspect.signature(func).parameters
     start = time.perf_counter()
     try:
-        detail = func(cache_dir=cache_dir) if takes_cache else func()
+        detail = func()
         elapsed = time.perf_counter() - start
         budget = BUDGETS.get(index)
         require(budget is None or elapsed < budget, f"took {elapsed:.2f}s, budget {budget}s")
@@ -281,5 +277,5 @@ def run_criterion(index: int, cache_dir: Path | None = None) -> CriterionResult:
     return CriterionResult(index, name, passed, detail, time.perf_counter() - start)
 
 
-def run_all(cache_dir: Path | None = None) -> list[CriterionResult]:
-    return [run_criterion(i, cache_dir) for i in range(1, len(CRITERIA) + 1)]
+def run_all() -> list[CriterionResult]:
+    return [run_criterion(i) for i in range(1, len(CRITERIA) + 1)]

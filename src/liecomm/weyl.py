@@ -82,21 +82,23 @@ is exact: for a primitive d-th root of unity z, the z-eigenspace of w has
 dimension at most #{i : d | d_i} (Springer, Invent. Math. 25, 1974), the
 multiplicity of Phi_d in the product.
 
-The cache (format 4) stores the stack, its zlib CRC-32 and the buckets.  A
-load checks the CRC against the stack, and the buckets by their counts
-summing to |W| and by Solomon's identity (Nagoya Math. J. 22, 1963),
+Every enumeration requires Solomon's identity (Nagoya Math. J. 22, 1963),
 (1/|W|) sum_w det(1 + y*w)/det(1 - x*w) = prod_i (1 + y*x^m_i)/(1 - x^d_i),
-in exact integers; the same identity is required before the buckets are
-written.  So a warm load never derives the buckets again.  At x = t^2 and
-y = t the identity is the n = 1 Poincare series prod_i (1 + t^(2d_i - 1)),
-which molien_poincare requires.
+of its buckets, in exact integers.  At x = t^2 and y = t the identity is the
+n = 1 Poincare series prod_i (1 + t^(2d_i - 1)), which molien_poincare
+requires.
+
+Groups are memoized in-process.  A caller that names a cache directory also
+gets the on-disk cache (format 4): the stack, its zlib CRC-32 and the
+buckets, written for rank >= 5.  A load checks the CRC against the stack,
+and the buckets by their counts summing to |W| and by Solomon's identity, so
+a warm load never derives the buckets again.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
 import sys
 import zipfile
 import zlib
@@ -119,7 +121,6 @@ WeylMatrix = tuple[tuple[int, ...], ...]
 
 DEFAULT_ELEMENT_CAP = 100_000
 HARD_ELEMENT_LIMIT = 10_000_000
-CACHE_ENV_VAR = "LIECOMM_CACHE_DIR"
 _CACHE_VERSION = 4
 _LABEL_BLOCK = 1 << 10  # elements per block of stack products, charpolys and translation labels
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of smaller magnitude exactly
@@ -321,7 +322,7 @@ class WeylGroup:
         when det(-w_b) is not +-1 or a division leaves a remainder, which no
         element of W gives (Springer).  det(1 - x w) is the charpoly reversed,
         made monic by dividing out det(-w).  Computed once per group, for
-        Solomon's identity on load or save and for every molien_poincare."""
+        Solomon's identity on enumeration or load and for every molien_poincare."""
         degrees = self.datum.degrees
         num = [1]
         for d in degrees:
@@ -474,16 +475,8 @@ class StabilizerSubgroup:
 _MEMO: dict[tuple[str, int], WeylGroup] = {}
 
 
-def default_cache_dir() -> Path:
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "liecomm"
-
-
-def _cache_path(datum: RootDatum, cache_dir: Path | None) -> Path:
-    base = cache_dir if cache_dir is not None else default_cache_dir()
-    return Path(base) / f"weyl_{datum.lie_type.name}_v{_CACHE_VERSION}.npz"
+def _cache_path(datum: RootDatum, cache_dir: Path) -> Path:
+    return Path(cache_dir) / f"weyl_{datum.lie_type.name}_v{_CACHE_VERSION}.npz"
 
 
 def generate(
@@ -495,20 +488,21 @@ def generate(
 
     Raises WeylCapError when the order (product of the degrees) exceeds
     element_cap or, naming it as the cap, HARD_ELEMENT_LIMIT; those types
-    are served by the formula-level operations instead.
+    are served by the formula-level operations instead.  The on-disk cache
+    is read, and written for rank >= 5, only in a cache_dir that is given.
     """
     required = datum.weyl_order
     cap = HARD_ELEMENT_LIMIT if required > HARD_ELEMENT_LIMIT else element_cap
     if required > cap:
         raise WeylCapError(required, cap)
     key = (datum.lie_type.family, datum.lie_type.rank)
-    group = _MEMO.get(key) or _load_cache(datum, cache_dir)
+    group = _MEMO.get(key)
+    if group is None and cache_dir is not None:
+        group = _load_cache(datum, cache_dir)
     if group is None:
         group = _enumerate(datum)
-        if datum.rank >= 5:
+        if cache_dir is not None and datum.rank >= 5:
             _save_cache(group, cache_dir)
-    elif datum.rank >= 5 and not _cache_path(datum, cache_dir).exists():
-        _save_cache(group, cache_dir)  # a memo hit still fills this cache_dir
     _MEMO[key] = group
     return group
 
@@ -592,17 +586,17 @@ def _enumerate(datum: RootDatum) -> WeylGroup:
     rows = arr.reshape(order, r * r).view(np.dtype((np.void, r * r))).ravel()
     require(bool(np.all(rows[1:] != rows[:-1])), "two coset products are the same element")
     arr.setflags(write=False)
-    return WeylGroup(datum, arr, charpoly_buckets(arr))
-
-
-def _save_cache(group: WeylGroup, cache_dir: Path | None) -> None:
-    """Write the stack, its CRC-32 and the charpoly buckets, which must first
-    pass Solomon's identity."""
-    datum, path = group.datum, _cache_path(group.datum, cache_dir)
+    group = WeylGroup(datum, arr, charpoly_buckets(arr))
     require(
         _solomon_holds(group),
         f"the {datum.lie_type.name} charpoly buckets fail Solomon's identity",
     )
+    return group
+
+
+def _save_cache(group: WeylGroup, cache_dir: Path) -> None:
+    """Write the stack, its CRC-32 and the charpoly buckets."""
+    path = _cache_path(group.datum, cache_dir)
     charpolys, counts = zip(*group.charpoly_buckets)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -619,7 +613,7 @@ def _save_cache(group: WeylGroup, cache_dir: Path | None) -> None:
         print(f"liecomm: could not write the Weyl cache {path}: {exc}", file=sys.stderr)
 
 
-def _load_cache(datum: RootDatum, cache_dir: Path | None) -> WeylGroup | None:
+def _load_cache(datum: RootDatum, cache_dir: Path) -> WeylGroup | None:
     """The cached group, or None when the file is missing or rejected.
 
     A rejected file is named on stderr with its reason: unreadable or

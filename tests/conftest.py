@@ -38,13 +38,6 @@ def reaped():
     return _reaped
 
 
-@pytest.fixture(autouse=True, scope="session")
-def _isolated_weyl_cache(tmp_path_factory):
-    """Keep enumeration caches inside the test run."""
-    os.environ["LIECOMM_CACHE_DIR"] = str(tmp_path_factory.mktemp("weylcache"))
-    yield
-
-
 @pytest.fixture
 def a2_rotation_buckets():
     """A charpoly histogram for the A2 Weyl group with its three reflections

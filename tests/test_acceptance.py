@@ -24,11 +24,13 @@ def test_criterion(index):
 
 
 def test_no_option_shrinks_the_verdict():
-    # only the cache directory can be set; rank, grid and sample counts are fixed
+    # nothing can be set; rank, grid and sample counts are fixed
     for _, func in verify.CRITERIA:
-        assert set(inspect.signature(func).parameters) <= {"cache_dir"}
+        assert not inspect.signature(func).parameters
     with pytest.raises(TypeError):
         verify.run_criterion(3, rank_cap=1)
+    with pytest.raises(TypeError):
+        verify.run_criterion(3, cache_dir=None)
 
 
 def test_gates_survive_optimize():

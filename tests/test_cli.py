@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
+from liecomm import weyl
 from liecomm.cli import main
 from liecomm.rootdata import build_root_datum
 
@@ -15,6 +17,35 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _enumerate_with(monkeypatch, perturb):
+    """Hand every enumeration out with perturb(buckets) in place of its charpoly
+    buckets, after _enumerate's own Solomon check, so the gate downstream of it
+    is the one that fires."""
+    real = weyl._enumerate
+
+    def enumerate_(datum):
+        group = real(datum)
+        return dataclasses.replace(group, charpoly_buckets=perturb(group.charpoly_buckets))
+
+    monkeypatch.setattr(weyl, "_MEMO", {})
+    monkeypatch.setattr(weyl, "_enumerate", enumerate_)
+
+
+def _cli_run(*argv, cwd):
+    """stdout of `python -m liecomm.cli *argv` run in cwd, with HOME there too."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "liecomm.cli", *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path, "HOME": str(cwd)},
+    )
+    return run.stdout
 
 
 class TestInvariantsCommand:
@@ -56,39 +87,39 @@ class TestPoincareCommand:
         assert code == 2
         assert "cap" in err
 
-    def test_weyl_breach_exits_3(self, capsys, monkeypatch):
-        from liecomm import weyl
+    @staticmethod
+    def _shifted(buckets):
+        # move one rotation into the reflection bucket of A2
+        (k0, c0), mid, (k2, c2) = buckets
+        return (k0, c0 + 1), mid, (k2, c2 - 1)
 
-        def shifted(arr):
-            # move one rotation into the reflection bucket of A2
-            (k0, c0), mid, (k2, c2) = real(arr)
-            return (k0, c0 + 1), mid, (k2, c2 - 1)
-
+    def test_solomon_breach_exits_3(self, capsys, monkeypatch):
         real = weyl.charpoly_buckets
         monkeypatch.setattr(weyl, "_MEMO", {})
-        monkeypatch.setattr(weyl, "charpoly_buckets", shifted)
+        monkeypatch.setattr(weyl, "charpoly_buckets", lambda arr: self._shifted(real(arr)))
+        code, out, err = run_cli(capsys, "poincare", "A2", "--n", "2", "--deg", "6")
+        assert code == 3
+        assert out == ""
+        assert err == "liecomm: invariant breach: the A2 charpoly buckets fail Solomon's identity\n"
+
+    def test_weyl_breach_exits_3(self, capsys, monkeypatch):
+        _enumerate_with(monkeypatch, self._shifted)
         code, out, err = run_cli(capsys, "poincare", "A2", "--n", "2", "--deg", "6")
         assert code == 3
         assert out == ""
         assert "invariant breach" in err and "Molien" in err
 
     def test_t2_breach_exits_3(self, capsys, monkeypatch, a2_rotation_buckets):
-        from liecomm import weyl
-
-        monkeypatch.setattr(weyl, "_MEMO", {})
-        monkeypatch.setattr(weyl, "charpoly_buckets", lambda arr: a2_rotation_buckets)
+        _enumerate_with(monkeypatch, lambda buckets: a2_rotation_buckets)
         code, out, err = run_cli(capsys, "poincare", "A2", "--n", "2", "--deg", "6")
         assert code == 3
         assert out == ""
         assert err == "liecomm: invariant breach: Poincare [t^2] is not C(n, 2)\n"
 
     def test_n1_breach_exits_3(self, capsys, monkeypatch):
-        from liecomm import weyl
-
         # C2 with its two quarter turns swapped for one identity and one -1
         fake = (((-1, 0, 1), 4), ((1, -2, 1), 2), ((1, 2, 1), 2))
-        monkeypatch.setattr(weyl, "_MEMO", {})
-        monkeypatch.setattr(weyl, "charpoly_buckets", lambda arr: fake)
+        _enumerate_with(monkeypatch, lambda buckets: fake)
         code, out, err = run_cli(capsys, "poincare", "C2", "--n", "1", "--deg", "8")
         assert code == 3
         assert out == ""
@@ -97,10 +128,7 @@ class TestPoincareCommand:
         )
 
     def test_quotient_breach_exits_3(self, capsys, monkeypatch, a2_non_cyclotomic_buckets):
-        from liecomm import weyl
-
-        monkeypatch.setattr(weyl, "_MEMO", {})
-        monkeypatch.setattr(weyl, "charpoly_buckets", lambda arr: a2_non_cyclotomic_buckets)
+        _enumerate_with(monkeypatch, lambda buckets: a2_non_cyclotomic_buckets)
         code, out, err = run_cli(capsys, "poincare", "A2", "--n", "2")
         assert code == 3
         assert out == ""
@@ -110,8 +138,6 @@ class TestPoincareCommand:
         )
 
     def test_repeated_coset_representative_exits_3(self, capsys, monkeypatch, tmp_path):
-        from liecomm import weyl
-
         real = weyl._coset_representatives
 
         def repeated(datum, k):
@@ -129,14 +155,13 @@ class TestPoincareCommand:
             "liecomm: invariant breach: two coset products are the same element"
         )
 
-    def test_cache_write_failure_is_reported(self, capsys, tmp_path):
-        from liecomm import weyl
-
+    def test_cache_write_failure_is_reported(self, capsys, monkeypatch, tmp_path):
         datum = build_root_datum("B5")
         argv = ["poincare", "B5", "--n", "2", "--deg", "8", "--cache-dir"]
         _, expected, _ = run_cli(capsys, *argv, str(tmp_path / "cache"))
         blocker = tmp_path / "file"
         blocker.write_text("")  # a regular file where the cache directory should be
+        monkeypatch.setattr(weyl, "_MEMO", {})  # a memo hit writes nothing
         code, out, err = run_cli(capsys, *argv, str(blocker))
         assert code == 0
         assert out == expected
@@ -145,8 +170,6 @@ class TestPoincareCommand:
     def test_cache_out_of_key_order_exits_3(self, capsys, monkeypatch, tmp_path):
         # a stack permuted after the fact, with its CRC recomputed, passes the
         # load's checks but not the orbit-key order that every lookup relies on
-        from liecomm import weyl
-
         monkeypatch.setattr(weyl, "_MEMO", {})
         argv = ["cells", "B5", "--k", "1", "--rank-cap", "5", "--cache-dir", str(tmp_path)]
         assert run_cli(capsys, *argv)[0] == 0
@@ -226,8 +249,6 @@ class TestOtherCommands:
         assert payload["euler_characteristic"] == 2
 
     def test_cells_breach_exits_3(self, capsys, monkeypatch):
-        from liecomm import weyl
-
         real = weyl.euler_char_rep
         monkeypatch.setattr(weyl, "euler_char_rep", lambda group, k: real(group, k) + 1)
         code, out, err = run_cli(capsys, "cells", "A1", "--k", "2")
@@ -236,10 +257,7 @@ class TestOtherCommands:
         assert "invariant breach" in err and "Euler" in err
 
     def test_cells_rank_plus_one_breach_exits_3(self, capsys, monkeypatch, a2_rotation_buckets):
-        from liecomm import weyl
-
-        monkeypatch.setattr(weyl, "_MEMO", {})
-        monkeypatch.setattr(weyl, "charpoly_buckets", lambda arr: a2_rotation_buckets)
+        _enumerate_with(monkeypatch, lambda buckets: a2_rotation_buckets)
         code, out, err = run_cli(capsys, "cells", "A2", "--k", "2")
         assert code == 3
         assert out == ""
@@ -277,8 +295,6 @@ class TestOtherCommands:
 
     @pytest.mark.slow
     def test_cells_e7_behind_rank_cap(self, capsys, tmp_path, monkeypatch, e7_enumeration):
-        from liecomm import weyl
-
         monkeypatch.setitem(weyl._MEMO, ("E", 7), e7_enumeration[0])  # enumerated once
         code, out, _ = run_cli(
             capsys, "cells", "E7", "--k", "2", "--rank-cap", "7", "--cache-dir", str(tmp_path)
@@ -315,21 +331,41 @@ class TestOtherCommands:
         assert code == 3
         assert json.loads(out)["passed"] is False
 
-    def test_verify_cache_dir_leaves_environment(self, capsys, monkeypatch, tmp_path):
-        from liecomm import verify
-
-        seen = {}
-        monkeypatch.setattr(verify, "run_all", lambda **options: seen.update(options) or [])
-        before = dict(os.environ)
-        code, _, _ = run_cli(capsys, "verify", "--cache-dir", str(tmp_path))
-        assert code == 0
-        assert seen["cache_dir"] == tmp_path
-        assert dict(os.environ) == before
+    def test_only_a_named_cache_dir_is_written(self, tmp_path):
+        # HOME and the working directory stay empty; --cache-dir changes no output
+        home, cached = tmp_path / "home", tmp_path / "cached"
+        home.mkdir()
+        cached.mkdir()
+        commands = (["poincare", "E6", "--n", "1"], ["cells", "A5", "--k", "1", "--rank-cap", "5"])
+        for argv in commands:
+            out = _cli_run(*argv, cwd=home)
+            assert out == _cli_run(*argv, "--cache-dir", str(cached / argv[1]), cwd=cached)
+            assert list(home.iterdir()) == []
+        assert json.loads(_cli_run("verify", cwd=home))["passed"] is True
+        assert list(home.iterdir()) == []
+        written = sorted(p.relative_to(cached).as_posix() for p in cached.rglob("*.npz"))
+        assert written == ["A5/weyl_A5_v4.npz", "E6/weyl_E6_v4.npz"]
 
     def test_spin_stability(self, capsys):
         code, out, _ = run_cli(capsys, "spin-stability", "--m", "7")
         assert code == 0
         assert json.loads(out)["stable"] is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--m", "7", "--ell", "5", "--k", "2"],
+            ["--m", "7", "--ell", "5"],
+            ["--m", "7", "--k", "2"],
+            ["--ell", "5"],
+            [],
+        ],
+    )
+    def test_spin_stability_takes_one_question(self, capsys, argv):
+        code, out, err = run_cli(capsys, "spin-stability", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "liecomm: provide either --m, or --ell with --k (and --parity)\n"
 
     def test_spin_stability_degree(self, capsys):
         code, out, _ = run_cli(
@@ -393,6 +429,7 @@ class TestOtherCommands:
             ["verify", "--rank-cap", "1"],
             ["verify", "--grid", "12"],
             ["verify", "--samples", "600"],
+            ["verify", "--cache-dir", "x"],
         ],
     )
     def test_gate_options_removed(self, capsys, argv):

@@ -188,6 +188,18 @@ class TestSmithNormalForm:
             with pytest.raises(ValueError, match="expected a 2-d matrix"):
                 smith_normal_form(bad)
 
+    @pytest.mark.parametrize("bad", [[[1.5]], [[2.7, 0], [0, 1]], [[0.5, 1]], [[Fraction(1, 2)]]])
+    def test_non_integral_entries_rejected(self, bad):
+        # int() would truncate them, to a wrong divisor or to a stored zero
+        with pytest.raises(ValueError, match="matrix entries must be integers"):
+            snf_divisors(bad)
+        with pytest.raises(ValueError, match="matrix entries must be integers"):
+            smith_normal_form(bad)
+
+    def test_integral_floats_accepted(self):
+        assert snf_divisors([[2.0, 0], [0, 4.0]]) == [2, 4]
+        assert snf_divisors(np.array([[2.0, 0], [0, 6.0]])) == [2, 6]
+
     def test_entries_beyond_int64(self):
         assert snf_divisors([[2**70, 0], [0, 3]]) == [1, 3 * 2**70]
         u, d, v = smith_normal_form([[2**70, 0], [0, 3]])
@@ -407,6 +419,10 @@ class TestChainHomology:
     def test_non_2d_rejected(self):
         with pytest.raises(ValueError, match="expected a 2-d matrix"):
             chain_homology([[[[1]]]])
+
+    def test_non_integral_entries_rejected(self):
+        with pytest.raises(ValueError, match="matrix entries must be integers"):
+            chain_homology([[[0.5]]])
 
     @pytest.mark.parametrize(
         "n,torus,quotient",

@@ -6,9 +6,12 @@ checks are imported as they are and nothing under perfbench/ is changed.
 """
 
 import json
+import os
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -80,3 +83,33 @@ def test_span_names_resolve():
         for attr in name.split("."):
             owner = getattr(owner, attr)
         assert callable(owner), name
+
+
+def test_generate_counters_see_writes_hits_and_rejects(tmp_path, monkeypatch):
+    # the traced benchmark counts cache traffic from generate's arguments and
+    # the cache file's state, through weyl._MEMO and weyl._cache_path
+    import spans
+
+    from liecomm import build_root_datum, weyl
+
+    datum = build_root_datum("A5")
+
+    def traffic():
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        args, kwargs = (datum,), {"cache_dir": tmp_path}
+        state = spans._generate_before(args, kwargs)
+        group = weyl.generate(*args, **kwargs)
+        counters = Counter()
+        spans._generate_count(counters, args, kwargs, group, 0.0, state)
+        assert counters["weyl.generate.elements"] == 720
+        return [counters[f"weyl.generate.cache_{kind}"] for kind in ("writes", "hits", "rejects")]
+
+    assert traffic() == [1, 0, 0]
+    assert traffic() == [0, 1, 0]
+    path = weyl._cache_path(datum, tmp_path)
+    with np.load(path) as data:
+        stored = {name: data[name].copy() for name in data.files}
+    stored["matrices"].reshape(-1)[100] ^= 1  # the stored CRC stays
+    np.savez(path, **stored)
+    os.utime(path, ns=(0, 0))  # so the rewrite shows even under a coarse clock
+    assert traffic() == [0, 0, 1]

@@ -148,19 +148,20 @@ class TestEnumeration:
         assert weyl._load_cache(build_root_datum("B5"), tmp_path) is None
         assert capsys.readouterr().err == ""
 
-    def test_buckets_are_written_only_past_solomon(self, tmp_path):
-        group = _group("C2")
-        fake = dataclasses.replace(group, charpoly_buckets=C2_QUARTER_TURNS_SWAPPED)
-        with pytest.raises(InvariantBreachError, match="C2 charpoly buckets fail Solomon"):
-            weyl._save_cache(fake, tmp_path)
-        assert list(tmp_path.iterdir()) == []
+    def test_buckets_are_written_only_past_solomon(self, tmp_path, monkeypatch):
+        # _enumerate requires the identity, so buckets that fail it never
+        # reach the memo or the cache
+        real = weyl.charpoly_buckets
 
-    def test_memo_hit_fills_a_second_cache_dir(self, tmp_path):
-        datum = build_root_datum("E6")
-        first = generate(datum, cache_dir=tmp_path / "a")
-        assert generate(datum, cache_dir=tmp_path / "b") is first
-        assert weyl._cache_path(datum, tmp_path / "a").exists()
-        assert weyl._cache_path(datum, tmp_path / "b").exists()
+        def moved(stack):
+            (k0, c0), (k1, c1), *rest = real(stack)
+            return ((k0, c0 - 1), (k1, c1 + 1), *rest)  # still summing to |W|
+
+        monkeypatch.setattr(weyl, "charpoly_buckets", moved)
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        with pytest.raises(InvariantBreachError, match="A5 charpoly buckets fail Solomon"):
+            generate(build_root_datum("A5"), cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == [] and weyl._MEMO == {}
 
     def test_one_int8_stack(self, tmp_path):
         datum = build_root_datum("B5")
@@ -188,8 +189,10 @@ class TestEnumeration:
     def test_rank_seven_exceptional_behind_flag(self, tmp_path, monkeypatch, e7_enumeration):
         datum = build_root_datum("E7")
         monkeypatch.setitem(weyl._MEMO, ("E", 7), e7_enumeration[0])
-        group = generate(datum, element_cap=3_000_000, cache_dir=tmp_path)
-        assert group is e7_enumeration[0] and weyl._cache_path(datum, tmp_path).exists()
+        group = generate(datum, element_cap=3_000_000)
+        assert group is e7_enumeration[0]
+        weyl._save_cache(group, tmp_path)
+        assert weyl._cache_path(datum, tmp_path).exists()
         assert group.order == 2_903_040
         assert irreducibility_check(group) == Fraction(1)
         assert euler_char_rep(group, 2) == 8

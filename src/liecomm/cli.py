@@ -129,7 +129,7 @@ def _cmd_wps_degree(args) -> int:
 
 def _cmd_spin_stability(args) -> int:
     given = (args.m is not None, args.ell is not None, args.k is not None)
-    if given not in ((True, False, False), (False, True, True)):
+    if given not in ((True, False, False), (False, True, True)) or (given[0] and args.parity):
         raise ValueError("provide either --m, or --ell with --k (and --parity)")
     if args.m is not None:
         report = invariants.spin_pi2_stability(args.m)
@@ -143,12 +143,13 @@ def _cmd_spin_stability(args) -> int:
             }
         )
         return EXIT_OK
-    report = wps.spin_stability_report(args.ell, args.parity, args.k)
+    parity = args.parity or "even"
+    report = wps.spin_stability_report(args.ell, parity, args.k)
     _emit(
         {
             "command": "spin-stability",
             "ell": args.ell,
-            "parity": args.parity,
+            "parity": parity,
             "k": args.k,
             **report,
         }
@@ -237,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spin-stability", help="spin stabilization degrees")
     p.add_argument("--m", type=int, default=None, help="pi_2 stability verdict for m -> m+1")
     p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--parity", choices=("even", "odd"), default="even")
+    p.add_argument("--parity", choices=("even", "odd"), default=None, help="default even")
     p.add_argument("--k", type=int, default=None, help="homology degree")
     p.set_defaults(func=_cmd_spin_stability)
 

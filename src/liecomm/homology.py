@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Sequence
 
 import numpy as np
@@ -54,76 +54,53 @@ class ChainComplexError(ValueError):
     """Consecutive boundary maps do not compose to zero."""
 
 
-def _factorint(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (inputs here are small)."""
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def as_int(x: object, detail: str) -> int:
+    """x as an int, a ValueError(detail) unless x is integral: 3 and 3.0 pass,
+    2.5, inf, nan and "3" do not."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(detail) from None
+    if n != x:
+        raise ValueError(detail)
+    return n
 
 
 @dataclass(frozen=True)
 class FinAbGroup:
-    """A finitely generated abelian group Z^free ⊕ Z/d_1 ⊕ ... ⊕ Z/d_t.
+    """A finitely generated abelian group Z^free_rank ⊕ Z/n_1 ⊕ ... ⊕ Z/n_s.
 
-    The torsion coefficients form a divisor chain d_1 | d_2 | ... with each
-    d_i >= 2, so equality of instances is equality of isomorphism classes.
+    Any positive cyclic orders n_i are accepted and stored as the invariant
+    factors d_1 | d_2 | ... with each d_i >= 2, so equality of instances is
+    equality of isomorphism classes.  The orders 1 are dropped, and each other
+    order is merged into the chain by Z/a ⊕ Z/b = Z/gcd(a, b) ⊕ Z/lcm(a, b),
+    which needs no factoring.
     """
 
     free_rank: int = 0
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
-        tors = tuple(int(d) for d in self.torsion)
-        object.__setattr__(self, "torsion", tors)
-        for d in tors:
-            if d < 2:
-                raise ValueError("torsion coefficients must be >= 2")
-        for a, b in zip(tors, tors[1:]):
-            if b % a:
-                raise ValueError("torsion coefficients must form a divisor chain")
-
-    @classmethod
-    def trivial(cls) -> "FinAbGroup":
-        return cls(0, ())
-
-    @classmethod
-    def free(cls, rank: int) -> "FinAbGroup":
-        return cls(rank, ())
-
-    @classmethod
-    def cyclic(cls, n: int) -> "FinAbGroup":
-        """Z/n (n >= 1); Z/1 is the trivial group."""
-        if n < 1:
-            raise ValueError("cyclic order must be positive")
-        return cls(0, ()) if n == 1 else cls(0, (n,))
-
-    @classmethod
-    def from_divisors(cls, divisors: Sequence[int], free_rank: int = 0) -> "FinAbGroup":
-        """Normalize an arbitrary list of cyclic orders into a divisor chain."""
-        primary: dict[int, list[int]] = {}
-        for d in divisors:
-            d = int(d)
-            if d <= 0:
-                raise ValueError("divisors must be positive")
-            if d == 1:
+        rank = as_int(self.free_rank, "free rank must be a nonnegative integer")
+        if rank < 0:
+            raise ValueError("free rank must be a nonnegative integer")
+        orders = [as_int(n, "cyclic orders must be positive integers") for n in self.torsion]
+        if any(n < 1 for n in orders):
+            raise ValueError("cyclic orders must be positive integers")
+        chain: list[int] = []
+        for n in orders:
+            if n == 1:
                 continue
-            for p, e in _factorint(d).items():
-                primary.setdefault(p, []).append(e)
-        t = max((len(v) for v in primary.values()), default=0)
-        chain = [1] * t
-        for p, exps in primary.items():
-            for i, e in enumerate(sorted(exps)):
-                chain[t - len(exps) + i] *= p**e
-        return cls(free_rank, tuple(chain))
+            # from the top down, each factor keeps the lcm and passes the gcd on
+            merged = []
+            for d in reversed(chain):
+                merged.append(lcm(d, n))
+                n = gcd(d, n)
+            if n > 1:
+                merged.append(n)
+            chain = merged[::-1]
+        object.__setattr__(self, "free_rank", rank)
+        object.__setattr__(self, "torsion", tuple(chain))
 
     @property
     def is_finite(self) -> bool:
@@ -139,15 +116,13 @@ class FinAbGroup:
     def order(self) -> int:
         if not self.is_finite:
             raise ValueError("group is infinite")
-        return prod(self.torsion) if self.torsion else 1
+        return prod(self.torsion)
 
     def tensor(self, other: "FinAbGroup") -> "FinAbGroup":
         """Tensor product over Z, assembled from Z/m ⊗ Z/n = Z/gcd(m, n)."""
-        divs: list[int] = []
-        divs.extend(list(other.torsion) * self.free_rank)
-        divs.extend(list(self.torsion) * other.free_rank)
-        divs.extend(gcd(a, b) for a in self.torsion for b in other.torsion)
-        return FinAbGroup.from_divisors(divs, self.free_rank * other.free_rank)
+        orders = other.torsion * self.free_rank + self.torsion * other.free_rank
+        orders += tuple(gcd(a, b) for a in self.torsion for b in other.torsion)
+        return FinAbGroup(self.free_rank * other.free_rank, orders)
 
     def __str__(self) -> str:
         parts = []
@@ -292,6 +267,8 @@ def _sparse(mat) -> _SparseMatrix:
             raise ValueError("ragged matrix")
         try:
             ints = [int(x) for x in row]
+        except OverflowError:
+            raise ValueError("matrix entries must be integers") from None
         except TypeError:
             if any(hasattr(x, "__len__") for x in row):
                 raise ValueError("expected a 2-d matrix") from None
@@ -505,6 +482,5 @@ def chain_homology(boundaries: Sequence[IntMatrix]) -> list[FinAbGroup]:
     for k in range(top + 1):
         rank_in = ranks[k] if k < top else 0
         rank_out = ranks[k - 1] if k > 0 else 0
-        tors = [d for d in divisors[k] if d > 1] if k < top else []
-        groups.append(FinAbGroup.from_divisors(tors, dims[k] - rank_out - rank_in))
+        groups.append(FinAbGroup(dims[k] - rank_out - rank_in, divisors[k] if k < top else ()))
     return groups

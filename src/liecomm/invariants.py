@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, prod
 
-from .homology import FinAbGroup, _factorint, exact_quotient, require
+from .homology import FinAbGroup, exact_quotient, require
 from .rootdata import LieType, build_root_datum, dynkin_index
 from .wps import spin_stability_report
 
@@ -66,17 +66,17 @@ def bredon_e2_fragment(lie_type: LieType | str, p: int, k: int) -> FinAbGroup:
     datum = build_root_datum(lie_type)
     ell = sum(1 for n in datum.coroot_integers if n % p == 0)
     if ell == 0:
-        return FinAbGroup.trivial()
+        return FinAbGroup()
     if k % 2:
-        return FinAbGroup.trivial()
+        return FinAbGroup()
     is_big_exceptional = datum.lie_type.family == "E" and datum.lie_type.rank >= 7
     if is_big_exceptional and p == 2:
         if k == 0:
-            return FinAbGroup.cyclic(4)
+            return FinAbGroup(0, (4,))
         raise ValueError(
             "the rank-7/8 exceptional fragments at p=2 are assembled only in degrees 0 and 1"
         )
-    return FinAbGroup.cyclic(p) if k <= 2 * (ell - 1) else FinAbGroup.trivial()
+    return FinAbGroup(0, (p,)) if k <= 2 * (ell - 1) else FinAbGroup()
 
 
 def pi2_hom_pairs(lie_type: LieType | str) -> Pi2Report:
@@ -87,7 +87,9 @@ def pi2_hom_pairs(lie_type: LieType | str) -> Pi2Report:
     the lcm of the coroot integers.
     """
     datum = build_root_datum(lie_type)
-    primes = sorted({p for n in datum.coroot_integers for p in _factorint(n)})
+    # the primes dividing the coroot integers (each at most 6), by trial division
+    primes = sorted({p for n in datum.coroot_integers for p in range(2, n + 1)
+                     if n % p == 0 and all(p % q for q in range(2, p))})
     breakdown = tuple((p, bredon_e2_fragment(datum.lie_type, p, 0).order()) for p in primes)
     degree, index = prod(c for _, c in breakdown), dynkin_index(datum)
     require(
@@ -97,7 +99,7 @@ def pi2_hom_pairs(lie_type: LieType | str) -> Pi2Report:
     )
     return Pi2Report(
         lie_type=datum.lie_type,
-        group=FinAbGroup.free(1),
+        group=FinAbGroup(1),
         quotient_degree=degree,
         prime_breakdown=breakdown,
         provenance="prime-fragment assembly, cross-checked against the coroot-integer lcm",
@@ -117,10 +119,10 @@ def pi2_hom_n(lie_type: LieType | str, n: int) -> FinAbGroup:
     fam, rank = datum.lie_type.family, datum.lie_type.rank
     free = comb(n, 2)
     if fam == "A" and rank >= 2:
-        return FinAbGroup.free(free)
+        return FinAbGroup(free)
     if fam == "C" or (fam == "A" and rank == 1):
         exponent = 2**n - 1 - n - free
-        return FinAbGroup.from_divisors([2] * exponent, free)
+        return FinAbGroup(free, (2,) * exponent)
     raise ValueError(
         "the n-tuple formula covers the special unitary and symplectic families only"
     )
@@ -139,7 +141,7 @@ def h2_extension_semisimple(pi1: FinAbGroup, simple_factors: int) -> ExtensionRe
         raise ValueError("pi1 must be finite for a semisimple group")
     quotient = pi1.tensor(pi1)
     return ExtensionReport(
-        kernel=FinAbGroup.free(simple_factors),
+        kernel=FinAbGroup(simple_factors),
         quotient=quotient,
         simple_factors=simple_factors,
         has_forced_torsion=not quotient.is_cyclic,
@@ -150,7 +152,7 @@ def h2_extension_semisimple(pi1: FinAbGroup, simple_factors: int) -> ExtensionRe
 def pi4_commutative_classifying(lie_type: LieType | str) -> tuple[FinAbGroup, FinAbGroup]:
     """pi_4 of the commutative total space and classifying space: (Z, Z + Z)."""
     build_root_datum(lie_type)
-    return FinAbGroup.free(1), FinAbGroup.free(2)
+    return FinAbGroup(1), FinAbGroup(2)
 
 
 def spin_pi2_stability(m: int) -> SpinStabilityReport:

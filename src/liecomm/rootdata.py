@@ -365,7 +365,7 @@ def lattice_quotient(datum: RootDatum, face: FaceIndex) -> tuple[int, FinAbGroup
     required to be (face.dim, Z/n_vee).  Raises ValueError when the face is
     of another rank.
     """
-    torsion = FinAbGroup.cyclic(n_vee(datum, face))  # first, as n_vee checks the rank
+    torsion = FinAbGroup(0, (n_vee(datum, face),))  # first, as n_vee checks the rank
     r = datum.rank
     nodes = face.sorted_nodes()
     rows: list[dict[int, int]] = [{} for _ in range(r)]

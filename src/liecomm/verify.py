@@ -116,7 +116,7 @@ def criterion_prime_assembly() -> str:
         is_big_e = lt.family == "E" and lt.rank >= 7
         frag2 = invariants.bredon_e2_fragment(lt, 2, 0)
         if is_big_e:
-            require(frag2 == FinAbGroup.cyclic(4), lt.name)
+            require(frag2 == FinAbGroup(0, (4,)), lt.name)
         else:
             require(frag2.order() in (1, 2), lt.name)
     require(invariants.pi2_hom_pairs("E7").quotient_degree == 12)
@@ -148,17 +148,15 @@ def criterion_torus_quotient() -> str:
         complex_, involution = simplicial.torus_triangulation(n)
         torus_h = complex_.homology()
         for k in range(n + 1):
-            require(torus_h[k] == FinAbGroup.free(comb(n, k)), (n, k, str(torus_h[k])))
+            require(torus_h[k] == FinAbGroup(comb(n, k)), (n, k, str(torus_h[k])))
         quotient = simplicial.quotient_by_involution(complex_, involution)
         require(quotient.euler_characteristic() == 2 ** (n - 1), n)
         qh = quotient.homology()
-        require(qh[0] == FinAbGroup.free(1), n)
+        require(qh[0] == FinAbGroup(1), n)
         if len(qh) > 1:
-            require(qh[1] == FinAbGroup.trivial(), (n, str(qh[1])))
-        expected_h2 = FinAbGroup.from_divisors(
-            [2] * (2**n - 1 - n - comb(n, 2)), comb(n, 2)
-        )
-        actual_h2 = qh[2] if len(qh) > 2 else FinAbGroup.trivial()
+            require(qh[1] == FinAbGroup(), (n, str(qh[1])))
+        expected_h2 = FinAbGroup(comb(n, 2), (2,) * (2**n - 1 - n - comb(n, 2)))
+        actual_h2 = qh[2] if len(qh) > 2 else FinAbGroup()
         require(actual_h2 == expected_h2, (n, str(actual_h2)))
         details.append(f"n={n}: H2={actual_h2}")
     return "; ".join(details)
@@ -222,19 +220,17 @@ def criterion_theorem_tables() -> str:
     cases = 0
     for name in ("SU(3)", "SU(5)"):
         for n in range(1, 5):
-            expected = FinAbGroup.free(comb(n, 2))
+            expected = FinAbGroup(comb(n, 2))
             require(invariants.pi2_hom_n(name, n) == expected, (name, n))
             cases += 1
     for name in ("Sp(1)", "Sp(2)", "Sp(3)"):
         for n in range(1, 5):
-            expected = FinAbGroup.from_divisors(
-                [2] * (2**n - 1 - n - comb(n, 2)), comb(n, 2)
-            )
+            expected = FinAbGroup(comb(n, 2), (2,) * (2**n - 1 - n - comb(n, 2)))
             require(invariants.pi2_hom_n(name, n) == expected, (name, n))
             cases += 1
     require(cases == 20)
-    so3 = invariants.h2_extension_semisimple(FinAbGroup.cyclic(2), 1)
-    require(so3.quotient == FinAbGroup.cyclic(2) and not so3.has_forced_torsion)
+    so3 = invariants.h2_extension_semisimple(FinAbGroup(0, (2,)), 1)
+    require(so3.quotient == FinAbGroup(0, (2,)) and not so3.has_forced_torsion)
     pso = invariants.h2_extension_semisimple(FinAbGroup(0, (2, 2)), 1)
     require(pso.has_forced_torsion and pso.quotient == FinAbGroup(0, (2, 2, 2, 2)))
     return "20 n-tuple cases, both extension examples"

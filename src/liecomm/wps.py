@@ -13,15 +13,16 @@ from itertools import combinations
 from math import gcd, lcm, prod
 from typing import Sequence
 
-from .homology import FinAbGroup, exact_quotient
+from .homology import FinAbGroup, as_int, exact_quotient
 from .rootdata import build_root_datum
 
 
 def _weights(weights: Sequence[int]) -> tuple[int, ...]:
     """The weight tuple w of CP(w) as ints, which must be positive."""
-    ws = tuple(int(w) for w in weights)
+    message = "weights must be a nonempty tuple of positive integers"
+    ws = tuple(as_int(w, message) for w in weights)
     if not ws or any(w < 1 for w in ws):
-        raise ValueError("weights must be a nonempty tuple of positive integers")
+        raise ValueError(message)
     return ws
 
 
@@ -30,8 +31,8 @@ def kawasaki_homology(weights: Sequence[int], k: int) -> FinAbGroup:
     if k < 0:
         raise ValueError("degree must be nonnegative")
     if k % 2 == 0 and k <= 2 * (len(_weights(weights)) - 1):
-        return FinAbGroup.free(1)
-    return FinAbGroup.trivial()
+        return FinAbGroup(1)
+    return FinAbGroup()
 
 
 def proj_degree(weights: Sequence[int], k: int) -> int:
@@ -53,9 +54,10 @@ def inclusion_degree(weights: Sequence[int], subset: Sequence[int], k: int) -> i
     is the quotient of the two projection degrees; the division is exact.
     """
     ws = _weights(weights)
-    sub = tuple(sorted(set(int(i) for i in subset)))
+    message = "subset must name valid coordinate indices"
+    sub = tuple(sorted(set(as_int(i, message) for i in subset)))
     if not sub or not all(0 <= i < len(ws) for i in sub):
-        raise ValueError("subset must name valid coordinate indices")
+        raise ValueError(message)
     if len(sub) < k + 1:
         raise ValueError("subset too small for homology degree 2k")
     w_s = tuple(ws[i] for i in sub)

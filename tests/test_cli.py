@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from liecomm import weyl
 from liecomm.cli import main
 from liecomm.rootdata import build_root_datum
+from liecomm.verify import _table_types
 
 
 def run_cli(capsys, *argv):
@@ -357,6 +359,8 @@ class TestOtherCommands:
             ["--m", "7", "--ell", "5", "--k", "2"],
             ["--m", "7", "--ell", "5"],
             ["--m", "7", "--k", "2"],
+            ["--m", "7", "--parity", "odd"],
+            ["--m", "7", "--parity", "even"],
             ["--ell", "5"],
             [],
         ],
@@ -566,3 +570,41 @@ def test_golden_stdout(capsys, argv, stdout):
     assert code == 0
     assert err == ""
     assert out == stdout
+
+
+# sha256 of the concatenated stdout of each command group, run in-process.  The
+# digests were recorded from the code before FinAbGroup took its invariant
+# factors by gcd and lcm, when it factored each order into primes.
+_CENSUS_K2 = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2", "A5", "D5")
+_STDOUT_DIGESTS = [
+    (
+        "invariants",
+        [["invariants", lt.name] for lt in _table_types()],
+        "b380eda41a953704d65124fca37a8bca67b89232b61c494e0bdb6ab9855ef809",
+    ),
+    (
+        "cells",
+        [["cells", t, "--k", "2", "--rank-cap", "5"] for t in _CENSUS_K2]
+        + [["cells", "A4", "--k", "3"]],
+        "b80d9796d894a821f67a6d8afc37627a0af4f721c5a9052bc977943ae7b8a7a1",
+    ),
+    (
+        "poincare",
+        [["poincare", t, "--n", "1", "--deg", "24"] for t in ("A6", "B6", "C6", "D6", "E6", "A7")],
+        "f83314b463d8c632c263d8123d0e433c6abb2ff8430fd81b6bcf319894bd9a18",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("commands", "digest"),
+    [(commands, digest) for _, commands, digest in _STDOUT_DIGESTS],
+    ids=[name for name, _, _ in _STDOUT_DIGESTS],
+)
+def test_stdout_digest(capsys, commands, digest):
+    sha = hashlib.sha256()
+    for argv in commands:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        sha.update(out.encode())
+    assert sha.hexdigest() == digest

@@ -1,7 +1,8 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
-from math import prod
+from math import inf, nan, prod
 
 import numpy as np
 import pytest
@@ -188,9 +189,13 @@ class TestSmithNormalForm:
             with pytest.raises(ValueError, match="expected a 2-d matrix"):
                 smith_normal_form(bad)
 
-    @pytest.mark.parametrize("bad", [[[1.5]], [[2.7, 0], [0, 1]], [[0.5, 1]], [[Fraction(1, 2)]]])
+    @pytest.mark.parametrize(
+        "bad",
+        [[[1.5]], [[2.7, 0], [0, 1]], [[0.5, 1]], [[Fraction(1, 2)]], [[inf]], [[-inf, 1]]],
+    )
     def test_non_integral_entries_rejected(self, bad):
-        # int() would truncate them, to a wrong divisor or to a stored zero
+        # int() would truncate them, to a wrong divisor or to a stored zero,
+        # and raises OverflowError on an infinity
         with pytest.raises(ValueError, match="matrix entries must be integers"):
             snf_divisors(bad)
         with pytest.raises(ValueError, match="matrix entries must be integers"):
@@ -273,7 +278,7 @@ def _conjugated_complex(rng, blocks):
             d[t][first + t] = e
         product = _mat_mult(_mat_mult(pairs[k][0], d), pairs[k + 1][1])
         mats.append(np.array(product, dtype=np.int64).reshape(dims[k], dims[k + 1]))
-    return mats, [FinAbGroup.from_divisors(divs, free) for divs, free in blocks]
+    return mats, [FinAbGroup(free, divs) for divs, free in blocks]
 
 
 def _homology_from_full_matrices(mats):
@@ -281,10 +286,7 @@ def _homology_from_full_matrices(mats):
     divisors = [snf_divisors(b) for b in mats] + [[]]
     dims = [mats[0].shape[0]] + [b.shape[1] for b in mats]
     return [
-        FinAbGroup.from_divisors(
-            [d for d in divisors[k] if d > 1],
-            dims[k] - len(divisors[k]) - (len(divisors[k - 1]) if k else 0),
-        )
+        FinAbGroup(dims[k] - len(divisors[k]) - (len(divisors[k - 1]) if k else 0), divisors[k])
         for k in range(len(dims))
     ]
 
@@ -361,7 +363,7 @@ class TestClearing:
 
         monkeypatch.setattr(homology, "_eliminate_units", recording)
         complex_, _ = torus_triangulation(3)
-        assert complex_.homology() == [FinAbGroup.free(c) for c in (1, 3, 3, 1)]
+        assert complex_.homology() == [FinAbGroup(c) for c in (1, 3, 3, 1)]
         assert seen == [(208, 1360), (1360 - 207, 2304), (2304 - 1150, 1152)]
 
 
@@ -369,20 +371,20 @@ class TestChainHomology:
     def test_circle(self):
         # one vertex, one edge, zero boundary
         h = chain_homology([np.zeros((1, 1), dtype=int)])
-        assert h == [FinAbGroup.free(1), FinAbGroup.free(1)]
+        assert h == [FinAbGroup(1), FinAbGroup(1)]
 
     def test_array_without_rows_keeps_its_width(self):
         h = chain_homology([np.zeros((0, 3), dtype=np.int64)])
-        assert h == [FinAbGroup.trivial(), FinAbGroup.free(3)]
+        assert h == [FinAbGroup(), FinAbGroup(3)]
 
     def test_tetrahedron_boundary(self):
         from liecomm.simplicial import SimplicialComplex
 
         sphere = SimplicialComplex([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
         assert sphere.homology() == [
-            FinAbGroup.free(1),
-            FinAbGroup.trivial(),
-            FinAbGroup.free(1),
+            FinAbGroup(1),
+            FinAbGroup(),
+            FinAbGroup(1),
         ]
 
     def test_projective_plane(self):
@@ -395,9 +397,9 @@ class TestChainHomology:
             ]
         )
         assert rp2.homology() == [
-            FinAbGroup.free(1),
-            FinAbGroup.cyclic(2),
-            FinAbGroup.trivial(),
+            FinAbGroup(1),
+            FinAbGroup(0, (2,)),
+            FinAbGroup(),
         ]
 
     def test_compose_check(self):
@@ -408,13 +410,20 @@ class TestChainHomology:
         # entries above 2^53, where float64 would round (2^53 + 1) - 2^53 - 1
         a = [[2**53 + 1, 2**53, 1]]
         h = chain_homology([a, [[1], [-1], [-1]]])
-        assert h == [FinAbGroup.trivial(), FinAbGroup.free(1), FinAbGroup.trivial()]
+        assert h == [FinAbGroup(), FinAbGroup(1), FinAbGroup()]
         with pytest.raises(ChainComplexError, match="d_1 o d_2"):
             chain_homology([a, [[1], [-1], [0]]])
 
     def test_entry_beyond_int64(self):
         h = chain_homology([[[2**70]]])
-        assert h == [FinAbGroup(0, (2**70,)), FinAbGroup.trivial()]
+        assert h == [FinAbGroup(0, (2**70,)), FinAbGroup()]
+
+    def test_large_prime_divisor_is_not_factored(self):
+        # trial division up to sqrt(2^61 - 1) took longer than 20 s
+        start = time.perf_counter()
+        h = chain_homology([[[2**61 - 1]]])
+        assert time.perf_counter() - start < 1
+        assert h == [FinAbGroup(0, (2**61 - 1,)), FinAbGroup()]
 
     def test_non_2d_rejected(self):
         with pytest.raises(ValueError, match="expected a 2-d matrix"):
@@ -448,14 +457,14 @@ class TestChainHomology:
 
 class TestFinAbGroup:
     def test_divisor_chain_normalization(self):
-        g = FinAbGroup.from_divisors([6, 4])
+        g = FinAbGroup(0, (6, 4))
         assert g.torsion == (2, 12)
 
     def test_tensor_examples(self):
-        z2 = FinAbGroup.cyclic(2)
-        z3 = FinAbGroup.cyclic(3)
+        z2 = FinAbGroup(0, (2,))
+        z3 = FinAbGroup(0, (3,))
         assert z2.tensor(z2) == z2
-        assert z2.tensor(z3) == FinAbGroup.trivial()
+        assert z2.tensor(z3) == FinAbGroup()
         klein = FinAbGroup(0, (2, 2))
         assert klein.tensor(klein) == FinAbGroup(0, (2, 2, 2, 2))
 
@@ -463,7 +472,7 @@ class TestFinAbGroup:
         g = FinAbGroup(2, (3,))
         h = FinAbGroup(1, (6,))
         # (Z^2 + Z/3) (x) (Z + Z/6) = Z^2 + (Z/6)^2 + (Z/3)^1 + Z/3
-        assert g.tensor(h) == FinAbGroup.from_divisors([6, 6, 3, 3], 2)
+        assert g.tensor(h) == FinAbGroup(2, (6, 6, 3, 3))
 
     @given(
         st.lists(st.integers(2, 12), max_size=3),
@@ -471,24 +480,53 @@ class TestFinAbGroup:
     )
     @settings(max_examples=50, deadline=None)
     def test_tensor_commutative(self, da, db):
-        a = FinAbGroup.from_divisors(da)
-        b = FinAbGroup.from_divisors(db)
+        a = FinAbGroup(0, da)
+        b = FinAbGroup(0, db)
         assert a.tensor(b) == b.tensor(a)
 
-    def test_invalid_chain_rejected(self):
+    def test_any_orders_normalized(self):
+        assert FinAbGroup(0, (4, 2)).torsion == (2, 4)
+        assert FinAbGroup(0, (1,)) == FinAbGroup()
+        assert FinAbGroup(2, (1, 3, 1, 2, 2.0)) == FinAbGroup(2, (2, 6))
+        assert FinAbGroup(3.0).free_rank == 3
+
+    @pytest.mark.parametrize(
+        "free_rank, orders",
+        [(-1, ()), (1.5, ()), (inf, ()), ("1", ()), (0, (0,)), (0, (-2,)), (0, (2.5,)),
+         (0, (inf,)), (0, (nan,)), (0, ("2",)), (0, (Fraction(3, 2),))],
+    )
+    def test_invalid_input_rejected(self, free_rank, orders):
         with pytest.raises(ValueError):
-            FinAbGroup(0, (4, 2))
-        with pytest.raises(ValueError):
-            FinAbGroup(0, (1,))
+            FinAbGroup(free_rank, orders)
+
+    @given(st.lists(st.integers(1, 60), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_invariant_factors(self, orders):
+        torsion = FinAbGroup(0, orders).torsion
+        assert all(d >= 2 for d in torsion)
+        assert all(b % a == 0 for a, b in zip(torsion, torsion[1:]))
+        assert prod(torsion) == prod(orders)
+
+        def valuations(p, ns):
+            out = []
+            for n in ns:
+                e = 0
+                while n % p == 0:
+                    n, e = n // p, e + 1
+                out.append(e)
+            return sorted(e for e in out if e)
+
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
+            assert valuations(p, torsion) == valuations(p, orders)
 
     def test_str(self):
-        assert str(FinAbGroup.trivial()) == "0"
+        assert str(FinAbGroup()) == "0"
         assert str(FinAbGroup(1, (2, 4))) == "Z + Z/2 + Z/4"
-        assert str(FinAbGroup.free(3)) == "Z^3"
+        assert str(FinAbGroup(3)) == "Z^3"
 
     def test_order_and_cyclic(self):
-        assert FinAbGroup.cyclic(6).order() == 6
-        assert FinAbGroup.cyclic(6).is_cyclic
+        assert FinAbGroup(0, (6,)).order() == 6
+        assert FinAbGroup(0, (6,)).is_cyclic
         assert not FinAbGroup(0, (2, 2)).is_cyclic
         with pytest.raises(ValueError):
-            FinAbGroup.free(1).order()
+            FinAbGroup(1).order()

@@ -234,12 +234,12 @@ class TestFaceOperations:
     def test_lattice_quotient_examples(self):
         datum = build_root_datum("E6")
         full_minus = FaceIndex.of(datum, [])
-        assert lattice_quotient(datum, full_minus) == (datum.rank, FinAbGroup.trivial())
+        assert lattice_quotient(datum, full_minus) == (datum.rank, FinAbGroup())
         for j in range(datum.rank + 1):
             face = FaceIndex.of(datum, set(range(datum.rank + 1)) - {j})
             free, torsion = lattice_quotient(datum, face)
             assert free == 0
-            assert torsion == FinAbGroup.cyclic(datum.coroot_integers[j])
+            assert torsion == FinAbGroup(0, (datum.coroot_integers[j],))
 
     @pytest.mark.parametrize("name", ["E6", "F4", "G2"])
     def test_lattice_quotient_matches_gcd(self, name):
@@ -250,7 +250,7 @@ class TestFaceOperations:
                 face = FaceIndex.of(datum, subset)
                 free, torsion = lattice_quotient(datum, face)
                 assert free == r - size
-                assert torsion == FinAbGroup.cyclic(n_vee(datum, face))
+                assert torsion == FinAbGroup(0, (n_vee(datum, face),))
 
     def test_lattice_quotient_requires_the_gcd(self, monkeypatch):
         real = rootdata.snf_divisors

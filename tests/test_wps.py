@@ -15,14 +15,14 @@ from liecomm.wps import (
 
 class TestKawasaki:
     def test_projective_line(self):
-        assert kawasaki_homology((1, 1), 2) == FinAbGroup.free(1)
+        assert kawasaki_homology((1, 1), 2) == FinAbGroup(1)
 
     def test_odd_degrees_vanish(self):
         for k in (1, 3, 5):
-            assert kawasaki_homology((1, 2, 3), k) == FinAbGroup.trivial()
+            assert kawasaki_homology((1, 2, 3), k) == FinAbGroup()
 
     def test_above_top_dimension(self):
-        assert kawasaki_homology((1, 2), 4) == FinAbGroup.trivial()
+        assert kawasaki_homology((1, 2), 4) == FinAbGroup()
 
 
 class TestProjDegree:
@@ -37,6 +37,15 @@ class TestProjDegree:
     def test_permutation_invariance(self):
         assert proj_degree((3, 1, 2), 1) == proj_degree((1, 2, 3), 1)
 
+    @pytest.mark.parametrize("weights", [(1.5, 2), (1, 2.5, 3), (1, float("inf")), (0, 1), ()])
+    def test_non_integral_or_nonpositive_weights_rejected(self, weights):
+        # int() would compute with weight 1 in place of 1.5
+        with pytest.raises(ValueError, match="weights must be"):
+            proj_degree(weights, 0)
+
+    def test_integral_float_weights_accepted(self):
+        assert proj_degree((1.0, 2.0, 3.0), 1) == 6
+
     def test_monotone_in_k(self):
         w = (1, 2, 2, 4)
         for k in range(len(w) - 1):
@@ -49,6 +58,12 @@ class TestInclusionDegree:
 
     def test_singleton(self):
         assert inclusion_degree((1, 2), (0,), 0) == 1
+
+    @pytest.mark.parametrize("subset", [(0.5, 1), (0, 1.5), (float("nan"),), (3,), ()])
+    def test_invalid_subset_rejected(self, subset):
+        # int() would read index 0.5 as index 0
+        with pytest.raises(ValueError, match="subset must name valid coordinate indices"):
+            inclusion_degree((1, 2, 3), subset, 1)
 
     def test_spin_iso_range(self):
         # into the rank l-1 tuple: isomorphisms through homology degree 2l-6

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import __version__, alcove, geom, invariants, verify, weyl, wps
 from .geom import MeshError
-from .homology import FinAbGroup, InvariantBreachError
+from .homology import InvariantBreachError
 from .rootdata import LieTypeError, build_root_datum, dynkin_index
 from .weyl import WeylCapError
 
@@ -30,8 +30,6 @@ _PRECONDITION_ERRORS = (ValueError, MeshError)
 def _jsonable(value):
     if isinstance(value, float):
         return float(f"{value:.12e}")
-    if isinstance(value, FinAbGroup):
-        return {"free_rank": value.free_rank, "torsion": list(value.torsion), "name": str(value)}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

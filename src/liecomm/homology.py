@@ -23,6 +23,7 @@ the other rows, an integral combination that unimodular row operations clear.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 from typing import Sequence
@@ -117,12 +118,6 @@ class FinAbGroup:
         if not self.is_finite:
             raise ValueError("group is infinite")
         return prod(self.torsion)
-
-    def tensor(self, other: "FinAbGroup") -> "FinAbGroup":
-        """Tensor product over Z, assembled from Z/m ⊗ Z/n = Z/gcd(m, n)."""
-        orders = other.torsion * self.free_rank + self.torsion * other.free_rank
-        orders += tuple(gcd(a, b) for a in self.torsion for b in other.torsion)
-        return FinAbGroup(self.free_rank * other.free_rank, orders)
 
     def __str__(self) -> str:
         parts = []
@@ -259,24 +254,22 @@ def _sparse(mat) -> _SparseMatrix:
     # an ndarray keeps its column count even when it has no rows
     width = mat.shape[1] if isinstance(mat, np.ndarray) else None
     for row in mat:
-        if not hasattr(row, "__len__"):
+        if not hasattr(row, "__len__") or any(hasattr(x, "__len__") for x in row):
             raise ValueError("expected a 2-d matrix")
         if width is None:
             width = len(row)
         elif len(row) != width:
             raise ValueError("ragged matrix")
-        try:
-            ints = [int(x) for x in row]
-        except OverflowError:
-            raise ValueError("matrix entries must be integers") from None
-        except TypeError:
-            if any(hasattr(x, "__len__") for x in row):
-                raise ValueError("expected a 2-d matrix") from None
-            raise
-        if any(v != x for v, x in zip(ints, row)):
-            raise ValueError("matrix entries must be integers")
+        ints = [as_int(x, "matrix entries must be integers") for x in row]
         rows.append({j: v for j, v in enumerate(ints) if v})
     return _SparseMatrix(rows, (len(rows), width or 0))
+
+
+def scale_to_integers(vectors: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """(D, D*vectors) for exact vectors: D is the lcm of their denominators,
+    and the scaled vectors are rows of Python ints."""
+    denom = lcm(*(c.denominator for v in vectors for c in v))
+    return denom, [[c.numerator * (denom // c.denominator) for c in v] for v in vectors]
 
 
 def _axpy(dst: dict[int, int], f: int, src: dict[int, int]) -> None:

@@ -10,9 +10,10 @@ coroot integers; pi2_hom_pairs asserts it on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, prod
+from itertools import combinations
+from math import comb, gcd, isqrt, prod
 
-from .homology import FinAbGroup, exact_quotient, require
+from .homology import FinAbGroup, as_int, exact_quotient, require
 from .rootdata import LieType, build_root_datum, dynkin_index
 from .wps import spin_stability_report
 
@@ -34,7 +35,6 @@ class ExtensionReport:
 
     kernel: FinAbGroup
     quotient: FinAbGroup
-    simple_factors: int
     has_forced_torsion: bool
     provenance: str
 
@@ -48,8 +48,9 @@ class SpinStabilityReport:
     route: str
     details: tuple[tuple[str, int], ...] = ()
 
-    def __bool__(self) -> bool:
-        return self.stable
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
 
 
 def bredon_e2_fragment(lie_type: LieType | str, p: int, k: int) -> FinAbGroup:
@@ -57,10 +58,11 @@ def bredon_e2_fragment(lie_type: LieType | str, p: int, k: int) -> FinAbGroup:
 
     Z/p in even degrees up to 2*(l-1), where l counts coroot integers
     divisible by p; at p = 2 the two largest exceptional types carry Z/4 in
-    degree 0 (and 0 in degree 1) instead.
+    degree 0 (and 0 in degree 1) instead.  Any p but an integral prime
+    raises ValueError.
     """
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    if not _is_prime(p := as_int(p, "p must be a prime")):
+        raise ValueError("p must be a prime")
     if k < 0:
         raise ValueError("k must be nonnegative")
     datum = build_root_datum(lie_type)
@@ -87,9 +89,9 @@ def pi2_hom_pairs(lie_type: LieType | str) -> Pi2Report:
     the lcm of the coroot integers.
     """
     datum = build_root_datum(lie_type)
-    # the primes dividing the coroot integers (each at most 6), by trial division
+    # the primes dividing the coroot integers (each at most 6)
     primes = sorted({p for n in datum.coroot_integers for p in range(2, n + 1)
-                     if n % p == 0 and all(p % q for q in range(2, p))})
+                     if n % p == 0 and _is_prime(p)})
     breakdown = tuple((p, bredon_e2_fragment(datum.lie_type, p, 0).order()) for p in primes)
     degree, index = prod(c for _, c in breakdown), dynkin_index(datum)
     require(
@@ -129,23 +131,25 @@ def pi2_hom_n(lie_type: LieType | str, n: int) -> FinAbGroup:
 
 
 def h2_extension_semisimple(pi1: FinAbGroup, simple_factors: int) -> ExtensionReport:
-    """The degree-2 homology extension 0 -> Z^s -> H_2 -> pi1 (x) pi1 -> 0.
+    """The degree-2 homology extension 0 -> Z^s -> H_2 -> H_2(pi1^2; Z) -> 0.
 
-    pi1 must be finite; the quotient is the tensor square, assembled through
-    gcds of the divisor chains.  The report flags forced torsion whenever the
+    pi1 must be finite.  The fundamental group of the commuting-pair space is
+    pi1 + pi1, so by Hopf the quotient is its Schur multiplier, the exterior
+    square of pi1 + pi1: Z/gcd(o_i, o_j) for each pair i < j of the cyclic
+    orders o of pi1 + pi1.  The report flags forced torsion whenever the
     quotient is non-cyclic (the projective-orthogonal phenomenon).
     """
     if simple_factors < 0:
         raise ValueError("the number of simple factors must be nonnegative")
     if not pi1.is_finite:
         raise ValueError("pi1 must be finite for a semisimple group")
-    quotient = pi1.tensor(pi1)
+    orders = pi1.torsion * 2
+    quotient = FinAbGroup(0, tuple(gcd(a, b) for a, b in combinations(orders, 2)))
     return ExtensionReport(
         kernel=FinAbGroup(simple_factors),
         quotient=quotient,
-        simple_factors=simple_factors,
         has_forced_torsion=not quotient.is_cyclic,
-        provenance="tensor-square quotient over a free kernel",
+        provenance="Hopf quotient, the exterior square of pi1 + pi1, over a free kernel",
     )
 
 

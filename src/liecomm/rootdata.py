@@ -14,12 +14,12 @@ Conventions (fixed once, used everywhere):
   wall j is s_j(x) = x - (a_j(x) - b_j) * c_j.
 * All vectors live in the simple-coroot basis unless stated otherwise, and all
   arithmetic in this module is exact: integers and Fractions only.
-* The exponents and the symmetrizer are read off the root closure.  The
-  numbers of positive roots of each height form the partition dual to the
-  exponents (Kostant, Amer. J. Math. 81, 1959; Humphreys, Reflection Groups
-  and Coxeter Groups 3.20), and theta_k / theta_vee_k = |theta|^2 / |alpha_k|^2,
-  so the symmetrizer d_k, with d_i * a[i][j] == d_j * a[j][i], is that ratio
-  scaled to coprime integers.
+* The exponents are read off the root closure: the numbers of positive
+  roots of each height form the partition dual to the exponents (Kostant,
+  Amer. J. Math. 81, 1959; Humphreys, Reflection Groups and Coxeter Groups
+  3.20).  The closure is checked against the Cartan matrix, not stored beside
+  it: theta_k / theta_vee_k = |theta|^2 / |alpha_k|^2, so that ratio, scaled
+  to integers d_k, must symmetrize it, d_i * a[i][j] == d_j * a[j][i].
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ from itertools import combinations
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
-from .homology import FinAbGroup, _SparseMatrix, exact_quotient, require, snf_divisors
+from .homology import (
+    FinAbGroup, _SparseMatrix, exact_quotient, require, scale_to_integers, snf_divisors
+)
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -186,7 +188,6 @@ class RootDatum:
 
     lie_type: LieType
     cartan: Matrix
-    symmetrizer: tuple[Fraction, ...]
     positive_roots: tuple[Vector, ...]
     positive_coroots: tuple[Vector, ...]
     # the positive roots as functionals beta . A, which count the affine root
@@ -197,7 +198,6 @@ class RootDatum:
     coroot_integers: tuple[int, ...]
     exponents: tuple[int, ...]
     degrees: tuple[int, ...]
-    coxeter_number: int
     weyl_order: int
     wall_functionals: Matrix  # a_j by node j = 0..r
     wall_coroots: Matrix  # c_j by node j = 0..r
@@ -255,17 +255,13 @@ def _build(lt: LieType) -> RootDatum:
     by_height = Counter(heights).values()
     exps = tuple(sum(n >= j for n in by_height) for j in range(r, 0, -1))
     degrees = tuple(e + 1 for e in exps)
-    # the symmetrizer d_k: theta_k / theta_vee_k = |theta|^2 / |alpha_k|^2, as coprime integers
-    ratios = [Fraction(t, tv) for t, tv in zip(theta, theta_vee)]
-    denom = lcm(*(x.denominator for x in ratios))
-    scaled = [int(x * denom) for x in ratios]
-    d = tuple(Fraction(n, gcd(*scaled)) for n in scaled)
+    # a symmetrizer d_k: theta_k / theta_vee_k = |theta|^2 / |alpha_k|^2, scaled to integers
+    _, (d,) = scale_to_integers([[Fraction(t, tv) for t, tv in zip(theta, theta_vee)]])
     ok = all(d[i] * cartan[i][j] == d[j] * cartan[j][i] for i, j in combinations(range(r), 2))
     require(ok, "theta / theta_vee does not symmetrize the Cartan matrix")
     return RootDatum(
         lie_type=lt,
         cartan=cartan,
-        symmetrizer=d,
         positive_roots=tuple(positives),
         positive_coroots=tuple(closure[c][0] for c in positives),
         root_functionals=tuple(closure[c][1] for c in positives),
@@ -274,7 +270,6 @@ def _build(lt: LieType) -> RootDatum:
         coroot_integers=coroot_integers,
         exponents=exps,
         degrees=degrees,
-        coxeter_number=h,
         weyl_order=prod(degrees),
         wall_functionals=wall_functionals,
         wall_coroots=wall_coroots,

@@ -70,10 +70,6 @@ class SimplicialComplex:
     def vertices(self) -> tuple:
         return tuple(v for (v,) in self.faces_by_dim[0])
 
-    @property
-    def dimension(self) -> int:
-        return len(self.faces_by_dim) - 1
-
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.faces_by_dim)
 
@@ -105,7 +101,7 @@ class SimplicialComplex:
 def _subdivide(
     tops: Sequence[Sequence[Hashable]],
     cell_of: Callable[[tuple], tuple],
-    image: Callable[[tuple], tuple] | None = None,
+    image: Callable[[tuple], tuple],
 ):
     """Order complex of the cells spanned by tops: the one barycentric subdivision.
 
@@ -113,9 +109,8 @@ def _subdivide(
     a cell, labelled by its position in (size, cell) order.  cell_of runs once
     per nonempty vertex subset of each top, which is indexed by its bitmask.
     Each ordering of a top's vertices gives one chain of prefixes, a facet of
-    the result, whose labels are those of the prefixes' masks.  With image (a
-    map of cells) given, returns (subdivision, transported map on labels);
-    otherwise returns just the subdivision.
+    the result, whose labels are those of the prefixes' masks.  Returns
+    (subdivision, image transported to a map on labels).
     """
     subsets = [
         [
@@ -136,26 +131,23 @@ def _subdivide(
         labels = [None] + [label[cell] for cell in by_mask]
         facets.extend(tuple(labels[mask] for mask in chain) for chain in chains[len(top)])
     sd = SimplicialComplex(facets)
-    if image is None:
-        return sd
     transported = {i: label.get(image(cell)) for cell, i in label.items()}
     if None in transported.values():
         raise SimplicialError("involution is not simplicial on the input complex")
     return sd, transported
 
 
-def barycentric_subdivide(
-    complex_: SimplicialComplex,
-    involution: Mapping[Hashable, Hashable] | None = None,
-):
+def barycentric_subdivide(complex_: SimplicialComplex, involution: Mapping[Hashable, Hashable]):
     """Barycentric subdivision; vertices of the result are faces of the input.
 
-    With an involution given, returns (subdivision, transported involution);
-    otherwise returns just the subdivision.  Labels are re-encoded as integers
-    in a deterministic order.
+    Returns (subdivision, transported involution).  Labels are re-encoded as
+    integers in a deterministic order.
     """
-    image = None if involution is None else (lambda face: tuple(sorted(involution[v] for v in face)))
-    return _subdivide(complex_.facets, lambda face: tuple(sorted(face)), image)
+    return _subdivide(
+        complex_.facets,
+        lambda face: tuple(sorted(face)),
+        lambda face: tuple(sorted(involution[v] for v in face)),
+    )
 
 
 def quotient_by_involution(

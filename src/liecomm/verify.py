@@ -232,7 +232,7 @@ def criterion_theorem_tables() -> str:
     so3 = invariants.h2_extension_semisimple(FinAbGroup(0, (2,)), 1)
     require(so3.quotient == FinAbGroup(0, (2,)) and not so3.has_forced_torsion)
     pso = invariants.h2_extension_semisimple(FinAbGroup(0, (2, 2)), 1)
-    require(pso.has_forced_torsion and pso.quotient == FinAbGroup(0, (2, 2, 2, 2)))
+    require(pso.has_forced_torsion and pso.quotient == FinAbGroup(0, (2,) * 6))
     return "20 n-tuple cases, both extension examples"
 
 

@@ -107,14 +107,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import comb, lcm
+from math import comb
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .alcove import AlcoveGeometry, alcove_geometry
-from .homology import exact_quotient, require
+from .homology import exact_quotient, require, scale_to_integers
 from .rootdata import FaceIndex, RootDatum, all_faces
 
 WeylMatrix = tuple[tuple[int, ...], ...]
@@ -130,16 +130,8 @@ class WeylCapError(RuntimeError):
     """Full enumeration would exceed its cap."""
 
     def __init__(self, required: int, cap: int):
-        self.required = required
         self.cap = cap
         super().__init__(f"enumeration needs {required} elements, above the cap {cap}")
-
-
-def _integral(vectors: Sequence[Sequence[Fraction]]) -> tuple[int, np.ndarray]:
-    """(D, D*vectors) for exact vectors, D the lcm of their denominators, the
-    scaled vectors as int64 rows."""
-    denom = lcm(*(c.denominator for v in vectors for c in v))
-    return denom, np.array([[int(c * denom) for c in v] for v in vectors], dtype=np.int64)
 
 
 def _regular_vector(datum: RootDatum) -> np.ndarray:
@@ -147,7 +139,7 @@ def _regular_vector(datum: RootDatum) -> np.ndarray:
     coweights, in coroot coordinates; A*rho-vee = 1, so every simple root is
     positive on it."""
     rho = [sum(col) for col in zip(*alcove_geometry(datum).coweights)]
-    return _integral([rho])[1][0]
+    return np.array(scale_to_integers([rho])[1][0], dtype=np.int64)
 
 
 def _wall_reflections(datum: RootDatum) -> np.ndarray:
@@ -372,8 +364,8 @@ class WeylGroup:
         table, so no block page-faults fresh memory; see _stabilizer.
         """
         r = self.datum.rank
-        denom, scaled = _integral(alcove_geometry(self.datum).vertices)
-        scaled = scaled.astype(np.float64)
+        denom, scaled = scale_to_integers(alcove_geometry(self.datum).vertices)
+        scaled = np.array(scaled, dtype=np.float64)
         # v_k is dominant, so q = v_k - w*v_k is a sum of simple coroots with
         # coefficients q_i <= v_k,i + v_k,sigma(i) (sigma = -w_0 on the nodes)
         radix = 2 * int(scaled.max()) // denom + 1
@@ -518,7 +510,7 @@ def _coset_representatives(datum: RootDatum, k: int) -> np.ndarray:
     """
     r, cartan = datum.rank, datum.cartan
     rows = np.array(cartan, dtype=np.int64)
-    start = tuple(_integral([alcove_geometry(datum).coweights[k - 1]])[1][0].tolist())
+    start = tuple(scale_to_integers([alcove_geometry(datum).coweights[k - 1]])[1][0])
     seen, points, reps = {start}, [start], [np.eye(r, dtype=np.int64)]
     for x, u in zip(points, reps):  # both grow as the walk goes
         for i in range(k):
@@ -926,16 +918,19 @@ def alcove_reduce(
     A step crosses exactly one affine root hyperplane between the point and
     the alcove (Humphreys, Reflection Groups and Coxeter Groups, ch. 4), so
     the walk, cut off one step past their count, must take exactly that many.
+    A coordinate that is not a finite rational raises ValueError.
     """
     r = datum.rank
-    x = tuple(Fraction(c) for c in x)
+    try:
+        x = tuple(Fraction(c) for c in x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ValueError("coordinates must be finite rationals") from None
     if len(x) != r:
         raise ValueError(f"expected a vector of length {r}")
     if datum.contains_in_alcove(x):
         identity = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
         return x, identity, (0,) * r
-    scale = lcm(*(c.denominator for c in x))
-    dx = [c.numerator * (scale // c.denominator) for c in x]  # scale*x, integral
+    scale, (dx,) = scale_to_integers([x])  # dx = scale*x, integral
     # translate by the coroot lattice (integer vectors in this basis) first,
     # so the reflection walk starts from a bounded point
     q = [-math.floor(c) for c in x]

@@ -573,8 +573,10 @@ def test_golden_stdout(capsys, argv, stdout):
 
 
 # sha256 of the concatenated stdout of each command group, run in-process.  The
-# digests were recorded from the code before FinAbGroup took its invariant
-# factors by gcd and lcm, when it factored each order into primes.
+# first three digests were recorded from the code before FinAbGroup took its
+# invariant factors by gcd and lcm, when it factored each order into primes; the
+# others before the exact layer lost its unread fields and second integer
+# checks.  verify's stdout is hashed with each criterion's `seconds` removed.
 _CENSUS_K2 = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2", "A5", "D5")
 _STDOUT_DIGESTS = [
     (
@@ -593,7 +595,48 @@ _STDOUT_DIGESTS = [
         [["poincare", t, "--n", "1", "--deg", "24"] for t in ("A6", "B6", "C6", "D6", "E6", "A7")],
         "f83314b463d8c632c263d8123d0e433c6abb2ff8430fd81b6bcf319894bd9a18",
     ),
+    (
+        "spin-stability-m",
+        [["spin-stability", "--m", str(m)] for m in range(5, 17)],
+        "6763f837fa6e6c6770c7aa68eab351989a430ac1cd7a16a61e067df54b61c182",
+    ),
+    (
+        "spin-stability-ell",
+        [
+            ["spin-stability", "--ell", str(ell), "--parity", parity, "--k", str(k)]
+            for ell in range(4, 9)
+            for parity in ("even", "odd")
+            for k in (0, 1, 2)
+        ],
+        "3133017cd195df2e8022f032994a61d14563129f0481eb48d22596ef991ada58",
+    ),
+    (
+        "wps-degree",
+        [
+            ["wps-degree", "--weights", "1,2,3", "--k", "1"],
+            ["wps-degree", "--weights", "1,1,2,2,3", "--k", "1", "--subset", "0,2,4"],
+            ["wps-degree", "--weights", "1,2,3,4,5,6,4,2,3", "--k", "2", "--subset", "0,1,2,5"],
+        ],
+        "6d51ddfc80f1b38a1e6908724d8f59bec87ce80b4269a6d8b93491a27a485638",
+    ),
+    (
+        "geometry",
+        [["beta-check", "--grid", "24"], ["cocycle-check", "--samples", "601"]],
+        "3124cd88f051bb4086ea667f3a34ef3d282036685eb36dc46c7be17be2848576",
+    ),
+    (
+        "verify",
+        [["verify"]],
+        "b79eda90c9f54bf59b7ea3b6c4a7f1e8e4b2eb4cbfb19398cf1761ec0494409a",
+    ),
 ]
+
+
+def _without_seconds(out):
+    payload = json.loads(out)
+    for criterion in payload["criteria"]:
+        del criterion["seconds"]
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -606,5 +649,7 @@ def test_stdout_digest(capsys, commands, digest):
     for argv in commands:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0, argv
+        if argv[0] == "verify":
+            out = _without_seconds(out)
         sha.update(out.encode())
     assert sha.hexdigest() == digest

@@ -1,8 +1,9 @@
+from itertools import product
 from math import comb
 
 import pytest
 
-from liecomm.homology import FinAbGroup
+from liecomm.homology import FinAbGroup, chain_homology
 from liecomm.invariants import (
     bredon_e2_fragment,
     h2_extension_semisimple,
@@ -42,6 +43,12 @@ class TestBredonFragment:
     def test_non_dividing_prime(self):
         assert bredon_e2_fragment("SU(4)", 2, 0) == FinAbGroup()
         assert bredon_e2_fragment("G2", 5, 0) == FinAbGroup()
+
+    @pytest.mark.parametrize("p", [6, 4, 1, 2.5])
+    def test_non_prime_rejected(self, p):
+        # E8's coroot integers are divisible by 6 and 4, which are no primes
+        with pytest.raises(ValueError, match="p must be a prime"):
+            bredon_e2_fragment("E8", p, 0)
 
     def test_spin_range(self):
         # D6 has three coroot integers divisible by 2: nonzero through degree 4
@@ -124,8 +131,9 @@ class TestExtension:
         assert not report.has_forced_torsion
 
     def test_pso4n(self):
+        # H_2((Z/2)^4; Z) = (Z/2)^6 by Hopf, and by the resolution oracle below
         report = h2_extension_semisimple(FinAbGroup(0, (2, 2)), 1)
-        assert report.quotient == FinAbGroup(0, (2, 2, 2, 2))
+        assert report.quotient == FinAbGroup(0, (2,) * 6)
         assert report.has_forced_torsion
 
     def test_trivial_pi1(self):
@@ -136,6 +144,35 @@ class TestExtension:
     def test_infinite_pi1_rejected(self):
         with pytest.raises(ValueError):
             h2_extension_semisimple(FinAbGroup(1), 1)
+
+    @pytest.mark.parametrize(
+        "orders", [(k,) for k in range(2, 10)] + [(2, 2), (2, 4), (3, 3), (2, 2, 2)]
+    )
+    def test_schur_multiplier_from_resolutions(self, orders):
+        # the quotient is H_2 of pi1 x pi1, computed from a free resolution
+        h = chain_homology(_resolution_boundaries(orders * 2))
+        assert h[1] == FinAbGroup(0, orders * 2)
+        assert h[2] == h2_extension_semisimple(FinAbGroup(0, orders), 1).quotient
+
+
+def _resolution_boundaries(orders):
+    """Boundaries d_1, d_2, d_3 of the tensor product, with the Koszul sign, of
+    the periodic resolutions Z <-0- Z <-m- Z <-0- Z of Z/m for m in orders,
+    truncated at degree 3: its H_0, H_1 and H_2 are those of the product of
+    the cyclic groups."""
+    basis = [[p for p in product(range(4), repeat=len(orders)) if sum(p) == n] for n in range(4)]
+    mats = []
+    for n in (1, 2, 3):
+        index = {p: i for i, p in enumerate(basis[n - 1])}
+        mat = [[0] * len(basis[n]) for _ in basis[n - 1]]
+        for col, p in enumerate(basis[n]):
+            sign = 1
+            for i, (pi, m) in enumerate(zip(p, orders)):
+                if pi and pi % 2 == 0:  # d = m from even degrees, 0 from odd
+                    mat[index[p[:i] + (pi - 1,) + p[i + 1 :]]][col] = sign * m
+                sign *= (-1) ** pi
+        mats.append(mat)
+    return mats
 
 
 class TestPi4:
@@ -167,6 +204,6 @@ class TestSpinStability:
         assert details["composite_hom_degree"] == 1
 
     def test_range(self):
-        assert all(spin_pi2_stability(m) for m in range(5, 17))
+        assert all(spin_pi2_stability(m).stable for m in range(5, 17))
         with pytest.raises(ValueError):
             spin_pi2_stability(4)

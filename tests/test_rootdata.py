@@ -105,8 +105,9 @@ class TestRootDatum:
     @pytest.mark.parametrize("name", ["A5", "B3", "C4", "D6", "E7", "F4", "G2", *HIGH_RANK])
     def test_positive_root_count(self, name):
         datum = build_root_datum(name)
-        r, h = datum.rank, datum.coxeter_number
+        r, h = datum.rank, max(datum.degrees)  # the Coxeter number
         assert len(datum.positive_roots) == r * h // 2
+        assert sum(datum.theta) == h - 1
         assert sum(d - 1 for d in datum.degrees) == len(datum.positive_roots)
 
     def test_theta_expansion_is_stored(self):
@@ -140,12 +141,15 @@ class TestRootDatum:
             assert np.array_equal(aj @ s, -aj)
 
     def test_symmetrizer_relation(self):
-        datum = build_root_datum("F4")
-        a, d = datum.cartan, datum.symmetrizer
-        for i in range(4):
-            for j in range(4):
-                assert d[i] * a[i][j] == d[j] * a[j][i]
-        assert all(x > 0 for x in d)
+        # theta_k / theta_vee_k symmetrizes the Cartan matrix, as _build requires
+        for name in ("F4", "G2", "B3", "C4", "E6"):
+            datum = build_root_datum(name)
+            a, r = datum.cartan, datum.rank
+            d = [Fraction(t, tv) for t, tv in zip(datum.theta, datum.theta_vee)]
+            for i in range(r):
+                for j in range(r):
+                    assert d[i] * a[i][j] == d[j] * a[j][i]
+            assert all(x > 0 for x in d)
 
     def test_dynkin_index_prime_factorization(self):
         # lcm equals the product over primes of (p, or 4 at p=2 for rank-7/8 E)

@@ -49,22 +49,27 @@ class TestComplex:
         assert complex_.face_set == {face for level in expected for face in level}
 
 
+def _identity(complex_):
+    return {v: v for v in complex_.vertices}
+
+
 class TestSubdivision:
     def test_interval(self):
         interval = SimplicialComplex([(0, 1)])
-        sd = barycentric_subdivide(interval)
+        sd, _ = barycentric_subdivide(interval, _identity(interval))
         assert sd.f_vector() == (3, 2)
 
     def test_triangle(self):
         triangle = SimplicialComplex([(0, 1, 2)])
-        sd = barycentric_subdivide(triangle)
+        sd, _ = barycentric_subdivide(triangle, _identity(triangle))
         assert len(sd.facets) == 6
         assert sd.euler_characteristic() == 1
 
     def test_top_simplex_multiplier(self):
         tetra = SimplicialComplex([(0, 1, 2, 3)])
-        sd = barycentric_subdivide(tetra)
+        sd, identity = barycentric_subdivide(tetra, _identity(tetra))
         assert len(sd.facets) == 24  # (dim + 1)!
+        assert identity == _identity(sd)
 
     def test_homology_preserved_on_torus(self):
         complex_, involution = torus_triangulation(2)

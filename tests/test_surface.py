@@ -1,9 +1,15 @@
-"""The package's surface: what it exports, and which modules stay exact.
+"""The package's surface: what it exports, what its classes hold, and which
+modules stay exact.
 
 An export passes if the code of `src/liecomm/*.py` (apart from `__init__`) or
 `perfbench/*.py` uses it, or names it in a dotted string such as the
 `"weyl.generate"` entries of `spans.FUNCTIONS`.  Tests do not count: a name
 only a test reaches is kept by listing it in `_NO_CONSUMER` with its reason.
+
+Every field, property or method that a class of `src/liecomm` defines, fields
+assigned to `self` included and dunders excluded, passes the same way if that
+code loads it as an attribute or names it in a dotted string.  A member only
+a test reads is kept by listing it in `_NO_READER` with its reason.
 
 The modules in `_EXACT_MODULES` compute in integers and Fractions only, so
 none of them may import numpy.
@@ -26,6 +32,12 @@ _NO_CONSUMER = (
     ("zeta_class", "kept until the ledger of ROADMAP item 5 decides it"),
 )
 
+_NO_READER = (
+    ("RootDatum.positive_roots", "test reference for root counts (test_positive_root_count)"),
+    ("RootDatum.positive_coroots", "test reference for rho-vee and the coroots (test_weyl)"),
+    ("ExtensionReport.kernel", "the extension's Z^s, which no library check reads yet (item 1)"),
+)
+
 _EXACT_MODULES = ("rootdata.py", "alcove.py", "wps.py", "invariants.py", "simplicial.py")
 
 
@@ -39,12 +51,16 @@ def _exports() -> set[str]:
     }
 
 
+def _reader_sources() -> list[str]:
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    paths += (ROOT / "perfbench").glob("*.py")
+    return [path.read_text() for path in paths]
+
+
 def _consumed() -> set[str]:
-    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    sources += (ROOT / "perfbench").glob("*.py")
     names: set[str] = set()
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text())):
+    for source in _reader_sources():
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -62,6 +78,91 @@ def test_every_export_has_a_consumer():
 
 def test_allowed_names_are_still_exported():
     assert sorted({name for name, _ in _NO_CONSUMER} - _exports()) == []
+
+
+def _members(source: str) -> set[str]:
+    """Class.member for each non-dunder field, property or method of each
+    class in source, with the attributes its methods assign to self."""
+    members = set()
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = set()
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names.add(node.target.id)
+            elif isinstance(node, ast.Assign):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        for node in ast.walk(cls):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                names.add(node.attr)
+        members.update(
+            f"{cls.name}.{name}"
+            for name in names
+            if not (name.startswith("__") and name.endswith("__"))
+        )
+    return members
+
+
+def _read(source: str) -> set[str]:
+    """Attribute names that source loads, and the parts of its dotted strings."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _DOTTED.fullmatch(node.value):
+                names.update(node.value.split("."))
+    return names
+
+
+def _unread(class_sources: list[str], reader_sources: list[str]) -> list[str]:
+    read = set().union(*map(_read, reader_sources))
+    members = set().union(*map(_members, class_sources))
+    return sorted(m for m in members if m.split(".")[1] not in read)
+
+
+def _package_unread() -> list[str]:
+    classes = [path.read_text() for path in PACKAGE.glob("*.py")]
+    return _unread(classes, _reader_sources())
+
+
+def test_every_class_member_has_a_reader():
+    allowed = {name for name, _ in _NO_READER}
+    assert [m for m in _package_unread() if m not in allowed] == []
+
+
+def test_allowed_members_are_still_unread():
+    assert sorted({name for name, _ in _NO_READER} - set(_package_unread())) == []
+
+
+def test_an_unread_member_is_flagged():
+    source = """
+class Report:
+    read: int
+    unread: int
+
+    def __init__(self):
+        self.stored = self.read
+
+    @property
+    def shown(self):
+        return "Report.named"
+
+    def named(self):
+        pass
+
+    def __len__(self):
+        return 0
+"""
+    assert _unread([source], [source]) == ["Report.shown", "Report.stored", "Report.unread"]
 
 
 def _top_level_imports(path: Path) -> set[str]:

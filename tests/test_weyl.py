@@ -911,6 +911,11 @@ class TestAlcoveReduce:
         digest = hashlib.sha256(repr(results).encode()).hexdigest()
         assert digest == "3f76fa20612cac29b8f176d02f8326398faf28275ae865bcc83aeae9cfbe07ec"
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), "1/0"])
+    def test_non_rational_coordinates_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite rationals"):
+            alcove_reduce(build_root_datum("A2"), [Fraction(1, 3), bad])
+
     def test_walk_length_gate(self):
         # the walk is checked against the root hyperplanes it must cross; a
         # datum that lost its root functionals counts none and breaches

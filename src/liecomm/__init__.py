@@ -35,7 +35,6 @@ from .homology import (
 from .invariants import (
     ExtensionReport,
     Pi2Report,
-    SpinStabilityReport,
     bredon_e2_fragment,
     h2_extension_semisimple,
     pi2_hom_n,

@@ -11,28 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from operator import mul
 
-from .homology import require
+from .homology import require, smith_normal_form
 from .rootdata import FaceIndex, RootDatum
 
 FractionVector = tuple[Fraction, ...]
-
-
-def _solve_columns(a: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    """Columns of the inverse of an integer matrix, by exact Gauss-Jordan."""
-    n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(1 if i == k else 0) for k in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if aug[i][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [[aug[i][n + k] for i in range(n)] for k in range(n)]
 
 
 @dataclass(frozen=True)
@@ -43,16 +27,18 @@ class AlcoveGeometry:
     coweights: tuple[FractionVector, ...]  # omega_1_vee .. omega_r_vee
     vertices: tuple[FractionVector, ...]  # indexed by node: 0, v_1, ..., v_r
 
-    @property
-    def rank(self) -> int:
-        return self.datum.rank
-
 
 @lru_cache(maxsize=None)
 def alcove_geometry(datum: RootDatum) -> AlcoveGeometry:
-    """Build the alcove geometry: v_0 = 0 and v_j = omega_j_vee / n_j."""
+    """Build the alcove geometry: v_0 = 0 and v_j = omega_j_vee / n_j, the
+    coweights being the columns of A^-1 = V*D^-1*U, from A's Smith form U*A*V = D."""
     r = datum.rank
-    coweights = tuple(tuple(col) for col in _solve_columns(datum.cartan))
+    u, d, v = smith_normal_form(datum.cartan)
+    top = d[-1][-1]  # a multiple of every divisor d_t
+    top_d_inv_u = [[top // d[t][t] * x for x in row] for t, row in enumerate(u)]
+    coweights = tuple(
+        tuple(Fraction(sum(map(mul, row, col)), top) for row in v) for col in zip(*top_d_inv_u)
+    )
     vertices = ((Fraction(0),) * r,) + tuple(
         tuple(c / n for c in w) for n, w in zip(datum.theta, coweights)
     )
@@ -67,7 +53,7 @@ def alcove_geometry(datum: RootDatum) -> AlcoveGeometry:
 def barycenter(geometry: AlcoveGeometry, face: FaceIndex) -> FractionVector:
     """Barycenter of the face: average of the vertices off the face's walls."""
     nodes = face.complement()
-    r = geometry.rank
+    r = geometry.datum.rank
     acc = [Fraction(0)] * r
     for i in nodes:
         for k in range(r):

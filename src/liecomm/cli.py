@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__, alcove, geom, invariants, verify, weyl, wps
+from . import __version__, geom, invariants, verify, weyl, wps
 from .geom import MeshError
 from .homology import InvariantBreachError
 from .rootdata import LieTypeError, build_root_datum, dynkin_index
@@ -94,8 +94,8 @@ def _cmd_cells(args) -> int:
     group = weyl.generate(
         datum, element_cap=weyl.HARD_ELEMENT_LIMIT, cache_dir=_cache_dir(args)
     )
-    geometry = alcove.alcove_geometry(datum)
-    counts = weyl.cell_census(group, geometry, args.k)
+    # k by name: perfbench's span hook for cell_census reads k by name or at position 2
+    counts = weyl.cell_census(group, k=args.k)
     euler = weyl.euler_char_rep(group, args.k)
     _emit(
         {
@@ -130,28 +130,12 @@ def _cmd_spin_stability(args) -> int:
     if given not in ((True, False, False), (False, True, True)) or (given[0] and args.parity):
         raise ValueError("provide either --m, or --ell with --k (and --parity)")
     if args.m is not None:
-        report = invariants.spin_pi2_stability(args.m)
-        _emit(
-            {
-                "command": "spin-stability",
-                "m": args.m,
-                "stable": report.stable,
-                "route": report.route,
-                "details": {k: v for k, v in report.details},
-            }
-        )
-        return EXIT_OK
-    parity = args.parity or "even"
-    report = wps.spin_stability_report(args.ell, parity, args.k)
-    _emit(
-        {
-            "command": "spin-stability",
-            "ell": args.ell,
-            "parity": parity,
-            "k": args.k,
-            **report,
-        }
-    )
+        report = {"m": args.m, **invariants.spin_pi2_stability(args.m)}
+    else:
+        parity = args.parity or "even"
+        question = {"ell": args.ell, "parity": parity, "k": args.k}
+        report = {**question, **wps.spin_stability_report(args.ell, parity, args.k)}
+    _emit({"command": "spin-stability", **report})
     return EXIT_OK
 
 

@@ -573,7 +573,7 @@ def _generator_degree(m: int) -> tuple[int, float, float, int, float]:
     return 4 * m * m + 2, commutator, norm_residual, degree, residue
 
 
-def beta_check(grid: int = 100) -> dict:
+def beta_check(grid: int) -> dict:
     """Residuals for the generator: seams, commutativity, and degree.
 
     Returns a report with the maximal facet-seam mismatch, the maximal
@@ -659,7 +659,7 @@ def _spread_indices(n: int) -> np.ndarray:
     return np.arange(0, n, max(1, n // 512))[:512]
 
 
-def cocycle_check(samples: int = 10_000) -> dict:
+def cocycle_check(samples: int) -> dict:
     """Residuals for the commutative cocycle on the 4-sphere.
 
     Checks pairwise commutativity on the triple overlap, agreement of rho_12

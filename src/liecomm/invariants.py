@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, gcd, isqrt, prod
+from math import comb, gcd, prod
 
 from .homology import FinAbGroup, as_int, exact_quotient, require
 from .rootdata import LieType, build_root_datum, dynkin_index
@@ -39,18 +39,25 @@ class ExtensionReport:
     provenance: str
 
 
-@dataclass(frozen=True)
-class SpinStabilityReport:
-    """Stability verdict for one spin stabilization step, with the arithmetic."""
-
-    m: int
-    stable: bool
-    route: str
-    details: tuple[tuple[str, int], ...] = ()
+# Miller-Rabin to the first 13 prime bases is exact below psi_13 (Sorenson and
+# Webster, Math. Comp. 86, 2017); 12 bases stop at the composite psi_12 ~ 3.2e23
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+    """Deterministic Miller-Rabin; ValueError at or above _PRIME_BOUND."""
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"primality is decided only below {_PRIME_BOUND}")
+    if n < 2 or any(n % q == 0 for q in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    # a witnesses that n is composite when a^d != 1 and a^(d 2^i) != -1 for i < s
+    return not any(
+        pow(a, d, n) != 1 and all(pow(a, d << i, n) != n - 1 for i in range(s))
+        for a in _PRIME_BASES
+    )
 
 
 def bredon_e2_fragment(lie_type: LieType | str, p: int, k: int) -> FinAbGroup:
@@ -159,8 +166,9 @@ def pi4_commutative_classifying(lie_type: LieType | str) -> tuple[FinAbGroup, Fi
     return FinAbGroup(1), FinAbGroup(2)
 
 
-def spin_pi2_stability(m: int) -> SpinStabilityReport:
-    """Whether spin stabilization m -> m+1 is a pi_2 isomorphism (m >= 5).
+def spin_pi2_stability(m: int) -> dict:
+    """Whether spin stabilization m -> m+1 is a pi_2 isomorphism (m >= 5):
+    {"stable", "route", "details"}, details holding the arithmetic by name.
 
     For m >= 6 the covering even-series composite has degree
     rep_degree * index_lower / index_upper, which must equal 1; m = 5 routes
@@ -169,15 +177,14 @@ def spin_pi2_stability(m: int) -> SpinStabilityReport:
     if m < 5:
         raise ValueError("stability statement starts at m = 5")
     if m == 5:
-        return SpinStabilityReport(
-            m=m,
-            stable=True,
-            route="exceptional isomorphisms (rank-2 symplectic and rank-3 unitary)",
-            details=(
-                ("dynkin_index_spin5", dynkin_index(build_root_datum("Spin(5)"))),
-                ("dynkin_index_spin6", dynkin_index(build_root_datum("Spin(6)"))),
-            ),
-        )
+        return {
+            "stable": True,
+            "route": "exceptional isomorphisms (rank-2 symplectic and rank-3 unitary)",
+            "details": {
+                "dynkin_index_spin5": dynkin_index(build_root_datum("Spin(5)")),
+                "dynkin_index_spin6": dynkin_index(build_root_datum("Spin(6)")),
+            },
+        }
     ell = (m + 2) // 2
     rep_degree = spin_stability_report(ell, "even", 2)["degree"]
     lower = dynkin_index(build_root_datum(f"Spin({2 * ell - 2})"))
@@ -185,15 +192,14 @@ def spin_pi2_stability(m: int) -> SpinStabilityReport:
     composite = exact_quotient(
         rep_degree * lower, upper, "composite degree arithmetic is not integral"
     )
-    return SpinStabilityReport(
-        m=m,
-        stable=composite == 1,
-        route="even-series composite degree",
-        details=(
-            ("ell", ell),
-            ("rep_degree", rep_degree),
-            ("dynkin_index_lower", lower),
-            ("dynkin_index_upper", upper),
-            ("composite_hom_degree", composite),
-        ),
-    )
+    return {
+        "stable": composite == 1,
+        "route": "even-series composite degree",
+        "details": {
+            "ell": ell,
+            "rep_degree": rep_degree,
+            "dynkin_index_lower": lower,
+            "dynkin_index_upper": upper,
+            "composite_hom_degree": composite,
+        },
+    }

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import comb, lcm
 from typing import Callable
 
-from . import alcove, geom, invariants, simplicial, weyl, wps
+from . import geom, invariants, simplicial, weyl, wps
 from .homology import FinAbGroup, require
 from .rootdata import LieType, all_faces, build_root_datum, dynkin_index, lattice_quotient
 
@@ -129,14 +129,11 @@ def criterion_cell_census() -> str:
     """6. Alternating cell counts match the Lefschetz averages for k = 1, 2, 3."""
     checked = 0
     for lt in _canonical_types(3):
-        datum = build_root_datum(lt)
-        group = weyl.generate(datum)
-        geometry = alcove.alcove_geometry(datum)
+        group = weyl.generate(build_root_datum(lt))
         for k in (1, 2, 3):
-            weyl.cell_census(group, geometry, k)
+            weyl.cell_census(group, k)
             checked += 1
-    a1 = build_root_datum(LieType("A", 1))
-    census = weyl.cell_census(weyl.generate(a1), alcove.alcove_geometry(a1), 2)
+    census = weyl.cell_census(weyl.generate(build_root_datum(LieType("A", 1))), 2)
     require(census == [4, 4, 2], census)
     return f"{checked} (type, k) censuses; rank-1 k=2 census is (4, 4, 2)"
 
@@ -178,8 +175,7 @@ def criterion_spin_stability() -> str:
             require(report["degree"] == 1 and report["zero_groups"], ("even", ell, k))
     require(wps.spin_stability_report(3, "odd", 2)["degree"] == 2)  # the 5 -> 7 composite
     for m in range(5, 17):
-        report = invariants.spin_pi2_stability(m)
-        require(report.stable, m)
+        require(invariants.spin_pi2_stability(m)["stable"], m)
     return "degrees for ell=4..8 both parities, the 5->7 composite, stability m=5..16"
 
 

@@ -9,7 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
-from liecomm import weyl
+from liecomm import alcove, weyl
 from liecomm.cli import main
 from liecomm.rootdata import build_root_datum
 from liecomm.verify import _table_types
@@ -264,6 +264,27 @@ class TestOtherCommands:
         assert code == 3
         assert out == ""
         assert err == "liecomm: invariant breach: Lefschetz average at k = 2 is not rank + 1\n"
+
+    def test_wrong_inverse_exits_3(self, capsys, monkeypatch):
+        # one entry of U off makes V*D^-1*U no inverse of the Cartan matrix,
+        # and the alcove vertices then miss their wall equations
+        real = alcove.smith_normal_form
+
+        def perturbed(mat):
+            u, d, v = real(mat)
+            u[0][0] += 1
+            return u, d, v
+
+        monkeypatch.setattr(alcove, "smith_normal_form", perturbed)
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        alcove.alcove_geometry.cache_clear()
+        try:
+            code, out, err = run_cli(capsys, "cells", "A2", "--k", "2")
+        finally:
+            alcove.alcove_geometry.cache_clear()
+        assert code == 3
+        assert out == ""
+        assert err == "liecomm: invariant breach: alcove vertex fails its wall equations\n"
 
     def test_cells_e6_by_classes(self, capsys, tmp_path):
         code, out, _ = run_cli(

@@ -1,8 +1,10 @@
+import time
 from itertools import product
-from math import comb
+from math import comb, isqrt
 
 import pytest
 
+from liecomm import invariants
 from liecomm.homology import FinAbGroup, chain_homology
 from liecomm.invariants import (
     bredon_e2_fragment,
@@ -49,6 +51,36 @@ class TestBredonFragment:
         # E8's coroot integers are divisible by 6 and 4, which are no primes
         with pytest.raises(ValueError, match="p must be a prime"):
             bredon_e2_fragment("E8", p, 0)
+
+    @pytest.mark.parametrize("p", [2**61 - 1, 10**14 + 31])
+    def test_large_prime_answers_fast(self, p):
+        # trial division to sqrt(p) would take minutes near 2^61
+        bredon_e2_fragment("E8", 2, 0)  # the root datum, built once
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert bredon_e2_fragment("E8", p, 0) == FinAbGroup()
+            seconds.append(time.perf_counter() - start)
+        assert min(seconds) < 0.01
+
+    @pytest.mark.parametrize("p", [561, 41041, 3215031751, 318665857834031151167461])
+    def test_pseudoprimes_rejected(self, p):
+        # two Carmichael numbers, a strong pseudoprime to the bases 2, 3, 5
+        # and 7, and psi_12, one to the first 12 prime bases
+        with pytest.raises(ValueError, match="p must be a prime"):
+            bredon_e2_fragment("E8", p, 0)
+
+    def test_primality_bound_raises(self):
+        with pytest.raises(ValueError, match="primality is decided only below"):
+            bredon_e2_fragment("E8", invariants._PRIME_BOUND, 0)
+
+    def test_primality_matches_a_sieve(self):
+        n = 20_000
+        sieve = [False, False] + [True] * (n - 2)
+        for q in range(2, isqrt(n) + 1):
+            if sieve[q]:
+                sieve[q * q :: q] = [False] * len(sieve[q * q :: q])
+        assert [invariants._is_prime(m) for m in range(n)] == sieve
 
     def test_spin_range(self):
         # D6 has three coroot integers divisible by 2: nonzero through degree 4
@@ -187,23 +219,23 @@ class TestPi4:
 class TestSpinStability:
     def test_m5_exceptional_route(self):
         report = spin_pi2_stability(5)
-        assert report.stable
-        assert "exceptional" in report.route
+        assert report["stable"]
+        assert "exceptional" in report["route"]
 
     def test_m6_arithmetic(self):
         report = spin_pi2_stability(6)
-        details = dict(report.details)
+        details = report["details"]
         assert details["rep_degree"] == 2
         assert details["dynkin_index_lower"] == 1
         assert details["dynkin_index_upper"] == 2
         assert details["composite_hom_degree"] == 1
 
     def test_m8_arithmetic(self):
-        details = dict(spin_pi2_stability(8).details)
+        details = spin_pi2_stability(8)["details"]
         assert details["rep_degree"] == 1
         assert details["composite_hom_degree"] == 1
 
     def test_range(self):
-        assert all(spin_pi2_stability(m).stable for m in range(5, 17))
+        assert all(spin_pi2_stability(m)["stable"] for m in range(5, 17))
         with pytest.raises(ValueError):
             spin_pi2_stability(4)

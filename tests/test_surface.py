@@ -13,11 +13,17 @@ a test reads is kept by listing it in `_NO_READER` with its reason.
 
 The modules in `_EXACT_MODULES` compute in integers and Fractions only, so
 none of them may import numpy.
+
+The command line's options and their defaults are pinned in `_CLI_OPTIONS`,
+so a change that adds, drops or re-defaults one edits that table.
 """
 
+import argparse
 import ast
 import re
 from pathlib import Path
+
+from liecomm import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "liecomm"
@@ -177,3 +183,33 @@ def _top_level_imports(path: Path) -> set[str]:
 
 def test_exact_modules_import_no_numpy():
     assert [name for name in _EXACT_MODULES if "numpy" in _top_level_imports(PACKAGE / name)] == []
+
+
+# each subcommand's options by their option strings, positionals by their
+# dest, with their defaults; None is the top-level parser
+_CLI_OPTIONS = {
+    None: {"--version": argparse.SUPPRESS},
+    "invariants": {"type": None},
+    "poincare": {"type": None, "--n": None, "--deg": 6, "--element-cap": 100_000, "--cache-dir": None},
+    "cells": {"type": None, "--k": 2, "--rank-cap": 4, "--cache-dir": None},
+    "wps-degree": {"--weights": None, "--k": 1, "--subset": None},
+    "spin-stability": {"--m": None, "--ell": None, "--parity": None, "--k": None},
+    "beta-check": {"--grid": 50},
+    "cocycle-check": {"--samples": 10_000},
+    "verify": {},
+}
+
+
+def _options(parser: argparse.ArgumentParser) -> dict:
+    return {
+        "/".join(action.option_strings) or action.dest: action.default
+        for action in parser._actions
+        if not isinstance(action, (argparse._HelpAction, argparse._SubParsersAction))
+    }
+
+
+def test_cli_options_pinned():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {None: _options(parser), **{name: _options(p) for name, p in sub.choices.items()}}
+    assert found == _CLI_OPTIONS

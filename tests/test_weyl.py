@@ -448,10 +448,10 @@ class TestConjugacyClasses:
 
     def test_least_reachable(self):
         perms = np.array([[1, 2, 0, 3, 5, 4], [0, 1, 2, 3, 4, 5]])
-        assert weyl._least_reachable(perms).tolist() == [0, 0, 0, 3, 4, 4]
-        assert weyl._least_reachable(np.zeros((0, 3), dtype=np.int64)).tolist() == [0, 1, 2]
+        assert weyl._least_reachable(perms, 6).tolist() == [0, 0, 0, 3, 4, 4]
+        assert weyl._least_reachable([], 3).tolist() == [0, 1, 2]
         # one cycle through every index, so every label is 0
-        assert weyl._least_reachable(np.roll(np.arange(1000), -1)[None]).tolist() == [0] * 1000
+        assert weyl._least_reachable([np.roll(np.arange(1000), -1)], 1000).tolist() == [0] * 1000
 
 
 class TestMolien:
@@ -804,12 +804,10 @@ class TestStabilizersAndCosets:
 
 class TestCellCensus:
     def test_a1_k2(self):
-        datum = build_root_datum("A1")
-        assert cell_census(_group("A1"), alcove_geometry(datum), 2) == [4, 4, 2]
+        assert cell_census(_group("A1"), 2) == [4, 4, 2]
 
     def test_f4_k2_euler(self):
-        datum = build_root_datum("F4")
-        counts = cell_census(_group("F4"), alcove_geometry(datum), 2)
+        counts = cell_census(_group("F4"), 2)
         assert sum((-1) ** d * c for d, c in enumerate(counts)) == 5
 
     @pytest.mark.parametrize("name", ["A2", "C2", "B3"])
@@ -836,16 +834,15 @@ class TestCellCensus:
     @pytest.mark.parametrize("name", ["A1", "A2", "C2", "G2", "B3"])
     def test_k1_counts_faces(self, name):
         datum = build_root_datum(name)
-        counts = cell_census(_group(name), alcove_geometry(datum), 1)
+        counts = cell_census(_group(name), 1)
         assert sum(counts) == 2 ** (datum.rank + 1) - 1
         assert sum((-1) ** d * c for d, c in enumerate(counts)) == 1
 
     @pytest.mark.parametrize("name", ["A2", "C2", "G2"])
     @pytest.mark.parametrize("k", [2, 3])
     def test_euler_identity(self, name, k):
-        datum = build_root_datum(name)
         group = _group(name)
-        counts = cell_census(group, alcove_geometry(datum), k)
+        counts = cell_census(group, k)
         assert sum((-1) ** d * c for d, c in enumerate(counts)) == euler_char_rep(group, k)
 
 

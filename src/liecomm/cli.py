@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from . import __version__, geom, invariants, verify, weyl, wps
-from .geom import MeshError
 from .homology import InvariantBreachError
 from .rootdata import LieTypeError, build_root_datum, dynkin_index
 from .weyl import WeylCapError
@@ -22,10 +21,6 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_BREACH = 3
-
-# LieTypeError is a ValueError
-_PRECONDITION_ERRORS = (ValueError, MeshError)
-
 
 def _jsonable(value):
     if isinstance(value, float):
@@ -156,28 +151,14 @@ def _cmd_cocycle_check(args) -> int:
 def _cmd_verify(args) -> int:
     results = verify.run_all()
     for res in results:
-        status = "PASS" if res.passed else "FAIL"
+        status = "PASS" if res["passed"] else "FAIL"
         print(
-            f"[{status}] {res.index:2d} {res.name}: {res.detail} ({res.seconds:.1f}s)",
+            f"[{status}] {res['index']:2d} {res['name']}: {res['detail']} ({res['seconds']:.1f}s)",
             file=sys.stderr,
         )
-    _emit(
-        {
-            "command": "verify",
-            "passed": all(r.passed for r in results),
-            "criteria": [
-                {
-                    "index": r.index,
-                    "name": r.name,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                    "seconds": r.seconds,
-                }
-                for r in results
-            ],
-        }
-    )
-    return EXIT_OK if all(r.passed for r in results) else EXIT_BREACH
+    passed = all(res["passed"] for res in results)
+    _emit({"command": "verify", "passed": passed, "criteria": results})
+    return EXIT_OK if passed else EXIT_BREACH
 
 
 def _cache_dir(args) -> Path | None:
@@ -251,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         hint = "raise --element-cap" if knob else f"no option of {args.command} raises this cap"
         print(f"liecomm: {exc}; {hint}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except _PRECONDITION_ERRORS as exc:
+    except ValueError as exc:
         print(f"liecomm: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -48,7 +48,7 @@ _PRISM_CENTROID = np.array([1.0 / 3.0, 2.0 / 3.0, 0.5])
 _EXCLUDED_POLE = np.array([0.0, 0.0, -1.0, 0.0])
 
 
-class MeshError(RuntimeError):
+class MeshError(ValueError):
     """The sampling mesh is too coarse for a reliable degree."""
 
 

@@ -22,7 +22,6 @@ from .wps import spin_stability_report
 class Pi2Report:
     """pi_2 of the commuting-pair space with the quotient-map degree."""
 
-    lie_type: LieType
     group: FinAbGroup
     quotient_degree: int
     prime_breakdown: tuple[tuple[int, int], ...]
@@ -107,7 +106,6 @@ def pi2_hom_pairs(lie_type: LieType | str) -> Pi2Report:
         f"{index} for {datum.lie_type.name}",
     )
     return Pi2Report(
-        lie_type=datum.lie_type,
         group=FinAbGroup(1),
         quotient_degree=degree,
         prime_breakdown=breakdown,

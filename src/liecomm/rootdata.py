@@ -214,10 +214,6 @@ class RootDatum:
             for row, b in zip(self.wall_functionals, self.wall_bounds)
         )
 
-    def contains_in_alcove(self, x: Sequence[Fraction]) -> bool:
-        """The alcove inequalities a_j(x) >= b_j: every wall height of x is nonnegative."""
-        return all(v >= 0 for v in self.wall_values(x))
-
     def to_json_dict(self) -> dict:
         return {
             "family": self.lie_type.family,

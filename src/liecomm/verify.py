@@ -13,22 +13,12 @@ the hand-typed values the library cannot know.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from math import comb, lcm
 from typing import Callable
 
 from . import geom, invariants, simplicial, weyl, wps
 from .homology import FinAbGroup, require
 from .rootdata import LieType, all_faces, build_root_datum, dynkin_index, lattice_quotient
-
-
-@dataclass
-class CriterionResult:
-    index: int
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
 
 
 def _table_types() -> list[LieType]:
@@ -250,10 +240,12 @@ CRITERIA: list[tuple[str, Callable[[], str]]] = [
 BUDGETS = {1: 1, 2: 10, 3: 30, 7: 120, 10: 60}
 
 
-def run_criterion(index: int) -> CriterionResult:
+def run_criterion(index: int) -> dict:
     """Run a single acceptance criterion (1-based index).
 
-    Nothing can be set, so every run checks the same cases.
+    Returns {"index", "name", "passed", "detail", "seconds"}, the record
+    `liecomm verify` emits.  Nothing can be set, so every run checks the
+    same cases.
     """
     name, func = CRITERIA[index - 1]
     start = time.perf_counter()
@@ -266,8 +258,9 @@ def run_criterion(index: int) -> CriterionResult:
     except Exception as exc:  # noqa: BLE001 - verdicts must not crash the table
         detail = f"{type(exc).__name__}: {exc}"
         passed = False
-    return CriterionResult(index, name, passed, detail, time.perf_counter() - start)
+    seconds = time.perf_counter() - start
+    return {"index": index, "name": name, "passed": passed, "detail": detail, "seconds": seconds}
 
 
-def run_all() -> list[CriterionResult]:
+def run_all() -> list[dict]:
     return [run_criterion(i) for i in range(1, len(CRITERIA) + 1)]

@@ -121,6 +121,7 @@ WeylMatrix = tuple[tuple[int, ...], ...]
 
 DEFAULT_ELEMENT_CAP = 100_000
 HARD_ELEMENT_LIMIT = 10_000_000
+CENSUS_TUPLE_LIMIT = 1_000_000  # face k-tuples of a cell census, one Burnside term each
 _CACHE_VERSION = 4
 _LABEL_BLOCK = 1 << 10  # elements per block of stack products, charpolys and translation labels
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of smaller magnitude exactly
@@ -862,11 +863,18 @@ def cell_census(group: WeylGroup, k: int) -> list[int]:
     Cells are indexed by k-tuples of alcove faces together with diagonal
     W-orbits of the product of coset spaces; orbits are counted by Burnside
     averaging of the fixed-coset counts, one term per conjugacy class.
+    ValueError when the len(faces)**k face tuples exceed CENSUS_TUPLE_LIMIT.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     datum = group.datum
     faces = all_faces(datum)
+    # at least 3 faces, so a power past the limit's bit length is past the limit
+    if len(faces) ** min(k, CENSUS_TUPLE_LIMIT.bit_length()) > CENSUS_TUPLE_LIMIT:
+        raise ValueError(
+            f"the census needs {len(faces)}^{k} face tuples, above the limit "
+            f"{CENSUS_TUPLE_LIMIT}; no option raises this limit"
+        )
     fixed = {f: _fixed_coset_counts(group, _stabilizer(group, f.nodes)).tolist() for f in faces}
     counts = [0] * (k * datum.rank + 1)
     for combo in product(faces, repeat=k):
@@ -909,9 +917,11 @@ def alcove_reduce(
 
     The walk runs in integers: with D the lcm of the denominators of x, it
     keeps y = D*(w*x + q), an integer vector, and w and q, which stay
-    integral.  Each step reflects in the first wall, in node order 1..r then
-    0, with a_j(y) < D*b_j: s_j(p) = p - (a_j(p) - b_j)*c_j is a rank-one
-    update of y, q and w, which touches only the rows where c_j is nonzero.
+    integral.  A point with a_j(D*x) >= D*b_j on every wall is returned with
+    the identity and q = 0.  Each step reflects in the first wall, in node
+    order 1..r then 0, with a_j(y) < D*b_j: s_j(p) = p - (a_j(p) - b_j)*c_j
+    is a rank-one update of y, q and w, which touches only the rows where c_j
+    is nonzero.
     A step crosses exactly one affine root hyperplane between the point and
     the alcove (Humphreys, Reflection Groups and Coxeter Groups, ch. 4), so
     the walk, cut off one step past their count, must take exactly that many.
@@ -924,18 +934,17 @@ def alcove_reduce(
         raise ValueError("coordinates must be finite rationals") from None
     if len(x) != r:
         raise ValueError(f"expected a vector of length {r}")
-    if datum.contains_in_alcove(x):
-        identity = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
-        return x, identity, (0,) * r
     scale, (dx,) = scale_to_integers([x])  # dx = scale*x, integral
+    walls = list(zip(datum.wall_functionals, datum.wall_coroots, datum.wall_bounds))
+    walls = walls[1:] + walls[:1]  # node order 1..r, then 0
+    w = [[int(i == j) for j in range(r)] for i in range(r)]
+    if all(_dot(a, dx) >= b * scale for a, _, b in walls):
+        return x, tuple(map(tuple, w)), (0,) * r
     # translate by the coroot lattice (integer vectors in this basis) first,
     # so the reflection walk starts from a bounded point
     q = [-math.floor(c) for c in x]
     y = [a + scale * b for a, b in zip(dx, q)]
-    w = [[int(i == j) for j in range(r)] for i in range(r)]
     hyperplanes = _separating_hyperplanes(datum, y, scale)
-    walls = list(zip(datum.wall_functionals, datum.wall_coroots, datum.wall_bounds))
-    walls = walls[1:] + walls[:1]  # node order 1..r, then 0
     for steps in range(hyperplanes + 2):
         wall = next((wall for wall in walls if _dot(wall[0], y) < wall[2] * scale), None)
         if wall is None:

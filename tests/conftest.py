@@ -17,17 +17,33 @@ _REAPER = (
 )
 
 
-def _reaped(*args: str) -> tuple[int, float]:
-    """Exit code and peak RSS in MB of `python -m liecomm.cli *args`."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-c", _REAPER, sys.executable, "-m", "liecomm.cli", *args],
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _run_python(*args: str, cwd=None, **env: str) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh process that imports this checkout's liecomm:
+    src goes ahead of any PYTHONPATH, env entries are added, text is captured
+    and a nonzero exit raises."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": path},
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
+
+
+@pytest.fixture
+def run_python():
+    """Runs `python *args` in a fresh process; see _run_python."""
+    return _run_python
+
+
+def _reaped(*args: str) -> tuple[int, float]:
+    """Exit code and peak RSS in MB of `python -m liecomm.cli *args`."""
+    run = _run_python("-c", _REAPER, sys.executable, "-m", "liecomm.cli", *args)
     code, maxrss_kib = map(int, run.stdout.split())
     return code, maxrss_kib / 1024
 

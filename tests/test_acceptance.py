@@ -7,8 +7,6 @@ Run the same checks from the command line with `liecomm verify`.
 
 import inspect
 import re
-import subprocess
-import sys
 
 import pytest
 
@@ -18,9 +16,16 @@ from liecomm import verify
 @pytest.mark.parametrize("index", range(1, len(verify.CRITERIA) + 1))
 def test_criterion(index):
     result = verify.run_criterion(index)
-    status = "PASS" if result.passed else "FAIL"
-    print(f"[{status}] criterion {result.index:2d} ({result.name}): {result.detail}")
-    assert result.passed, f"criterion {result.index} ({result.name}): {result.detail}"
+    status = "PASS" if result["passed"] else "FAIL"
+    line = f"criterion {result['index']:2d} ({result['name']}): {result['detail']}"
+    print(f"[{status}] {line}")
+    assert result["passed"], line
+
+
+def test_result_shape():
+    # one record of the "criteria" list that `liecomm verify` emits
+    types = {key: type(value) for key, value in verify.run_criterion(1).items()}
+    assert types == {"index": int, "name": str, "passed": bool, "detail": str, "seconds": float}
 
 
 def test_no_option_shrinks_the_verdict():
@@ -33,18 +38,16 @@ def test_no_option_shrinks_the_verdict():
         verify.run_criterion(3, cache_dir=None)
 
 
-def test_gates_survive_optimize():
+def test_gates_survive_optimize(run_python):
     # under python -O every assert is stripped; the criteria must still fail
     code = (
         "from liecomm import verify, wps\n"
         "real = wps.spin_stability_report\n"
         "wps.spin_stability_report = lambda *a: {**real(*a), 'degree': 99}\n"
         "result = verify.run_criterion(8)\n"
-        "print('passed:', result.passed, result.detail)\n"
+        "print('passed:', result['passed'], result['detail'])\n"
     )
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True
-    )
+    run = run_python("-O", "-c", code)
     assert run.stdout.startswith("passed: False InvariantBreachError: ('even', 4, 0)")
 
 
@@ -52,5 +55,5 @@ def test_budget_overrun_fails_the_criterion(monkeypatch):
     # budgets are checked once, in run_criterion, after the criterion's own checks
     monkeypatch.setitem(verify.BUDGETS, 9, 0)
     result = verify.run_criterion(9)
-    assert not result.passed
-    assert re.fullmatch(r"InvariantBreachError: took \d+\.\d\ds, budget 0s", result.detail)
+    assert not result["passed"]
+    assert re.fullmatch(r"InvariantBreachError: took \d+\.\d\ds, budget 0s", result["detail"])

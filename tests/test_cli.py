@@ -1,9 +1,7 @@
 import dataclasses
 import hashlib
 import json
-import os
-import subprocess
-import sys
+import time
 import zlib
 
 import numpy as np
@@ -35,21 +33,6 @@ def _enumerate_with(monkeypatch, perturb):
     monkeypatch.setattr(weyl, "_enumerate", enumerate_)
 
 
-def _cli_run(*argv, cwd):
-    """stdout of `python -m liecomm.cli *argv` run in cwd, with HOME there too."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-m", "liecomm.cli", *argv],
-        capture_output=True,
-        text=True,
-        check=True,
-        cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path, "HOME": str(cwd)},
-    )
-    return run.stdout
-
-
 class TestInvariantsCommand:
     def test_e8(self, capsys):
         code, out, _ = run_cli(capsys, "invariants", "E8")
@@ -64,11 +47,9 @@ class TestInvariantsCommand:
         _, second, _ = run_cli(capsys, "invariants", "F4")
         assert first == second
 
-    def test_byte_identical_across_processes(self):
-        cmd = [sys.executable, "-m", "liecomm.cli", "beta-check", "--grid", "12"]
-        runs = [
-            subprocess.run(cmd, capture_output=True, check=True).stdout for _ in range(2)
-        ]
+    def test_byte_identical_across_processes(self, run_python):
+        cmd = ["-m", "liecomm.cli", "beta-check", "--grid", "12"]
+        runs = [run_python(*cmd).stdout for _ in range(2)]
         assert runs[0] == runs[1]
         assert json.loads(runs[0])["passed"] is True
 
@@ -190,17 +171,9 @@ class TestPoincareCommand:
         )
 
 
-def test_cli_import_leaves_out_hashlib():
+def test_cli_import_leaves_out_hashlib(run_python):
     # the cache's content check is zlib.crc32; hashlib would add to every job's peak RSS
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-c", "import sys, liecomm.cli; print('hashlib' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    run = run_python("-c", "import sys, liecomm.cli; print('hashlib' in sys.modules)")
     assert run.stdout == "False\n"
 
 
@@ -249,6 +222,30 @@ class TestOtherCommands:
         payload = json.loads(out)
         assert payload["counts_by_dim"] == [4, 4, 2]
         assert payload["euler_characteristic"] == 2
+
+    def test_cells_face_tuples_are_bounded(self, capsys):
+        # A1 has 3 faces; 3^13 tuples are refused before any work, whatever k is
+        for k in ("13", "1000000000"):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "cells", "A1", "--k", k)
+            assert time.perf_counter() - start < 1
+            assert code == 2 and out == ""
+            assert err == (
+                f"liecomm: the census needs 3^{k} face tuples, above the limit 1000000; "
+                "no option raises this limit\n"
+            )
+
+    @pytest.mark.slow
+    def test_cells_a1_k12_answers(self, capsys):
+        # 3^12 = 531441 face tuples, the most of any A1 census within the limit
+        code, out, _ = run_cli(capsys, "cells", "A1", "--k", "12")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["euler_characteristic"] == 2048
+        assert payload["counts_by_dim"] == [
+            4096, 24576, 135168, 450560, 1013760, 1622016, 1892352,
+            1622016, 1013760, 450560, 135168, 24576, 2048,
+        ]
 
     def test_cells_breach_exits_3(self, capsys, monkeypatch):
         real = weyl.euler_char_rep
@@ -354,8 +351,11 @@ class TestOtherCommands:
         assert code == 3
         assert json.loads(out)["passed"] is False
 
-    def test_only_a_named_cache_dir_is_written(self, tmp_path):
+    def test_only_a_named_cache_dir_is_written(self, tmp_path, run_python):
         # HOME and the working directory stay empty; --cache-dir changes no output
+        def _cli_run(*argv, cwd):
+            return run_python("-m", "liecomm.cli", *argv, cwd=cwd, HOME=str(cwd)).stdout
+
         home, cached = tmp_path / "home", tmp_path / "cached"
         home.mkdir()
         cached.mkdir()

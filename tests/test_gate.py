@@ -6,9 +6,6 @@ through one of the two.
 """
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -66,7 +63,7 @@ class TestExactQuotient:
         assert info.value.args == (("Molien", 7),)
 
 
-def test_library_breach_survives_optimize():
+def test_library_breach_survives_optimize(run_python):
     # under python -O every assert is stripped; a library cross-check must still fire
     code = (
         "import dataclasses\n"
@@ -82,14 +79,7 @@ def test_library_breach_survives_optimize():
         "except InvariantBreachError as exc:\n"
         "    print('debug:', __debug__, 'breach:', exc)\n"
     )
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    run = run_python("-O", "-c", code)
     assert run.stdout == "debug: False breach: Lefschetz average is not an integer\n"
 
 

@@ -838,6 +838,14 @@ class TestCellCensus:
         assert sum(counts) == 2 ** (datum.rank + 1) - 1
         assert sum((-1) ** d * c for d, c in enumerate(counts)) == 1
 
+    def test_tuple_limit_admits_its_equal(self, monkeypatch):
+        # A1 has 3 faces: 3^4 tuples are within a limit of 81, and 3^5 are refused
+        group = _group("A1")
+        monkeypatch.setattr(weyl, "CENSUS_TUPLE_LIMIT", 3**4)
+        assert sum((-1) ** d * c for d, c in enumerate(cell_census(group, 4))) == 8
+        with pytest.raises(ValueError, match=r"3\^5 face tuples, above the limit 81;"):
+            cell_census(group, 5)
+
     @pytest.mark.parametrize("name", ["A2", "C2", "G2"])
     @pytest.mark.parametrize("k", [2, 3])
     def test_euler_identity(self, name, k):
@@ -856,6 +864,32 @@ class TestAlcoveReduce:
         assert w == tuple(tuple(1 if i == j else 0 for j in range(2)) for i in range(2))
         assert q == (0, 0)
 
+    @pytest.mark.parametrize("name", TABLE_TYPES)
+    def test_boundary_points_take_the_early_return(self, name, monkeypatch):
+        # a vertex or face barycenter reduces to itself without a walk; moved
+        # 1/1000 outward across one wall it lies on, it is walked back
+        datum = build_root_datum(name)
+        geo = alcove_geometry(datum)
+        r = datum.rank
+        identity = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+        walks = []
+        real = weyl._separating_hyperplanes
+        monkeypatch.setattr(
+            weyl, "_separating_hyperplanes", lambda *args: walks.append(args) or real(*args)
+        )
+        points = list(geo.vertices) + [barycenter(geo, face) for face in all_faces(datum)]
+        for p in points:
+            assert alcove_reduce(datum, p) == (p, identity, (0,) * r)
+        assert not walks
+        for p in points:
+            for j, height in enumerate(datum.wall_values(p)):
+                if height:
+                    continue
+                moved = tuple(x - Fraction(c, 1000) for x, c in zip(p, datum.wall_coroots[j]))
+                before = len(walks)
+                point, _, _ = alcove_reduce(datum, moved)
+                assert len(walks) == before + 1 and point != moved
+
     def test_rank_one_wall_reflection(self):
         # coordinate 0.7 in the alpha-vee basis reflects across the far wall to 0.3
         datum = build_root_datum("A1")
@@ -868,7 +902,7 @@ class TestAlcoveReduce:
         geo = alcove_geometry(datum)
         b = barycenter(geo, FaceIndex.of(datum, []))
         point, w, q = alcove_reduce(datum, [-c for c in b])
-        assert datum.contains_in_alcove(point)
+        assert min(datum.wall_values(point)) >= 0
 
     @given(st.tuples(st.fractions(max_denominator=8), st.fractions(max_denominator=8)))
     @settings(max_examples=40, deadline=None)
@@ -918,6 +952,6 @@ class TestAlcoveReduce:
         # datum that lost its root functionals counts none and breaches
         datum = build_root_datum("E8")
         x = [Fraction(-7, 3)] * 8
-        assert datum.contains_in_alcove(alcove_reduce(datum, x)[0])
+        assert min(datum.wall_values(alcove_reduce(datum, x)[0])) >= 0
         with pytest.raises(InvariantBreachError, match="0 root hyperplanes"):
             alcove_reduce(dataclasses.replace(datum, root_functionals=()), x)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,6 +25,8 @@ EXIT_BREACH = 3
 
 def _jsonable(value):
     if isinstance(value, float):
+        if not math.isfinite(value):
+            return str(value)  # "nan", "inf" or "-inf": JSON has no such number
         return float(f"{value:.12e}")
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
@@ -34,7 +37,8 @@ def _jsonable(value):
 
 def _emit(payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    sys.stdout.write(json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":")))
+    text = json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    sys.stdout.write(text)
     sys.stdout.write("\n")
 
 
@@ -85,6 +89,7 @@ def _cmd_cells(args) -> int:
         raise LieTypeError(
             f"census for rank {datum.rank} exceeds --rank-cap {args.rank_cap}"
         )
+    weyl.check_census_size(datum.rank, args.k)  # before the enumeration, the costliest step
     # --rank-cap is the opt-in to large types, so only the hard limit applies
     group = weyl.generate(
         datum, element_cap=weyl.HARD_ELEMENT_LIMIT, cache_dir=_cache_dir(args)

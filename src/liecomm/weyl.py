@@ -90,9 +90,11 @@ requires.
 
 Groups are memoized in-process.  A caller that names a cache directory also
 gets the on-disk cache (format 4): the stack, its zlib CRC-32 and the
-buckets, written for rank >= 5.  A load checks the CRC against the stack,
-and the buckets by their counts summing to |W| and by Solomon's identity, so
-a warm load never derives the buckets again.
+buckets, written for rank >= 5.  The file is the archive np.savez writes,
+byte for byte in every member, but each member is written from its array's
+own buffer, so the write copies no stack.  A load checks the CRC against the
+stack, and the buckets by their counts summing to |W| and by Solomon's
+identity, so a warm load never derives the buckets again.
 """
 
 from __future__ import annotations
@@ -594,7 +596,7 @@ def _save_cache(group: WeylGroup, cache_dir: Path) -> None:
     charpolys, counts = zip(*group.charpoly_buckets)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez(
+        _write_npz(
             path,
             version=np.int64(_CACHE_VERSION),
             order=np.int64(group.order),
@@ -605,6 +607,20 @@ def _save_cache(group: WeylGroup, cache_dir: Path) -> None:
         )
     except OSError as exc:
         print(f"liecomm: could not write the Weyl cache {path}: {exc}", file=sys.stderr)
+
+
+def _write_npz(path: Path, **arrays: np.ndarray | np.generic) -> None:
+    """The archive np.savez writes, member for member, with each member's data
+    written from the array's own buffer.  np.savez copies an array into bytes,
+    16 MiB at a time, to write it into a zip member; here the zip layer takes
+    its CRC over the buffer it writes, so the stack is never copied."""
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, value in arrays.items():
+            array = np.asarray(value)  # 0-d stays 0-d: np.load gives scalars back
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                header = np.lib.format.header_data_from_array_1_0(array)
+                np.lib.format.write_array_header_1_0(member, header)
+                member.write(memoryview(array).cast("B"))  # C order; TypeError if not contiguous
 
 
 def _load_cache(datum: RootDatum, cache_dir: Path) -> WeylGroup | None:
@@ -857,24 +873,33 @@ def _orbit_count(group: WeylGroup, fixed: list[list[int]]) -> int:
     return exact_quotient(total, group.order, "Burnside average is not an integer")
 
 
+def check_census_size(rank: int, k: int) -> None:
+    """ValueError when k < 1, or when the face k-tuples of a rank-r census
+    exceed CENSUS_TUPLE_LIMIT.  The alcove has a face on every proper subset
+    of its r + 1 walls, so the count, (2^(r+1) - 1)^k, needs no enumeration
+    and is checked before it."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    faces = 2 ** (rank + 1) - 1
+    # at least 3 faces, so a power past the limit's bit length is past the limit
+    if faces ** min(k, CENSUS_TUPLE_LIMIT.bit_length()) > CENSUS_TUPLE_LIMIT:
+        raise ValueError(
+            f"the census needs {faces}^{k} face tuples, above the limit "
+            f"{CENSUS_TUPLE_LIMIT}; no option raises this limit"
+        )
+
+
 def cell_census(group: WeylGroup, k: int) -> list[int]:
     """Cells per dimension of the k-fold torus quotient's face/coset structure.
 
     Cells are indexed by k-tuples of alcove faces together with diagonal
     W-orbits of the product of coset spaces; orbits are counted by Burnside
     averaging of the fixed-coset counts, one term per conjugacy class.
-    ValueError when the len(faces)**k face tuples exceed CENSUS_TUPLE_LIMIT.
+    ValueError for k < 1 or an oversized census, as check_census_size.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     datum = group.datum
+    check_census_size(datum.rank, k)
     faces = all_faces(datum)
-    # at least 3 faces, so a power past the limit's bit length is past the limit
-    if len(faces) ** min(k, CENSUS_TUPLE_LIMIT.bit_length()) > CENSUS_TUPLE_LIMIT:
-        raise ValueError(
-            f"the census needs {len(faces)}^{k} face tuples, above the limit "
-            f"{CENSUS_TUPLE_LIMIT}; no option raises this limit"
-        )
     fixed = {f: _fixed_coset_counts(group, _stabilizer(group, f.nodes)).tolist() for f in faces}
     counts = [0] * (k * datum.rank + 1)
     for combo in product(faces, repeat=k):

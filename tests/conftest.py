@@ -71,19 +71,30 @@ def a2_non_cyclotomic_buckets():
     return (((1, -2, 1), 1), ((-1, 0, 1), 3), ((1, 1, 1), 1), ((1, -3, 1), 1))
 
 
+def _traced(call, *args, **kwargs):
+    """call(*args, **kwargs), and the tracemalloc peak in bytes of the
+    allocations made during the call."""
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced():
+    """Makes a call under tracemalloc; returns its result and the peak in bytes."""
+    return _traced
+
+
 def _traced_enumeration(name: str):
     """weyl._enumerate of the named type, and the tracemalloc peak in bytes of
     the allocations made during the call."""
     from liecomm import weyl
     from liecomm.rootdata import build_root_datum
 
-    datum = build_root_datum(name)
-    tracemalloc.start()
-    try:
-        group = weyl._enumerate(datum)
-        return group, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return _traced(weyl._enumerate, build_root_datum(name))
 
 
 @pytest.fixture

@@ -235,6 +235,20 @@ class TestOtherCommands:
                 "no option raises this limit\n"
             )
 
+    def test_oversized_census_is_refused_before_enumerating(self, capsys, monkeypatch):
+        # the tuple count needs only the rank and k, so E6 is never enumerated
+        def refuse(datum):
+            raise AssertionError("an oversized census enumerated its Weyl group")
+
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        monkeypatch.setattr(weyl, "_enumerate", refuse)
+        code, out, err = run_cli(capsys, "cells", "E6", "--k", "3", "--rank-cap", "6")
+        assert code == 2 and out == ""
+        assert err == (
+            "liecomm: the census needs 127^3 face tuples, above the limit 1000000; "
+            "no option raises this limit\n"
+        )
+
     @pytest.mark.slow
     def test_cells_a1_k12_answers(self, capsys):
         # 3^12 = 531441 face tuples, the most of any A1 census within the limit
@@ -350,6 +364,26 @@ class TestOtherCommands:
         code, out, _ = run_cli(capsys, "cocycle-check", "--samples", "1000")
         assert code == 3
         assert json.loads(out)["passed"] is False
+
+    def test_non_finite_residual_prints_strict_json(self, capsys, monkeypatch):
+        from liecomm import geom
+
+        real = geom.cocycle_check
+        leaked = {
+            "overlap_agreement": float("nan"),
+            "pairwise_commutator": float("inf"),
+            "clutching_residual": float("-inf"),
+        }
+        monkeypatch.setattr(geom, "cocycle_check", lambda samples: {**real(samples), **leaked})
+        code, out, _ = run_cli(capsys, "cocycle-check", "--samples", "1000")
+        assert code == 3
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+        payload = json.loads(out, parse_constant=refuse)
+        assert payload["passed"] is False
+        assert [payload[key] for key in leaked] == ["nan", "inf", "-inf"]
 
     def test_only_a_named_cache_dir_is_written(self, tmp_path, run_python):
         # HOME and the working directory stay empty; --cache-dir changes no output

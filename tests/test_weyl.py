@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import random
 import re
+import zipfile
 import zlib
 from collections import Counter
 from fractions import Fraction
@@ -185,13 +186,58 @@ class TestEnumeration:
         np.savez(weyl._cache_path(datum, tmp_path), **stored)
         assert weyl._load_cache(datum, tmp_path) is None
 
+    @pytest.mark.parametrize("name", ["B5", "E6"])
+    def test_cache_members_are_the_savez_members(self, name, tmp_path):
+        # the writer is np.savez without the copy: same members, same order,
+        # same bytes, so the format and its version are unchanged
+        datum = build_root_datum(name)
+        group = weyl._enumerate(datum)
+        weyl._save_cache(group, tmp_path)
+        charpolys, counts = zip(*group.charpoly_buckets)
+        reference = tmp_path / "savez.npz"
+        np.savez(
+            reference,
+            version=np.int64(weyl._CACHE_VERSION),
+            order=np.int64(group.order),
+            matrices=group.matrices,
+            crc=np.int64(zlib.crc32(group.matrices)),
+            charpolys=np.array(charpolys, dtype=np.int64),
+            counts=np.array(counts, dtype=np.int64),
+        )
+        with zipfile.ZipFile(weyl._cache_path(datum, tmp_path)) as ours:
+            with zipfile.ZipFile(reference) as theirs:
+                names = ours.namelist()
+                assert names == theirs.namelist()
+                assert names == [
+                    f"{n}.npy" for n in ("version", "order", "matrices", "crc", "charpolys", "counts")
+                ]
+                for member in names:
+                    assert ours.read(member) == theirs.read(member), member
+
+    @pytest.mark.parametrize("name", ["E6", "A7", "B6"])
+    def test_cold_generate_holds_one_stack(self, name, tmp_path, monkeypatch, traced):
+        # the enumeration's own peak: the cache write copies no stack
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        group, peak = traced(generate, build_root_datum(name), cache_dir=tmp_path)
+        assert weyl._cache_path(group.datum, tmp_path).exists()
+        assert peak <= 1.75 * group.matrices.nbytes
+
+    @pytest.mark.parametrize("name", ["E6", "A7", "B6"])
+    def test_cache_write_copies_no_stack(self, name, tmp_path, traced):
+        group = generate(build_root_datum(name))
+        _, peak = traced(weyl._save_cache, group, tmp_path)
+        assert peak <= 0.05 * group.matrices.nbytes
+
     @pytest.mark.slow
-    def test_rank_seven_exceptional_behind_flag(self, tmp_path, monkeypatch, e7_enumeration):
+    def test_rank_seven_exceptional_behind_flag(
+        self, tmp_path, monkeypatch, e7_enumeration, traced
+    ):
         datum = build_root_datum("E7")
         monkeypatch.setitem(weyl._MEMO, ("E", 7), e7_enumeration[0])
         group = generate(datum, element_cap=3_000_000)
         assert group is e7_enumeration[0]
-        weyl._save_cache(group, tmp_path)
+        _, peak = traced(weyl._save_cache, group, tmp_path)
+        assert peak <= 0.05 * group.matrices.nbytes  # written from the stack, not copied
         assert weyl._cache_path(datum, tmp_path).exists()
         assert group.order == 2_903_040
         assert irreducibility_check(group) == Fraction(1)

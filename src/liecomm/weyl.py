@@ -108,7 +108,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from math import comb
 from pathlib import Path
 from typing import Sequence
@@ -123,7 +122,7 @@ WeylMatrix = tuple[tuple[int, ...], ...]
 
 DEFAULT_ELEMENT_CAP = 100_000
 HARD_ELEMENT_LIMIT = 10_000_000
-CENSUS_TUPLE_LIMIT = 1_000_000  # face k-tuples of a cell census, one Burnside term each
+CENSUS_TUPLE_LIMIT = 1_000_000  # face k-tuples of a census; keeps totals (<= |W|^k) below 2^63
 _CACHE_VERSION = 4
 _LABEL_BLOCK = 1 << 10  # elements per block of stack products, charpolys and translation labels
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of smaller magnitude exactly
@@ -877,7 +876,9 @@ def check_census_size(rank: int, k: int) -> None:
     """ValueError when k < 1, or when the face k-tuples of a rank-r census
     exceed CENSUS_TUPLE_LIMIT.  The alcove has a face on every proper subset
     of its r + 1 walls, so the count, (2^(r+1) - 1)^k, needs no enumeration
-    and is checked before it."""
+    and is checked before it.  With HARD_ELEMENT_LIMIT the limit also keeps
+    cell_census's int64 sums below 2^63: its Burnside totals are at most
+    |W|^k, at most 2.7e13 (D8, k = 2), and cell_census requires it."""
     if k < 1:
         raise ValueError("k must be >= 1")
     faces = 2 ** (rank + 1) - 1
@@ -896,14 +897,48 @@ def cell_census(group: WeylGroup, k: int) -> list[int]:
     W-orbits of the product of coset spaces; orbits are counted by Burnside
     averaging of the fixed-coset counts, one term per conjugacy class.
     ValueError for k < 1 or an oversized census, as check_census_size.
+
+    The Burnside total of a tuple is sum_c |c| * prod_i fixed[f_i, c], so the
+    F^(k-1) tuple prefixes are decoded by mixed radix _LABEL_BLOCK at a time,
+    their class products formed, and the totals for all F last faces read off
+    one int64 product with the F x C fixed-count matrix.  Every total must be
+    divisible by |W|, tuple by tuple.  A total is |W| times the orbits of
+    W_(f_1) on the cosets of the other faces, so it is at most |W|^k, and the
+    orbit counts of the census sum to at most F^k * |W|^(k-1); one gate keeps
+    both below 2^63.  Within CENSUS_TUPLE_LIMIT and HARD_ELEMENT_LIMIT the
+    largest total is 2.7e13 (D8, k = 2) and the largest sum bound 1.4e15 (F4,
+    k = 4).
     """
     datum = group.datum
     check_census_size(datum.rank, k)
     faces = all_faces(datum)
-    fixed = {f: _fixed_coset_counts(group, _stabilizer(group, f.nodes)).tolist() for f in faces}
+    n, order = len(faces), group.order
+    require(
+        max(n**k, order) * order ** (k - 1) < 1 << 63,
+        "the census's Burnside totals could overflow int64",
+    )
+    fixed = np.array([_fixed_coset_counts(group, _stabilizer(group, f.nodes)) for f in faces])
+    sizes = np.array(group._classes[1], dtype=np.int64)
+    dims = np.array([f.dim for f in faces])
+    last_dims = np.eye(datum.rank + 1, dtype=np.int64)[dims]  # F x (r + 1), one-hot
+    grid = np.zeros(((k - 1) * datum.rank + 1, datum.rank + 1), dtype=np.int64)
+    prefixes = n ** (k - 1)
+    for start in range(0, prefixes, _LABEL_BLOCK):
+        rest = np.arange(start, min(start + _LABEL_BLOCK, prefixes))
+        products = np.tile(sizes, (rest.size, 1))
+        prefix_dims = np.zeros(rest.size, dtype=np.intp)
+        for _ in range(k - 1):
+            rest, face = np.divmod(rest, n)
+            products *= fixed[face]
+            prefix_dims += dims[face]
+        totals = products @ fixed.T
+        require(not (totals % order).any(), "Burnside average is not an integer")
+        totals //= order
+        # orbits by (prefix dimension, last-face dimension)
+        np.add.at(grid, prefix_dims, totals @ last_dims)
     counts = [0] * (k * datum.rank + 1)
-    for combo in product(faces, repeat=k):
-        counts[sum(f.dim for f in combo)] += _orbit_count(group, [fixed[f] for f in combo])
+    for (p, q), orbits in np.ndenumerate(grid):
+        counts[p + q] += int(orbits)
     alternating = sum((-1) ** d * c for d, c in enumerate(counts))
     require(
         alternating == euler_char_rep(group, k),

@@ -249,7 +249,6 @@ class TestOtherCommands:
             "no option raises this limit\n"
         )
 
-    @pytest.mark.slow
     def test_cells_a1_k12_answers(self, capsys):
         # 3^12 = 531441 face tuples, the most of any A1 census within the limit
         code, out, _ = run_cli(capsys, "cells", "A1", "--k", "12")

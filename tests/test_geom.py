@@ -426,7 +426,7 @@ class TestBlocks:
     # unblocked evaluation the blocked one replaced
     COCYCLE_601 = "9cd4f939aaa91c89796df2bb7cd35e13a04b761fb531fc4df3db0606c73dd796"
     BETA_24 = "6f582e4cfaffcb1b4ae2138759ca730a05abf6998684a4c1dc8e4d43aaca587c"
-    # the benchmark's cocycle-check --samples 200000, 13 blocks, recorded with
+    # the benchmark's cocycle-check --samples 200000, 49 blocks, recorded with
     # four _rho passes per block, before rho_13 and the mirrored clutching
     # values were read off the one evaluation
     COCYCLE_200000 = "5403c0eafbf886b677b0c9e21b5b2b72d007457edb9a1d311d9d3510a59fb93f"

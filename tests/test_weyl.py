@@ -6,6 +6,7 @@ import zipfile
 import zlib
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import comb, lcm, prod
 
 import numpy as np
@@ -848,7 +849,72 @@ class TestStabilizersAndCosets:
             double_cosets(group, h, StabilizerSubgroup(group, [group.order - 1]))
 
 
+def _census_by_tuples(group, k):
+    """The cell census with one Burnside term per face k-tuple, in Python ints."""
+    faces = all_faces(group.datum)
+    fixed = {
+        f: weyl._fixed_coset_counts(group, weyl._stabilizer(group, f.nodes)).tolist()
+        for f in faces
+    }
+    counts = [0] * (k * group.datum.rank + 1)
+    for combo in product(faces, repeat=k):
+        counts[sum(f.dim for f in combo)] += weyl._orbit_count(group, [fixed[f] for f in combo])
+    return counts
+
+
 class TestCellCensus:
+    @pytest.mark.parametrize(
+        "name, k",
+        [
+            (name, k)
+            for name in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "G2")
+            for k in (1, 2, 3)
+        ]
+        + [("A4", 4)],
+    )
+    def test_matches_per_tuple_count(self, name, k):
+        group = _group(name)
+        assert cell_census(group, k) == _census_by_tuples(group, k)
+
+    @pytest.mark.parametrize("block", [1, 5, 48])
+    def test_block_size_does_not_matter(self, monkeypatch, block):
+        # B3 at k = 3 has 15^2 = 225 tuple prefixes: blocks of 5 divide them,
+        # blocks of 48 leave a partial last block
+        group = _group("B3")
+        expected = cell_census(group, 3)
+        monkeypatch.setattr(weyl, "_LABEL_BLOCK", block)
+        assert cell_census(group, 3) == expected
+
+    @pytest.mark.parametrize("name, k", [("A1", 12), ("A4", 4)])
+    def test_blocks_bound_memory(self, traced, name, k):
+        # the group's tables are built at k = 1; above them the census holds
+        # one block of class products and Burnside totals, whatever k is
+        group = _group(name)
+        cell_census(group, 1)
+        _, peak = traced(cell_census, group, k)
+        assert peak < 1_000_000
+
+    def test_indivisible_total_exits_3(self, capsys, monkeypatch):
+        # one more coset fixed by one class on the open alcove (stabilizer
+        # {1}) makes the Burnside total of (alcove, alcove) 6^2 + |class|,
+        # which 6 does not divide
+        from liecomm.cli import main
+
+        real = weyl._fixed_coset_counts
+
+        def perturbed(group, members):
+            counts = real(group, members)
+            if len(members) == 1:
+                counts = counts.copy()
+                counts[1] += 1
+            return counts
+
+        monkeypatch.setattr(weyl, "_fixed_coset_counts", perturbed)
+        code = main(["cells", "A2", "--k", "2"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err == "liecomm: invariant breach: Burnside average is not an integer\n"
+
     def test_a1_k2(self):
         assert cell_census(_group("A1"), 2) == [4, 4, 2]
 

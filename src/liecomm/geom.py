@@ -15,6 +15,11 @@ construction.
 This is the only module that works in floating point; beta_check and
 cocycle_check re-check numerically what does not hold by construction.
 
+The prism is one table, {g.(s, t, u) <= h} with a row of _FACET_NORMALS
+and _FACET_OFFSETS per facet: facet classification, the radial projection,
+the facet grids and their orientation read it, and the numbered mesh numbers
+each point by its first listing.
+
 Both checks evaluate in blocks of at most _BLOCK rows.  cocycle_check holds
 no array longer than a block.  beta_check reads the prism mesh as a stream,
 one facet at a time, with the triangles in blocks of about _BLOCK; it holds
@@ -28,6 +33,7 @@ same, to the bit, for every _BLOCK.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -164,6 +170,10 @@ def null_homotopy_h(s, u) -> np.ndarray:
 
 
 _BOTTOM, _TOP, _WALL_S0, _WALL_DIAG, _WALL_T1 = range(5)
+# the prism {g.(s, t, u) <= h}, one row per facet in facet order: u >= 0,
+# u <= 1, s >= 0, s <= t and t <= 1, with outward normals g and offsets h
+_FACET_NORMALS = np.array([[0, 0, -1], [0, 0, 1], [-1, 0, 0], [1, -1, 0], [0, 1, 0]], dtype=float)
+_FACET_OFFSETS = np.array([0.0, 1.0, 0.0, 0.0, 1.0])
 # the (s, t, u) columns each facet's formula reads, as its (a, b) arguments
 _FACET_COLUMNS = ((0, 1), (0, 1), (1, 2), (0, 2), (0, 2))
 
@@ -171,17 +181,13 @@ _FACET_COLUMNS = ((0, 1), (0, 1), (1, 2), (0, 2), (0, 2))
 def classify_prism_facet(points: np.ndarray) -> np.ndarray:
     """Facet id for points on the prism boundary (seam points may get either)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    s, t, u = pts[:, 0], pts[:, 1], pts[:, 2]
-    # distances to the five facet planes, in facet order; the first nearest wins
-    nearest = u
-    facet = np.zeros(len(pts), dtype=np.intp)
-    for f, dist in enumerate((1.0 - u, s, t - s, 1.0 - t), start=1):
-        closer = dist < nearest
-        facet[closer] = f
-        nearest = np.where(closer, dist, nearest)
-    if np.any(nearest > MEMBERSHIP_TOL):
+    if not np.all(np.isfinite(pts)):
         raise ValueError("point is not on the prism boundary")
-    return facet
+    # distances h - g.p to the five facet planes, a row per facet; the first nearest wins
+    dist = _FACET_OFFSETS[:, None] - _FACET_NORMALS @ pts.T
+    if np.any(dist.min(axis=0) > MEMBERSHIP_TOL):
+        raise ValueError("point is not on the prism boundary")
+    return np.argmin(dist, axis=0)
 
 
 def _facet_formula(facet: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +241,7 @@ def rep_project_su2(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     p = np.atleast_2d(np.asarray(first, dtype=float))
     q = np.atleast_2d(np.asarray(second, dtype=float))
     bad = commutator_distance(p, q)
-    if np.any(bad > _COMMUTE_TOL):
+    if not np.all(bad <= _COMMUTE_TOL):
         raise CommutatorError(f"pair fails to commute (max residual {bad.max():.3e})")
     return _chart(p, q)
 
@@ -342,55 +348,35 @@ def _prism_facets(m: int):
     """
     for facet, (a, b) in enumerate(_FACET_COLUMNS):
         grid, blocks = (_triangle_facet if facet <= _TOP else _square_facet)(m)
-        points = np.empty((len(grid), 3), dtype=np.int64)
+        g, c = _FACET_NORMALS[facet], 3 - a - b
+        points = np.zeros((len(grid), 3), dtype=np.int64)
         points[:, a], points[:, b] = grid[:, 0], grid[:, 1]
-        # the column the facet fixes: u = 0, u = m, s = 0, t = s or t = m
-        points[:, 3 - a - b] = (0, m, 0, grid[:, 0], m)[facet]
-        yield points, _outward(points, m, blocks)
-
-
-def _outward(points: np.ndarray, m: int, blocks):
-    """The blocks of one facet, turned away from the centroid as its first
-    triangle is: a planar facet's triangles all share one orientation."""
-    flip = None
-    for tris in blocks:
-        if flip is None:
-            p0, p1, p2 = points[tris[0]] / m
-            flip = np.dot(p0 - _PRISM_CENTROID, np.cross(p1 - p0, p2 - p0)) < 0
-        yield tris[:, [0, 2, 1]] if flip else tris
+        # the fixed column solves g.p = m*h in integers; every g[c] is +-1
+        points[:, c] = int(g[c]) * (m * int(_FACET_OFFSETS[facet]) - points @ g.astype(np.int64))
+        # the grid's triangles turn about e_a x e_b, reversed where that points
+        # inward; partial binds this facet's turn before the next facet's is read
+        turn = [0, 2, 1] if np.cross(np.eye(3)[a], np.eye(3)[b]) @ g < 0 else [0, 1, 2]
+        yield points, map(partial(np.take, indices=turn, axis=1), blocks)
 
 
 def triangulate_prism_boundary(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Watertight outward-oriented triangulation of the prism boundary.
 
-    The facets of _prism_facets, with the vertices numbered in the order the
-    facets first visit them.  A point on an earlier facet keeps the number it
-    got there, so seam vertices coincide and the mesh is closed.
+    The facets of _prism_facets, with each point numbered by its first
+    listing, so seam vertices coincide and the mesh is closed.
     """
     if m < 2:
         raise ValueError("mesh parameter must be at least 2")
-    pts, tris, numbers = [], [], []
-    count = 0
-    for facet, (points, blocks) in enumerate(_prism_facets(m)):
-        s, t, u = points.T
-        on_facet = (u == 0, u == m, s == 0, s == t, t == m)
-        number = np.full(len(points), -1)
-        # numbers by facet parameters of the earlier facets, which agree on seams
-        for earlier, table in enumerate(numbers):
-            on = on_facet[earlier]
-            a, b = _FACET_COLUMNS[earlier]
-            number[on] = table[points[on, a], points[on, b]]
-        new = number < 0
-        fresh = np.count_nonzero(new)
-        number[new] = np.arange(count, count + fresh)
-        count += fresh
-        a, b = _FACET_COLUMNS[facet]
-        table = np.empty((m + 1, m + 1), dtype=np.int64)
-        table[points[:, a], points[:, b]] = number
-        numbers.append(table)
-        pts.append(points[new])
-        tris.extend(number[block] for block in blocks)
-    return np.concatenate(pts) / m, np.concatenate(tris)
+    facets = list(_prism_facets(m))
+    listed = np.concatenate([points for points, _ in facets])
+    keys = (listed[:, 0] * (m + 1) + listed[:, 1]) * (m + 1) + listed[:, 2]
+    _, first, key_of = np.unique(keys, return_index=True, return_inverse=True)
+    # the keys in order of first listing, and each listing's place in that order
+    order = np.argsort(first)
+    label = np.argsort(order)[key_of]
+    starts = np.cumsum([0] + [len(points) for points, _ in facets])
+    tris = [label[start + block] for start, (_, blocks) in zip(starts, facets) for block in blocks]
+    return listed[first[order]] / m, np.concatenate(tris)
 
 
 _QUARTER_SPHERE_CHORD = math.sqrt(2.0) * 0.999
@@ -460,16 +446,11 @@ def _degree(omega: np.ndarray, too_large: bool) -> tuple[int, float]:
 def sphere2_to_prism(omega: np.ndarray) -> np.ndarray:
     """Radial projection of unit vectors onto the prism boundary."""
     w = np.atleast_2d(np.asarray(omega, dtype=float))
-    x, y, z = w[:, 0], w[:, 1], w[:, 2]
-    cs, ct, cu = _PRISM_CENTROID
-    # the prism is g.x <= h for s >= 0, t <= 1, s <= t, u >= 0 and u <= 1; the
-    # step from the centroid along w to a face that w points toward (g.w > 0)
-    # is the slack h - g.centroid over g.w
-    faces = ((-x, cs), (y, 1.0 - ct), (x - y, ct - cs), (-z, cu), (z, 1.0 - cu))
-    step = np.full(len(w), np.inf)
-    for gw, slack in faces:
-        lam = np.divide(slack, gw, out=np.full_like(gw, np.inf), where=gw > 1e-15)
-        np.minimum(step, lam, out=step)
+    # the step from the centroid along w to a facet that w points toward
+    # (g.w > 0) is the slack h - g.centroid over g.w
+    gw = _FACET_NORMALS @ w.T
+    slack = (_FACET_OFFSETS - _FACET_NORMALS @ _PRISM_CENTROID)[:, None]
+    step = np.divide(slack, gw, out=np.full_like(gw, np.inf), where=gw > 1e-15).min(axis=0)
     return _PRISM_CENTROID + step[:, None] * w
 
 
@@ -483,6 +464,8 @@ def _rho(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pts = np.atleast_2d(np.asarray(xyz, dtype=float))
     rho = _row_norm(pts)
     omega = pts / np.maximum(rho, 1e-300)[:, None]
+    # at the centre the extension is (0, 0, 1, 0) whatever the base: any direction will do
+    omega[rho < 1e-300] = (0.0, 0.0, 1.0)
     pair = beta(sphere2_to_prism(omega))
     for mix in pair:
         # rho * base + (1 - rho) * (0, 0, 1, 0), in place
@@ -504,7 +487,7 @@ def cocycle_s4(x: np.ndarray, i: int, j: int) -> np.ndarray:
         raise ValueError("need distinct cover indices from {1, 2, 3}")
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     norms = _row_norm(pts)
-    if np.any(np.abs(norms - 1.0) > MEMBERSHIP_TOL):
+    if not np.all(np.abs(norms - 1.0) <= MEMBERSHIP_TOL):
         raise ValueError("points must lie on the unit 4-sphere")
     east = pts[:, 0] >= -MEMBERSHIP_TOL
     members = {

@@ -1,10 +1,11 @@
 """Top-level invariants: pi_2 of the commuting-pair spaces and their quotients.
 
-Each operation reports the finished group together with a provenance record
-stating how the value was produced (formula evaluation vs. cross-derivation),
-because this library is meant to be audited.  The central consistency law is
-that the product over primes of the degree-0 fragments equals the lcm of the
-coroot integers; pi2_hom_pairs asserts it on every call.
+pi2_hom_pairs reports the finished group together with a provenance record
+stating how the value was produced, because this library is meant to be
+audited; h2_extension_semisimple reports the kernel and the quotient of the
+degree-2 extension and whether it forces torsion.  The central consistency
+law is that the product over primes of the degree-0 fragments equals the lcm
+of the coroot integers; pi2_hom_pairs asserts it on every call.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ class ExtensionReport:
     kernel: FinAbGroup
     quotient: FinAbGroup
     has_forced_torsion: bool
-    provenance: str
 
 
 # Miller-Rabin to the first 13 prime bases is exact below psi_13 (Sorenson and
@@ -154,7 +154,6 @@ def h2_extension_semisimple(pi1: FinAbGroup, simple_factors: int) -> ExtensionRe
         kernel=FinAbGroup(simple_factors),
         quotient=quotient,
         has_forced_torsion=not quotient.is_cyclic,
-        provenance="Hopf quotient, the exterior square of pi1 + pi1, over a free kernel",
     )
 
 

@@ -242,6 +242,12 @@ class TestBeta:
         with pytest.raises(ValueError):
             beta([[0.2, 0.7, 0.5]])
 
+    @pytest.mark.parametrize("point", [[0.0, math.inf, 0.5], [0.2, 0.7, math.nan]])
+    def test_non_finite_rejected(self, point):
+        # a NaN passes every distance comparison, and inf nearly lies on t = 1
+        with pytest.raises(ValueError, match="point is not on the prism boundary"):
+            beta([point])
+
 
 class TestProjection:
     def test_identity_pair(self):
@@ -267,6 +273,12 @@ class TestProjection:
     def test_noncommuting_rejected(self):
         with pytest.raises(CommutatorError):
             rep_project_su2([[0, 1, 0, 0]], [[0, 0, 1, 0]])
+
+    @pytest.mark.parametrize("nan_first", [True, False])
+    def test_non_finite_rejected(self, nan_first):
+        pair = [[[math.nan, 0, 0, 0]], [[1, 0, 0, 0]]]
+        with pytest.raises(CommutatorError):
+            rep_project_su2(*(pair if nan_first else pair[::-1]))
 
 
 class TestPrismMesh:
@@ -358,6 +370,18 @@ class TestCocycle:
         x[0, 0] = 1.0  # deep inside C2/C3 but not C1
         with pytest.raises(ValueError):
             cocycle_s4(x, 1, 2)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="points must lie on the unit 4-sphere"):
+            cocycle_s4([[math.nan, 0, 0, 0, 1]], 1, 2)
+
+    def test_centre_of_the_disk(self):
+        # (0, 0, 0, 0, +-1) lie over the centre of the 3-disk, where the
+        # extension of either component is (0, 0, 1, 0) whatever the base
+        north, south = [[0.0, 0, 0, 0, 1]], [[0.0, 0, 0, 0, -1]]
+        assert np.array_equal(cocycle_s4(north, 1, 2), [[0.0, 0, 1, 0]])
+        assert np.array_equal(cocycle_s4(south, 1, 3), [[-1.0, 0, 0, 0]])
+        assert np.array_equal(clutching_function(north + south), [[-1.0, 0, 0, 0]] * 2)
 
     def test_clutching_symmetry(self):
         rng = np.random.default_rng(3)

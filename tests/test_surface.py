@@ -9,7 +9,10 @@ only a test reaches is kept by listing it in `_NO_CONSUMER` with its reason.
 Every field, property or method that a class of `src/liecomm` defines, fields
 assigned to `self` included and dunders excluded, passes the same way if that
 code loads it as an attribute or names it in a dotted string.  A member only
-a test reads is kept by listing it in `_NO_READER` with its reason.
+a test reads is kept by listing it in `_NO_READER` with its reason.  A read
+is matched by the bare member name, so the names that more than one class
+defines are listed in `_SHARED_MEMBERS` with a function that reads each
+class's copy; a new shared name fails until it is listed there.
 
 The modules in `_EXACT_MODULES` compute in integers and Fractions only, so
 none of them may import numpy.
@@ -21,7 +24,10 @@ so a change that adds, drops or re-defaults one edits that table.
 import argparse
 import ast
 import re
+from collections import defaultdict
 from pathlib import Path
+
+import pytest
 
 from liecomm import cli
 
@@ -43,6 +49,26 @@ _NO_READER = (
     ("RootDatum.positive_coroots", "test reference for rho-vee and the coroots (test_weyl)"),
     ("ExtensionReport.kernel", "the extension's Z^s, which no library check reads yet (item 1)"),
 )
+
+# member name -> {class: the module.function that reads that class's copy}
+_SHARED_MEMBERS = {
+    "rank": {
+        "LieType": "rootdata._cartan_matrix",
+        "RootDatum": "alcove.alcove_geometry",
+        "FaceIndex": "rootdata.FaceIndex.check_rank",
+    },
+    "order": {
+        "FinAbGroup": "invariants.pi2_hom_pairs",
+        "WeylGroup": "weyl.cell_census",
+        "StabilizerSubgroup": "jobs.query",
+    },
+    "datum": {"WeylGroup": "weyl.cell_census", "AlcoveGeometry": "weyl.face_stabilizer"},
+    "vertices": {
+        "AlcoveGeometry": "weyl.WeylGroup._translation_labels",
+        "SimplicialComplex": "simplicial.quotient_by_involution",
+    },
+    "group": {"Pi2Report": "cli._cmd_invariants", "StabilizerSubgroup": "weyl.double_cosets"},
+}
 
 _EXACT_MODULES = ("rootdata.py", "alcove.py", "wps.py", "invariants.py", "simplicial.py")
 
@@ -147,6 +173,43 @@ def test_every_class_member_has_a_reader():
 
 def test_allowed_members_are_still_unread():
     assert sorted({name for name, _ in _NO_READER} - set(_package_unread())) == []
+
+
+def _shared_members() -> dict[str, set[str]]:
+    """Each member name that more than one package class defines, with those classes."""
+    owners = defaultdict(set)
+    for path in PACKAGE.glob("*.py"):
+        for member in _members(path.read_text()):
+            cls, name = member.split(".")
+            owners[name].add(cls)
+    return {name: classes for name, classes in owners.items() if len(classes) > 1}
+
+
+def _function(dotted: str) -> ast.AST:
+    """The definition of module.function (or module.Class.method) in the package or perfbench."""
+    module, *names = dotted.split(".")
+    path = PACKAGE / f"{module}.py"
+    node = ast.parse((path if path.exists() else ROOT / "perfbench" / f"{module}.py").read_text())
+    for name in names:
+        (node,) = [n for n in node.body if getattr(n, "name", None) == name]
+    return node
+
+
+def test_shared_member_names_are_listed():
+    assert _shared_members() == {name: set(readers) for name, readers in _SHARED_MEMBERS.items()}
+
+
+@pytest.mark.parametrize(
+    "name, reader",
+    [(name, reader) for name, readers in _SHARED_MEMBERS.items() for reader in readers.values()],
+)
+def test_listed_readers_read_the_member(name, reader):
+    loads = {
+        node.attr
+        for node in ast.walk(_function(reader))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert name in loads
 
 
 def test_an_unread_member_is_flagged():

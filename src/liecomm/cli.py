@@ -12,7 +12,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import __version__, geom, invariants, verify, weyl, wps
+from . import __version__, weyl
 from .homology import InvariantBreachError
 from .rootdata import LieTypeError, build_root_datum, dynkin_index
 from .weyl import WeylCapError
@@ -43,6 +43,7 @@ def _emit(payload: dict) -> None:
 
 
 def _cmd_invariants(args) -> int:
+    from . import invariants
     datum = build_root_datum(args.type)
     report = invariants.pi2_hom_pairs(datum.lie_type)
     ecom, bcom = invariants.pi4_commutative_classifying(datum.lie_type)
@@ -110,6 +111,7 @@ def _cmd_cells(args) -> int:
 
 
 def _cmd_wps_degree(args) -> int:
+    from . import wps
     weights = tuple(int(w) for w in args.weights.split(","))
     payload = {
         "command": "wps-degree",
@@ -126,6 +128,7 @@ def _cmd_wps_degree(args) -> int:
 
 
 def _cmd_spin_stability(args) -> int:
+    from . import invariants, wps
     given = (args.m is not None, args.ell is not None, args.k is not None)
     if given not in ((True, False, False), (False, True, True)) or (given[0] and args.parity):
         raise ValueError("provide either --m, or --ell with --k (and --parity)")
@@ -140,6 +143,7 @@ def _cmd_spin_stability(args) -> int:
 
 
 def _cmd_beta_check(args) -> int:
+    from . import geom
     report = geom.beta_check(grid=args.grid)
     ok = geom.beta_passed(report)
     _emit({"command": "beta-check", "passed": ok, **report})
@@ -147,6 +151,7 @@ def _cmd_beta_check(args) -> int:
 
 
 def _cmd_cocycle_check(args) -> int:
+    from . import geom
     report = geom.cocycle_check(samples=args.samples)
     ok = geom.cocycle_passed(report)
     _emit({"command": "cocycle-check", "passed": ok, **report})
@@ -154,6 +159,7 @@ def _cmd_cocycle_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
     results = verify.run_all()
     for res in results:
         status = "PASS" if res["passed"] else "FAIL"

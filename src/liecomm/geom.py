@@ -477,6 +477,14 @@ def _rho(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
+def _on_sphere(x: np.ndarray) -> np.ndarray:
+    """x as rows of R^5; a row off the unit 4-sphere, or not finite, raises ValueError."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    if not np.all(np.abs(_row_norm(pts) - 1.0) <= MEMBERSHIP_TOL):
+        raise ValueError("points must lie on the unit 4-sphere")
+    return pts
+
+
 def cocycle_s4(x: np.ndarray, i: int, j: int) -> np.ndarray:
     """Transition function rho_{i,j} of the commutative cocycle at x.
 
@@ -485,10 +493,7 @@ def cocycle_s4(x: np.ndarray, i: int, j: int) -> np.ndarray:
     """
     if i == j or not {i, j} <= {1, 2, 3}:
         raise ValueError("need distinct cover indices from {1, 2, 3}")
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    norms = _row_norm(pts)
-    if not np.all(np.abs(norms - 1.0) <= MEMBERSHIP_TOL):
-        raise ValueError("points must lie on the unit 4-sphere")
+    pts = _on_sphere(x)
     east = pts[:, 0] >= -MEMBERSHIP_TOL
     members = {
         1: pts[:, 0] <= MEMBERSHIP_TOL,
@@ -506,9 +511,11 @@ def clutching_function(x: np.ndarray) -> np.ndarray:
     """The clutching map rho_12 rho_23 on the equator {x0 = 0}.
 
     It reads (x1, x2, x3) only, so it is symmetric under x4 -> -x4 by
-    construction.
+    construction.  x must lie on the unit 4-sphere and on the equator.
     """
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    pts = _on_sphere(x)
+    if not np.all(np.abs(pts[:, 0]) <= MEMBERSHIP_TOL):
+        raise ValueError("points must lie on the equator x0 = 0")
     return qmul(*_rho(pts[:, 1:4]))
 
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import time
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +178,37 @@ def test_cli_import_leaves_out_hashlib(run_python):
     assert run.stdout == "False\n"
 
 
+def test_package_import_loads_no_module(run_python):
+    # the package namespace is lazy: a name's module is imported on first access
+    code = (
+        "import sys, liecomm\n"
+        "print([m for m in sys.modules if m.startswith(('liecomm.', 'numpy'))])"
+    )
+    assert run_python("-c", code).stdout == "[]\n"
+
+
+# the modules of the meshes, complexes and closed formulas, which neither the
+# Weyl write path (poincare) nor its read path (perfbench's query job) runs
+_NOT_ON_THE_WEYL_PATH = ("geom", "simplicial", "invariants", "verify", "wps")
+
+_WEYL_PATH_CALLS = {
+    "poincare": "from liecomm import cli\ncli.main(['poincare', 'A2', '--n', '1'])",
+    "query": (
+        "sys.path.insert(0, sys.argv[1])\nimport jobs\n"
+        "jobs.query('A2', sys.argv[2], {'G2': [['1/2', '-3']]})"
+    ),
+}
+
+
+@pytest.mark.parametrize("job", sorted(_WEYL_PATH_CALLS))
+def test_weyl_path_leaves_out_the_other_oracles(run_python, tmp_path, job):
+    modules = [f"liecomm.{name}" for name in _NOT_ON_THE_WEYL_PATH]
+    code = f"import sys\n{_WEYL_PATH_CALLS[job]}\nprint([m for m in {modules!r} if m in sys.modules])"
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    run = run_python("-c", code, str(perfbench), str(tmp_path))
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
 class TestErrors:
     def test_bad_type(self, capsys):
         code, _, err = run_cli(capsys, "invariants", "Spin(4)")
@@ -194,13 +226,13 @@ class TestErrors:
         assert exc.value.code == 2
 
     def test_invariant_breach_exit_code(self, capsys, monkeypatch):
-        from liecomm import cli
+        from liecomm import invariants
         from liecomm.homology import InvariantBreachError
 
         def boom(_):
             raise InvariantBreachError("forced for the test")
 
-        monkeypatch.setattr(cli.invariants, "pi2_hom_pairs", boom)
+        monkeypatch.setattr(invariants, "pi2_hom_pairs", boom)
         code, _, err = run_cli(capsys, "invariants", "G2")
         assert code == 3
         assert "invariant breach" in err

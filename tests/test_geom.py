@@ -383,6 +383,20 @@ class TestCocycle:
         assert np.array_equal(cocycle_s4(south, 1, 3), [[-1.0, 0, 0, 0]])
         assert np.array_equal(clutching_function(north + south), [[-1.0, 0, 0, 0]] * 2)
 
+    @pytest.mark.parametrize(
+        ("point", "message"),
+        [
+            ([0, 2, 0, 0, 0], "points must lie on the unit 4-sphere"),
+            ([0, 0.5, 0, 0, 0], "points must lie on the unit 4-sphere"),
+            ([0, math.nan, 0, 0, 0], "points must lie on the unit 4-sphere"),
+            ([0.6, 0.8, 0, 0, 0], "points must lie on the equator x0 = 0"),
+        ],
+        ids=["outside", "inside", "nan", "off-equator"],
+    )
+    def test_clutching_gates_its_input(self, point, message):
+        with pytest.raises(ValueError, match=message):
+            clutching_function([point])
+
     def test_clutching_symmetry(self):
         rng = np.random.default_rng(3)
         equator = rng.standard_normal((200, 4))

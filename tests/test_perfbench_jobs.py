@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 
 import checks  # noqa: E402
 import jobs  # noqa: E402
@@ -83,6 +84,17 @@ def test_span_names_resolve():
         for attr in name.split("."):
             owner = getattr(owner, attr)
         assert callable(owner), name
+
+
+def test_traced_child_records_spans(run_python, tmp_path):
+    # a traced job wraps functions that jobs.py reaches through liecomm's lazy
+    # namespace, after the tracer has installed its wrappers
+    spec, trace = tmp_path / "job.json", tmp_path / "spans.json"
+    spec.write_text(json.dumps({"lib": "torus", "params": {"n": 1}, "trace": str(trace)}))
+    run_python(str(PERFBENCH / "child.py"), str(spec), cwd=tmp_path)
+    spans = json.loads(trace.read_text())["spans"]
+    # one call from the job, one inside torus_inversion_quotient
+    assert [span[0] for span in spans].count("simplicial.torus_triangulation") == 2
 
 
 def test_generate_counters_see_writes_hits_and_rejects(tmp_path, monkeypatch):

@@ -1,6 +1,9 @@
 """The package's surface: what it exports, what its classes hold, and which
 modules stay exact.
 
+The exports are the keys of `liecomm._EXPORTS`, the table the package's
+lazy `__getattr__` imports from; each must be its module's own object.
+
 An export passes if the code of `src/liecomm/*.py` (apart from `__init__`) or
 `perfbench/*.py` uses it, or names it in a dotted string such as the
 `"weyl.generate"` entries of `spans.FUNCTIONS`.  Tests do not count: a name
@@ -23,12 +26,14 @@ so a change that adds, drops or re-defaults one edits that table.
 
 import argparse
 import ast
+import importlib
 import re
 from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
+import liecomm
 from liecomm import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,13 +79,7 @@ _EXACT_MODULES = ("rootdata.py", "alcove.py", "wps.py", "invariants.py", "simpli
 
 
 def _exports() -> set[str]:
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    return set(liecomm._EXPORTS)
 
 
 def _reader_sources() -> list[str]:
@@ -110,6 +109,51 @@ def test_every_export_has_a_consumer():
 
 def test_allowed_names_are_still_exported():
     assert sorted({name for name, _ in _NO_CONSUMER} - _exports()) == []
+
+
+# the package's exports, recorded when `__init__` still imported them eagerly
+_EXPORTED = [
+    "AlcoveGeometry", "ExtensionReport", "FaceIndex", "FinAbGroup", "InvariantBreachError",
+    "LieType", "LieTypeError", "Pi2Report", "RegularityError", "RootDatum", "SimplicialComplex",
+    "StabilizerSubgroup", "WeylCapError", "WeylGroup", "alcove_geometry", "alcove_reduce",
+    "barycenter", "barycentric_subdivide", "beta", "beta_check", "bredon_e2_fragment",
+    "build_root_datum", "cell_census", "chain_homology", "cocycle_check", "cocycle_s4",
+    "composite_su2_degree", "degree_to_s2", "double_cosets", "dynkin_index", "euler_char_rep",
+    "face_stabilizer", "gamma", "generate", "h2_extension_semisimple", "inclusion_degree",
+    "irreducibility_check", "kawasaki_homology", "lattice_quotient", "molien_poincare", "n_vee",
+    "null_homotopy_h", "pi2_hom_n", "pi2_hom_pairs", "pi4_commutative_classifying",
+    "proj_degree", "quotient_by_involution", "rep_project_su2", "smith_normal_form",
+    "snf_divisors", "spin_pi2_stability", "spin_stability_report", "torus_inversion_quotient",
+    "torus_triangulation", "triangulate_prism_boundary", "zeta_class",
+]
+
+
+def test_exports_pinned():
+    assert sorted(liecomm.__all__) == _EXPORTED
+
+
+def test_export_is_its_modules_object():
+    def defined(name):
+        return getattr(importlib.import_module(f"liecomm.{liecomm._EXPORTS[name]}"), name)
+
+    assert [name for name in liecomm.__all__ if getattr(liecomm, name) is not defined(name)] == []
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from liecomm import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == _EXPORTED
+
+
+def test_submodule_resolves_before_its_import(run_python):
+    # perfbench's span installer reaches each module as getattr(liecomm, name)
+    code = "import sys, liecomm; print(getattr(liecomm, 'geom') is sys.modules['liecomm.geom'])"
+    assert run_python("-c", code).stdout == "True\n"
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'liecomm' has no attribute 'no_such_name'"):
+        liecomm.no_such_name  # noqa: B018
 
 
 def _members(source: str) -> set[str]:

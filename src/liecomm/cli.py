@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__, weyl
 from .homology import InvariantBreachError
-from .rootdata import LieTypeError, build_root_datum, dynkin_index
+from .rootdata import LieType, LieTypeError, build_root_datum, dynkin_index
 from .weyl import WeylCapError
 
 SCHEMA_VERSION = 1
@@ -85,12 +85,13 @@ def _cmd_poincare(args) -> int:
 
 
 def _cmd_cells(args) -> int:
-    datum = build_root_datum(args.type)
-    if datum.rank > args.rank_cap:
-        raise LieTypeError(
-            f"census for rank {datum.rank} exceeds --rank-cap {args.rank_cap}"
-        )
-    weyl.check_census_size(datum.rank, args.k)  # before the enumeration, the costliest step
+    # both bounds are checked before the root datum, whose closure costs O(r^3)
+    lie_type = LieType.parse(args.type)
+    if lie_type.rank > args.rank_cap:
+        raise LieTypeError(f"census for rank {lie_type.rank} exceeds --rank-cap {args.rank_cap}")
+    if not 1 <= args.k <= weyl.CENSUS_MAX_K:
+        raise ValueError(f"k must lie in 1..{weyl.CENSUS_MAX_K}; no option raises this bound")
+    datum = build_root_datum(lie_type)
     # --rank-cap is the opt-in to large types, so only the hard limit applies
     group = weyl.generate(
         datum, element_cap=weyl.HARD_ELEMENT_LIMIT, cache_dir=_cache_dir(args)

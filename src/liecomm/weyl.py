@@ -34,7 +34,7 @@ permutation are the most ever held.
 No table quadratic in |W| is built.  One routine labels each element with
 the least index reachable from it under a list of index permutations.  Under
 conjugation by the simple reflections that is the least index of its class,
-and the cell census sums its class functions over classes.  The reflections
+and the cell census is one polynomial power per class.  The reflections
 come from the root datum's wall table, s_j = 1 - c_j (x) a_j for the nodes
 j = 0..r (node 0 gives s_theta).  The stabilizer of a point of the closed
 alcove, mod the coroot lattice, is generated by the reflections in the walls
@@ -122,7 +122,7 @@ WeylMatrix = tuple[tuple[int, ...], ...]
 
 DEFAULT_ELEMENT_CAP = 100_000
 HARD_ELEMENT_LIMIT = 10_000_000
-CENSUS_TUPLE_LIMIT = 1_000_000  # face k-tuples of a census; keeps totals (<= |W|^k) below 2^63
+CENSUS_MAX_K = 32  # the largest k of `cells`; E6's census at k = 32 takes 0.04-0.07 s (2-core VM)
 _CACHE_VERSION = 4
 _LABEL_BLOCK = 1 << 10  # elements per block of stack products, charpolys and translation labels
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of smaller magnitude exactly
@@ -872,76 +872,43 @@ def _orbit_count(group: WeylGroup, fixed: list[list[int]]) -> int:
     return exact_quotient(total, group.order, "Burnside average is not an integer")
 
 
-def check_census_size(rank: int, k: int) -> None:
-    """ValueError when k < 1, or when the face k-tuples of a rank-r census
-    exceed CENSUS_TUPLE_LIMIT.  The alcove has a face on every proper subset
-    of its r + 1 walls, so the count, (2^(r+1) - 1)^k, needs no enumeration
-    and is checked before it.  With HARD_ELEMENT_LIMIT the limit also keeps
-    cell_census's int64 sums below 2^63: its Burnside totals are at most
-    |W|^k, at most 2.7e13 (D8, k = 2), and cell_census requires it."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    faces = 2 ** (rank + 1) - 1
-    # at least 3 faces, so a power past the limit's bit length is past the limit
-    if faces ** min(k, CENSUS_TUPLE_LIMIT.bit_length()) > CENSUS_TUPLE_LIMIT:
-        raise ValueError(
-            f"the census needs {faces}^{k} face tuples, above the limit "
-            f"{CENSUS_TUPLE_LIMIT}; no option raises this limit"
-        )
-
-
 def cell_census(group: WeylGroup, k: int) -> list[int]:
     """Cells per dimension of the k-fold torus quotient's face/coset structure.
 
-    Cells are indexed by k-tuples of alcove faces together with diagonal
-    W-orbits of the product of coset spaces; orbits are counted by Burnside
-    averaging of the fixed-coset counts, one term per conjugacy class.
-    ValueError for k < 1 or an oversized census, as check_census_size.
-
-    The Burnside total of a tuple is sum_c |c| * prod_i fixed[f_i, c], so the
-    F^(k-1) tuple prefixes are decoded by mixed radix _LABEL_BLOCK at a time,
-    their class products formed, and the totals for all F last faces read off
-    one int64 product with the F x C fixed-count matrix.  Every total must be
-    divisible by |W|, tuple by tuple.  A total is |W| times the orbits of
-    W_(f_1) on the cosets of the other faces, so it is at most |W|^k, and the
-    orbit counts of the census sum to at most F^k * |W|^(k-1); one gate keeps
-    both below 2^63.  Within CENSUS_TUPLE_LIMIT and HARD_ELEMENT_LIMIT the
-    largest total is 2.7e13 (D8, k = 2) and the largest sum bound 1.4e15 (F4,
-    k = 4).
+    Cells are k-tuples of alcove faces with a diagonal W-orbit of the product
+    of their coset spaces.  An element fixes a tuple of cosets when it fixes
+    each one, so by Burnside the census is (1/|W|) sum_c |c| * P_c(t)^k over
+    the classes c, with P_c(t) = sum_F fix_F(c) * t^(dim F), in exact ints.
+    Required, in this order: every double-coset count of a face pair,
+    (1/|W|) sum_c |c| * fix_F(c) * fix_G(c), is an integer (at k = 2 these
+    are the census's own Burnside averages); for every class P_c(-1), the
+    Lefschetz number of w_c on T (the cells w fixes are fixed pointwise), is
+    det(1 - w_c); the top count is |W|^(k-1), as only the open alcove has
+    dimension r and only the identity fixes its cosets; and the alternating
+    count is euler_char_rep.  ValueError for k < 1.
     """
-    datum = group.datum
-    check_census_size(datum.rank, k)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    datum, order = group.datum, group.order
     faces = all_faces(datum)
-    n, order = len(faces), group.order
-    require(
-        max(n**k, order) * order ** (k - 1) < 1 << 63,
-        "the census's Burnside totals could overflow int64",
-    )
+    reps, sizes, _ = group._classes
     fixed = np.array([_fixed_coset_counts(group, _stabilizer(group, f.nodes)) for f in faces])
-    sizes = np.array(group._classes[1], dtype=np.int64)
-    dims = np.array([f.dim for f in faces])
-    last_dims = np.eye(datum.rank + 1, dtype=np.int64)[dims]  # F x (r + 1), one-hot
-    grid = np.zeros(((k - 1) * datum.rank + 1, datum.rank + 1), dtype=np.int64)
-    prefixes = n ** (k - 1)
-    for start in range(0, prefixes, _LABEL_BLOCK):
-        rest = np.arange(start, min(start + _LABEL_BLOCK, prefixes))
-        products = np.tile(sizes, (rest.size, 1))
-        prefix_dims = np.zeros(rest.size, dtype=np.intp)
-        for _ in range(k - 1):
-            rest, face = np.divmod(rest, n)
-            products *= fixed[face]
-            prefix_dims += dims[face]
-        totals = products @ fixed.T
-        require(not (totals % order).any(), "Burnside average is not an integer")
-        totals //= order
-        # orbits by (prefix dimension, last-face dimension)
-        np.add.at(grid, prefix_dims, totals @ last_dims)
-    counts = [0] * (k * datum.rank + 1)
-    for (p, q), orbits in np.ndenumerate(grid):
-        counts[p + q] += int(orbits)
-    alternating = sum((-1) ** d * c for d, c in enumerate(counts))
+    # an entry is |W| times the double cosets of a face pair: at most |W|^2, below 2^63
+    require(not ((fixed * sizes) @ fixed.T % order).any(), "Burnside average is not an integer")
+    by_dim = np.eye(datum.rank + 1, dtype=np.int64)[[f.dim for f in faces]]  # F x (r + 1), one-hot
+    totals = [0] * (k * datum.rank + 1)
+    for rep, size, poly in zip(reps.tolist(), sizes, (fixed.T @ by_dim).tolist()):
+        ((charpoly, _),) = charpoly_buckets(group.matrices[rep : rep + 1])
+        lefschetz = sum((-1) ** d * c for d, c in enumerate(poly))
+        detail = f"the class of element {rep} fixes cells of Lefschetz number {lefschetz}"
+        require(lefschetz == sum(charpoly), f"{detail}, but det(1 - w) = {sum(charpoly)}")
+        for d, c in enumerate(_ppow(poly, k, k * datum.rank)):
+            totals[d] += size * c
+    counts = [exact_quotient(t, order, "Burnside average is not an integer") for t in totals]
+    top = order ** (k - 1)
+    require(counts[-1] == top, f"the census's top count {counts[-1]} is not |W|^(k-1) = {top}")
     require(
-        alternating == euler_char_rep(group, k),
+        sum((-1) ** d * c for d, c in enumerate(counts)) == euler_char_rep(group, k),
         "cell census fails the Euler-characteristic identity",
     )
     return counts

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liecomm import alcove, weyl
+from liecomm import alcove, cli, weyl
 from liecomm.cli import main
 from liecomm.rootdata import build_root_datum
 from liecomm.verify import _table_types
@@ -256,30 +256,51 @@ class TestOtherCommands:
         assert payload["euler_characteristic"] == 2
 
     def test_cells_face_tuples_are_bounded(self, capsys):
-        # A1 has 3 faces; 3^13 tuples are refused before any work, whatever k is
-        for k in ("13", "1000000000"):
+        # k is bounded by CENSUS_MAX_K, and so the census's face tuples; a k
+        # outside 1..32 is refused before any work, whatever it is
+        for k in ("33", "1000000000", "0"):
             start = time.perf_counter()
             code, out, err = run_cli(capsys, "cells", "A1", "--k", k)
             assert time.perf_counter() - start < 1
             assert code == 2 and out == ""
-            assert err == (
-                f"liecomm: the census needs 3^{k} face tuples, above the limit 1000000; "
-                "no option raises this limit\n"
-            )
+            assert err == "liecomm: k must lie in 1..32; no option raises this bound\n"
 
     def test_oversized_census_is_refused_before_enumerating(self, capsys, monkeypatch):
-        # the tuple count needs only the rank and k, so E6 is never enumerated
+        # the bound needs only k, so E6 is never enumerated
         def refuse(datum):
             raise AssertionError("an oversized census enumerated its Weyl group")
 
         monkeypatch.setattr(weyl, "_MEMO", {})
         monkeypatch.setattr(weyl, "_enumerate", refuse)
-        code, out, err = run_cli(capsys, "cells", "E6", "--k", "3", "--rank-cap", "6")
+        code, out, err = run_cli(capsys, "cells", "E6", "--k", "33", "--rank-cap", "6")
         assert code == 2 and out == ""
-        assert err == (
-            "liecomm: the census needs 127^3 face tuples, above the limit 1000000; "
-            "no option raises this limit\n"
-        )
+        assert err == "liecomm: k must lie in 1..32; no option raises this bound\n"
+
+    @pytest.mark.parametrize("k", ["1", "33"])
+    def test_rank_cap_is_checked_before_the_root_datum(self, capsys, monkeypatch, k):
+        # the rank is read off the type's name: A2000's root datum, an O(r^3)
+        # closure, is never built, and the rank cap is tested before k
+        def refuse(lie_type):
+            raise AssertionError("a census above the rank cap built its root datum")
+
+        monkeypatch.setattr(cli, "build_root_datum", refuse)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "cells", "A2000", "--k", k)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == "liecomm: census for rank 2000 exceeds --rank-cap 4\n"
+
+    @pytest.mark.parametrize("name, k", [("A1", 13), ("E6", 6)])
+    def test_cells_answer_beyond_the_old_tuple_limit(self, capsys, name, k):
+        # 3^13 and 127^6 face tuples, past the 10^6 the per-tuple sum allowed
+        code, out, _ = run_cli(capsys, "cells", name, "--k", str(k), "--rank-cap", "6")
+        assert code == 0
+        payload = json.loads(out)
+        counts = payload["counts_by_dim"]
+        datum = build_root_datum(name)
+        assert len(counts) == k * datum.rank + 1
+        assert counts[-1] == datum.weyl_order ** (k - 1)
+        assert sum((-1) ** d * c for d, c in enumerate(counts)) == payload["euler_characteristic"]
 
     def test_cells_a1_k12_answers(self, capsys):
         # 3^12 = 531441 face tuples, the most of any A1 census within the limit

@@ -5,7 +5,7 @@ from math import comb, isqrt
 import pytest
 
 from liecomm import invariants
-from liecomm.homology import FinAbGroup, chain_homology
+from liecomm.homology import FinAbGroup, InvariantBreachError, chain_homology
 from liecomm.invariants import (
     bredon_e2_fragment,
     h2_extension_semisimple,
@@ -112,6 +112,32 @@ class TestPi2Pairs:
             report = pi2_hom_pairs(name)
             assert report.group.torsion == ()
 
+    @pytest.mark.parametrize(
+        "name, perturbed, degree, lcm",
+        [
+            # the coroot-integer lcm off by one
+            ("dynkin_index", lambda real, datum: real(datum) + 1, 60, 61),
+            # the Z/4 override at p = 2 read as Z/8: the assembly is 120
+            (
+                "bredon_e2_fragment",
+                lambda real, lt, p, k: FinAbGroup(0, (8,)) if p == 2 else real(lt, p, k),
+                120,
+                60,
+            ),
+        ],
+    )
+    def test_disagreement_is_a_breach(self, capsys, monkeypatch, name, perturbed, degree, lcm):
+        from liecomm.cli import main
+
+        real = getattr(invariants, name)
+        monkeypatch.setattr(invariants, name, lambda *args: perturbed(real, *args))
+        message = f"prime assembly {degree} disagrees with the coroot-integer lcm {lcm} for E8"
+        with pytest.raises(InvariantBreachError, match=message):
+            pi2_hom_pairs("E8")
+        assert main(["invariants", "E8"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"liecomm: invariant breach: {message}\n"
+
 
 class TestPi2N:
     def test_su_formula(self):
@@ -172,6 +198,14 @@ class TestExtension:
         report = h2_extension_semisimple(FinAbGroup(), 3)
         assert report.kernel == FinAbGroup(3)
         assert report.quotient == FinAbGroup()
+
+    def test_no_simple_factors(self):
+        # s = 0 is admitted, with kernel Z^0; s = -1 is refused
+        report = h2_extension_semisimple(FinAbGroup(0, (2,)), 0)
+        assert report.kernel == FinAbGroup()
+        assert report.quotient == FinAbGroup(0, (2,))
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            h2_extension_semisimple(FinAbGroup(0, (2,)), -1)
 
     def test_infinite_pi1_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import random
 import re
 import zipfile
@@ -876,15 +877,6 @@ class TestCellCensus:
         group = _group(name)
         assert cell_census(group, k) == _census_by_tuples(group, k)
 
-    @pytest.mark.parametrize("block", [1, 5, 48])
-    def test_block_size_does_not_matter(self, monkeypatch, block):
-        # B3 at k = 3 has 15^2 = 225 tuple prefixes: blocks of 5 divide them,
-        # blocks of 48 leave a partial last block
-        group = _group("B3")
-        expected = cell_census(group, 3)
-        monkeypatch.setattr(weyl, "_LABEL_BLOCK", block)
-        assert cell_census(group, 3) == expected
-
     @pytest.mark.parametrize("name, k", [("A1", 12), ("A4", 4)])
     def test_blocks_bound_memory(self, traced, name, k):
         # the group's tables are built at k = 1; above them the census holds
@@ -914,6 +906,48 @@ class TestCellCensus:
         out, err = capsys.readouterr()
         assert code == 3 and out == ""
         assert err == "liecomm: invariant breach: Burnside average is not an integer\n"
+
+    @pytest.mark.parametrize(
+        "name, steps, message",
+        [
+            # one coset moved, for the reflection, from the vertex on wall 1 to
+            # the vertex on wall 0 leaves every P_c(t), so every census,
+            # unchanged; only the pairwise table sees it: (v, v) has 2^2 + 1 = 5
+            # fixed pairs, which 2 does not divide
+            ("A1", {(0,): 1, (1,): -1}, "Burnside average is not an integer"),
+            # |W| = 6 more cosets fixed by the class of w_0, a reflection, on the
+            # open alcove keep every pairwise total divisible by 6, but move that
+            # class's P_c(-1) from det(1 - w_0) = 0 to 6
+            (
+                "A2",
+                {(): 6},
+                "the class of element 0 fixes cells of Lefschetz number 6, but det(1 - w) = 0",
+            ),
+            # |W| = 2 more cosets fixed by the reflection on the open edge and on
+            # the vertex on wall 0 keep the pairwise totals even and P_c(-1), but
+            # the reflection then fixes open cells: the top count is 2^k, not 2^(k-1)
+            ("A1", {(): 2, (0,): 2}, "the census's top count 8 is not |W|^(k-1) = 4"),
+        ],
+        ids=["pairwise", "lefschetz", "top-count"],
+    )
+    def test_perturbed_fixed_counts_exit_3(self, capsys, monkeypatch, name, steps, message):
+        # each perturbation, of class 0's counts on the faces named by their
+        # walls, passes every check before the one it targets
+        from liecomm.cli import main
+
+        real = weyl._fixed_coset_counts
+
+        def perturbed(group, members):
+            counts = real(group, members).copy()
+            for nodes, step in steps.items():
+                counts[0] += step * (members is weyl._stabilizer(group, frozenset(nodes)))
+            return counts
+
+        monkeypatch.setattr(weyl, "_fixed_coset_counts", perturbed)
+        code = main(["cells", name, "--k", "3"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err == f"liecomm: invariant breach: {message}\n"
 
     def test_a1_k2(self):
         assert cell_census(_group("A1"), 2) == [4, 4, 2]
@@ -950,13 +984,17 @@ class TestCellCensus:
         assert sum(counts) == 2 ** (datum.rank + 1) - 1
         assert sum((-1) ** d * c for d, c in enumerate(counts)) == 1
 
-    def test_tuple_limit_admits_its_equal(self, monkeypatch):
-        # A1 has 3 faces: 3^4 tuples are within a limit of 81, and 3^5 are refused
-        group = _group("A1")
-        monkeypatch.setattr(weyl, "CENSUS_TUPLE_LIMIT", 3**4)
-        assert sum((-1) ** d * c for d, c in enumerate(cell_census(group, 4))) == 8
-        with pytest.raises(ValueError, match=r"3\^5 face tuples, above the limit 81;"):
-            cell_census(group, 5)
+    def test_k_bound_admits_its_equal(self, capsys):
+        # A1 at k = CENSUS_MAX_K answers, with 2^(k-1) open cells; one more k exits 2
+        from liecomm.cli import main
+
+        k = weyl.CENSUS_MAX_K
+        assert main(["cells", "A1", "--k", str(k)]) == 0
+        counts = json.loads(capsys.readouterr().out)["counts_by_dim"]
+        assert counts[-1] == 2 ** (k - 1) == sum((-1) ** d * c for d, c in enumerate(counts))
+        assert main(["cells", "A1", "--k", str(k + 1)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"liecomm: k must lie in 1..{k}; no option raises this bound\n"
 
     @pytest.mark.parametrize("name", ["A2", "C2", "G2"])
     @pytest.mark.parametrize("k", [2, 3])

@@ -24,6 +24,17 @@ class TestKawasaki:
     def test_above_top_dimension(self):
         assert kawasaki_homology((1, 2), 4) == FinAbGroup()
 
+    @pytest.mark.parametrize(
+        "weights, k, rank",
+        [
+            ((1, 2, 3), 4, 1), ((1, 2, 3), 6, 0), ((1, 1, 2, 3), 6, 1), ((1, 1, 2, 3), 8, 0),
+            ((1, 2), 0, 1),
+        ],
+    )
+    def test_top_degree(self, weights, k, rank):
+        # Z up to the top degree 2 * dim inclusive, and 0 at 2 * dim + 2
+        assert kawasaki_homology(weights, k) == FinAbGroup(rank)
+
 
 class TestProjDegree:
     def test_all_ones(self):
@@ -100,6 +111,16 @@ class TestSpinStability:
         report = spin_stability_report(5, "even", 3)
         assert report["degree"] == 1 and report["zero_groups"]
 
+    @pytest.mark.parametrize(
+        "ell, parity, threshold", [(4, "even", 2), (5, "even", 4), (4, "odd", 4), (5, "odd", 6)]
+    )
+    def test_threshold_is_the_last_valid_degree(self, ell, parity, threshold):
+        # 2 * ell - 6 (even) and 2 * ell - 4 (odd) are answered, with degree 2;
+        # the next even degree is refused
+        assert spin_stability_report(ell, parity, threshold)["degree"] == 2
+        with pytest.raises(ValueError, match=f"beyond the validated range {threshold}$"):
+            spin_stability_report(ell, parity, threshold + 2)
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             spin_stability_report(4, "even", 4)
@@ -115,3 +136,19 @@ class TestCompositeDegree:
         for j in range(1, datum.rank + 1):
             assert composite_su2_degree(datum.coroot_integers, j) == target
 
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: proj_degree((1, 2), 2), "k must lie between 0 and the complex dimension"),
+        (lambda: inclusion_degree((1, 2, 3), (0,), 1), "subset too small"),
+        (lambda: composite_su2_degree((1, 2, 3), 3), "j must name a non-affine coordinate"),
+        (lambda: spin_stability_report(2, "odd", 0), "odd-series stability needs ell >= 3"),
+    ],
+    ids=["proj_degree", "inclusion_degree", "composite_su2_degree", "spin_stability_report"],
+)
+def test_argument_one_past_its_range_is_refused(call, message):
+    # each refusal is the function's own, not a later error of another kind
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -67,6 +67,11 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_poincare(args) -> int:
+    # molien_poincare's own input checks, made before the datum and the enumeration
+    if args.n < 1:
+        raise ValueError("n must be >= 1")
+    if args.deg < 0:
+        raise ValueError("max_deg must be >= 0")
     datum = build_root_datum(args.type)
     group = weyl.generate(
         datum, element_cap=args.element_cap, cache_dir=_cache_dir(args)

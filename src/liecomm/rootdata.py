@@ -14,12 +14,13 @@ Conventions (fixed once, used everywhere):
   wall j is s_j(x) = x - (a_j(x) - b_j) * c_j.
 * All vectors live in the simple-coroot basis unless stated otherwise, and all
   arithmetic in this module is exact: integers and Fractions only.
-* The exponents are read off the root closure: the numbers of positive
-  roots of each height form the partition dual to the exponents (Kostant,
-  Amer. J. Math. 81, 1959; Humphreys, Reflection Groups and Coxeter Groups
-  3.20).  The closure is checked against the Cartan matrix, not stored beside
-  it: theta_k / theta_vee_k = |theta|^2 / |alpha_k|^2, so that ratio, scaled
-  to integers d_k, must symmetrize it, d_i * a[i][j] == d_j * a[j][i].
+* The root closure forms only the positive roots, and the exponents are
+  read off it: the numbers of positive roots of each height form the
+  partition dual to the exponents (Kostant, Amer. J. Math. 81, 1959;
+  Humphreys, Reflection Groups and Coxeter Groups 3.20).  The closure is
+  checked against the Cartan matrix, not stored beside it: theta_k /
+  theta_vee_k = |theta|^2 / |alpha_k|^2, so that ratio, scaled to integers
+  d_k, must symmetrize it, d_i * a[i][j] == d_j * a[j][i].
 """
 
 from __future__ import annotations
@@ -153,13 +154,14 @@ def _cartan_matrix(lt: LieType) -> Matrix:
 
 
 def _root_closure(cartan: Matrix) -> dict[Vector, tuple[Vector, Vector]]:
-    """All roots, closed under the simple reflections, each with (coroot, functional).
+    """The positive roots, each with (coroot, functional), raised from the simple roots.
 
     A root c (simple-root basis) maps to its coroot g (simple-coroot basis)
     and its functional p = c . A, so p_i = beta(alpha_i_vee); the frontier
-    also carries q = A . g, so q_i = alpha_i(beta_vee).  s_i fixes beta when
-    p_i = 0 and else subtracts p_i e_i, q_i e_i, p_i * (row i of A) and
-    q_i * (column i of A) from c, g, p and q, so each step is O(r).
+    also carries q = A . g, so q_i = alpha_i(beta_vee).  s_i is applied only
+    when p_i < 0, raising the height by subtracting p_i e_i, q_i e_i, p_i *
+    (row i of A) and q_i * (column i of A) from c, g, p and q, an O(r) step.
+    Each positive root is reached: s_i lowers a non-simple one with p_i > 0.
     """
     r = len(cartan)
     cols = tuple(zip(*cartan))
@@ -170,7 +172,7 @@ def _root_closure(cartan: Matrix) -> dict[Vector, tuple[Vector, Vector]]:
         fresh = []
         for c, g, p, q in frontier:
             for i, pi in enumerate(p):
-                if not pi or (c2 := c[:i] + (c[i] - pi,) + c[i + 1 :]) in roots:
+                if pi >= 0 or (c2 := c[:i] + (c[i] - pi,) + c[i + 1 :]) in roots:
                     continue
                 qi = q[i]
                 g2 = g[:i] + (g[i] - qi,) + g[i + 1 :]
@@ -231,9 +233,7 @@ def _build(lt: LieType) -> RootDatum:
     cartan = _cartan_matrix(lt)
     r = lt.rank
     closure = _root_closure(cartan)
-    positives = sorted(c for c in closure if min(c) >= 0)
-    mixed = next((c for c in closure if min(c) < 0 < max(c)), None)
-    require(mixed is None, f"mixed-sign root {mixed}")
+    positives = sorted(closure)
     heights = [sum(c) for c in positives]
     hmax = max(heights)
     thetas = [c for c, h in zip(positives, heights) if h == hmax]

@@ -77,10 +77,10 @@ matrices at a time, under a checked bound that keeps them exact, counts the
 distinct rows of power sums and turns only those into charpolys by Newton's
 identities, in Python ints.  The Molien sum (at x = t^2) and Solomon's
 identity below both sum the exact quotients prod_i (1 - x^d_i) / det(1 - x*w)
-of WeylGroup._coinvariant_quotients, computed once per group.  Each division
-is exact: for a primitive d-th root of unity z, the z-eigenspace of w has
-dimension at most #{i : d | d_i} (Springer, Invent. Math. 25, 1974), the
-multiplicity of Phi_d in the product.
+of WeylGroup._coinvariant_quotients, computed once per group from the
+constant term up.  Each division is exact: for a primitive d-th root of
+unity z, the z-eigenspace of w has dimension at most #{i : d | d_i}
+(Springer, Invent. Math. 25, 1974), the multiplicity of Phi_d in the product.
 
 Every enumeration requires Solomon's identity (Nagoya Math. J. 22, 1963),
 (1/|W|) sum_w det(1 + y*w)/det(1 - x*w) = prod_i (1 + y*x^m_i)/(1 - x^d_i),
@@ -214,25 +214,6 @@ def _newton(p: Sequence[int]) -> tuple[int, ...]:
     return tuple((-1) ** k * e[k] for k in range(len(p), -1, -1))
 
 
-def _poly_divmod(num: Sequence[int], den: Sequence[int]):
-    """Division of integer polynomials (ascending coeffs, monic divisor)."""
-    num = list(num)
-    den = list(den)
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    dn, dd = len(num) - 1, len(den) - 1
-    quot = [0] * max(dn - dd + 1, 1)
-    for k in range(dn - dd, -1, -1):
-        q = num[k + dd]
-        quot[k] = q
-        if q:
-            for i, c in enumerate(den):
-                num[k + i] -= q * c
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
 @dataclass(frozen=True, eq=False)
 class WeylGroup:
     """A fully enumerated Weyl group acting on coroot coordinates.
@@ -313,23 +294,26 @@ class WeylGroup:
     @cached_property
     def _coinvariant_quotients(self) -> list[list[int]] | None:
         """prod(1 - x^d_i) / det(1 - x w_b) for each bucket b, exactly; None
-        when det(-w_b) is not +-1 or a division leaves a remainder, which no
-        element of W gives (Springer).  det(1 - x w) is the charpoly reversed,
-        made monic by dividing out det(-w).  Computed once per group, for
-        Solomon's identity on enumeration or load and for every molien_poincare."""
-        degrees = self.datum.degrees
+        when a division is not exact, which no element of W gives (Springer).
+        det(1 - x w) is the charpoly reversed, with constant term 1, so the
+        quotient is read off from the constant term up while rem = num -
+        quot * det(1 - x w) is kept, and the division is exact when rem is 0.
+        Computed once per group, for Solomon's identity on enumeration or load
+        and for every molien_poincare."""
+        top, r = sum(self.datum.degrees), self.datum.rank
         num = [1]
-        for d in degrees:
-            num = _pmul(num, [1] + [0] * (d - 1) + [-1], sum(degrees))
+        for d in self.datum.degrees:
+            num = _pmul(num, [1] + [0] * (d - 1) + [-1], top)
         quotients = []
         for charpoly, _ in self.charpoly_buckets:
-            sign = charpoly[0]
-            if sign not in (1, -1):
-                return None
-            quot, rem = _poly_divmod(num, [sign * c for c in reversed(charpoly)])
+            rem, quot = list(num), []
+            for k in range(top + 1 - r):
+                quot.append(q := rem[k])
+                for i, c in enumerate(reversed(charpoly)):
+                    rem[k + i] -= q * c
             if any(rem):
                 return None
-            quotients.append([sign * q for q in quot])
+            quotients.append(quot)
         return quotients
 
     @cached_property

@@ -71,6 +71,21 @@ class TestPoincareCommand:
         assert code == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(("--n", "0"), "n must be >= 1"), (("--deg", "-1"), "max_deg must be >= 0")],
+    )
+    def test_bad_n_or_deg_is_refused_before_enumerating(self, capsys, monkeypatch, argv, message):
+        def refuse(*args):
+            raise AssertionError("a refused poincare input built or enumerated its group")
+
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        monkeypatch.setattr(weyl, "_enumerate", refuse)
+        monkeypatch.setattr(cli, "build_root_datum", refuse)
+        code, out, err = run_cli(capsys, "poincare", "E6", "--n", "1", *argv)
+        assert code == 2 and out == ""
+        assert err == f"liecomm: {message}\n"
+
     @staticmethod
     def _shifted(buckets):
         # move one rotation into the reflection bucket of A2

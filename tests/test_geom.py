@@ -449,6 +449,18 @@ class TestReports:
         with pytest.raises(ValueError, match="grid must be at least 2"):
             beta_check(grid)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: triangulate_prism_boundary(1), "mesh parameter must be at least 2"),
+            (lambda: cocycle_s4([[0.0, 1, 0, 0, 0]], 1, 1), "need distinct cover indices"),
+        ],
+        ids=["prism-mesh", "same-cover"],
+    )
+    def test_mesh_and_cover_arguments_validated(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
 
 def _digest(report: dict) -> str:
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()

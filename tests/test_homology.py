@@ -437,6 +437,26 @@ class TestChainHomology:
             chain_homology([[[0.5]]])
 
     @pytest.mark.parametrize(
+        "boundaries, message",
+        [
+            ([], "need at least one boundary matrix"),
+            ([[[1, 2], [3]]], "ragged matrix"),
+            # d_1 leaves a 2-dimensional C_1, but d_2 lands in a 3-dimensional one
+            ([[[1, -1]], [[0], [0], [0]]], "inconsistent boundary matrix shapes"),
+        ],
+        ids=["empty", "ragged", "mismatched"],
+    )
+    def test_malformed_complex_rejected(self, boundaries, message):
+        with pytest.raises(ValueError, match=message):
+            chain_homology(boundaries)
+
+    def test_sparse_matrix_has_no_shared_dense_view(self):
+        sparse = _sparse([[1, 0], [0, 2]])
+        assert np.asarray(sparse).tolist() == [[1, 0], [0, 2]]
+        with pytest.raises(ValueError, match="no dense view to share"):
+            np.asarray(sparse, copy=False)
+
+    @pytest.mark.parametrize(
         "n,torus,quotient",
         [
             (1, ["Z", "Z"], ["Z", "0"]),
@@ -507,5 +527,7 @@ class TestFinAbGroup:
         assert FinAbGroup(0, (6,)).order() == 6
         assert FinAbGroup(0, (6,)).is_cyclic
         assert not FinAbGroup(0, (2, 2)).is_cyclic
+        assert FinAbGroup(1).is_cyclic  # Z
+        assert not FinAbGroup(1, (2,)).is_cyclic  # Z + Z/2
         with pytest.raises(ValueError):
             FinAbGroup(1).order()

@@ -89,6 +89,19 @@ class TestBredonFragment:
             assert frag.order() == expect
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: bredon_e2_fragment("F4", 2, -1), "k must be nonnegative"),
+        (lambda: pi2_hom_n("SU(4)", 0), "n must be >= 1"),
+    ],
+    ids=["bredon_e2_fragment", "pi2_hom_n"],
+)
+def test_degree_below_its_range_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestPi2Pairs:
     @pytest.mark.parametrize(
         "name,degree",

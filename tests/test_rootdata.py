@@ -87,10 +87,17 @@ class TestLieType:
         assert build_root_datum("Spin(5)").lie_type == LieType("C", 2)
         assert build_root_datum("Spin(6)").lie_type == LieType("A", 3)
 
-    @pytest.mark.parametrize("bad", ["E5", "F5", "G3", "A0", "D2", "Spin(4)", "SU(1)", "H3"])
+    @pytest.mark.parametrize(
+        "bad", ["E5", "F5", "G3", "A0", "D2", "Spin(4)", "SU(1)", "H3", "Sp(0)"]
+    )
     def test_inadmissible(self, bad):
         with pytest.raises(LieTypeError):
             LieType.parse(bad)
+
+    def test_unknown_family(self):
+        # the parser reads only the letters A-G, so this is the constructor's gate
+        with pytest.raises(LieTypeError, match="unknown family 'X'"):
+            LieType("X", 1)
 
 
 class TestRootDatum:

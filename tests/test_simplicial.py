@@ -251,6 +251,21 @@ class TestQuotient:
             quotient_by_involution(square, {0: 1, 1: 2, 2: 3, 3: 0})
 
     @pytest.mark.parametrize(
+        "involution, message",
+        [
+            ({0: 2, 1: 1, 2: 0}, "involution must be defined exactly on the vertices"),
+            ({0: 2, 1: 1, 2: 0, 3: 3, 4: 4}, "involution must be defined exactly on the vertices"),
+            # an involution of the vertices that takes the edge (1, 2) to (0, 2)
+            ({0: 1, 1: 0, 2: 2, 3: 3}, "involution is not simplicial"),
+        ],
+        ids=["missing-vertex", "extra-vertex", "not-simplicial"],
+    )
+    def test_bad_vertex_map_rejected(self, involution, message):
+        square = SimplicialComplex([(0, 1), (1, 2), (2, 3), (0, 3)])
+        with pytest.raises(SimplicialError, match=message):
+            quotient_by_involution(square, involution)
+
+    @pytest.mark.parametrize(
         "n,h1,h2",
         [
             (1, FinAbGroup(), FinAbGroup()),

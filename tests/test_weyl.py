@@ -119,6 +119,9 @@ class TestEnumeration:
             ("truncate", "unreadable or truncated"),
             ("flip_stack_byte", "the stack does not match its CRC-32"),
             ("move_count", "the charpoly buckets fail Solomon's identity"),
+            # det(-w) = +-2 is no Weyl element's: its det(1 - x*w) divides no product
+            ("double_constant_term", "the charpoly buckets fail Solomon's identity"),
+            ("old_version", "format version 3, not 4"),
         ],
     )
     def test_damaged_cache_is_rejected_with_its_reason(self, tmp_path, capsys, damage, reason):
@@ -133,6 +136,10 @@ class TestEnumeration:
                 stored = {name: data[name].copy() for name in data.files}
             if damage == "flip_stack_byte":
                 stored["matrices"].reshape(-1)[1234] ^= 1  # the stored CRC stays
+            elif damage == "double_constant_term":
+                stored["charpolys"][0, 0] *= 2
+            elif damage == "old_version":
+                stored["version"] = np.int64(3)
             else:
                 stored["counts"][:2] += (-1, 1)  # still summing to |W|
             np.savez(path, **stored)
@@ -553,6 +560,32 @@ class TestClassFunctions:
         assert euler_char_rep(_group(name), 2) == datum.rank + 1
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: molien_poincare(_group("A2"), 1, -1), "max_deg must be >= 0"),
+        (lambda: euler_char_rep(_group("A2"), 0), "k must be >= 1"),
+        (lambda: cell_census(_group("A2"), 0), "k must be >= 1"),
+        (
+            lambda: double_cosets(
+                _group("A2"),
+                StabilizerSubgroup(_group("A1"), [0]),
+                StabilizerSubgroup(_group("A2"), [0]),
+            ),
+            "subgroups must belong to the given Weyl group",
+        ),
+        (
+            lambda: alcove_reduce(build_root_datum("A2"), [Fraction(1, 3)]),
+            "expected a vector of length 2",
+        ),
+    ],
+    ids=["molien_poincare", "euler_char_rep", "cell_census", "double_cosets", "alcove_reduce"],
+)
+def test_argument_out_of_range_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def _with_buckets(name, buckets):
     """The enumerated group of type name, with another charpoly histogram."""
     return dataclasses.replace(_group(name), charpoly_buckets=buckets)
@@ -573,15 +606,16 @@ class TestSolomonIdentity:
 
     def test_quotients_computed_once_per_group(self, monkeypatch, tmp_path):
         # a cold save, a warm load and four Molien sums on each group divide
-        # prod(1 - x^d_i) by each bucket's det(1 - x*w) once per group
-        divisions = []
-        real = weyl._poly_divmod
+        # prod(1 - x^d_i) by the buckets' det(1 - x*w) once per group
+        computed = []
+        prop = weyl.WeylGroup.__dict__["_coinvariant_quotients"]
+        real = prop.func
 
-        def counted(num, den):
-            divisions.append(len(den))
-            return real(num, den)
+        def counted(group):
+            computed.append(group)
+            return real(group)
 
-        monkeypatch.setattr(weyl, "_poly_divmod", counted)
+        monkeypatch.setattr(prop, "func", counted)  # the class's own cache stays
         monkeypatch.setattr(weyl, "_MEMO", {})
         datum = build_root_datum("A5")
         cold = weyl.generate(datum, cache_dir=tmp_path)
@@ -589,7 +623,7 @@ class TestSolomonIdentity:
         for group in (cold, warm):
             for n in range(1, 5):
                 molien_poincare(group, n, 12)
-        assert len(divisions) == 2 * len(cold.charpoly_buckets)
+        assert computed == [cold, warm]
 
 
 class TestClosedFormGates:

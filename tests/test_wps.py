@@ -145,8 +145,14 @@ class TestCompositeDegree:
         (lambda: inclusion_degree((1, 2, 3), (0,), 1), "subset too small"),
         (lambda: composite_su2_degree((1, 2, 3), 3), "j must name a non-affine coordinate"),
         (lambda: spin_stability_report(2, "odd", 0), "odd-series stability needs ell >= 3"),
+        (lambda: kawasaki_homology((1, 2), -1), "degree must be nonnegative"),
+        (lambda: spin_stability_report(4, "mixed", 2), "parity must be 'even' or 'odd'"),
+        (lambda: spin_stability_report(4, "even", -2), "homology degree must be nonnegative"),
     ],
-    ids=["proj_degree", "inclusion_degree", "composite_su2_degree", "spin_stability_report"],
+    ids=[
+        "proj_degree", "inclusion_degree", "composite_su2_degree", "spin_stability_report",
+        "kawasaki_homology", "spin_stability_report-parity", "spin_stability_report-negative-k",
+    ],
 )
 def test_argument_one_past_its_range_is_refused(call, message):
     # each refusal is the function's own, not a later error of another kind

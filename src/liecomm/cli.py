@@ -72,7 +72,9 @@ def _cmd_poincare(args) -> int:
         raise ValueError("n must be >= 1")
     if args.deg < 0:
         raise ValueError("max_deg must be >= 0")
-    datum = build_root_datum(args.type)
+    lie_type = LieType.parse(args.type)
+    weyl.check_cap(lie_type, args.element_cap)  # from the type: no O(r^3) closure above the cap
+    datum = build_root_datum(lie_type)
     group = weyl.generate(
         datum, element_cap=args.element_cap, cache_dir=_cache_dir(args)
     )

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .homology import (
@@ -55,6 +55,7 @@ _RANK_BOUNDS = {
     "F": (4, 4),
     "G": (2, 2),
 }
+_EXCEPTIONAL_ORDERS = {"E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152, "G2": 12}
 
 _NAME_RE = re.compile(r"^([A-Ga-g])[_ ]?(\d+)$")
 _GROUP_RE = re.compile(r"^(SU|Spin|Sp)\((\d+)\)$", re.IGNORECASE)
@@ -87,6 +88,13 @@ class LieType:
     @property
     def name(self) -> str:
         return f"{self.family}{self.rank}"
+
+    @property
+    def weyl_order(self) -> int:
+        """|W| in closed form (Bourbaki plates), known before the root datum."""
+        f, r = self.family, self.rank
+        classical = {"A": r + 1, "B": 2**r, "C": 2**r, "D": 2 ** (r - 1)}
+        return factorial(r) * classical[f] if f in classical else _EXCEPTIONAL_ORDERS[self.name]
 
     @classmethod
     def parse(cls, text: str) -> "LieType":
@@ -251,6 +259,7 @@ def _build(lt: LieType) -> RootDatum:
     by_height = Counter(heights).values()
     exps = tuple(sum(n >= j for n in by_height) for j in range(r, 0, -1))
     degrees = tuple(e + 1 for e in exps)
+    require(prod(degrees) == lt.weyl_order, "the product of the degrees is not |W| in closed form")
     # a symmetrizer d_k: theta_k / theta_vee_k = |theta|^2 / |alpha_k|^2, scaled to integers
     _, (d,) = scale_to_integers([[Fraction(t, tv) for t, tv in zip(theta, theta_vee)]])
     ok = all(d[i] * cartan[i][j] == d[j] * cartan[j][i] for i, j in combinations(range(r), 2))

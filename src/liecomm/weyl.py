@@ -60,9 +60,10 @@ Humphreys, Reflection Groups and Coxeter Groups 4.8).  So w fixes the face
 on the walls J mod Q-vee if and only if q_k(w) is one lattice vector q for
 every vertex k not in J: then t_q*w fixes every vertex of the face, hence
 its barycenter b, and conversely t_q*w with q = b - w*b fixes b, hence the
-face.  A vertex's stabilizer is where its label is not -1; any other face
-keeps the members of its parent, the face on the walls J and k0 with v_k0
-its vertex of least index, whose labels at k0 and at one more vertex agree.
+face.  With k0 the least vertex off the walls, w is a member exactly when
+its label at k0 is not -1 and equals its label at every other vertex off
+the walls: one boolean mask, row by row over the labels, and nothing is
+kept per face.
 
 The elements are one read-only int8 stack (every entry is a coroot
 coordinate of a coroot, at most 6 in absolute value).  Products of the stack
@@ -105,7 +106,7 @@ import sys
 import zipfile
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -116,7 +117,7 @@ import numpy as np
 
 from .alcove import AlcoveGeometry, alcove_geometry
 from .homology import exact_quotient, require, scale_to_integers
-from .rootdata import FaceIndex, RootDatum, all_faces
+from .rootdata import FaceIndex, LieType, RootDatum, all_faces
 
 WeylMatrix = tuple[tuple[int, ...], ...]
 
@@ -225,8 +226,6 @@ class WeylGroup:
     datum: RootDatum
     matrices: np.ndarray
     charpoly_buckets: tuple[tuple[tuple[int, ...], int], ...]
-    # face stabilizers computed so far, by node set; see _stabilizer
-    _stabilizers: dict[frozenset[int], np.ndarray] = field(default_factory=dict, init=False)
 
     @property
     def order(self) -> int:
@@ -458,6 +457,14 @@ def _cache_path(datum: RootDatum, cache_dir: Path) -> Path:
     return Path(cache_dir) / f"weyl_{datum.lie_type.name}_v{_CACHE_VERSION}.npz"
 
 
+def check_cap(lie_type: LieType, element_cap: int) -> None:
+    """generate's cap check, on |W| read off the type, so no root datum is built."""
+    required = lie_type.weyl_order
+    cap = HARD_ELEMENT_LIMIT if required > HARD_ELEMENT_LIMIT else element_cap
+    if required > cap:
+        raise WeylCapError(required, cap)
+
+
 def generate(
     datum: RootDatum,
     element_cap: int = DEFAULT_ELEMENT_CAP,
@@ -470,10 +477,7 @@ def generate(
     are served by the formula-level operations instead.  The on-disk cache
     is read, and written for rank >= 5, only in a cache_dir that is given.
     """
-    required = datum.weyl_order
-    cap = HARD_ELEMENT_LIMIT if required > HARD_ELEMENT_LIMIT else element_cap
-    if required > cap:
-        raise WeylCapError(required, cap)
+    check_cap(datum.lie_type, element_cap)
     key = (datum.lie_type.family, datum.lie_type.rank)
     group = _MEMO.get(key)
     if group is None and cache_dir is not None:
@@ -783,27 +787,20 @@ def face_stabilizer(group: WeylGroup, geometry: AlcoveGeometry, face: FaceIndex)
 
 
 def _stabilizer(group: WeylGroup, nodes: frozenset[int]) -> np.ndarray:
-    """Sorted int32 indices of the elements fixing the face on the walls
-    `nodes` modulo the coroot lattice, memoized on the group.
+    """Sorted int32 indices, read-only, of the elements fixing the face on the
+    walls `nodes` modulo the coroot lattice.
 
     w is a member when the translation v_k - w*v_k is one lattice vector for
-    every vertex k off the walls (see the module docstring).  A vertex keeps
-    the elements whose label is not -1.  Any other face, with least vertex k0
-    and next vertex k1, keeps the members of its parent face, on the walls
-    nodes plus k0, whose labels at k0 and k1 are equal.
+    every vertex k off the walls (see the module docstring): its label at the
+    least such vertex k0 is not -1, and its labels at the others equal it.
     """
-    found = group._stabilizers.get(nodes)
-    if found is not None:
-        return found
     labels = group._translation_labels
     k0, *rest = sorted(set(range(group.datum.rank + 1)) - nodes)
-    if rest:
-        parent = _stabilizer(group, nodes | {k0})
-        found = parent[labels[k0, parent] == labels[rest[0], parent]]
-    else:
-        found = np.flatnonzero(labels[k0] >= 0).astype(np.int32)
+    member = labels[k0] >= 0
+    for k in rest:
+        member &= labels[k] == labels[k0]
+    found = np.flatnonzero(member).astype(np.int32)
     found.setflags(write=False)
-    group._stabilizers[nodes] = found
     return found
 
 

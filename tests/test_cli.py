@@ -1,14 +1,16 @@
 import dataclasses
 import hashlib
 import json
+import math
 import time
 import zlib
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from liecomm import alcove, cli, weyl
+from liecomm import alcove, cli, rootdata, weyl
 from liecomm.cli import main
 from liecomm.rootdata import build_root_datum
 from liecomm.verify import _table_types
@@ -85,6 +87,31 @@ class TestPoincareCommand:
         code, out, err = run_cli(capsys, "poincare", "E6", "--n", "1", *argv)
         assert code == 2 and out == ""
         assert err == f"liecomm: {message}\n"
+
+    def test_cap_is_checked_before_the_root_datum(self, capsys, monkeypatch):
+        # |W| = 201! is read off the type, so A200's root datum, an O(r^3)
+        # closure, is never built
+        def refuse(lie_type):
+            raise AssertionError("a poincare above the cap built its root datum")
+
+        monkeypatch.setattr(cli, "build_root_datum", refuse)
+        code, out, err = run_cli(capsys, "poincare", "A200", "--n", "1")
+        assert code == 2 and out == ""
+        assert err == (
+            f"liecomm: enumeration needs {math.factorial(201)} elements, above the cap "
+            "10000000; no option of poincare raises this cap\n"
+        )
+
+    def test_closed_form_order_breach_exits_3(self, capsys, monkeypatch):
+        # a wrong table entry passes the cap check, and the datum's degrees,
+        # whose product is 12, then refuse it; a fresh cache of root data, so
+        # G2's datum is built again
+        monkeypatch.setitem(rootdata._EXCEPTIONAL_ORDERS, "G2", 13)
+        monkeypatch.setattr(rootdata, "_build", lru_cache(rootdata._build.__wrapped__))
+        code, out, err = run_cli(capsys, "poincare", "G2", "--n", "1")
+        assert code == 3 and out == ""
+        detail = "the product of the degrees is not |W| in closed form"
+        assert err == f"liecomm: invariant breach: {detail}\n"
 
     @staticmethod
     def _shifted(buckets):

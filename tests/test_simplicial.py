@@ -247,7 +247,7 @@ class TestQuotient:
 
     def test_non_involution_rejected(self):
         square = SimplicialComplex([(0, 1), (1, 2), (2, 3), (0, 3)])
-        with pytest.raises(Exception):
+        with pytest.raises(SimplicialError, match="vertex map is not an involution"):
             quotient_by_involution(square, {0: 1, 1: 2, 2: 3, 3: 0})
 
     @pytest.mark.parametrize(

@@ -725,7 +725,7 @@ class TestStabilizersAndCosets:
 
     @pytest.mark.parametrize("name", ["B4", "F4", "D5"])
     def test_stabilizers_independent_of_visit_order(self, name):
-        # parents are computed on demand: vertices first on a fresh group
+        # each face is decided on its own: vertices first on a fresh group
         # gives what the interior-first order gives
         datum = build_root_datum(name)
         group = _group(name)
@@ -734,6 +734,17 @@ class TestStabilizersAndCosets:
         faces = all_faces(datum)
         backwards = {f: face_stabilizer(fresh, geo, f).indices for f in reversed(faces)}
         assert all(face_stabilizer(group, geo, f).indices == backwards[f] for f in faces)
+
+    def test_no_stabilizer_is_kept_on_the_group(self):
+        # every D5 face asked for leaves the group its fields and the one
+        # translation table, and nothing per face
+        datum = build_root_datum("D5")
+        group = _group("D5")
+        fresh = weyl.WeylGroup(datum, group.matrices, group.charpoly_buckets)
+        geo = alcove_geometry(datum)
+        for face in all_faces(datum):
+            face_stabilizer(fresh, geo, face)
+        assert set(vars(fresh)) == {"datum", "matrices", "charpoly_buckets", "_translation_labels"}
 
     @pytest.mark.parametrize("name", TABLE_TYPES)
     def test_stabilizers_generated_by_wall_reflections(self, name):
@@ -837,20 +848,16 @@ class TestStabilizersAndCosets:
     @pytest.mark.parametrize("other,nodes", [("A5", [5]), ("A5", [0, 1]), ("A1", [1])])
     @pytest.mark.parametrize("call", ["face_stabilizer", "lattice_quotient", "n_vee"])
     def test_face_of_another_rank_is_rejected(self, call, other, nodes):
-        # a face of A5 or A1 is no face of A2's alcove; the stabilizer memo
-        # stays untouched
+        # a face of A5 or A1 is no face of A2's alcove
         datum = build_root_datum("A2")
-        group = _group("A2")
-        fresh = weyl.WeylGroup(datum, group.matrices, group.charpoly_buckets)
         face = FaceIndex.of(build_root_datum(other), nodes)
         calls = {
-            "face_stabilizer": lambda: face_stabilizer(fresh, alcove_geometry(datum), face),
+            "face_stabilizer": lambda: face_stabilizer(_group("A2"), alcove_geometry(datum), face),
             "lattice_quotient": lambda: lattice_quotient(datum, face),
             "n_vee": lambda: n_vee(datum, face),
         }
         with pytest.raises(ValueError, match=f"face of rank {face.rank} is not a face of A2"):
             calls[call]()
-        assert fresh._stabilizers == {}
 
     def test_double_coset_extremes(self):
         group = _group("C2")
@@ -969,14 +976,20 @@ class TestCellCensus:
         # walls, passes every check before the one it targets
         from liecomm.cli import main
 
-        real = weyl._fixed_coset_counts
+        real_stabilizer, real_counts, walls = weyl._stabilizer, weyl._fixed_coset_counts, {}
+
+        def stabilizer(group, nodes):
+            # the members are kept alive, so no other array takes their id
+            members = real_stabilizer(group, nodes)
+            walls[id(members)] = tuple(sorted(nodes)), members
+            return members
 
         def perturbed(group, members):
-            counts = real(group, members).copy()
-            for nodes, step in steps.items():
-                counts[0] += step * (members is weyl._stabilizer(group, frozenset(nodes)))
+            counts = real_counts(group, members).copy()
+            counts[0] += steps.get(walls[id(members)][0], 0)
             return counts
 
+        monkeypatch.setattr(weyl, "_stabilizer", stabilizer)
         monkeypatch.setattr(weyl, "_fixed_coset_counts", perturbed)
         code = main(["cells", name, "--k", "3"])
         out, err = capsys.readouterr()

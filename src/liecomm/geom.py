@@ -48,6 +48,8 @@ MEMBERSHIP_TOL = 1e-9
 _COMMUTE_TOL = 1e-9
 # rows evaluated at once by the checks: bounds their temporaries at a few MB
 _BLOCK = 4_096
+# beta_check's largest grid: its refined mesh's solid angles take 256 MB there
+MAX_GRID = 1_000
 
 _PRISM_CENTROID = np.array([1.0 / 3.0, 2.0 / 3.0, 0.5])
 # pole avoided by both beta components (their images keep c >= 0, d = 0)
@@ -572,6 +574,8 @@ def beta_check(grid: int) -> dict:
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
+    if grid > MAX_GRID:
+        raise ValueError(f"grid must be at most {MAX_GRID}, a fixed bound that no option raises")
     line = np.linspace(0.0, 1.0, grid + 1)
     zeros = np.zeros_like(line)
     ones = np.ones_like(line)

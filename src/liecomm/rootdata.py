@@ -161,21 +161,24 @@ def _cartan_matrix(lt: LieType) -> Matrix:
     return tuple(tuple(row) for row in a)
 
 
-def _root_closure(cartan: Matrix) -> dict[Vector, tuple[Vector, Vector]]:
-    """The positive roots, each with (coroot, functional), raised from the simple roots.
+def _root_closure(cartan: Matrix) -> tuple[set[Vector], tuple[Vector, ...] | None]:
+    """The positive roots, raised from the simple roots, and the top entry.
 
-    A root c (simple-root basis) maps to its coroot g (simple-coroot basis)
-    and its functional p = c . A, so p_i = beta(alpha_i_vee); the frontier
-    also carries q = A . g, so q_i = alpha_i(beta_vee).  s_i is applied only
-    when p_i < 0, raising the height by subtracting p_i e_i, q_i e_i, p_i *
-    (row i of A) and q_i * (column i of A) from c, g, p and q, an O(r) step.
-    Each positive root is reached: s_i lowers a non-simple one with p_i > 0.
+    The walk carries, for each frontier root c (simple-root basis), its coroot
+    g (simple-coroot basis), p = c . A (p_i = beta(alpha_i_vee)) and q = A . g
+    (q_i = alpha_i(beta_vee)).  s_i is applied only when p_i < 0, raising the
+    height by subtracting p_i e_i, q_i e_i, p_i * (row i of A) and q_i *
+    (column i of A) from c, g, p and q, an O(r) step.  Each positive root is
+    reached: s_i lowers a non-simple one with p_i > 0.  Only the roots are
+    kept; the top entry is the (c, g, p, q) of the first root reached at the
+    greatest height, tracked by height, as a frontier level may mix heights.
     """
     r = len(cartan)
     cols = tuple(zip(*cartan))
     unit = [tuple(int(k == i) for k in range(r)) for i in range(r)]
     frontier = list(zip(unit, unit, cartan, cols))
-    roots = {c: (g, p) for c, g, p, _ in frontier}
+    roots = set(unit)
+    top, top_height = (frontier[0] if frontier else None), 1
     while frontier:
         fresh = []
         for c, g, p, q in frontier:
@@ -186,10 +189,12 @@ def _root_closure(cartan: Matrix) -> dict[Vector, tuple[Vector, Vector]]:
                 g2 = g[:i] + (g[i] - qi,) + g[i + 1 :]
                 p2 = tuple(x - pi * y for x, y in zip(p, cartan[i]))
                 q2 = tuple(x - qi * y for x, y in zip(q, cols[i]))
-                roots[c2] = (g2, p2)
+                roots.add(c2)
                 fresh.append((c2, g2, p2, q2))
+                if (height := sum(c2)) > top_height:
+                    top, top_height = fresh[-1], height
         frontier = fresh
-    return roots
+    return roots, top
 
 
 @dataclass(frozen=True)
@@ -199,10 +204,6 @@ class RootDatum:
     lie_type: LieType
     cartan: Matrix
     positive_roots: tuple[Vector, ...]
-    positive_coroots: tuple[Vector, ...]
-    # the positive roots as functionals beta . A, which count the affine root
-    # hyperplanes beta = k an alcove walk crosses
-    root_functionals: tuple[Vector, ...]
     theta: Vector
     theta_vee: Vector
     coroot_integers: tuple[int, ...]
@@ -240,14 +241,11 @@ class RootDatum:
 def _build(lt: LieType) -> RootDatum:
     cartan = _cartan_matrix(lt)
     r = lt.rank
-    closure = _root_closure(cartan)
-    positives = sorted(closure)
+    roots, (theta, theta_vee, theta_functional, _) = _root_closure(cartan)
+    positives = sorted(roots)
     heights = [sum(c) for c in positives]
     hmax = max(heights)
-    thetas = [c for c, h in zip(positives, heights) if h == hmax]
-    require(len(thetas) == 1, "highest root is not unique")
-    theta = thetas[0]
-    theta_vee, theta_functional = closure[theta]
+    require(heights.count(hmax) == 1, "highest root is not unique")
     coroot_integers = (1,) + tuple(theta_vee)
     require(all(n >= 1 for n in coroot_integers), "coroot integers must be positive")
     unit = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
@@ -268,8 +266,6 @@ def _build(lt: LieType) -> RootDatum:
         lie_type=lt,
         cartan=cartan,
         positive_roots=tuple(positives),
-        positive_coroots=tuple(closure[c][0] for c in positives),
-        root_functionals=tuple(closure[c][1] for c in positives),
         theta=theta,
         theta_vee=theta_vee,
         coroot_integers=coroot_integers,

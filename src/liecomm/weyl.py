@@ -907,10 +907,12 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
 def _separating_hyperplanes(datum: RootDatum, y: Sequence[int], scale: int) -> int:
     """The number of affine root hyperplanes beta = k that strictly separate the
     point y/scale from the open alcove, where 0 < beta < 1 for every positive
-    root: the k in [1, beta) when beta > 1, and in (beta, 0] when beta < 0."""
+    root: the k in [1, beta) when beta > 1, and in (beta, 0] when beta < 0.
+    beta(y) = (c . A) . y = c . (A . y), c the root in the simple-root basis."""
+    ay = [_dot(row, y) for row in datum.cartan]
     total = 0
-    for row in datum.root_functionals:
-        t = _dot(row, y)
+    for root in datum.positive_roots:
+        t = _dot(root, ay)
         total += (t - 1) // scale if t > 0 else -(t // scale)
     return total
 

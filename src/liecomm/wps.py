@@ -9,8 +9,7 @@ multiplies the degree-2k generator by an lcm of weight products over
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import gcd, lcm, prod
+from math import prod
 from typing import Sequence
 
 from .homology import FinAbGroup, as_int, exact_quotient
@@ -38,13 +37,16 @@ def kawasaki_homology(weights: Sequence[int], k: int) -> FinAbGroup:
 def proj_degree(weights: Sequence[int], k: int) -> int:
     """Degree on H_{2k} of the weight-power projection from projective space.
 
-    lcm over (k+1)-subsets of (product of the subset / gcd of the subset).
+    lcm over (k+1)-subsets S of prod(S) / gcd(S).  A subset S has p-adic
+    valuation sum_S v_p - min_S v_p, at most the sum of the k largest v_p(w_i),
+    so the degree is the product of the k largest invariant factors of the sum
+    of the Z/w_i.
     """
     ws = _weights(weights)
     if not 0 <= k <= len(ws) - 1:
         raise ValueError("k must lie between 0 and the complex dimension")
-    vals = [prod(sub) // gcd(*sub) for sub in combinations(ws, k + 1)]
-    return lcm(*vals)
+    chain = FinAbGroup(0, ws).torsion
+    return prod(chain[max(0, len(chain) - k) :])
 
 
 def inclusion_degree(weights: Sequence[int], subset: Sequence[int], k: int) -> int:

@@ -591,6 +591,8 @@ class TestOtherCommands:
             main(argv)
         assert exc.value.code == 2
 
+    _GRID_BOUND = "grid must be at most 1000, a fixed bound that no option raises"
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -598,6 +600,8 @@ class TestOtherCommands:
             (["cocycle-check", "--samples", "-3"], "samples must be at least 1"),
             (["beta-check", "--grid", "1"], "grid must be at least 2"),
             (["beta-check", "--grid", "-3"], "grid must be at least 2"),
+            (["beta-check", "--grid", "1001"], _GRID_BOUND),
+            (["beta-check", "--grid", "1000000"], _GRID_BOUND),
         ],
     )
     def test_size_arguments_validated(self, capsys, argv, message):

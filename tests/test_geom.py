@@ -449,6 +449,27 @@ class TestReports:
         with pytest.raises(ValueError, match="grid must be at least 2"):
             beta_check(grid)
 
+    @pytest.mark.parametrize("grid", [geom.MAX_GRID + 1, 10**6])
+    def test_beta_grid_bounded_before_any_mesh(self, grid, monkeypatch):
+        # 10**6 once escaped as numpy's allocation error from the solid angles
+        def no_mesh(*args):
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.setattr(geom, "_facet_formula", no_mesh)
+        monkeypatch.setattr(geom, "_generator_degree", no_mesh)
+        with pytest.raises(ValueError, match="grid must be at most 1000, a fixed bound that no"):
+            beta_check(grid)
+
+    def test_beta_grid_at_the_bound_is_accepted(self, monkeypatch):
+        # the bound itself is run: both meshes are asked for (stubbed here, as
+        # the real pair takes about 17 s and 600 MB)
+        meshes = []
+        monkeypatch.setattr(
+            geom, "_generator_degree", lambda m: meshes.append(m) or (m, 0.0, 0.0, 1, 0.0)
+        )
+        assert beta_check(geom.MAX_GRID)["grid"] == 1000
+        assert meshes == [1000, 2000]
+
     @pytest.mark.parametrize(
         "call, message",
         [

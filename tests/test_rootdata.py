@@ -1,3 +1,8 @@
+import math
+import random
+import re
+import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from collections import Counter
@@ -21,6 +26,22 @@ from liecomm.rootdata import (
 )
 from liecomm.verify import _table_types
 from liecomm.weyl import charpoly_buckets, generate
+
+_REAL_CLOSURE = rootdata._root_closure
+
+
+def _closure_without(*dropped):
+    def closure(cartan):
+        roots, top = _REAL_CLOSURE(cartan)
+        return roots - set(dropped), top
+
+    return closure
+
+
+def _closure_with_root_as_coroot(cartan):
+    roots, (c, _, p, q) = _REAL_CLOSURE(cartan)
+    return roots, (c, c, p, q)
+
 
 # acceptance data: full coroot-integer tuples in Bourbaki node order
 KNOWN_COROOT_INTEGERS = {
@@ -139,13 +160,76 @@ class TestRootDatum:
         assert not np.any(np.array((1,) + datum.theta) @ a)
         assert not np.any(np.array(datum.coroot_integers) @ c)
         assert ext[1:, 1:].tolist() == [list(row) for row in datum.cartan]
-        roots = np.array(datum.positive_roots)
-        assert datum.root_functionals == tuple(map(tuple, (roots @ datum.cartan).tolist()))
         assert datum.wall_bounds == (-1,) + (0,) * r
         # the linear part of s_j negates c_j and a_j
         for s, aj, cj in zip(weyl._wall_reflections(datum), a, c):
             assert np.array_equal(s @ cj, -cj)
             assert np.array_equal(aj @ s, -aj)
+
+    @pytest.mark.parametrize("name", ["A3", "B4", "C3", "D5", "E6", "E8", "F4", "G2"])
+    def test_separating_hyperplanes_from_roots(self, name):
+        # the walk's count, read through A . y, equals a count of the integers
+        # k with 1 <= k < beta or beta < k <= 0 over the functionals beta = c . A
+        datum = build_root_datum(name)
+        functionals = np.array(datum.positive_roots) @ np.array(datum.cartan)
+        rng = random.Random(name)
+        for _ in range(20):
+            scale = rng.choice((1, 2, 3, 7))
+            y = [rng.randint(-30, 30) for _ in range(datum.rank)]
+            expected = 0
+            for t in (functionals @ y).tolist():
+                b = Fraction(t, scale)
+                span = range(min(0, math.floor(b)), max(1, math.ceil(b)) + 1)
+                expected += sum(1 <= k < b or b < k <= 0 for k in span)
+            assert weyl._separating_hyperplanes(datum, y, scale) == expected, (y, scale)
+
+    def test_build_keeps_only_the_roots(self):
+        # the closure stores no coroot or functional per root: building A100
+        # peaks within 1.5x the bytes of the positive-root tuples it returns
+        tracemalloc.start()
+        try:
+            datum = rootdata._build.__wrapped__(LieType("A", 100))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        root_bytes = sum(sys.getsizeof(c) for c in datum.positive_roots)
+        assert len(datum.positive_roots) == 5050
+        assert peak <= 1.5 * root_bytes, (peak, root_bytes)
+
+    @pytest.mark.parametrize(
+        "name, target, stand_in, message",
+        [
+            # A1 x A1 and A1 x A2: the top root of a reducible system is not
+            # unique, or misses a node
+            ("A2", "_cartan_matrix", lambda lt: ((2, 0), (0, 2)), "highest root is not unique"),
+            (
+                "A3",
+                "_cartan_matrix",
+                lambda lt: ((2, 0, 0), (0, 2, -1), (0, -1, 2)),
+                "coroot integers must be positive",
+            ),
+            (
+                "A3",
+                "_root_closure",
+                _closure_without((0, 1, 0), (1, 1, 0), (0, 1, 1)),
+                "the highest root's height is not h - 1",
+            ),
+            (
+                "B3",
+                "_root_closure",
+                _closure_with_root_as_coroot,
+                "theta / theta_vee does not symmetrize the Cartan matrix",
+            ),
+        ],
+        ids=["unique-top", "positive-marks", "coxeter-number", "symmetrizer"],
+    )
+    def test_build_requires_a_consistent_closure(
+        self, monkeypatch, name, target, stand_in, message
+    ):
+        # each of _build's checks on the closure fires under its own perturbation
+        monkeypatch.setattr(rootdata, target, stand_in)
+        with pytest.raises(InvariantBreachError, match=re.escape(message)):
+            rootdata._build.__wrapped__(LieType.parse(name))
 
     def test_symmetrizer_relation(self):
         # theta_k / theta_vee_k symmetrizes the Cartan matrix, as _build requires

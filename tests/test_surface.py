@@ -50,8 +50,6 @@ _NO_CONSUMER = (
 )
 
 _NO_READER = (
-    ("RootDatum.positive_roots", "test reference for root counts (test_positive_root_count)"),
-    ("RootDatum.positive_coroots", "test reference for rho-vee and the coroots (test_weyl)"),
     ("ExtensionReport.kernel", "the extension's Z^s, which no library check reads yet (item 1)"),
 )
 

@@ -59,11 +59,12 @@ class TestEnumeration:
     def test_elements_permute_coroots(self):
         datum = build_root_datum("G2")
         group = _group("G2")
-        coroots = {c for c in datum.positive_coroots}
-        coroots |= {tuple(-x for x in c) for c in coroots}
+        # the positive coroots are the positive roots of the dual system
+        positive = rootdata._root_closure(tuple(zip(*datum.cartan)))[0]
+        coroots = positive | {tuple(-x for x in c) for c in positive}
         arr = group.matrices.astype(np.int64)
         for w in arr[:6]:
-            for c in datum.positive_coroots:
+            for c in positive:
                 image = tuple(int(x) for x in w @ np.array(c))
                 assert image in coroots
         dets = np.round(np.linalg.det(arr.astype(float))).astype(int)
@@ -391,7 +392,8 @@ class TestElementIndex:
         # when the half is integral
         for name in _types_below_hard_limit():
             datum = build_root_datum(name)
-            two_rho = np.sum(np.array(datum.positive_coroots, dtype=np.int64), axis=0)
+            coroots = rootdata._root_closure(tuple(zip(*datum.cartan)))[0]
+            two_rho = np.sum(np.array(sorted(coroots), dtype=np.int64), axis=0)
             rho = [sum(col) for col in zip(*alcove_geometry(datum).coweights)]
             assert two_rho.tolist() == [2 * c for c in rho], name
             expected = two_rho if np.any(two_rho % 2) else two_rho // 2
@@ -776,7 +778,7 @@ class TestStabilizersAndCosets:
         for face in all_faces(datum):
             nodes = list(face.sorted_nodes())
             sub = tuple(map(tuple, (a[nodes] @ c[nodes].T).tolist()))
-            heights = Counter(sum(r) for r in rootdata._root_closure(sub) if min(r) >= 0)
+            heights = Counter(sum(r) for r in rootdata._root_closure(sub)[0])
             exps = [sum(n >= j for n in heights.values()) for j in range(1, len(nodes) + 1)]
             assert face_stabilizer(group, geo, face).order == prod(e + 1 for e in exps), face
 
@@ -1146,9 +1148,9 @@ class TestAlcoveReduce:
 
     def test_walk_length_gate(self):
         # the walk is checked against the root hyperplanes it must cross; a
-        # datum that lost its root functionals counts none and breaches
+        # datum that lost its positive roots counts none and breaches
         datum = build_root_datum("E8")
         x = [Fraction(-7, 3)] * 8
         assert min(datum.wall_values(alcove_reduce(datum, x)[0])) >= 0
         with pytest.raises(InvariantBreachError, match="0 root hyperplanes"):
-            alcove_reduce(dataclasses.replace(datum, root_functionals=()), x)
+            alcove_reduce(dataclasses.replace(datum, positive_roots=()), x)

@@ -1,7 +1,10 @@
-from math import lcm
+import random
+from itertools import combinations
+from math import gcd, lcm, prod
 
 import pytest
 
+from liecomm import wps
 from liecomm.homology import FinAbGroup
 from liecomm.rootdata import build_root_datum
 from liecomm.wps import (
@@ -62,6 +65,31 @@ class TestProjDegree:
         for k in range(len(w) - 1):
             assert (proj_degree(w, k + 1) * max(w)) % proj_degree(w, k) == 0
 
+    @staticmethod
+    def _subset_lcm(ws, k):
+        return lcm(*(prod(sub) // gcd(*sub) for sub in combinations(ws, k + 1)))
+
+    def test_matches_the_subset_lcm(self):
+        # the product of the k largest invariant factors of the sum of the
+        # Z/w_i, against the lcm over (k+1)-subsets; (1, 1, 2) at k = 2 asks
+        # for more factors than its chain (2,) has
+        rng = random.Random(7)
+        cases = [((1, 1, 2), 2), ((1, 1, 1), 2), ((4, 6, 1), 2), ((12, 18, 8, 27), 3)]
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            ws = tuple(rng.choice((1, 1, 2, 3, 4, 6, 8, 9, 12, 16)) for _ in range(n))
+            cases.append((ws, rng.randrange(len(ws))))
+        for ws, k in cases:
+            assert proj_degree(ws, k) == self._subset_lcm(ws, k), (ws, k)
+
+    def test_no_subsets_enumerated(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the (k+1)-subsets were enumerated")
+
+        monkeypatch.setattr(wps, "combinations", refuse, raising=False)
+        assert proj_degree((1,) * 26, 12) == 1
+        assert proj_degree((1, 2, 2, 3, 4, 6), 3) == self._subset_lcm((1, 2, 2, 3, 4, 6), 3)
+
 
 class TestInclusionDegree:
     def test_full_subset(self):
@@ -120,6 +148,14 @@ class TestSpinStability:
         assert spin_stability_report(ell, parity, threshold)["degree"] == 2
         with pytest.raises(ValueError, match=f"beyond the validated range {threshold}$"):
             spin_stability_report(ell, parity, threshold + 2)
+
+    def test_high_rank_degree(self):
+        # C(24, 13) subsets once made this take seconds and hundreds of MB
+        assert spin_stability_report(24, "even", 24) == {
+            "degree": 1,
+            "zero_groups": False,
+            "route": "factorization through the shared coordinate subspace",
+        }
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

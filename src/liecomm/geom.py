@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 
@@ -178,6 +179,8 @@ _FACET_NORMALS = np.array([[0, 0, -1], [0, 0, 1], [-1, 0, 0], [1, -1, 0], [0, 1,
 _FACET_OFFSETS = np.array([0.0, 1.0, 0.0, 0.0, 1.0])
 # the (s, t, u) columns each facet's formula reads, as its (a, b) arguments
 _FACET_COLUMNS = ((0, 1), (0, 1), (1, 2), (0, 2), (0, 2))
+# the six corners (s, t, u) of the prism, in ascending order
+_PRISM_CORNERS = np.array([(s, t, u) for s, t in ((0, 0), (0, 1), (1, 1)) for u in (0, 1)], float)
 
 
 def classify_prism_facet(points: np.ndarray) -> np.ndarray:
@@ -576,25 +579,17 @@ def beta_check(grid: int) -> dict:
         raise ValueError("grid must be at least 2")
     if grid > MAX_GRID:
         raise ValueError(f"grid must be at most {MAX_GRID}, a fixed bound that no option raises")
+    # a seam is a pair of corners on exactly two common facets; from the lower
+    # corner its direction is in {0, 1}^3, so each coordinate is exactly line, 0 or 1
     line = np.linspace(0.0, 1.0, grid + 1)
-    zeros = np.zeros_like(line)
-    ones = np.ones_like(line)
-    seams = [
-        # (facet A, params A), (facet B, params B): same geometric segment
-        ((_BOTTOM, zeros, line), (_WALL_S0, line, zeros)),
-        ((_BOTTOM, line, line), (_WALL_DIAG, line, zeros)),
-        ((_BOTTOM, line, ones), (_WALL_T1, line, zeros)),
-        ((_TOP, zeros, line), (_WALL_S0, line, ones)),
-        ((_TOP, line, line), (_WALL_DIAG, line, ones)),
-        ((_TOP, line, ones), (_WALL_T1, line, ones)),
-        ((_WALL_S0, zeros, line), (_WALL_DIAG, zeros, line)),
-        ((_WALL_S0, ones, line), (_WALL_T1, zeros, line)),
-        ((_WALL_DIAG, ones, line), (_WALL_T1, ones, line)),
-    ]
+    on = _PRISM_CORNERS @ _FACET_NORMALS.T == _FACET_OFFSETS  # corner x facet
     seam_residual = 0.0
-    for (fa, a1, a2), (fb, b1, b2) in seams:
-        va = _facet_formula(fa, a1, a2)
-        vb = _facet_formula(fb, b1, b2)
+    for (i, p), (j, q) in combinations(enumerate(_PRISM_CORNERS), 2):
+        facets = np.flatnonzero(on[i] & on[j])
+        if len(facets) != 2:
+            continue
+        cols = p[:, None] + line * (q - p)[:, None]  # row c: coordinate c along the seam
+        va, vb = (_facet_formula(f, *cols[list(_FACET_COLUMNS[f])]) for f in facets)
         for left, right in zip(va, vb):
             seam_residual = _worst(seam_residual, np.abs(left - right))
     samples, commutator, norm_residual, degree, residue = _generator_degree(grid)

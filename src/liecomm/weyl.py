@@ -31,24 +31,26 @@ unsorted stack is freed the sorted one is rebuilt block by block from the
 last stage's u_q and a copy of W_(r-1), and one stack, the images and the
 permutation are the most ever held.
 
-No table quadratic in |W| is built.  One routine labels each element with
-the least index reachable from it under a list of index permutations.  Under
-conjugation by the simple reflections that is the least index of its class,
-and the cell census is one polynomial power per class.  The reflections
+No table quadratic in |W| is built.  _components labels each index with the
+least index of its orbit under a list of index permutations; the indices
+labelled with themselves are the orbits' least indices, and one cumsum gives
+each index its int32 orbit ordinal.  Under conjugation by the simple
+reflections the orbits are the classes, WeylGroup._classes the one class
+table, and the cell census one polynomial power per class.  The reflections
 come from the root datum's wall table, s_j = 1 - c_j (x) a_j for the nodes
 j = 0..r (node 0 gives s_theta).  The stabilizer of a point of the closed
 alcove, mod the coroot lattice, is generated by the reflections in the walls
 through it (Bourbaki, Lie Groups V 3.3), so the face on the walls J has the
 stabilizer generated by s_j, j in J.  Under left multiplication by the wall
-reflections in H and right multiplication by those in K the label is the
-least index of the double coset HwK, when H and K are generated by the wall
-reflections they contain, as face stabilizers are; a Burnside count of the
-double cosets cross-checks it.  Those permutations are read off the orbit
-keys: the key of s_i*w*s_j is that of the point s_i*x, x = w*(s_j*v), one
-matrix-vector product per element, and s_i*x = x - a_i(x)*c_i is a rank-one
-update of the key of x, since a key is affine in its point.  These keys are
-the element keys permuted, so one sort matches every key asked for with the
-key found, and a key that is not an element key is a breach.
+reflections in H and right multiplication by those in K the orbits are the
+double cosets HwK, when H and K are generated by the wall reflections they
+contain, as face stabilizers are; a Burnside count cross-checks them.
+Those permutations are read off the orbit keys: the key of s_i*w*s_j is that
+of the point s_i*x, x = w*(s_j*v), one matrix-vector product per element,
+and s_i*x = x - a_i(x)*c_i is a rank-one update of the key of x, since a key
+is affine in its point.  These keys are the element keys permuted, so one
+sort matches every key asked for with the key found, and a key that is not
+an element key is a breach.
 
 Face stabilizers come from one int8 table of vertex translations.  For each
 alcove vertex v_k (k = 0..r) and each element w, the table labels
@@ -316,18 +318,12 @@ class WeylGroup:
         return quotients
 
     @cached_property
-    def _class_labels(self) -> np.ndarray:
-        """The least element index in the conjugacy class of each element."""
-        nodes = range(1, self.datum.rank + 1)
-        return _least_reachable([self._permutation(j, j) for j in nodes], self.order)
-
-    @cached_property
     def _classes(self) -> tuple[np.ndarray, list[int], np.ndarray]:
-        """Class representatives (least indices), class sizes, and the
-        position of each element's class among the representatives."""
-        labels = self._class_labels
-        reps, ordinals, sizes = np.unique(labels, return_inverse=True, return_counts=True)
-        return reps, sizes.tolist(), ordinals
+        """The conjugacy classes, orbits of conjugation by the simple reflections:
+        representatives (least indices, ascending), sizes, and int32 ordinals."""
+        nodes = range(1, self.datum.rank + 1)
+        reps, ordinals = _components([self._permutation(j, j) for j in nodes], self.order)
+        return reps, np.bincount(ordinals).tolist(), ordinals
 
     @cached_property
     def _walls(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -410,15 +406,17 @@ def _translation_keys(
     return keys
 
 
-def _least_reachable(perms: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """For each of the indices 0..n-1, the least index reachable from it under
-    the permutations perms, index rows of length n; with none, each index itself.
+def _components(perms: Sequence[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orbits of the indices 0..n-1 under the permutations perms, index
+    rows of length n: each orbit's least index, ascending, and each index's
+    int32 orbit ordinal; with no permutations each index is its own orbit.
 
     Min-label propagation with pointer jumping: each round lowers every label
     to the least label one step away, then to the label of the index it names.
-    A label always names an index in the same orbit, so the fixed point is exact.
+    A label always names an index in the same orbit, so at the fixed point
+    each label is its orbit's least index.
     """
-    label = np.arange(n)
+    label = np.arange(n, dtype=np.int32)
     while True:
         new = label.copy()
         for p in perms:
@@ -426,8 +424,10 @@ def _least_reachable(perms: Sequence[np.ndarray], n: int) -> np.ndarray:
         while not np.array_equal(new[new], new):
             new = new[new]
         if np.array_equal(new, label):
-            return label
+            break
         label = new
+    least = label == np.arange(n, dtype=np.int32)
+    return np.flatnonzero(least), (np.cumsum(least, dtype=np.int32) - 1)[label]
 
 
 @dataclass(frozen=True, eq=False)
@@ -820,10 +820,9 @@ def double_cosets(
         member = np.zeros(group.order, dtype=bool)
         member[s.members] = True
         rows += [perms[j] for j in np.flatnonzero(member[walls])]
-    # the stack is sorted by orbit key, so the least index of a double coset,
-    # the index its label names, is its element of least key; with no wall
-    # reflections each element is its own double coset
-    reps = np.flatnonzero(_least_reachable(rows, group.order) == np.arange(group.order))
+    # the stack is sorted by orbit key, so a double coset's least index is its
+    # element of least key; with no wall reflections each element is its own
+    reps, _ = _components(rows, group.order)
     fixed = [_fixed_coset_counts(group, s.members).tolist() for s in (h, k)]
     burnside = _orbit_count(group, fixed)
     require(

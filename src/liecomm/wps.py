@@ -13,7 +13,6 @@ from math import prod
 from typing import Sequence
 
 from .homology import FinAbGroup, as_int, exact_quotient
-from .rootdata import build_root_datum
 
 
 def _weights(weights: Sequence[int]) -> tuple[int, ...]:
@@ -86,6 +85,14 @@ def composite_su2_degree(weights: Sequence[int], j: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _spin_coroot_integers(parity: str, n: int) -> tuple[int, ...]:
+    """The coroot integers of Spin(2n) = D_n (even) or Spin(2n + 1) = B_n (odd): 1 for
+    the affine node, then theta-vee's on the simple coroots (Bourbaki, plates IV and II)."""
+    if parity == "even":
+        return (1, 1) + (2,) * (n - 3) + (1, 1)
+    return (1, 1) + (2,) * (n - 2) + (1,)
+
+
 def spin_stability_report(ell: int, parity: str, k: int) -> dict:
     """Degree of the two-step spin stabilization on H_k of the quotient space.
 
@@ -118,9 +125,7 @@ def spin_stability_report(ell: int, parity: str, k: int) -> dict:
             "route": "composition through the even series",
         }
     kk = k // 2
-    # the weights are the coroot integers of Spin(2*ell) (D) or Spin(2*ell + 1) (B)
-    family = "D" if parity == "even" else "B"
-    big, small = (build_root_datum(f"{family}{n}").coroot_integers for n in (ell, ell - 1))
+    big, small = (_spin_coroot_integers(parity, n) for n in (ell, ell - 1))
     shared = tuple(range(ell - 2 if parity == "even" else ell - 1))
     deg_big = inclusion_degree(big, shared, kk)
     deg_small = inclusion_degree(small, shared, kk)

@@ -470,6 +470,37 @@ class TestReports:
         assert beta_check(geom.MAX_GRID)["grid"] == 1000
         assert meshes == [1000, 2000]
 
+    @pytest.mark.parametrize("facet", range(5))
+    def test_every_facet_lies_on_a_seam(self, facet, monkeypatch):
+        # one facet's formula moved by 1e-6 shows on the seams derived from
+        # the facet table, so every facet lies on one of them
+        real = geom._facet_formula
+
+        def moved(f, a, b):
+            first, second = real(f, a, b)
+            return (first + 1e-6 * (f == facet), second)
+
+        monkeypatch.setattr(geom, "_facet_formula", moved)
+        monkeypatch.setattr(geom, "_generator_degree", lambda m: (m, 0.0, 0.0, 1, 0.0))
+        assert beta_check(4)["seam_residual"] > geom.SEAM_TOL
+
+    @pytest.mark.parametrize("grid", [2, 24])
+    def test_seams_sampled_at_the_grid(self, grid, monkeypatch):
+        # nine seams of two facets each, and each facet reads the seam's
+        # varying coordinate at the grid + 1 points of the mesh
+        real, calls = geom._facet_formula, []
+
+        def recorded(f, a, b):
+            calls.append((a, b))
+            return real(f, a, b)
+
+        monkeypatch.setattr(geom, "_facet_formula", recorded)
+        monkeypatch.setattr(geom, "_generator_degree", lambda m: (m, 0.0, 0.0, 1, 0.0))
+        beta_check(grid)
+        line = np.linspace(0.0, 1.0, grid + 1)
+        assert len(calls) == 18
+        assert all(any(np.array_equal(x, line) for x in call) for call in calls)
+
     @pytest.mark.parametrize(
         "call, message",
         [

@@ -463,7 +463,8 @@ class TestConjugacyClasses:
         least = np.arange(group.order)
         for g in range(group.order):
             least = np.minimum(least, group.index_of(inverses[g] @ arr @ arr[g]))
-        assert np.array_equal(group._class_labels, least)
+        reps, _, ordinals = group._classes
+        assert np.array_equal(reps[ordinals], least)
 
     @pytest.mark.parametrize("name", TABLE_TYPES)
     def test_reflection_permutations_from_keys(self, name):
@@ -493,7 +494,7 @@ class TestConjugacyClasses:
 
         monkeypatch.setattr(weyl, "_images", corrupted)
         with pytest.raises(InvariantBreachError, match="orbit key"):
-            fresh._class_labels
+            fresh._classes
 
     @pytest.mark.parametrize("name,count", KNOWN_CLASS_COUNTS.items())
     def test_class_counts(self, name, count):
@@ -501,14 +502,27 @@ class TestConjugacyClasses:
         reps, sizes, ordinals = group._classes
         assert len(reps) == len(sizes) == count
         assert sum(sizes) == group.order
-        assert np.array_equal(reps[ordinals], group._class_labels)
+        assert ordinals.dtype == np.int32
+        assert np.array_equal(ordinals[reps], np.arange(len(reps)))
 
-    def test_least_reachable(self):
+    def test_components(self):
         perms = np.array([[1, 2, 0, 3, 5, 4], [0, 1, 2, 3, 4, 5]])
-        assert weyl._least_reachable(perms, 6).tolist() == [0, 0, 0, 3, 4, 4]
-        assert weyl._least_reachable([], 3).tolist() == [0, 1, 2]
-        # one cycle through every index, so every label is 0
-        assert weyl._least_reachable([np.roll(np.arange(1000), -1)], 1000).tolist() == [0] * 1000
+        reps, ordinals = weyl._components(perms, 6)
+        assert reps.tolist() == [0, 3, 4] and ordinals.tolist() == [0, 0, 0, 1, 2, 2]
+        reps, ordinals = weyl._components([], 3)
+        assert reps.tolist() == [0, 1, 2] and ordinals.tolist() == [0, 1, 2]
+        # one cycle through every index, so one orbit
+        reps, ordinals = weyl._components([np.roll(np.arange(1000), -1)], 1000)
+        assert reps.tolist() == [0] and ordinals.tolist() == [0] * 1000
+        assert ordinals.dtype == np.int32
+
+    def test_one_class_table(self):
+        # the census reads the classes through the one table, int32 ordinals
+        cached = _group("E6")
+        group = weyl.WeylGroup(cached.datum, cached.matrices, cached.charpoly_buckets)
+        cell_census(group, 2)
+        assert "_class_labels" not in vars(group)
+        assert vars(group)["_classes"][2].dtype == np.int32
 
 
 class TestMolien:

@@ -157,6 +157,16 @@ class TestSpinStability:
             "route": "factorization through the shared coordinate subspace",
         }
 
+    @pytest.mark.parametrize("n", range(3, 31))
+    def test_closed_form_coroot_integers(self, n):
+        assert wps._spin_coroot_integers("even", n) == build_root_datum(f"D{n}").coroot_integers
+        assert wps._spin_coroot_integers("odd", n) == build_root_datum(f"B{n}").coroot_integers
+
+    def test_no_root_datum_is_imported(self, run_python):
+        # the weights have closed forms, so no root closure is needed
+        code = "import sys, liecomm.wps; print('liecomm.rootdata' in sys.modules)"
+        assert run_python("-c", code).stdout == "False\n"
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             spin_stability_report(4, "even", 4)

@@ -37,7 +37,6 @@ _EXPORTS = {
     "pi2_hom_n": "invariants",
     "pi2_hom_pairs": "invariants",
     "pi4_commutative_classifying": "invariants",
-    "spin_pi2_stability": "invariants",
     "FaceIndex": "rootdata",
     "LieType": "rootdata",
     "LieTypeError": "rootdata",
@@ -64,10 +63,10 @@ _EXPORTS = {
     "generate": "weyl",
     "irreducibility_check": "weyl",
     "molien_poincare": "weyl",
-    "composite_su2_degree": "wps",
     "inclusion_degree": "wps",
     "kawasaki_homology": "wps",
     "proj_degree": "wps",
+    "spin_pi2_stability": "wps",
     "spin_stability_report": "wps",
 }
 

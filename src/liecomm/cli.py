@@ -136,12 +136,12 @@ def _cmd_wps_degree(args) -> int:
 
 
 def _cmd_spin_stability(args) -> int:
-    from . import invariants, wps
+    from . import wps
     given = (args.m is not None, args.ell is not None, args.k is not None)
     if given not in ((True, False, False), (False, True, True)) or (given[0] and args.parity):
         raise ValueError("provide either --m, or --ell with --k (and --parity)")
     if args.m is not None:
-        report = {"m": args.m, **invariants.spin_pi2_stability(args.m)}
+        report = {"m": args.m, **wps.spin_pi2_stability(args.m)}
     else:
         parity = args.parity or "even"
         question = {"ell": args.ell, "parity": parity, "k": args.k}

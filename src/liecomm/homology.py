@@ -88,20 +88,17 @@ class FinAbGroup:
         orders = [as_int(n, "cyclic orders must be positive integers") for n in self.torsion]
         if any(n < 1 for n in orders):
             raise ValueError("cyclic orders must be positive integers")
-        chain: list[int] = []
+        chain: list[int] = []  # descending, so the least factor is last
         for n in orders:
-            if n == 1:
-                continue
-            # from the top down, each factor keeps the lcm and passes the gcd on
-            merged = []
-            for d in reversed(chain):
-                merged.append(lcm(d, n))
-                n = gcd(d, n)
+            # an n that divides the least factor divides them all and is appended
+            if chain and chain[-1] % n:
+                # from the top down, each factor keeps the lcm and passes the gcd on
+                for i, d in enumerate(chain):
+                    chain[i], n = lcm(d, n), gcd(d, n)
             if n > 1:
-                merged.append(n)
-            chain = merged[::-1]
+                chain.append(n)
         object.__setattr__(self, "free_rank", rank)
-        object.__setattr__(self, "torsion", tuple(chain))
+        object.__setattr__(self, "torsion", tuple(reversed(chain)))
 
     @property
     def is_finite(self) -> bool:

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd, prod
 
-from .homology import FinAbGroup, as_int, exact_quotient, require
+from .homology import FinAbGroup, as_int, require
 from .rootdata import LieType, build_root_datum, dynkin_index
-from .wps import spin_stability_report
 
 
 @dataclass(frozen=True)
@@ -161,42 +160,3 @@ def pi4_commutative_classifying(lie_type: LieType | str) -> tuple[FinAbGroup, Fi
     """pi_4 of the commutative total space and classifying space: (Z, Z + Z)."""
     build_root_datum(lie_type)
     return FinAbGroup(1), FinAbGroup(2)
-
-
-def spin_pi2_stability(m: int) -> dict:
-    """Whether spin stabilization m -> m+1 is a pi_2 isomorphism (m >= 5):
-    {"stable", "route", "details"}, details holding the arithmetic by name.
-
-    For m >= 6 the covering even-series composite has degree
-    rep_degree * index_lower / index_upper, which must equal 1; m = 5 routes
-    through the exceptional isomorphisms with the symplectic/unitary groups.
-    """
-    if m < 5:
-        raise ValueError("stability statement starts at m = 5")
-    if m == 5:
-        return {
-            "stable": True,
-            "route": "exceptional isomorphisms (rank-2 symplectic and rank-3 unitary)",
-            "details": {
-                "dynkin_index_spin5": dynkin_index(build_root_datum("Spin(5)")),
-                "dynkin_index_spin6": dynkin_index(build_root_datum("Spin(6)")),
-            },
-        }
-    ell = (m + 2) // 2
-    rep_degree = spin_stability_report(ell, "even", 2)["degree"]
-    lower = dynkin_index(build_root_datum(f"Spin({2 * ell - 2})"))
-    upper = dynkin_index(build_root_datum(f"Spin({2 * ell})"))
-    composite = exact_quotient(
-        rep_degree * lower, upper, "composite degree arithmetic is not integral"
-    )
-    return {
-        "stable": composite == 1,
-        "route": "even-series composite degree",
-        "details": {
-            "ell": ell,
-            "rep_degree": rep_degree,
-            "dynkin_index_lower": lower,
-            "dynkin_index_upper": upper,
-            "composite_hom_degree": composite,
-        },
-    }

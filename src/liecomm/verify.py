@@ -13,7 +13,7 @@ the hand-typed values the library cannot know.
 from __future__ import annotations
 
 import time
-from math import comb, lcm
+from math import comb
 from typing import Callable
 
 from . import geom, invariants, simplicial, weyl, wps
@@ -165,21 +165,17 @@ def criterion_spin_stability() -> str:
             require(report["degree"] == 1 and report["zero_groups"], ("even", ell, k))
     require(wps.spin_stability_report(3, "odd", 2)["degree"] == 2)  # the 5 -> 7 composite
     for m in range(5, 17):
-        require(invariants.spin_pi2_stability(m)["stable"], m)
+        require(wps.spin_pi2_stability(m)["stable"], m)
     return "degrees for ell=4..8 both parities, the 5->7 composite, stability m=5..16"
 
 
 def criterion_composite_degree() -> str:
-    """9. The rank-1 composite degree equals lcm of the weights for every node."""
-    checked = 0
-    for lt in _table_types():
+    """9. The H_2 degree of CP(1,...,1) -> CP(w) equals the Dynkin index, w the coroot integers."""
+    types = _table_types()
+    for lt in types:
         datum = build_root_datum(lt)
-        weights = datum.coroot_integers
-        target = lcm(*weights)
-        for j in range(1, datum.rank + 1):
-            require(wps.composite_su2_degree(weights, j) == target, (lt.name, j))
-            checked += 1
-    return f"{checked} (type, node) composites, all equal to the weight lcm"
+        require(wps.proj_degree(datum.coroot_integers, 1) == dynkin_index(datum), lt.name)
+    return f"{len(types)} types, each H_2 projection degree equal to the Dynkin index"
 
 
 def criterion_geometry() -> str:
@@ -203,18 +199,14 @@ def criterion_geometry() -> str:
 
 def criterion_theorem_tables() -> str:
     """11. The n-tuple formulas and the extension quotients."""
-    cases = 0
     for name in ("SU(3)", "SU(5)"):
         for n in range(1, 5):
             expected = FinAbGroup(comb(n, 2))
             require(invariants.pi2_hom_n(name, n) == expected, (name, n))
-            cases += 1
     for name in ("Sp(1)", "Sp(2)", "Sp(3)"):
         for n in range(1, 5):
             expected = FinAbGroup(comb(n, 2), (2,) * (2**n - 1 - n - comb(n, 2)))
             require(invariants.pi2_hom_n(name, n) == expected, (name, n))
-            cases += 1
-    require(cases == 20)
     so3 = invariants.h2_extension_semisimple(FinAbGroup(0, (2,)), 1)
     require(so3.quotient == FinAbGroup(0, (2,)) and not so3.has_forced_torsion)
     pso = invariants.h2_extension_semisimple(FinAbGroup(0, (2, 2)), 1)

@@ -9,7 +9,7 @@ multiplies the degree-2k generator by an lcm of weight products over
 
 from __future__ import annotations
 
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
 from .homology import FinAbGroup, as_int, exact_quotient
@@ -67,22 +67,13 @@ def inclusion_degree(weights: Sequence[int], subset: Sequence[int], k: int) -> i
     )
 
 
-def composite_su2_degree(weights: Sequence[int], j: int) -> int:
-    """Degree on H_2 of CP(1,1) -> CP(1,...,1) -> CP(w) through coordinate j.
-
-    The first map includes coordinates {0, j}; the second is the weight-power
-    projection.  The result equals lcm(w) for every j >= 1.
-    """
-    ws = _weights(weights)
-    if not 1 <= j < len(ws):
-        raise ValueError("j must name a non-affine coordinate")
-    power_part = proj_degree((ws[0], ws[j]), 1)
-    return power_part * inclusion_degree(ws, (0, j), 1)
-
-
 # ---------------------------------------------------------------------------
 # Spin stability degrees
 # ---------------------------------------------------------------------------
+
+
+# a fixed bound that no option raises: the ell + 1 weights are built as a tuple
+MAX_SPIN_RANK = 100_000
 
 
 def _spin_coroot_integers(parity: str, n: int) -> tuple[int, ...]:
@@ -111,6 +102,10 @@ def spin_stability_report(ell: int, parity: str, k: int) -> dict:
         raise ValueError("even-series stability needs ell >= 4")
     if parity == "odd" and ell < 3:
         raise ValueError("odd-series stability needs ell >= 3")
+    if ell > MAX_SPIN_RANK:
+        raise ValueError(
+            f"ell must be at most {MAX_SPIN_RANK}, a fixed bound that no option raises"
+        )
     if k % 2:
         return {"degree": 1, "zero_groups": True, "route": "odd degrees vanish"}
     if k > threshold:
@@ -124,14 +119,49 @@ def spin_stability_report(ell: int, parity: str, k: int) -> dict:
             "zero_groups": False,
             "route": "composition through the even series",
         }
-    kk = k // 2
-    big, small = (_spin_coroot_integers(parity, n) for n in (ell, ell - 1))
-    shared = tuple(range(ell - 2 if parity == "even" else ell - 1))
-    deg_big = inclusion_degree(big, shared, kk)
-    deg_small = inclusion_degree(small, shared, kk)
+    shared = range(ell - 2 if parity == "even" else ell - 1)
     return {
-        "degree": exact_quotient(deg_big, deg_small, "stability degree is not an integer"),
+        "degree": inclusion_degree(_spin_coroot_integers(parity, ell), shared, k // 2),
         "zero_groups": False,
         "route": "factorization through the shared coordinate subspace",
     }
 
+
+def spin_pi2_stability(m: int) -> dict:
+    """Whether spin stabilization m -> m+1 is a pi_2 isomorphism (m >= 5):
+    {"stable", "route", "details"}, details holding the arithmetic by name.
+
+    For m >= 6 the covering even-series composite has degree
+    rep_degree * index_lower / index_upper, which must equal 1; m = 5 routes
+    through the exceptional isomorphisms with the symplectic/unitary groups.
+    Each Dynkin index is the lcm of the closed-form coroot integers.
+    """
+    if m < 5:
+        raise ValueError("stability statement starts at m = 5")
+    if m == 5:
+        return {
+            "stable": True,
+            "route": "exceptional isomorphisms (rank-2 symplectic and rank-3 unitary)",
+            "details": {
+                "dynkin_index_spin5": lcm(*_spin_coroot_integers("odd", 2)),
+                "dynkin_index_spin6": lcm(*_spin_coroot_integers("even", 3)),
+            },
+        }
+    ell = (m + 2) // 2
+    # first, so that the rank bound is checked before any weight tuple is built
+    rep_degree = spin_stability_report(ell, "even", 2)["degree"]
+    lower, upper = (lcm(*_spin_coroot_integers("even", n)) for n in (ell - 1, ell))
+    composite = exact_quotient(
+        rep_degree * lower, upper, "composite degree arithmetic is not integral"
+    )
+    return {
+        "stable": composite == 1,
+        "route": "even-series composite degree",
+        "details": {
+            "ell": ell,
+            "rep_degree": rep_degree,
+            "dynkin_index_lower": lower,
+            "dynkin_index_upper": upper,
+            "composite_hom_degree": composite,
+        },
+    }

@@ -530,17 +530,54 @@ class TestOtherCommands:
     def test_spin_stability_breach_exits_3(self, capsys, monkeypatch):
         from liecomm import wps
 
-        real = wps.inclusion_degree
-        # the rank-3 degree becomes 3, which no longer divides the rank-4 degree 2
-        monkeypatch.setattr(
-            wps, "inclusion_degree", lambda ws, subset, k: real(ws, subset, k) + 2 * (len(ws) == 4)
-        )
+        real = wps.proj_degree
+        # the shared (1, 1) gets degree 3, which does not divide D4's degree 2
+        monkeypatch.setattr(wps, "proj_degree", lambda ws, k: real(ws, k) + 2 * (len(ws) == 2))
         code, out, err = run_cli(
             capsys, "spin-stability", "--ell", "4", "--parity", "even", "--k", "2"
         )
         assert code == 3
         assert out == ""
-        assert "invariant breach" in err and "stability degree" in err
+        assert "invariant breach" in err and "inclusion degree is not an integer" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--ell", "100000", "--k", "2"], ["--m", "199999"]],
+    )
+    def test_spin_stability_answers_at_the_rank_bound(self, capsys, argv):
+        # --m 199999 asks about ell = (m + 2) // 2 = 100000
+        code, out, _ = run_cli(capsys, "spin-stability", *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload.get("degree", 1) == 1 and payload.get("stable", True)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--ell", "100001", "--k", "2"], ["--ell", "100001", "--k", "1"],
+         ["--ell", "100000000", "--parity", "odd", "--k", "2"], ["--m", "200000"],
+         ["--m", "1000000000000"]],
+    )
+    def test_spin_stability_refuses_past_the_rank_bound(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "spin-stability", *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == "liecomm: ell must be at most 100000, a fixed bound that no option raises\n"
+
+    def test_huge_ell_is_refused_under_a_memory_limit(self, run_python):
+        # with 400 MB of address space a weight tuple of 10^8 entries once
+        # escaped as a MemoryError traceback; the bound refuses it first
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+            "from liecomm.cli import main\n"
+            "print(main(['spin-stability', '--ell', '100000000', '--k', '2']))\n"
+        )
+        run = run_python("-c", code, OPENBLAS_NUM_THREADS="1")
+        assert run.stdout == "2\n"
+        assert run.stderr == (
+            "liecomm: ell must be at most 100000, a fixed bound that no option raises\n"
+        )
 
     def test_beta_check_breach_exits_3(self, capsys, monkeypatch):
         from liecomm import geom
@@ -780,7 +817,7 @@ _STDOUT_DIGESTS = [
     (
         "verify",
         [["verify"]],
-        "b79eda90c9f54bf59b7ea3b6c4a7f1e8e4b2eb4cbfb19398cf1761ec0494409a",
+        "5e58ae0fc28db49209bd7a6798107baf4df7c2bfe9fc38c4da0b44ccd089afd0",
     ),
 ]
 

@@ -498,7 +498,7 @@ class TestFinAbGroup:
         with pytest.raises(ValueError):
             FinAbGroup(free_rank, orders)
 
-    @given(st.lists(st.integers(1, 60), max_size=6))
+    @given(st.lists(st.integers(1, 60), max_size=12))
     @settings(max_examples=200, deadline=None)
     def test_invariant_factors(self, orders):
         torsion = FinAbGroup(0, orders).torsion
@@ -517,6 +517,15 @@ class TestFinAbGroup:
 
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
             assert valuations(p, torsion) == valuations(p, orders)
+
+    def test_repeated_orders_merge_in_linear_time(self, monkeypatch):
+        # an order that divides the least factor is appended without a walk
+        # down the chain, which made 2000 twos cost about 2 * 10^6 gcds
+        calls = []
+        real = homology.gcd
+        monkeypatch.setattr(homology, "gcd", lambda a, b: calls.append(1) or real(a, b))
+        assert FinAbGroup(0, (2,) * 2000).torsion == (2,) * 2000
+        assert len(calls) <= 2000
 
     def test_str(self):
         assert str(FinAbGroup()) == "0"

@@ -12,7 +12,6 @@ from liecomm.invariants import (
     pi2_hom_n,
     pi2_hom_pairs,
     pi4_commutative_classifying,
-    spin_pi2_stability,
 )
 from liecomm.rootdata import build_root_datum, dynkin_index
 from liecomm.weyl import generate, molien_poincare
@@ -73,6 +72,14 @@ class TestBredonFragment:
     def test_primality_bound_raises(self):
         with pytest.raises(ValueError, match="primality is decided only below"):
             bredon_e2_fragment("E8", invariants._PRIME_BOUND, 0)
+
+    def test_the_bound_is_psi_13(self):
+        # psi_13, a strong pseudoprime to all 13 bases, is the first number
+        # that Miller-Rabin would call prime wrongly, so it is refused
+        psi_13 = 1287836182261 * 2575672364521
+        assert invariants._PRIME_BOUND == psi_13 == 3317044064679887385961981
+        with pytest.raises(ValueError, match="primality is decided only below"):
+            invariants._is_prime(psi_13)
 
     def test_primality_matches_a_sieve(self):
         n = 20_000
@@ -261,28 +268,3 @@ class TestPi4:
         assert ecom == FinAbGroup(1)
         assert bcom == FinAbGroup(2)
         assert bcom.free_rank == ecom.free_rank + 1
-
-
-class TestSpinStability:
-    def test_m5_exceptional_route(self):
-        report = spin_pi2_stability(5)
-        assert report["stable"]
-        assert "exceptional" in report["route"]
-
-    def test_m6_arithmetic(self):
-        report = spin_pi2_stability(6)
-        details = report["details"]
-        assert details["rep_degree"] == 2
-        assert details["dynkin_index_lower"] == 1
-        assert details["dynkin_index_upper"] == 2
-        assert details["composite_hom_degree"] == 1
-
-    def test_m8_arithmetic(self):
-        details = spin_pi2_stability(8)["details"]
-        assert details["rep_degree"] == 1
-        assert details["composite_hom_degree"] == 1
-
-    def test_range(self):
-        assert all(spin_pi2_stability(m)["stable"] for m in range(5, 17))
-        with pytest.raises(ValueError):
-            spin_pi2_stability(4)

@@ -117,7 +117,7 @@ _EXPORTED = [
     "StabilizerSubgroup", "WeylCapError", "WeylGroup", "alcove_geometry", "alcove_reduce",
     "barycenter", "barycentric_subdivide", "beta", "beta_check", "bredon_e2_fragment",
     "build_root_datum", "cell_census", "chain_homology", "cocycle_check", "cocycle_s4",
-    "composite_su2_degree", "degree_to_s2", "double_cosets", "dynkin_index", "euler_char_rep",
+    "degree_to_s2", "double_cosets", "dynkin_index", "euler_char_rep",
     "face_stabilizer", "gamma", "generate", "h2_extension_semisimple", "inclusion_degree",
     "irreducibility_check", "kawasaki_homology", "lattice_quotient", "molien_poincare", "n_vee",
     "null_homotopy_h", "pi2_hom_n", "pi2_hom_pairs", "pi4_commutative_classifying",

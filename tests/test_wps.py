@@ -5,13 +5,14 @@ from math import gcd, lcm, prod
 import pytest
 
 from liecomm import wps
-from liecomm.homology import FinAbGroup
-from liecomm.rootdata import build_root_datum
+from liecomm.homology import FinAbGroup, InvariantBreachError
+from liecomm.rootdata import build_root_datum, dynkin_index
+from liecomm.verify import _table_types
 from liecomm.wps import (
-    composite_su2_degree,
     inclusion_degree,
     kawasaki_homology,
     proj_degree,
+    spin_pi2_stability,
     spin_stability_report,
 )
 
@@ -104,6 +105,14 @@ class TestInclusionDegree:
         with pytest.raises(ValueError, match="subset must name valid coordinate indices"):
             inclusion_degree((1, 2, 3), subset, 1)
 
+    def test_remainder_is_a_breach(self, monkeypatch):
+        # the subspace's degree divides the whole space's for any weights, so
+        # only a wrong proj_degree leaves a remainder: CP(1, 2)'s 2 made 4
+        real = wps.proj_degree
+        monkeypatch.setattr(wps, "proj_degree", lambda ws, k: real(ws, k) + 2 * (len(ws) == 2))
+        with pytest.raises(InvariantBreachError, match="inclusion degree is not an integer"):
+            inclusion_degree((1, 2, 3), (0, 1), 1)
+
     def test_spin_iso_range(self):
         # into the rank l-1 tuple: isomorphisms through homology degree 2l-6
         for ell in (5, 6, 7):
@@ -157,14 +166,20 @@ class TestSpinStability:
             "route": "factorization through the shared coordinate subspace",
         }
 
-    @pytest.mark.parametrize("n", range(3, 31))
+    @pytest.mark.parametrize("n", range(2, 31))
     def test_closed_form_coroot_integers(self, n):
-        assert wps._spin_coroot_integers("even", n) == build_root_datum(f"D{n}").coroot_integers
+        # B2 = Spin(5) is the smallest odd member, read at m = 5; D2 is no simple type
+        if n > 2:
+            assert wps._spin_coroot_integers("even", n) == build_root_datum(f"D{n}").coroot_integers
         assert wps._spin_coroot_integers("odd", n) == build_root_datum(f"B{n}").coroot_integers
 
     def test_no_root_datum_is_imported(self, run_python):
-        # the weights have closed forms, so no root closure is needed
-        code = "import sys, liecomm.wps; print('liecomm.rootdata' in sys.modules)"
+        # the weights and both Dynkin indices have closed forms, so no root
+        # closure is needed, not even for the m = 5 route or m = 400
+        code = (
+            "import sys, liecomm.wps as w; w.spin_pi2_stability(400); w.spin_pi2_stability(5)\n"
+            "print('liecomm.rootdata' in sys.modules)"
+        )
         assert run_python("-c", code).stdout == "False\n"
 
     def test_out_of_range(self):
@@ -173,15 +188,59 @@ class TestSpinStability:
         with pytest.raises(ValueError):
             spin_stability_report(3, "even", 0)
 
+    @pytest.mark.parametrize("ell, parity", [(4, "even"), (9, "even"), (4, "odd"), (30, "odd")])
+    def test_one_inclusion_degree_per_report(self, monkeypatch, ell, parity):
+        # the degree is the inclusion of the shared coordinates into rank ell
+        # alone: two projection degrees per even k, none for the smaller group
+        calls = []
+        real = wps.proj_degree
+        monkeypatch.setattr(wps, "proj_degree", lambda ws, k: calls.append(ws) or real(ws, k))
+        threshold = 2 * ell - 6 if parity == "even" else 2 * ell - 4
+        for k in range(0, threshold + 1, 2):
+            calls.clear()
+            spin_stability_report(ell, parity, k)
+            assert len(calls) == 2, k
+            assert len(calls[0]) == len(wps._spin_coroot_integers(parity, ell))
+
+    def test_m5_exceptional_route(self):
+        report = spin_pi2_stability(5)
+        assert report["stable"]
+        assert "exceptional" in report["route"]
+        assert report["details"] == {"dynkin_index_spin5": 1, "dynkin_index_spin6": 1}
+
+    def test_m6_arithmetic(self):
+        report = spin_pi2_stability(6)
+        details = report["details"]
+        assert details["rep_degree"] == 2
+        assert details["dynkin_index_lower"] == 1
+        assert details["dynkin_index_upper"] == 2
+        assert details["composite_hom_degree"] == 1
+
+    def test_m8_arithmetic(self):
+        details = spin_pi2_stability(8)["details"]
+        assert details["rep_degree"] == 1
+        assert details["composite_hom_degree"] == 1
+
+    def test_range(self):
+        assert all(spin_pi2_stability(m)["stable"] for m in range(5, 17))
+        with pytest.raises(ValueError):
+            spin_pi2_stability(4)
+
+    def test_non_integral_composite_is_a_breach(self, monkeypatch):
+        # D4's degree 2 made 3: 3 * index(D3) / index(D4) = 3/2 leaves a remainder
+        real = wps.spin_stability_report
+        monkeypatch.setattr(wps, "spin_stability_report", lambda *a: {**real(*a), "degree": 3})
+        with pytest.raises(InvariantBreachError, match="composite degree arithmetic"):
+            spin_pi2_stability(6)
+
 
 class TestCompositeDegree:
-    @pytest.mark.parametrize("name", ["A3", "C4", "B4", "D5", "G2", "F4", "E6", "E7", "E8"])
-    def test_equals_lcm_for_all_nodes(self, name):
-        datum = build_root_datum(name)
-        target = lcm(*datum.coroot_integers)
-        for j in range(1, datum.rank + 1):
-            assert composite_su2_degree(datum.coroot_integers, j) == target
-
+    # the composite through any node j equals proj_degree(w, 1), so one check
+    # per type covers every node: the H_2 projection degree is the Dynkin index
+    @pytest.mark.parametrize("lt", _table_types(), ids=lambda lt: lt.name)
+    def test_equals_lcm_for_all_nodes(self, lt):
+        datum = build_root_datum(lt)
+        assert proj_degree(datum.coroot_integers, 1) == dynkin_index(datum)
 
 
 @pytest.mark.parametrize(
@@ -189,15 +248,16 @@ class TestCompositeDegree:
     [
         (lambda: proj_degree((1, 2), 2), "k must lie between 0 and the complex dimension"),
         (lambda: inclusion_degree((1, 2, 3), (0,), 1), "subset too small"),
-        (lambda: composite_su2_degree((1, 2, 3), 3), "j must name a non-affine coordinate"),
         (lambda: spin_stability_report(2, "odd", 0), "odd-series stability needs ell >= 3"),
         (lambda: kawasaki_homology((1, 2), -1), "degree must be nonnegative"),
         (lambda: spin_stability_report(4, "mixed", 2), "parity must be 'even' or 'odd'"),
         (lambda: spin_stability_report(4, "even", -2), "homology degree must be nonnegative"),
+        (lambda: spin_stability_report(100_001, "odd", 0), "ell must be at most 100000"),
     ],
     ids=[
-        "proj_degree", "inclusion_degree", "composite_su2_degree", "spin_stability_report",
+        "proj_degree", "inclusion_degree", "spin_stability_report",
         "kawasaki_homology", "spin_stability_report-parity", "spin_stability_report-negative-k",
+        "spin_stability_report-ell",
     ],
 )
 def test_argument_one_past_its_range_is_refused(call, message):

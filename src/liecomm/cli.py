@@ -75,10 +75,11 @@ def _cmd_poincare(args) -> int:
     lie_type = LieType.parse(args.type)
     weyl.check_cap(lie_type, args.element_cap)  # from the type: no O(r^3) closure above the cap
     datum = build_root_datum(lie_type)
-    group = weyl.generate(
+    # the buckets alone: a cold run never holds the element stack
+    histogram = weyl.charpoly_histogram(
         datum, element_cap=args.element_cap, cache_dir=_cache_dir(args)
     )
-    coeffs = weyl.molien_poincare(group, args.n, args.deg)
+    coeffs = weyl.molien_poincare(histogram, args.n, args.deg)
     _emit(
         {
             "command": "poincare",

@@ -157,6 +157,10 @@ def h2_extension_semisimple(pi1: FinAbGroup, simple_factors: int) -> ExtensionRe
 
 
 def pi4_commutative_classifying(lie_type: LieType | str) -> tuple[FinAbGroup, FinAbGroup]:
-    """pi_4 of the commutative total space and classifying space: (Z, Z + Z)."""
-    build_root_datum(lie_type)
+    """pi_4 of the commutative total space and classifying space: (Z, Z + Z).
+
+    A name is parsed, which raises LieTypeError for one that is not a simple
+    type; a LieType is checked when it is made.  No root datum is built."""
+    if isinstance(lie_type, str):
+        LieType.parse(lie_type)
     return FinAbGroup(1), FinAbGroup(2)

@@ -21,15 +21,18 @@ stabilizer in W_k is generated by the simple reflections of W_k that fix it
 Characters of Finite Coxeter Groups and Iwahori-Hecke Algebras, ch. 2), and
 those are s_1, ..., s_(k-1).  So W_k is the disjoint union of the cosets
 u*W_(k-1), u running over one element per point of the W_k-orbit of
-omega_k-vee, and W = W_r is built stage by stage: float32 products u*w,
-_LABEL_BLOCK rows at a time, written into the one int8 stack.  Three checks
-are required: the stages give |W| = prod d_i products, every product fits
-int8, and no two rows of the sorted stack are equal.  The sort is np.lexsort
-over the r int8 rows of the images w*v, so runs are deterministic, and keeps
-only its permutation: row q*n + j of the stack is u_q*W_(r-1)[j], so once the
-unsorted stack is freed the sorted one is rebuilt block by block from the
-last stage's u_q and a copy of W_(r-1), and one stack, the images and the
-permutation are the most ever held.
+omega_k-vee.  W_(r-1) is built stage by stage, float32 products u*w
+_LABEL_BLOCK rows at a time written into one int8 stack, and W = W_r is
+never stored unsorted: element q*n + j is u_q*W_(r-1)[j], u_q the last
+stage's representatives.  Its r x |W| int8 table of orbit images, taken as
+u_q*(W_(r-1)*v), is sorted by np.lexsort, so runs are deterministic, and
+freed; the int32 permutation then names the q and j of each sorted
+position, and _sorted_blocks yields the key-sorted elements _LABEL_BLOCK at
+a time.  Three checks are required: the stages give |W| = prod d_i
+products, every product fits int8, and no two consecutive sorted rows are
+equal, across blocks too.  generate fills one stack from the blocks;
+poincare's charpoly_histogram counts them and writes them to the cache as
+they pass, so W_(r-1), the table and the permutation are the most it holds.
 
 No table quadratic in |W| is built.  _components labels each index with the
 least index of its orbit under a list of index permutations; the indices
@@ -74,14 +77,16 @@ float32 at a time, and the translation table _LABEL_BLOCK elements to
 float64, in work arrays allocated once per table.
 
 Molien/Poincare sums, trace statistics and Lefschetz averages are evaluated
-per characteristic-polynomial bucket.  charpoly_buckets, the one charpoly
-routine, takes the power sums tr(w^k) by float32 products of _LABEL_BLOCK
-matrices at a time, under a checked bound that keeps them exact, counts the
-distinct rows of power sums and turns only those into charpolys by Newton's
-identities, in Python ints.  The Molien sum (at x = t^2) and Solomon's
-identity below both sum the exact quotients prod_i (1 - x^d_i) / det(1 - x*w)
-of WeylGroup._coinvariant_quotients, computed once per group from the
-constant term up.  Each division is exact: for a primitive d-th root of
+per characteristic-polynomial bucket.  One kernel, _count_power_sums, takes
+the power sums tr(w^k) by float32 products of a block of _LABEL_BLOCK
+matrices, under a checked bound that keeps them exact, and counts the
+distinct rows of power sums; _newton_buckets turns only those into charpolys
+by Newton's identities, in Python ints.  charpoly_buckets runs them over a
+stack, and charpoly_histogram over the streamed blocks.  The Molien sum (at
+x = t^2) and Solomon's identity below read only the datum and the buckets,
+and both sum the exact quotients prod_i (1 - x^d_i) / det(1 - x*w) of the
+_coinvariant_quotients of a WeylGroup or a CharpolyHistogram, computed once
+per group from the constant term up.  Each division is exact: for a primitive d-th root of
 unity z, the z-eigenspace of w has dimension at most #{i : d | d_i}
 (Springer, Invent. Math. 25, 1974), the multiplicity of Phi_d in the product.
 
@@ -94,16 +99,20 @@ requires.
 Groups are memoized in-process.  A caller that names a cache directory also
 gets the on-disk cache (format 4): the stack, its zlib CRC-32 and the
 buckets, written for rank >= 5.  The file is the archive np.savez writes,
-byte for byte in every member, but each member is written from its array's
-own buffer, so the write copies no stack.  A load checks the CRC against the
-stack, and the buckets by their counts summing to |W| and by Solomon's
-identity, so a warm load never derives the buckets again.
+byte for byte in every member, but the stack member is written from the
+stack's own buffer, or from the blocks as they stream past with a running
+CRC, so the write copies no stack; it is written under a temporary name and
+renamed once its buckets pass Solomon's identity.  A load checks the CRC
+against the stack, and the buckets by their counts summing to |W| and by
+Solomon's identity, so a warm load never derives the buckets again.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
+import os
 import sys
 import zipfile
 import zlib
@@ -180,31 +189,56 @@ def charpoly_buckets(stack: np.ndarray) -> tuple[tuple[tuple[int, ...], int], ..
 
     Returns sorted (ascending coefficients, count) pairs.  A charpoly is fixed
     by the power sums p_k = tr(w^k), k = 1..r, through Newton's identities.
-    The powers are batched float32 products, exact because every partial sum
-    stays below 2^24: r * max|w^k| * max|w| < 2^24 is checked before each
-    product and trace.  Rows of power sums are counted _LABEL_BLOCK matrices at
-    a time, and only the distinct rows are turned into charpolys, in Python ints.
+    Rows of power sums are counted _LABEL_BLOCK matrices at a time
+    (_count_power_sums), and only the distinct rows are turned into
+    charpolys, in Python ints (_newton_buckets).
     """
-    n, r, _ = stack.shape
     counts: Counter[tuple[int, ...]] = Counter()
-    for start in range(0, n, _LABEL_BLOCK):
-        w = stack[start : start + _LABEL_BLOCK].astype(np.float32)
-        w_max = float(np.abs(w).max())
-        sums = np.empty((len(w), r), dtype=np.int64)
-        power = w
-        for k in range(r):
-            require(
-                r * float(np.abs(power).max()) * w_max < _FLOAT32_EXACT,
-                "matrix powers leave the exact float32 range",
-            )
-            sums[:, k] = np.einsum("nii->n", power)
-            if k + 1 < r:
-                power = power @ w
-        sums = sums[np.lexsort(sums.T)]
-        starts = np.flatnonzero(np.concatenate(([True], np.any(sums[1:] != sums[:-1], axis=1))))
-        sizes = np.diff(np.append(starts, len(sums)))
-        for row, size in zip(sums[starts].tolist(), sizes.tolist()):
-            counts[tuple(row)] += size
+    work = _power_work(*stack.shape[:2])
+    for start in range(0, len(stack), _LABEL_BLOCK):
+        _count_power_sums(stack[start : start + _LABEL_BLOCK], counts, work)
+    return _newton_buckets(counts)
+
+
+def _count_power_sums(
+    block: np.ndarray, counts: Counter[tuple[int, ...]], work: tuple[np.ndarray, ...]
+) -> None:
+    """Add the rows of power sums (tr(w), ..., tr(w^r)) of a block of integer
+    matrices to counts.  The powers are batched float32 products, exact
+    because every partial sum stays below 2^24: r * max|w^k| * max|w| < 2^24
+    is checked before each product and trace.  work holds three float32
+    arrays of at least len(block) matrices (_power_work)."""
+    n, r, _ = block.shape
+    w, *spare = (a[:n] for a in work)
+    np.copyto(w, block)
+    w_max = max(float(w.max()), -float(w.min()))
+    sums = np.empty((n, r), dtype=np.int64)
+    power = w
+    for k in range(r):
+        require(
+            r * max(float(power.max()), -float(power.min())) * w_max < _FLOAT32_EXACT,
+            "matrix powers leave the exact float32 range",
+        )
+        sums[:, k] = np.einsum("nii->n", power)
+        if k + 1 < r:
+            power = np.matmul(power, w, out=spare[k % 2])
+    sums = sums[np.lexsort(sums.T)]
+    starts = np.flatnonzero(np.concatenate(([True], np.any(sums[1:] != sums[:-1], axis=1))))
+    sizes = np.diff(np.append(starts, len(sums)))
+    for row, size in zip(sums[starts].tolist(), sizes.tolist()):
+        counts[tuple(row)] += size
+
+
+def _power_work(rows: int, r: int) -> tuple[np.ndarray, ...]:
+    """Three float32 work arrays of min(rows, _LABEL_BLOCK) r x r matrices, for
+    one pass over rows elements.  Fresh temporaries per block gave the same
+    buckets, but twice the page faults and 3-4 % more CPU per cold poincare at
+    A7 and D6, as the heap was returned to the system between blocks."""
+    return tuple(np.empty((min(rows, _LABEL_BLOCK), r, r), dtype=np.float32) for _ in range(3))
+
+
+def _newton_buckets(counts: Counter[tuple[int, ...]]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Sorted (charpoly, count) pairs from counted rows of power sums."""
     return tuple(sorted((_newton(p), c) for p, c in counts.items()))
 
 
@@ -374,6 +408,17 @@ class WeylGroup:
         return labels
 
 
+@dataclass(frozen=True, eq=False)
+class CharpolyHistogram:
+    """The charpoly buckets of a Weyl group whose stack was never held: all
+    that molien_poincare and Solomon's identity read of a WeylGroup."""
+
+    datum: RootDatum
+    charpoly_buckets: tuple[tuple[tuple[int, ...], int], ...]
+
+    _coinvariant_quotients = WeylGroup._coinvariant_quotients  # the same cached property
+
+
 def _translation_keys(
     block: np.ndarray, scaled: np.ndarray, denom: int, radix: int, work: tuple[np.ndarray, ...]
 ) -> np.ndarray:
@@ -458,7 +503,8 @@ def _cache_path(datum: RootDatum, cache_dir: Path) -> Path:
 
 
 def check_cap(lie_type: LieType, element_cap: int) -> None:
-    """generate's cap check, on |W| read off the type, so no root datum is built."""
+    """The cap check of generate and charpoly_histogram, on |W| read off the
+    type, so no root datum is built."""
     required = lie_type.weyl_order
     cap = HARD_ELEMENT_LIMIT if required > HARD_ELEMENT_LIMIT else element_cap
     if required > cap:
@@ -478,16 +524,48 @@ def generate(
     is read, and written for rank >= 5, only in a cache_dir that is given.
     """
     check_cap(datum.lie_type, element_cap)
+    group = _held(datum, cache_dir)
+    if group is None:
+        group = _enumerate(datum)
+        if _writes_cache(datum, cache_dir):
+            _save_cache(group, cache_dir)
+        _MEMO[datum.lie_type.family, datum.lie_type.rank] = group
+    return group
+
+
+def charpoly_histogram(
+    datum: RootDatum,
+    element_cap: int = DEFAULT_ELEMENT_CAP,
+    cache_dir: Path | None = None,
+) -> WeylGroup | CharpolyHistogram:
+    """The charpoly buckets of the Weyl group, for callers that read nothing
+    else (molien_poincare).
+
+    The cap, the memo and the on-disk cache are generate's, and a group found
+    in the memo or the cache is returned whole.  Otherwise the group is
+    enumerated for its buckets alone (_stream_histogram): no stack is held
+    and nothing is memoized.
+    """
+    check_cap(datum.lie_type, element_cap)
+    group = _held(datum, cache_dir)
+    return _stream_histogram(datum, cache_dir) if group is None else group
+
+
+def _held(datum: RootDatum, cache_dir: Path | None) -> WeylGroup | None:
+    """The memoized group, else the one in the cache_dir, if given, which is
+    then memoized; None when neither holds it."""
     key = (datum.lie_type.family, datum.lie_type.rank)
     group = _MEMO.get(key)
     if group is None and cache_dir is not None:
         group = _load_cache(datum, cache_dir)
-    if group is None:
-        group = _enumerate(datum)
-        if cache_dir is not None and datum.rank >= 5:
-            _save_cache(group, cache_dir)
-    _MEMO[key] = group
+        if group is not None:
+            _MEMO[key] = group
     return group
+
+
+def _writes_cache(datum: RootDatum, cache_dir: Path | None) -> bool:
+    """Enumerations of rank >= 5 are written to the on-disk cache, in a cache_dir that is given."""
+    return cache_dir is not None and datum.rank >= 5
 
 
 def _coset_representatives(datum: RootDatum, k: int) -> np.ndarray:
@@ -524,7 +602,15 @@ def _store_int8(out: np.ndarray, products: np.ndarray) -> None:
     np.copyto(out, products, casting="unsafe")
 
 
-def _enumerate(datum: RootDatum) -> WeylGroup:
+def _sorted_blocks(datum: RootDatum):
+    """The elements of W in ascending orbit-key order, as int8 blocks of at
+    most _LABEL_BLOCK matrices, each a view valid until the next is drawn;
+    only W_(r-1), the image table and the permutation are stored (see the
+    module docstring).  Each block comes with the _power_work arrays its
+    products were taken in, free for the caller until it draws the next, and
+    allocated after the sort, whose peak they would raise.  Required: the
+    stages give |W| products, every product and image fits int8, and no two
+    consecutive rows are equal, across blocks too."""
     r, order = datum.rank, datum.weyl_order
     if r >= 5:
         print(
@@ -532,82 +618,172 @@ def _enumerate(datum: RootDatum) -> WeylGroup:
             f"({order} elements)",
             file=sys.stderr,
         )
-    stages = [_coset_representatives(datum, k).astype(np.float32) for k in range(1, r + 1)]
-    found = math.prod(map(len, stages))
+    *stages, reps = [_coset_representatives(datum, k).astype(np.float32) for k in range(1, r + 1)]
+    found = math.prod(map(len, stages)) * len(reps)
     require(found == order, f"the coset products give {found} elements, not |W| = {order}")
-    # W_k = union of u*W_(k-1) over the stage's representatives u: the
-    # products by u = reps[q] go to rows q*n.. of the one stack, and reps[0]
-    # is the identity, so W_(k-1) stays where it is
-    stack = np.empty((order, r, r), dtype=np.int8)
-    stack[0] = np.eye(r, dtype=np.int8)
-    n = 1
-    for reps in stages:
-        for start in range(0, n, _LABEL_BLOCK):
-            block = stack[start : min(start + _LABEL_BLOCK, n)].astype(np.float32)
-            for q, u in enumerate(reps[1:], 1):
-                _store_int8(stack[q * n + start : q * n + start + len(block)], u @ block)
-        n *= len(reps)
-    # sorted by orbit key: np.lexsort over the images w*v, whose coordinate i
-    # lies in [-v_i, v_i], so they are int8 rows, coordinate r - 1 the last key
-    images = np.empty((r, order), dtype=np.int8)
-    for start, block in zip(range(0, order, _LABEL_BLOCK), _images(stack, _regular_vector(datum))):
-        _store_int8(images[:, start : start + len(block)], block.T)
-    perm = np.lexsort(images)
-    del images, block  # before the rebuild's peak
-    # sorted without a second stack: row q*n + j of the stack is
-    # reps[q]*W_(r-1)[j], so the sorted stack is rebuilt block by block
-    # from the sort's permutation, the last representatives and W_(r-1)
-    reps = stages[-1]
     n = order // len(reps)
-    prev = stack[:n].copy()
-    del stack
-    arr = np.empty((order, r, r), dtype=np.int8)
+    # W_k = union of u*W_(k-1) over the stage's representatives u: the
+    # products by u = stage[q] go to rows q*m.. of the stack of W_(r-1), and
+    # stage[0] is the identity, so W_(k-1) stays where it is
+    prev = np.empty((n, r, r), dtype=np.int8)
+    prev[0] = np.eye(r, dtype=np.int8)
+    m = 1
+    for stage in stages:
+        for start in range(0, m, _LABEL_BLOCK):
+            block = prev[start : min(start + _LABEL_BLOCK, m)].astype(np.float32)
+            for q, u in enumerate(stage[1:], 1):
+                _store_int8(prev[q * m + start : q * m + start + len(block)], u @ block)
+        m *= len(stage)
+    # coordinate i of an image lies in [-v_i, v_i], so the images are int8 rows
+    points = np.concatenate(list(_images(prev, _regular_vector(datum)))).T.astype(np.float32)
+    images = np.empty((r, order), dtype=np.int8)
+    for q, u in enumerate(reps):
+        _store_int8(images[:, q * n : (q + 1) * n], u @ points)
+    perm = np.lexsort(images)
+    del images, points  # before the permutation is narrowed
+    perm = perm.astype(np.int32)
+    out, last = np.empty((min(order, _LABEL_BLOCK), r, r), dtype=np.int8), None
+    work = _power_work(order, r)
+    u, w, products = work
     for start in range(0, order, _LABEL_BLOCK):
         q, j = np.divmod(perm[start : start + _LABEL_BLOCK], n)
-        _store_int8(arr[start : start + len(q)], reps[q] @ prev[j].astype(np.float32))
-    del perm, prev
-    rows = arr.reshape(order, r * r).view(np.dtype((np.void, r * r))).ravel()
-    require(bool(np.all(rows[1:] != rows[:-1])), "two coset products are the same element")
+        m = len(q)
+        block = out[:m]
+        np.take(reps, q, axis=0, out=u[:m], mode="clip")  # q < len(reps); "raise" would buffer
+        np.copyto(w[:m], prev[j])
+        _store_int8(block, np.matmul(u[:m], w[:m], out=products[:m]))
+        rows = block.reshape(m, r * r).view(np.dtype((np.void, r * r))).ravel()
+        require(
+            bool(np.all(rows[1:] != rows[:-1])) and block[0].tobytes() != last,
+            "two coset products are the same element",
+        )
+        last = block[-1].tobytes()
+        yield block, work
+
+
+def _enumerate(datum: RootDatum) -> WeylGroup:
+    """The group, its stack filled from _sorted_blocks and its buckets counted
+    once the stack is complete; they must satisfy Solomon's identity."""
+    r = datum.rank
+    arr = np.empty((datum.weyl_order, r, r), dtype=np.int8)
+    start = 0
+    for block, work in _sorted_blocks(datum):
+        arr[start : start + len(block)] = block
+        start += len(block)
+    del work  # the stream's work arrays, before charpoly_buckets allocates its own
     arr.setflags(write=False)
     group = WeylGroup(datum, arr, charpoly_buckets(arr))
-    require(
-        _solomon_holds(group),
-        f"the {datum.lie_type.name} charpoly buckets fail Solomon's identity",
-    )
+    _require_solomon(group)
     return group
+
+
+def _stream_histogram(datum: RootDatum, cache_dir: Path | None) -> CharpolyHistogram:
+    """The buckets of W, counted block by block as _sorted_blocks yields them;
+    they must satisfy Solomon's identity.  When generate would write the
+    cache, the same blocks are written into it as they pass, and the file is
+    completed only once the identity holds."""
+    counts: Counter[tuple[int, ...]] = Counter()
+    path = _cache_path(datum, cache_dir) if _writes_cache(datum, cache_dir) else None
+    with _CacheWriter(path, datum) as writer:
+        for block, work in _sorted_blocks(datum):
+            _count_power_sums(block, counts, work)
+            writer.write(block)
+        histogram = CharpolyHistogram(datum, _newton_buckets(counts))
+        _require_solomon(histogram)
+        writer.finish(histogram.charpoly_buckets)
+    return histogram
+
+
+def _require_solomon(group: WeylGroup | CharpolyHistogram) -> None:
+    name = group.datum.lie_type.name
+    require(_solomon_holds(group), f"the {name} charpoly buckets fail Solomon's identity")
 
 
 def _save_cache(group: WeylGroup, cache_dir: Path) -> None:
     """Write the stack, its CRC-32 and the charpoly buckets."""
-    path = _cache_path(group.datum, cache_dir)
-    charpolys, counts = zip(*group.charpoly_buckets)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _write_npz(
-            path,
-            version=np.int64(_CACHE_VERSION),
-            order=np.int64(group.order),
-            matrices=group.matrices,
-            crc=np.int64(zlib.crc32(group.matrices)),
-            charpolys=np.array(charpolys, dtype=np.int64),
-            counts=np.array(counts, dtype=np.int64),
-        )
-    except OSError as exc:
-        print(f"liecomm: could not write the Weyl cache {path}: {exc}", file=sys.stderr)
+    with _CacheWriter(_cache_path(group.datum, cache_dir), group.datum) as writer:
+        writer.write(group.matrices)
+        writer.finish(group.charpoly_buckets)
 
 
-def _write_npz(path: Path, **arrays: np.ndarray | np.generic) -> None:
-    """The archive np.savez writes, member for member, with each member's data
-    written from the array's own buffer.  np.savez copies an array into bytes,
-    16 MiB at a time, to write it into a zip member; here the zip layer takes
-    its CRC over the buffer it writes, so the stack is never copied."""
-    with zipfile.ZipFile(path, "w") as archive:
-        for name, value in arrays.items():
-            array = np.asarray(value)  # 0-d stays 0-d: np.load gives scalars back
-            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
-                header = np.lib.format.header_data_from_array_1_0(array)
-                np.lib.format.write_array_header_1_0(member, header)
-                member.write(memoryview(array).cast("B"))  # C order; TypeError if not contiguous
+class _CacheWriter:
+    """The cache file of one group, written as its stack streams past.
+
+    version, order and the header of matrices go first; write adds each
+    block of the stack, and finish the blocks' CRC-32 and the buckets.  Each
+    member holds the bytes np.savez writes, but a block goes to the zip layer
+    from its own buffer, where np.savez would copy it.  Only finish renames
+    the file into place: leaving the with block before it, or an OSError,
+    removes the file, and an OSError is reported on stderr and ends the
+    write, not the caller's work.  With no path nothing is written.
+    """
+
+    def __init__(self, path: Path | None, datum: RootDatum):
+        self.path, self.crc, self.archive = path, 0, None
+        if path is None:
+            return
+        self.temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        self.files = contextlib.ExitStack()  # closes the member, then the archive
+        order, r = datum.weyl_order, datum.rank
+        header = {"descr": np.dtype(np.int8).str, "fortran_order": False, "shape": (order, r, r)}
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self.archive = self.files.enter_context(zipfile.ZipFile(self.temp, "w"))
+            _write_members(self.archive, version=np.int64(_CACHE_VERSION), order=np.int64(order))
+            self.member = self.files.enter_context(
+                self.archive.open("matrices.npy", "w", force_zip64=True)
+            )
+            np.lib.format.write_array_header_1_0(self.member, header)
+        except OSError as exc:
+            self._discard(exc)
+
+    def __enter__(self) -> _CacheWriter:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._discard()
+
+    def write(self, block: np.ndarray) -> None:
+        if self.archive is not None:
+            try:
+                self.member.write(memoryview(block).cast("B"))  # TypeError if not C-contiguous
+                self.crc = zlib.crc32(block, self.crc)
+            except OSError as exc:
+                self._discard(exc)
+
+    def finish(self, buckets: tuple[tuple[tuple[int, ...], int], ...]) -> None:
+        if self.archive is None:
+            return
+        charpolys, counts = (np.array(column, dtype=np.int64) for column in zip(*buckets))
+        try:
+            self.member.close()
+            _write_members(self.archive, crc=np.int64(self.crc), charpolys=charpolys, counts=counts)
+            self.archive.close()
+            os.replace(self.temp, self.path)
+            self.archive = None
+        except OSError as exc:
+            self._discard(exc)
+
+    def _discard(self, exc: OSError | None = None) -> None:
+        """Report exc, if given, then close and remove the temporary file, if one is open."""
+        if exc is not None:
+            print(f"liecomm: could not write the Weyl cache {self.path}: {exc}", file=sys.stderr)
+        if self.archive is not None:
+            with contextlib.suppress(OSError):
+                self.files.close()
+            self.archive = None
+            self.temp.unlink(missing_ok=True)
+
+
+def _write_members(archive: zipfile.ZipFile, **arrays: np.ndarray | np.generic) -> None:
+    """Add each array as the member np.savez writes for it, its data written
+    from the array's own buffer."""
+    for name, value in arrays.items():
+        array = np.asarray(value)  # 0-d stays 0-d: np.load gives scalars back
+        with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+            header = np.lib.format.header_data_from_array_1_0(array)
+            np.lib.format.write_array_header_1_0(member, header)
+            member.write(memoryview(array).cast("B"))  # C order; TypeError if not contiguous
 
 
 def _load_cache(datum: RootDatum, cache_dir: Path) -> WeylGroup | None:
@@ -711,7 +887,8 @@ def molien_poincare(group: WeylGroup, n: int, max_deg: int) -> list[int]:
 
     1/|W| * sum over W of det(1 + t*w)^n * Q_w(t^2), truncated at max_deg,
     where Q_w(x) = prod(1 - x^d_i) / det(1 - x*w) is an exact polynomial
-    quotient.  All coefficients are nonnegative integers.
+    quotient.  All coefficients are nonnegative integers.  Only the datum and
+    the charpoly buckets are read, so group may be a CharpolyHistogram.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -729,7 +906,7 @@ def molien_poincare(group: WeylGroup, n: int, max_deg: int) -> list[int]:
         for j in range(max_deg + 1):
             acc[j] += mult * term[j]
     detail = "Molien sum is not divisible by the group order"
-    coeffs = [exact_quotient(c, group.order, detail) for c in acc]
+    coeffs = [exact_quotient(c, group.datum.weyl_order, detail) for c in acc]
     require(
         coeffs[0] == 1 and (max_deg < 1 or coeffs[1] == 0) and all(c >= 0 for c in coeffs),
         "Poincare coefficients violate their invariants",

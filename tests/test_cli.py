@@ -23,17 +23,19 @@ def run_cli(capsys, *argv):
 
 
 def _enumerate_with(monkeypatch, perturb):
-    """Hand every enumeration out with perturb(buckets) in place of its charpoly
-    buckets, after _enumerate's own Solomon check, so the gate downstream of it
-    is the one that fires."""
-    real = weyl._enumerate
-
-    def enumerate_(datum):
-        group = real(datum)
-        return dataclasses.replace(group, charpoly_buckets=perturb(group.charpoly_buckets))
-
+    """Hand every enumeration out, a group from _enumerate (cells) or a
+    histogram from _stream_histogram (poincare), with perturb(buckets) in
+    place of its charpoly buckets, after the enumeration's own Solomon check,
+    so the gate downstream of it is the one that fires."""
     monkeypatch.setattr(weyl, "_MEMO", {})
-    monkeypatch.setattr(weyl, "_enumerate", enumerate_)
+    for name in ("_enumerate", "_stream_histogram"):
+        real = getattr(weyl, name)
+
+        def enumerate_(*args, real=real):
+            found = real(*args)
+            return dataclasses.replace(found, charpoly_buckets=perturb(found.charpoly_buckets))
+
+        monkeypatch.setattr(weyl, name, enumerate_)
 
 
 class TestInvariantsCommand:
@@ -67,6 +69,9 @@ class TestPoincareCommand:
         code, out, _ = run_cli(capsys, "poincare", "A1", "--n", "2", "--deg", "3")
         assert code == 0
         assert json.loads(out)["coefficients"] == [1, 0, 1, 2]
+        code, out, _ = run_cli(capsys, "poincare", "A1", "--n", "1", "--deg", "0")  # the least --deg
+        assert code == 0
+        assert json.loads(out)["coefficients"] == [1]
 
     def test_cap_exceeded_is_precondition(self, capsys):
         code, _, err = run_cli(capsys, "poincare", "E7", "--n", "2", "--deg", "2")
@@ -82,7 +87,7 @@ class TestPoincareCommand:
             raise AssertionError("a refused poincare input built or enumerated its group")
 
         monkeypatch.setattr(weyl, "_MEMO", {})
-        monkeypatch.setattr(weyl, "_enumerate", refuse)
+        monkeypatch.setattr(weyl, "_sorted_blocks", refuse)  # the one enumeration routine
         monkeypatch.setattr(cli, "build_root_datum", refuse)
         code, out, err = run_cli(capsys, "poincare", "E6", "--n", "1", *argv)
         assert code == 2 and out == ""
@@ -120,13 +125,31 @@ class TestPoincareCommand:
         return (k0, c0 + 1), mid, (k2, c2 - 1)
 
     def test_solomon_breach_exits_3(self, capsys, monkeypatch):
-        real = weyl.charpoly_buckets
+        # the buckets as poincare counts them, from its streamed power sums
+        real = weyl._newton_buckets
         monkeypatch.setattr(weyl, "_MEMO", {})
-        monkeypatch.setattr(weyl, "charpoly_buckets", lambda arr: self._shifted(real(arr)))
+        monkeypatch.setattr(weyl, "_newton_buckets", lambda counts: self._shifted(real(counts)))
         code, out, err = run_cli(capsys, "poincare", "A2", "--n", "2", "--deg", "6")
         assert code == 3
         assert out == ""
         assert err == "liecomm: invariant breach: the A2 charpoly buckets fail Solomon's identity\n"
+
+    def test_solomon_breach_leaves_no_cache_file(self, capsys, monkeypatch, tmp_path):
+        # the streamed file gets its buckets and its name only past the identity
+        real = weyl._newton_buckets
+
+        def moved(counts):
+            (k0, c0), (k1, c1), *rest = real(counts)
+            return ((k0, c0 - 1), (k1, c1 + 1), *rest)  # still summing to |W|
+
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        monkeypatch.setattr(weyl, "_newton_buckets", moved)
+        code, out, err = run_cli(capsys, "poincare", "A5", "--n", "1", "--cache-dir", str(tmp_path))
+        assert code == 3 and out == ""
+        assert err.splitlines()[-1] == (
+            "liecomm: invariant breach: the A5 charpoly buckets fail Solomon's identity"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_weyl_breach_exits_3(self, capsys, monkeypatch):
         _enumerate_with(monkeypatch, self._shifted)
@@ -180,6 +203,7 @@ class TestPoincareCommand:
         assert err.splitlines()[-1] == (
             "liecomm: invariant breach: two coset products are the same element"
         )
+        assert list(tmp_path.iterdir()) == []  # the file streamed so far is removed
 
     def test_cache_write_failure_is_reported(self, capsys, monkeypatch, tmp_path):
         datum = build_root_datum("B5")

@@ -4,7 +4,7 @@ from math import comb, isqrt
 
 import pytest
 
-from liecomm import invariants
+from liecomm import invariants, rootdata
 from liecomm.homology import FinAbGroup, InvariantBreachError, chain_homology
 from liecomm.invariants import (
     bredon_e2_fragment,
@@ -13,7 +13,7 @@ from liecomm.invariants import (
     pi2_hom_pairs,
     pi4_commutative_classifying,
 )
-from liecomm.rootdata import build_root_datum, dynkin_index
+from liecomm.rootdata import LieType, LieTypeError, build_root_datum, dynkin_index
 from liecomm.weyl import generate, molien_poincare
 
 
@@ -268,3 +268,14 @@ class TestPi4:
         assert ecom == FinAbGroup(1)
         assert bcom == FinAbGroup(2)
         assert bcom.free_rank == ecom.free_rank + 1
+
+    def test_validates_without_a_root_datum(self, monkeypatch):
+        def refuse(lie_type):
+            raise AssertionError("pi4_commutative_classifying built a root datum")
+
+        monkeypatch.setattr(rootdata, "_build", refuse)
+        assert pi4_commutative_classifying("E7") == (FinAbGroup(1), FinAbGroup(2))
+        assert pi4_commutative_classifying(LieType("B", 3)) == (FinAbGroup(1), FinAbGroup(2))
+        for bad in ("Spin(4)", "E9", "X3"):
+            with pytest.raises(LieTypeError):
+                pi4_commutative_classifying(bad)

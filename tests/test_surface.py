@@ -65,7 +65,19 @@ _SHARED_MEMBERS = {
         "WeylGroup": "weyl.cell_census",
         "StabilizerSubgroup": "jobs.query",
     },
-    "datum": {"WeylGroup": "weyl.cell_census", "AlcoveGeometry": "weyl.face_stabilizer"},
+    "datum": {
+        "WeylGroup": "weyl.cell_census",
+        "CharpolyHistogram": "weyl._require_solomon",
+        "AlcoveGeometry": "weyl.face_stabilizer",
+    },
+    "charpoly_buckets": {
+        "WeylGroup": "weyl.irreducibility_check",
+        "CharpolyHistogram": "weyl.molien_poincare",
+    },
+    "_coinvariant_quotients": {
+        "WeylGroup": "weyl._solomon_holds",
+        "CharpolyHistogram": "weyl.molien_poincare",
+    },
     "vertices": {
         "AlcoveGeometry": "weyl.WeylGroup._translation_labels",
         "SimplicialComplex": "simplicial.quotient_by_involution",

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecomm import rootdata, weyl
+from liecomm import cli, rootdata, weyl
 from liecomm.alcove import alcove_geometry, barycenter
 from liecomm.homology import InvariantBreachError
 from liecomm.rootdata import FaceIndex, all_faces, build_root_datum, lattice_quotient, n_vee
@@ -197,12 +197,16 @@ class TestEnumeration:
         assert weyl._load_cache(datum, tmp_path) is None
 
     @pytest.mark.parametrize("name", ["B5", "E6"])
-    def test_cache_members_are_the_savez_members(self, name, tmp_path):
+    def test_cache_members_are_the_savez_members(self, name, tmp_path, monkeypatch):
         # the writer is np.savez without the copy: same members, same order,
-        # same bytes, so the format and its version are unchanged
+        # same bytes, so the format and its version are unchanged, whether it
+        # writes an enumerated stack (generate) or the blocks poincare streams
         datum = build_root_datum(name)
         group = weyl._enumerate(datum)
-        weyl._save_cache(group, tmp_path)
+        weyl._save_cache(group, tmp_path / "generate")
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        histogram = weyl.charpoly_histogram(datum, cache_dir=tmp_path / "poincare")
+        assert histogram.charpoly_buckets == group.charpoly_buckets
         charpolys, counts = zip(*group.charpoly_buckets)
         reference = tmp_path / "savez.npz"
         np.savez(
@@ -214,15 +218,17 @@ class TestEnumeration:
             charpolys=np.array(charpolys, dtype=np.int64),
             counts=np.array(counts, dtype=np.int64),
         )
-        with zipfile.ZipFile(weyl._cache_path(datum, tmp_path)) as ours:
-            with zipfile.ZipFile(reference) as theirs:
+        for route in ("generate", "poincare"):
+            path = weyl._cache_path(datum, tmp_path / route)
+            assert list(path.parent.iterdir()) == [path]  # renamed into place
+            with zipfile.ZipFile(path) as ours, zipfile.ZipFile(reference) as theirs:
                 names = ours.namelist()
                 assert names == theirs.namelist()
                 assert names == [
                     f"{n}.npy" for n in ("version", "order", "matrices", "crc", "charpolys", "counts")
                 ]
                 for member in names:
-                    assert ours.read(member) == theirs.read(member), member
+                    assert ours.read(member) == theirs.read(member), (route, member)
 
     @pytest.mark.parametrize("name", ["E6", "A7", "B6"])
     def test_cold_generate_holds_one_stack(self, name, tmp_path, monkeypatch, traced):
@@ -231,6 +237,48 @@ class TestEnumeration:
         group, peak = traced(generate, build_root_datum(name), cache_dir=tmp_path)
         assert weyl._cache_path(group.datum, tmp_path).exists()
         assert peak <= 1.75 * group.matrices.nbytes
+
+    def test_block_write_failure_leaves_no_file(self, tmp_path, run_python):
+        # a file-size limit below B5's 96,000-byte stack fails a block write
+        # mid-stream: reported, the file removed, stdout as with no cache dir
+        code = (
+            "import resource, signal, sys\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (50_000, 50_000))\n"
+            "from liecomm import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        argv = ["poincare", "B5", "--n", "1", "--deg", "12"]
+        run = run_python("-c", code, *argv, "--cache-dir", str(tmp_path))
+        assert run.stdout == run_python("-m", "liecomm.cli", *argv).stdout
+        path = weyl._cache_path(build_root_datum("B5"), tmp_path)
+        assert f"liecomm: could not write the Weyl cache {path}: " in run.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rename_failure_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        def refuse(source, target):
+            raise OSError("refused for the test")
+
+        monkeypatch.setattr(weyl.os, "replace", refuse)
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        datum = build_root_datum("B5")
+        histogram = weyl.charpoly_histogram(datum, cache_dir=tmp_path)
+        assert histogram.charpoly_buckets == weyl._enumerate(datum).charpoly_buckets
+        path = weyl._cache_path(datum, tmp_path)
+        err = capsys.readouterr().err
+        assert f"liecomm: could not write the Weyl cache {path}: refused for the test\n" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["E6", "A7"])
+    def test_poincare_route_holds_no_stack(self, name, tmp_path, monkeypatch, traced):
+        # the sort's table and permutation, W_(r-1) and block-sized work
+        # arrays, with the cache file written from the streamed blocks
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        datum = build_root_datum(name)
+        histogram, peak = traced(weyl.charpoly_histogram, datum, cache_dir=tmp_path)
+        assert isinstance(histogram, weyl.CharpolyHistogram)
+        assert weyl._cache_path(datum, tmp_path).exists() and weyl._MEMO == {}
+        assert peak < datum.weyl_order * datum.rank**2
 
     @pytest.mark.parametrize("name", ["E6", "A7", "B6"])
     def test_cache_write_copies_no_stack(self, name, tmp_path, traced):
@@ -344,6 +392,29 @@ class TestElementIndex:
         assert hashlib.sha256(repr(group.charpoly_buckets).encode()).hexdigest() == E7_DIGESTS[1]
         assert peak <= 1.5 * group.matrices.nbytes
 
+    @pytest.mark.slow
+    def test_e7_poincare_streams_the_cache_within_memory(
+        self, tmp_path, monkeypatch, capsys, traced
+    ):
+        # cold, through the stream: the stdout of the stack-holding route,
+        # the enumerated stack and buckets in the file, and no stack held
+        # (the peak measured 0.34 times the stack's 142 MB)
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        argv = ["poincare", "E7", "--n", "1", "--element-cap", "3000000"]
+        code, peak = traced(cli.main, [*argv, "--cache-dir", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            '{"coefficients":[1,0,0,1,0,0,0],"command":"poincare","max_deg":6,"n":1,'
+            '"schema_version":1,"type":"E7"}\n'
+        )
+        datum = build_root_datum("E7")
+        assert peak <= 0.6 * datum.weyl_order * datum.rank**2
+        with np.load(weyl._cache_path(datum, tmp_path)) as data:
+            matrices, charpolys, counts = data["matrices"], data["charpolys"], data["counts"]
+        buckets = tuple(zip(map(tuple, charpolys.tolist()), counts.tolist()))
+        assert _stack_digest(matrices) == E7_DIGESTS[0]
+        assert hashlib.sha256(repr(buckets).encode()).hexdigest() == E7_DIGESTS[1]
+
     @pytest.mark.parametrize("name", ["E6", "A7", "B6"])
     def test_enumeration_holds_one_stack(self, name, traced_enumeration):
         # the stack, the sort's permutation and block-sized work arrays, not
@@ -445,6 +516,30 @@ class TestCosetProducts:
     def test_dropped_representative_is_a_breach(self, monkeypatch):
         self._patched_last_stage(monkeypatch, lambda reps: reps[:-1])
         with pytest.raises(InvariantBreachError, match="give 600 elements, not [|]W[|] = 720"):
+            weyl._enumerate(build_root_datum("A5"))
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_enumeration_independent_of_label_block(self, block, monkeypatch, tmp_path):
+        # blocks smaller than W_3 = A3 put stage products past a block's start,
+        # and in blocks of one row every consecutive pair straddles a boundary:
+        # the same stack and buckets, enumerated or streamed into the cache
+        monkeypatch.setattr(weyl, "_LABEL_BLOCK", block)
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        datum = build_root_datum("A5")
+        group = weyl._enumerate(datum)
+        assert _stack_digest(group.matrices) == ENUMERATION_DIGESTS["A5"][0]
+        assert hashlib.sha256(repr(group.charpoly_buckets).encode()).hexdigest() == (
+            ENUMERATION_DIGESTS["A5"][1]
+        )
+        histogram = weyl.charpoly_histogram(datum, cache_dir=tmp_path)
+        assert histogram.charpoly_buckets == group.charpoly_buckets
+        assert np.array_equal(weyl._load_cache(datum, tmp_path).matrices, group.matrices)
+
+    def test_repeated_product_across_blocks_is_a_breach(self, monkeypatch):
+        # in blocks of one row only the check across blocks can see it
+        monkeypatch.setattr(weyl, "_LABEL_BLOCK", 1)
+        self._patched_last_stage(monkeypatch, lambda reps: np.concatenate((reps[:-1], reps[-2:-1])))
+        with pytest.raises(InvariantBreachError, match="two coset products are the same element"):
             weyl._enumerate(build_root_datum("A5"))
 
     def test_product_outside_int8_is_a_breach(self, monkeypatch):
@@ -650,8 +745,21 @@ class TestClosedFormGates:
 
     def test_molien_t2_is_n_choose_2(self, fake):
         assert molien_poincare(fake, 2, 1) == [1, 0]  # the gate starts at max_deg 2
-        with pytest.raises(InvariantBreachError, match=r"^Poincare \[t\^2\] is not C\(n, 2\)$"):
-            molien_poincare(fake, 2, 6)
+        for max_deg in (2, 6):
+            with pytest.raises(InvariantBreachError, match=r"^Poincare \[t\^2\] is not C\(n, 2\)$"):
+                molien_poincare(fake, 2, max_deg)
+
+    def test_molien_low_coefficients(self):
+        # all of A2 at the identity: the sum is divisible and [t^0] = 1, but
+        # [t^1] = 2; twice W's histogram gives [t^0] = 2
+        fake = _with_buckets("A2", (((1, -2, 1), 6),))
+        assert molien_poincare(fake, 1, 0) == [1]  # the [t^1] gate starts at max_deg 1
+        doubled = _with_buckets("A2", tuple((p, 2 * c) for p, c in _group("A2").charpoly_buckets))
+        for group, max_deg in ((fake, 1), (doubled, 0)):
+            with pytest.raises(
+                InvariantBreachError, match="^Poincare coefficients violate their invariants$"
+            ):
+                molien_poincare(group, 1, max_deg)
 
     def test_n1_series_is_the_poincare_series_of_g(self):
         # only the n = 1 gate fires: the sum is divisible, [t^0] = 1 and
@@ -669,6 +777,12 @@ class TestClosedFormGates:
         for max_deg in (0, 6):
             with pytest.raises(InvariantBreachError, match=f"^{re.escape(message)}$"):
                 molien_poincare(fake, 2, max_deg)
+
+    def test_powers_outside_exact_float32_are_a_breach(self):
+        # 2 * 3000 * 3000 > 2^24, so the first power's check fails; no Weyl
+        # matrix comes near it
+        with pytest.raises(InvariantBreachError, match="^matrix powers leave the exact float32 range$"):
+            weyl.charpoly_buckets(np.full((1, 2, 2), 3000, dtype=np.int64))
 
     def test_squared_traces_sum_to_the_order(self, fake):
         with pytest.raises(InvariantBreachError, match="sum of squared traces 12 is not"):

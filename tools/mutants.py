@@ -8,10 +8,13 @@ Each mutant changes one expression of one module:
 - require(x) made require(True)
 - exact_quotient(a, b, detail) made a // b
 
-Each mutant is written into a copy of src/ and tests/, the module's own tests
-(TESTS below) run there with -x, and the copy is restored.  A mutant that no
-test fails is printed as file:line:operator; a mutant whose tests fail, error
-or time out is killed.  One line per target then gives the counts.
+Each mutant is written into a copy of src/, tests/ and perfbench/ (which some
+tests read), the module's own tests (TESTS below) run there with -x, and the
+copy is restored.  A mutant that no test fails is printed as
+file:line:column:operator: replacement, the column 1-based and the
+replacement the source text the mutant puts in place of the span that
+starts there; a mutant whose tests fail, error or time out is killed.  One
+line per target then gives the counts.
 
     python tools/mutants.py wps.py homology.py::FinAbGroup
 
@@ -50,7 +53,7 @@ TESTS = {
     "rootdata.py": ["tests/test_rootdata.py"],
     "simplicial.py": ["tests/test_simplicial.py"],
     "verify.py": ["tests/test_acceptance.py", "tests/test_cli.py::test_stdout_digest"],
-    "weyl.py": ["tests/test_weyl.py"],
+    "weyl.py": ["tests/test_weyl.py", "tests/test_cli.py::TestPoincareCommand"],
     "wps.py": [
         "tests/test_wps.py",
         "tests/test_cli.py::test_golden_stdout",
@@ -74,6 +77,7 @@ _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorD
 class Mutant:
     module: str
     line: int
+    column: int  # 1-based, of the replaced span's start
     operator: str
     start: int  # byte offsets of the replaced source span
     end: int
@@ -118,10 +122,11 @@ def _rewrites(node: ast.AST):
             yield node, f"(({num}) // ({den}))", "exact_quotient -> //"
 
 
-def mutants(target: str) -> list[Mutant]:
-    """Every mutant of a target, module.py or module.py::Qualname, in source order."""
+def mutants(target: str, package: Path = PACKAGE) -> list[Mutant]:
+    """Every mutant of a target, module.py or module.py::Qualname, in source
+    order, read from the module in package."""
     module, _, qualname = target.partition("::")
-    source = (PACKAGE / module).read_bytes()
+    source = (package / module).read_bytes()
     tree = ast.parse(source)
     scope: ast.AST = tree
     for name in filter(None, qualname.split(".")):
@@ -142,7 +147,8 @@ def mutants(target: str) -> list[Mutant]:
         for span, text, operator in _rewrites(node):
             start = starts[span.lineno - 1] + span.col_offset
             end = starts[span.end_lineno - 1] + span.end_col_offset
-            out.append(Mutant(module, span.lineno, operator, start, end, text))
+            mutant = Mutant(module, span.lineno, span.col_offset + 1, operator, start, end, text)
+            out.append(mutant)
     return sorted(out, key=lambda m: (m.start, m.end, m.operator))
 
 
@@ -170,14 +176,15 @@ def sweep(target: str, work: Path) -> tuple[int, list[Mutant]]:
     timeout = 10 * (time.perf_counter() - start) + 30
     path = work / "src" / "liecomm" / module
     original = path.read_bytes()
-    found = mutants(target)
+    found = mutants(target, path.parent)  # offsets in the copy: edits to the tree cannot shift them
     survivors = []
     try:
         for mutant in found:
             path.write_bytes(mutant.apply(original))
             if _pytest(work, tests, timeout):
                 survivors.append(mutant)
-                print(f"{module}:{mutant.line}:{mutant.operator}", flush=True)
+                print(f"{module}:{mutant.line}:{mutant.column}:{mutant.operator}: {mutant.text}",
+                      flush=True)
     finally:
         path.write_bytes(original)
     return len(found), survivors
@@ -194,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="liecomm-mutants-") as tmp:
         work = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):  # tests read perfbench too
             shutil.copytree(ROOT / part, work / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", work)
         for target in args.targets:

@@ -209,7 +209,6 @@ class RootDatum:
     coroot_integers: tuple[int, ...]
     exponents: tuple[int, ...]
     degrees: tuple[int, ...]
-    weyl_order: int
     wall_functionals: Matrix  # a_j by node j = 0..r
     wall_coroots: Matrix  # c_j by node j = 0..r
     wall_bounds: Vector  # b_j by node j = 0..r
@@ -233,7 +232,7 @@ class RootDatum:
             "coroot_integers": list(self.coroot_integers),
             "root_integers": list(self.theta),
             "degrees": list(self.degrees),
-            "weyl_order": self.weyl_order,
+            "weyl_order": self.lie_type.weyl_order,
         }
 
 
@@ -271,7 +270,6 @@ def _build(lt: LieType) -> RootDatum:
         coroot_integers=coroot_integers,
         exponents=exps,
         degrees=degrees,
-        weyl_order=prod(degrees),
         wall_functionals=wall_functionals,
         wall_coroots=wall_coroots,
         wall_bounds=(-1,) + (0,) * r,

@@ -85,7 +85,7 @@ def criterion_irreducibility() -> str:
     types = _canonical_types(6)
     for lt in types:
         weyl.irreducibility_check(weyl.generate(build_root_datum(lt)))
-    return f"{len(types)} types (max order {max(build_root_datum(t).weyl_order for t in types)})"
+    return f"{len(types)} types (max order {max(t.weyl_order for t in types)})"
 
 
 def criterion_lattice_quotient() -> str:

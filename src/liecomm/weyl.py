@@ -30,9 +30,10 @@ freed; the int32 permutation then names the q and j of each sorted
 position, and _sorted_blocks yields the key-sorted elements _LABEL_BLOCK at
 a time.  Three checks are required: the stages give |W| = prod d_i
 products, every product fits int8, and no two consecutive sorted rows are
-equal, across blocks too.  generate fills one stack from the blocks;
-poincare's charpoly_histogram counts them and writes them to the cache as
-they pass, so W_(r-1), the table and the permutation are the most it holds.
+equal, across blocks too.  _stream counts the blocks and writes them to the
+cache as they pass, copying them into a stack for generate and into none
+for charpoly_histogram (poincare), which holds W_(r-1), the table and the
+permutation at most.
 
 No table quadratic in |W| is built.  _components labels each index with the
 least index of its orbit under a list of index permutations; the indices
@@ -81,8 +82,8 @@ per characteristic-polynomial bucket.  One kernel, _count_power_sums, takes
 the power sums tr(w^k) by float32 products of a block of _LABEL_BLOCK
 matrices, under a checked bound that keeps them exact, and counts the
 distinct rows of power sums; _newton_buckets turns only those into charpolys
-by Newton's identities, in Python ints.  charpoly_buckets runs them over a
-stack, and charpoly_histogram over the streamed blocks.  The Molien sum (at
+by Newton's identities, in Python ints.  _stream runs them over the
+blocks, and charpoly_buckets over a stack.  The Molien sum (at
 x = t^2) and Solomon's identity below read only the datum and the buckets,
 and both sum the exact quotients prod_i (1 - x^d_i) / det(1 - x*w) of the
 _coinvariant_quotients of a WeylGroup or a CharpolyHistogram, computed once
@@ -100,11 +101,11 @@ Groups are memoized in-process.  A caller that names a cache directory also
 gets the on-disk cache (format 4): the stack, its zlib CRC-32 and the
 buckets, written for rank >= 5.  The file is the archive np.savez writes,
 byte for byte in every member, but the stack member is written from the
-stack's own buffer, or from the blocks as they stream past with a running
-CRC, so the write copies no stack; it is written under a temporary name and
-renamed once its buckets pass Solomon's identity.  A load checks the CRC
-against the stack, and the buckets by their counts summing to |W| and by
-Solomon's identity, so a warm load never derives the buckets again.
+blocks as they stream past, with a running CRC, under a temporary name
+renamed once the buckets pass Solomon's identity.  A load checks the CRC of
+the stack member's chunks, copied into a stack only for generate, and the
+buckets by their counts summing to |W| and by Solomon's identity, so a warm
+load never derives the buckets, and a warm poincare holds no stack.
 """
 
 from __future__ import annotations
@@ -524,13 +525,12 @@ def generate(
     is read, and written for rank >= 5, only in a cache_dir that is given.
     """
     check_cap(datum.lie_type, element_cap)
-    group = _held(datum, cache_dir)
-    if group is None:
-        group = _enumerate(datum)
-        if _writes_cache(datum, cache_dir):
-            _save_cache(group, cache_dir)
-        _MEMO[datum.lie_type.family, datum.lie_type.rank] = group
-    return group
+    key = (datum.lie_type.family, datum.lie_type.rank)
+    if key not in _MEMO:
+        stack = np.empty((datum.lie_type.weyl_order, datum.rank, datum.rank), dtype=np.int8)
+        _MEMO[key] = _load_cache(datum, cache_dir, stack) or _stream(datum, cache_dir, stack)
+        stack.setflags(write=False)
+    return _MEMO[key]
 
 
 def charpoly_histogram(
@@ -542,30 +542,13 @@ def charpoly_histogram(
     else (molien_poincare).
 
     The cap, the memo and the on-disk cache are generate's, and a group found
-    in the memo or the cache is returned whole.  Otherwise the group is
-    enumerated for its buckets alone (_stream_histogram): no stack is held
+    in the memo is returned whole.  Otherwise the buckets are read from the
+    cache or counted as the elements stream past (_stream): no stack is held
     and nothing is memoized.
     """
     check_cap(datum.lie_type, element_cap)
-    group = _held(datum, cache_dir)
-    return _stream_histogram(datum, cache_dir) if group is None else group
-
-
-def _held(datum: RootDatum, cache_dir: Path | None) -> WeylGroup | None:
-    """The memoized group, else the one in the cache_dir, if given, which is
-    then memoized; None when neither holds it."""
-    key = (datum.lie_type.family, datum.lie_type.rank)
-    group = _MEMO.get(key)
-    if group is None and cache_dir is not None:
-        group = _load_cache(datum, cache_dir)
-        if group is not None:
-            _MEMO[key] = group
-    return group
-
-
-def _writes_cache(datum: RootDatum, cache_dir: Path | None) -> bool:
-    """Enumerations of rank >= 5 are written to the on-disk cache, in a cache_dir that is given."""
-    return cache_dir is not None and datum.rank >= 5
+    group = _MEMO.get((datum.lie_type.family, datum.lie_type.rank))
+    return group or _load_cache(datum, cache_dir) or _stream(datum, cache_dir)
 
 
 def _coset_representatives(datum: RootDatum, k: int) -> np.ndarray:
@@ -602,16 +585,16 @@ def _store_int8(out: np.ndarray, products: np.ndarray) -> None:
     np.copyto(out, products, casting="unsafe")
 
 
-def _sorted_blocks(datum: RootDatum):
+def _sorted_blocks(datum: RootDatum, counts: Counter[tuple[int, ...]]):
     """The elements of W in ascending orbit-key order, as int8 blocks of at
-    most _LABEL_BLOCK matrices, each a view valid until the next is drawn;
-    only W_(r-1), the image table and the permutation are stored (see the
-    module docstring).  Each block comes with the _power_work arrays its
-    products were taken in, free for the caller until it draws the next, and
-    allocated after the sort, whose peak they would raise.  Required: the
-    stages give |W| products, every product and image fits int8, and no two
-    consecutive rows are equal, across blocks too."""
-    r, order = datum.rank, datum.weyl_order
+    most _LABEL_BLOCK matrices, views valid until the next is drawn, each
+    yielded with its first index once counted (_count_power_sums).  Only
+    W_(r-1), the image table and the permutation are stored (see the module
+    docstring); products and powers share _power_work arrays, allocated
+    after the sort, whose peak they would raise.  Required: the stages give
+    |W| products, every product and image fits int8, and no two consecutive
+    rows are equal, across blocks too."""
+    r, order = datum.rank, datum.lie_type.weyl_order
     if r >= 5:
         print(
             f"liecomm: enumerating the {datum.lie_type.name} Weyl group "
@@ -658,40 +641,30 @@ def _sorted_blocks(datum: RootDatum):
             "two coset products are the same element",
         )
         last = block[-1].tobytes()
-        yield block, work
+        _count_power_sums(block, counts, work)
+        yield start, block
 
 
-def _enumerate(datum: RootDatum) -> WeylGroup:
-    """The group, its stack filled from _sorted_blocks and its buckets counted
-    once the stack is complete; they must satisfy Solomon's identity."""
-    r = datum.rank
-    arr = np.empty((datum.weyl_order, r, r), dtype=np.int8)
-    start = 0
-    for block, work in _sorted_blocks(datum):
-        arr[start : start + len(block)] = block
-        start += len(block)
-    del work  # the stream's work arrays, before charpoly_buckets allocates its own
-    arr.setflags(write=False)
-    group = WeylGroup(datum, arr, charpoly_buckets(arr))
-    _require_solomon(group)
-    return group
-
-
-def _stream_histogram(datum: RootDatum, cache_dir: Path | None) -> CharpolyHistogram:
-    """The buckets of W, counted block by block as _sorted_blocks yields them;
-    they must satisfy Solomon's identity.  When generate would write the
-    cache, the same blocks are written into it as they pass, and the file is
+def _stream(
+    datum: RootDatum, cache_dir: Path | None, stack: np.ndarray | None = None
+) -> WeylGroup | CharpolyHistogram:
+    """W's group, its elements copied into stack, or with no stack its
+    CharpolyHistogram, counted as _sorted_blocks yields them; the buckets
+    must satisfy Solomon's identity.  For rank >= 5 in a cache_dir that is
+    given, the blocks are written into the cache file as they pass, which is
     completed only once the identity holds."""
     counts: Counter[tuple[int, ...]] = Counter()
-    path = _cache_path(datum, cache_dir) if _writes_cache(datum, cache_dir) else None
-    with _CacheWriter(path, datum) as writer:
-        for block, work in _sorted_blocks(datum):
-            _count_power_sums(block, counts, work)
+    writes = cache_dir is not None and datum.rank >= 5
+    with _CacheWriter(_cache_path(datum, cache_dir) if writes else None, datum) as writer:
+        for start, block in _sorted_blocks(datum, counts):
             writer.write(block)
-        histogram = CharpolyHistogram(datum, _newton_buckets(counts))
-        _require_solomon(histogram)
-        writer.finish(histogram.charpoly_buckets)
-    return histogram
+            if stack is not None:
+                stack[start : start + len(block)] = block
+        b = _newton_buckets(counts)
+        found = CharpolyHistogram(datum, b) if stack is None else WeylGroup(datum, stack, b)
+        _require_solomon(found)
+        writer.finish(b)
+    return found
 
 
 def _require_solomon(group: WeylGroup | CharpolyHistogram) -> None:
@@ -699,15 +672,8 @@ def _require_solomon(group: WeylGroup | CharpolyHistogram) -> None:
     require(_solomon_holds(group), f"the {name} charpoly buckets fail Solomon's identity")
 
 
-def _save_cache(group: WeylGroup, cache_dir: Path) -> None:
-    """Write the stack, its CRC-32 and the charpoly buckets."""
-    with _CacheWriter(_cache_path(group.datum, cache_dir), group.datum) as writer:
-        writer.write(group.matrices)
-        writer.finish(group.charpoly_buckets)
-
-
 class _CacheWriter:
-    """The cache file of one group, written as its stack streams past.
+    """The cache file of one group, written as its blocks stream past.
 
     version, order and the header of matrices go first; write adds each
     block of the stack, and finish the blocks' CRC-32 and the buckets.  Each
@@ -724,7 +690,7 @@ class _CacheWriter:
             return
         self.temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         self.files = contextlib.ExitStack()  # closes the member, then the archive
-        order, r = datum.weyl_order, datum.rank
+        order, r = datum.lie_type.weyl_order, datum.rank
         header = {"descr": np.dtype(np.int8).str, "fortran_order": False, "shape": (order, r, r)}
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -786,42 +752,76 @@ def _write_members(archive: zipfile.ZipFile, **arrays: np.ndarray | np.generic) 
             member.write(memoryview(array).cast("B"))  # C order; TypeError if not contiguous
 
 
-def _load_cache(datum: RootDatum, cache_dir: Path) -> WeylGroup | None:
-    """The cached group, or None when the file is missing or rejected.
+def _load_cache(
+    datum: RootDatum, cache_dir: Path | None, stack: np.ndarray | None = None
+) -> WeylGroup | CharpolyHistogram | None:
+    """The cached buckets, with the stored stack read into stack when one is
+    given and its group returned, else a CharpolyHistogram; None with no
+    cache_dir, or when the file is missing or rejected.  The stack member is
+    read in chunks past its header, its CRC-32 taken as they pass, so with no
+    stack to fill none is held.
 
-    A rejected file is named on stderr with its reason: unreadable or
-    truncated, another version, another order, shape or dtype, a stack whose
-    CRC-32 is not the stored one, or buckets that fail Solomon's identity.
+    A rejected file is named on stderr with its reason: unreadable,
+    truncated or malformed, another version, another order, shape, layout or
+    dtype, a stack whose CRC-32 is not the stored one, or buckets that fail
+    Solomon's identity.
     """
-    path = _cache_path(datum, cache_dir)
-    if not path.exists():
+    path = None if cache_dir is None else _cache_path(datum, cache_dir)
+    if path is None or not path.exists():
         return None
+    r, order, crc = datum.rank, datum.lie_type.weyl_order, 0
     try:
-        with np.load(path) as data:
-            version = int(data["version"])
+        with zipfile.ZipFile(path) as archive:
+            version = _scalar(archive, "version")
             if version != _CACHE_VERSION:
                 return _reject(path, f"format version {version}, not {_CACHE_VERSION}")
-            order, mats, crc = int(data["order"]), data["matrices"], int(data["crc"])
-            charpolys, counts = data["charpolys"], data["counts"]
+            stored, stored_crc = _scalar(archive, "order"), _scalar(archive, "crc")
+            charpolys, counts = _member(archive, "charpolys"), _member(archive, "counts")
+            with archive.open("matrices.npy") as member:
+                if np.lib.format.read_magic(member) != (1, 0):
+                    raise ValueError("the stack's header is not format 1.0")
+                header = np.lib.format.read_array_header_1_0(member)
+                if (
+                    (stored, *header) != (order, (order, r, r), False, np.int8)
+                    or (charpolys.shape, counts.shape) != ((counts.size, r + 1), (counts.size,))
+                    or (charpolys.dtype, counts.dtype) != (np.int64, np.int64)
+                ):
+                    name = datum.lie_type.name
+                    return _reject(path, f"order, shape, layout or dtype is not the {name} stack's")
+                # into a stack in numpy's own 256 KiB reads: _LABEL_BLOCK elements
+                # left a warm query job's peak RSS 0.04 MB higher
+                total, step = order * r * r, _LABEL_BLOCK * r * r if stack is None else 1 << 18
+                for start in range(0, total, step):
+                    size = min(step, total - start)
+                    chunk = np.frombuffer(member.read(size), dtype=np.int8)
+                    if chunk.size < size:
+                        raise EOFError("the stack ends early")
+                    crc = zlib.crc32(chunk, crc)
+                    if stack is not None:
+                        stack.reshape(-1)[start : start + size] = chunk
     except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         return _reject(path, f"unreadable or truncated ({exc})")
-    r = datum.rank
-    shapes = (mats.shape, charpolys.shape, counts.shape)
-    dtypes = (mats.dtype, charpolys.dtype, counts.dtype)
-    if (
-        order != datum.weyl_order
-        or shapes != ((order, r, r), (len(counts), r + 1), (len(counts),))
-        or dtypes != (np.int8, np.int64, np.int64)
-    ):
-        return _reject(path, f"order, shape or dtype is not the {datum.lie_type.name} stack's")
-    if zlib.crc32(mats) != crc:
+    if crc != stored_crc:
         return _reject(path, "the stack does not match its CRC-32")
     buckets = tuple(zip(map(tuple, charpolys.tolist()), counts.tolist()))
-    mats.setflags(write=False)
-    group = WeylGroup(datum, mats, buckets)
-    if sum(counts.tolist()) != order or not _solomon_holds(group):
+    found = CharpolyHistogram(datum, buckets) if stack is None else WeylGroup(datum, stack, buckets)
+    if sum(counts.tolist()) != order or not _solomon_holds(found):
         return _reject(path, "the charpoly buckets fail Solomon's identity")
-    return group
+    return found
+
+
+def _member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    """The array of the member np.savez wrote for name."""
+    with archive.open(f"{name}.npy") as member:
+        return np.lib.format.read_array(member)
+
+
+def _scalar(archive: zipfile.ZipFile, name: str) -> int:
+    """The int64 scalar of the member np.savez wrote for name."""
+    value = _member(archive, name)
+    if value.shape != () or value.dtype != np.int64:
+        raise ValueError(f"{name} is not an int64 scalar")
+    return int(value)
 
 
 def _reject(path: Path, reason: str) -> None:
@@ -845,7 +845,7 @@ def _solomon_holds(group: WeylGroup) -> bool:
             if e:
                 for k, q in enumerate(quot):
                     row[k] += count * e * q
-    rhs = [[datum.weyl_order] + [0] * top] + [[0] * (top + 1) for _ in range(r)]
+    rhs = [[datum.lie_type.weyl_order] + [0] * top] + [[0] * (top + 1) for _ in range(r)]
     for m in datum.exponents:  # multiply by 1 + y x^m
         for j in range(r, 0, -1):
             for k in range(m, top + 1):
@@ -906,7 +906,7 @@ def molien_poincare(group: WeylGroup, n: int, max_deg: int) -> list[int]:
         for j in range(max_deg + 1):
             acc[j] += mult * term[j]
     detail = "Molien sum is not divisible by the group order"
-    coeffs = [exact_quotient(c, group.datum.weyl_order, detail) for c in acc]
+    coeffs = [exact_quotient(c, group.datum.lie_type.weyl_order, detail) for c in acc]
     require(
         coeffs[0] == 1 and (max_deg < 1 or coeffs[1] == 0) and all(c >= 0 for c in coeffs),
         "Poincare coefficients violate their invariants",

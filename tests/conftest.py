@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -89,12 +90,14 @@ def traced():
 
 
 def _traced_enumeration(name: str):
-    """weyl._enumerate of the named type, and the tracemalloc peak in bytes of
-    the allocations made during the call."""
+    """A cold weyl.generate of the named type, with the Weyl memo emptied for
+    the call and restored after it, and the tracemalloc peak in bytes of the
+    allocations made during the call."""
     from liecomm import weyl
     from liecomm.rootdata import build_root_datum
 
-    return _traced(weyl._enumerate, build_root_datum(name))
+    with mock.patch.dict(weyl._MEMO, clear=True):
+        return _traced(weyl.generate, build_root_datum(name), weyl.HARD_ELEMENT_LIMIT)
 
 
 @pytest.fixture

@@ -23,19 +23,18 @@ def run_cli(capsys, *argv):
 
 
 def _enumerate_with(monkeypatch, perturb):
-    """Hand every enumeration out, a group from _enumerate (cells) or a
-    histogram from _stream_histogram (poincare), with perturb(buckets) in
-    place of its charpoly buckets, after the enumeration's own Solomon check,
-    so the gate downstream of it is the one that fires."""
+    """Hand every enumeration out, a group (cells) or a histogram (poincare)
+    from _stream, with perturb(buckets) in place of its charpoly buckets,
+    after the stream's own Solomon check, so the gate downstream of it is the
+    one that fires."""
     monkeypatch.setattr(weyl, "_MEMO", {})
-    for name in ("_enumerate", "_stream_histogram"):
-        real = getattr(weyl, name)
+    real = weyl._stream
 
-        def enumerate_(*args, real=real):
-            found = real(*args)
-            return dataclasses.replace(found, charpoly_buckets=perturb(found.charpoly_buckets))
+    def stream(*args):
+        found = real(*args)
+        return dataclasses.replace(found, charpoly_buckets=perturb(found.charpoly_buckets))
 
-        monkeypatch.setattr(weyl, name, enumerate_)
+    monkeypatch.setattr(weyl, "_stream", stream)
 
 
 class TestInvariantsCommand:
@@ -333,11 +332,11 @@ class TestOtherCommands:
 
     def test_oversized_census_is_refused_before_enumerating(self, capsys, monkeypatch):
         # the bound needs only k, so E6 is never enumerated
-        def refuse(datum):
+        def refuse(*args):
             raise AssertionError("an oversized census enumerated its Weyl group")
 
         monkeypatch.setattr(weyl, "_MEMO", {})
-        monkeypatch.setattr(weyl, "_enumerate", refuse)
+        monkeypatch.setattr(weyl, "_stream", refuse)
         code, out, err = run_cli(capsys, "cells", "E6", "--k", "33", "--rank-cap", "6")
         assert code == 2 and out == ""
         assert err == "liecomm: k must lie in 1..32; no option raises this bound\n"
@@ -365,7 +364,7 @@ class TestOtherCommands:
         counts = payload["counts_by_dim"]
         datum = build_root_datum(name)
         assert len(counts) == k * datum.rank + 1
-        assert counts[-1] == datum.weyl_order ** (k - 1)
+        assert counts[-1] == datum.lie_type.weyl_order ** (k - 1)
         assert sum((-1) ** d * c for d, c in enumerate(counts)) == payload["euler_characteristic"]
 
     def test_cells_a1_k12_answers(self, capsys):

@@ -214,6 +214,8 @@ class TestRootDatum:
                 _closure_without((0, 1, 0), (1, 1, 0), (0, 1, 1)),
                 "the highest root's height is not h - 1",
             ),
+            # five positive roots on three nodes: 2 * 5 / 3 is no Coxeter number
+            ("A3", "_root_closure", _closure_without((0, 1, 0)), "root count is not r*h/2"),
             (
                 "B3",
                 "_root_closure",
@@ -221,7 +223,7 @@ class TestRootDatum:
                 "theta / theta_vee does not symmetrize the Cartan matrix",
             ),
         ],
-        ids=["unique-top", "positive-marks", "coxeter-number", "symmetrizer"],
+        ids=["unique-top", "positive-marks", "coxeter-number", "root-count", "symmetrizer"],
     )
     def test_build_requires_a_consistent_closure(
         self, monkeypatch, name, target, stand_in, message

@@ -83,7 +83,6 @@ _SHARED_MEMBERS = {
         "SimplicialComplex": "simplicial.quotient_by_involution",
     },
     "group": {"Pi2Report": "cli._cmd_invariants", "StabilizerSubgroup": "weyl.double_cosets"},
-    "weyl_order": {"LieType": "weyl.check_cap", "RootDatum": "weyl._enumerate"},
 }
 
 _EXACT_MODULES = ("rootdata.py", "alcove.py", "wps.py", "invariants.py", "simplicial.py")

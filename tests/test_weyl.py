@@ -39,6 +39,12 @@ def _group(name):
     return generate(build_root_datum(name))
 
 
+def _cold(datum, **kwargs):
+    """generate past the memo: an enumeration, or a load from a cache_dir given."""
+    weyl._MEMO.pop((datum.lie_type.family, datum.lie_type.rank), None)
+    return generate(datum, **kwargs)
+
+
 class TestEnumeration:
     @pytest.mark.parametrize(
         "name,order", [("A1", 2), ("A2", 6), ("C2", 8), ("G2", 12), ("B3", 48), ("F4", 1152)]
@@ -91,12 +97,12 @@ class TestEnumeration:
         weyl._MEMO.pop(("A", 5), None)
         weyl._cache_path(datum, tmp_path).write_bytes(b"not an archive")
         group = generate(datum, cache_dir=tmp_path)
-        assert group.order == datum.weyl_order
+        assert group.order == datum.lie_type.weyl_order
 
     def test_truncated_cache_ignored(self, tmp_path):
         # what an interrupted write leaves behind
         datum = build_root_datum("B5")
-        weyl._save_cache(weyl._enumerate(datum), tmp_path)
+        _cold(datum, cache_dir=tmp_path)
         path = weyl._cache_path(datum, tmp_path)
         path.write_bytes(path.read_bytes()[:1000])
         assert weyl._load_cache(datum, tmp_path) is None
@@ -123,6 +129,8 @@ class TestEnumeration:
             # det(-w) = +-2 is no Weyl element's: its det(1 - x*w) divides no product
             ("double_constant_term", "the charpoly buckets fail Solomon's identity"),
             ("old_version", "format version 3, not 4"),
+            ("vector_version", "unreadable or truncated (version is not an int64 scalar)"),
+            ("fortran_stack", "order, shape, layout or dtype is not the B5 stack's"),
         ],
     )
     def test_damaged_cache_is_rejected_with_its_reason(self, tmp_path, capsys, damage, reason):
@@ -141,6 +149,10 @@ class TestEnumeration:
                 stored["charpolys"][0, 0] *= 2
             elif damage == "old_version":
                 stored["version"] = np.int64(3)
+            elif damage == "vector_version":
+                stored["version"] = np.array([4, 4])
+            elif damage == "fortran_stack":
+                stored["matrices"] = np.asfortranarray(stored["matrices"])  # the same CRC
             else:
                 stored["counts"][:2] += (-1, 1)  # still summing to |W|
             np.savez(path, **stored)
@@ -160,15 +172,15 @@ class TestEnumeration:
         assert capsys.readouterr().err == ""
 
     def test_buckets_are_written_only_past_solomon(self, tmp_path, monkeypatch):
-        # _enumerate requires the identity, so buckets that fail it never
+        # the stream requires the identity, so buckets that fail it never
         # reach the memo or the cache
-        real = weyl.charpoly_buckets
+        real = weyl._newton_buckets
 
-        def moved(stack):
-            (k0, c0), (k1, c1), *rest = real(stack)
+        def moved(counts):
+            (k0, c0), (k1, c1), *rest = real(counts)
             return ((k0, c0 - 1), (k1, c1 + 1), *rest)  # still summing to |W|
 
-        monkeypatch.setattr(weyl, "charpoly_buckets", moved)
+        monkeypatch.setattr(weyl, "_newton_buckets", moved)
         monkeypatch.setattr(weyl, "_MEMO", {})
         with pytest.raises(InvariantBreachError, match="A5 charpoly buckets fail Solomon"):
             generate(build_root_datum("A5"), cache_dir=tmp_path)
@@ -176,9 +188,8 @@ class TestEnumeration:
 
     def test_one_int8_stack(self, tmp_path):
         datum = build_root_datum("B5")
-        group = weyl._enumerate(datum)
-        weyl._save_cache(group, tmp_path)
-        loaded = weyl._load_cache(datum, tmp_path)
+        group = _cold(datum, cache_dir=tmp_path)
+        loaded = _cold(datum, cache_dir=tmp_path)
         for g in (group, loaded):
             assert g.matrices.dtype == np.int8 and not g.matrices.flags.writeable
         assert np.array_equal(loaded.matrices, group.matrices)
@@ -202,8 +213,8 @@ class TestEnumeration:
         # same bytes, so the format and its version are unchanged, whether it
         # writes an enumerated stack (generate) or the blocks poincare streams
         datum = build_root_datum(name)
-        group = weyl._enumerate(datum)
-        weyl._save_cache(group, tmp_path / "generate")
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        group = generate(datum, cache_dir=tmp_path / "generate")
         monkeypatch.setattr(weyl, "_MEMO", {})
         histogram = weyl.charpoly_histogram(datum, cache_dir=tmp_path / "poincare")
         assert histogram.charpoly_buckets == group.charpoly_buckets
@@ -263,7 +274,7 @@ class TestEnumeration:
         monkeypatch.setattr(weyl, "_MEMO", {})
         datum = build_root_datum("B5")
         histogram = weyl.charpoly_histogram(datum, cache_dir=tmp_path)
-        assert histogram.charpoly_buckets == weyl._enumerate(datum).charpoly_buckets
+        assert histogram.charpoly_buckets == generate(datum).charpoly_buckets
         path = weyl._cache_path(datum, tmp_path)
         err = capsys.readouterr().err
         assert f"liecomm: could not write the Weyl cache {path}: refused for the test\n" in err
@@ -278,25 +289,25 @@ class TestEnumeration:
         histogram, peak = traced(weyl.charpoly_histogram, datum, cache_dir=tmp_path)
         assert isinstance(histogram, weyl.CharpolyHistogram)
         assert weyl._cache_path(datum, tmp_path).exists() and weyl._MEMO == {}
-        assert peak < datum.weyl_order * datum.rank**2
+        assert peak < datum.lie_type.weyl_order * datum.rank**2
 
-    @pytest.mark.parametrize("name", ["E6", "A7", "B6"])
-    def test_cache_write_copies_no_stack(self, name, tmp_path, traced):
-        group = generate(build_root_datum(name))
-        _, peak = traced(weyl._save_cache, group, tmp_path)
-        assert peak <= 0.05 * group.matrices.nbytes
+    def test_warm_poincare_holds_no_stack(self, tmp_path, monkeypatch, traced):
+        # the cache hit reads the stack member in chunks, checks their CRC and
+        # keeps none of them
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        datum = build_root_datum("E6")
+        weyl.charpoly_histogram(datum, cache_dir=tmp_path)
+        histogram, peak = traced(weyl.charpoly_histogram, datum, cache_dir=tmp_path)
+        assert isinstance(histogram, weyl.CharpolyHistogram) and weyl._MEMO == {}
+        assert histogram.charpoly_buckets == generate(datum).charpoly_buckets
+        assert peak < 0.1 * datum.lie_type.weyl_order * datum.rank**2
 
     @pytest.mark.slow
-    def test_rank_seven_exceptional_behind_flag(
-        self, tmp_path, monkeypatch, e7_enumeration, traced
-    ):
+    def test_rank_seven_exceptional_behind_flag(self, monkeypatch, e7_enumeration):
         datum = build_root_datum("E7")
         monkeypatch.setitem(weyl._MEMO, ("E", 7), e7_enumeration[0])
         group = generate(datum, element_cap=3_000_000)
         assert group is e7_enumeration[0]
-        _, peak = traced(weyl._save_cache, group, tmp_path)
-        assert peak <= 0.05 * group.matrices.nbytes  # written from the stack, not copied
-        assert weyl._cache_path(datum, tmp_path).exists()
         assert group.order == 2_903_040
         assert irreducibility_check(group) == Fraction(1)
         assert euler_char_rep(group, 2) == 8
@@ -359,7 +370,7 @@ def _types_below_hard_limit():
                 datum = build_root_datum(f"{family}{rank}")
             except ValueError:
                 break
-            if datum.weyl_order > HARD_ELEMENT_LIMIT:
+            if datum.lie_type.weyl_order > HARD_ELEMENT_LIMIT:
                 break
             names.append(datum.lie_type.name)
     return names
@@ -380,7 +391,7 @@ class TestElementIndex:
     @pytest.mark.parametrize("name", ENUMERATION_DIGESTS)
     def test_enumeration_byte_identical(self, name):
         matrices_sha, buckets_sha = ENUMERATION_DIGESTS[name]
-        group = weyl._enumerate(build_root_datum(name))
+        group = _cold(build_root_datum(name))
         assert group.matrices.dtype == np.int8
         assert _stack_digest(group.matrices) == matrices_sha
         assert hashlib.sha256(repr(group.charpoly_buckets).encode()).hexdigest() == buckets_sha
@@ -408,7 +419,7 @@ class TestElementIndex:
             '"schema_version":1,"type":"E7"}\n'
         )
         datum = build_root_datum("E7")
-        assert peak <= 0.6 * datum.weyl_order * datum.rank**2
+        assert peak <= 0.6 * datum.lie_type.weyl_order * datum.rank**2
         with np.load(weyl._cache_path(datum, tmp_path)) as data:
             matrices, charpolys, counts = data["matrices"], data["charpolys"], data["counts"]
         buckets = tuple(zip(map(tuple, charpolys.tolist()), counts.tolist()))
@@ -488,7 +499,8 @@ class TestCosetProducts:
         # E8's without enumerating W(E8)
         datum = build_root_datum(name)
         reps = weyl._coset_representatives(datum, datum.rank)
-        assert len(reps) == datum.weyl_order // build_root_datum(parabolic).weyl_order
+        parabolic_order = build_root_datum(parabolic).lie_type.weyl_order
+        assert len(reps) == datum.lie_type.weyl_order // parabolic_order
         assert len(reps) == {"E6": 27, "E7": 56, "E8": 240}[name]
         assert np.array_equal(reps[0], np.eye(datum.rank))
         # one representative per orbit point of the fundamental coweight
@@ -511,12 +523,12 @@ class TestCosetProducts:
         # the count stays |W|, but two cosets coincide
         self._patched_last_stage(monkeypatch, lambda reps: np.concatenate((reps[:-1], reps[-2:-1])))
         with pytest.raises(InvariantBreachError, match="two coset products are the same element"):
-            weyl._enumerate(build_root_datum("A5"))
+            _cold(build_root_datum("A5"))
 
     def test_dropped_representative_is_a_breach(self, monkeypatch):
         self._patched_last_stage(monkeypatch, lambda reps: reps[:-1])
         with pytest.raises(InvariantBreachError, match="give 600 elements, not [|]W[|] = 720"):
-            weyl._enumerate(build_root_datum("A5"))
+            _cold(build_root_datum("A5"))
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_enumeration_independent_of_label_block(self, block, monkeypatch, tmp_path):
@@ -526,26 +538,27 @@ class TestCosetProducts:
         monkeypatch.setattr(weyl, "_LABEL_BLOCK", block)
         monkeypatch.setattr(weyl, "_MEMO", {})
         datum = build_root_datum("A5")
-        group = weyl._enumerate(datum)
+        group = generate(datum)
         assert _stack_digest(group.matrices) == ENUMERATION_DIGESTS["A5"][0]
         assert hashlib.sha256(repr(group.charpoly_buckets).encode()).hexdigest() == (
             ENUMERATION_DIGESTS["A5"][1]
         )
+        weyl._MEMO.clear()
         histogram = weyl.charpoly_histogram(datum, cache_dir=tmp_path)
         assert histogram.charpoly_buckets == group.charpoly_buckets
-        assert np.array_equal(weyl._load_cache(datum, tmp_path).matrices, group.matrices)
+        assert np.array_equal(_cold(datum, cache_dir=tmp_path).matrices, group.matrices)
 
     def test_repeated_product_across_blocks_is_a_breach(self, monkeypatch):
         # in blocks of one row only the check across blocks can see it
         monkeypatch.setattr(weyl, "_LABEL_BLOCK", 1)
         self._patched_last_stage(monkeypatch, lambda reps: np.concatenate((reps[:-1], reps[-2:-1])))
         with pytest.raises(InvariantBreachError, match="two coset products are the same element"):
-            weyl._enumerate(build_root_datum("A5"))
+            _cold(build_root_datum("A5"))
 
     def test_product_outside_int8_is_a_breach(self, monkeypatch):
         self._patched_last_stage(monkeypatch, lambda reps: reps * 128)
         with pytest.raises(InvariantBreachError, match="a coset product leaves int8"):
-            weyl._enumerate(build_root_datum("A5"))
+            _cold(build_root_datum("A5"))
 
 
 class TestConjugacyClasses:
@@ -917,7 +930,7 @@ class TestStabilizersAndCosets:
         # lattice vector for every w
         datum = build_root_datum(name)
         labels = _group(name)._translation_labels
-        assert labels.shape == (datum.rank + 1, datum.weyl_order)
+        assert labels.shape == (datum.rank + 1, datum.lie_type.weyl_order)
         coweights = [0] + [j for j in range(1, datum.rank + 1) if datum.theta[j - 1] == 1]
         assert (labels[coweights] >= 0).all()
         assert (labels[0] == 0).all()  # the origin's translation is 0, id 0

@@ -73,12 +73,10 @@ def _cmd_poincare(args) -> int:
     if args.deg < 0:
         raise ValueError("max_deg must be >= 0")
     lie_type = LieType.parse(args.type)
-    weyl.check_cap(lie_type, args.element_cap)  # from the type: no O(r^3) closure above the cap
+    weyl.check_cap(lie_type)  # from the type: no O(r^3) closure above the cap
     datum = build_root_datum(lie_type)
     # the buckets alone: a cold run never holds the element stack
-    histogram = weyl.charpoly_histogram(
-        datum, element_cap=args.element_cap, cache_dir=_cache_dir(args)
-    )
+    histogram = weyl.charpoly_histogram(datum, cache_dir=_cache_dir(args))
     coeffs = weyl.molien_poincare(histogram, args.n, args.deg)
     _emit(
         {
@@ -100,10 +98,7 @@ def _cmd_cells(args) -> int:
     if not 1 <= args.k <= weyl.CENSUS_MAX_K:
         raise ValueError(f"k must lie in 1..{weyl.CENSUS_MAX_K}; no option raises this bound")
     datum = build_root_datum(lie_type)
-    # --rank-cap is the opt-in to large types, so only the hard limit applies
-    group = weyl.generate(
-        datum, element_cap=weyl.HARD_ELEMENT_LIMIT, cache_dir=_cache_dir(args)
-    )
+    group = weyl.generate(datum, cache_dir=_cache_dir(args))
     # k by name: perfbench's span hook for cell_census reads k by name or at position 2
     counts = weyl.cell_census(group, k=args.k)
     euler = weyl.euler_char_rep(group, args.k)
@@ -201,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("type")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--deg", type=int, default=6, help="truncation degree")
-    p.add_argument("--element-cap", type=int, default=weyl.DEFAULT_ELEMENT_CAP)
     p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=_cmd_poincare)
 
@@ -247,10 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"liecomm: invariant breach: {exc}", file=sys.stderr)
         return EXIT_BREACH
     except WeylCapError as exc:
-        # only poincare has a knob, and nothing raises the hard limit
-        knob = hasattr(args, "element_cap") and exc.cap < weyl.HARD_ELEMENT_LIMIT
-        hint = "raise --element-cap" if knob else f"no option of {args.command} raises this cap"
-        print(f"liecomm: {exc}; {hint}", file=sys.stderr)
+        print(f"liecomm: {exc}; no option of {args.command} raises this cap", file=sys.stderr)
         return EXIT_PRECONDITION
     except ValueError as exc:
         print(f"liecomm: {exc}", file=sys.stderr)

@@ -133,8 +133,7 @@ from .rootdata import FaceIndex, LieType, RootDatum, all_faces
 
 WeylMatrix = tuple[tuple[int, ...], ...]
 
-DEFAULT_ELEMENT_CAP = 100_000
-HARD_ELEMENT_LIMIT = 10_000_000
+HARD_ELEMENT_LIMIT = 10_000_000  # the one enumeration bound; B8 and E8 lie above it
 CENSUS_MAX_K = 32  # the largest k of `cells`; E6's census at k = 32 takes 0.04-0.07 s (2-core VM)
 _CACHE_VERSION = 4
 _LABEL_BLOCK = 1 << 10  # elements per block of stack products, charpolys and translation labels
@@ -142,11 +141,12 @@ _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of smaller magnitude exa
 
 
 class WeylCapError(RuntimeError):
-    """Full enumeration would exceed its cap."""
+    """Full enumeration would exceed HARD_ELEMENT_LIMIT."""
 
-    def __init__(self, required: int, cap: int):
-        self.cap = cap
-        super().__init__(f"enumeration needs {required} elements, above the cap {cap}")
+    def __init__(self, required: int):
+        super().__init__(
+            f"enumeration needs {required} elements, above the cap {HARD_ELEMENT_LIMIT}"
+        )
 
 
 def _regular_vector(datum: RootDatum) -> np.ndarray:
@@ -503,28 +503,22 @@ def _cache_path(datum: RootDatum, cache_dir: Path) -> Path:
     return Path(cache_dir) / f"weyl_{datum.lie_type.name}_v{_CACHE_VERSION}.npz"
 
 
-def check_cap(lie_type: LieType, element_cap: int) -> None:
+def check_cap(lie_type: LieType) -> None:
     """The cap check of generate and charpoly_histogram, on |W| read off the
     type, so no root datum is built."""
-    required = lie_type.weyl_order
-    cap = HARD_ELEMENT_LIMIT if required > HARD_ELEMENT_LIMIT else element_cap
-    if required > cap:
-        raise WeylCapError(required, cap)
+    if lie_type.weyl_order > HARD_ELEMENT_LIMIT:
+        raise WeylCapError(lie_type.weyl_order)
 
 
-def generate(
-    datum: RootDatum,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
-    cache_dir: Path | None = None,
-) -> WeylGroup:
+def generate(datum: RootDatum, cache_dir: Path | None = None) -> WeylGroup:
     """Fully enumerate the Weyl group, sorted by orbit key.
 
     Raises WeylCapError when the order (product of the degrees) exceeds
-    element_cap or, naming it as the cap, HARD_ELEMENT_LIMIT; those types
-    are served by the formula-level operations instead.  The on-disk cache
-    is read, and written for rank >= 5, only in a cache_dir that is given.
+    HARD_ELEMENT_LIMIT; those types are served by the formula-level
+    operations instead.  The on-disk cache is read, and written for
+    rank >= 5, only in a cache_dir that is given.
     """
-    check_cap(datum.lie_type, element_cap)
+    check_cap(datum.lie_type)
     key = (datum.lie_type.family, datum.lie_type.rank)
     if key not in _MEMO:
         stack = np.empty((datum.lie_type.weyl_order, datum.rank, datum.rank), dtype=np.int8)
@@ -534,9 +528,7 @@ def generate(
 
 
 def charpoly_histogram(
-    datum: RootDatum,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
-    cache_dir: Path | None = None,
+    datum: RootDatum, cache_dir: Path | None = None
 ) -> WeylGroup | CharpolyHistogram:
     """The charpoly buckets of the Weyl group, for callers that read nothing
     else (molien_poincare).
@@ -546,7 +538,7 @@ def charpoly_histogram(
     cache or counted as the elements stream past (_stream): no stack is held
     and nothing is memoized.
     """
-    check_cap(datum.lie_type, element_cap)
+    check_cap(datum.lie_type)
     group = _MEMO.get((datum.lie_type.family, datum.lie_type.rank))
     return group or _load_cache(datum, cache_dir) or _stream(datum, cache_dir)
 
@@ -870,10 +862,15 @@ def _pmul(p: Sequence[int], q: Sequence[int], trunc: int) -> list[int]:
 
 
 def _ppow(p: Sequence[int], n: int, trunc: int) -> list[int]:
-    out = [1] + [0] * trunc
-    for _ in range(n):
-        out = _pmul(out, p, trunc)
-    return out
+    """p^n truncated at trunc, by repeated squaring: O(log n) products."""
+    out, base = [1] + [0] * trunc, p
+    while True:
+        if n & 1:
+            out = _pmul(out, base, trunc)
+        n >>= 1
+        if not n:
+            return out
+        base = _pmul(base, base, trunc)
 
 
 def _det_one_plus_tw(charpoly: Sequence[int]) -> list[int]:

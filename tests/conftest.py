@@ -97,7 +97,7 @@ def _traced_enumeration(name: str):
     from liecomm.rootdata import build_root_datum
 
     with mock.patch.dict(weyl._MEMO, clear=True):
-        return _traced(weyl.generate, build_root_datum(name), weyl.HARD_ELEMENT_LIMIT)
+        return _traced(weyl.generate, build_root_datum(name))
 
 
 @pytest.fixture

@@ -307,7 +307,7 @@ def test_exact_modules_import_no_numpy():
 _CLI_OPTIONS = {
     None: {"--version": argparse.SUPPRESS},
     "invariants": {"type": None},
-    "poincare": {"type": None, "--n": None, "--deg": 6, "--element-cap": 100_000, "--cache-dir": None},
+    "poincare": {"type": None, "--n": None, "--deg": 6, "--cache-dir": None},
     "cells": {"type": None, "--k": 2, "--rank-cap": 4, "--cache-dir": None},
     "wps-degree": {"--weights": None, "--k": 1, "--subset": None},
     "spin-stability": {"--m": None, "--ell": None, "--parity": None, "--k": None},

@@ -9,6 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm, prod
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,9 +79,21 @@ class TestEnumeration:
 
     def test_cap_errors(self):
         with pytest.raises(WeylCapError):
-            generate(build_root_datum("E7"))  # above the default cap
+            generate(build_root_datum("E8"))  # above the hard limit
+
+    def test_check_cap_is_the_one_bound(self):
+        # |W| is read off the type, so no root datum is built and nothing enumerated
+        for name, order in (("E7", 2_903_040), ("D8", 5_160_960)):
+            assert rootdata.LieType.parse(name).weyl_order == order
+            weyl.check_cap(rootdata.LieType.parse(name))
+        for name, order in (("B8", 10_321_920), ("E8", 696_729_600)):
+            with pytest.raises(WeylCapError) as info:
+                weyl.check_cap(rootdata.LieType.parse(name))
+            assert str(info.value) == f"enumeration needs {order} elements, above the cap 10000000"
+        # the bound itself is reachable: an order of exactly HARD_ELEMENT_LIMIT passes
+        weyl.check_cap(SimpleNamespace(weyl_order=HARD_ELEMENT_LIMIT))
         with pytest.raises(WeylCapError):
-            generate(build_root_datum("E8"), element_cap=10**9)  # above the hard limit
+            weyl.check_cap(SimpleNamespace(weyl_order=HARD_ELEMENT_LIMIT + 1))
 
     def test_cache_roundtrip(self, tmp_path):
         datum = build_root_datum("B5")
@@ -306,7 +319,7 @@ class TestEnumeration:
     def test_rank_seven_exceptional_behind_flag(self, monkeypatch, e7_enumeration):
         datum = build_root_datum("E7")
         monkeypatch.setitem(weyl._MEMO, ("E", 7), e7_enumeration[0])
-        group = generate(datum, element_cap=3_000_000)
+        group = generate(datum)
         assert group is e7_enumeration[0]
         assert group.order == 2_903_040
         assert irreducibility_check(group) == Fraction(1)
@@ -411,7 +424,7 @@ class TestElementIndex:
         # the enumerated stack and buckets in the file, and no stack held
         # (the peak measured 0.34 times the stack's 142 MB)
         monkeypatch.setattr(weyl, "_MEMO", {})
-        argv = ["poincare", "E7", "--n", "1", "--element-cap", "3000000"]
+        argv = ["poincare", "E7", "--n", "1"]
         code, peak = traced(cli.main, [*argv, "--cache-dir", str(tmp_path)])
         assert code == 0
         assert capsys.readouterr().out == (
@@ -667,6 +680,23 @@ class TestMolien:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             molien_poincare(_group("A1"), 0, 3)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 1000])
+    def test_power_by_squaring(self, monkeypatch, n):
+        calls = []
+
+        def counted(p, q, trunc):
+            calls.append(trunc)
+            return pmul(p, q, trunc)
+
+        pmul = weyl._pmul
+        monkeypatch.setattr(weyl, "_pmul", counted)
+        assert weyl._ppow([2, 0, -1], n, 3) == [2**n, 0, -n * 2 ** (n - 1) if n else 0, 0]
+        calls.clear()
+        assert weyl._ppow([1, 1], n, 6) == [comb(n, j) for j in range(7)]
+        # a squaring per bit of n but the last and a product per set bit (15
+        # at n = 1000), against n products multiplied out
+        assert len(calls) == max(n.bit_length() - 1, 0) + bin(n).count("1")
 
 
 class TestClassFunctions:

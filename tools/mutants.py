@@ -50,7 +50,10 @@ TESTS = {
         "tests/test_cli.py::test_golden_stdout",
         "tests/test_cli.py::test_stdout_digest",
     ],
-    "rootdata.py": ["tests/test_rootdata.py"],
+    "rootdata.py": [
+        "tests/test_rootdata.py",
+        "tests/test_cli.py::TestPoincareCommand::test_closed_form_order_breach_exits_3",
+    ],
     "simplicial.py": ["tests/test_simplicial.py"],
     "verify.py": ["tests/test_acceptance.py", "tests/test_cli.py::test_stdout_digest"],
     "weyl.py": ["tests/test_weyl.py", "tests/test_cli.py::TestPoincareCommand"],

@@ -23,6 +23,9 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_BREACH = 3
 
+_CACHE_DIR_HELP = "keeps Weyl groups of rank >= 5 between runs; without it nothing is read or written"
+
+
 def _jsonable(value):
     if isinstance(value, float):
         if not math.isfinite(value):
@@ -196,14 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("type")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--deg", type=int, default=6, help="truncation degree")
-    p.add_argument("--cache-dir", default=None)
+    p.add_argument("--cache-dir", default=None, help=_CACHE_DIR_HELP)
     p.set_defaults(func=_cmd_poincare)
 
     p = sub.add_parser("cells", help="cell census of the k-fold torus quotient")
     p.add_argument("type")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--rank-cap", type=int, default=4)
-    p.add_argument("--cache-dir", default=None)
+    p.add_argument("--cache-dir", default=None, help=_CACHE_DIR_HELP)
     p.set_defaults(func=_cmd_cells)
 
     p = sub.add_parser("wps-degree", help="weighted projective space degrees")

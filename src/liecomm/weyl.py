@@ -98,14 +98,17 @@ n = 1 Poincare series prod_i (1 + t^(2d_i - 1)), which molien_poincare
 requires.
 
 Groups are memoized in-process.  A caller that names a cache directory also
-gets the on-disk cache (format 4): the stack, its zlib CRC-32 and the
-buckets, written for rank >= 5.  The file is the archive np.savez writes,
-byte for byte in every member, but the stack member is written from the
-blocks as they stream past, with a running CRC, under a temporary name
-renamed once the buckets pass Solomon's identity.  A load checks the CRC of
-the stack member's chunks, copied into a stack only for generate, and the
-buckets by their counts summing to |W| and by Solomon's identity, so a warm
-load never derives the buckets, and a warm poincare holds no stack.
+gets the on-disk cache (format 5), written for rank >= 5: one flat file,
+the stack's int8 bytes in element order, then a little-endian int64 trailer
+[version, zlib CRC-32 of the stack, bucket count n, the n counts, the n
+charpolys row by row].  The stack is written from the blocks as they stream
+past, with a running CRC, under a temporary name renamed once the buckets
+pass Solomon's identity.  A load reads the stack into a stack only for
+generate, and through one reused _LABEL_BLOCK buffer otherwise, and requires
+the version, a trailer of exactly 3 + n*(r + 2) entries, the CRC of the
+stack and the buckets, by their counts summing to |W| and by Solomon's
+identity, so a warm load never derives the buckets, and a warm poincare
+holds no stack.
 """
 
 from __future__ import annotations
@@ -115,7 +118,6 @@ import math
 import operator
 import os
 import sys
-import zipfile
 import zlib
 from collections import Counter
 from dataclasses import dataclass
@@ -135,7 +137,7 @@ WeylMatrix = tuple[tuple[int, ...], ...]
 
 HARD_ELEMENT_LIMIT = 10_000_000  # the one enumeration bound; B8 and E8 lie above it
 CENSUS_MAX_K = 32  # the largest k of `cells`; E6's census at k = 32 takes 0.04-0.07 s (2-core VM)
-_CACHE_VERSION = 4
+_CACHE_VERSION = 5
 _LABEL_BLOCK = 1 << 10  # elements per block of stack products, charpolys and translation labels
 _FLOAT32_EXACT = 1 << 24  # float32 holds every integer of smaller magnitude exactly
 
@@ -500,7 +502,7 @@ _MEMO: dict[tuple[str, int], WeylGroup] = {}
 
 
 def _cache_path(datum: RootDatum, cache_dir: Path) -> Path:
-    return Path(cache_dir) / f"weyl_{datum.lie_type.name}_v{_CACHE_VERSION}.npz"
+    return Path(cache_dir) / f"weyl_{datum.lie_type.name}_v{_CACHE_VERSION}.bin"
 
 
 def check_cap(lie_type: LieType) -> None:
@@ -647,51 +649,36 @@ def _stream(
     completed only once the identity holds."""
     counts: Counter[tuple[int, ...]] = Counter()
     writes = cache_dir is not None and datum.rank >= 5
-    with _CacheWriter(_cache_path(datum, cache_dir) if writes else None, datum) as writer:
+    with _CacheWriter(_cache_path(datum, cache_dir) if writes else None) as writer:
         for start, block in _sorted_blocks(datum, counts):
             writer.write(block)
             if stack is not None:
                 stack[start : start + len(block)] = block
         b = _newton_buckets(counts)
         found = CharpolyHistogram(datum, b) if stack is None else WeylGroup(datum, stack, b)
-        _require_solomon(found)
+        name = datum.lie_type.name
+        require(_solomon_holds(found), f"the {name} charpoly buckets fail Solomon's identity")
         writer.finish(b)
     return found
-
-
-def _require_solomon(group: WeylGroup | CharpolyHistogram) -> None:
-    name = group.datum.lie_type.name
-    require(_solomon_holds(group), f"the {name} charpoly buckets fail Solomon's identity")
 
 
 class _CacheWriter:
     """The cache file of one group, written as its blocks stream past.
 
-    version, order and the header of matrices go first; write adds each
-    block of the stack, and finish the blocks' CRC-32 and the buckets.  Each
-    member holds the bytes np.savez writes, but a block goes to the zip layer
-    from its own buffer, where np.savez would copy it.  Only finish renames
-    the file into place: leaving the with block before it, or an OSError,
-    removes the file, and an OSError is reported on stderr and ends the
-    write, not the caller's work.  With no path nothing is written.
+    write adds each block of the stack, and finish the int64 trailer.  Only
+    finish renames the file into place: leaving the with block before it, or
+    an OSError, removes the file, and an OSError is reported on stderr and
+    ends the write, not the caller's work.  With no path nothing is written.
     """
 
-    def __init__(self, path: Path | None, datum: RootDatum):
-        self.path, self.crc, self.archive = path, 0, None
+    def __init__(self, path: Path | None):
+        self.path, self.crc, self.file = path, 0, None
         if path is None:
             return
         self.temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        self.files = contextlib.ExitStack()  # closes the member, then the archive
-        order, r = datum.lie_type.weyl_order, datum.rank
-        header = {"descr": np.dtype(np.int8).str, "fortran_order": False, "shape": (order, r, r)}
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            self.archive = self.files.enter_context(zipfile.ZipFile(self.temp, "w"))
-            _write_members(self.archive, version=np.int64(_CACHE_VERSION), order=np.int64(order))
-            self.member = self.files.enter_context(
-                self.archive.open("matrices.npy", "w", force_zip64=True)
-            )
-            np.lib.format.write_array_header_1_0(self.member, header)
+            self.file = open(self.temp, "wb")
         except OSError as exc:
             self._discard(exc)
 
@@ -702,23 +689,23 @@ class _CacheWriter:
         self._discard()
 
     def write(self, block: np.ndarray) -> None:
-        if self.archive is not None:
+        if self.file is not None:
             try:
-                self.member.write(memoryview(block).cast("B"))  # TypeError if not C-contiguous
+                self.file.write(block)  # ValueError if not C-contiguous
                 self.crc = zlib.crc32(block, self.crc)
             except OSError as exc:
                 self._discard(exc)
 
     def finish(self, buckets: tuple[tuple[tuple[int, ...], int], ...]) -> None:
-        if self.archive is None:
+        if self.file is None:
             return
-        charpolys, counts = (np.array(column, dtype=np.int64) for column in zip(*buckets))
+        charpolys, counts = zip(*buckets)
+        head = [_CACHE_VERSION, self.crc, len(buckets), *counts]
         try:
-            self.member.close()
-            _write_members(self.archive, crc=np.int64(self.crc), charpolys=charpolys, counts=counts)
-            self.archive.close()
+            self.file.write(np.array(head + [c for p in charpolys for c in p], dtype="<i8"))
+            self.file.close()
             os.replace(self.temp, self.path)
-            self.archive = None
+            self.file = None
         except OSError as exc:
             self._discard(exc)
 
@@ -726,22 +713,11 @@ class _CacheWriter:
         """Report exc, if given, then close and remove the temporary file, if one is open."""
         if exc is not None:
             print(f"liecomm: could not write the Weyl cache {self.path}: {exc}", file=sys.stderr)
-        if self.archive is not None:
+        if self.file is not None:
             with contextlib.suppress(OSError):
-                self.files.close()
-            self.archive = None
+                self.file.close()
+            self.file = None
             self.temp.unlink(missing_ok=True)
-
-
-def _write_members(archive: zipfile.ZipFile, **arrays: np.ndarray | np.generic) -> None:
-    """Add each array as the member np.savez writes for it, its data written
-    from the array's own buffer."""
-    for name, value in arrays.items():
-        array = np.asarray(value)  # 0-d stays 0-d: np.load gives scalars back
-        with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
-            header = np.lib.format.header_data_from_array_1_0(array)
-            np.lib.format.write_array_header_1_0(member, header)
-            member.write(memoryview(array).cast("B"))  # C order; TypeError if not contiguous
 
 
 def _load_cache(
@@ -749,71 +725,47 @@ def _load_cache(
 ) -> WeylGroup | CharpolyHistogram | None:
     """The cached buckets, with the stored stack read into stack when one is
     given and its group returned, else a CharpolyHistogram; None with no
-    cache_dir, or when the file is missing or rejected.  The stack member is
-    read in chunks past its header, its CRC-32 taken as they pass, so with no
-    stack to fill none is held.
+    cache_dir, or when the file is missing or rejected.  With no stack to
+    fill, the stack is read _LABEL_BLOCK elements at a time into one buffer,
+    its CRC-32 taken as they pass, so none is held.
 
-    A rejected file is named on stderr with its reason: unreadable,
-    truncated or malformed, another version, another order, shape, layout or
-    dtype, a stack whose CRC-32 is not the stored one, or buckets that fail
-    Solomon's identity.
+    A rejected file is named on stderr with its reason: unreadable or
+    truncated (too short for a trailer of whole int64 entries), another
+    version, a trailer of the wrong length, a stack whose CRC-32 is not the
+    stored one, or buckets that fail Solomon's identity.
     """
     path = None if cache_dir is None else _cache_path(datum, cache_dir)
     if path is None or not path.exists():
         return None
-    r, order, crc = datum.rank, datum.lie_type.weyl_order, 0
+    r, order = datum.rank, datum.lie_type.weyl_order
     try:
-        with zipfile.ZipFile(path) as archive:
-            version = _scalar(archive, "version")
-            if version != _CACHE_VERSION:
-                return _reject(path, f"format version {version}, not {_CACHE_VERSION}")
-            stored, stored_crc = _scalar(archive, "order"), _scalar(archive, "crc")
-            charpolys, counts = _member(archive, "charpolys"), _member(archive, "counts")
-            with archive.open("matrices.npy") as member:
-                if np.lib.format.read_magic(member) != (1, 0):
-                    raise ValueError("the stack's header is not format 1.0")
-                header = np.lib.format.read_array_header_1_0(member)
-                if (
-                    (stored, *header) != (order, (order, r, r), False, np.int8)
-                    or (charpolys.shape, counts.shape) != ((counts.size, r + 1), (counts.size,))
-                    or (charpolys.dtype, counts.dtype) != (np.int64, np.int64)
-                ):
-                    name = datum.lie_type.name
-                    return _reject(path, f"order, shape, layout or dtype is not the {name} stack's")
-                # into a stack in numpy's own 256 KiB reads: _LABEL_BLOCK elements
-                # left a warm query job's peak RSS 0.04 MB higher
-                total, step = order * r * r, _LABEL_BLOCK * r * r if stack is None else 1 << 18
-                for start in range(0, total, step):
-                    size = min(step, total - start)
-                    chunk = np.frombuffer(member.read(size), dtype=np.int8)
-                    if chunk.size < size:
-                        raise EOFError("the stack ends early")
-                    crc = zlib.crc32(chunk, crc)
-                    if stack is not None:
-                        stack.reshape(-1)[start : start + size] = chunk
-    except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        with open(path, "rb") as file:
+            if stack is not None:
+                file.readinto(stack)
+                crc = zlib.crc32(stack)
+            else:
+                crc, chunk, total = 0, np.empty(_LABEL_BLOCK * r * r, dtype=np.int8), order * r * r
+                for start in range(0, total, chunk.size):
+                    size = file.readinto(chunk[: total - start])
+                    crc = zlib.crc32(chunk[:size], crc)
+            tail = file.read()
+    except OSError as exc:
         return _reject(path, f"unreadable or truncated ({exc})")
+    if len(tail) < 24 or len(tail) % 8:
+        return _reject(path, f"unreadable or truncated ({len(tail)} bytes after the stack)")
+    version, stored_crc, n, *rest = np.frombuffer(tail, dtype="<i8").tolist()
+    if version != _CACHE_VERSION:
+        return _reject(path, f"format version {version}, not {_CACHE_VERSION}")
+    if len(rest) != n * (r + 2):
+        return _reject(path, f"a trailer of {3 + len(rest)} entries, not 3 + {n}*{r + 2}")
     if crc != stored_crc:
         return _reject(path, "the stack does not match its CRC-32")
-    buckets = tuple(zip(map(tuple, charpolys.tolist()), counts.tolist()))
+    charpolys = (tuple(rest[k : k + r + 1]) for k in range(n, len(rest), r + 1))
+    buckets = tuple(zip(charpolys, rest[:n]))
     found = CharpolyHistogram(datum, buckets) if stack is None else WeylGroup(datum, stack, buckets)
-    if sum(counts.tolist()) != order or not _solomon_holds(found):
+    if sum(rest[:n]) != order or not _solomon_holds(found):
         return _reject(path, "the charpoly buckets fail Solomon's identity")
     return found
-
-
-def _member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
-    """The array of the member np.savez wrote for name."""
-    with archive.open(f"{name}.npy") as member:
-        return np.lib.format.read_array(member)
-
-
-def _scalar(archive: zipfile.ZipFile, name: str) -> int:
-    """The int64 scalar of the member np.savez wrote for name."""
-    value = _member(archive, name)
-    if value.shape != () or value.dtype != np.int64:
-        raise ValueError(f"{name} is not an int64 scalar")
-    return int(value)
 
 
 def _reject(path: Path, reason: str) -> None:

@@ -216,6 +216,20 @@ class TestPoincareCommand:
         assert out == expected
         assert f"could not write the Weyl cache {weyl._cache_path(datum, blocker)}" in err
 
+    def test_stale_version_is_left_alone(self, capsys, monkeypatch, tmp_path):
+        # the version is part of the name, so a format 4 file is neither read,
+        # nor reported, nor removed, and the format 5 file is written beside it
+        argv = ["poincare", "B5", "--n", "2", "--deg", "8"]
+        _, expected, _ = run_cli(capsys, *argv)
+        stale = tmp_path / "weyl_B5_v4.npz"
+        stale.write_bytes(b"a format 4 archive")
+        monkeypatch.setattr(weyl, "_MEMO", {})
+        code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert (code, out) == (0, expected)
+        assert err == "liecomm: enumerating the B5 Weyl group (3840 elements)\n"
+        assert stale.read_bytes() == b"a format 4 archive"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["weyl_B5_v4.npz", "weyl_B5_v5.bin"]
+
     def test_cache_out_of_key_order_exits_3(self, capsys, monkeypatch, tmp_path):
         # a stack permuted after the fact, with its CRC recomputed, passes the
         # load's checks but not the orbit-key order that every lookup relies on
@@ -223,11 +237,11 @@ class TestPoincareCommand:
         argv = ["cells", "B5", "--k", "1", "--rank-cap", "5", "--cache-dir", str(tmp_path)]
         assert run_cli(capsys, *argv)[0] == 0
         path = weyl._cache_path(build_root_datum("B5"), tmp_path)
-        with np.load(path) as data:
-            stored = {name: data[name] for name in data.files}
-        stored["matrices"] = stored["matrices"][::-1].copy()
-        stored["crc"] = np.int64(zlib.crc32(stored["matrices"]))
-        np.savez(path, **stored)
+        data, size = path.read_bytes(), 3840 * 5 * 5
+        stack = np.frombuffer(data, dtype=np.int8, count=size).reshape(-1, 5, 5)[::-1].copy()
+        trailer = np.frombuffer(data, dtype="<i8", offset=size).copy()
+        trailer[1] = zlib.crc32(stack)
+        path.write_bytes(stack.tobytes() + trailer.tobytes())
         monkeypatch.setattr(weyl, "_MEMO", {})
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
@@ -512,8 +526,8 @@ class TestOtherCommands:
             assert list(home.iterdir()) == []
         assert json.loads(_cli_run("verify", cwd=home))["passed"] is True
         assert list(home.iterdir()) == []
-        written = sorted(p.relative_to(cached).as_posix() for p in cached.rglob("*.npz"))
-        assert written == ["A5/weyl_A5_v4.npz", "E6/weyl_E6_v4.npz"]
+        written = sorted(p.relative_to(cached).as_posix() for p in cached.rglob("*.*"))
+        assert written == ["A5/weyl_A5_v5.bin", "E6/weyl_E6_v5.bin"]
 
     def test_spin_stability(self, capsys):
         code, out, _ = run_cli(capsys, "spin-stability", "--m", "7")

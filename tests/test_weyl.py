@@ -3,7 +3,6 @@ import hashlib
 import json
 import random
 import re
-import zipfile
 import zlib
 from collections import Counter
 from fractions import Fraction
@@ -141,9 +140,9 @@ class TestEnumeration:
             ("move_count", "the charpoly buckets fail Solomon's identity"),
             # det(-w) = +-2 is no Weyl element's: its det(1 - x*w) divides no product
             ("double_constant_term", "the charpoly buckets fail Solomon's identity"),
-            ("old_version", "format version 3, not 4"),
-            ("vector_version", "unreadable or truncated (version is not an int64 scalar)"),
-            ("fortran_stack", "order, shape, layout or dtype is not the B5 stack's"),
+            ("old_version", "format version 4, not 5"),
+            ("cut_trailer_at_a_bucket", "a trailer of 165 entries, not 3 + 24*7"),
+            ("truncate_stack_mid_block", "unreadable or truncated (0 bytes after the stack)"),
         ],
     )
     def test_damaged_cache_is_rejected_with_its_reason(self, tmp_path, capsys, damage, reason):
@@ -151,24 +150,24 @@ class TestEnumeration:
         weyl._MEMO.pop(("B", 5), None)
         generate(datum, cache_dir=tmp_path)
         path = weyl._cache_path(datum, tmp_path)
+        stack, trailer = _cache_file(path, datum)
+        n = int(trailer[2])  # 24 buckets of 6 coefficients
         if damage == "truncate":
             path.write_bytes(path.read_bytes()[:1000])
+        elif damage == "truncate_stack_mid_block":
+            path.write_bytes(stack[: (2 * weyl._LABEL_BLOCK + 500) * 25 + 7])
+        elif damage == "cut_trailer_at_a_bucket":
+            path.write_bytes(stack + trailer[: -(datum.rank + 1)].tobytes())
         else:
-            with np.load(path) as data:
-                stored = {name: data[name].copy() for name in data.files}
             if damage == "flip_stack_byte":
-                stored["matrices"].reshape(-1)[1234] ^= 1  # the stored CRC stays
+                stack[1234] ^= 1  # the stored CRC stays
             elif damage == "double_constant_term":
-                stored["charpolys"][0, 0] *= 2
+                trailer[3 + n] *= 2
             elif damage == "old_version":
-                stored["version"] = np.int64(3)
-            elif damage == "vector_version":
-                stored["version"] = np.array([4, 4])
-            elif damage == "fortran_stack":
-                stored["matrices"] = np.asfortranarray(stored["matrices"])  # the same CRC
+                trailer[0] = 4
             else:
-                stored["counts"][:2] += (-1, 1)  # still summing to |W|
-            np.savez(path, **stored)
+                trailer[3:5] += (-1, 1)  # still summing to |W|
+            path.write_bytes(stack + trailer.tobytes())
         capsys.readouterr()
         weyl._MEMO.pop(("B", 5), None)
         group = generate(datum, cache_dir=tmp_path)
@@ -179,6 +178,30 @@ class TestEnumeration:
         # the enumeration wrote the file again, and it loads silently
         assert weyl._load_cache(datum, tmp_path).charpoly_buckets == group.charpoly_buckets
         assert capsys.readouterr().err == ""
+
+    def test_truncation_anywhere_is_rejected(self, tmp_path, capsys):
+        # every cut of the file, in the stack, inside an entry or at any entry
+        # boundary of the trailer, and an entry or a byte appended, is named
+        # on stderr with its reason, for generate's route and poincare's
+        datum = build_root_datum("B5")
+        _cold(datum, cache_dir=tmp_path)
+        path = weyl._cache_path(datum, tmp_path)
+        whole, size = path.read_bytes(), len(_cache_file(path, datum)[0])
+        cuts = [0, 1, size // 2, size - 1, size + 23, len(whole) - 1]
+        cuts += range(size, len(whole), 8)  # every entry boundary of the trailer
+        capsys.readouterr()
+        for data in [whole[:cut] for cut in cuts] + [whole + bytes(8), whole + bytes(1)]:
+            path.write_bytes(data)
+            stack = np.empty((3840, 5, 5), dtype=np.int8)
+            assert weyl._load_cache(datum, tmp_path, stack) is None, len(data)
+            assert weyl._load_cache(datum, tmp_path) is None, len(data)
+            tail = max(len(data) - size, 0)
+            if tail < 24 or tail % 8:
+                reason = f"unreadable or truncated ({tail} bytes after the stack)"
+            else:
+                reason = f"a trailer of {tail // 8} entries, not 3 + 24*7"
+            line = f"liecomm: ignoring the Weyl cache {path}: {reason}"
+            assert capsys.readouterr().err.splitlines() == [line, line]
 
     def test_missing_cache_is_silent(self, tmp_path, capsys):
         assert weyl._load_cache(build_root_datum("B5"), tmp_path) is None
@@ -207,24 +230,18 @@ class TestEnumeration:
             assert g.matrices.dtype == np.int8 and not g.matrices.flags.writeable
         assert np.array_equal(loaded.matrices, group.matrices)
         assert loaded.charpoly_buckets == group.charpoly_buckets
-        with np.load(weyl._cache_path(datum, tmp_path)) as data:
-            stored = {name: data[name] for name in data.files}
-        assert sorted(stored) == ["charpolys", "counts", "crc", "matrices", "order", "version"]
-        assert stored["matrices"].dtype == np.int8
-        assert int(stored["version"]) == weyl._CACHE_VERSION and int(stored["order"]) == group.order
-        assert int(stored["crc"]) == zlib.crc32(group.matrices.tobytes())
-        buckets = zip(map(tuple, stored["charpolys"].tolist()), stored["counts"].tolist())
-        assert tuple(buckets) == group.charpoly_buckets
+        path = weyl._cache_path(datum, tmp_path)
+        stack, trailer = _cache_file(path, datum)
+        assert stack == group.matrices.tobytes()
         # a stack of another dtype is not this cache's format
-        stored["matrices"] = group.matrices.astype(np.int16)
-        np.savez(weyl._cache_path(datum, tmp_path), **stored)
+        path.write_bytes(group.matrices.astype(np.int16).tobytes() + trailer.tobytes())
         assert weyl._load_cache(datum, tmp_path) is None
 
     @pytest.mark.parametrize("name", ["B5", "E6"])
-    def test_cache_members_are_the_savez_members(self, name, tmp_path, monkeypatch):
-        # the writer is np.savez without the copy: same members, same order,
-        # same bytes, so the format and its version are unchanged, whether it
-        # writes an enumerated stack (generate) or the blocks poincare streams
+    def test_both_routes_write_one_file(self, name, tmp_path, monkeypatch):
+        # the int8 stack in element order, then the int64 trailer: version,
+        # CRC-32 of the stack, bucket count, counts, charpolys row by row,
+        # whether generate writes an enumerated stack or poincare the blocks it streams
         datum = build_root_datum(name)
         monkeypatch.setattr(weyl, "_MEMO", {})
         group = generate(datum, cache_dir=tmp_path / "generate")
@@ -232,27 +249,14 @@ class TestEnumeration:
         histogram = weyl.charpoly_histogram(datum, cache_dir=tmp_path / "poincare")
         assert histogram.charpoly_buckets == group.charpoly_buckets
         charpolys, counts = zip(*group.charpoly_buckets)
-        reference = tmp_path / "savez.npz"
-        np.savez(
-            reference,
-            version=np.int64(weyl._CACHE_VERSION),
-            order=np.int64(group.order),
-            matrices=group.matrices,
-            crc=np.int64(zlib.crc32(group.matrices)),
-            charpolys=np.array(charpolys, dtype=np.int64),
-            counts=np.array(counts, dtype=np.int64),
-        )
+        head = [5, zlib.crc32(group.matrices), len(counts), *counts]
+        trailer = np.array(head + [c for p in charpolys for c in p], dtype="<i8")
+        expected = group.matrices.tobytes() + trailer.tobytes()
         for route in ("generate", "poincare"):
             path = weyl._cache_path(datum, tmp_path / route)
+            assert path.name == f"weyl_{name}_v5.bin"
             assert list(path.parent.iterdir()) == [path]  # renamed into place
-            with zipfile.ZipFile(path) as ours, zipfile.ZipFile(reference) as theirs:
-                names = ours.namelist()
-                assert names == theirs.namelist()
-                assert names == [
-                    f"{n}.npy" for n in ("version", "order", "matrices", "crc", "charpolys", "counts")
-                ]
-                for member in names:
-                    assert ours.read(member) == theirs.read(member), (route, member)
+            assert path.read_bytes() == expected, route
 
     @pytest.mark.parametrize("name", ["E6", "A7", "B6"])
     def test_cold_generate_holds_one_stack(self, name, tmp_path, monkeypatch, traced):
@@ -389,6 +393,13 @@ def _types_below_hard_limit():
     return names
 
 
+def _cache_file(path, datum):
+    """The stack bytes of a cache file, as a bytearray, and its int64 trailer."""
+    data = bytearray(path.read_bytes())
+    size = datum.lie_type.weyl_order * datum.rank**2
+    return data[:size], np.frombuffer(data[size:], dtype="<i8").copy()
+
+
 def _stack_digest(matrices):
     """sha256 of the stack in lexicographic order of its entries, the order
     it was stored in before the orbit-key order, widened to int64 a block at
@@ -433,10 +444,11 @@ class TestElementIndex:
         )
         datum = build_root_datum("E7")
         assert peak <= 0.6 * datum.lie_type.weyl_order * datum.rank**2
-        with np.load(weyl._cache_path(datum, tmp_path)) as data:
-            matrices, charpolys, counts = data["matrices"], data["charpolys"], data["counts"]
-        buckets = tuple(zip(map(tuple, charpolys.tolist()), counts.tolist()))
-        assert _stack_digest(matrices) == E7_DIGESTS[0]
+        stack, trailer = _cache_file(weyl._cache_path(datum, tmp_path), datum)
+        n, r = int(trailer[2]), datum.rank
+        charpolys = trailer[3 + n :].reshape(n, r + 1)
+        buckets = tuple(zip(map(tuple, charpolys.tolist()), trailer[3 : 3 + n].tolist()))
+        assert _stack_digest(np.frombuffer(stack, dtype=np.int8).reshape(-1, r, r)) == E7_DIGESTS[0]
         assert hashlib.sha256(repr(buckets).encode()).hexdigest() == E7_DIGESTS[1]
 
     @pytest.mark.parametrize("name", ["E6", "A7", "B6"])

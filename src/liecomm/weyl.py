@@ -656,10 +656,14 @@ def _stream(
                 stack[start : start + len(block)] = block
         b = _newton_buckets(counts)
         found = CharpolyHistogram(datum, b) if stack is None else WeylGroup(datum, stack, b)
-        name = datum.lie_type.name
-        require(_solomon_holds(found), f"the {name} charpoly buckets fail Solomon's identity")
+        _require_solomon(found)
         writer.finish(b)
     return found
+
+
+def _require_solomon(group: WeylGroup | CharpolyHistogram) -> None:
+    name = group.datum.lie_type.name
+    require(_solomon_holds(group), f"the {name} charpoly buckets fail Solomon's identity")
 
 
 class _CacheWriter:

@@ -67,7 +67,7 @@ _SHARED_MEMBERS = {
     },
     "datum": {
         "WeylGroup": "weyl.cell_census",
-        "CharpolyHistogram": "weyl._solomon_holds",
+        "CharpolyHistogram": "weyl._require_solomon",
         "AlcoveGeometry": "weyl.face_stabilizer",
     },
     "charpoly_buckets": {

@@ -66,7 +66,6 @@ _EXPORTS = {
     "inclusion_degree": "wps",
     "kawasaki_homology": "wps",
     "proj_degree": "wps",
-    "spin_pi2_stability": "wps",
     "spin_stability_report": "wps",
 }
 

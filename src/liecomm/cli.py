@@ -136,16 +136,9 @@ def _cmd_wps_degree(args) -> int:
 
 def _cmd_spin_stability(args) -> int:
     from . import wps
-    given = (args.m is not None, args.ell is not None, args.k is not None)
-    if given not in ((True, False, False), (False, True, True)) or (given[0] and args.parity):
-        raise ValueError("provide either --m, or --ell with --k (and --parity)")
-    if args.m is not None:
-        report = {"m": args.m, **wps.spin_pi2_stability(args.m)}
-    else:
-        parity = args.parity or "even"
-        question = {"ell": args.ell, "parity": parity, "k": args.k}
-        report = {**question, **wps.spin_stability_report(args.ell, parity, args.k)}
-    _emit({"command": "spin-stability", **report})
+    question = {"ell": args.ell, "parity": args.parity, "k": args.k}
+    report = wps.spin_stability_report(args.ell, args.parity, args.k)
+    _emit({"command": "spin-stability", **question, **report})
     return EXIT_OK
 
 
@@ -216,10 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_wps_degree)
 
     p = sub.add_parser("spin-stability", help="spin stabilization degrees")
-    p.add_argument("--m", type=int, default=None, help="pi_2 stability verdict for m -> m+1")
-    p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--parity", choices=("even", "odd"), default=None, help="default even")
-    p.add_argument("--k", type=int, default=None, help="homology degree")
+    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--parity", choices=("even", "odd"), default="even", help="default even")
+    p.add_argument("--k", type=int, required=True, help="homology degree")
     p.set_defaults(func=_cmd_spin_stability)
 
     p = sub.add_parser("beta-check", help="residuals of the prism-boundary generator")

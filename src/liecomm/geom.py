@@ -38,7 +38,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .homology import InvariantBreachError, require
+from .homology import require
 
 SEAM_TOL = 1e-12
 DEGREE_RESIDUE_TOL = 1e-3

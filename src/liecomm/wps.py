@@ -9,7 +9,7 @@ multiplies the degree-2k generator by an lcm of weight products over
 
 from __future__ import annotations
 
-from math import lcm, prod
+from math import prod
 from typing import Sequence
 
 from .homology import FinAbGroup, as_int, exact_quotient
@@ -124,44 +124,4 @@ def spin_stability_report(ell: int, parity: str, k: int) -> dict:
         "degree": inclusion_degree(_spin_coroot_integers(parity, ell), shared, k // 2),
         "zero_groups": False,
         "route": "factorization through the shared coordinate subspace",
-    }
-
-
-def spin_pi2_stability(m: int) -> dict:
-    """Whether spin stabilization m -> m+1 is a pi_2 isomorphism (m >= 5):
-    {"stable", "route", "details"}, details holding the arithmetic by name.
-
-    For m >= 6 the covering even-series composite has degree
-    rep_degree * index_lower / index_upper, which must equal 1; m = 5 routes
-    through the exceptional isomorphisms with the symplectic/unitary groups.
-    Each Dynkin index is the lcm of the closed-form coroot integers.
-    """
-    if m < 5:
-        raise ValueError("stability statement starts at m = 5")
-    if m == 5:
-        return {
-            "stable": True,
-            "route": "exceptional isomorphisms (rank-2 symplectic and rank-3 unitary)",
-            "details": {
-                "dynkin_index_spin5": lcm(*_spin_coroot_integers("odd", 2)),
-                "dynkin_index_spin6": lcm(*_spin_coroot_integers("even", 3)),
-            },
-        }
-    ell = (m + 2) // 2
-    # first, so that the rank bound is checked before any weight tuple is built
-    rep_degree = spin_stability_report(ell, "even", 2)["degree"]
-    lower, upper = (lcm(*_spin_coroot_integers("even", n)) for n in (ell - 1, ell))
-    composite = exact_quotient(
-        rep_degree * lower, upper, "composite degree arithmetic is not integral"
-    )
-    return {
-        "stable": composite == 1,
-        "route": "even-series composite degree",
-        "details": {
-            "ell": ell,
-            "rep_degree": rep_degree,
-            "dynkin_index_lower": lower,
-            "dynkin_index_upper": upper,
-            "composite_hom_degree": composite,
-        },
     }

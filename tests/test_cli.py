@@ -530,27 +530,36 @@ class TestOtherCommands:
         assert written == ["A5/weyl_A5_v5.bin", "E6/weyl_E6_v5.bin"]
 
     def test_spin_stability(self, capsys):
-        code, out, _ = run_cli(capsys, "spin-stability", "--m", "7")
+        # --parity may be left out: the question is then asked of the even series
+        code, out, _ = run_cli(capsys, "spin-stability", "--ell", "5", "--k", "2")
         assert code == 0
-        assert json.loads(out)["stable"] is True
+        assert '"parity":"even"' in out
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--m", "7", "--ell", "5", "--k", "2"],
-            ["--m", "7", "--ell", "5"],
-            ["--m", "7", "--k", "2"],
-            ["--m", "7", "--parity", "odd"],
-            ["--m", "7", "--parity", "even"],
             ["--ell", "5"],
+            ["--k", "2"],
             [],
+            ["--parity", "odd"],
+            ["--ell", "5", "--parity", "odd"],
+            ["--m", "7"],
+            ["--m", "7", "--ell", "5", "--k", "2"],
         ],
     )
     def test_spin_stability_takes_one_question(self, capsys, argv):
-        code, out, err = run_cli(capsys, "spin-stability", *argv)
-        assert code == 2
+        # --ell and --k are required, and there is no --m option
+        missing = [option for option in ("--ell", "--k") if option not in argv]
+        if missing:
+            error = f"the following arguments are required: {', '.join(missing)}"
+        else:
+            error = "unrecognized arguments: --m 7"
+        with pytest.raises(SystemExit) as exc:
+            main(["spin-stability", *argv])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
         assert out == ""
-        assert err == "liecomm: provide either --m, or --ell with --k (and --parity)\n"
+        assert err.endswith(f": error: {error}\n")
 
     def test_spin_stability_degree(self, capsys):
         code, out, _ = run_cli(
@@ -574,20 +583,19 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--ell", "100000", "--k", "2"], ["--m", "199999"]],
+        [["--ell", "100000", "--k", "2"], ["--ell", "100000", "--parity", "odd", "--k", "2"]],
     )
     def test_spin_stability_answers_at_the_rank_bound(self, capsys, argv):
-        # --m 199999 asks about ell = (m + 2) // 2 = 100000
         code, out, _ = run_cli(capsys, "spin-stability", *argv)
         assert code == 0
-        payload = json.loads(out)
-        assert payload.get("degree", 1) == 1 and payload.get("stable", True)
+        assert json.loads(out)["degree"] == 1
 
     @pytest.mark.parametrize(
         "argv",
         [["--ell", "100001", "--k", "2"], ["--ell", "100001", "--k", "1"],
-         ["--ell", "100000000", "--parity", "odd", "--k", "2"], ["--m", "200000"],
-         ["--m", "1000000000000"]],
+         ["--ell", "100000000", "--parity", "odd", "--k", "2"],
+         ["--ell", "100001", "--parity", "odd", "--k", "0"],
+         ["--ell", "1000000000000", "--k", "2"]],
     )
     def test_spin_stability_refuses_past_the_rank_bound(self, capsys, argv):
         start = time.perf_counter()
@@ -710,19 +718,6 @@ _GOLDEN_STDOUT = [
         '"schema_version":1,"subset":[0,1],"weights":[1,2,3]}\n'
     ),
     (
-        ["spin-stability", "--m", "6"],
-        '{"command":"spin-stability","details":{"composite_hom_degree":1,'
-        '"dynkin_index_lower":1,"dynkin_index_upper":2,"ell":4,"rep_degree":2},"m":6,'
-        '"route":"even-series composite degree","schema_version":1,"stable":true}\n'
-    ),
-    (
-        ["spin-stability", "--m", "16"],
-        '{"command":"spin-stability","details":{"composite_hom_degree":1,'
-        '"dynkin_index_lower":2,"dynkin_index_upper":2,"ell":9,"rep_degree":1},'
-        '"m":16,"route":"even-series composite degree","schema_version":1,'
-        '"stable":true}\n'
-    ),
-    (
         ["spin-stability", "--ell", "4", "--parity", "odd", "--k", "4"],
         '{"command":"spin-stability","degree":2,"ell":4,"k":4,"parity":"odd",'
         '"route":"factorization through the shared coordinate subspace",'
@@ -818,11 +813,6 @@ _STDOUT_DIGESTS = [
         "f83314b463d8c632c263d8123d0e433c6abb2ff8430fd81b6bcf319894bd9a18",
     ),
     (
-        "spin-stability-m",
-        [["spin-stability", "--m", str(m)] for m in range(5, 17)],
-        "6763f837fa6e6c6770c7aa68eab351989a430ac1cd7a16a61e067df54b61c182",
-    ),
-    (
         "spin-stability-ell",
         [
             ["spin-stability", "--ell", str(ell), "--parity", parity, "--k", str(k)]
@@ -849,7 +839,7 @@ _STDOUT_DIGESTS = [
     (
         "verify",
         [["verify"]],
-        "5e58ae0fc28db49209bd7a6798107baf4df7c2bfe9fc38c4da0b44ccd089afd0",
+        "92d047a64c21d952e632d464f7b9794e76d9ebdef4dc9ed721a123f38402c33e",
     ),
 ]
 

@@ -133,7 +133,7 @@ _EXPORTED = [
     "irreducibility_check", "kawasaki_homology", "lattice_quotient", "molien_poincare", "n_vee",
     "null_homotopy_h", "pi2_hom_n", "pi2_hom_pairs", "pi4_commutative_classifying",
     "proj_degree", "quotient_by_involution", "rep_project_su2", "smith_normal_form",
-    "snf_divisors", "spin_pi2_stability", "spin_stability_report", "torus_inversion_quotient",
+    "snf_divisors", "spin_stability_report", "torus_inversion_quotient",
     "torus_triangulation", "triangulate_prism_boundary", "zeta_class",
 ]
 
@@ -302,6 +302,44 @@ def test_exact_modules_import_no_numpy():
     assert [name for name in _EXACT_MODULES if "numpy" in _top_level_imports(PACKAGE / name)] == []
 
 
+def _unused_imports(source: str) -> list[str]:
+    """The names an import binds that the module never loads as a bare name."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in bound if name not in used)
+
+
+def test_every_import_is_used():
+    # the project has no linter dependency, so this is its unused-import check
+    found = {
+        path.name: _unused_imports(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def test_an_unused_import_is_flagged():
+    source = """
+from __future__ import annotations
+import numpy as np
+import os.path
+from math import gcd, lcm
+from . import weyl
+
+def f(x):
+    from . import wps
+    return gcd(x, os.sep) + weyl.order(np)
+"""
+    assert _unused_imports(source) == ["lcm", "wps"]
+
+
 # each subcommand's options by their option strings, positionals by their
 # dest, with their defaults; None is the top-level parser
 _CLI_OPTIONS = {
@@ -310,7 +348,7 @@ _CLI_OPTIONS = {
     "poincare": {"type": None, "--n": None, "--deg": 6, "--cache-dir": None},
     "cells": {"type": None, "--k": 2, "--rank-cap": 4, "--cache-dir": None},
     "wps-degree": {"--weights": None, "--k": 1, "--subset": None},
-    "spin-stability": {"--m": None, "--ell": None, "--parity": None, "--k": None},
+    "spin-stability": {"--ell": None, "--parity": "even", "--k": None},
     "beta-check": {"--grid": 50},
     "cocycle-check": {"--samples": 10_000},
     "verify": {},

@@ -12,7 +12,6 @@ from liecomm.wps import (
     inclusion_degree,
     kawasaki_homology,
     proj_degree,
-    spin_pi2_stability,
     spin_stability_report,
 )
 
@@ -168,16 +167,17 @@ class TestSpinStability:
 
     @pytest.mark.parametrize("n", range(2, 31))
     def test_closed_form_coroot_integers(self, n):
-        # B2 = Spin(5) is the smallest odd member, read at m = 5; D2 is no simple type
+        # B2 = Spin(5) is the smallest odd member; D2 is no simple type
         if n > 2:
             assert wps._spin_coroot_integers("even", n) == build_root_datum(f"D{n}").coroot_integers
         assert wps._spin_coroot_integers("odd", n) == build_root_datum(f"B{n}").coroot_integers
 
     def test_no_root_datum_is_imported(self, run_python):
-        # the weights and both Dynkin indices have closed forms, so no root
-        # closure is needed, not even for the m = 5 route or m = 400
+        # the weights have a closed form, so no root closure is needed, not
+        # even for rank 400 or the odd rank-3 composition
         code = (
-            "import sys, liecomm.wps as w; w.spin_pi2_stability(400); w.spin_pi2_stability(5)\n"
+            "import sys, liecomm.wps as w\n"
+            "w.spin_stability_report(400, 'even', 2); w.spin_stability_report(3, 'odd', 2)\n"
             "print('liecomm.rootdata' in sys.modules)"
         )
         assert run_python("-c", code).stdout == "False\n"
@@ -201,37 +201,6 @@ class TestSpinStability:
             spin_stability_report(ell, parity, k)
             assert len(calls) == 2, k
             assert len(calls[0]) == len(wps._spin_coroot_integers(parity, ell))
-
-    def test_m5_exceptional_route(self):
-        report = spin_pi2_stability(5)
-        assert report["stable"]
-        assert "exceptional" in report["route"]
-        assert report["details"] == {"dynkin_index_spin5": 1, "dynkin_index_spin6": 1}
-
-    def test_m6_arithmetic(self):
-        report = spin_pi2_stability(6)
-        details = report["details"]
-        assert details["rep_degree"] == 2
-        assert details["dynkin_index_lower"] == 1
-        assert details["dynkin_index_upper"] == 2
-        assert details["composite_hom_degree"] == 1
-
-    def test_m8_arithmetic(self):
-        details = spin_pi2_stability(8)["details"]
-        assert details["rep_degree"] == 1
-        assert details["composite_hom_degree"] == 1
-
-    def test_range(self):
-        assert all(spin_pi2_stability(m)["stable"] for m in range(5, 17))
-        with pytest.raises(ValueError):
-            spin_pi2_stability(4)
-
-    def test_non_integral_composite_is_a_breach(self, monkeypatch):
-        # D4's degree 2 made 3: 3 * index(D3) / index(D4) = 3/2 leaves a remainder
-        real = wps.spin_stability_report
-        monkeypatch.setattr(wps, "spin_stability_report", lambda *a: {**real(*a), "degree": 3})
-        with pytest.raises(InvariantBreachError, match="composite degree arithmetic"):
-            spin_pi2_stability(6)
 
 
 class TestCompositeDegree:
